@@ -16,13 +16,21 @@
 //!    iteration for the initial frontier), the master pushes the new
 //!    value to every mirror that future gathers will read it from, and
 //!    activates scatter-direction neighbours.
+//!
+//! A superstep runs one of two bodies that produce the same report bit
+//! for bit: the *dense* body above, or — when the frontier touches few
+//! edges — a *sparse* body that walks the active vertices' own adjacency
+//! and costs O(frontier + its incident edges + k) instead of O(n + m)
+//! (DESIGN.md §3.3, "Frontier representation and the sparse/dense
+//! switch").
 
 use crate::cost::{CostModel, FaultSummary, IterationStats, RunReport};
 use crate::placement::Placement;
 use crate::program::VertexProgram;
 use crate::wire::encoded_len;
 use sgp_fault::{FaultEvent, FaultPlan};
-use sgp_graph::Graph;
+use sgp_graph::{Graph, VertexId};
+use sgp_partition::PartitionId;
 use sgp_trace::{keys, NullSink, TraceSink};
 
 /// Engine execution options.
@@ -49,7 +57,7 @@ pub fn run_program<P: VertexProgram>(
     prog: &P,
     opts: &EngineOptions,
 ) -> (Vec<P::VertexData>, RunReport) {
-    run_program_impl(g, placement, prog, opts, None, &mut NullSink)
+    run_program_impl(g, placement, prog, opts, None, &mut NullSink, BodyPolicy::Auto)
 }
 
 /// [`run_program`] with trace events recorded into `sink` (DESIGN.md §9).
@@ -66,7 +74,7 @@ pub fn run_program_traced<P: VertexProgram, S: TraceSink>(
     opts: &EngineOptions,
     sink: &mut S,
 ) -> (Vec<P::VertexData>, RunReport) {
-    run_program_impl(g, placement, prog, opts, None, sink)
+    run_program_impl(g, placement, prog, opts, None, sink, BodyPolicy::Auto)
 }
 
 /// Runs `prog` under a deterministic [`FaultPlan`] (DESIGN.md §7).
@@ -114,7 +122,7 @@ pub fn run_program_with_faults_traced<P: VertexProgram, S: TraceSink>(
 ) -> (Vec<P::VertexData>, RunReport) {
     assert_eq!(plan.machines, placement.k, "fault plan must match the placement");
     assert!(plan.validate().is_ok(), "fault plan must validate");
-    run_program_impl(g, placement, prog, opts, Some(plan), sink)
+    run_program_impl(g, placement, prog, opts, Some(plan), sink, BodyPolicy::Auto)
 }
 
 /// Tracks which plan events have been charged and accumulates the
@@ -183,6 +191,559 @@ impl FaultState<'_> {
     }
 }
 
+/// A superstep whose frontier has more than `m / SPARSE_EDGE_DIVISOR`
+/// gather edges scans every machine's edge list; below that it walks the
+/// frontier's own adjacency. Ligra's rule with 1/64 for its 1/20: to merge
+/// in the scan's order the walk pays a binary search per in-edge and a sort
+/// entry per edge, measured at 85 ns per gather edge against the scan's
+/// 1.3 ns per stored edge on the power-law benchmark graph (41 against 1.5
+/// on the lattice), so it only wins below about m/65.
+const SPARSE_EDGE_DIVISOR: usize = 64;
+
+/// Which gather/apply/scatter body a superstep runs. The public entry
+/// points always pass `Auto`; the forced variants exist so the tests can
+/// prove that both bodies produce the same run.
+#[derive(Debug, Clone, Copy)]
+enum BodyPolicy {
+    /// Per superstep, from the frontier's gather-edge volume.
+    Auto,
+    #[cfg(test)]
+    Dense,
+    #[cfg(test)]
+    Sparse,
+}
+
+/// One gather edge of a vertex in the sparse body: machine, `2 * edge
+/// index + (0 for in, 1 for out)`, neighbour. The derived order — machine,
+/// then edge index, then in-before-out — is the order in which the dense
+/// body's per-machine scan meets the same edges.
+type GatherEdge = (PartitionId, usize, VertexId);
+
+/// Message and compute accounting of the superstep in flight. The
+/// bodies build one over the run's vectors at their top, so the hot
+/// loops index plain slices.
+struct Tally<'t> {
+    compute_ns: &'t mut [f64],
+    sent_bytes: &'t mut [u64],
+    recv_bytes: &'t mut [u64],
+    gather_messages: u64,
+    update_messages: u64,
+}
+
+impl<'t> Tally<'t> {
+    fn over(
+        compute_ns: &'t mut [f64],
+        sent_bytes: &'t mut [u64],
+        recv_bytes: &'t mut [u64],
+    ) -> Self {
+        Tally { compute_ns, sent_bytes, recv_bytes, gather_messages: 0, update_messages: 0 }
+    }
+
+    /// One gather message from `machine` to the master, unless the
+    /// contribution was computed at the master itself.
+    #[inline]
+    fn gather_message<P: VertexProgram>(&mut self, machine: usize, master: PartitionId) {
+        let master = master as usize;
+        if master != machine {
+            self.gather_messages += 1;
+            let len = encoded_len(P::GATHER_BYTES) as u64;
+            self.sent_bytes[machine] += len;
+            self.recv_bytes[master] += len;
+        }
+    }
+}
+
+/// The fixed inputs of a run and the per-vertex steps both bodies share.
+struct Ctx<'a, P> {
+    g: &'a Graph,
+    placement: &'a Placement,
+    prog: &'a P,
+    cost: CostModel,
+    aggregate: bool,
+    gather_in: bool,
+    gather_out: bool,
+    /// Scatter directions, both `false` unless the program activates on change.
+    scatter_in: bool,
+    scatter_out: bool,
+}
+
+impl<P> Clone for Ctx<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<P> Copy for Ctx<'_, P> {}
+
+impl<P: VertexProgram> Ctx<'_, P> {
+    /// Number of in- and/or out-edges of `v`.
+    fn edge_count(self, v: VertexId, use_in: bool, use_out: bool) -> usize {
+        let ins = if use_in { self.g.in_degree(v) } else { 0 };
+        let outs = if use_out { self.g.out_degree(v) } else { 0 };
+        ins + outs
+    }
+
+    /// Do the in- and/or out-edges of `vertices` number at most `limit`?
+    /// Stops summing once they do not.
+    fn edges_within(
+        self,
+        vertices: &[VertexId],
+        use_in: bool,
+        use_out: bool,
+        limit: usize,
+    ) -> bool {
+        let mut volume = 0usize;
+        for &v in vertices {
+            volume += self.edge_count(v, use_in, use_out);
+            if volume > limit {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Dense-body gather: one scan of every machine's edge list. The
+    /// directions are const so each program gets a loop without the
+    /// other direction's test, and the function stays out of line with
+    /// its slices as parameters so the loop knows they are disjoint;
+    /// either one alone gives back 5-15 % of a partially active scan.
+    #[inline(never)]
+    fn gather_scan<const IN: bool, const OUT: bool>(
+        self,
+        data: &[P::VertexData],
+        active: &[bool],
+        acc: &mut [Option<P::Gather>],
+        tally: &mut Tally,
+    ) {
+        let (g, placement, prog) = (self.g, self.placement, self.prog);
+        let count_messages = !self.aggregate;
+        for (machine, edges) in placement.local_edges.iter().enumerate() {
+            // Summed in a local so the additions stay in a register;
+            // the sequence of additions is the same.
+            let mut machine_ns = tally.compute_ns[machine];
+            for e in edges {
+                // Edge (u, v): contributes to v when gathering over IN,
+                // to u when gathering over OUT.
+                if IN && active[e.dst as usize] {
+                    let contrib = prog.gather_edge(g, e.dst, e.src, &data[e.src as usize]);
+                    merge_into(prog, &mut acc[e.dst as usize], contrib);
+                    machine_ns += self.cost.ns_per_edge_op;
+                    if count_messages {
+                        tally.gather_message::<P>(machine, placement.masters[e.dst as usize]);
+                    }
+                }
+                if OUT && active[e.src as usize] {
+                    let contrib = prog.gather_edge(g, e.src, e.dst, &data[e.dst as usize]);
+                    merge_into(prog, &mut acc[e.src as usize], contrib);
+                    machine_ns += self.cost.ns_per_edge_op;
+                    if count_messages {
+                        tally.gather_message::<P>(machine, placement.masters[e.src as usize]);
+                    }
+                }
+            }
+            tally.compute_ns[machine] = machine_ns;
+        }
+    }
+
+    /// Sparse-body gather of one active vertex from its own adjacency,
+    /// merged in the order the per-machine scan would have produced.
+    fn gather_vertex(
+        self,
+        v: VertexId,
+        data: &[P::VertexData],
+        slot: &mut Option<P::Gather>,
+        edges: &mut Vec<GatherEdge>,
+        tally: &mut Tally,
+    ) {
+        let (g, placement) = (self.g, self.placement);
+        edges.clear();
+        if self.gather_in {
+            for &w in g.in_neighbors(v) {
+                let idx = in_edge_index(g, w, v);
+                edges.push((placement.edge_parts[idx], 2 * idx, w));
+            }
+        }
+        if self.gather_out {
+            for (idx, &w) in g.out_edge_range(v).zip(g.out_neighbors(v)) {
+                edges.push((placement.edge_parts[idx], 2 * idx + 1, w));
+            }
+        }
+        edges.sort_unstable();
+        let master = placement.masters[v as usize];
+        for &(machine, _, w) in edges.iter() {
+            let machine = machine as usize;
+            let contrib = self.prog.gather_edge(g, v, w, &data[w as usize]);
+            merge_into(self.prog, slot, contrib);
+            tally.compute_ns[machine] += self.cost.ns_per_edge_op;
+            if !self.aggregate {
+                tally.gather_message::<P>(machine, master);
+            }
+        }
+    }
+
+    /// Aggregated gather partials of one active vertex: one per mirror
+    /// machine holding gather edges.
+    #[inline]
+    fn count_gather_partials(self, v: VertexId, parts: &mut Vec<PartitionId>, tally: &mut Tally) {
+        self.placement.gather_partial_parts_into(v, self.gather_in, self.gather_out, parts);
+        let master = self.placement.masters[v as usize];
+        for &machine in parts.iter() {
+            tally.gather_message::<P>(machine as usize, master);
+        }
+    }
+
+    /// Apply at the master. Returns whether `v` announces its value: it
+    /// changed, or this is the seeding superstep — the initial frontier
+    /// propagates even when apply leaves the value unchanged (e.g. the
+    /// SSSP source keeps distance 0 but must still announce it).
+    #[inline]
+    fn apply_vertex(
+        self,
+        v: VertexId,
+        iteration: usize,
+        value: &mut P::VertexData,
+        slot: &mut Option<P::Gather>,
+        tally: &mut Tally,
+    ) -> bool {
+        tally.compute_ns[self.placement.masters[v as usize] as usize] += self.cost.ns_per_apply;
+        let total = slot.take().unwrap_or_else(|| self.prog.gather_identity());
+        let new = self.prog.apply(self.g, v, value, total, iteration);
+        if new != *value {
+            *value = new;
+            true
+        } else {
+            iteration == 0
+        }
+    }
+
+    /// Dense-body scatter: every vertex flagged in `changed`, clearing the flags.
+    fn scatter_flagged(
+        self,
+        changed: &mut [bool],
+        parts: &mut Vec<PartitionId>,
+        tally: &mut Tally,
+        mut mark: impl FnMut(VertexId),
+    ) {
+        for (v, flag) in changed.iter_mut().enumerate() {
+            if std::mem::take(flag) {
+                self.scatter_vertex(v as VertexId, parts, tally, &mut mark);
+            }
+        }
+    }
+
+    /// Update and scatter of one changed vertex; `mark` sees every
+    /// neighbour the scatter activates.
+    #[inline]
+    fn scatter_vertex(
+        self,
+        v: VertexId,
+        parts: &mut Vec<PartitionId>,
+        tally: &mut Tally,
+        mut mark: impl FnMut(VertexId),
+    ) {
+        let (g, placement) = (self.g, self.placement);
+        // Vertex-data updates to mirrors that future gathers read.
+        placement.update_target_parts_into(v, self.gather_in, self.gather_out, parts);
+        let master = placement.masters[v as usize] as usize;
+        for &machine in parts.iter() {
+            tally.update_messages += 1;
+            let len = encoded_len(P::DATA_BYTES) as u64;
+            tally.sent_bytes[master] += len;
+            tally.recv_bytes[machine as usize] += len;
+        }
+        // Activation along the scatter direction; the scatter edge work
+        // executes on the machine storing each edge.
+        if self.scatter_out {
+            for (idx, &w) in g.out_edge_range(v).zip(g.out_neighbors(v)) {
+                mark(w);
+                tally.compute_ns[placement.edge_parts[idx] as usize] += self.cost.ns_per_edge_op;
+            }
+        }
+        if self.scatter_in {
+            for &w in g.in_neighbors(v) {
+                mark(w);
+                let idx = in_edge_index(g, w, v);
+                tally.compute_ns[placement.edge_parts[idx] as usize] += self.cost.ns_per_edge_op;
+            }
+        }
+    }
+}
+
+/// Dense index of the in-edge `(w, v)`, for `w` taken from `g.in_neighbors(v)`.
+fn in_edge_index(g: &Graph, w: VertexId, v: VertexId) -> usize {
+    // sgp-lint: allow(no-panic-in-lib): w came from g.in_neighbors(v), so the CSR edge (w, v) exists by construction
+    g.edge_index(w, v).expect("in-edge exists")
+}
+
+/// The state of one engine run.
+///
+/// The active set is the bitmap `active`, which the dense body probes
+/// per edge; while `listed`, `frontier` holds the same set as an
+/// ascending list, which the sparse body walks. A superstep that
+/// scatters over few edges lists the frontier it builds as it marks it;
+/// otherwise the list is made only if the switching rule asks for it,
+/// by one scan of the bitmap. The scratch fields are allocated once per
+/// run and are clean (all `None`, all `false`, empty) between
+/// supersteps; a sparse superstep on a listed frontier restores that by
+/// touching only the entries it used, so it costs O(frontier + its
+/// incident edges + k).
+struct Run<'a, P: VertexProgram> {
+    cx: Ctx<'a, P>,
+    data: Vec<P::VertexData>,
+    active: Vec<bool>,
+    frontier: Vec<VertexId>,
+    listed: bool,
+
+    acc: Vec<Option<P::Gather>>,
+    /// Dense body: vertices whose value changed this superstep.
+    changed: Vec<bool>,
+    /// Sparse body: the same set, ascending.
+    changed_list: Vec<VertexId>,
+    /// The next superstep's `active`, `frontier` and `listed`.
+    next_active: Vec<bool>,
+    next_frontier: Vec<VertexId>,
+    next_listed: bool,
+    gather_edges: Vec<GatherEdge>,
+    parts_buf: Vec<PartitionId>,
+
+    // Accounting of the last superstep.
+    compute_ns: Vec<f64>,
+    sent_bytes: Vec<u64>,
+    recv_bytes: Vec<u64>,
+    gather_messages: u64,
+    update_messages: u64,
+}
+
+impl<'a, P: VertexProgram> Run<'a, P> {
+    fn new(g: &'a Graph, placement: &'a Placement, prog: &'a P, opts: &EngineOptions) -> Self {
+        let n = g.num_vertices();
+        let k = placement.k;
+        let mut active = vec![false; n];
+        let (frontier, listed) = match prog.initial_frontier(g) {
+            Some(mut frontier) => {
+                frontier.sort_unstable();
+                frontier.dedup();
+                for &v in &frontier {
+                    active[v as usize] = true;
+                }
+                (frontier, true)
+            }
+            None => {
+                active.fill(true);
+                (Vec::new(), false)
+            }
+        };
+        let (gather_dir, scatter_dir) = (prog.gather_direction(), prog.scatter_direction());
+        let activates = prog.activates_on_change();
+        Run {
+            cx: Ctx {
+                g,
+                placement,
+                prog,
+                cost: opts.cost,
+                aggregate: opts.sender_side_aggregation,
+                gather_in: gather_dir.uses_in(),
+                gather_out: gather_dir.uses_out(),
+                scatter_in: activates && scatter_dir.uses_in(),
+                scatter_out: activates && scatter_dir.uses_out(),
+            },
+            data: g.vertices().map(|v| prog.init(v, g)).collect(),
+            active,
+            frontier,
+            listed,
+            acc: vec![None; n],
+            changed: vec![false; n],
+            changed_list: Vec::new(),
+            next_active: vec![false; n],
+            next_frontier: Vec::new(),
+            next_listed: false,
+            gather_edges: Vec::new(),
+            parts_buf: Vec::with_capacity(k),
+            compute_ns: Vec::new(),
+            sent_bytes: vec![0; k],
+            recv_bytes: vec![0; k],
+            gather_messages: 0,
+            update_messages: 0,
+        }
+    }
+
+    fn active_count(&self) -> usize {
+        if self.listed {
+            self.frontier.len()
+        } else {
+            self.active.iter().filter(|&&a| a).count()
+        }
+    }
+
+    /// The switching rule: is the frontier's gather-edge volume at most
+    /// `limit`? Answers from the list when there is one; otherwise
+    /// lists the frontier while summing and gives up on both as soon as
+    /// the volume passes `limit`, so a large frontier costs a short
+    /// prefix of the bitmap. On `true` the frontier is listed.
+    fn frontier_within(&mut self, limit: usize) -> bool {
+        let cx = self.cx;
+        if self.listed {
+            return cx.edges_within(&self.frontier, cx.gather_in, cx.gather_out, limit);
+        }
+        let mut volume = 0usize;
+        for v in cx.g.vertices() {
+            if self.active[v as usize] {
+                volume += cx.edge_count(v, cx.gather_in, cx.gather_out);
+                if volume > limit {
+                    self.frontier.clear();
+                    return false;
+                }
+                self.frontier.push(v);
+            }
+        }
+        self.listed = true;
+        true
+    }
+
+    /// Runs one superstep over the `active_count` active vertices and
+    /// installs the frontier it produced.
+    fn superstep(&mut self, iteration: usize, active_count: usize, policy: BodyPolicy) {
+        let cx = self.cx;
+        // `compute_ns` is fresh: the previous one moved into its `IterationStats`.
+        self.compute_ns = vec![0.0; cx.placement.k];
+        self.sent_bytes.fill(0);
+        self.recv_bytes.fill(0);
+        let sparse = match policy {
+            // All-active programs stay on the scan: their frontier is the graph.
+            BodyPolicy::Auto => {
+                !cx.prog.all_active()
+                    && self.frontier_within(cx.g.num_edges() / SPARSE_EDGE_DIVISOR)
+            }
+            #[cfg(test)]
+            BodyPolicy::Dense => false,
+            #[cfg(test)]
+            BodyPolicy::Sparse => self.frontier_within(usize::MAX),
+        };
+        if sparse {
+            self.sparse_superstep(iteration);
+        } else {
+            self.dense_superstep(iteration);
+        }
+
+        if cx.prog.all_active() {
+            if active_count != self.active.len() {
+                // A partial initial frontier; every later superstep is full.
+                self.active.fill(true);
+                self.frontier.clear();
+                self.listed = false;
+            }
+            return;
+        }
+        if self.listed {
+            for &v in &self.frontier {
+                self.active[v as usize] = false;
+            }
+        } else {
+            self.active.fill(false);
+        }
+        std::mem::swap(&mut self.active, &mut self.next_active);
+        std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+        self.listed = std::mem::take(&mut self.next_listed);
+        self.next_frontier.clear();
+    }
+
+    /// The dense body: gather scans every machine's edge list and every
+    /// other pass is a range over a bitmap. The next frontier is left
+    /// as a bitmap.
+    fn dense_superstep(&mut self, iteration: usize) {
+        let cx = self.cx;
+        let n = cx.g.num_vertices();
+        let mut tally =
+            Tally::over(&mut self.compute_ns, &mut self.sent_bytes, &mut self.recv_bytes);
+        let (data, active) = (&mut self.data[..], &self.active[..]);
+        let (acc, changed) = (&mut self.acc[..], &mut self.changed[..]);
+        let parts = &mut self.parts_buf;
+
+        match (cx.gather_in, cx.gather_out) {
+            (true, false) => cx.gather_scan::<true, false>(data, active, acc, &mut tally),
+            (false, true) => cx.gather_scan::<false, true>(data, active, acc, &mut tally),
+            (true, true) => cx.gather_scan::<true, true>(data, active, acc, &mut tally),
+            (false, false) => {}
+        }
+        if cx.aggregate {
+            for (v, &is_active) in active.iter().enumerate() {
+                if is_active {
+                    cx.count_gather_partials(v as VertexId, parts, &mut tally);
+                }
+            }
+        }
+
+        for v in 0..n {
+            if active[v]
+                && cx.apply_vertex(v as VertexId, iteration, &mut data[v], &mut acc[v], &mut tally)
+            {
+                changed[v] = true;
+            }
+        }
+
+        if cx.prog.all_active() {
+            // The next frontier is the whole graph whatever scatter
+            // reaches, so only the edge work is charged.
+            cx.scatter_flagged(changed, parts, &mut tally, |_| {});
+        } else {
+            let next_active = &mut self.next_active[..];
+            cx.scatter_flagged(changed, parts, &mut tally, |w| next_active[w as usize] = true);
+        }
+        (self.gather_messages, self.update_messages) =
+            (tally.gather_messages, tally.update_messages);
+    }
+
+    /// The sparse body: every pass is a walk over the frontier list.
+    fn sparse_superstep(&mut self, iteration: usize) {
+        let cx = self.cx;
+        let mut tally =
+            Tally::over(&mut self.compute_ns, &mut self.sent_bytes, &mut self.recv_bytes);
+        let (data, acc) = (&mut self.data[..], &mut self.acc[..]);
+        let (frontier, changed) = (&self.frontier[..], &mut self.changed_list);
+        let parts = &mut self.parts_buf;
+
+        for &v in frontier {
+            cx.gather_vertex(v, data, &mut acc[v as usize], &mut self.gather_edges, &mut tally);
+            if cx.aggregate {
+                cx.count_gather_partials(v, parts, &mut tally);
+            }
+        }
+        for &v in frontier {
+            let i = v as usize;
+            if cx.apply_vertex(v, iteration, &mut data[i], &mut acc[i], &mut tally) {
+                changed.push(v);
+            }
+        }
+
+        let (next_active, next_frontier) = (&mut self.next_active[..], &mut self.next_frontier);
+        let limit = cx.g.num_edges() / SPARSE_EDGE_DIVISOR;
+        if cx.prog.all_active() {
+            for &v in changed.iter() {
+                cx.scatter_vertex(v, parts, &mut tally, |_| {});
+            }
+        } else if cx.edges_within(changed, cx.scatter_in, cx.scatter_out, limit) {
+            // Few scatter edges: listing what they reach as it is
+            // marked, and sorting it, beats a scan of the bitmap.
+            for &v in changed.iter() {
+                cx.scatter_vertex(v, parts, &mut tally, |w| {
+                    if !next_active[w as usize] {
+                        next_active[w as usize] = true;
+                        next_frontier.push(w);
+                    }
+                });
+            }
+            next_frontier.sort_unstable();
+            self.next_listed = true;
+        } else {
+            for &v in changed.iter() {
+                cx.scatter_vertex(v, parts, &mut tally, |w| next_active[w as usize] = true);
+            }
+        }
+        changed.clear();
+        (self.gather_messages, self.update_messages) =
+            (tally.gather_messages, tally.update_messages);
+    }
+}
+
 fn run_program_impl<P: VertexProgram, S: TraceSink>(
     g: &Graph,
     placement: &Placement,
@@ -190,35 +751,15 @@ fn run_program_impl<P: VertexProgram, S: TraceSink>(
     opts: &EngineOptions,
     plan: Option<&FaultPlan>,
     sink: &mut S,
+    policy: BodyPolicy,
 ) -> (Vec<P::VertexData>, RunReport) {
-    let n = g.num_vertices();
     let k = placement.k;
-    assert_eq!(placement.num_vertices(), n, "placement does not match graph");
+    assert_eq!(placement.num_vertices(), g.num_vertices(), "placement does not match graph");
 
-    let mut data: Vec<P::VertexData> = g.vertices().map(|v| prog.init(v, g)).collect();
-    let mut active = vec![false; n];
-    let mut seeded = vec![false; n]; // active for the first time this run
-    match prog.initial_frontier(g) {
-        Some(frontier) => {
-            for v in frontier {
-                active[v as usize] = true;
-                seeded[v as usize] = true;
-            }
-        }
-        None => {
-            active.fill(true);
-            seeded.fill(true);
-        }
-    }
-
-    let gather_dir = prog.gather_direction();
-    let scatter_dir = prog.scatter_direction();
-    let (g_in, g_out) = (gather_dir.uses_in(), gather_dir.uses_out());
-
+    let mut run = Run::new(g, placement, prog, opts);
     let mut iterations: Vec<IterationStats> = Vec::new();
     let mut machine_total_ns = vec![0.0f64; k];
     let mut total_wall_ns = 0.0f64;
-    let mut parts_buf: Vec<u32> = Vec::with_capacity(k);
     let mut fault_state = plan.map(|p| FaultState {
         plan: p,
         fired: vec![false; p.events.len()],
@@ -227,129 +768,17 @@ fn run_program_impl<P: VertexProgram, S: TraceSink>(
 
     sink.span_enter(keys::ENGINE_RUN, 0, 0);
     for iteration in 0..prog.max_iterations() {
-        let active_count = active.iter().filter(|&&a| a).count();
+        let active_count = run.active_count();
         if active_count == 0 {
             break;
         }
         let iter_start_stamp = total_wall_ns as u64;
         sink.span_enter(keys::ENGINE_SUPERSTEP, iteration as u64, iter_start_stamp);
 
-        let mut compute_ns = vec![0.0f64; k];
-        let mut sent_bytes = vec![0u64; k];
-        let mut recv_bytes = vec![0u64; k];
-        let mut gather_messages = 0u64;
-        let mut update_messages = 0u64;
-
-        // ---- Gather phase -------------------------------------------------
-        let mut acc: Vec<Option<P::Gather>> = vec![None; n];
-        for (machine, edges) in placement.local_edges.iter().enumerate() {
-            for e in edges {
-                // Edge (u, v): contributes to v when gathering over IN,
-                // to u when gathering over OUT.
-                if g_in && active[e.dst as usize] {
-                    let contrib = prog.gather_edge(g, e.dst, e.src, &data[e.src as usize]);
-                    merge_into(prog, &mut acc[e.dst as usize], contrib);
-                    compute_ns[machine] += opts.cost.ns_per_edge_op;
-                    if !opts.sender_side_aggregation {
-                        let master = placement.masters[e.dst as usize] as usize;
-                        if master != machine {
-                            gather_messages += 1;
-                            let len = encoded_len(P::GATHER_BYTES) as u64;
-                            sent_bytes[machine] += len;
-                            recv_bytes[master] += len;
-                        }
-                    }
-                }
-                if g_out && active[e.src as usize] {
-                    let contrib = prog.gather_edge(g, e.src, e.dst, &data[e.dst as usize]);
-                    merge_into(prog, &mut acc[e.src as usize], contrib);
-                    compute_ns[machine] += opts.cost.ns_per_edge_op;
-                    if !opts.sender_side_aggregation {
-                        let master = placement.masters[e.src as usize] as usize;
-                        if master != machine {
-                            gather_messages += 1;
-                            let len = encoded_len(P::GATHER_BYTES) as u64;
-                            sent_bytes[machine] += len;
-                            recv_bytes[master] += len;
-                        }
-                    }
-                }
-            }
-        }
-        // Aggregated gather partials: one per (active vertex, mirror
-        // machine holding gather edges).
-        if opts.sender_side_aggregation {
-            for v in 0..n {
-                if !active[v] {
-                    continue;
-                }
-                placement.gather_partial_parts_into(v as u32, g_in, g_out, &mut parts_buf);
-                for &machine in parts_buf.iter() {
-                    gather_messages += 1;
-                    let len = encoded_len(P::GATHER_BYTES) as u64;
-                    sent_bytes[machine as usize] += len;
-                    recv_bytes[placement.masters[v] as usize] += len;
-                }
-            }
-        }
-
-        // ---- Apply phase --------------------------------------------------
-        let mut changed = vec![false; n];
-        for v in 0..n {
-            if !active[v] {
-                continue;
-            }
-            let master = placement.masters[v] as usize;
-            compute_ns[master] += opts.cost.ns_per_apply;
-            let total = acc[v].take().unwrap_or_else(|| prog.gather_identity());
-            let new = prog.apply(g, v as u32, &data[v], total, iteration);
-            if new != data[v] {
-                changed[v] = true;
-                data[v] = new;
-            } else if seeded[v] && iteration == 0 {
-                // Seeding rule: the initial frontier propagates even when
-                // apply leaves the value unchanged (e.g. the SSSP source
-                // keeps distance 0 but must still announce it).
-                changed[v] = true;
-            }
-        }
-
-        // ---- Update / scatter phase ---------------------------------------
-        let mut next_active = vec![false; n];
-        #[allow(clippy::needless_range_loop)] // v indexes four parallel arrays
-        for v in 0..n {
-            if !changed[v] {
-                continue;
-            }
-            // Vertex-data updates to mirrors that future gathers read.
-            placement.update_target_parts_into(v as u32, g_in, g_out, &mut parts_buf);
-            let master = placement.masters[v] as usize;
-            for &machine in parts_buf.iter() {
-                update_messages += 1;
-                let len = encoded_len(P::DATA_BYTES) as u64;
-                sent_bytes[master] += len;
-                recv_bytes[machine as usize] += len;
-            }
-            // Activation along the scatter direction; the scatter edge
-            // work executes on the machine storing each edge.
-            if prog.activates_on_change() {
-                if scatter_dir.uses_out() {
-                    let range = g.out_edge_range(v as u32);
-                    for (idx, &w) in range.clone().zip(g.out_neighbors(v as u32)) {
-                        next_active[w as usize] = true;
-                        compute_ns[placement.edge_parts[idx] as usize] += opts.cost.ns_per_edge_op;
-                    }
-                }
-                if scatter_dir.uses_in() {
-                    for &w in g.in_neighbors(v as u32) {
-                        next_active[w as usize] = true;
-                        // sgp-lint: allow(no-panic-in-lib): w came from g.in_neighbors(v), so the CSR edge (w, v) exists by construction
-                        let idx = g.edge_index(w, v as u32).expect("in-edge exists");
-                        compute_ns[placement.edge_parts[idx] as usize] += opts.cost.ns_per_edge_op;
-                    }
-                }
-            }
-        }
+        run.superstep(iteration, active_count, policy);
+        let compute_ns = std::mem::take(&mut run.compute_ns);
+        let (sent_bytes, recv_bytes) = (&run.sent_bytes, &run.recv_bytes);
+        let (gather_messages, update_messages) = (run.gather_messages, run.update_messages);
 
         // ---- Barrier: iteration wall time ----------------------------------
         let mut wall: f64 = 0.0;
@@ -427,13 +856,6 @@ fn run_program_impl<P: VertexProgram, S: TraceSink>(
             wall_ns: wall,
         });
         sink.span_exit(keys::ENGINE_SUPERSTEP, iteration as u64, total_wall_ns as u64);
-
-        seeded.fill(false);
-        if prog.all_active() {
-            active.fill(true);
-        } else {
-            active = next_active;
-        }
     }
 
     sink.span_exit(keys::ENGINE_RUN, 0, total_wall_ns as u64);
@@ -446,7 +868,7 @@ fn run_program_impl<P: VertexProgram, S: TraceSink>(
         total_wall_ns,
         fault: fault_state.map(|s| s.summary),
     };
-    (data, report)
+    (run.data, report)
 }
 
 fn merge_into<P: VertexProgram>(prog: &P, slot: &mut Option<P::Gather>, contrib: P::Gather) {
@@ -779,5 +1201,295 @@ mod tests {
         let pl = placement_for(&g, Algorithm::EcrHash, 4);
         let plan = FaultPlan::healthy(8, 1);
         run_program_with_faults(&g, &pl, &PageRank::new(2), &EngineOptions::default(), &plan);
+    }
+
+    // ---- dense ≡ sparse ≡ auto --------------------------------------------
+
+    use crate::program::Direction;
+    use proptest::prelude::*;
+    use sgp_trace::CollectingSink;
+
+    const POLICIES: [BodyPolicy; 3] = [BodyPolicy::Dense, BodyPolicy::Sparse, BodyPolicy::Auto];
+
+    fn assert_same_report(a: &RunReport, b: &RunReport, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.program, b.program, "{what}");
+        assert_eq!(a.machines, b.machines, "{what}");
+        assert_eq!(a.replication_factor.to_bits(), b.replication_factor.to_bits(), "{what}");
+        assert_eq!(a.iterations.len(), b.iterations.len(), "{what}: superstep count");
+        for (i, (x, y)) in a.iterations.iter().zip(&b.iterations).enumerate() {
+            assert_eq!(x.active_vertices, y.active_vertices, "{what}: superstep {i}");
+            assert_eq!(x.gather_messages, y.gather_messages, "{what}: superstep {i}");
+            assert_eq!(x.update_messages, y.update_messages, "{what}: superstep {i}");
+            assert_eq!(x.network_bytes, y.network_bytes, "{what}: superstep {i}");
+            assert_eq!(x.machine_bytes, y.machine_bytes, "{what}: superstep {i}");
+            assert_eq!(
+                bits(&x.machine_compute_ns),
+                bits(&y.machine_compute_ns),
+                "{what}: superstep {i} compute"
+            );
+            assert_eq!(x.wall_ns.to_bits(), y.wall_ns.to_bits(), "{what}: superstep {i} wall");
+        }
+        assert_eq!(bits(&a.machine_compute_ns), bits(&b.machine_compute_ns), "{what}");
+        assert_eq!(a.total_wall_ns.to_bits(), b.total_wall_ns.to_bits(), "{what}");
+        match (&a.fault, &b.fault) {
+            (None, None) => {}
+            (Some(x), Some(y)) => {
+                assert_eq!(x, y, "{what}: fault summary");
+                assert_eq!(x.recovery_ns.to_bits(), y.recovery_ns.to_bits(), "{what}");
+                assert_eq!(
+                    x.straggler_extra_ns.to_bits(),
+                    y.straggler_extra_ns.to_bits(),
+                    "{what}"
+                );
+            }
+            _ => panic!("{what}: one run has a fault summary, the other none"),
+        }
+    }
+
+    /// Runs `prog` once per policy — healthy or under `plan` — and checks
+    /// vertex data, the whole report and the trace bytes against the
+    /// forced-dense run. Returns that run's data.
+    fn assert_bodies_agree<P: VertexProgram>(
+        g: &Graph,
+        pl: &Placement,
+        prog: &P,
+        opts: &EngineOptions,
+        plan: Option<&FaultPlan>,
+        what: &str,
+    ) -> Vec<P::VertexData> {
+        let mut runs = POLICIES.map(|policy| {
+            let mut sink = CollectingSink::new();
+            let (data, report) = run_program_impl(g, pl, prog, opts, plan, &mut sink, policy);
+            sink.check_nesting().expect("well-formed span nesting");
+            (policy, data, report, sink.to_json())
+        });
+        let [(_, dense_data, dense_report, dense_trace), rest @ ..] = &mut runs;
+        for (policy, data, report, trace) in rest {
+            let what = format!("{what}: {policy:?} vs Dense");
+            assert_eq!(data, dense_data, "{what}: vertex data");
+            assert_same_report(report, dense_report, &what);
+            assert_eq!(trace, dense_trace, "{what}: trace bytes");
+        }
+        std::mem::take(dense_data)
+    }
+
+    fn both_aggregation_modes() -> [EngineOptions; 2] {
+        [true, false].map(|on| EngineOptions { sender_side_aggregation: on, ..Default::default() })
+    }
+
+    /// Activation-driven, order-sensitive: an f64 sum over both edge
+    /// directions with weights of very different magnitude, started from
+    /// the given partial frontier. A sparse gather that merged a vertex's
+    /// contributions in any order but the scan's would round differently.
+    struct Diffusion(Vec<VertexId>);
+
+    impl Diffusion {
+        fn from_every_seventh_vertex(g: &Graph) -> Self {
+            Diffusion(g.vertices().filter(|v| v % 7 == 3).collect())
+        }
+    }
+
+    impl VertexProgram for Diffusion {
+        type VertexData = f64;
+        type Gather = f64;
+        const DATA_BYTES: usize = 8;
+        const GATHER_BYTES: usize = 8;
+
+        fn name(&self) -> &'static str {
+            "Diffusion"
+        }
+        fn gather_direction(&self) -> Direction {
+            Direction::Both
+        }
+        fn scatter_direction(&self) -> Direction {
+            Direction::Both
+        }
+        fn init(&self, v: VertexId, _g: &Graph) -> f64 {
+            1.0 + f64::from(v) * 0.37
+        }
+        fn initial_frontier(&self, _g: &Graph) -> Option<Vec<VertexId>> {
+            Some(self.0.clone())
+        }
+        fn gather_identity(&self) -> f64 {
+            0.0
+        }
+        fn gather_edge(&self, _g: &Graph, v: VertexId, nbr: VertexId, nbr_data: &f64) -> f64 {
+            // Weights span ten orders of magnitude, so the sum depends
+            // on the order of its terms.
+            nbr_data * 10f64.powi(((v * 31 + nbr * 17) % 11) as i32 - 5)
+        }
+        fn merge(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+        fn apply(&self, g: &Graph, v: VertexId, old: &f64, acc: f64, _iteration: usize) -> f64 {
+            0.5 * old + 0.5 * acc / (g.degree(v) as f64 + 1.0)
+        }
+        fn max_iterations(&self) -> usize {
+            9
+        }
+    }
+
+    #[test]
+    fn dense_and_sparse_bodies_agree_on_every_cut_model() {
+        let g = any_graph();
+        let source = g.vertices().max_by_key(|&v| g.out_degree(v)).expect("non-empty graph");
+        let diffusion = Diffusion::from_every_seventh_vertex(&g);
+        for alg in [
+            Algorithm::EcrHash,
+            Algorithm::Ldg,
+            Algorithm::Dbh,
+            Algorithm::Hdrf,
+            Algorithm::HybridRandom,
+            Algorithm::Grid,
+        ] {
+            let pl = placement_for(&g, alg, 4);
+            for opts in both_aggregation_modes() {
+                let what = format!("{alg:?}, aggregation {}", opts.sender_side_aggregation);
+                assert_bodies_agree(&g, &pl, &PageRank::new(4), &opts, None, &what);
+                let labels = assert_bodies_agree(&g, &pl, &Wcc::new(), &opts, None, &what);
+                assert_eq!(labels, reference::wcc(&g), "{what}");
+                let dist = assert_bodies_agree(&g, &pl, &Sssp::new(source), &opts, None, &what);
+                assert_eq!(dist, reference::sssp(&g, source), "{what}");
+                assert_bodies_agree(&g, &pl, &diffusion, &opts, None, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn auto_policy_takes_both_bodies_on_a_long_thin_graph() {
+        // A 600-vertex path: SSSP's frontier is one vertex per superstep
+        // (sparse), WCC starts from every vertex (dense) and thins out.
+        let mut b = GraphBuilder::new();
+        for v in 0..599 {
+            b.push_edge(v, v + 1);
+        }
+        let g = b.build();
+        let pl = placement_for(&g, Algorithm::Dbh, 4);
+        let opts = EngineOptions::default();
+        let (wcc, sssp) = (Wcc::new(), Sssp::new(0));
+        let mut run = Run::new(&g, &pl, &wcc, &opts);
+        let limit = g.num_edges() / SPARSE_EDGE_DIVISOR;
+        assert!(!run.frontier_within(limit), "an all-vertex frontier takes the scan");
+        assert!(!run.listed && run.frontier.is_empty());
+        let mut run = Run::new(&g, &pl, &sssp, &opts);
+        assert!(run.frontier_within(limit), "a one-vertex frontier takes the walk");
+        assert_eq!(run.frontier, vec![0]);
+        for prog_opts in both_aggregation_modes() {
+            assert_bodies_agree(&g, &pl, &sssp, &prog_opts, None, "path SSSP");
+            assert_bodies_agree(&g, &pl, &wcc, &prog_opts, None, "path WCC");
+        }
+    }
+
+    #[test]
+    fn bodies_agree_with_a_self_loop_and_reciprocal_edges() {
+        // The self-loop (2, 2) contributes twice to vertex 2 under a
+        // BOTH gather — in before out — and (0, 1)/(1, 0), (2, 3)/(3, 2)
+        // are reciprocal pairs whose two directions sit on different
+        // machines.
+        let g = GraphBuilder::new()
+            .keep_self_loops(true)
+            .add_edge(0, 1)
+            .add_edge(1, 0)
+            .add_edge(1, 2)
+            .add_edge(2, 2)
+            .add_edge(2, 3)
+            .add_edge(3, 2)
+            .add_edge(3, 4)
+            .add_edge(4, 0)
+            .add_edge(5, 5)
+            .build();
+        assert_eq!(g.num_edges(), 9);
+        let diffusion = Diffusion::from_every_seventh_vertex(&g);
+        let by_edge = Partitioning::from_edge_parts(&g, 3, vec![0, 1, 2, 1, 0, 2, 1, 0, 2]);
+        let by_vertex = Partitioning::from_vertex_owners(&g, 3, vec![0, 1, 2, 0, 1, 2]);
+        for (p, what) in [(by_edge, "vertex-cut"), (by_vertex, "edge-cut")] {
+            let pl = Placement::build(&g, &p);
+            for opts in both_aggregation_modes() {
+                assert_bodies_agree(&g, &pl, &PageRank::new(3), &opts, None, what);
+                let labels = assert_bodies_agree(&g, &pl, &Wcc::new(), &opts, None, what);
+                assert_eq!(labels, reference::wcc(&g), "{what}");
+                let dist = assert_bodies_agree(&g, &pl, &Sssp::new(1), &opts, None, what);
+                assert_eq!(dist, reference::sssp(&g, 1), "{what}");
+                assert_bodies_agree(&g, &pl, &diffusion, &opts, None, what);
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_initial_frontier_entries_count_once() {
+        let g = any_graph();
+        let pl = placement_for(&g, Algorithm::Hdrf, 4);
+        let opts = EngineOptions::default();
+        let prog = Diffusion(vec![3, 0, 3, 0]);
+        assert_bodies_agree(&g, &pl, &prog, &opts, None, "duplicated seeds");
+        let (_, report) = run_program(&g, &pl, &prog, &opts);
+        assert_eq!(report.iterations[0].active_vertices, 2);
+    }
+
+    /// A random simple directed graph with self-loops kept, and a random
+    /// vertex-owner or edge-parts partitioning of it over `k` machines.
+    fn arb_partitioned_graph() -> impl Strategy<Value = (Graph, Partitioning)> {
+        (2usize..40, 1usize..=6).prop_flat_map(|(n, k)| {
+            let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..=160);
+            let parts = proptest::collection::vec(0..k as u32, 160.max(n));
+            (edges, parts, any::<bool>()).prop_map(move |(edges, parts, by_vertex)| {
+                let mut b = GraphBuilder::new().keep_self_loops(true).ensure_vertices(n);
+                for (s, d) in edges {
+                    b.push_edge(s, d);
+                }
+                let g = b.build();
+                let p = if by_vertex {
+                    Partitioning::from_vertex_owners(&g, k, parts[..n].to_vec())
+                } else {
+                    Partitioning::from_edge_parts(&g, k, parts[..g.num_edges()].to_vec())
+                };
+                (g, p)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Forced-sparse, forced-dense and auto runs are the same run —
+        /// data, report, trace bytes — and equal the single-machine
+        /// references, on random graphs, partitionings and sources.
+        #[test]
+        fn bodies_agree_on_random_partitionings(
+            (g, p) in arb_partitioned_graph(),
+            source in 0u32..40,
+            aggregate in any::<bool>(),
+        ) {
+            let source = source % g.num_vertices() as u32;
+            let pl = Placement::build(&g, &p);
+            let opts = EngineOptions { sender_side_aggregation: aggregate, ..Default::default() };
+            let dist = assert_bodies_agree(&g, &pl, &Sssp::new(source), &opts, None, "SSSP");
+            prop_assert_eq!(dist, reference::sssp(&g, source));
+            let labels = assert_bodies_agree(&g, &pl, &Wcc::new(), &opts, None, "WCC");
+            prop_assert_eq!(labels, reference::wcc(&g));
+            let diffusion = Diffusion::from_every_seventh_vertex(&g);
+            assert_bodies_agree(&g, &pl, &diffusion, &opts, None, "Diffusion");
+        }
+
+        /// A crash and a straggler are charged identically whichever
+        /// body ran the supersteps they fall into.
+        #[test]
+        fn bodies_agree_under_a_crash_and_a_straggler(
+            (g, p) in arb_partitioned_graph(),
+            source in 0u32..40,
+            crash_at in 0u64..200_000,
+            slowdown in 1.5f64..4.0,
+        ) {
+            let source = source % g.num_vertices() as u32;
+            let pl = Placement::build(&g, &p);
+            let k = pl.k as u32;
+            let plan = FaultPlan::healthy(pl.k, 9)
+                .with_crash(k - 1, crash_at)
+                .with_straggler(0, 0, u64::MAX, slowdown);
+            let opts = EngineOptions::default();
+            assert_bodies_agree(&g, &pl, &Sssp::new(source), &opts, Some(&plan), "faulted SSSP");
+            assert_bodies_agree(&g, &pl, &Wcc::new(), &opts, Some(&plan), "faulted WCC");
+        }
     }
 }

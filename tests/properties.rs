@@ -41,6 +41,55 @@ fn arb_order() -> impl Strategy<Value = StreamOrder> {
     ]
 }
 
+/// Strategy: a random graph with a random placement of it — vertex
+/// owners (edge-cut) or per-edge machines (vertex-cut), not the output of
+/// any partitioner — and a vertex to start SSSP from.
+fn arb_placed_graph() -> impl Strategy<Value = (Graph, Partitioning, VertexId)> {
+    (arb_graph(), 1usize..=6).prop_flat_map(|(g, k)| {
+        let parts = proptest::collection::vec(0..k as u32, g.num_vertices().max(g.num_edges()));
+        (parts, any::<bool>(), 0..g.num_vertices() as u32).prop_map(
+            move |(parts, by_vertex, source)| {
+                let p = if by_vertex {
+                    Partitioning::from_vertex_owners(&g, k, parts[..g.num_vertices()].to_vec())
+                } else {
+                    Partitioning::from_edge_parts(&g, k, parts[..g.num_edges()].to_vec())
+                };
+                (g.clone(), p, source)
+            },
+        )
+    })
+}
+
+/// `g` plus an unreachable directed path on fresh vertices, long enough
+/// that every frontier inside `g` stays under the engine's sparse/dense
+/// threshold (a fraction of m), with `p` extended over it. Vertex ids,
+/// edge indices and masters of `g`'s part are unchanged.
+fn padded(g: &Graph, p: &Partitioning) -> (Graph, Partitioning) {
+    let n = g.num_vertices() as u32;
+    let pad = 64 * (2 * g.num_edges() as u32 + 2);
+    let mut b = GraphBuilder::new().ensure_vertices((n + pad) as usize);
+    for e in g.edges() {
+        b.push_edge(e.src, e.dst);
+    }
+    for v in n..n + pad - 1 {
+        b.push_edge(v, v + 1);
+    }
+    let padded = b.build();
+    let p = match &p.vertex_owner {
+        Some(owner) => {
+            let mut owner = owner.clone();
+            owner.resize(padded.num_vertices(), 0);
+            Partitioning::from_vertex_owners(&padded, p.k, owner)
+        }
+        None => {
+            let mut parts = p.edge_parts.clone();
+            parts.resize(padded.num_edges(), 0);
+            Partitioning::from_edge_parts(&padded, p.k, parts)
+        }
+    };
+    (padded, p)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -262,5 +311,83 @@ proptest! {
         let mut b = CollectingSink::new();
         trace_of(&mut b);
         prop_assert_eq!(a.to_json(), b.to_json(), "{:?}", alg);
+    }
+
+    /// SSSP and WCC are exact on placements no partitioner would
+    /// produce, from any source — small frontiers take the engine's
+    /// per-vertex body, large ones its edge scan, usually both in one
+    /// run.
+    #[test]
+    fn engine_exact_on_arbitrary_placements((g, p, source) in arb_placed_graph()) {
+        let placement = Placement::build(&g, &p);
+        for aggregate in [true, false] {
+            let opts = EngineOptions { sender_side_aggregation: aggregate, ..Default::default() };
+            let (dist, _) = run_program(&g, &placement, &Sssp::new(source), &opts);
+            prop_assert_eq!(dist, reference::sssp(&g, source));
+            let (labels, _) = run_program(&g, &placement, &Wcc::new(), &opts);
+            prop_assert_eq!(labels, reference::wcc(&g));
+        }
+    }
+
+    /// The engine picks a superstep's body from the frontier's edge
+    /// volume against m. Padding the graph with an unreachable component
+    /// raises m until every SSSP superstep takes the per-vertex body;
+    /// the run must not notice: same distances, same per-superstep
+    /// report, same trace bytes as on the bare graph, where large
+    /// frontiers take the edge scan.
+    #[test]
+    fn engine_body_switch_is_invisible((g, p, source) in arb_placed_graph()) {
+        let (big, big_p) = padded(&g, &p);
+        let opts = EngineOptions::default();
+        let prog = Sssp::new(source);
+        let mut trace = CollectingSink::new();
+        let (dist, report) =
+            run_program_traced(&g, &Placement::build(&g, &p), &prog, &opts, &mut trace);
+        let mut big_trace = CollectingSink::new();
+        let (big_dist, big_report) =
+            run_program_traced(&big, &Placement::build(&big, &big_p), &prog, &opts, &mut big_trace);
+
+        prop_assert_eq!(&big_dist[..g.num_vertices()], &dist[..]);
+        prop_assert_eq!(report.num_iterations(), big_report.num_iterations());
+        for (a, b) in report.iterations.iter().zip(&big_report.iterations) {
+            prop_assert_eq!(a.active_vertices, b.active_vertices);
+            prop_assert_eq!(a.gather_messages, b.gather_messages);
+            prop_assert_eq!(a.update_messages, b.update_messages);
+            prop_assert_eq!(&a.machine_bytes, &b.machine_bytes);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&a.machine_compute_ns), bits(&b.machine_compute_ns));
+            prop_assert_eq!(a.wall_ns.to_bits(), b.wall_ns.to_bits());
+        }
+        prop_assert_eq!(report.total_wall_ns.to_bits(), big_report.total_wall_ns.to_bits());
+        prop_assert_eq!(trace.to_json(), big_trace.to_json());
+    }
+
+    /// Pause-and-recover under a crash and a straggler: the computed
+    /// result is the healthy one, the healthy part of every superstep's
+    /// accounting is untouched, and the fault accounting repeats exactly.
+    #[test]
+    fn engine_fault_accounting_is_deterministic_on_arbitrary_placements(
+        (g, p, source) in arb_placed_graph(),
+        crash_at in 0u64..200_000,
+    ) {
+        let placement = Placement::build(&g, &p);
+        let opts = EngineOptions::default();
+        let prog = Sssp::new(source);
+        let plan = FaultPlan::healthy(p.k, 11)
+            .with_crash(p.k as u32 - 1, crash_at)
+            .with_straggler(0, 0, u64::MAX, 2.5);
+        let (healthy_dist, healthy) = run_program(&g, &placement, &prog, &opts);
+        let (dist, a) = run_program_with_faults(&g, &placement, &prog, &opts, &plan);
+        let (_, b) = run_program_with_faults(&g, &placement, &prog, &opts, &plan);
+        prop_assert_eq!(dist, healthy_dist);
+        prop_assert_eq!(&a.fault, &b.fault);
+        prop_assert_eq!(a.total_wall_ns.to_bits(), b.total_wall_ns.to_bits());
+        prop_assert!(a.total_wall_ns >= healthy.total_wall_ns);
+        prop_assert_eq!(a.num_iterations(), healthy.num_iterations());
+        for (x, y) in a.iterations.iter().zip(&healthy.iterations) {
+            prop_assert_eq!(x.active_vertices, y.active_vertices);
+            prop_assert_eq!(x.messages(), y.messages());
+            prop_assert_eq!(&x.machine_bytes, &y.machine_bytes);
+        }
     }
 }

@@ -120,6 +120,76 @@ fn engine_trace_counters_match_untraced_report_for_every_algorithm() {
     }
 }
 
+/// The activation-driven programs spend their tails in the engine's
+/// per-vertex superstep body and their peaks in the edge scan; the
+/// tracer must stay invisible in both, and its per-superstep counters
+/// must still add up to the untraced report.
+#[test]
+fn engine_trace_matches_untraced_report_for_activation_driven_programs() {
+    fn check<P: streaming_graph_partitioning::engine::VertexProgram>(
+        g: &Graph,
+        placement: &Placement,
+        prog: &P,
+        what: &str,
+    ) {
+        let opts = EngineOptions::default();
+        let (data_untraced, untraced) = run_program(g, placement, prog, &opts);
+        let mut sink = CollectingSink::new();
+        let (data_traced, traced) = run_program_traced(g, placement, prog, &opts, &mut sink);
+        assert_eq!(data_untraced, data_traced, "{what}: results diverged");
+        assert_eq!(
+            untraced.total_wall_ns.to_bits(),
+            traced.total_wall_ns.to_bits(),
+            "{what}: simulated time diverged"
+        );
+        assert_eq!(untraced.num_iterations(), traced.num_iterations(), "{what}: supersteps");
+        for (i, it) in untraced.iterations.iter().enumerate() {
+            let key = i as u64;
+            assert_eq!(
+                sink.counter_total_keyed("engine.active_vertices", key),
+                it.active_vertices as u64,
+                "{what}: active vertices, superstep {i}"
+            );
+            assert_eq!(
+                sink.counter_total_keyed("engine.gather_messages", key),
+                it.gather_messages,
+                "{what}: gather messages, superstep {i}"
+            );
+            assert_eq!(
+                sink.counter_total_keyed("engine.update_messages", key),
+                it.update_messages,
+                "{what}: update messages, superstep {i}"
+            );
+            assert_eq!(
+                sink.counter_total_keyed("engine.network_bytes", key),
+                it.network_bytes,
+                "{what}: bytes, superstep {i}"
+            );
+        }
+        for m in 0..K {
+            let bytes: u64 = untraced.iterations.iter().map(|it| it.machine_bytes[m]).sum();
+            assert_eq!(
+                sink.counter_total_keyed("engine.machine_bytes", m as u64),
+                bytes,
+                "{what}: machine {m} bytes"
+            );
+        }
+        sink.check_nesting().unwrap_or_else(|e| panic!("{what}: bad span nesting: {e}"));
+        let mut again = CollectingSink::new();
+        run_program_traced(g, placement, prog, &opts, &mut again);
+        assert_eq!(sink.to_json(), again.to_json(), "{what}: trace bytes not reproducible");
+    }
+
+    let g = graph();
+    let cfg = PartitionerConfig::new(K);
+    let source = g.vertices().max_by_key(|&v| g.out_degree(v)).expect("non-empty graph");
+    for &alg in Algorithm::all() {
+        let placement = Placement::build(&g, &partition(&g, alg, &cfg, default_order()));
+        check(&g, &placement, &Sssp::new(source), &format!("{alg:?} SSSP"));
+        check(&g, &placement, &Wcc::new(), &format!("{alg:?} WCC"));
+    }
+}
+
 #[test]
 fn db_trace_counters_match_untraced_report_for_every_algorithm() {
     let g = graph();
