@@ -22,6 +22,7 @@ use sgp_engine::apps::PageRank;
 use sgp_engine::{run_program, run_program_with_faults, EngineOptions, Placement};
 use sgp_fault::FaultPlan;
 use sgp_partition::{partition, plan_rebalance, Algorithm, MigrationConfig, PartitionerConfig};
+use sgp_trace::NullSink;
 
 const K: usize = 8;
 
@@ -56,7 +57,6 @@ fn bench_faulted_des(c: &mut Criterion) {
     let mut group = c.benchmark_group("faulted_des");
     group.sample_size(10);
     group.throughput(Throughput::Elements(total));
-    group.bench_function("healthy_baseline", |b| b.iter(|| sim.run(&cfg.base)));
     group.bench_function("healthy_plan", |b| {
         b.iter(|| sim.run_faulted(&cfg, &healthy, &mirrors).expect("valid plan"));
     });
@@ -136,10 +136,13 @@ fn emit_fault_json() {
         let mplan = plan_rebalance(&g, &owner, &live, &MigrationConfig::default());
         let plan = FaultPlan::healthy(k, 0xE1A_57).with_crash_rejoin(victim, 2_000_000, 10_000_000);
         let elastic = ElasticPlan { records_per_event: vec![mplan.data_moved] };
-        let report =
-            sim.run_elastic(&cfg, &plan, &mirrors, &elastic).expect("k-1 machines survive");
+        let run = || {
+            sim.run_elastic_traced(&cfg, &plan, &mirrors, &elastic, &mut NullSink)
+                .expect("k-1 machines survive")
+        };
+        let report = run();
         let secs = best_of_3(|| {
-            sim.run_elastic(&cfg, &plan, &mirrors, &elastic).expect("k-1 machines survive");
+            run();
         });
         rows.push(format!(
             "    {{\"algorithm\": \"{}\", \"queries\": {}, \"secs\": {:.6}, \"queries_per_sec\": {:.1}, \"rto_ms\": {:.3}, \"data_moved\": {}, \"shed_queries\": {}}}",

@@ -847,7 +847,7 @@ pub fn elastic_suite(
             // evacuation would have: the data it masters.
             elastic.records_per_event.push(mplan.data_moved);
         }
-        let r = sim.run_elastic(&cfg.sim, &plan, &mirrors, &elastic)?;
+        let r = sim.run_elastic_traced(&cfg.sim, &plan, &mirrors, &elastic, &mut NullSink)?;
         rows.push(ElasticityRow {
             dataset: dataset_name.to_string(),
             algorithm: alg,

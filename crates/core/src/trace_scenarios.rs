@@ -20,8 +20,8 @@
 use crate::config::{Dataset, Scale};
 use crate::runners::{default_order, RobustnessConfig};
 use sgp_db::{
-    ClusterSim, FaultSimConfig, FaultSimReport, MirrorDirectory, PartitionedStore, SimConfig,
-    SimError, Workload, WorkloadKind,
+    ClusterSim, ElasticPlan, FaultSimConfig, FaultSimReport, MirrorDirectory, PartitionedStore,
+    SimConfig, SimError, Workload, WorkloadKind,
 };
 use sgp_engine::apps::PageRank;
 use sgp_engine::{run_program_traced, EngineOptions, Placement, RunReport};
@@ -87,7 +87,7 @@ pub fn record_db_scenario<S: TraceSink>(
     let workload =
         Workload::generate(&g, WorkloadKind::OneHop, cfg.bindings, cfg.skew, cfg.workload_seed);
     let sim = ClusterSim::prepare(&store, &workload);
-    sim.run_faulted_traced(&cfg.sim, &plan, &mirrors, sink)
+    sim.run_elastic_traced(&cfg.sim, &plan, &mirrors, &ElasticPlan::default(), sink)
 }
 
 /// Canonical trace JSON of the engine scenario (the first golden).

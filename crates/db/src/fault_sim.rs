@@ -1,7 +1,9 @@
-//! Fault-injected discrete-event simulation: the healthy DES of
-//! [`crate::sim`] extended with a deterministic [`FaultPlan`] — machine
-//! crashes (with optional recovery), straggler slowdowns, and seeded
-//! message loss on cross-machine traffic.
+//! The discrete-event loop of [`crate::sim::ClusterSim`], run under a
+//! deterministic [`FaultPlan`] — machine crashes (with optional
+//! recovery), straggler slowdowns, membership changes and seeded message
+//! loss on cross-machine traffic. It is the crate's only event loop: a
+//! healthy run ([`ClusterSim::run`]) is this loop under a plan with no
+//! faults.
 //!
 //! The coordinator reacts to a lost or unanswered sub-request with a
 //! timeout, then re-sends after an exponentially growing, capped
@@ -19,7 +21,7 @@
 //! counter-keyed function of the plan seed, so a run under a fixed
 //! plan is bit-for-bit reproducible.
 
-use crate::sim::{rsd, ClusterSim, EventQueue, SimConfig};
+use crate::sim::{rsd, ClusterSim, EventQueue, SimConfig, SimReport};
 use serde::{Deserialize, Serialize};
 use sgp_fault::{FaultEvent, FaultPlan, MembershipKind, PlanError, RetryPolicy};
 use sgp_graph::Graph;
@@ -44,6 +46,18 @@ pub enum SimError {
     },
     /// The plan failed its own validation.
     InvalidPlan(PlanError),
+    /// The mirror directory was built for a different cluster size.
+    MirrorMismatch {
+        /// Machines the directory covers.
+        mirrors: usize,
+        /// Machines in the simulated cluster.
+        cluster: usize,
+    },
+    /// The configuration offers no load: `clients_per_machine` or
+    /// `queries_per_client` is zero.
+    NoLoad,
+    /// The retry policy allows no attempt at all (`max_attempts == 0`).
+    NoAttempts,
 }
 
 impl std::fmt::Display for SimError {
@@ -57,6 +71,16 @@ impl std::fmt::Display for SimError {
                 write!(f, "fault plan covers {plan} machines but the cluster has {cluster}")
             }
             SimError::InvalidPlan(e) => write!(f, "invalid fault plan: {e}"),
+            SimError::MirrorMismatch { mirrors, cluster } => {
+                write!(
+                    f,
+                    "mirror directory covers {mirrors} machines but the cluster has {cluster}"
+                )
+            }
+            SimError::NoLoad => {
+                write!(f, "no load: zero clients per machine or queries per client")
+            }
+            SimError::NoAttempts => write!(f, "retry policy allows zero attempts per sub-request"),
         }
     }
 }
@@ -169,7 +193,7 @@ impl MirrorDirectory {
 
 /// Configuration of a fault-injected run: the healthy DES parameters
 /// plus the coordinator's retry policy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct FaultSimConfig {
     /// Parameters shared with the healthy simulation.
     pub base: SimConfig,
@@ -182,21 +206,11 @@ pub struct FaultSimConfig {
     pub degraded: DegradedConfig,
 }
 
-impl Default for FaultSimConfig {
-    fn default() -> Self {
-        FaultSimConfig {
-            base: SimConfig::default(),
-            retry: RetryPolicy::default(),
-            degraded: DegradedConfig::default(),
-        }
-    }
-}
-
 /// How the cluster degrades while a membership change is being repaired
 /// (DESIGN.md §11). Both knobs default to "off"/free so that runs
 /// without membership events — and old callers that never set them —
 /// behave exactly as before.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct DegradedConfig {
     /// Queue depth at which a machine sheds (fast-rejects) new shares
     /// while migration is in flight. `0` disables admission control.
@@ -204,12 +218,6 @@ pub struct DegradedConfig {
     /// Simulated nanoseconds charged per migrated record — the DES cost
     /// of shipping one vertex or adjacency entry during rebalance.
     pub migration_ns_per_record: u64,
-}
-
-impl Default for DegradedConfig {
-    fn default() -> Self {
-        DegradedConfig { shed_queue_depth: 0, migration_ns_per_record: 0 }
-    }
 }
 
 /// The migration work a fault plan's membership events oblige, computed
@@ -274,56 +282,101 @@ pub struct FaultSimReport {
     pub shed_queries: u64,
 }
 
-/// Events of the fault-injected DES. `origin` is the machine the trace
-/// *intended* (where the data is mastered): re-sends re-route from it,
-/// so a share that failed over keeps retrying against the original
-/// owner once it recovers.
+/// Events of the DES. Shares are named by their id in the run's share
+/// slab and membership changes by their index in the plan, so an event
+/// is three words and sending, failing or re-sending a share never
+/// copies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum FEvent {
+enum Event {
     /// A client becomes ready to issue its next query.
     Issue { client: u32 },
-    /// A sub-request share arrives at (routed) `machine`.
-    SubArrive { query: u32, machine: u32, origin: u32, reads: u32, service_ns: u64, attempt: u32 },
+    /// A share arrives at (routed) `machine`.
+    SubArrive { share: u32, machine: u32 },
     /// A core of `machine` finishes a share; stale if `epoch` mismatches.
-    SubDone { query: u32, machine: u32, attempt: u32, epoch: u32 },
-    /// The coordinator declares a share of `query` lost.
-    SubFail { query: u32, origin: u32, reads: u32, service_ns: u64, attempt: u32 },
-    /// `machine` crashes, losing queued and in-flight work.
+    SubDone { share: u32, machine: u32, epoch: u32 },
+    /// The coordinator declares a share lost.
+    SubFail { share: u32 },
+    /// `machine` crashes, losing queued and in-service work.
     Crash { machine: u32 },
     /// `machine` rejoins with an empty queue.
     Recover { machine: u32 },
-    /// A scale-out `machine` comes online and starts pulling `records`
-    /// of migrated state.
-    Join { machine: u32, records: u64 },
-    /// `machine` leaves the cluster for good; its `records` evacuate to
-    /// the survivors.
-    Leave { machine: u32, records: u64 },
-    /// A crash-rejoin `machine` returns after being down since
-    /// `down_since` and restores `records` of state.
-    Rejoin { machine: u32, records: u64, down_since: u64 },
+    /// The membership change `plan.events[event]` takes effect: a
+    /// scale-out machine comes online, a scale-in machine leaves for
+    /// good, or a crash-rejoin machine returns.
+    Membership { event: u32 },
 }
 
+/// One sub-request share of a query's current round. `origin` is the
+/// machine the trace *intended* (where the data is mastered): re-sends
+/// re-route from it, so a share that failed over keeps retrying against
+/// the original owner once it recovers.
 #[derive(Debug, Clone, Copy)]
 struct Share {
     query: u32,
     origin: u32,
     reads: u32,
-    service_ns: u64,
     attempt: u32,
+    service_ns: u64,
 }
 
-struct FMachine {
+/// Values addressed by a stable `u32` id; released ids are reused.
+struct Slab<T> {
+    items: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab { items: Vec::new(), free: Vec::new() }
+    }
+
+    fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                self.items[id as usize] = item;
+                id
+            }
+            None => {
+                self.items.push(item);
+                (self.items.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Marks `id` reusable; its value stays readable until reused.
+    fn release(&mut self, id: u32) {
+        self.free.push(id);
+    }
+}
+
+impl<T> std::ops::Index<u32> for Slab<T> {
+    type Output = T;
+    fn index(&self, id: u32) -> &T {
+        &self.items[id as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Slab<T> {
+    fn index_mut(&mut self, id: u32) -> &mut T {
+        &mut self.items[id as usize]
+    }
+}
+
+/// A multi-core FIFO server. The shares it has in service are not
+/// stored here: they are exactly its pending `SubDone` events of the
+/// current epoch, which [`FaultRun::lose_work`] reads from the queue.
+struct Machine {
     cores: usize,
     busy: usize,
     up: bool,
     /// Incremented on every crash; `SubDone` events from before the
     /// crash carry the old epoch and are discarded.
     epoch: u32,
-    fifo: VecDeque<Share>,
-    in_flight: Vec<Share>,
+    /// Queued share ids.
+    fifo: VecDeque<u32>,
 }
 
-struct FActive {
+struct ActiveQuery {
     trace_idx: u32,
     client: u32,
     /// Effective coordinator (the trace's, or its mirror when the
@@ -337,52 +390,40 @@ struct FActive {
 }
 
 impl ClusterSim {
-    /// Runs the discrete-event simulation under a fault plan.
+    /// Runs the discrete-event simulation under a fault plan, without
+    /// migration charges and untraced.
     ///
-    /// Fails with a typed [`SimError`] when the cluster is empty, the
-    /// plan does not match the cluster or fails validation, or the plan
-    /// leaves zero live machines from t = 0.
+    /// Fails as [`ClusterSim::run_elastic_traced`] does.
     pub fn run_faulted(
         &self,
         cfg: &FaultSimConfig,
         plan: &FaultPlan,
         mirrors: &MirrorDirectory,
     ) -> Result<FaultSimReport, SimError> {
-        self.run_faulted_traced(cfg, plan, mirrors, &mut NullSink)
+        self.run_elastic_traced(cfg, plan, mirrors, &ElasticPlan::default(), &mut NullSink)
     }
 
-    /// [`ClusterSim::run_faulted`] with trace events recorded into
-    /// `sink` (DESIGN.md §9): the healthy instrumentation of
-    /// [`ClusterSim::run_traced`](crate::sim) plus retry, drop,
-    /// failover, crash and recovery counters.
-    pub fn run_faulted_traced<S: TraceSink>(
-        &self,
-        cfg: &FaultSimConfig,
-        plan: &FaultPlan,
-        mirrors: &MirrorDirectory,
-        sink: &mut S,
-    ) -> Result<FaultSimReport, SimError> {
-        self.run_elastic_traced(cfg, plan, mirrors, &ElasticPlan::default(), sink)
-    }
-
-    /// [`ClusterSim::run_faulted`] with the plan's membership events
-    /// charged to the cost model: `elastic` carries the migration
-    /// records each event moves (computed by the caller from the
-    /// partitioning with `sgp_partition::plan_rebalance`), and
+    /// Runs the discrete-event simulation under a fault plan with the
+    /// plan's membership events charged to the cost model and trace
+    /// events recorded into `sink` (DESIGN.md §9). `elastic` carries
+    /// the migration records each membership event moves (computed by
+    /// the caller from the partitioning with
+    /// `sgp_partition::plan_rebalance`; the default moves nothing), and
     /// `cfg.degraded` turns those records into a recovery window during
     /// which admission control may shed load (DESIGN.md §11).
-    pub fn run_elastic(
-        &self,
-        cfg: &FaultSimConfig,
-        plan: &FaultPlan,
-        mirrors: &MirrorDirectory,
-        elastic: &ElasticPlan,
-    ) -> Result<FaultSimReport, SimError> {
-        self.run_elastic_traced(cfg, plan, mirrors, elastic, &mut NullSink)
-    }
-
-    /// [`ClusterSim::run_elastic`] with trace events recorded into
-    /// `sink`.
+    ///
+    /// Stamps are simulated nanoseconds from the event clock, so the
+    /// trace is a pure function of the traces, config and plan. Query
+    /// lifecycle spans (`db.query`) are emitted at completion time as
+    /// adjacent enter/exit pairs — concurrent queries overlap in sim
+    /// time, and deferring emission keeps the event stream well-nested
+    /// for [`sgp_trace::CollectingSink::check_nesting`].
+    ///
+    /// Fails with a typed [`SimError`] when the cluster is empty, the
+    /// plan or the mirror directory does not match the cluster, the
+    /// plan fails validation or leaves zero live machines from t = 0,
+    /// the configuration offers no load, or the retry policy allows no
+    /// attempt.
     pub fn run_elastic_traced<S: TraceSink>(
         &self,
         cfg: &FaultSimConfig,
@@ -401,16 +442,25 @@ impl ClusterSim {
         if plan.all_machines_dead_from_start() {
             return Err(SimError::NoLiveMachines);
         }
-        assert_eq!(mirrors.machines(), self.machines, "mirror directory must match the cluster");
-        assert!(cfg.base.clients_per_machine > 0 && cfg.base.queries_per_client > 0);
-        assert!(cfg.retry.max_attempts > 0, "at least one attempt per sub-request");
-        Ok(FaultRun::new(self, cfg, plan, mirrors, elastic, sink).execute())
+        if mirrors.machines() != self.machines {
+            return Err(SimError::MirrorMismatch {
+                mirrors: mirrors.machines(),
+                cluster: self.machines,
+            });
+        }
+        if cfg.base.clients_per_machine == 0 || cfg.base.queries_per_client == 0 {
+            return Err(SimError::NoLoad);
+        }
+        if cfg.retry.max_attempts == 0 {
+            return Err(SimError::NoAttempts);
+        }
+        Ok(FaultRun::new(self, cfg, plan, mirrors, elastic, sink).execute().report())
     }
 }
 
-/// One in-progress fault-injected run; groups the DES state so event
+/// One in-progress run of the event loop; groups the DES state so event
 /// handlers are methods instead of functions with a dozen arguments.
-struct FaultRun<'a, S: TraceSink> {
+pub(crate) struct FaultRun<'a, S: TraceSink> {
     sim: &'a ClusterSim,
     sink: &'a mut S,
     cfg: &'a SimConfig,
@@ -419,10 +469,12 @@ struct FaultRun<'a, S: TraceSink> {
     mirrors: &'a MirrorDirectory,
     degraded: DegradedConfig,
     elastic: &'a ElasticPlan,
-    machines: Vec<FMachine>,
-    events: EventQueue<FEvent>,
-    active: Vec<FActive>,
-    free_slots: Vec<u32>,
+    machines: Vec<Machine>,
+    events: EventQueue<Event>,
+    active: Slab<ActiveQuery>,
+    /// Every share sent and not yet resolved by its `SubDone` or its
+    /// final `SubFail`.
+    shares: Slab<Share>,
     next_binding: usize,
     issued: usize,
     completed: usize,
@@ -431,7 +483,12 @@ struct FaultRun<'a, S: TraceSink> {
     warmup_end_ns: u64,
     last_completion_ns: u64,
     latencies_ns: Vec<u64>,
-    reads_per_machine: Vec<u64>,
+    /// Reads routed to each machine over the whole run, retries
+    /// included ([`FaultSimReport::reads_per_machine`]).
+    routed_reads: Vec<u64>,
+    /// Counted (post-warm-up) successful completions per trace, from
+    /// which [`SimReport::reads_per_machine`] follows.
+    counted_per_trace: Vec<u64>,
     ok: usize,
     failed: usize,
     retries: u64,
@@ -455,7 +512,7 @@ struct FaultRun<'a, S: TraceSink> {
 }
 
 impl<'a, S: TraceSink> FaultRun<'a, S> {
-    fn new(
+    pub(crate) fn new(
         sim: &'a ClusterSim,
         cfg: &'a FaultSimConfig,
         plan: &'a FaultPlan,
@@ -469,13 +526,12 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         // sgp-lint: allow(no-float-accounting): warmup cutoff is a one-time fraction of the query count, rounded before the event loop starts
         let warmup = (total_queries as f64 * cfg.base.warmup_fraction) as usize;
         let machines = (0..k)
-            .map(|_| FMachine {
+            .map(|_| Machine {
                 cores: cfg.base.cores_per_machine,
                 busy: 0,
                 up: true,
                 epoch: 0,
                 fifo: VecDeque::new(),
-                in_flight: Vec::new(),
             })
             .collect();
         FaultRun {
@@ -489,8 +545,8 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
             elastic,
             machines,
             events: EventQueue::new(),
-            active: Vec::new(),
-            free_slots: Vec::new(),
+            active: Slab::new(),
+            shares: Slab::new(),
             next_binding: 0,
             issued: 0,
             completed: 0,
@@ -499,7 +555,8 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
             warmup_end_ns: 0,
             last_completion_ns: 0,
             latencies_ns: Vec::with_capacity(total_queries),
-            reads_per_machine: vec![0; k],
+            routed_reads: vec![0; k],
+            counted_per_trace: vec![0; sim.traces.len()],
             ok: 0,
             failed: 0,
             retries: 0,
@@ -514,100 +571,78 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         }
     }
 
-    fn execute(mut self) -> FaultSimReport {
+    /// Runs the event loop to the last completion; the finished run
+    /// renders either report.
+    pub(crate) fn execute(mut self) -> Self {
         // Schedule the plan's crash/recovery events first so a crash at
         // t = 0 lands before any client issue at t = 0. Straggler
         // windows need no events: the slowdown factor is queried at
         // every service start.
         let plan = self.plan;
-        let mut membership_idx = 0usize;
-        for e in &plan.events {
+        for (i, e) in plan.events.iter().enumerate() {
             match *e {
                 FaultEvent::Crash { machine, at_ns, recovery_ns } => {
-                    self.events.push(at_ns, FEvent::Crash { machine });
+                    self.events.push(at_ns, Event::Crash { machine });
                     if let Some(d) = recovery_ns {
-                        self.events.push(at_ns.saturating_add(d), FEvent::Recover { machine });
+                        self.events.push(at_ns.saturating_add(d), Event::Recover { machine });
                     }
                 }
                 FaultEvent::Membership { machine, at_ns, kind, rejoin_ns } => {
-                    let records =
-                        self.elastic.records_per_event.get(membership_idx).copied().unwrap_or(0);
-                    membership_idx += 1;
-                    match kind {
+                    let takes_effect = match kind {
                         MembershipKind::ScaleOut => {
                             // The joiner is outside the cluster until
                             // its membership event fires.
                             self.machines[machine as usize].up = false;
-                            self.events.push(at_ns, FEvent::Join { machine, records });
+                            at_ns
                         }
-                        MembershipKind::ScaleIn => {
-                            self.events.push(at_ns, FEvent::Leave { machine, records });
-                        }
+                        MembershipKind::ScaleIn => at_ns,
                         MembershipKind::CrashRejoin => {
-                            self.events.push(at_ns, FEvent::Crash { machine });
-                            let d = rejoin_ns.unwrap_or(1);
-                            self.events.push(
-                                at_ns.saturating_add(d),
-                                FEvent::Rejoin { machine, records, down_since: at_ns },
-                            );
+                            self.events.push(at_ns, Event::Crash { machine });
+                            at_ns.saturating_add(rejoin_ns.unwrap_or(1))
                         }
-                    }
+                    };
+                    self.events.push(takes_effect, Event::Membership { event: i as u32 });
                 }
-                _ => {}
+                FaultEvent::Straggler { .. } => {}
             }
         }
+        // Stagger client starts over one overhead period to avoid a
+        // thundering herd at t=0.
         let clients = self.cfg.clients_per_machine * self.sim.machines;
         for c in 0..clients as u32 {
             let jitter = (c as u64 * 1_000) % (self.cfg.request_overhead_ns as u64 + 1);
-            self.events.push(jitter, FEvent::Issue { client: c });
+            self.events.push(jitter, Event::Issue { client: c });
         }
         self.sink.span_enter(keys::DB_RUN, 0, 0);
         while let Some((now, ev)) = self.events.pop() {
             match ev {
-                FEvent::Issue { client } => self.on_issue(client, now),
-                FEvent::SubArrive { query, machine, origin, reads, service_ns, attempt } => {
-                    let share = Share { query, origin, reads, service_ns, attempt };
-                    self.on_sub_arrive(machine, share, now);
+                Event::Issue { client } => self.on_issue(client, now),
+                Event::SubArrive { share, machine } => self.on_sub_arrive(share, machine, now),
+                Event::SubDone { share, machine, epoch } => {
+                    self.on_sub_done(share, machine, epoch, now);
                 }
-                FEvent::SubDone { query, machine, attempt, epoch } => {
-                    self.on_sub_done(query, machine, attempt, epoch, now);
+                Event::SubFail { share } => self.on_sub_fail(share, now),
+                Event::Crash { machine } => {
+                    self.sink.counter_add(keys::DB_CRASHES, machine as u64, 1);
+                    self.lose_work(machine, now);
                 }
-                FEvent::SubFail { query, origin, reads, service_ns, attempt } => {
-                    let share = Share { query, origin, reads, service_ns, attempt };
-                    self.on_sub_fail(share, now);
-                }
-                FEvent::Crash { machine } => self.on_crash(machine, now),
-                FEvent::Recover { machine } => {
+                Event::Recover { machine } => {
                     self.machines[machine as usize].up = true;
                     self.sink.counter_add(keys::DB_RECOVERIES, machine as u64, 1);
                 }
-                FEvent::Join { machine, records } => {
-                    self.machines[machine as usize].up = true;
-                    self.sink.counter_add(keys::DB_MEMBERSHIP_EVENTS, machine as u64, 1);
-                    self.begin_migration(machine, records, now, now);
-                }
-                FEvent::Leave { machine, records } => {
-                    self.sink.counter_add(keys::DB_MEMBERSHIP_EVENTS, machine as u64, 1);
-                    self.lose_work(machine, now);
-                    self.begin_migration(machine, records, now, now);
-                }
-                FEvent::Rejoin { machine, records, down_since } => {
-                    self.machines[machine as usize].up = true;
-                    self.sink.counter_add(keys::DB_MEMBERSHIP_EVENTS, machine as u64, 1);
-                    self.begin_migration(machine, records, now, down_since);
-                }
+                Event::Membership { event } => self.on_membership(event as usize, now),
             }
             if self.completed >= self.total_queries {
                 break;
             }
         }
         if self.sink.enabled() {
-            for (m, &r) in self.reads_per_machine.iter().enumerate() {
+            for (m, &r) in self.routed_reads.iter().enumerate() {
                 self.sink.counter_add(keys::DB_READS, m as u64, r);
             }
         }
         self.sink.span_exit(keys::DB_RUN, 0, self.last_completion_ns);
-        self.report()
+        self
     }
 
     /// Routes a share aimed at `target`: the target itself when up,
@@ -628,48 +663,37 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         (target, false)
     }
 
-    /// Sends one share of `slot`'s current round at time `t`. Exactly
-    /// one `SubDone` or `SubFail` eventually resolves every send.
-    fn send_share(&mut self, slot: u32, share: Share, t: u64) {
-        let coordinator = self.active[slot as usize].coordinator;
-        let (routed, failed_over) = self.route(share.origin);
+    /// Sends share `id` at time `t`. Exactly one `SubDone` or `SubFail`
+    /// eventually resolves every send.
+    fn send_share(&mut self, id: u32, t: u64) {
+        let Share { query, origin, reads, .. } = self.shares[id];
+        let (routed, failed_over) = self.route(origin);
         if failed_over {
             self.failovers += 1;
-            self.sink.counter_add(keys::DB_FAILOVERS, share.origin as u64, 1);
+            self.sink.counter_add(keys::DB_FAILOVERS, origin as u64, 1);
         }
-        self.reads_per_machine[routed as usize] += share.reads as u64;
-        let remote = routed != coordinator;
-        self.active[slot as usize].round_has_remote |= remote;
-        let delay = if remote { self.cfg.half_rtt_ns as u64 } else { 0 };
-        if remote {
-            self.msg_counter += 1;
-            if self.plan.drop_message(self.msg_counter) {
-                self.dropped += 1;
-                self.sink.counter_add(keys::DB_DROPPED_MESSAGES, routed as u64, 1);
-                self.events.push(
-                    t + self.retry.timeout_ns,
-                    FEvent::SubFail {
-                        query: share.query,
-                        origin: share.origin,
-                        reads: share.reads,
-                        service_ns: share.service_ns,
-                        attempt: share.attempt,
-                    },
-                );
-                return;
-            }
+        self.routed_reads[routed as usize] += reads as u64;
+        let q = &mut self.active[query];
+        let remote = routed != q.coordinator;
+        q.round_has_remote |= remote;
+        if !remote {
+            self.events.push(t, Event::SubArrive { share: id, machine: routed });
+            return;
         }
-        self.events.push(
-            t + delay,
-            FEvent::SubArrive {
-                query: share.query,
-                machine: routed,
-                origin: share.origin,
-                reads: share.reads,
-                service_ns: share.service_ns,
-                attempt: share.attempt,
-            },
-        );
+        self.msg_counter += 1;
+        if self.plan.drop_message(self.msg_counter) {
+            self.dropped += 1;
+            self.sink.counter_add(keys::DB_DROPPED_MESSAGES, routed as u64, 1);
+            self.events.push(t + self.retry.timeout_ns, Event::SubFail { share: id });
+            return;
+        }
+        let arrives = t + self.cfg.half_rtt_ns as u64;
+        self.events.push(arrives, Event::SubArrive { share: id, machine: routed });
+    }
+
+    fn send_new_share(&mut self, share: Share, t: u64) {
+        let id = self.shares.insert(share);
+        self.send_share(id, t);
     }
 
     fn on_issue(&mut self, client: u32, now: u64) {
@@ -681,31 +705,16 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         self.next_binding += 1;
         let home = self.sim.traces[trace_idx as usize].coordinator;
         let (coordinator, failed_over) = self.route(home);
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                self.active.push(FActive {
-                    trace_idx: 0,
-                    client: 0,
-                    coordinator: 0,
-                    round: 0,
-                    pending: 0,
-                    round_has_remote: false,
-                    failed: false,
-                    start_ns: 0,
-                });
-                (self.active.len() - 1) as u32
-            }
-        };
-        let q = &mut self.active[slot as usize];
-        q.trace_idx = trace_idx;
-        q.client = client;
-        q.coordinator = coordinator;
-        q.round = 0;
-        q.pending = 0;
-        q.round_has_remote = false;
-        q.failed = false;
-        q.start_ns = now;
+        let slot = self.active.insert(ActiveQuery {
+            trace_idx,
+            client,
+            coordinator,
+            round: 0,
+            pending: 0,
+            round_has_remote: false,
+            failed: false,
+            start_ns: now,
+        });
         if !self.machines[coordinator as usize].up {
             // The query's start vertex lives on a dead machine with no
             // usable mirror: the client times out and moves on.
@@ -717,103 +726,70 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
             self.sink.counter_add(keys::DB_FAILOVERS, home as u64, 1);
         }
         self.dispatch_round(slot, now);
-        if self.active[slot as usize].pending == 0 {
+        // A query with no rounds at all (or only all-zero ones)
+        // completes instantly.
+        if self.active[slot].pending == 0 {
             self.complete(slot, now, true);
         }
     }
 
-    fn on_sub_arrive(&mut self, machine: u32, share: Share, now: u64) {
-        if !self.machines[machine as usize].up {
+    fn on_sub_arrive(&mut self, id: u32, machine: u32, now: u64) {
+        let m = &mut self.machines[machine as usize];
+        if !m.up {
             // Arrived at a corpse; the coordinator notices by timeout.
-            self.events.push(
-                now + self.retry.timeout_ns,
-                FEvent::SubFail {
-                    query: share.query,
-                    origin: share.origin,
-                    reads: share.reads,
-                    service_ns: share.service_ns,
-                    attempt: share.attempt,
-                },
-            );
+            self.events.push(now + self.retry.timeout_ns, Event::SubFail { share: id });
             return;
         }
-        let slow = self.plan.slowdown(machine, now);
-        let m = &mut self.machines[machine as usize];
         if m.busy < m.cores {
             m.busy += 1;
-            // sgp-lint: allow(no-float-accounting): the one float->integral boundary applying the slowdown factor
-            let effective = (share.service_ns as f64 * slow) as u64;
-            let epoch = m.epoch;
-            m.in_flight.push(share);
-            self.events.push(
-                now + effective,
-                FEvent::SubDone { query: share.query, machine, attempt: share.attempt, epoch },
-            );
-        } else {
-            // Admission control: while migration traffic is in flight,
-            // a machine whose queue is already past the shed threshold
-            // fast-rejects the share instead of queueing it — the
-            // coordinator retries with backoff and may fail over.
-            if self.degraded.shed_queue_depth > 0
-                && now < self.degraded_until
-                && m.fifo.len() >= self.degraded.shed_queue_depth
-            {
-                self.shed += 1;
-                self.sink.counter_add(keys::DB_SHED_QUERIES, machine as u64, 1);
-                self.events.push(
-                    now,
-                    FEvent::SubFail {
-                        query: share.query,
-                        origin: share.origin,
-                        reads: share.reads,
-                        service_ns: share.service_ns,
-                        attempt: share.attempt,
-                    },
-                );
-                return;
-            }
-            m.fifo.push_back(share);
-            if self.sink.enabled() {
-                let depth = m.fifo.len() as u64;
-                self.sink.counter_add(keys::DB_QUEUE_ENQUEUED, machine as u64, 1);
-                self.sink.histogram_record(keys::DB_QUEUE_DEPTH, machine as u64, depth);
-            }
+            self.start_service(id, machine, now);
+            return;
+        }
+        // Admission control: while migration traffic is in flight, a
+        // machine whose queue is already past the shed threshold
+        // fast-rejects the share instead of queueing it — the
+        // coordinator retries with backoff and may fail over.
+        if self.degraded.shed_queue_depth > 0
+            && now < self.degraded_until
+            && m.fifo.len() >= self.degraded.shed_queue_depth
+        {
+            self.shed += 1;
+            self.sink.counter_add(keys::DB_SHED_QUERIES, machine as u64, 1);
+            self.events.push(now, Event::SubFail { share: id });
+            return;
+        }
+        m.fifo.push_back(id);
+        if self.sink.enabled() {
+            let depth = m.fifo.len() as u64;
+            self.sink.counter_add(keys::DB_QUEUE_ENQUEUED, machine as u64, 1);
+            self.sink.histogram_record(keys::DB_QUEUE_DEPTH, machine as u64, depth);
         }
     }
 
-    fn on_sub_done(&mut self, query: u32, machine: u32, attempt: u32, epoch: u32, now: u64) {
+    /// Puts share `id` on a core of `machine` (already counted busy).
+    fn start_service(&mut self, id: u32, machine: u32, now: u64) {
         let slow = self.plan.slowdown(machine, now);
-        {
-            let m = &mut self.machines[machine as usize];
-            if m.epoch != epoch {
-                // Completion from before a crash: that work is lost and
-                // its failure already scheduled; ignore.
-                return;
-            }
-            m.busy -= 1;
-            if let Some(idx) =
-                m.in_flight.iter().position(|s| s.query == query && s.attempt == attempt)
-            {
-                m.in_flight.remove(idx);
-            }
-            if let Some(next) = m.fifo.pop_front() {
-                m.busy += 1;
-                // sgp-lint: allow(no-float-accounting): the one float->integral boundary applying the slowdown factor
-                let effective = (next.service_ns as f64 * slow) as u64;
-                let next_epoch = m.epoch;
-                m.in_flight.push(next);
-                self.events.push(
-                    now + effective,
-                    FEvent::SubDone {
-                        query: next.query,
-                        machine,
-                        attempt: next.attempt,
-                        epoch: next_epoch,
-                    },
-                );
-            }
+        // sgp-lint: allow(no-float-accounting): the one float->integral boundary applying the slowdown factor
+        let effective = (self.shares[id].service_ns as f64 * slow) as u64;
+        let epoch = self.machines[machine as usize].epoch;
+        self.events.push(now + effective, Event::SubDone { share: id, machine, epoch });
+    }
+
+    fn on_sub_done(&mut self, id: u32, machine: u32, epoch: u32, now: u64) {
+        let m = &mut self.machines[machine as usize];
+        if m.epoch != epoch {
+            // Completion from before a crash: that work is lost and
+            // its failure already scheduled; ignore.
+            return;
         }
-        let q = &mut self.active[query as usize];
+        // Free the core, or hand it to the next queued share.
+        match m.fifo.pop_front() {
+            Some(next) => self.start_service(next, machine, now),
+            None => m.busy -= 1,
+        }
+        let query = self.shares[id].query;
+        self.shares.release(id);
+        let q = &mut self.active[query];
         q.pending -= 1;
         if q.pending > 0 {
             return;
@@ -825,50 +801,69 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         let reply_delay = if q.round_has_remote { self.cfg.half_rtt_ns as u64 } else { 0 };
         let round_end = now + reply_delay;
         q.round += 1;
-        let rounds = self.sim.traces[q.trace_idx as usize].rounds.len();
-        if q.round < rounds {
-            self.dispatch_round(query, round_end);
-            if self.active[query as usize].pending == 0 {
-                self.complete(query, round_end, true);
-            }
-        } else {
+        self.dispatch_round(query, round_end);
+        // No share sent: the trace is exhausted (or only all-zero
+        // rounds were left).
+        if self.active[query].pending == 0 {
             self.complete(query, round_end, true);
         }
     }
 
-    fn on_sub_fail(&mut self, share: Share, now: u64) {
-        let q = &mut self.active[share.query as usize];
-        if q.failed {
-            q.pending -= 1;
-            if q.pending == 0 {
-                self.complete(share.query, now, false);
-            }
-            return;
-        }
-        if share.attempt >= self.retry.max_attempts {
+    fn on_sub_fail(&mut self, id: u32, now: u64) {
+        let Share { query, origin, attempt, .. } = self.shares[id];
+        let q = &mut self.active[query];
+        if q.failed || attempt >= self.retry.max_attempts {
             q.failed = true;
             q.pending -= 1;
+            self.shares.release(id);
             if q.pending == 0 {
-                self.complete(share.query, now, false);
+                self.complete(query, now, false);
             }
             return;
         }
         self.retries += 1;
-        self.sink.counter_add(keys::DB_RETRIES, share.origin as u64, 1);
-        let resend_at = now + self.retry.backoff_ns(share.attempt);
-        self.send_share(share.query, Share { attempt: share.attempt + 1, ..share }, resend_at);
+        self.sink.counter_add(keys::DB_RETRIES, origin as u64, 1);
+        self.shares[id].attempt = attempt + 1;
+        self.send_share(id, now + self.retry.backoff_ns(attempt));
     }
 
-    fn on_crash(&mut self, machine: u32, now: u64) {
-        self.sink.counter_add(keys::DB_CRASHES, machine as u64, 1);
-        self.lose_work(machine, now);
+    /// The membership change `plan.events[event]` takes effect; its
+    /// migration records are charged from `now`.
+    fn on_membership(&mut self, event: usize, now: u64) {
+        let plan = self.plan;
+        let FaultEvent::Membership { machine, at_ns, kind, .. } = plan.events[event] else {
+            return;
+        };
+        // `elastic` is aligned with the plan's membership events only.
+        let ordinal = plan.events[..event]
+            .iter()
+            .filter(|e| matches!(e, FaultEvent::Membership { .. }))
+            .count();
+        let records = self.elastic.records_per_event.get(ordinal).copied().unwrap_or(0);
+        self.sink.counter_add(keys::DB_MEMBERSHIP_EVENTS, machine as u64, 1);
+        // The recovery interval runs from the crash instant for a
+        // rejoin, from the event itself otherwise.
+        let since = match kind {
+            MembershipKind::ScaleOut => {
+                self.machines[machine as usize].up = true;
+                now
+            }
+            MembershipKind::ScaleIn => {
+                self.lose_work(machine, now);
+                now
+            }
+            MembershipKind::CrashRejoin => {
+                self.machines[machine as usize].up = true;
+                at_ns
+            }
+        };
+        self.begin_migration(machine, records, now, since);
     }
 
     /// Charges `records` of migration for the membership change at
     /// `machine` to the cost model: the cluster runs degraded until the
     /// transfer drains, and the recovery interval — measured from
-    /// `since` (the crash instant for a rejoin, the event itself
-    /// otherwise) — feeds the report's RTO.
+    /// `since` — feeds the report's RTO.
     fn begin_migration(&mut self, machine: u32, records: u64, now: u64, since: u64) {
         self.data_moved += records;
         if records > 0 {
@@ -883,40 +878,44 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
     }
 
     /// Takes `machine` out of service: bumps its epoch so stale
-    /// completions are discarded and fails all queued and in-flight
-    /// work after the coordinator's timeout.
+    /// completions are discarded and fails all in-service and queued
+    /// work after the coordinator's timeout. The in-service shares are
+    /// the machine's pending `SubDone` events of the epoch that ends
+    /// here; scanning the whole queue for them on this rare event is
+    /// what spares every completion a per-machine in-service list.
     fn lose_work(&mut self, machine: u32, now: u64) {
-        let lost: Vec<Share> = {
-            let m = &mut self.machines[machine as usize];
-            m.up = false;
-            m.epoch += 1;
-            m.busy = 0;
-            let mut lost: Vec<Share> = m.in_flight.drain(..).collect();
-            lost.extend(m.fifo.drain(..));
-            lost
-        };
+        let m = &mut self.machines[machine as usize];
+        let mut in_service: Vec<(u64, u32)> = self
+            .events
+            .pending()
+            .filter_map(|(seq, e)| match *e {
+                Event::SubDone { share, machine: at, epoch }
+                    if at == machine && epoch == m.epoch =>
+                {
+                    Some((seq, share))
+                }
+                _ => None,
+            })
+            .collect();
+        // Sequence order is service-start order.
+        in_service.sort_unstable();
+        m.up = false;
+        m.epoch += 1;
+        m.busy = 0;
         let fail_at = now + self.retry.timeout_ns;
-        for share in lost {
-            self.events.push(
-                fail_at,
-                FEvent::SubFail {
-                    query: share.query,
-                    origin: share.origin,
-                    reads: share.reads,
-                    service_ns: share.service_ns,
-                    attempt: share.attempt,
-                },
-            );
+        for share in in_service.into_iter().map(|(_, share)| share).chain(m.fifo.drain(..)) {
+            self.events.push(fail_at, Event::SubFail { share });
         }
     }
 
-    /// Issues the current round's shares of query `slot` at time `t`
-    /// (same share-splitting as the healthy DES, routed through
-    /// [`FaultRun::send_share`]).
+    /// Sends the shares of query `slot`'s first non-empty round from
+    /// its current one on, at time `t`; leaves `pending == 0` when no
+    /// such round is left.
     fn dispatch_round(&mut self, slot: u32, t: u64) {
         let sim = self.sim;
+        let cfg = self.cfg;
         let (trace_idx, mut round, coordinator) = {
-            let q = &mut self.active[slot as usize];
+            let q = &mut self.active[slot];
             q.round_has_remote = false;
             (q.trace_idx as usize, q.round, q.coordinator)
         };
@@ -934,60 +933,50 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
                 if remote {
                     remote_fanout += 1;
                 }
-                let shares = (reads as usize).min(self.cfg.intra_request_parallelism.max(1)) as u32;
+                // sgp-lint: allow(no-float-accounting): evaluating the float service-time model; the result is cast to integral ns below
+                let extra_ns = if remote { cfg.remote_read_extra_ns } else { 0.0 };
+                let per_read = cfg.read_service_ns + extra_ns;
+                // A batch read parallelizes over up to
+                // `intra_request_parallelism` cores of the target
+                // machine; the RPC overhead is paid once, on the first
+                // share.
+                let shares = (reads as usize).min(cfg.intra_request_parallelism.max(1)) as u32;
                 let per_share = reads / shares;
-                let mut remainder = reads % shares;
+                let remainder = reads % shares;
                 for share in 0..shares {
-                    let mut share_reads = per_share;
-                    if remainder > 0 {
-                        share_reads += 1;
-                        remainder -= 1;
-                    }
-                    let per_read = self.cfg.read_service_ns
-                        // sgp-lint: allow(no-float-accounting): evaluating the float service-time model; the result is cast to integral ns on the next line
-                        + if remote { self.cfg.remote_read_extra_ns } else { 0.0 };
+                    let share_reads = per_share + u32::from(share < remainder);
                     // sgp-lint: allow(no-float-accounting): the one float->integral boundary for per-share service time
-                    let mut service = (share_reads as f64 * per_read) as u64;
+                    let mut service_ns = (share_reads as f64 * per_read) as u64;
                     if share == 0 {
-                        service += self.cfg.request_overhead_ns as u64;
+                        service_ns += cfg.request_overhead_ns as u64;
                     }
                     pending += 1;
-                    self.send_share(
-                        slot,
-                        Share {
-                            query: slot,
-                            origin: m as u32,
-                            reads: share_reads,
-                            service_ns: service,
-                            attempt: 1,
-                        },
-                        t,
-                    );
+                    let share = Share {
+                        query: slot,
+                        origin: m as u32,
+                        reads: share_reads,
+                        attempt: 1,
+                        service_ns,
+                    };
+                    self.send_new_share(share, t);
                 }
             }
-            // Scatter-gather fan-out on the coordinator.
+            // Scatter-gather fan-out: the coordinator serializes every
+            // remote request and merges every remote response.
             if remote_fanout > 0 {
                 pending += 1;
                 // sgp-lint: allow(no-float-accounting): the one float->integral boundary for coordinator fan-out time
-                let service = (self.cfg.fanout_ns * remote_fanout as f64) as u64;
-                self.send_share(
-                    slot,
-                    Share {
-                        query: slot,
-                        origin: coordinator,
-                        reads: 0,
-                        service_ns: service,
-                        attempt: 1,
-                    },
-                    t,
-                );
+                let service_ns = (cfg.fanout_ns * remote_fanout as f64) as u64;
+                let share =
+                    Share { query: slot, origin: coordinator, reads: 0, attempt: 1, service_ns };
+                self.send_new_share(share, t);
             }
             if pending > 0 {
                 break;
             }
             round += 1;
         }
-        let q = &mut self.active[slot as usize];
+        let q = &mut self.active[slot];
         q.round = round;
         q.pending = pending;
     }
@@ -996,10 +985,7 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
     /// failed queries count toward totals and warm-up but contribute no
     /// latency sample.
     fn complete(&mut self, slot: u32, now: u64, success: bool) {
-        let (client, start_ns, trace_idx) = {
-            let q = &self.active[slot as usize];
-            (q.client, q.start_ns, q.trace_idx)
-        };
+        let ActiveQuery { client, start_ns, trace_idx, .. } = self.active[slot];
         self.completed += 1;
         self.last_completion_ns = now;
         if self.completed == self.warmup {
@@ -1009,6 +995,7 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
             if success {
                 self.ok += 1;
                 self.latencies_ns.push(now - start_ns);
+                self.counted_per_trace[trace_idx as usize] += 1;
                 if self.sink.enabled() {
                     self.sink.span_enter(keys::DB_QUERY, trace_idx as u64, start_ns);
                     self.sink.span_exit(keys::DB_QUERY, trace_idx as u64, now);
@@ -1020,12 +1007,12 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
                 self.sink.counter_add(keys::DB_QUERIES_FAILED, 0, 1);
             }
         }
-        self.free_slots.push(slot);
-        self.events.push(now, FEvent::Issue { client });
+        self.active.release(slot);
+        self.events.push(now, Event::Issue { client });
     }
 
     // sgp-lint: allow-scope(no-float-accounting): report rendering — availability, qps and seconds are derived from integral counters after the clock stops
-    fn report(mut self) -> FaultSimReport {
+    pub(crate) fn report(mut self) -> FaultSimReport {
         let lat = latency_summary_ms(&mut self.latencies_ns);
         let window_ns = self.last_completion_ns.saturating_sub(self.warmup_end_ns).max(1);
         let window_s = window_ns as f64 / 1e9;
@@ -1043,12 +1030,39 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
             p50_latency_ms: lat.p50_ms,
             p99_latency_ms: lat.p99_ms,
             max_latency_ms: lat.max_ms,
-            load_rsd: rsd(&self.reads_per_machine),
-            reads_per_machine: self.reads_per_machine,
+            load_rsd: rsd(&self.routed_reads),
+            reads_per_machine: self.routed_reads,
             sim_seconds: self.last_completion_ns as f64 / 1e9,
             rto_ms: self.rto_ns as f64 / 1e6,
             data_moved: self.data_moved,
             shed_queries: self.shed,
+        }
+    }
+
+    /// The report of a run in which nothing failed: goodput is the
+    /// throughput, and `reads_per_machine` is the trace reads of the
+    /// counted completions rather than the reads routed over the whole
+    /// run.
+    pub(crate) fn healthy_report(self) -> SimReport {
+        let mut reads_per_machine = vec![0u64; self.sim.machines];
+        for (trace, &counted) in self.sim.traces.iter().zip(&self.counted_per_trace) {
+            for round in &trace.rounds {
+                for (total, &reads) in reads_per_machine.iter_mut().zip(&round.reads) {
+                    *total += counted * reads as u64;
+                }
+            }
+        }
+        let r = self.report();
+        SimReport {
+            throughput_qps: r.goodput_qps,
+            mean_latency_ms: r.mean_latency_ms,
+            p50_latency_ms: r.p50_latency_ms,
+            p99_latency_ms: r.p99_latency_ms,
+            max_latency_ms: r.max_latency_ms,
+            completed: r.completed_ok,
+            load_rsd: rsd(&reads_per_machine),
+            reads_per_machine,
+            sim_seconds: r.sim_seconds,
         }
     }
 }
@@ -1093,19 +1107,174 @@ mod tests {
         }
     }
 
+    fn small_snb() -> Graph {
+        snb_social(SnbConfig {
+            persons: 600,
+            communities: 12,
+            avg_friends: 10.0,
+            ..SnbConfig::default()
+        })
+    }
+
+    fn snb_sim(k: usize) -> ClusterSim {
+        let g = small_snb();
+        let p = partition(
+            &g,
+            Algorithm::Ldg,
+            &PartitionerConfig::new(k),
+            StreamOrder::Random { seed: 4 },
+        );
+        let w = Workload::generate(&g, WorkloadKind::TwoHop, 120, Skew::Zipf { theta: 0.8 }, 11);
+        ClusterSim::prepare(&PartitionedStore::new(g, &p), &w)
+    }
+
     #[test]
-    fn healthy_plan_matches_healthy_sim_availability() {
-        let sim = two_machine_sim();
+    fn healthy_run_is_the_loop_under_an_empty_plan() {
+        // `run` is a projection of the general entry under a plan with
+        // no faults: every shared field agrees by bits, nothing is
+        // retried, dropped or failed over, and the routed reads are the
+        // counted reads plus those of the warm-up completions.
+        for sim in [two_machine_sim(), snb_sim(4)] {
+            for warmup_fraction in [0.0, 0.2] {
+                let cfg = FaultSimConfig {
+                    base: SimConfig { warmup_fraction, ..quick_cfg().base },
+                    ..quick_cfg()
+                };
+                let k = sim.machines();
+                let healthy = sim.run(&cfg.base);
+                let r = sim
+                    .run_elastic_traced(
+                        &cfg,
+                        &FaultPlan::healthy(k, 9),
+                        &MirrorDirectory::edge_cut(k),
+                        &ElasticPlan::default(),
+                        &mut NullSink,
+                    )
+                    .unwrap();
+                assert_eq!(r.completed_ok, healthy.completed);
+                assert_eq!((r.failed, r.retries, r.dropped_messages, r.failovers), (0, 0, 0, 0));
+                assert_eq!(r.availability, 1.0);
+                for (general, projected) in [
+                    (r.goodput_qps, healthy.throughput_qps),
+                    (r.offered_qps, healthy.throughput_qps),
+                    (r.mean_latency_ms, healthy.mean_latency_ms),
+                    (r.p50_latency_ms, healthy.p50_latency_ms),
+                    (r.p99_latency_ms, healthy.p99_latency_ms),
+                    (r.max_latency_ms, healthy.max_latency_ms),
+                    (r.sim_seconds, healthy.sim_seconds),
+                ] {
+                    assert_eq!(general.to_bits(), projected.to_bits());
+                }
+                let routed: u64 = r.reads_per_machine.iter().sum();
+                let counted: u64 = healthy.reads_per_machine.iter().sum();
+                if warmup_fraction == 0.0 {
+                    assert_eq!(r.reads_per_machine, healthy.reads_per_machine);
+                } else {
+                    assert!(routed > counted, "warm-up reads are routed but not counted");
+                }
+            }
+        }
+    }
+
+    /// The crash scenario of the share-identity regression tests: one
+    /// query class reading 3 vertices on machine 1 from coordinator 0,
+    /// two clients (issuing at 0 and 1 us), one query each, machine 1
+    /// down from 500 us to 700 us. With parallelism 2 each query sends
+    /// a 2-read share (420 us of service) and a 1-read share (180 us),
+    /// all four arriving at 250/251 us.
+    fn crash_mid_round(cores_per_machine: usize) -> FaultSimReport {
+        let trace = QueryTrace {
+            coordinator: 0,
+            rounds: vec![RoundTrace { reads: vec![0, 3] }],
+            result: QueryResult::Vertices(vec![]),
+        };
+        let cfg = FaultSimConfig {
+            base: SimConfig {
+                clients_per_machine: 1,
+                cores_per_machine,
+                intra_request_parallelism: 2,
+                queries_per_client: 1,
+                warmup_fraction: 0.0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let plan = FaultPlan::healthy(2, 1).with_recovering_crash(1, 500_000, 200_000);
+        ClusterSim::from_traces(2, vec![trace])
+            .run_faulted(&cfg, &plan, &MirrorDirectory::edge_cut(2))
+            .unwrap()
+    }
+
+    #[test]
+    fn crash_resends_the_shares_that_were_in_service() {
+        // Four cores: every share is in service on arrival. The 1-read
+        // shares finish at 430/431 us; the crash loses the two 2-read
+        // shares, which fail at 2.5 ms, are re-sent at 3 ms, served
+        // 3.25–3.67 ms and answered at 3.92 ms. Telling shares of one
+        // query apart only by (query, attempt) re-sent the finished
+        // 1-read shares instead: 8 routed reads and 3.68 ms.
+        let r = crash_mid_round(4);
+        assert_eq!(r.retries, 2);
+        assert_eq!(r.reads_per_machine, vec![0, 3 + 3 + 2 + 2]);
+        assert_eq!((r.completed_ok, r.failed), (2, 0));
+        assert_eq!(r.max_latency_ms, 3.92);
+        assert_eq!(r.mean_latency_ms, (3.92 + 3.919) / 2.0);
+    }
+
+    #[test]
+    fn crash_resends_in_service_and_queued_shares_once_each() {
+        // One core: at the crash the first query's 2-read share is in
+        // service and the other three shares are queued behind it. All
+        // four are lost, re-sent once and served back to back from
+        // 3.25 ms (420 + 180 + 420 + 180 us), so the queries are
+        // answered at 4.1 ms and 4.7 ms.
+        let r = crash_mid_round(1);
+        assert_eq!(r.retries, 4);
+        assert_eq!(r.reads_per_machine, vec![0, 2 * (3 + 3)]);
+        assert_eq!((r.completed_ok, r.failed), (2, 0));
+        assert_eq!(r.max_latency_ms, 4.699);
+        assert_eq!(r.mean_latency_ms, (4.1 + 4.699) / 2.0);
+    }
+
+    #[test]
+    fn empty_and_padded_traces_complete() {
+        // A trace without rounds completes the instant it is issued; a
+        // trace padded with all-zero rounds behaves as its one real
+        // round — healthy and across a crash of the machine it reads.
+        let trace = |rounds: &[[u32; 2]]| QueryTrace {
+            coordinator: 0,
+            rounds: rounds.iter().map(|r| RoundTrace { reads: r.to_vec() }).collect(),
+            result: QueryResult::Vertices(vec![]),
+        };
         let cfg = quick_cfg();
-        let plan = FaultPlan::healthy(2, 9);
-        let r = sim.run_faulted(&cfg, &plan, &MirrorDirectory::edge_cut(2)).unwrap();
-        assert_eq!(r.failed, 0);
-        assert!((r.availability - 1.0).abs() < 1e-12);
-        assert_eq!(r.retries, 0);
-        assert_eq!(r.dropped_messages, 0);
-        let healthy = sim.run(&cfg.base);
-        assert_eq!(r.completed_ok, healthy.completed);
-        assert!((r.goodput_qps - healthy.throughput_qps).abs() / healthy.throughput_qps < 0.05);
+        let total = 2 * cfg.base.clients_per_machine * cfg.base.queries_per_client;
+        let counted = total - (total as f64 * cfg.base.warmup_fraction) as usize;
+        let crash = FaultPlan::healthy(2, 3).with_recovering_crash(1, 1_000_000, 4_000_000);
+        let run = |rounds: &[[u32; 2]], plan: &FaultPlan| {
+            ClusterSim::from_traces(2, vec![trace(rounds)])
+                .run_faulted(&cfg, plan, &MirrorDirectory::edge_cut(2))
+                .unwrap()
+        };
+
+        let empty = ClusterSim::from_traces(2, vec![trace(&[])]);
+        let healthy = empty.run(&cfg.base);
+        assert_eq!((healthy.completed, healthy.max_latency_ms), (counted, 0.0));
+        assert_eq!(healthy.reads_per_machine, vec![0, 0]);
+        let crashed = run(&[], &crash);
+        assert_eq!((crashed.completed_ok, crashed.failed, crashed.retries), (counted, 0, 0));
+        assert_eq!(run(&[[0, 0], [0, 0]], &crash).completed_ok, counted);
+
+        let padded = [[0, 0], [1, 2], [0, 0], [0, 0]];
+        let bare = [[1, 2]];
+        let sim = |rounds| ClusterSim::from_traces(2, vec![trace(rounds)]);
+        assert_eq!(
+            format!("{:?}", sim(&padded).run(&cfg.base)),
+            format!("{:?}", sim(&bare).run(&cfg.base))
+        );
+        let crashed = run(&padded, &crash);
+        assert!(crashed.retries > 0, "the outage must be visible");
+        assert_eq!(crashed.completed_ok + crashed.failed, counted);
+        assert_eq!(format!("{crashed:?}"), format!("{:?}", run(&bare, &crash)));
     }
 
     #[test]
@@ -1215,16 +1384,53 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_mirror_directory_is_rejected() {
+        let sim = two_machine_sim();
+        let plan = FaultPlan::healthy(2, 1);
+        let err = sim.run_faulted(&quick_cfg(), &plan, &MirrorDirectory::edge_cut(3)).unwrap_err();
+        assert_eq!(err, SimError::MirrorMismatch { mirrors: 3, cluster: 2 });
+    }
+
+    #[test]
+    fn empty_load_is_a_typed_error() {
+        let sim = two_machine_sim();
+        let plan = FaultPlan::healthy(2, 1);
+        for base in [
+            SimConfig { clients_per_machine: 0, ..Default::default() },
+            SimConfig { queries_per_client: 0, ..Default::default() },
+        ] {
+            let cfg = FaultSimConfig { base, ..Default::default() };
+            let err = sim.run_faulted(&cfg, &plan, &MirrorDirectory::edge_cut(2)).unwrap_err();
+            assert_eq!(err, SimError::NoLoad);
+        }
+    }
+
+    #[test]
+    fn zero_attempt_retry_policy_is_a_typed_error() {
+        let sim = two_machine_sim();
+        let cfg = FaultSimConfig {
+            retry: RetryPolicy { max_attempts: 0, ..Default::default() },
+            ..quick_cfg()
+        };
+        let plan = FaultPlan::healthy(2, 1);
+        let err = sim.run_faulted(&cfg, &plan, &MirrorDirectory::edge_cut(2)).unwrap_err();
+        assert_eq!(err, SimError::NoAttempts);
+    }
+
+    #[test]
+    fn zero_machine_cluster_is_a_typed_error() {
+        let sim = ClusterSim::from_traces(0, two_machine_sim().traces);
+        let plan = FaultPlan::healthy(0, 1);
+        let err = sim.run_faulted(&quick_cfg(), &plan, &MirrorDirectory::edge_cut(0)).unwrap_err();
+        assert_eq!(err, SimError::NoMachines);
+    }
+
+    #[test]
     fn replicating_cuts_survive_crashes_edge_cut_does_not() {
         // The acceptance criterion: under the same crash plan, a
         // vertex-cut (and hybrid-cut) store fails over to mirrors while
         // the edge-cut store cannot.
-        let g = snb_social(SnbConfig {
-            persons: 600,
-            communities: 12,
-            avg_friends: 10.0,
-            ..SnbConfig::default()
-        });
+        let g = small_snb();
         let k = 4;
         let pcfg = PartitionerConfig::new(k);
         let w = Workload::generate(&g, WorkloadKind::OneHop, 300, Skew::Uniform, 11);
@@ -1280,6 +1486,17 @@ mod tests {
         assert_eq!(r.shed_queries, 0);
     }
 
+    /// An untraced elastic run of the two-machine cluster with every
+    /// vertex mirrored.
+    fn run_elastic(
+        sim: &ClusterSim,
+        cfg: &FaultSimConfig,
+        plan: &FaultPlan,
+        elastic: &ElasticPlan,
+    ) -> FaultSimReport {
+        sim.run_elastic_traced(cfg, plan, &full_coverage(2), elastic, &mut NullSink).unwrap()
+    }
+
     fn elastic_cfg() -> FaultSimConfig {
         FaultSimConfig {
             degraded: DegradedConfig { shed_queue_depth: 1, migration_ns_per_record: 10_000 },
@@ -1292,7 +1509,7 @@ mod tests {
         let sim = two_machine_sim();
         let plan = FaultPlan::healthy(2, 7).with_scale_in(1, 2_000_000);
         let elastic = ElasticPlan { records_per_event: vec![500] };
-        let r = sim.run_elastic(&elastic_cfg(), &plan, &full_coverage(2), &elastic).unwrap();
+        let r = run_elastic(&sim, &elastic_cfg(), &plan, &elastic);
         assert_eq!(r.data_moved, 500);
         // 500 records at 10 us each -> a 5 ms recovery window.
         assert!((r.rto_ms - 5.0).abs() < 1e-9, "rto_ms = {}", r.rto_ms);
@@ -1306,7 +1523,7 @@ mod tests {
         let sim = two_machine_sim();
         let plan = FaultPlan::healthy(2, 7).with_scale_out(1, 5_000_000);
         let elastic = ElasticPlan { records_per_event: vec![200] };
-        let r = sim.run_elastic(&elastic_cfg(), &plan, &full_coverage(2), &elastic).unwrap();
+        let r = run_elastic(&sim, &elastic_cfg(), &plan, &elastic);
         assert_eq!(r.data_moved, 200);
         assert!(r.failovers > 0, "pre-join reads for machine 1 must fail over");
         // 200 records at 10 us -> 2 ms to populate the joiner.
@@ -1318,7 +1535,7 @@ mod tests {
         let sim = two_machine_sim();
         let plan = FaultPlan::healthy(2, 7).with_crash_rejoin(1, 1_000_000, 10_000_000);
         let elastic = ElasticPlan { records_per_event: vec![300] };
-        let r = sim.run_elastic(&elastic_cfg(), &plan, &full_coverage(2), &elastic).unwrap();
+        let r = run_elastic(&sim, &elastic_cfg(), &plan, &elastic);
         assert_eq!(r.data_moved, 300);
         // 10 ms of downtime plus 3 ms of restore traffic.
         assert!((r.rto_ms - 13.0).abs() < 1e-9, "rto_ms = {}", r.rto_ms);
@@ -1342,13 +1559,13 @@ mod tests {
         };
         let plan = FaultPlan::healthy(2, 7).with_crash_rejoin(1, 1_000_000, 2_000_000);
         let elastic = ElasticPlan { records_per_event: vec![10_000] };
-        let shed = sim.run_elastic(&cfg, &plan, &full_coverage(2), &elastic).unwrap();
+        let shed = run_elastic(&sim, &cfg, &plan, &elastic);
         assert!(shed.shed_queries > 0, "queue pressure past the threshold must shed");
         let open = FaultSimConfig {
             degraded: DegradedConfig { shed_queue_depth: 0, ..cfg.degraded },
             ..cfg
         };
-        let unshed = sim.run_elastic(&open, &plan, &full_coverage(2), &elastic).unwrap();
+        let unshed = run_elastic(&sim, &open, &plan, &elastic);
         assert_eq!(unshed.shed_queries, 0, "threshold 0 disables admission control");
     }
 
@@ -1360,10 +1577,9 @@ mod tests {
             .with_scale_in(1, 40_000_000)
             .with_message_loss(0.01);
         let elastic = ElasticPlan { records_per_event: vec![250, 400] };
-        let mirrors = full_coverage(2);
         let cfg = elastic_cfg();
-        let a = sim.run_elastic(&cfg, &plan, &mirrors, &elastic).unwrap();
-        let b = sim.run_elastic(&cfg, &plan, &mirrors, &elastic).unwrap();
+        let a = run_elastic(&sim, &cfg, &plan, &elastic);
+        let b = run_elastic(&sim, &cfg, &plan, &elastic);
         assert_eq!(
             format!("{a:?}"),
             format!("{b:?}"),

@@ -22,10 +22,11 @@
 //!   serving closed-loop concurrent clients (12/machine = the paper's
 //!   *medium load*, 24/machine = *high load*), producing throughput,
 //!   mean/p99 latency, and per-machine read distributions.
-//! * [`fault_sim`] — the same DES under a deterministic
-//!   [`sgp_fault::FaultPlan`]: crashes, stragglers, message loss,
-//!   retry/backoff, and mirror failover, producing availability and
-//!   goodput (DESIGN.md §7).
+//! * [`fault_sim`] — the simulation's one event loop, run under a
+//!   deterministic [`sgp_fault::FaultPlan`]: crashes, stragglers,
+//!   membership changes, message loss, retry/backoff, and mirror
+//!   failover, producing availability and goodput (DESIGN.md §7). A
+//!   healthy [`sim::ClusterSim::run`] is this loop under an empty plan.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

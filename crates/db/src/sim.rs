@@ -18,14 +18,20 @@
 //! Load imbalance — the paper's central online finding — emerges
 //! naturally: a machine owning hot vertices accumulates queue, inflating
 //! tail latency (Table 5) and capping aggregate throughput (Fig. 6).
+//!
+//! This module holds the configuration, the report and the event queue;
+//! the event loop itself is [`crate::fault_sim`]'s, and a healthy run is
+//! that loop under a plan with no faults.
 
+use crate::fault_sim::{ElasticPlan, FaultRun, FaultSimConfig, MirrorDirectory};
 use crate::query::QueryTrace;
 use crate::store::PartitionedStore;
 use crate::workload::Workload;
 use serde::{Deserialize, Serialize};
-use sgp_trace::{keys, latency_summary_ms, NullSink, TraceSink};
+use sgp_fault::FaultPlan;
+use sgp_trace::NullSink;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// The paper's two load scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -148,28 +154,17 @@ pub struct ClusterSim {
     pub(crate) traces: Vec<QueryTrace>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    /// A client becomes ready to issue its next query.
-    Issue { client: u32 },
-    /// A sub-request arrives at a machine's queue.
-    SubArrive { query: u32, machine: u32, service_ns: u64 },
-    /// A machine core finishes a sub-request of `query`.
-    SubDone { query: u32, machine: u32 },
-}
-
 /// Time-ordered event queue with deterministic tie-breaking: events
 /// scheduled for the same instant pop in insertion (FIFO) order, via a
 /// monotonically increasing sequence number. `BinaryHeap` alone gives
 /// no ordering guarantee between equal keys, so without the sequence
 /// number same-time events would pop in an arbitrary (payload-derived)
 /// order and replays would not be reproducible across refactors.
-///
-/// Shared by the healthy DES ([`ClusterSim::run`]) and the faulted one
-/// ([`ClusterSim::run_faulted`](crate::fault_sim)).
 #[derive(Debug)]
 pub(crate) struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(u64, u64, E)>>,
+    /// Keyed by `t << 64 | seq`: one comparison orders by time, then
+    /// push order; the key is unique, so the event never decides.
+    heap: BinaryHeap<Reverse<(u128, E)>>,
     seq: u64,
 }
 
@@ -182,28 +177,19 @@ impl<E: Ord> EventQueue<E> {
     /// at `t`.
     pub(crate) fn push(&mut self, t: u64, e: E) {
         self.seq += 1;
-        self.heap.push(Reverse((t, self.seq, e)));
+        self.heap.push(Reverse(((t as u128) << 64 | self.seq as u128, e)));
     }
 
     /// Pops the earliest event; ties resolve in push order.
     pub(crate) fn pop(&mut self) -> Option<(u64, E)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e))
+        self.heap.pop().map(|Reverse((key, e))| ((key >> 64) as u64, e))
     }
-}
 
-struct Machine {
-    cores: usize,
-    busy: usize,
-    fifo: VecDeque<(u32, u64)>, // (query, service_ns)
-}
-
-struct ActiveQuery {
-    trace_idx: u32,
-    client: u32,
-    round: usize,
-    pending: u32,
-    round_has_remote: bool,
-    start_ns: u64,
+    /// The scheduled events in no particular order, each with its
+    /// sequence number (ascending in push order).
+    pub(crate) fn pending(&self) -> impl Iterator<Item = (u64, &E)> {
+        self.heap.iter().map(|Reverse((key, e))| (*key as u64, e))
+    }
 }
 
 impl ClusterSim {
@@ -226,334 +212,24 @@ impl ClusterSim {
         self.machines
     }
 
-    /// Runs the discrete-event simulation.
-    pub fn run(&self, cfg: &SimConfig) -> SimReport {
-        self.run_traced(cfg, &mut NullSink)
-    }
-
-    /// [`ClusterSim::run`] with trace events recorded into `sink`
-    /// (DESIGN.md §9).
+    /// Runs the discrete-event simulation on a healthy cluster: the one
+    /// event loop of this crate ([`crate::fault_sim`]) under a plan with
+    /// no faults, an edge-cut mirror directory and the default retry
+    /// policy, projected onto a [`SimReport`].
     ///
-    /// Stamps are simulated nanoseconds from the event clock, so the
-    /// trace is a pure function of the traces and config. Query
-    /// lifecycle spans (`db.query`) are emitted at completion time as
-    /// adjacent enter/exit pairs — concurrent queries overlap in sim
-    /// time, and deferring emission keeps the event stream
-    /// well-nested for [`sgp_trace::CollectingSink::check_nesting`].
-    pub fn run_traced<S: TraceSink>(&self, cfg: &SimConfig, sink: &mut S) -> SimReport {
+    /// # Panics
+    ///
+    /// When `cfg` offers no load (`clients_per_machine` or
+    /// `queries_per_client` is zero).
+    pub fn run(&self, cfg: &SimConfig) -> SimReport {
         assert!(cfg.clients_per_machine > 0 && cfg.queries_per_client > 0);
-        let k = self.machines;
-        let clients = cfg.clients_per_machine * k;
-        let total_queries = clients * cfg.queries_per_client;
-        // sgp-lint: allow(no-float-accounting): warmup cutoff is a one-time fraction of the query count, rounded before the event loop starts
-        let warmup = (total_queries as f64 * cfg.warmup_fraction) as usize;
-
-        let mut machines: Vec<Machine> = (0..k)
-            .map(|_| Machine { cores: cfg.cores_per_machine, busy: 0, fifo: VecDeque::new() })
-            .collect();
-        let mut events: EventQueue<Event> = EventQueue::new();
-
-        // Stagger client starts over one overhead period to avoid a
-        // thundering herd at t=0.
-        for c in 0..clients as u32 {
-            let jitter = (c as u64 * 1_000) % (cfg.request_overhead_ns as u64 + 1);
-            events.push(jitter, Event::Issue { client: c });
-        }
-
-        let mut active: Vec<ActiveQuery> = Vec::new();
-        let mut free_slots: Vec<u32> = Vec::new();
-        let mut next_binding = 0usize; // global cursor over the bindings
-        let mut issued = 0usize;
-        let mut completed = 0usize;
-        let mut latencies_ns: Vec<u64> = Vec::with_capacity(total_queries);
-        let mut reads_per_machine = vec![0u64; k];
-        let mut warmup_end_ns = 0u64;
-        let mut last_completion_ns = 0u64;
-
-        sink.span_enter(keys::DB_RUN, 0, 0);
-        while let Some((now, event)) = events.pop() {
-            match event {
-                Event::Issue { client } => {
-                    if issued >= total_queries {
-                        continue;
-                    }
-                    issued += 1;
-                    let trace_idx = (next_binding % self.traces.len()) as u32;
-                    next_binding += 1;
-                    let slot = match free_slots.pop() {
-                        Some(s) => s,
-                        None => {
-                            active.push(ActiveQuery {
-                                trace_idx: 0,
-                                client: 0,
-                                round: 0,
-                                pending: 0,
-                                round_has_remote: false,
-                                start_ns: 0,
-                            });
-                            (active.len() - 1) as u32
-                        }
-                    };
-                    let q = &mut active[slot as usize];
-                    q.trace_idx = trace_idx;
-                    q.client = client;
-                    q.round = 0;
-                    q.pending = 0;
-                    q.round_has_remote = false;
-                    q.start_ns = now;
-                    self.dispatch_round(slot, now, cfg, &mut active, &mut events);
-                    // If the query had no rounds at all (degenerate), it
-                    // completes instantly.
-                    if active[slot as usize].pending == 0 {
-                        complete_query(
-                            slot,
-                            now,
-                            cfg,
-                            &mut active,
-                            &mut free_slots,
-                            &mut events,
-                            &mut completed,
-                            warmup,
-                            &mut warmup_end_ns,
-                            &mut last_completion_ns,
-                            &mut latencies_ns,
-                            &mut reads_per_machine,
-                            &self.traces,
-                            k,
-                            sink,
-                        );
-                    }
-                }
-                Event::SubArrive { query, machine, service_ns } => {
-                    let m = &mut machines[machine as usize];
-                    if m.busy < m.cores {
-                        m.busy += 1;
-                        events.push(now + service_ns, Event::SubDone { query, machine });
-                    } else {
-                        m.fifo.push_back((query, service_ns));
-                        if sink.enabled() {
-                            sink.counter_add(keys::DB_QUEUE_ENQUEUED, machine as u64, 1);
-                            sink.histogram_record(
-                                keys::DB_QUEUE_DEPTH,
-                                machine as u64,
-                                m.fifo.len() as u64,
-                            );
-                        }
-                    }
-                }
-                Event::SubDone { query, machine } => {
-                    // Free the core, admit the next queued sub-request.
-                    let m = &mut machines[machine as usize];
-                    m.busy -= 1;
-                    if let Some((next_q, service)) = m.fifo.pop_front() {
-                        m.busy += 1;
-                        events.push(now + service, Event::SubDone { query: next_q, machine });
-                    }
-                    // Advance the owning query.
-                    let slot = query;
-                    let q = &mut active[slot as usize];
-                    q.pending -= 1;
-                    if q.pending > 0 {
-                        continue;
-                    }
-                    let reply_delay = if q.round_has_remote { cfg.half_rtt_ns as u64 } else { 0 };
-                    let round_end = now + reply_delay;
-                    q.round += 1;
-                    let trace = &self.traces[q.trace_idx as usize];
-                    if q.round < trace.rounds.len() {
-                        self.dispatch_round(slot, round_end, cfg, &mut active, &mut events);
-                        if active[slot as usize].pending == 0 {
-                            // Empty round (all-zero reads): treat as done.
-                            complete_query(
-                                slot,
-                                round_end,
-                                cfg,
-                                &mut active,
-                                &mut free_slots,
-                                &mut events,
-                                &mut completed,
-                                warmup,
-                                &mut warmup_end_ns,
-                                &mut last_completion_ns,
-                                &mut latencies_ns,
-                                &mut reads_per_machine,
-                                &self.traces,
-                                k,
-                                sink,
-                            );
-                        }
-                    } else {
-                        complete_query(
-                            slot,
-                            round_end,
-                            cfg,
-                            &mut active,
-                            &mut free_slots,
-                            &mut events,
-                            &mut completed,
-                            warmup,
-                            &mut warmup_end_ns,
-                            &mut last_completion_ns,
-                            &mut latencies_ns,
-                            &mut reads_per_machine,
-                            &self.traces,
-                            k,
-                            sink,
-                        );
-                    }
-                }
-            }
-            if completed >= total_queries {
-                break;
-            }
-        }
-
-        if sink.enabled() {
-            for (m, &r) in reads_per_machine.iter().enumerate() {
-                sink.counter_add(keys::DB_READS, m as u64, r);
-            }
-        }
-        sink.span_exit(keys::DB_RUN, 0, last_completion_ns);
-
-        let lat = latency_summary_ms(&mut latencies_ns);
-        let window_ns = last_completion_ns.saturating_sub(warmup_end_ns).max(1);
-        let counted = completed.saturating_sub(warmup);
-        let load_rsd = rsd(&reads_per_machine);
-        SimReport {
-            // sgp-lint: allow(no-float-accounting): report rendering — qps is derived from integral counters after the clock stops
-            throughput_qps: counted as f64 / (window_ns as f64 / 1e9),
-            mean_latency_ms: lat.mean_ms,
-            p50_latency_ms: lat.p50_ms,
-            p99_latency_ms: lat.p99_ms,
-            max_latency_ms: lat.max_ms,
-            completed: counted,
-            reads_per_machine,
-            load_rsd,
-            // sgp-lint: allow(no-float-accounting): report rendering — seconds are derived from the final integral stamp
-            sim_seconds: last_completion_ns as f64 / 1e9,
-        }
+        let cfg = FaultSimConfig { base: *cfg, ..FaultSimConfig::default() };
+        let plan = FaultPlan::healthy(self.machines, 0);
+        let mirrors = MirrorDirectory::edge_cut(self.machines);
+        FaultRun::new(self, &cfg, &plan, &mirrors, &ElasticPlan::default(), &mut NullSink)
+            .execute()
+            .healthy_report()
     }
-
-    /// Issues the current round's sub-requests of query slot `slot` at
-    /// time `t`.
-    fn dispatch_round(
-        &self,
-        slot: u32,
-        t: u64,
-        cfg: &SimConfig,
-        active: &mut [ActiveQuery],
-        events: &mut EventQueue<Event>,
-    ) {
-        let q = &mut active[slot as usize];
-        let trace = &self.traces[q.trace_idx as usize];
-        let coordinator = trace.coordinator;
-        let mut pending = 0u32;
-        let mut has_remote = false;
-        // Skip over all-empty rounds.
-        while q.round < trace.rounds.len() {
-            let round = &trace.rounds[q.round];
-            let mut remote_fanout = 0u32;
-            for (m, &reads) in round.reads.iter().enumerate() {
-                if reads == 0 {
-                    continue;
-                }
-                let remote = m as u32 != coordinator;
-                has_remote |= remote;
-                if remote {
-                    remote_fanout += 1;
-                }
-                let delay = if remote { cfg.half_rtt_ns as u64 } else { 0 };
-                // A batch read parallelizes over up to
-                // `intra_request_parallelism` cores of the target
-                // machine; the RPC overhead is paid once, on the first
-                // share.
-                let shares = (reads as usize).min(cfg.intra_request_parallelism.max(1)) as u32;
-                let per_share = reads / shares;
-                let mut remainder = reads % shares;
-                for share in 0..shares {
-                    let mut share_reads = per_share;
-                    if remainder > 0 {
-                        share_reads += 1;
-                        remainder -= 1;
-                    }
-                    let per_read =
-                        // sgp-lint: allow(no-float-accounting): evaluating the float service-time model; the result is cast to integral ns on the next line
-                        cfg.read_service_ns + if remote { cfg.remote_read_extra_ns } else { 0.0 };
-                    // sgp-lint: allow(no-float-accounting): the one float->integral boundary for per-share service time
-                    let mut service = (share_reads as f64 * per_read) as u64;
-                    if share == 0 {
-                        service += cfg.request_overhead_ns as u64;
-                    }
-                    pending += 1;
-                    events.push(
-                        t + delay,
-                        Event::SubArrive { query: slot, machine: m as u32, service_ns: service },
-                    );
-                }
-            }
-            // Scatter-gather fan-out: the coordinator serializes every
-            // remote request and merges every remote response.
-            if remote_fanout > 0 {
-                pending += 1;
-                // sgp-lint: allow(no-float-accounting): the one float->integral boundary for coordinator fan-out time
-                let service = (cfg.fanout_ns * remote_fanout as f64) as u64;
-                events.push(
-                    t,
-                    Event::SubArrive { query: slot, machine: coordinator, service_ns: service },
-                );
-            }
-            if pending > 0 {
-                break;
-            }
-            q.round += 1;
-        }
-        q.pending = pending;
-        q.round_has_remote = has_remote;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn complete_query<S: TraceSink>(
-    slot: u32,
-    now: u64,
-    _cfg: &SimConfig,
-    active: &mut [ActiveQuery],
-    free_slots: &mut Vec<u32>,
-    events: &mut EventQueue<Event>,
-    completed: &mut usize,
-    warmup: usize,
-    warmup_end_ns: &mut u64,
-    last_completion_ns: &mut u64,
-    latencies_ns: &mut Vec<u64>,
-    reads_per_machine: &mut [u64],
-    traces: &[QueryTrace],
-    _k: usize,
-    sink: &mut S,
-) {
-    let q = &active[slot as usize];
-    *completed += 1;
-    *last_completion_ns = now;
-    if *completed == warmup {
-        *warmup_end_ns = now;
-    }
-    if *completed > warmup {
-        latencies_ns.push(now - q.start_ns);
-        let trace = &traces[q.trace_idx as usize];
-        for r in &trace.rounds {
-            for (m, &c) in r.reads.iter().enumerate() {
-                reads_per_machine[m] += c as u64;
-            }
-        }
-        if sink.enabled() {
-            sink.span_enter(keys::DB_QUERY, q.trace_idx as u64, q.start_ns);
-            sink.span_exit(keys::DB_QUERY, q.trace_idx as u64, now);
-            sink.counter_add(keys::DB_QUERIES_COMPLETED, 0, 1);
-            sink.histogram_record(keys::DB_QUERY_LATENCY_NS, 0, now - q.start_ns);
-        }
-    }
-    let client = q.client;
-    free_slots.push(slot);
-    events.push(now, Event::Issue { client });
 }
 
 /// Relative standard deviation of per-machine loads.
@@ -727,19 +403,88 @@ mod tests {
     fn event_queue_breaks_time_ties_in_push_order() {
         // Same-time events must pop exactly in insertion order — the
         // determinism guarantee every replay in this crate rests on.
-        let mut q: EventQueue<Event> = EventQueue::new();
+        let mut q: EventQueue<u32> = EventQueue::new();
         for client in (0..50u32).rev() {
-            q.push(7_777, Event::Issue { client });
+            q.push(7_777, client);
         }
-        q.push(7_776, Event::Issue { client: 99 });
-        let (t0, first) = q.pop().expect("queue is non-empty");
-        assert_eq!((t0, first), (7_776, Event::Issue { client: 99 }));
+        q.push(7_776, 99);
+        // `pending` lists everything scheduled, numbered in push order.
+        let mut pending: Vec<(u64, u32)> = q.pending().map(|(seq, &e)| (seq, e)).collect();
+        pending.sort_unstable();
+        let pushed: Vec<u32> = (0..50u32).rev().chain([99]).collect();
+        assert_eq!(pending.iter().map(|&(_, e)| e).collect::<Vec<_>>(), pushed);
+        assert_eq!(q.pop(), Some((7_776, 99)));
         let mut popped = Vec::new();
-        while let Some((t, Event::Issue { client })) = q.pop() {
+        while let Some((t, client)) = q.pop() {
             assert_eq!(t, 7_777);
             popped.push(client);
         }
         let expected: Vec<u32> = (0..50u32).rev().collect();
         assert_eq!(popped, expected, "ties must resolve FIFO, not by payload order");
+    }
+
+    #[test]
+    fn single_server_matches_its_closed_form() {
+        // One single-core machine, N closed-loop clients, one local read
+        // per query: the server is never idle and FIFO, so once every
+        // client has completed its first query (issued 1 us apart) each
+        // query is issued with N - 1 ahead of it and takes exactly N
+        // service times, and the machine completes one query per
+        // service time.
+        let trace = QueryTrace {
+            coordinator: 0,
+            rounds: vec![RoundTrace { reads: vec![1] }],
+            result: QueryResult::Vertices(vec![]),
+        };
+        let sim = ClusterSim::from_traces(1, vec![trace]);
+        for clients in [1usize, 2, 4, 7] {
+            let cfg = SimConfig {
+                clients_per_machine: clients,
+                cores_per_machine: 1,
+                queries_per_client: 10,
+                warmup_fraction: 0.2,
+                ..Default::default()
+            };
+            let r = sim.run(&cfg);
+            let service_ns = (cfg.request_overhead_ns + cfg.read_service_ns) as u64;
+            let latency_ms = (clients as u64 * service_ns) as f64 / 1e6;
+            assert_eq!(r.completed, clients * 8);
+            // Mean == max pins every counted latency, not just the tail.
+            assert_eq!(r.max_latency_ms, latency_ms, "{clients} clients");
+            assert_eq!(r.mean_latency_ms, latency_ms, "{clients} clients");
+            let service_rate = 1e9 / service_ns as f64;
+            assert!(
+                (r.throughput_qps / service_rate - 1.0).abs() < 1e-9,
+                "{clients} clients: {} q/s, expected {service_rate}",
+                r.throughput_qps
+            );
+            assert_eq!(r.reads_per_machine, vec![clients as u64 * 8]);
+        }
+    }
+
+    #[test]
+    fn zero_machine_cluster_reports_an_empty_run() {
+        // No machines means no clients: `run` answers with the empty
+        // report it always has, where the general entry returns
+        // `SimError::NoMachines`.
+        let trace = QueryTrace {
+            coordinator: 0,
+            rounds: vec![RoundTrace { reads: vec![1] }],
+            result: QueryResult::Vertices(vec![]),
+        };
+        let r = ClusterSim::from_traces(0, vec![trace]).run(&SimConfig::default());
+        assert_eq!(r.completed, 0);
+        assert_eq!(r.throughput_qps, 0.0);
+        assert_eq!((r.mean_latency_ms, r.p99_latency_ms, r.max_latency_ms), (0.0, 0.0, 0.0));
+        assert!(r.reads_per_machine.is_empty());
+        assert_eq!((r.load_rsd, r.sim_seconds), (0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic]
+    fn empty_load_panics() {
+        let s = store(2, Algorithm::EcrHash);
+        let w = Workload::generate(s.graph(), WorkloadKind::OneHop, 10, Skew::Uniform, 1);
+        ClusterSim::prepare(&s, &w).run(&SimConfig { queries_per_client: 0, ..quick_cfg(1) });
     }
 }

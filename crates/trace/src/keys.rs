@@ -109,12 +109,10 @@ pub const DB_QUEUE_DEPTH: &str = "db.queue_depth";
 pub const DB_RETRIES: &str = "db.retries";
 /// Counter: machine crashes injected (keyed by machine id).
 pub const DB_CRASHES: &str = "db.crashes";
-/// Counter: queries that completed successfully (fault simulator).
+/// Counter: queries that completed successfully.
 pub const DB_QUERIES_OK: &str = "db.queries_ok";
 /// Counter: queries that exhausted their retry budget.
 pub const DB_QUERIES_FAILED: &str = "db.queries_failed";
-/// Counter: queries completed (fault-free simulator).
-pub const DB_QUERIES_COMPLETED: &str = "db.queries_completed";
 /// Histogram: end-to-end query latency in simulated nanoseconds.
 pub const DB_QUERY_LATENCY_NS: &str = "db.query_latency_ns";
 /// Counter: membership changes applied (keyed by machine id).

@@ -1,10 +1,7 @@
-//! Exact latency statistics shared by both `sgp-db` simulators.
+//! Exact latency statistics of the `sgp-db` simulator's reports.
 //!
-//! The healthy DES (`sim.rs`) and the fault-injected DES
-//! (`fault_sim.rs`) used to carry near-duplicate copies of this code;
-//! this module is the single implementation. The float operation order
-//! is preserved exactly from the originals so that every checked-in
-//! report (and `results_small.txt`) stays byte-identical.
+//! The float operation order is fixed: every checked-in report (and
+//! `results_small.txt`) is byte-identical only under it.
 
 /// Rank-selected percentile of a **sorted** nanosecond sample, as f64.
 ///

@@ -198,8 +198,11 @@ proptest! {
         };
         let cfg = sim_cfg();
         let elastic = ElasticPlan { records_per_event: vec![records] };
-        let a = sim.run_elastic(&cfg, &plan, mirrors, &elastic).expect("three machines survive");
-        let b = sim.run_elastic(&cfg, &plan, mirrors, &elastic).expect("three machines survive");
+        let run = || {
+            sim.run_elastic_traced(&cfg, &plan, mirrors, &elastic, &mut NullSink)
+                .expect("three machines survive")
+        };
+        let (a, b) = (run(), run());
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
         if let (Ok(ja), Ok(jb)) = (serde_json::to_string(&a), serde_json::to_string(&b)) {
             prop_assert_eq!(ja, jb, "reports must serialize byte-identically");

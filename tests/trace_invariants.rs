@@ -193,56 +193,10 @@ fn engine_trace_matches_untraced_report_for_activation_driven_programs() {
 #[test]
 fn db_trace_counters_match_untraced_report_for_every_algorithm() {
     let g = graph();
-    let cfg = SimConfig { clients_per_machine: 2, queries_per_client: 6, ..Default::default() };
-    for &alg in Algorithm::all() {
-        let p = partition(&g, alg, &PartitionerConfig::new(K), default_order());
-        let store = PartitionedStore::from_owner(g.clone(), K, p.masters(&g));
-        let workload =
-            Workload::generate(&g, WorkloadKind::OneHop, 60, Skew::Zipf { theta: 0.6 }, 0x0_1A7);
-        let sim = ClusterSim::prepare(&store, &workload);
-        let untraced = sim.run(&cfg);
-        let mut sink = CollectingSink::new();
-        let traced = sim.run_traced(&cfg, &mut sink);
-
-        assert_eq!(untraced.completed, traced.completed, "{alg:?}: completions diverged");
-        assert_eq!(untraced.reads_per_machine, traced.reads_per_machine, "{alg:?}: reads");
-        assert_eq!(
-            untraced.p99_latency_ms.to_bits(),
-            traced.p99_latency_ms.to_bits(),
-            "{alg:?}: p99 diverged"
-        );
-        assert_eq!(
-            untraced.sim_seconds.to_bits(),
-            traced.sim_seconds.to_bits(),
-            "{alg:?}: sim time diverged"
-        );
-
-        assert_eq!(
-            sink.counter_total("db.queries_completed"),
-            untraced.completed as u64,
-            "{alg:?}: completion counter"
-        );
-        for m in 0..K {
-            assert_eq!(
-                sink.counter_total_keyed("db.reads", m as u64),
-                untraced.reads_per_machine[m],
-                "{alg:?}: machine {m} reads"
-            );
-        }
-        assert_eq!(
-            sink.histogram_of("db.query_latency_ns").count(),
-            untraced.completed as u64,
-            "{alg:?}: one latency sample per counted query"
-        );
-        sink.check_nesting().unwrap_or_else(|e| panic!("{alg:?}: bad span nesting: {e}"));
-    }
-}
-
-#[test]
-fn faulted_db_trace_counters_match_untraced_report_for_every_algorithm() {
-    let g = graph();
     let cfg = db_scenario_config();
-    let plan = cfg.build_plan(K);
+    // The one event loop under the scenario's fault plan and under a
+    // plan with no faults (the healthy run).
+    let plans = [("faulted", cfg.build_plan(K)), ("healthy", FaultPlan::healthy(K, cfg.plan_seed))];
     for &alg in Algorithm::all() {
         let p = partition(&g, alg, &PartitionerConfig::new(K), default_order());
         let store = PartitionedStore::from_owner(g.clone(), K, p.masters(&g));
@@ -250,46 +204,41 @@ fn faulted_db_trace_counters_match_untraced_report_for_every_algorithm() {
         let workload =
             Workload::generate(&g, WorkloadKind::OneHop, cfg.bindings, cfg.skew, cfg.workload_seed);
         let sim = ClusterSim::prepare(&store, &workload);
-        let untraced = sim.run_faulted(&cfg.sim, &plan, &mirrors).expect("valid plan");
-        let mut sink = CollectingSink::new();
-        let traced = sim.run_faulted_traced(&cfg.sim, &plan, &mirrors, &mut sink).expect("plan");
-
-        assert_eq!(untraced.completed_ok, traced.completed_ok, "{alg:?}: successes diverged");
-        assert_eq!(untraced.failed, traced.failed, "{alg:?}: failures diverged");
-        assert_eq!(
-            untraced.availability.to_bits(),
-            traced.availability.to_bits(),
-            "{alg:?}: availability diverged"
-        );
-
-        assert_eq!(
-            sink.counter_total("db.queries_ok"),
-            untraced.completed_ok as u64,
-            "{alg:?}: success counter"
-        );
-        assert_eq!(
-            sink.counter_total("db.queries_failed"),
-            untraced.failed as u64,
-            "{alg:?}: failure counter"
-        );
-        assert_eq!(sink.counter_total("db.retries"), untraced.retries, "{alg:?}: retry counter");
-        assert_eq!(
-            sink.counter_total("db.dropped_messages"),
-            untraced.dropped_messages,
-            "{alg:?}: drop counter"
-        );
-        assert_eq!(
-            sink.counter_total("db.failovers"),
-            untraced.failovers,
-            "{alg:?}: failover counter"
-        );
-        for m in 0..K {
+        for (name, plan) in &plans {
+            let untraced = sim.run_faulted(&cfg.sim, plan, &mirrors).expect("valid plan");
+            let mut sink = CollectingSink::new();
+            let traced = sim
+                .run_elastic_traced(&cfg.sim, plan, &mirrors, &ElasticPlan::default(), &mut sink)
+                .expect("valid plan");
             assert_eq!(
-                sink.counter_total_keyed("db.reads", m as u64),
-                untraced.reads_per_machine[m],
-                "{alg:?}: machine {m} reads"
+                format!("{untraced:?}"),
+                format!("{traced:?}"),
+                "{alg:?} {name}: tracing changed the report"
             );
+
+            for (key, want) in [
+                ("db.queries_ok", untraced.completed_ok as u64),
+                ("db.queries_failed", untraced.failed as u64),
+                ("db.retries", untraced.retries),
+                ("db.dropped_messages", untraced.dropped_messages),
+                ("db.failovers", untraced.failovers),
+            ] {
+                assert_eq!(sink.counter_total(key), want, "{alg:?} {name}: {key}");
+            }
+            for m in 0..K {
+                assert_eq!(
+                    sink.counter_total_keyed("db.reads", m as u64),
+                    untraced.reads_per_machine[m],
+                    "{alg:?} {name}: machine {m} reads"
+                );
+            }
+            assert_eq!(
+                sink.histogram_of("db.query_latency_ns").count(),
+                untraced.completed_ok as u64,
+                "{alg:?} {name}: one latency sample per counted successful query"
+            );
+            sink.check_nesting()
+                .unwrap_or_else(|e| panic!("{alg:?} {name}: bad span nesting: {e}"));
         }
-        sink.check_nesting().unwrap_or_else(|e| panic!("{alg:?}: bad span nesting: {e}"));
     }
 }
