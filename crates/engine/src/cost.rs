@@ -18,6 +18,15 @@ use serde::{Deserialize, Serialize};
 /// Simulated hardware constants. Defaults approximate the paper's
 /// m5.2xlarge workers (8 cores, 10 Gb/s NIC); only *relative* results
 /// matter for the reproduction.
+///
+/// The engine counts a superstep's edge operations and applies per
+/// machine as integers and prices them once, at the barrier
+/// ([`CostModel::compute_ns`]). While `ns_per_edge_op` and
+/// `ns_per_apply` are integer-valued (the defaults are) and a
+/// machine's superstep total stays below 2^53 ns, that price equals,
+/// bit for bit, a running sum of one `+= ns_per_*` per operation; with
+/// fractional constants it is the total to within three roundings,
+/// where the running sum drifts by one rounding per operation.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CostModel {
     /// Nanoseconds per gather/scatter edge operation.
@@ -45,6 +54,15 @@ impl Default for CostModel {
             // billion-edge scale.
             barrier_ns: 20_000.0,
         }
+    }
+}
+
+impl CostModel {
+    /// Simulated compute nanoseconds of a machine that executed
+    /// `edge_ops` gather/scatter edge operations and `applies` applies
+    /// in one superstep.
+    pub fn compute_ns(&self, edge_ops: u64, applies: u64) -> f64 {
+        edge_ops as f64 * self.ns_per_edge_op + applies as f64 * self.ns_per_apply
     }
 }
 
@@ -196,6 +214,34 @@ mod tests {
         assert_eq!(r.total_network_bytes(), 150);
         assert_eq!(r.num_iterations(), 2);
         assert!((r.total_seconds() - 2e-6).abs() < 1e-18);
+    }
+
+    /// `compute_ns` against one `+=` per operation, edge ops first.
+    fn assert_priced_equals_running_sum(edge_ops: u64, applies: u64) {
+        let cost = CostModel::default();
+        let mut sum = 0.0f64;
+        for _ in 0..edge_ops {
+            sum += cost.ns_per_edge_op;
+        }
+        for _ in 0..applies {
+            sum += cost.ns_per_apply;
+        }
+        let priced = cost.compute_ns(edge_ops, applies);
+        assert_eq!(priced.to_bits(), sum.to_bits(), "{edge_ops} edge ops, {applies} applies");
+    }
+
+    #[test]
+    fn priced_counts_equal_a_running_sum_of_the_default_constants() {
+        for count in [0, 1, 727_515] {
+            assert_priced_equals_running_sum(count, count);
+        }
+    }
+
+    /// Past 2^35 ns; two billion additions, so only with the release grid.
+    #[test]
+    #[ignore = "slow unoptimized: cargo test --release -p sgp-engine --lib -- --ignored"]
+    fn priced_counts_equal_a_running_sum_at_two_to_the_31() {
+        assert_priced_equals_running_sum(1 << 31, 1 << 31);
     }
 
     #[test]

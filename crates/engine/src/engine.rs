@@ -172,7 +172,7 @@ impl FaultState<'_> {
                     if master != machine {
                         continue;
                     }
-                    if placement.replicas[v].len() >= 2 {
+                    if placement.replica_count(v as VertexId) >= 2 {
                         self.summary.recovered_vertices += 1;
                         bytes += encoded_len(data_bytes) as u64;
                     } else {
@@ -194,10 +194,12 @@ impl FaultState<'_> {
 /// A superstep whose frontier has more than `m / SPARSE_EDGE_DIVISOR`
 /// gather edges scans every machine's edge list; below that it walks the
 /// frontier's own adjacency. Ligra's rule with 1/64 for its 1/20: to merge
-/// in the scan's order the walk pays a binary search per in-edge and a sort
-/// entry per edge, measured at 85 ns per gather edge against the scan's
-/// 1.3 ns per stored edge on the power-law benchmark graph (41 against 1.5
-/// on the lattice), so it only wins below about m/65.
+/// in the scan's order the walk pays a sort entry per edge and a random
+/// read per neighbour, measured at 61-71 ns per gather edge against the
+/// scan's 1.4 ns per stored edge on the power-law benchmark graph (24-25
+/// against 1.5 on the lattice), so it breaks even near m/45 there; in a
+/// sweep of 8, 16, 32, 64 and 128 on both analytics workloads no value
+/// beat 64 and 128 lost 1.6x on the lattice (DESIGN.md §3.3).
 const SPARSE_EDGE_DIVISOR: usize = 64;
 
 /// Which gather/apply/scatter body a superstep runs. The public entry
@@ -219,11 +221,14 @@ enum BodyPolicy {
 /// body's per-machine scan meets the same edges.
 type GatherEdge = (PartitionId, usize, VertexId);
 
-/// Message and compute accounting of the superstep in flight. The
-/// bodies build one over the run's vectors at their top, so the hot
-/// loops index plain slices.
+/// Message and compute accounting of the superstep in flight: per
+/// machine, the gather/scatter edge operations and applies it executed
+/// (priced at the barrier by [`CostModel::compute_ns`]) and the bytes
+/// through its NIC. The bodies build one over the run's vectors at
+/// their top, so the hot loops index plain slices.
 struct Tally<'t> {
-    compute_ns: &'t mut [f64],
+    edge_ops: &'t mut [u64],
+    applies: &'t mut [u64],
     sent_bytes: &'t mut [u64],
     recv_bytes: &'t mut [u64],
     gather_messages: u64,
@@ -232,11 +237,12 @@ struct Tally<'t> {
 
 impl<'t> Tally<'t> {
     fn over(
-        compute_ns: &'t mut [f64],
+        edge_ops: &'t mut [u64],
+        applies: &'t mut [u64],
         sent_bytes: &'t mut [u64],
         recv_bytes: &'t mut [u64],
     ) -> Self {
-        Tally { compute_ns, sent_bytes, recv_bytes, gather_messages: 0, update_messages: 0 }
+        Tally { edge_ops, applies, sent_bytes, recv_bytes, gather_messages: 0, update_messages: 0 }
     }
 
     /// One gather message from `machine` to the master, unless the
@@ -258,7 +264,6 @@ struct Ctx<'a, P> {
     g: &'a Graph,
     placement: &'a Placement,
     prog: &'a P,
-    cost: CostModel,
     aggregate: bool,
     gather_in: bool,
     gather_out: bool,
@@ -316,17 +321,16 @@ impl<P: VertexProgram> Ctx<'_, P> {
     ) {
         let (g, placement, prog) = (self.g, self.placement, self.prog);
         let count_messages = !self.aggregate;
-        for (machine, edges) in placement.local_edges.iter().enumerate() {
-            // Summed in a local so the additions stay in a register;
-            // the sequence of additions is the same.
-            let mut machine_ns = tally.compute_ns[machine];
-            for e in edges {
+        for machine in 0..placement.k {
+            // Counted in a local so the counter stays in a register.
+            let mut ops = 0u64;
+            for e in placement.local_edges(machine) {
                 // Edge (u, v): contributes to v when gathering over IN,
                 // to u when gathering over OUT.
                 if IN && active[e.dst as usize] {
                     let contrib = prog.gather_edge(g, e.dst, e.src, &data[e.src as usize]);
                     merge_into(prog, &mut acc[e.dst as usize], contrib);
-                    machine_ns += self.cost.ns_per_edge_op;
+                    ops += 1;
                     if count_messages {
                         tally.gather_message::<P>(machine, placement.masters[e.dst as usize]);
                     }
@@ -334,13 +338,13 @@ impl<P: VertexProgram> Ctx<'_, P> {
                 if OUT && active[e.src as usize] {
                     let contrib = prog.gather_edge(g, e.src, e.dst, &data[e.dst as usize]);
                     merge_into(prog, &mut acc[e.src as usize], contrib);
-                    machine_ns += self.cost.ns_per_edge_op;
+                    ops += 1;
                     if count_messages {
                         tally.gather_message::<P>(machine, placement.masters[e.src as usize]);
                     }
                 }
             }
-            tally.compute_ns[machine] = machine_ns;
+            tally.edge_ops[machine] += ops;
         }
     }
 
@@ -357,8 +361,8 @@ impl<P: VertexProgram> Ctx<'_, P> {
         let (g, placement) = (self.g, self.placement);
         edges.clear();
         if self.gather_in {
-            for &w in g.in_neighbors(v) {
-                let idx = in_edge_index(g, w, v);
+            for (&idx, &w) in placement.in_edge_ids(g, v).iter().zip(g.in_neighbors(v)) {
+                let idx = idx as usize;
                 edges.push((placement.edge_parts[idx], 2 * idx, w));
             }
         }
@@ -373,7 +377,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
             let machine = machine as usize;
             let contrib = self.prog.gather_edge(g, v, w, &data[w as usize]);
             merge_into(self.prog, slot, contrib);
-            tally.compute_ns[machine] += self.cost.ns_per_edge_op;
+            tally.edge_ops[machine] += 1;
             if !self.aggregate {
                 tally.gather_message::<P>(machine, master);
             }
@@ -383,10 +387,9 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// Aggregated gather partials of one active vertex: one per mirror
     /// machine holding gather edges.
     #[inline]
-    fn count_gather_partials(self, v: VertexId, parts: &mut Vec<PartitionId>, tally: &mut Tally) {
-        self.placement.gather_partial_parts_into(v, self.gather_in, self.gather_out, parts);
+    fn count_gather_partials(self, v: VertexId, tally: &mut Tally) {
         let master = self.placement.masters[v as usize];
-        for &machine in parts.iter() {
+        for machine in self.placement.gather_partial_parts(v, self.gather_in, self.gather_out) {
             tally.gather_message::<P>(machine as usize, master);
         }
     }
@@ -404,7 +407,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
         slot: &mut Option<P::Gather>,
         tally: &mut Tally,
     ) -> bool {
-        tally.compute_ns[self.placement.masters[v as usize] as usize] += self.cost.ns_per_apply;
+        tally.applies[self.placement.masters[v as usize] as usize] += 1;
         let total = slot.take().unwrap_or_else(|| self.prog.gather_identity());
         let new = self.prog.apply(self.g, v, value, total, iteration);
         if new != *value {
@@ -419,13 +422,12 @@ impl<P: VertexProgram> Ctx<'_, P> {
     fn scatter_flagged(
         self,
         changed: &mut [bool],
-        parts: &mut Vec<PartitionId>,
         tally: &mut Tally,
         mut mark: impl FnMut(VertexId),
     ) {
         for (v, flag) in changed.iter_mut().enumerate() {
             if std::mem::take(flag) {
-                self.scatter_vertex(v as VertexId, parts, tally, &mut mark);
+                self.scatter_vertex(v as VertexId, tally, &mut mark);
             }
         }
     }
@@ -433,18 +435,11 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// Update and scatter of one changed vertex; `mark` sees every
     /// neighbour the scatter activates.
     #[inline]
-    fn scatter_vertex(
-        self,
-        v: VertexId,
-        parts: &mut Vec<PartitionId>,
-        tally: &mut Tally,
-        mut mark: impl FnMut(VertexId),
-    ) {
+    fn scatter_vertex(self, v: VertexId, tally: &mut Tally, mut mark: impl FnMut(VertexId)) {
         let (g, placement) = (self.g, self.placement);
         // Vertex-data updates to mirrors that future gathers read.
-        placement.update_target_parts_into(v, self.gather_in, self.gather_out, parts);
         let master = placement.masters[v as usize] as usize;
-        for &machine in parts.iter() {
+        for machine in placement.update_target_parts(v, self.gather_in, self.gather_out) {
             tally.update_messages += 1;
             let len = encoded_len(P::DATA_BYTES) as u64;
             tally.sent_bytes[master] += len;
@@ -453,25 +448,19 @@ impl<P: VertexProgram> Ctx<'_, P> {
         // Activation along the scatter direction; the scatter edge work
         // executes on the machine storing each edge.
         if self.scatter_out {
-            for (idx, &w) in g.out_edge_range(v).zip(g.out_neighbors(v)) {
+            let machines = &placement.edge_parts[g.out_edge_range(v)];
+            for (&machine, &w) in machines.iter().zip(g.out_neighbors(v)) {
                 mark(w);
-                tally.compute_ns[placement.edge_parts[idx] as usize] += self.cost.ns_per_edge_op;
+                tally.edge_ops[machine as usize] += 1;
             }
         }
         if self.scatter_in {
-            for &w in g.in_neighbors(v) {
+            for (&idx, &w) in placement.in_edge_ids(g, v).iter().zip(g.in_neighbors(v)) {
                 mark(w);
-                let idx = in_edge_index(g, w, v);
-                tally.compute_ns[placement.edge_parts[idx] as usize] += self.cost.ns_per_edge_op;
+                tally.edge_ops[placement.edge_parts[idx as usize] as usize] += 1;
             }
         }
     }
-}
-
-/// Dense index of the in-edge `(w, v)`, for `w` taken from `g.in_neighbors(v)`.
-fn in_edge_index(g: &Graph, w: VertexId, v: VertexId) -> usize {
-    // sgp-lint: allow(no-panic-in-lib): w came from g.in_neighbors(v), so the CSR edge (w, v) exists by construction
-    g.edge_index(w, v).expect("in-edge exists")
 }
 
 /// The state of one engine run.
@@ -503,10 +492,10 @@ struct Run<'a, P: VertexProgram> {
     next_frontier: Vec<VertexId>,
     next_listed: bool,
     gather_edges: Vec<GatherEdge>,
-    parts_buf: Vec<PartitionId>,
 
     // Accounting of the last superstep.
-    compute_ns: Vec<f64>,
+    edge_ops: Vec<u64>,
+    applies: Vec<u64>,
     sent_bytes: Vec<u64>,
     recv_bytes: Vec<u64>,
     gather_messages: u64,
@@ -539,7 +528,6 @@ impl<'a, P: VertexProgram> Run<'a, P> {
                 g,
                 placement,
                 prog,
-                cost: opts.cost,
                 aggregate: opts.sender_side_aggregation,
                 gather_in: gather_dir.uses_in(),
                 gather_out: gather_dir.uses_out(),
@@ -557,8 +545,8 @@ impl<'a, P: VertexProgram> Run<'a, P> {
             next_frontier: Vec::new(),
             next_listed: false,
             gather_edges: Vec::new(),
-            parts_buf: Vec::with_capacity(k),
-            compute_ns: Vec::new(),
+            edge_ops: vec![0; k],
+            applies: vec![0; k],
             sent_bytes: vec![0; k],
             recv_bytes: vec![0; k],
             gather_messages: 0,
@@ -603,8 +591,8 @@ impl<'a, P: VertexProgram> Run<'a, P> {
     /// installs the frontier it produced.
     fn superstep(&mut self, iteration: usize, active_count: usize, policy: BodyPolicy) {
         let cx = self.cx;
-        // `compute_ns` is fresh: the previous one moved into its `IterationStats`.
-        self.compute_ns = vec![0.0; cx.placement.k];
+        self.edge_ops.fill(0);
+        self.applies.fill(0);
         self.sent_bytes.fill(0);
         self.recv_bytes.fill(0);
         let sparse = match policy {
@@ -652,11 +640,14 @@ impl<'a, P: VertexProgram> Run<'a, P> {
     fn dense_superstep(&mut self, iteration: usize) {
         let cx = self.cx;
         let n = cx.g.num_vertices();
-        let mut tally =
-            Tally::over(&mut self.compute_ns, &mut self.sent_bytes, &mut self.recv_bytes);
+        let mut tally = Tally::over(
+            &mut self.edge_ops,
+            &mut self.applies,
+            &mut self.sent_bytes,
+            &mut self.recv_bytes,
+        );
         let (data, active) = (&mut self.data[..], &self.active[..]);
         let (acc, changed) = (&mut self.acc[..], &mut self.changed[..]);
-        let parts = &mut self.parts_buf;
 
         match (cx.gather_in, cx.gather_out) {
             (true, false) => cx.gather_scan::<true, false>(data, active, acc, &mut tally),
@@ -667,7 +658,7 @@ impl<'a, P: VertexProgram> Run<'a, P> {
         if cx.aggregate {
             for (v, &is_active) in active.iter().enumerate() {
                 if is_active {
-                    cx.count_gather_partials(v as VertexId, parts, &mut tally);
+                    cx.count_gather_partials(v as VertexId, &mut tally);
                 }
             }
         }
@@ -683,10 +674,10 @@ impl<'a, P: VertexProgram> Run<'a, P> {
         if cx.prog.all_active() {
             // The next frontier is the whole graph whatever scatter
             // reaches, so only the edge work is charged.
-            cx.scatter_flagged(changed, parts, &mut tally, |_| {});
+            cx.scatter_flagged(changed, &mut tally, |_| {});
         } else {
             let next_active = &mut self.next_active[..];
-            cx.scatter_flagged(changed, parts, &mut tally, |w| next_active[w as usize] = true);
+            cx.scatter_flagged(changed, &mut tally, |w| next_active[w as usize] = true);
         }
         (self.gather_messages, self.update_messages) =
             (tally.gather_messages, tally.update_messages);
@@ -695,16 +686,19 @@ impl<'a, P: VertexProgram> Run<'a, P> {
     /// The sparse body: every pass is a walk over the frontier list.
     fn sparse_superstep(&mut self, iteration: usize) {
         let cx = self.cx;
-        let mut tally =
-            Tally::over(&mut self.compute_ns, &mut self.sent_bytes, &mut self.recv_bytes);
+        let mut tally = Tally::over(
+            &mut self.edge_ops,
+            &mut self.applies,
+            &mut self.sent_bytes,
+            &mut self.recv_bytes,
+        );
         let (data, acc) = (&mut self.data[..], &mut self.acc[..]);
         let (frontier, changed) = (&self.frontier[..], &mut self.changed_list);
-        let parts = &mut self.parts_buf;
 
         for &v in frontier {
             cx.gather_vertex(v, data, &mut acc[v as usize], &mut self.gather_edges, &mut tally);
             if cx.aggregate {
-                cx.count_gather_partials(v, parts, &mut tally);
+                cx.count_gather_partials(v, &mut tally);
             }
         }
         for &v in frontier {
@@ -718,13 +712,13 @@ impl<'a, P: VertexProgram> Run<'a, P> {
         let limit = cx.g.num_edges() / SPARSE_EDGE_DIVISOR;
         if cx.prog.all_active() {
             for &v in changed.iter() {
-                cx.scatter_vertex(v, parts, &mut tally, |_| {});
+                cx.scatter_vertex(v, &mut tally, |_| {});
             }
         } else if cx.edges_within(changed, cx.scatter_in, cx.scatter_out, limit) {
             // Few scatter edges: listing what they reach as it is
             // marked, and sorting it, beats a scan of the bitmap.
             for &v in changed.iter() {
-                cx.scatter_vertex(v, parts, &mut tally, |w| {
+                cx.scatter_vertex(v, &mut tally, |w| {
                     if !next_active[w as usize] {
                         next_active[w as usize] = true;
                         next_frontier.push(w);
@@ -735,7 +729,7 @@ impl<'a, P: VertexProgram> Run<'a, P> {
             self.next_listed = true;
         } else {
             for &v in changed.iter() {
-                cx.scatter_vertex(v, parts, &mut tally, |w| next_active[w as usize] = true);
+                cx.scatter_vertex(v, &mut tally, |w| next_active[w as usize] = true);
             }
         }
         changed.clear();
@@ -776,7 +770,9 @@ fn run_program_impl<P: VertexProgram, S: TraceSink>(
         sink.span_enter(keys::ENGINE_SUPERSTEP, iteration as u64, iter_start_stamp);
 
         run.superstep(iteration, active_count, policy);
-        let compute_ns = std::mem::take(&mut run.compute_ns);
+        let compute_ns: Vec<f64> = std::iter::zip(&run.edge_ops, &run.applies)
+            .map(|(&edge_ops, &applies)| opts.cost.compute_ns(edge_ops, applies))
+            .collect();
         let (sent_bytes, recv_bytes) = (&run.sent_bytes, &run.recv_bytes);
         let (gather_messages, update_messages) = (run.gather_messages, run.update_messages);
 
@@ -1205,6 +1201,7 @@ mod tests {
 
     // ---- dense ≡ sparse ≡ auto --------------------------------------------
 
+    use crate::placement::tests::{arb_partitioned_graph, ReferencePlacement};
     use crate::program::Direction;
     use proptest::prelude::*;
     use sgp_trace::CollectingSink;
@@ -1343,15 +1340,20 @@ mod tests {
             Algorithm::HybridRandom,
             Algorithm::Grid,
         ] {
-            let pl = placement_for(&g, alg, 4);
-            for opts in both_aggregation_modes() {
-                let what = format!("{alg:?}, aggregation {}", opts.sender_side_aggregation);
-                assert_bodies_agree(&g, &pl, &PageRank::new(4), &opts, None, &what);
-                let labels = assert_bodies_agree(&g, &pl, &Wcc::new(), &opts, None, &what);
-                assert_eq!(labels, reference::wcc(&g), "{what}");
-                let dist = assert_bodies_agree(&g, &pl, &Sssp::new(source), &opts, None, &what);
-                assert_eq!(dist, reference::sssp(&g, source), "{what}");
-                assert_bodies_agree(&g, &pl, &diffusion, &opts, None, &what);
+            // k = 64, 65 and 130 take the machine bitsets from one word
+            // per vertex to two and three.
+            for k in [4, 64, 65, 130] {
+                let pl = placement_for(&g, alg, k);
+                for opts in both_aggregation_modes() {
+                    let what =
+                        format!("{alg:?}, k {k}, aggregation {}", opts.sender_side_aggregation);
+                    assert_bodies_agree(&g, &pl, &PageRank::new(4), &opts, None, &what);
+                    let labels = assert_bodies_agree(&g, &pl, &Wcc::new(), &opts, None, &what);
+                    assert_eq!(labels, reference::wcc(&g), "{what}");
+                    let dist = assert_bodies_agree(&g, &pl, &Sssp::new(source), &opts, None, &what);
+                    assert_eq!(dist, reference::sssp(&g, source), "{what}");
+                    assert_bodies_agree(&g, &pl, &diffusion, &opts, None, &what);
+                }
             }
         }
     }
@@ -1381,13 +1383,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bodies_agree_with_a_self_loop_and_reciprocal_edges() {
-        // The self-loop (2, 2) contributes twice to vertex 2 under a
-        // BOTH gather — in before out — and (0, 1)/(1, 0), (2, 3)/(3, 2)
-        // are reciprocal pairs whose two directions sit on different
-        // machines.
-        let g = GraphBuilder::new()
+    /// The self-loop (2, 2) contributes twice to vertex 2 under a BOTH
+    /// gather — in before out — and (0, 1)/(1, 0), (2, 3)/(3, 2) are
+    /// reciprocal pairs.
+    fn loops_and_reciprocal_edges() -> Graph {
+        GraphBuilder::new()
             .keep_self_loops(true)
             .add_edge(0, 1)
             .add_edge(1, 0)
@@ -1398,7 +1398,14 @@ mod tests {
             .add_edge(3, 4)
             .add_edge(4, 0)
             .add_edge(5, 5)
-            .build();
+            .build()
+    }
+
+    #[test]
+    fn bodies_agree_with_a_self_loop_and_reciprocal_edges() {
+        // The vertex-cut puts the two directions of each reciprocal pair
+        // on different machines.
+        let g = loops_and_reciprocal_edges();
         assert_eq!(g.num_edges(), 9);
         let diffusion = Diffusion::from_every_seventh_vertex(&g);
         let by_edge = Partitioning::from_edge_parts(&g, 3, vec![0, 1, 2, 1, 0, 2, 1, 0, 2]);
@@ -1417,6 +1424,30 @@ mod tests {
     }
 
     #[test]
+    fn parallel_edges_are_charged_where_each_is_stored() {
+        // A path with every edge doubled, the copies on different
+        // machines. The walk used to look both copies of an in-edge up by
+        // endpoints and charge the first one's machine twice.
+        let mut b = GraphBuilder::new().keep_duplicates(true);
+        for v in 0..1200 {
+            b.push_edge(v, v + 1);
+            b.push_edge(v, v + 1);
+        }
+        let g = b.build();
+        assert_eq!(g.num_edges(), 2400);
+        let p = Partitioning::from_edge_parts(&g, 2, (0..2400).map(|i| i % 2).collect());
+        let pl = Placement::build(&g, &p);
+        let opts = EngineOptions::default();
+        let (dist, report) = run_program(&g, &pl, &Sssp::new(0), &opts);
+        assert_eq!(dist, reference::sssp(&g, 0));
+        // 2400 edge ops on each machine; 611 and 590 applies.
+        assert_eq!(report.machine_compute_ns, vec![96_660.0, 95_400.0]);
+        assert_bodies_agree(&g, &pl, &Sssp::new(0), &opts, None, "doubled path");
+        let naive = naive_run(&g, &ReferencePlacement::build(&g, &p), &Sssp::new(0), &opts, None);
+        assert_same_report(&report, &naive.1, "doubled path vs naive");
+    }
+
+    #[test]
     fn duplicate_initial_frontier_entries_count_once() {
         let g = any_graph();
         let pl = placement_for(&g, Algorithm::Hdrf, 4);
@@ -1427,26 +1458,267 @@ mod tests {
         assert_eq!(report.iterations[0].active_vertices, 2);
     }
 
-    /// A random simple directed graph with self-loops kept, and a random
-    /// vertex-owner or edge-parts partitioning of it over `k` machines.
-    fn arb_partitioned_graph() -> impl Strategy<Value = (Graph, Partitioning)> {
-        (2usize..40, 1usize..=6).prop_flat_map(|(n, k)| {
-            let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..=160);
-            let parts = proptest::collection::vec(0..k as u32, 160.max(n));
-            (edges, parts, any::<bool>()).prop_map(move |(edges, parts, by_vertex)| {
-                let mut b = GraphBuilder::new().keep_self_loops(true).ensure_vertices(n);
-                for (s, d) in edges {
-                    b.push_edge(s, d);
+    // ---- run_program ≡ the naive engine --------------------------------------
+
+    /// The engine as one dense loop over a [`ReferencePlacement`], charging
+    /// compute by one `+=` per operation in phase order (gather, apply,
+    /// scatter). Healthy or under `plan`; no trace.
+    fn naive_run<P: VertexProgram>(
+        g: &Graph,
+        pl: &ReferencePlacement,
+        prog: &P,
+        opts: &EngineOptions,
+        plan: Option<&FaultPlan>,
+    ) -> (Vec<P::VertexData>, RunReport) {
+        let (n, k, cost) = (g.num_vertices(), pl.k, opts.cost);
+        let (gather, scatter) = (prog.gather_direction(), prog.scatter_direction());
+        let mut data: Vec<P::VertexData> = g.vertices().map(|v| prog.init(v, g)).collect();
+        let frontier = prog.initial_frontier(g);
+        let mut active = vec![frontier.is_none(); n];
+        for v in frontier.unwrap_or_default() {
+            active[v as usize] = true;
+        }
+        let mut iterations = Vec::new();
+        let mut machine_total_ns = vec![0.0f64; k];
+        let mut total_wall_ns = 0.0f64;
+        let mut fired = vec![false; plan.map_or(0, |p| p.events.len())];
+        let mut fault = plan.map(|_| FaultSummary::default());
+
+        for iteration in 0..prog.max_iterations() {
+            let active_vertices = active.iter().filter(|&&a| a).count();
+            if active_vertices == 0 {
+                break;
+            }
+            let mut compute_ns = vec![0.0f64; k];
+            let mut machine_bytes = vec![0u64; k];
+            let (mut gather_messages, mut update_messages, mut network_bytes) = (0u64, 0u64, 0u64);
+            let mut send = |from: usize, to: usize, payload: usize, counter: &mut u64| {
+                *counter += 1;
+                let len = encoded_len(payload) as u64;
+                machine_bytes[from] += len;
+                machine_bytes[to] += len;
+                network_bytes += len;
+            };
+
+            let mut acc: Vec<Option<P::Gather>> = vec![None; n];
+            for (machine, edges) in pl.local_edges.iter().enumerate() {
+                for e in edges {
+                    // (vertex gathering, neighbour read), in before out.
+                    let sides =
+                        [(gather.uses_in(), e.dst, e.src), (gather.uses_out(), e.src, e.dst)];
+                    for (used, v, nbr) in sides {
+                        if !used || !active[v as usize] {
+                            continue;
+                        }
+                        let contrib = prog.gather_edge(g, v, nbr, &data[nbr as usize]);
+                        acc[v as usize] = Some(match acc[v as usize].take() {
+                            Some(sum) => prog.merge(sum, contrib),
+                            None => contrib,
+                        });
+                        compute_ns[machine] += cost.ns_per_edge_op;
+                        let master = pl.masters[v as usize] as usize;
+                        if !opts.sender_side_aggregation && master != machine {
+                            send(machine, master, P::GATHER_BYTES, &mut gather_messages);
+                        }
+                    }
                 }
-                let g = b.build();
-                let p = if by_vertex {
-                    Partitioning::from_vertex_owners(&g, k, parts[..n].to_vec())
-                } else {
-                    Partitioning::from_edge_parts(&g, k, parts[..g.num_edges()].to_vec())
-                };
-                (g, p)
-            })
-        })
+            }
+            for v in g.vertices().filter(|&v| opts.sender_side_aggregation && active[v as usize]) {
+                for machine in pl.gather_partial_parts(v, gather.uses_in(), gather.uses_out()) {
+                    let master = pl.masters[v as usize] as usize;
+                    send(machine as usize, master, P::GATHER_BYTES, &mut gather_messages);
+                }
+            }
+
+            let mut changed = vec![false; n];
+            for v in (0..n).filter(|&v| active[v]) {
+                compute_ns[pl.masters[v] as usize] += cost.ns_per_apply;
+                let total = acc[v].take().unwrap_or_else(|| prog.gather_identity());
+                let new = prog.apply(g, v as VertexId, &data[v], total, iteration);
+                let moved = new != data[v];
+                changed[v] = moved || iteration == 0;
+                if moved {
+                    data[v] = new;
+                }
+            }
+
+            let mut next_active = vec![prog.all_active(); n];
+            for v in g.vertices().filter(|&v| changed[v as usize]) {
+                for machine in pl.update_target_parts(v, gather.uses_in(), gather.uses_out()) {
+                    let master = pl.masters[v as usize] as usize;
+                    send(master, machine as usize, P::DATA_BYTES, &mut update_messages);
+                }
+                if !prog.activates_on_change() {
+                    continue;
+                }
+                if scatter.uses_out() {
+                    for (idx, &w) in g.out_edge_range(v).zip(g.out_neighbors(v)) {
+                        next_active[w as usize] = true;
+                        compute_ns[pl.edge_parts[idx] as usize] += cost.ns_per_edge_op;
+                    }
+                }
+                if scatter.uses_in() {
+                    for (&idx, &w) in pl.in_edge_ids[v as usize].iter().zip(g.in_neighbors(v)) {
+                        next_active[w as usize] = true;
+                        compute_ns[pl.edge_parts[idx] as usize] += cost.ns_per_edge_op;
+                    }
+                }
+            }
+            active = next_active;
+
+            // Barrier; under a plan, stragglers stretch it and a crash whose
+            // time has come is recovered before the next superstep.
+            let net_ns = |m: usize| machine_bytes[m] as f64 / cost.bytes_per_second * 1e9;
+            let barrier = |slowdown: &dyn Fn(usize) -> f64| {
+                (0..k).fold(0.0f64, |wall, m| wall.max(compute_ns[m] * slowdown(m) + net_ns(m)))
+                    + cost.barrier_ns
+            };
+            let mut wall = barrier(&|_| 1.0);
+            if let (Some(plan), Some(summary)) = (plan, fault.as_mut()) {
+                let t = total_wall_ns as u64;
+                let healthy = wall;
+                wall = barrier(&|m| plan.slowdown(m as u32, t));
+                summary.straggler_extra_ns += (wall - healthy).max(0.0);
+                for (i, event) in plan.events.iter().enumerate() {
+                    let FaultEvent::Crash { machine, at_ns, .. } = *event else { continue };
+                    if fired[i] || t < at_ns {
+                        continue;
+                    }
+                    fired[i] = true;
+                    summary.crashes += 1;
+                    let (mut bytes, mut recompute_ns) = (0u64, 0.0f64);
+                    for v in g.vertices().filter(|&v| pl.masters[v as usize] == machine) {
+                        if pl.replicas[v as usize].len() >= 2 {
+                            summary.recovered_vertices += 1;
+                            bytes += encoded_len(P::DATA_BYTES) as u64;
+                        } else {
+                            summary.recomputed_vertices += 1;
+                            recompute_ns +=
+                                cost.ns_per_apply + cost.ns_per_edge_op * g.degree(v) as f64;
+                        }
+                    }
+                    let recovery_ns = bytes as f64 / cost.bytes_per_second * 1e9 + recompute_ns;
+                    summary.recovery_bytes += bytes;
+                    summary.recovery_ns += recovery_ns;
+                    wall += recovery_ns;
+                }
+            }
+            total_wall_ns += wall;
+            for m in 0..k {
+                machine_total_ns[m] += compute_ns[m];
+            }
+            iterations.push(IterationStats {
+                active_vertices,
+                gather_messages,
+                update_messages,
+                network_bytes,
+                machine_compute_ns: compute_ns,
+                machine_bytes,
+                wall_ns: wall,
+            });
+        }
+
+        let total_replicas: usize = pl.replicas.iter().map(|set| set.len()).sum();
+        let report = RunReport {
+            program: prog.name(),
+            machines: k,
+            replication_factor: if n == 0 { 0.0 } else { total_replicas as f64 / n as f64 },
+            iterations,
+            machine_compute_ns: machine_total_ns,
+            total_wall_ns,
+            fault,
+        };
+        (data, report)
+    }
+
+    /// Runs PageRank, WCC and SSSP healthy, and WCC and PageRank under a
+    /// crash and a straggler (where there is a second machine), through
+    /// `run_program*` and through the naive engine over the reference
+    /// placement, on every graph × k × algorithm × aggregation mode;
+    /// data and whole reports must be equal. Returns the runs compared.
+    fn compare_with_naive_engine(
+        graphs: &[(&str, Graph)],
+        ks: &[usize],
+        algorithms: &[Algorithm],
+    ) -> usize {
+        fn compare<P: VertexProgram>(
+            g: &Graph,
+            layouts: (&Placement, &ReferencePlacement),
+            prog: &P,
+            opts: &EngineOptions,
+            plan: Option<&FaultPlan>,
+            what: &str,
+        ) {
+            let (pl, rp) = layouts;
+            let (data, report) = match plan {
+                Some(plan) => run_program_with_faults(g, pl, prog, opts, plan),
+                None => run_program(g, pl, prog, opts),
+            };
+            let (naive_data, naive_report) = naive_run(g, rp, prog, opts, plan);
+            assert_eq!(data, naive_data, "{what}: vertex data");
+            assert_same_report(&report, &naive_report, what);
+        }
+
+        let mut runs = 0;
+        for (name, g) in graphs {
+            let source = g.vertices().max_by_key(|&v| g.out_degree(v)).expect("non-empty graph");
+            for (&k, &alg) in ks.iter().flat_map(|k| algorithms.iter().map(move |alg| (k, alg))) {
+                let p =
+                    partition(g, alg, &PartitionerConfig::new(k), StreamOrder::Random { seed: 5 });
+                let (pl, rp) = (Placement::build(g, &p), ReferencePlacement::build(g, &p));
+                let plan = FaultPlan::healthy(k, 9)
+                    .with_crash(k as u32 - 1, 50_000)
+                    .with_straggler(0, 0, u64::MAX, 2.5);
+                for opts in both_aggregation_modes() {
+                    let what = format!(
+                        "{name}, {alg:?}, k {k}, aggregation {}",
+                        opts.sender_side_aggregation
+                    );
+                    compare(g, (&pl, &rp), &PageRank::new(4), &opts, None, &what);
+                    compare(g, (&pl, &rp), &Wcc::new(), &opts, None, &what);
+                    compare(g, (&pl, &rp), &Sssp::new(source), &opts, None, &what);
+                    runs += 3;
+                    if k > 1 {
+                        compare(g, (&pl, &rp), &Wcc::new(), &opts, Some(&plan), &what);
+                        compare(g, (&pl, &rp), &PageRank::new(4), &opts, Some(&plan), &what);
+                        runs += 2;
+                    }
+                }
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn run_program_matches_the_naive_engine() {
+        let graphs = [("ER 300", any_graph()), ("loops", loops_and_reciprocal_edges())];
+        let algorithms = [Algorithm::Ldg, Algorithm::Dbh, Algorithm::HybridRandom];
+        assert_eq!(compare_with_naive_engine(&graphs, &[1, 4, 65], &algorithms), 156);
+    }
+
+    /// The full grid; minutes unoptimized, so CI runs it in release.
+    #[test]
+    #[ignore = "slow unoptimized: cargo test --release -p sgp-engine --lib -- --ignored"]
+    fn run_program_matches_the_naive_engine_on_the_full_grid() {
+        use sgp_graph::generators::{rmat, road_grid, RmatConfig, RoadConfig};
+        let graphs = [
+            ("ER 300", any_graph()),
+            ("ER 1000", erdos_renyi(ErdosRenyiConfig { vertices: 1000, edges: 8000, seed: 9 })),
+            ("R-MAT 2^10", rmat(RmatConfig { scale: 10, edge_factor: 8, ..RmatConfig::default() })),
+            (
+                "road 24x24",
+                road_grid(RoadConfig { width: 24, height: 24, ..RoadConfig::default() }),
+            ),
+            ("loops", loops_and_reciprocal_edges()),
+        ];
+        let streaming: Vec<Algorithm> = Algorithm::offline_suite()
+            .iter()
+            .copied()
+            .filter(|&alg| alg != Algorithm::Metis)
+            .collect();
+        assert_eq!(streaming.len(), 9);
+        let runs = compare_with_naive_engine(&graphs, &[1, 2, 4, 16, 64, 65, 130], &streaming);
+        assert_eq!(runs, 2970);
     }
 
     proptest! {

@@ -6,60 +6,107 @@
 //! per-vertex direction information (which mirrors hold in-edges, which
 //! hold out-edges) is what determines the paper's communication
 //! asymmetry between cut models (Appendix B, Fig. 10).
+//!
+//! The layout is flat (DESIGN.md §3.3): machine sets are fixed-stride
+//! `u64` bitsets, the per-machine edge lists are ranges of one array,
+//! and every in-adjacency slot carries its edge index.
 
-use serde::{Deserialize, Serialize};
 use sgp_graph::{Edge, Graph, VertexId};
+use sgp_partition::assignment::hashed_master;
 use sgp_partition::{PartitionId, Partitioning};
 
 /// The physical layout of a partitioned graph over `k` simulated
-/// machines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// machines: `4 + 16 * ceil(k / 64)` bytes per vertex and 16 per edge,
+/// in seven allocations whatever the graph.
+#[derive(Debug, Clone)]
 pub struct Placement {
     /// Number of machines.
     pub k: usize,
     /// Master machine of every vertex.
     pub masters: Vec<PartitionId>,
-    /// Full replica set `A(u)` of every vertex (sorted; includes master).
-    pub replicas: Vec<Vec<PartitionId>>,
-    /// Machines holding at least one *out*-edge of each vertex (sorted).
-    pub out_parts: Vec<Vec<PartitionId>>,
-    /// Machines holding at least one *in*-edge of each vertex (sorted).
-    pub in_parts: Vec<Vec<PartitionId>>,
-    /// Edges stored on each machine.
-    pub local_edges: Vec<Vec<Edge>>,
     /// Machine of every edge, indexed by [`Graph::edge_index`].
     pub edge_parts: Vec<PartitionId>,
+    /// Words per vertex in `out_bits` and `in_bits`: `ceil(k / 64)`.
+    stride: usize,
+    /// Bit `p` of vertex `v`'s block is set iff machine `p` stores an
+    /// out-edge of `v`.
+    out_bits: Vec<u64>,
+    /// The same for in-edges. The replica set `A(v)` is not stored: it is
+    /// `out | in | {master}`.
+    in_bits: Vec<u64>,
+    /// Every edge, grouped by machine, in edge-index order within a group.
+    local_edges: Vec<Edge>,
+    /// Machine `p`'s edges are `local_edges[local_offsets[p]..local_offsets[p + 1]]`.
+    local_offsets: Vec<usize>,
+    /// Edge index of every in-adjacency slot ([`Graph::in_edge_range`]).
+    in_edge_ids: Vec<u32>,
 }
 
 impl Placement {
     /// Materializes the layout for `g` under partitioning `p`.
+    ///
+    /// # Panics
+    /// Panics if `g` has more than `u32::MAX` edges: in-adjacency slots
+    /// hold edge indices as `u32`.
     pub fn build(g: &Graph, p: &Partitioning) -> Self {
-        let n = g.num_vertices();
-        let k = p.k;
-        let masters = p.masters(g);
-        let replicas = p.replica_sets(g);
-        let mut out_parts: Vec<Vec<PartitionId>> = vec![Vec::new(); n];
-        let mut in_parts: Vec<Vec<PartitionId>> = vec![Vec::new(); n];
-        let mut local_edges: Vec<Vec<Edge>> = vec![Vec::new(); k];
-        let insert_sorted = |set: &mut Vec<PartitionId>, part: PartitionId| {
-            if let Err(pos) = set.binary_search(&part) {
-                set.insert(pos, part);
+        let (n, m, k) = (g.num_vertices(), g.num_edges(), p.k);
+        assert!(u32::try_from(m).is_ok(), "edge indices must fit in u32");
+        let stride = k.div_ceil(64).max(1);
+
+        let mut local_offsets = vec![0usize; k + 1];
+        for &part in &p.edge_parts {
+            local_offsets[part as usize + 1] += 1;
+        }
+        for i in 0..k {
+            local_offsets[i + 1] += local_offsets[i];
+        }
+
+        // One pass in edge-index order, so each machine's group keeps
+        // that order and each in-row's slots fill in source order.
+        let mut out_bits = vec![0u64; n * stride];
+        let mut in_bits = vec![0u64; n * stride];
+        let mut local_edges = vec![Edge::new(0, 0); m];
+        let mut in_edge_ids = vec![0u32; m];
+        let mut local_cursor = local_offsets[..k].to_vec();
+        let mut in_cursor: Vec<u32> =
+            g.vertices().map(|v| g.in_edge_range(v).start as u32).collect();
+        for (i, e) in g.edges().enumerate() {
+            let part = p.edge_parts[i] as usize;
+            let (word, bit) = (part >> 6, 1u64 << (part & 63));
+            out_bits[e.src as usize * stride + word] |= bit;
+            in_bits[e.dst as usize * stride + word] |= bit;
+            local_edges[local_cursor[part]] = e;
+            local_cursor[part] += 1;
+            let slot = &mut in_cursor[e.dst as usize];
+            in_edge_ids[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+
+        let masters = match &p.vertex_owner {
+            Some(owner) => owner.clone(),
+            None => {
+                let mut block = vec![0u64; stride];
+                g.vertices()
+                    .map(|v| {
+                        let at = v as usize * stride;
+                        for (w, word) in block.iter_mut().enumerate() {
+                            *word = out_bits[at + w] | in_bits[at + w];
+                        }
+                        hashed_master(v, &block, k)
+                    })
+                    .collect()
             }
         };
-        for (i, e) in g.edges().enumerate() {
-            let part = p.edge_parts[i];
-            insert_sorted(&mut out_parts[e.src as usize], part);
-            insert_sorted(&mut in_parts[e.dst as usize], part);
-            local_edges[part as usize].push(e);
-        }
         Placement {
             k,
             masters,
-            replicas,
-            out_parts,
-            in_parts,
-            local_edges,
             edge_parts: p.edge_parts.clone(),
+            stride,
+            out_bits,
+            in_bits,
+            local_edges,
+            local_offsets,
+            in_edge_ids,
         }
     }
 
@@ -75,49 +122,73 @@ impl Placement {
         if self.masters.is_empty() {
             return 0.0;
         }
-        let total: usize = self.replicas.iter().map(|s| s.len()).sum();
+        let total: usize = (0..self.masters.len()).map(|v| self.replica_count(v as VertexId)).sum();
         total as f64 / self.masters.len() as f64
     }
 
     /// Edges stored per machine (the vertex-cut load metric).
     pub fn edges_per_machine(&self) -> Vec<usize> {
-        self.local_edges.iter().map(|e| e.len()).collect()
+        self.local_offsets.windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    /// Edges stored on `machine`, in edge-index order.
+    #[inline]
+    pub fn local_edges(&self, machine: usize) -> &[Edge] {
+        &self.local_edges[self.local_offsets[machine]..self.local_offsets[machine + 1]]
+    }
+
+    /// Edge index of every in-edge of `v`: entry `i` is the index of the
+    /// edge `g.in_neighbors(v)[i] -> v`, parallel edges each getting their
+    /// own. `g` must be the graph the placement was built for.
+    #[inline]
+    pub fn in_edge_ids(&self, g: &Graph, v: VertexId) -> &[u32] {
+        &self.in_edge_ids[g.in_edge_range(v)]
+    }
+
+    /// Machines holding at least one *out*-edge of `v`, ascending.
+    pub fn out_parts(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
+        SetBits::new(self.words(v, false, true))
+    }
+
+    /// Machines holding at least one *in*-edge of `v`, ascending.
+    pub fn in_parts(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
+        SetBits::new(self.words(v, true, false))
+    }
+
+    /// Full replica set `A(v)`, ascending; includes the master.
+    pub fn replicas(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
+        let (word, bit) = self.master_bit(v);
+        let words = self.words(v, true, true).enumerate();
+        SetBits::new(words.map(move |(w, bits)| if w == word { bits | bit } else { bits }))
+    }
+
+    /// `|A(v)|`.
+    pub fn replica_count(&self, v: VertexId) -> usize {
+        count_ones(self.mirror_words(v, true, true)) + 1
     }
 
     /// Mirrors of `v`: its replicas minus the master.
     pub fn mirrors(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
-        let master = self.masters[v as usize];
-        self.replicas[v as usize].iter().copied().filter(move |&p| p != master)
+        SetBits::new(self.mirror_words(v, true, true))
     }
 
     /// Machines (excluding the master) that must send a gather partial
     /// for `v` when the gather direction needs in-edges (`use_in`) and/or
     /// out-edges (`use_out`).
     pub fn gather_partial_count(&self, v: VertexId, use_in: bool, use_out: bool) -> usize {
-        let master = self.masters[v as usize];
-        count_union_excluding(
-            if use_in { Some(&self.in_parts[v as usize]) } else { None },
-            if use_out { Some(&self.out_parts[v as usize]) } else { None },
-            master,
-        )
+        count_ones(self.mirror_words(v, use_in, use_out))
     }
 
-    /// Collects into `buf` the machines counted by
-    /// [`Placement::gather_partial_count`] (sorted, deduplicated).
-    pub fn gather_partial_parts_into(
+    /// The machines counted by [`Placement::gather_partial_count`],
+    /// ascending.
+    #[inline]
+    pub fn gather_partial_parts(
         &self,
         v: VertexId,
         use_in: bool,
         use_out: bool,
-        buf: &mut Vec<PartitionId>,
-    ) {
-        let master = self.masters[v as usize];
-        union_excluding_into(
-            if use_in { Some(&self.in_parts[v as usize]) } else { None },
-            if use_out { Some(&self.out_parts[v as usize]) } else { None },
-            master,
-            buf,
-        );
+    ) -> impl Iterator<Item = PartitionId> + '_ {
+        SetBits::new(self.mirror_words(v, use_in, use_out))
     }
 
     /// Machines (excluding the master) that must receive `v`'s updated
@@ -125,124 +196,102 @@ impl Placement {
     /// out-edges when neighbours gather over IN, mirrors holding in-edges
     /// when neighbours gather over OUT.
     pub fn update_target_count(&self, v: VertexId, gather_in: bool, gather_out: bool) -> usize {
-        let master = self.masters[v as usize];
-        count_union_excluding(
-            if gather_in { Some(&self.out_parts[v as usize]) } else { None },
-            if gather_out { Some(&self.in_parts[v as usize]) } else { None },
-            master,
-        )
+        self.gather_partial_count(v, gather_out, gather_in)
     }
 
-    /// Collects into `buf` the machines counted by
-    /// [`Placement::update_target_count`] (sorted, deduplicated).
-    pub fn update_target_parts_into(
+    /// The machines counted by [`Placement::update_target_count`],
+    /// ascending.
+    #[inline]
+    pub fn update_target_parts(
         &self,
         v: VertexId,
         gather_in: bool,
         gather_out: bool,
-        buf: &mut Vec<PartitionId>,
-    ) {
+    ) -> impl Iterator<Item = PartitionId> + '_ {
+        self.gather_partial_parts(v, gather_out, gather_in)
+    }
+
+    /// The bitset words of `v`'s in-parts (if `use_in`) united with its
+    /// out-parts (if `use_out`), combined as they are read.
+    ///
+    /// `#[inline]` here and on the accessors the supersteps call per
+    /// vertex: they are not generic, so without it each call crosses the
+    /// crate boundary, which tripled the time of the message accounting.
+    #[inline]
+    fn words(&self, v: VertexId, use_in: bool, use_out: bool) -> impl Iterator<Item = u64> + '_ {
+        let block = v as usize * self.stride..(v as usize + 1) * self.stride;
+        let (ins, outs) = (&self.in_bits[block.clone()], &self.out_bits[block]);
+        ins.iter()
+            .zip(outs)
+            .map(move |(&i, &o)| if use_in { i } else { 0 } | if use_out { o } else { 0 })
+    }
+
+    /// [`Placement::words`] without the master's bit.
+    #[inline]
+    fn mirror_words(
+        &self,
+        v: VertexId,
+        use_in: bool,
+        use_out: bool,
+    ) -> impl Iterator<Item = u64> + '_ {
+        let (word, bit) = self.master_bit(v);
+        self.words(v, use_in, use_out)
+            .enumerate()
+            .map(move |(w, bits)| if w == word { bits & !bit } else { bits })
+    }
+
+    /// Word index and mask of the master's bit in `v`'s block.
+    #[inline]
+    fn master_bit(&self, v: VertexId) -> (usize, u64) {
         let master = self.masters[v as usize];
-        union_excluding_into(
-            if gather_in { Some(&self.out_parts[v as usize]) } else { None },
-            if gather_out { Some(&self.in_parts[v as usize]) } else { None },
-            master,
-            buf,
-        );
+        ((master >> 6) as usize, 1u64 << (master & 63))
     }
 }
 
-/// Merge-union of two sorted slices into `buf`, excluding one id.
-fn union_excluding_into(
-    a: Option<&Vec<PartitionId>>,
-    b: Option<&Vec<PartitionId>>,
-    excluded: PartitionId,
-    buf: &mut Vec<PartitionId>,
-) {
-    buf.clear();
-    let empty: &[PartitionId] = &[];
-    let x = a.map(|v| v.as_slice()).unwrap_or(empty);
-    let y = b.map(|v| v.as_slice()).unwrap_or(empty);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < x.len() || j < y.len() {
-        let next = match (x.get(i), y.get(j)) {
-            (Some(&px), Some(&py)) => {
-                if px <= py {
-                    if px == py {
-                        j += 1;
-                    }
-                    i += 1;
-                    px
-                } else {
-                    j += 1;
-                    py
-                }
-            }
-            (Some(&px), None) => {
-                i += 1;
-                px
-            }
-            (None, Some(&py)) => {
-                j += 1;
-                py
-            }
-            (None, None) => unreachable!(),
-        };
-        if next != excluded {
-            buf.push(next);
-        }
+fn count_ones(words: impl Iterator<Item = u64>) -> usize {
+    words.map(|w| w.count_ones() as usize).sum()
+}
+
+/// The set bits of a sequence of bitset words, ascending: bit `b` of the
+/// `i`-th word is machine `64 * i + b`.
+struct SetBits<I> {
+    words: I,
+    /// Unread bits of the word in hand, and the machine of its bit 0.
+    word: u64,
+    base: PartitionId,
+}
+
+impl<I: Iterator<Item = u64>> SetBits<I> {
+    #[inline]
+    fn new(mut words: I) -> Self {
+        let word = words.next().unwrap_or(0);
+        SetBits { words, word, base: 0 }
     }
 }
 
-/// |(a ∪ b) \ {excluded}| for sorted slices.
-fn count_union_excluding(
-    a: Option<&Vec<PartitionId>>,
-    b: Option<&Vec<PartitionId>>,
-    excluded: PartitionId,
-) -> usize {
-    match (a, b) {
-        (None, None) => 0,
-        (Some(x), None) | (None, Some(x)) => x.iter().filter(|&&p| p != excluded).count(),
-        (Some(x), Some(y)) => {
-            let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-            while i < x.len() || j < y.len() {
-                let next = match (x.get(i), y.get(j)) {
-                    (Some(&px), Some(&py)) => {
-                        if px <= py {
-                            if px == py {
-                                j += 1;
-                            }
-                            i += 1;
-                            px
-                        } else {
-                            j += 1;
-                            py
-                        }
-                    }
-                    (Some(&px), None) => {
-                        i += 1;
-                        px
-                    }
-                    (None, Some(&py)) => {
-                        j += 1;
-                        py
-                    }
-                    (None, None) => unreachable!(),
-                };
-                if next != excluded {
-                    count += 1;
-                }
-            }
-            count
+impl<I: Iterator<Item = u64>> Iterator for SetBits<I> {
+    type Item = PartitionId;
+
+    #[inline]
+    fn next(&mut self) -> Option<PartitionId> {
+        while self.word == 0 {
+            self.word = self.words.next()?;
+            self.base += 64;
         }
+        let bit = self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sgp_graph::GraphBuilder;
+    use sgp_partition::assignment::fxhash64;
     use sgp_partition::Partitioning;
+    use std::collections::BTreeSet;
 
     /// The 6-vertex example of the paper's Fig. 10: vertex 6 (here 5)
     /// receives edges from 1..=5 (here 0..=4), plus a few chain edges.
@@ -265,12 +314,12 @@ mod tests {
         let pl = Placement::build(&g, &p);
         for v in g.vertices() {
             // Every out-edge partition must be exactly the master.
-            for &part in &pl.out_parts[v as usize] {
+            for part in pl.out_parts(v) {
                 assert_eq!(part, pl.masters[v as usize], "vertex {v}");
             }
         }
         // Vertex 5 has in-edges on machines 0, 1, 2 → 2 mirror machines.
-        assert_eq!(pl.in_parts[5], vec![0, 1, 2]);
+        assert_eq!(pl.in_parts(5).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(pl.mirrors(5).count(), 2);
     }
 
@@ -300,7 +349,7 @@ mod tests {
         let updates = pl.update_target_count(0, true, false);
         // Vertex 0 has out-edges on machines {0, 1}; one of them is the
         // master, the other needs an update.
-        assert_eq!(pl.out_parts[0], vec![0, 1]);
+        assert_eq!(pl.out_parts(0).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(updates, if v0_master == 0 || v0_master == 1 { 1 } else { 2 });
     }
 
@@ -318,7 +367,7 @@ mod tests {
         let g = fig10_graph();
         let p = Partitioning::from_edge_parts(&g, 3, vec![0, 1, 0, 1, 1, 2]);
         let pl = Placement::build(&g, &p);
-        let total: usize = pl.local_edges.iter().map(|e| e.len()).sum();
+        let total: usize = (0..pl.k).map(|m| pl.local_edges(m).len()).sum();
         assert_eq!(total, g.num_edges());
         assert_eq!(pl.edges_per_machine(), vec![2, 3, 1]);
     }
@@ -338,22 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn parts_into_agrees_with_counts() {
-        let g = fig10_graph();
-        let p = Partitioning::from_edge_parts(&g, 3, vec![0, 1, 0, 1, 1, 2]);
-        let pl = Placement::build(&g, &p);
-        let mut buf = Vec::new();
-        for v in g.vertices() {
-            for (use_in, use_out) in [(true, false), (false, true), (true, true)] {
-                pl.gather_partial_parts_into(v, use_in, use_out, &mut buf);
-                assert_eq!(buf.len(), pl.gather_partial_count(v, use_in, use_out));
-                pl.update_target_parts_into(v, use_in, use_out, &mut buf);
-                assert_eq!(buf.len(), pl.update_target_count(v, use_in, use_out));
-            }
-        }
-    }
-
-    #[test]
     fn edge_parts_preserved() {
         let g = fig10_graph();
         let parts = vec![0u32, 1, 0, 1, 1, 2];
@@ -362,12 +395,215 @@ mod tests {
         assert_eq!(pl.edge_parts, parts);
     }
 
+    // ---- flat layout ≡ nested reference -------------------------------------
+
+    type Set = BTreeSet<PartitionId>;
+
+    /// The layout written the obvious way — a `BTreeSet` per vertex, a
+    /// `Vec<Edge>` per machine, a lookup per in-edge — sharing no code
+    /// with `Placement`. The engine's tests run a naive engine over it.
+    pub(crate) struct ReferencePlacement {
+        pub(crate) k: usize,
+        pub(crate) masters: Vec<PartitionId>,
+        pub(crate) replicas: Vec<Set>,
+        pub(crate) out_parts: Vec<Set>,
+        pub(crate) in_parts: Vec<Set>,
+        pub(crate) local_edges: Vec<Vec<Edge>>,
+        /// Per vertex, the edge index of each in-adjacency slot.
+        pub(crate) in_edge_ids: Vec<Vec<usize>>,
+        pub(crate) edge_parts: Vec<PartitionId>,
+    }
+
+    impl ReferencePlacement {
+        pub(crate) fn build(g: &Graph, p: &Partitioning) -> Self {
+            let (n, k) = (g.num_vertices(), p.k);
+            let mut out_parts = vec![Set::new(); n];
+            let mut in_parts = vec![Set::new(); n];
+            let mut local_edges = vec![Vec::new(); k];
+            for (i, e) in g.edges().enumerate() {
+                out_parts[e.src as usize].insert(p.edge_parts[i]);
+                in_parts[e.dst as usize].insert(p.edge_parts[i]);
+                local_edges[p.edge_parts[i] as usize].push(e);
+            }
+            let mut replicas = Vec::new();
+            let mut masters = Vec::new();
+            for v in 0..n {
+                let mut set: Set = out_parts[v].union(&in_parts[v]).copied().collect();
+                set.extend(p.vertex_owner.as_ref().map(|owner| owner[v]));
+                if set.is_empty() {
+                    set.insert((v % k) as PartitionId);
+                }
+                // The historical rule: the owner, else the replica at index
+                // `hash(v) % |A(v)|` of the sorted set.
+                masters.push(match &p.vertex_owner {
+                    Some(owner) => owner[v],
+                    None => {
+                        let nth = fxhash64(v as u64) as usize % set.len();
+                        *set.iter().nth(nth).expect("nth is below the set's size")
+                    }
+                });
+                replicas.push(set);
+            }
+            // Slot `i` of `v`'s in-row holds source `w`; among parallel
+            // edges `w -> v` it is the one as far past the first as the
+            // slot is past `w`'s first slot.
+            let in_edge_ids = g
+                .vertices()
+                .map(|v| {
+                    let row = g.in_neighbors(v);
+                    (0..row.len())
+                        .map(|i| {
+                            let first = g.edge_index(row[i], v).expect("in-edge exists");
+                            first + (i - row.partition_point(|&w| w < row[i]))
+                        })
+                        .collect()
+                })
+                .collect();
+            ReferencePlacement {
+                k,
+                masters,
+                replicas,
+                out_parts,
+                in_parts,
+                local_edges,
+                in_edge_ids,
+                edge_parts: p.edge_parts.clone(),
+            }
+        }
+
+        /// The union of the sets whose flag is on, without `v`'s master, ascending.
+        fn union_without_master(
+            &self,
+            v: VertexId,
+            sets: [(bool, &Vec<Set>); 2],
+        ) -> Vec<PartitionId> {
+            let mut union = Set::new();
+            for (on, per_vertex) in sets {
+                if on {
+                    union.extend(&per_vertex[v as usize]);
+                }
+            }
+            union.remove(&self.masters[v as usize]);
+            union.into_iter().collect()
+        }
+
+        /// Mirrors holding gather edges of `v`.
+        pub(crate) fn gather_partial_parts(
+            &self,
+            v: VertexId,
+            use_in: bool,
+            use_out: bool,
+        ) -> Vec<PartitionId> {
+            self.union_without_master(v, [(use_in, &self.in_parts), (use_out, &self.out_parts)])
+        }
+
+        /// Mirrors whose neighbours' gathers read `v`: over its out-edges
+        /// when they gather over IN, over its in-edges when over OUT.
+        pub(crate) fn update_target_parts(
+            &self,
+            v: VertexId,
+            gather_in: bool,
+            gather_out: bool,
+        ) -> Vec<PartitionId> {
+            self.union_without_master(
+                v,
+                [(gather_in, &self.out_parts), (gather_out, &self.in_parts)],
+            )
+        }
+    }
+
+    /// A random directed graph on fewer than 40 vertices with self-loops
+    /// kept and some vertices isolated, and a random vertex-owner or
+    /// edge-parts partitioning of it over `k <= 130` machines (bitset
+    /// strides 1, 2 and 3).
+    pub(crate) fn arb_partitioned_graph() -> impl Strategy<Value = (Graph, Partitioning)> {
+        let k = prop_oneof![1usize..=6, 1usize..=130];
+        (2usize..40, k).prop_flat_map(|(n, k)| {
+            let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..=160);
+            let parts = proptest::collection::vec(0..k as u32, 160.max(n));
+            (edges, parts, any::<bool>()).prop_map(move |(edges, parts, by_vertex)| {
+                let mut b = GraphBuilder::new().keep_self_loops(true).ensure_vertices(n);
+                for (s, d) in edges {
+                    b.push_edge(s, d);
+                }
+                let g = b.build();
+                let p = if by_vertex {
+                    Partitioning::from_vertex_owners(&g, k, parts[..n].to_vec())
+                } else {
+                    Partitioning::from_edge_parts(&g, k, parts[..g.num_edges()].to_vec())
+                };
+                (g, p)
+            })
+        })
+    }
+
+    /// Every accessor of the flat layout against the layout built the
+    /// obvious way.
+    fn assert_matches_reference(g: &Graph, p: &Partitioning) {
+        let (pl, rp) = (Placement::build(g, p), ReferencePlacement::build(g, p));
+        let sorted = |set: &Set| -> Vec<PartitionId> { set.iter().copied().collect() };
+        assert_eq!((pl.k, pl.num_vertices()), (rp.k, g.num_vertices()));
+        assert_eq!(pl.masters, rp.masters);
+        for v in g.vertices() {
+            let i = v as usize;
+            assert_eq!(pl.replicas(v).collect::<Vec<_>>(), sorted(&rp.replicas[i]), "A({v})");
+            assert_eq!(pl.replica_count(v), rp.replicas[i].len(), "|A({v})|");
+            assert_eq!(pl.out_parts(v).collect::<Vec<_>>(), sorted(&rp.out_parts[i]), "out {v}");
+            assert_eq!(pl.in_parts(v).collect::<Vec<_>>(), sorted(&rp.in_parts[i]), "in {v}");
+            let mirrors: Vec<_> =
+                sorted(&rp.replicas[i]).into_iter().filter(|&m| m != rp.masters[i]).collect();
+            assert_eq!(pl.mirrors(v).collect::<Vec<_>>(), mirrors, "mirrors of {v}");
+            for (a, b) in [(true, false), (false, true), (true, true)] {
+                let gather = rp.gather_partial_parts(v, a, b);
+                assert_eq!(pl.gather_partial_parts(v, a, b).collect::<Vec<_>>(), gather, "{v}");
+                assert_eq!(pl.gather_partial_count(v, a, b), gather.len(), "{v}");
+                let update = rp.update_target_parts(v, a, b);
+                assert_eq!(pl.update_target_parts(v, a, b).collect::<Vec<_>>(), update, "{v}");
+                assert_eq!(pl.update_target_count(v, a, b), update.len(), "{v}");
+            }
+            let ids: Vec<usize> = pl.in_edge_ids(g, v).iter().map(|&id| id as usize).collect();
+            assert_eq!(ids, rp.in_edge_ids[i], "in-edge ids of {v}");
+        }
+        for (m, edges) in rp.local_edges.iter().enumerate() {
+            assert_eq!(pl.local_edges(m), &edges[..], "machine {m}");
+        }
+        let per_machine: Vec<usize> = rp.local_edges.iter().map(|edges| edges.len()).collect();
+        assert_eq!(pl.edges_per_machine(), per_machine);
+        let total: usize = rp.replicas.iter().map(|set| set.len()).sum();
+        let rf = if rp.replicas.is_empty() { 0.0 } else { total as f64 / rp.replicas.len() as f64 };
+        assert_eq!(pl.replication_factor().to_bits(), rf.to_bits());
+    }
+
     #[test]
-    fn union_excluding_helper() {
-        let a = vec![0u32, 1, 3];
-        let b = vec![1u32, 2, 3];
-        assert_eq!(count_union_excluding(Some(&a), Some(&b), 3), 3); // {0,1,2}
-        assert_eq!(count_union_excluding(Some(&a), None, 0), 2);
-        assert_eq!(count_union_excluding(None, None, 0), 0);
+    fn flat_layout_matches_reference_on_isolated_vertices_loops_and_parallel_edges() {
+        // Vertices 6..9 have no edges; (2, 2) is a self-loop; (0, 1) is
+        // tripled and (3, 1) doubled, so vertex 1's in-row is 0 0 0 3 3.
+        let g = GraphBuilder::new()
+            .keep_self_loops(true)
+            .keep_duplicates(true)
+            .ensure_vertices(10)
+            .extend_edges(
+                [(0, 1), (3, 1), (0, 1), (2, 2), (0, 1), (3, 1), (1, 4), (5, 0)].map(Edge::from),
+            )
+            .build();
+        assert_eq!(g.num_edges(), 8);
+        for k in [1usize, 3, 64, 65, 130] {
+            let parts = |len: usize| (0..len).map(|i| (i * 37 % k) as PartitionId).collect();
+            assert_matches_reference(&g, &Partitioning::from_edge_parts(&g, k, parts(8)));
+            assert_matches_reference(&g, &Partitioning::from_vertex_owners(&g, k, parts(10)));
+        }
+        let empty = GraphBuilder::new().build();
+        assert_matches_reference(&empty, &Partitioning::from_edge_parts(&empty, 4, Vec::new()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn flat_layout_matches_reference_on_random_partitionings(
+            (g, p) in arb_partitioned_graph(),
+        ) {
+            assert_matches_reference(&g, &p);
+        }
     }
 }

@@ -38,7 +38,7 @@ fn pagerank_message_count_is_iteration_invariant() {
 fn edge_cut_gather_messages_equal_mirror_count() {
     let g = graph();
     let pl = placement(&g, Algorithm::Ldg, 8);
-    let total_mirrors: usize = (0..g.num_vertices()).map(|v| pl.replicas[v].len() - 1).sum();
+    let total_mirrors: usize = g.vertices().map(|v| pl.replica_count(v) - 1).sum();
     let (_, report) = run_program(&g, &pl, &PageRank::new(2), &EngineOptions::default());
     assert_eq!(report.iterations[0].gather_messages as usize, total_mirrors);
     assert_eq!(report.iterations[0].update_messages, 0);

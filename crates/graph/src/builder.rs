@@ -105,17 +105,13 @@ impl GraphBuilder {
         if !keep_self_loops {
             edges.retain(|e| !e.is_loop());
         }
-        if !keep_duplicates {
-            edges.sort_unstable();
-            edges.dedup();
-        }
         let n = edges
             .iter()
             .map(|e| e.src.max(e.dst) as usize + 1)
             .max()
             .unwrap_or(0)
             .max(min_vertices);
-        Graph::from_sorted_edges(n, edges, keep_duplicates)
+        Graph::from_edges(n, edges, !keep_duplicates)
     }
 }
 

@@ -21,42 +21,72 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds a graph from an edge list that is already sorted by
-    /// `(src, dst)` when `sorted` construction is possible. Used by
+    /// Builds the CSR over `n` vertices from an edge list in any order,
+    /// keeping parallel edges unless `dedup`. Used by
     /// [`crate::GraphBuilder::build`]; prefer the builder in user code.
-    pub(crate) fn from_sorted_edges(n: usize, mut edges: Vec<Edge>, needs_sort: bool) -> Self {
-        if needs_sort {
-            edges.sort_unstable();
-        }
-        let m = edges.len();
+    ///
+    /// A counting sort by source fills the out-rows, each row is then
+    /// sorted (and compacted leftward when deduplicating), and the
+    /// in-rows are filled by walking the sources in ascending order,
+    /// which leaves them sorted: no sort ever sees more than one row.
+    pub(crate) fn from_edges(n: usize, edges: Vec<Edge>, dedup: bool) -> Self {
         let mut out_offsets = vec![0u64; n + 1];
-        let mut in_degrees = vec![0u64; n];
         for e in &edges {
             out_offsets[e.src as usize + 1] += 1;
-            in_degrees[e.dst as usize] += 1;
         }
         for i in 0..n {
             out_offsets[i + 1] += out_offsets[i];
         }
-        let mut out_targets = Vec::with_capacity(m);
-        out_targets.extend(edges.iter().map(|e| e.dst));
-
-        let mut in_offsets = vec![0u64; n + 1];
-        for i in 0..n {
-            in_offsets[i + 1] = in_offsets[i] + in_degrees[i];
-        }
-        let mut cursor = in_offsets[..n].to_vec();
-        let mut in_sources = vec![0 as VertexId; m];
+        let mut out_targets = vec![0 as VertexId; edges.len()];
+        let mut cursor = out_offsets[..n].to_vec();
         for e in &edges {
-            let c = &mut cursor[e.dst as usize];
-            in_sources[*c as usize] = e.src;
+            let c = &mut cursor[e.src as usize];
+            out_targets[*c as usize] = e.dst;
             *c += 1;
         }
-        // Keep in-neighbour lists sorted for deterministic iteration and
-        // binary-search membership tests.
+        // The staged list and the cursor are dead weight from here on;
+        // free them before the in-arrays are allocated.
+        drop(edges);
+        drop(cursor);
+
+        let (mut read, mut write) = (0usize, 0usize);
         for v in 0..n {
-            let (s, t) = (in_offsets[v] as usize, in_offsets[v + 1] as usize);
-            in_sources[s..t].sort_unstable();
+            let end = out_offsets[v + 1] as usize;
+            out_targets[read..end].sort_unstable();
+            if dedup {
+                let row = write;
+                for r in read..end {
+                    let w = out_targets[r];
+                    if write == row || out_targets[write - 1] != w {
+                        out_targets[write] = w;
+                        write += 1;
+                    }
+                }
+            } else {
+                write = end;
+            }
+            read = end;
+            out_offsets[v + 1] = write as u64;
+        }
+        out_targets.truncate(write);
+        out_targets.shrink_to_fit();
+
+        let mut in_offsets = vec![0u64; n + 1];
+        for &w in &out_targets {
+            in_offsets[w as usize + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut cursor = in_offsets[..n].to_vec();
+        let mut in_sources = vec![0 as VertexId; out_targets.len()];
+        for v in 0..n {
+            let (s, t) = (out_offsets[v] as usize, out_offsets[v + 1] as usize);
+            for &w in &out_targets[s..t] {
+                let c = &mut cursor[w as usize];
+                in_sources[*c as usize] = v as VertexId;
+                *c += 1;
+            }
         }
         Graph { num_vertices: n, out_offsets, out_targets, in_offsets, in_sources }
     }
@@ -127,8 +157,9 @@ impl Graph {
     /// Only meaningful on deduplicated graphs (the builder default); with
     /// multi-edges the index of the first occurrence is returned.
     pub fn edge_index(&self, src: VertexId, dst: VertexId) -> Option<usize> {
-        let pos = self.out_neighbors(src).binary_search(&dst).ok()?;
-        Some(self.out_offsets[src as usize] as usize + pos)
+        let row = self.out_neighbors(src);
+        let pos = row.partition_point(|&w| w < dst);
+        (row.get(pos) == Some(&dst)).then(|| self.out_offsets[src as usize] as usize + pos)
     }
 
     /// Range of dense edge indices covering all out-edges of `v` (in
@@ -136,6 +167,15 @@ impl Graph {
     /// edge index `out_edge_range(v).start + i`.
     pub fn out_edge_range(&self, v: VertexId) -> std::ops::Range<usize> {
         self.out_offsets[v as usize] as usize..self.out_offsets[v as usize + 1] as usize
+    }
+
+    /// Range of slots covering the in-adjacency of `v`: `in_neighbors(v)[i]`
+    /// sits in slot `in_edge_range(v).start + i` of an array laid out like
+    /// the in-adjacency (one entry per edge, rows by target, sources
+    /// ascending within a row).
+    #[inline]
+    pub fn in_edge_range(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.in_offsets[v as usize] as usize..self.in_offsets[v as usize + 1] as usize
     }
 
     /// Iterates all vertices `0..n`.
@@ -182,14 +222,11 @@ impl Graph {
         let mut edges = Vec::with_capacity(self.num_edges() * 2);
         for e in self.edges() {
             if !e.is_loop() {
-                let c = e.canonical();
-                edges.push(c);
-                edges.push(c.reversed());
+                edges.push(e);
+                edges.push(e.reversed());
             }
         }
-        edges.sort_unstable();
-        edges.dedup();
-        Graph::from_sorted_edges(self.num_vertices, edges, false)
+        Graph::from_edges(self.num_vertices, edges, true)
     }
 }
 
@@ -237,6 +274,101 @@ mod tests {
             assert_eq!(g.edge_index(e.src, e.dst), Some(i));
         }
         assert_eq!(g.edge_index(3, 0), None);
+    }
+
+    #[test]
+    fn edge_index_names_the_first_of_parallel_edges() {
+        let g = GraphBuilder::new()
+            .keep_duplicates(true)
+            .extend_edges([(0, 1), (0, 1), (0, 1), (0, 2)].map(Edge::from))
+            .build();
+        assert_eq!(g.out_neighbors(0), &[1, 1, 1, 2]);
+        assert_eq!(g.edge_index(0, 1), Some(0));
+        assert_eq!(g.edge_index(0, 2), Some(3));
+        assert_eq!(g.edge_index(0, 3), None);
+    }
+
+    #[test]
+    fn in_edge_range_tiles_the_in_adjacency() {
+        let g = diamond();
+        let mut next = 0;
+        for v in g.vertices() {
+            let range = g.in_edge_range(v);
+            assert_eq!((range.start, range.len()), (next, g.in_degree(v)));
+            next = range.end;
+        }
+        assert_eq!(next, g.num_edges());
+    }
+
+    /// The build as it was: one global sort, dedup, rows cut from the
+    /// sorted list, in-rows sorted after the fill.
+    fn sort_and_dedup_reference(n: usize, mut edges: Vec<Edge>, dedup: bool) -> Graph {
+        edges.sort_unstable();
+        if dedup {
+            edges.dedup();
+        }
+        let mut out_offsets = vec![0u64; n + 1];
+        let mut in_offsets = vec![0u64; n + 1];
+        for e in &edges {
+            out_offsets[e.src as usize + 1] += 1;
+            in_offsets[e.dst as usize + 1] += 1;
+        }
+        for i in 0..n {
+            out_offsets[i + 1] += out_offsets[i];
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut by_target = edges.clone();
+        by_target.sort_unstable_by_key(|e| (e.dst, e.src));
+        Graph {
+            num_vertices: n,
+            out_offsets,
+            out_targets: edges.iter().map(|e| e.dst).collect(),
+            in_offsets,
+            in_sources: by_target.iter().map(|e| e.src).collect(),
+        }
+    }
+
+    #[test]
+    fn from_edges_equals_the_sort_and_dedup_build() {
+        // Unsorted, with parallel edges, self-loops, a reciprocal pair
+        // and isolated tail vertices 7..9.
+        let staged: Vec<Edge> = [
+            (4, 1),
+            (0, 3),
+            (4, 1),
+            (2, 2),
+            (6, 0),
+            (0, 3),
+            (3, 0),
+            (5, 5),
+            (0, 1),
+            (4, 1),
+            (1, 4),
+        ]
+        .map(Edge::from)
+        .to_vec();
+        for keep_self_loops in [false, true] {
+            for keep_duplicates in [false, true] {
+                let what = format!("loops {keep_self_loops}, duplicates {keep_duplicates}");
+                let g = GraphBuilder::new()
+                    .keep_self_loops(keep_self_loops)
+                    .keep_duplicates(keep_duplicates)
+                    .ensure_vertices(10)
+                    .extend_edges(staged.iter().copied())
+                    .build();
+                let kept: Vec<Edge> =
+                    staged.iter().copied().filter(|e| keep_self_loops || !e.is_loop()).collect();
+                assert_eq!(g, sort_and_dedup_reference(10, kept, !keep_duplicates), "{what}");
+
+                let mirrored: Vec<Edge> =
+                    g.edges().filter(|e| !e.is_loop()).flat_map(|e| [e, e.reversed()]).collect();
+                let undirected = sort_and_dedup_reference(10, mirrored, true);
+                assert_eq!(g.to_undirected(), undirected, "{what}: undirected view");
+            }
+        }
+        let empty = GraphBuilder::new().build();
+        assert_eq!(empty, sort_and_dedup_reference(0, Vec::new(), true));
+        assert_eq!(empty.to_undirected(), empty);
     }
 
     #[test]

@@ -155,12 +155,13 @@ impl Partitioning {
     pub fn masters(&self, g: &Graph) -> Vec<PartitionId> {
         match &self.vertex_owner {
             Some(owner) => owner.clone(),
-            None => self
-                .replica_sets(g)
-                .iter()
-                .enumerate()
-                .map(|(v, set)| set[fxhash64(v as u64) as usize % set.len()])
-                .collect(),
+            None => {
+                let (bits, stride) = self.replica_bits(g);
+                bits.chunks_exact(stride)
+                    .enumerate()
+                    .map(|(v, block)| hashed_master(v as VertexId, block, self.k))
+                    .collect()
+            }
         }
     }
 
@@ -189,6 +190,32 @@ impl Partitioning {
     pub fn edge_partition(&self, g: &Graph, src: VertexId, dst: VertexId) -> Option<PartitionId> {
         g.edge_index(src, dst).map(|i| self.edge_parts[i])
     }
+}
+
+/// The master of `v` in a placement without a vertex ownership map:
+/// the replica picked by hashing the vertex id, mirroring PowerGraph's
+/// randomized master placement. `block` is `v`'s replica bitset (bit `p`
+/// of word `p / 64` set iff partition `p` holds an edge of `v`); a
+/// vertex without edges is parked on `v % k`.
+pub fn hashed_master(v: VertexId, block: &[u64], k: usize) -> PartitionId {
+    let replicas: usize = block.iter().map(|w| w.count_ones() as usize).sum();
+    if replicas == 0 {
+        return (v as usize % k) as PartitionId;
+    }
+    // The `nth` set bit, ascending — the `nth` entry of the sorted set.
+    let mut nth = fxhash64(v as u64) as usize % replicas;
+    for (w, &word) in block.iter().enumerate() {
+        let ones = word.count_ones() as usize;
+        if nth < ones {
+            let mut word = word;
+            for _ in 0..nth {
+                word &= word - 1;
+            }
+            return ((w as PartitionId) << 6) + word.trailing_zeros();
+        }
+        nth -= ones;
+    }
+    unreachable!("nth is below the number of set bits")
 }
 
 /// A fast, deterministic 64-bit mix (SplitMix64 finalizer). Used for all
@@ -254,6 +281,43 @@ mod tests {
         let sets = p.replica_sets(&g);
         for (v, m) in masters.iter().enumerate() {
             assert!(sets[v].contains(m), "master of {v} must be a replica");
+        }
+    }
+
+    #[test]
+    fn hashed_masters_equal_the_pick_from_materialized_replica_sets() {
+        use crate::{partition, Algorithm, PartitionerConfig};
+        use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
+        use sgp_graph::StreamOrder;
+        // 200 vertices, 60 of them (the tail) without edges.
+        let g = GraphBuilder::new()
+            .extend_edges(
+                erdos_renyi(ErdosRenyiConfig { vertices: 140, edges: 700, seed: 3 }).edges(),
+            )
+            .ensure_vertices(200)
+            .build();
+        for alg in [
+            Algorithm::VcrHash,
+            Algorithm::Dbh,
+            Algorithm::Grid,
+            Algorithm::PowerGraphGreedy,
+            Algorithm::Hdrf,
+            Algorithm::TwoPhaseHdrf,
+        ] {
+            for k in [2usize, 16, 64, 65, 130] {
+                let p =
+                    partition(&g, alg, &PartitionerConfig::new(k), StreamOrder::Random { seed: 1 });
+                assert!(p.vertex_owner.is_none(), "{alg:?} derives its masters");
+                // The rule as it was written before `hashed_master`.
+                let historical: Vec<PartitionId> = p
+                    .replica_sets(&g)
+                    .iter()
+                    .enumerate()
+                    .map(|(v, set)| set[fxhash64(v as u64) as usize % set.len()])
+                    .collect();
+                assert_eq!(p.masters(&g), historical, "{alg:?}, k {k}");
+                assert_eq!(historical[199], (199 % k) as PartitionId, "parked at v % k");
+            }
         }
     }
 
