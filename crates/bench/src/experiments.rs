@@ -18,7 +18,8 @@ use sgp_db::{FaultSimConfig, LoadLevel, SimConfig, WorkloadKind};
 use sgp_engine::apps::PageRank;
 use sgp_engine::{run_program, EngineOptions, Placement};
 use sgp_graph::{ChurnConfig, Graph, GraphBuilder, StreamOrder};
-use sgp_partition::{Algorithm, Partitioning};
+use sgp_partition::metrics::{edge_cut_ratio, load_imbalance, replication_factor};
+use sgp_partition::{partition, Algorithm, PartitionerConfig, Partitioning};
 use sgp_trace::SummarySink;
 
 /// Scale-dependent experiment parameters.
@@ -127,7 +128,8 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 /// Opt-in experiments excluded from `all` (and from the checked-in
 /// results files, which must stay byte-identical release to release):
 /// run them by naming them explicitly.
-pub const EXTRA_EXPERIMENTS: &[&str] = &["robustness", "trace", "loaders", "elastic", "churn"];
+pub const EXTRA_EXPERIMENTS: &[&str] =
+    &["robustness", "trace", "loaders", "elastic", "churn", "ablations"];
 
 /// Runs one experiment by id; returns the rendered report.
 ///
@@ -161,6 +163,7 @@ pub fn run(id: &str, params: &Params) -> String {
         "loaders" => loaders(params),
         "elastic" => elastic(params),
         "churn" => churn(params),
+        "ablations" => ablations(params),
         other => panic!("unknown experiment id: {other}"),
     }
 }
@@ -1169,6 +1172,84 @@ pub fn churn(params: &Params) -> String {
     out
 }
 
+/// The swept HDRF λ values of [`ablations`].
+const ABLATION_HDRF_LAMBDAS: [f64; 6] = [0.0, 0.5, 1.0, 1.1, 2.0, 4.0];
+/// The swept FENNEL γ values of [`ablations`].
+const ABLATION_FENNEL_GAMMAS: [f64; 5] = [1.1, 1.3, 1.5, 1.8, 2.0];
+/// The swept Ginger high-degree threshold factors of [`ablations`].
+const ABLATION_GINGER_FACTORS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
+
+/// Parameter ablations (opt-in; see [`EXTRA_EXPERIMENTS`]) over the
+/// design choices DESIGN.md §8 calls out: HDRF's λ, FENNEL's γ,
+/// Ginger's high-degree threshold, and the stream-order sensitivity of
+/// greedy vertex-cut placement (§4.2.2: plain greedy degenerates under
+/// BFS order, HDRF does not). Quality columns only — no timing — so the
+/// same invocation always renders byte-identical output.
+pub fn ablations(params: &Params) -> String {
+    let twitter = Dataset::Twitter.generate(params.scale);
+    let snb = Dataset::LdbcSnb.generate(params.scale);
+    let edge_imbalance = |p: &Partitioning| f3(load_imbalance(&p.edges_per_partition()));
+    let mut out =
+        header("Parameter ablations — quality vs HDRF λ, FENNEL γ, Ginger threshold, order");
+
+    let mut t = TextTable::new(["λ", "RF", "Edge imb."]);
+    for lambda in ABLATION_HDRF_LAMBDAS {
+        let mut cfg = PartitionerConfig::new(16);
+        cfg.hdrf_lambda = lambda;
+        let p = partition(&twitter, Algorithm::Hdrf, &cfg, StreamOrder::Bfs);
+        t.row([lambda.to_string(), f3(replication_factor(&twitter, &p)), edge_imbalance(&p)]);
+    }
+    out.push_str(&format!("\n--- HDRF λ (k=16, Twitter-like, BFS order) ---\n{}", t.render()));
+
+    let mut t = TextTable::new(["γ", "Edge-cut", "Vertex imb."]);
+    for gamma in ABLATION_FENNEL_GAMMAS {
+        let mut cfg = PartitionerConfig::new(8);
+        cfg.fennel_gamma = gamma;
+        let p = partition(&snb, Algorithm::Fennel, &cfg, StreamOrder::Random { seed: 1 });
+        let cut = edge_cut_ratio(&snb, &p).map(f3);
+        let imbalance = p.vertices_per_partition().map(|v| f3(load_imbalance(&v)));
+        let na = || "n/a".to_string();
+        t.row([gamma.to_string(), cut.unwrap_or_else(na), imbalance.unwrap_or_else(na)]);
+    }
+    out.push_str(&format!("\n--- FENNEL γ (k=8, SNB-like, random order) ---\n{}", t.render()));
+
+    let mut t = TextTable::new(["Threshold ×", "RF"]);
+    for factor in ABLATION_GINGER_FACTORS {
+        let mut cfg = PartitionerConfig::new(8);
+        cfg.ginger_threshold_factor = factor;
+        let p = partition(&twitter, Algorithm::Ginger, &cfg, StreamOrder::Random { seed: 2 });
+        t.row([factor.to_string(), f3(replication_factor(&twitter, &p))]);
+    }
+    out.push_str(&format!(
+        "\n--- Ginger high-degree threshold (k=8, Twitter-like, random order) ---\n{}",
+        t.render()
+    ));
+
+    let cfg = PartitionerConfig::new(8);
+    let mut t = TextTable::new(["Order", "Alg", "RF", "Edge imb."]);
+    for (label, order) in [
+        ("random", StreamOrder::Random { seed: 4 }),
+        ("bfs", StreamOrder::Bfs),
+        ("dfs", StreamOrder::Dfs),
+        ("natural", StreamOrder::Natural),
+    ] {
+        for alg in [Algorithm::PowerGraphGreedy, Algorithm::Hdrf] {
+            let p = partition(&twitter, alg, &cfg, order);
+            t.row([
+                label.to_string(),
+                alg.short_name().to_string(),
+                f3(replication_factor(&twitter, &p)),
+                edge_imbalance(&p),
+            ]);
+        }
+    }
+    out.push_str(&format!(
+        "\n--- Stream-order sensitivity (k=8, Twitter-like) ---\n{}",
+        t.render()
+    ));
+    out
+}
+
 /// Trace demo (opt-in; see [`EXTRA_EXPERIMENTS`]): runs the canonical
 /// traced scenarios through a streaming [`SummarySink`] and renders the
 /// aggregation — the same event streams `experiments --trace <path>`
@@ -1371,6 +1452,41 @@ mod tests {
             assert!(out.contains(alg), "missing {alg} in {out}");
         }
         assert_eq!(out, run("loaders", &tiny()), "loaders report must be deterministic");
+    }
+
+    #[test]
+    fn ablations_is_opt_in_deterministic_and_renders() {
+        // Excluded from `all` like the other extras, and — quality
+        // columns only, no timing — bit-stable across runs.
+        assert!(!ALL_EXPERIMENTS.contains(&"ablations"));
+        assert!(EXTRA_EXPERIMENTS.contains(&"ablations"));
+        let out = run("ablations", &tiny());
+        assert_eq!(out, run("ablations", &tiny()), "ablations report must be deterministic");
+        // One section per sweep, one row per swept value. A table is
+        // its header, a rule, then the rows, up to the next blank line.
+        let rows_of = |section: &str| -> Vec<Vec<String>> {
+            let at = out.find(section).unwrap_or_else(|| panic!("missing `{section}` in {out}"));
+            out[at..]
+                .lines()
+                .skip(3)
+                .take_while(|l| !l.trim().is_empty())
+                .map(|l| l.split_whitespace().map(str::to_string).collect())
+                .collect()
+        };
+        let sweeps = [
+            ("--- HDRF λ", ABLATION_HDRF_LAMBDAS.len(), 16.0, 1),
+            ("--- Ginger high-degree threshold", ABLATION_GINGER_FACTORS.len(), 8.0, 1),
+            ("--- Stream-order sensitivity", 4 * 2, 8.0, 2),
+        ];
+        for (section, want_rows, k, rf_col) in sweeps {
+            let rows = rows_of(section);
+            assert_eq!(rows.len(), want_rows, "{section}: {rows:?}");
+            for row in &rows {
+                let rf: f64 = row[rf_col].parse().unwrap_or_else(|_| panic!("RF in {row:?}"));
+                assert!((1.0..=k).contains(&rf), "{section}: RF {rf} outside [1, {k}]");
+            }
+        }
+        assert_eq!(rows_of("--- FENNEL γ").len(), ABLATION_FENNEL_GAMMAS.len());
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! # sgp-bench
 //!
-//! Benchmark harness for the SGP reproduction. Two entry points:
+//! Experiment harness for the SGP reproduction: the **`experiments`
+//! binary** (`cargo run --release -p sgp-bench --bin experiments --
+//! <id>`) regenerates the rows/series of every table and figure in the
+//! paper (`table1`..`table5`, `fig1`..`fig15`, `all`), plus the opt-in
+//! suites excluded from `all` — `robustness`, `trace`, `loaders`,
+//! `elastic`, `churn` and the parameter `ablations`. The set of
+//! experiment ids and their implementations live in [`experiments`].
 //!
-//! * the **`experiments` binary** (`cargo run --release -p sgp-bench --bin
-//!   experiments -- <id>`) regenerates the rows/series of every table
-//!   and figure in the paper (`table1`..`table5`, `fig1`..`fig15`,
-//!   `all`), plus the opt-in `robustness` fault-injection suite; the set
-//!   of experiment ids and their implementations live in [`experiments`];
-//! * the **Criterion benches** (`cargo bench -p sgp-bench`) measure
-//!   partitioner throughput, engine superstep cost, online query
-//!   execution, and parameter-sweep ablations.
+//! Apart from the binary's `completed in` footers nothing here is
+//! timed: throughput, latency and memory are measured by the
+//! repository's benchmark (`perf/`, `BENCHMARK.json`).
 //!
 //! Experiment scale is controlled by the `SGP_SCALE` environment
 //! variable (`tiny` | `small` | `default` | `large`).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;

@@ -25,7 +25,7 @@
 //! `sgp-core` alone.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod decision;

@@ -29,7 +29,7 @@
 //!   healthy [`sim::ClusterSim::run`] is this loop under an empty plan.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod fault_sim;
 pub mod query;

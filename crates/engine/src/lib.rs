@@ -31,7 +31,7 @@
 //!   reported in [`cost::FaultSummary`].
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod apps;
 pub mod cost;

@@ -26,7 +26,7 @@
 //! `no-wallclock-in-sim` rule, which scopes this crate).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod plan;
 pub mod retry;

@@ -30,7 +30,7 @@
 //! reproduction is deterministic.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod churn;

@@ -339,29 +339,6 @@ fn edge_worker(
     }
 }
 
-/// Runs `run(0..workers)` on `workers` scoped OS threads and returns
-/// the results in worker order. This is the only thread-spawning
-/// primitive the workspace exposes outside this module's own
-/// coordinator — `thread-discipline` confines raw `spawn` here, and
-/// other crates (e.g. [`parallel`](crate::parallel)) build on this.
-pub(crate) fn scoped_workers<T, F>(workers: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let run = &run;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move |_| run(w))).collect();
-        handles
-            .into_iter()
-            // sgp-lint: allow(no-panic-in-lib): join fails only when the worker panicked, and that panic should propagate
-            .map(|h| h.join().expect("scoped worker panicked"))
-            .collect()
-    })
-    // sgp-lint: allow(no-panic-in-lib): the scope errs only when a worker panicked, and that panic should propagate
-    .expect("worker scope")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,12 +474,5 @@ mod tests {
         let thr = partition_threaded(&g, Algorithm::Metis, &cfg, StreamOrder::Natural, &lc);
         assert_eq!(seq.edge_parts, thr.edge_parts);
         assert_eq!(seq.vertex_owner, thr.vertex_owner);
-    }
-
-    #[test]
-    fn scoped_workers_returns_results_in_worker_order() {
-        let squares = scoped_workers(8, |w| w * w);
-        assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-        assert_eq!(scoped_workers(0, |w| w), Vec::<usize>::new());
     }
 }

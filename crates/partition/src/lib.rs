@@ -51,7 +51,7 @@
 //! prior assignment with bounded movement ([`dynamic`]).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod assignment;
 pub mod attribute;
@@ -68,7 +68,6 @@ pub mod loaders;
 pub mod metis;
 pub mod metrics;
 pub mod migration;
-pub mod parallel;
 pub mod registry;
 pub mod snapshot;
 pub mod streaming;

@@ -647,10 +647,17 @@ impl<'g> StreamingPartitioner<'g> {
     /// Ingests a chunk of vertex records; errors if this machine
     /// consumes edges (or nothing). With a look-ahead window `W > 1`
     /// each record enters the buffer first and the highest-affinity
-    /// buffered record is placed whenever the buffer reaches `W`.
+    /// buffered record is placed whenever the buffer reaches `W`. At
+    /// `W = 1` nothing is buffered: the chunk goes to the core as is
+    /// (a buffer restored from a wider-window snapshot drains first,
+    /// through the buffered path).
     pub fn ingest_vertices(&mut self, chunk: &[VertexRecord]) -> Result<(), WrongStreamKind> {
         let expected = self.input();
         match &mut self.machine {
+            Machine::Vertex { core, .. } if self.window == 1 && self.wbuf_v.is_empty() => {
+                core.ingest(chunk);
+                Ok(())
+            }
             Machine::Vertex { core, .. } => {
                 for rec in chunk {
                     self.wbuf_v.push(rec.clone());
@@ -670,6 +677,10 @@ impl<'g> StreamingPartitioner<'g> {
     pub fn ingest_edges(&mut self, chunk: &[Edge]) -> Result<(), WrongStreamKind> {
         let expected = self.input();
         match &mut self.machine {
+            Machine::Edge { core } if self.window == 1 && self.wbuf_e.is_empty() => {
+                core.ingest(chunk);
+                Ok(())
+            }
             Machine::Edge { core } => {
                 for &e in chunk {
                     self.wbuf_e.push(e);

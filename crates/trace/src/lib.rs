@@ -30,7 +30,7 @@
 //! of the exact quantile).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod guard;
 pub mod hist;

@@ -21,6 +21,13 @@
 //!   under-approximation, noted in the reachability rule's docs).
 //! * Inner attributes (`#![…]`) and leading doc comments attach to the
 //!   following item's span; the span partition stays exact either way.
+//! * Attributes are read where items are: an attribute on a *statement*
+//!   or nested item inside a fn body (or inside a macro invocation such
+//!   as `proptest! { … }`) is part of that opaque body, so it never sets
+//!   [`Item::is_test`].
+
+use crate::cursor;
+use crate::lexer::Token;
 
 /// The syntactic class of an [`Item`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +86,12 @@ pub struct Item {
     /// True only for unrestricted `pub`; `pub(crate)`/`pub(super)` are
     /// not public entry points and stay false.
     pub is_pub: bool,
+    /// True when one of the item's own outer attributes compiles it
+    /// for tests only: `#[test]`, or `#[cfg(p)]` where `p` *requires*
+    /// `test` (`test`, `all(test, …)`; `not(test)` and `any(test, …)`
+    /// are production code). Members of a test container are test code
+    /// by position; the flag is not copied down to them.
+    pub is_test: bool,
     /// Token range of the whole item, leading trivia and attributes
     /// included. Sibling spans tile their region with no gaps.
     pub span: (usize, usize),
@@ -109,5 +122,13 @@ impl Item {
     /// Does this item's kind parse its body into [`Item::children`]?
     pub fn is_container(&self) -> bool {
         matches!(self.kind, ItemKind::Impl | ItemKind::Mod | ItemKind::Trait)
+    }
+
+    /// 1-based first and last line of the item proper: from its first
+    /// attribute or keyword (leading comments excluded) to its closing
+    /// `}` or `;`.
+    pub fn lines(&self, toks: &[Token]) -> (usize, usize) {
+        let first = cursor::skip_trivia(toks, self.span.0, self.span.1 - 1);
+        (toks[first].line, toks[self.span.1 - 1].line)
     }
 }

@@ -9,9 +9,8 @@
 //! names with no workspace definition (std, dependencies, locals that
 //! shadow fns) resolve to nothing and add no edge.
 
-use crate::lexer::{self, TokenKind};
+use crate::cursor::{ident, ident_is, is_call_position, is_method_call, prev};
 use crate::parser::is_keyword;
-use crate::rules::{is_call_position, is_method_call};
 use crate::symbols::SymbolTable;
 use std::collections::BTreeSet;
 
@@ -24,30 +23,19 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// Scans every fn body for call sites and resolves them by name.
-    pub fn build(symbols: &SymbolTable, entries: &[crate::ScannedEntry]) -> CallGraph {
+    pub fn build(symbols: &SymbolTable, entries: &[crate::ParsedEntry]) -> CallGraph {
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); symbols.fns.len()];
         for (fi, f) in symbols.fns.iter().enumerate() {
             let Some((open, close)) = f.body else { continue };
-            let scanned = &entries[f.entry].scanned;
-            let src = &scanned.source;
-            let toks = &scanned.tokens;
+            let file = &entries[f.entry].file;
+            let (src, toks) = (file.source.as_str(), file.tokens.as_slice());
             let mut out = BTreeSet::new();
             for i in open + 1..close {
-                if toks[i].kind != TokenKind::Ident {
-                    continue;
-                }
-                let name = toks[i].text(src);
-                if is_keyword(name) {
-                    continue;
-                }
-                let called = if is_method_call(src, toks, i) {
-                    true
-                } else if is_call_position(src, toks, i) {
-                    // `fn helper(` is a (nested) definition, not a call.
-                    !prev_is_fn_kw(src, toks, i)
-                } else {
-                    false
-                };
+                let Some(name) = ident(src, toks, i).filter(|n| !is_keyword(n)) else { continue };
+                // `fn helper(` is a (nested) definition, not a call.
+                let called = is_method_call(src, toks, i)
+                    || (is_call_position(src, toks, i)
+                        && !ident_is(src, toks, prev(toks, i), "fn"));
                 if !called {
                     continue;
                 }
@@ -60,14 +48,12 @@ impl CallGraph {
         CallGraph { edges }
     }
 
-    /// Multi-source BFS from `sources`. Returns, per fn index, `None`
-    /// (unreached), or `Some(parent)` where a source's parent is
-    /// itself. Sources are visited in the given order, so paths are
-    /// deterministic.
-    pub fn reachable(&self, sources: &[usize]) -> Vec<Option<usize>> {
+    /// Multi-source BFS from `roots`, visited in the given order so
+    /// paths are deterministic.
+    pub fn reach(&self, roots: Vec<usize>) -> Reach {
         let mut parent: Vec<Option<usize>> = vec![None; self.edges.len()];
         let mut queue = std::collections::VecDeque::new();
-        for &s in sources {
+        for &s in &roots {
             if parent[s].is_none() {
                 parent[s] = Some(s);
                 queue.push_back(s);
@@ -81,39 +67,15 @@ impl CallGraph {
                 }
             }
         }
-        parent
+        Reach { roots, parent }
     }
 
-    /// The call path from the BFS source down to `target` (inclusive),
-    /// as indices into [`SymbolTable::fns`]. Empty if unreached.
-    pub fn path_to(&self, parent: &[Option<usize>], target: usize) -> Vec<usize> {
-        let mut path = Vec::new();
-        let mut at = target;
-        loop {
-            match parent[at] {
-                None => return Vec::new(),
-                Some(p) => {
-                    path.push(at);
-                    if p == at {
-                        break;
-                    }
-                    at = p;
-                }
-            }
-        }
-        path.reverse();
-        path
-    }
-
-    /// Renders the subgraph reachable from `roots` as deterministic
-    /// Graphviz DOT (nodes sorted by qualified name; test fns excluded
-    /// from roots by the caller).
-    pub fn to_dot(&self, symbols: &SymbolTable, roots: &[usize]) -> String {
-        let parent = self.reachable(roots);
-        let mut nodes: Vec<usize> =
-            (0..self.edges.len()).filter(|&i| parent[i].is_some()).collect();
+    /// Renders the subgraph `reach` covers as deterministic Graphviz
+    /// DOT (nodes sorted by qualified name, roots bold).
+    pub fn to_dot(&self, symbols: &SymbolTable, reach: &Reach) -> String {
+        let mut nodes: Vec<usize> = (0..self.edges.len()).filter(|&i| reach.reaches(i)).collect();
         nodes.sort_by(|&a, &b| symbols.fns[a].qual.cmp(&symbols.fns[b].qual));
-        let root_set: BTreeSet<usize> = roots.iter().copied().collect();
+        let root_set: BTreeSet<usize> = reach.roots.iter().copied().collect();
         let mut out = String::from(
             "digraph callgraph {\n    rankdir=LR;\n    node [shape=box, fontsize=10];\n",
         );
@@ -128,7 +90,7 @@ impl CallGraph {
         let mut edge_lines = Vec::new();
         for &n in &nodes {
             for &m in &self.edges[n] {
-                if parent[m].is_some() {
+                if reach.reaches(m) {
                     edge_lines.push(format!(
                         "    \"{}\" -> \"{}\";\n",
                         symbols.fns[n].qual, symbols.fns[m].qual
@@ -146,46 +108,42 @@ impl CallGraph {
     }
 }
 
-/// Is the previous non-trivia token before `i` the `fn` keyword?
-fn prev_is_fn_kw(src: &str, toks: &[crate::lexer::Token], i: usize) -> bool {
-    (0..i)
-        .rev()
-        .find(|&j| !lexer::is_trivia(toks[j].kind))
-        .is_some_and(|j| toks[j].kind == TokenKind::Ident && toks[j].text(src) == "fn")
+/// What a set of root fns reaches: the BFS tree of [`CallGraph::reach`].
+pub struct Reach {
+    /// The BFS sources (the public entry points), in visit order.
+    pub roots: Vec<usize>,
+    /// Per fn index: `None` (unreached) or the BFS parent, a root being
+    /// its own.
+    parent: Vec<Option<usize>>,
+}
+
+impl Reach {
+    /// Is fn `f` a root or transitively called from one?
+    pub fn reaches(&self, f: usize) -> bool {
+        self.parent[f].is_some()
+    }
+
+    /// The call path from a root down to `target` (inclusive), as
+    /// indices into [`SymbolTable::fns`]. Empty if unreached.
+    pub fn path_to(&self, target: usize) -> Vec<usize> {
+        let mut path = Vec::new();
+        let mut at = target;
+        while let Some(p) = self.parent[at] {
+            path.push(at);
+            if p == at {
+                path.reverse();
+                return path;
+            }
+            at = p;
+        }
+        Vec::new()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::parse_manifest;
-    use crate::scan::scan_source;
-    use crate::workspace::{FileKind, Member, Workspace};
-    use crate::ScannedEntry;
-
-    fn ws(names: &[&str]) -> Workspace {
-        Workspace {
-            root: std::path::PathBuf::from("."),
-            root_manifest: parse_manifest("[workspace]\n", "Cargo.toml"),
-            members: names
-                .iter()
-                .map(|n| Member {
-                    name: n.to_string(),
-                    dir: std::path::PathBuf::from(format!("crates/{n}")),
-                    manifest: parse_manifest(
-                        &format!("[package]\nname = \"{n}\"\n"),
-                        "crates/x/Cargo.toml",
-                    ),
-                    manifest_rel: format!("crates/{n}/Cargo.toml"),
-                    files: Vec::new(),
-                    is_root_package: false,
-                })
-                .collect(),
-        }
-    }
-
-    fn entry(member: usize, rel: &str, src: &str) -> ScannedEntry {
-        ScannedEntry { member, kind: FileKind::LibSrc, scanned: scan_source(src, rel) }
-    }
+    use crate::testkit::workspace;
 
     fn idx(t: &SymbolTable, qual: &str) -> usize {
         t.fns.iter().position(|f| f.qual == qual).unwrap_or_else(|| panic!("no fn {qual}"))
@@ -195,8 +153,8 @@ mod tests {
     fn direct_method_and_cross_crate_edges() {
         let a = "pub fn entry() { helper(); }\nfn helper() { Widget::poke_all(); }\npub struct Widget;\nimpl Widget {\n    pub fn poke_all() { let w = Widget; w.poke(); }\n    fn poke(&self) { sgp_b::remote(); }\n}\n";
         let b = "pub fn remote() {}\n";
-        let ws = ws(&["sgp-a", "sgp-b"]);
-        let entries = vec![entry(0, "crates/a/src/lib.rs", a), entry(1, "crates/b/src/lib.rs", b)];
+        let (ws, entries) =
+            workspace(&[("sgp-a", "crates/a/src/lib.rs", a), ("sgp-b", "crates/b/src/lib.rs", b)]);
         let t = SymbolTable::build(&ws, &entries);
         let g = CallGraph::build(&t, &entries);
 
@@ -210,9 +168,9 @@ mod tests {
         assert!(g.edges[poke_all].contains(&poke), "method call resolves by name");
         assert!(g.edges[poke].contains(&remote), "cross-crate path call");
 
-        let parent = g.reachable(&[entry_fn]);
-        assert!(parent[remote].is_some(), "entry -> helper -> poke_all -> poke -> remote");
-        let path = g.path_to(&parent, remote);
+        let reach = g.reach(vec![entry_fn]);
+        assert!(reach.reaches(remote), "entry -> helper -> poke_all -> poke -> remote");
+        let path = reach.path_to(remote);
         let quals: Vec<_> = path.iter().map(|&i| t.fns[i].qual.as_str()).collect();
         assert_eq!(
             quals,
@@ -229,8 +187,7 @@ mod tests {
     #[test]
     fn shadowed_name_without_call_syntax_is_not_an_edge() {
         let src = "pub fn entry() -> u32 { let helper = 5; helper + 1 }\nfn helper() {}\n";
-        let ws = ws(&["sgp-a"]);
-        let entries = vec![entry(0, "crates/a/src/lib.rs", src)];
+        let (ws, entries) = workspace(&[("sgp-a", "crates/a/src/lib.rs", src)]);
         let t = SymbolTable::build(&ws, &entries);
         let g = CallGraph::build(&t, &entries);
         assert!(g.edges[idx(&t, "sgp-a::entry")].is_empty(), "no call syntax, no edge");
@@ -239,8 +196,7 @@ mod tests {
     #[test]
     fn nested_fn_definition_is_not_a_call() {
         let src = "pub fn outer() { fn inner() {} inner(); }\nfn unrelated() {}\n";
-        let ws = ws(&["sgp-a"]);
-        let entries = vec![entry(0, "crates/a/src/lib.rs", src)];
+        let (ws, entries) = workspace(&[("sgp-a", "crates/a/src/lib.rs", src)]);
         let t = SymbolTable::build(&ws, &entries);
         let g = CallGraph::build(&t, &entries);
         // `inner` is not split into its own FnDef (nested fns stay in the
@@ -252,13 +208,14 @@ mod tests {
     #[test]
     fn dot_output_is_deterministic_and_rooted() {
         let src = "pub fn entry() { helper(); }\nfn helper() {}\nfn orphan() {}\n";
-        let ws = ws(&["sgp-a"]);
-        let entries = vec![entry(0, "crates/a/src/lib.rs", src)];
+        let (ws, entries) = workspace(&[("sgp-a", "crates/a/src/lib.rs", src)]);
         let t = SymbolTable::build(&ws, &entries);
         let g = CallGraph::build(&t, &entries);
-        let dot = g.to_dot(&t, &[idx(&t, "sgp-a::entry")]);
+        let reach = g.reach(vec![idx(&t, "sgp-a::entry")]);
+        let dot = g.to_dot(&t, &reach);
         assert!(dot.contains("\"sgp-a::entry\" -> \"sgp-a::helper\";"));
         assert!(!dot.contains("orphan"), "unreached fns stay out of the artifact");
-        assert_eq!(dot, g.to_dot(&t, &[idx(&t, "sgp-a::entry")]));
+        assert_eq!(dot, g.to_dot(&t, &reach));
+        assert!(reach.path_to(idx(&t, "sgp-a::orphan")).is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Cross-file semantic rules.
 //!
-//! These rules need the whole workspace scanned before they can run —
+//! These rules need the whole workspace parsed before they can run —
 //! they correlate declarations in one crate with uses in another:
 //!
 //! * [`trace-key-registry`](crate::rules::TRACE_KEY_REGISTRY) — every
@@ -21,15 +21,6 @@
 //!   schema-version constants in `sgp-trace` (JSON trace documents) and
 //!   `sgp-fault` (FaultPlan) must agree with the single source of truth
 //!   committed at `tests/goldens/SCHEMA_VERSIONS`.
-//!
-//! * [`no-unsafe`](crate::rules::NO_UNSAFE) — `unsafe` is banned in
-//!   every member and every target kind (sources, tests, benches). The
-//!   *only* suppression is a per-file entry in the committed audit
-//!   registry `tests/goldens/UNSAFE_REGISTRY`; an entry whose file no
-//!   longer contains `unsafe` is itself an error, so the registry
-//!   cannot rot. (The compiler's `unsafe_code = "deny"` covers compiled
-//!   targets; this rule also covers fixture corpora and keeps the audit
-//!   trail reviewable in one file.)
 //! * [`send-bound-registry`](crate::rules::SEND_BOUND_REGISTRY) — the
 //!   threaded execution backend (`sgp-partition` `src/exec.rs`) ships
 //!   values across threads, so every channel constructor there must pin
@@ -39,20 +30,25 @@
 //!   justification that it is plain owned data). Stale registry entries
 //!   are errors.
 //!
-//! The first three charge suppressions to the same per-file
-//! [`AllowTable`]s as the per-file rules, so `stale-allow`/
-//! `unused-allow` bookkeeping covers them uniformly. The two
-//! registry-backed rules deliberately bypass allow directives: their
-//! audit trail must live in exactly one reviewable file each.
+//! The first three report through [`Findings::emit`], so allow
+//! directives and their `stale-allow`/`unused-allow` bookkeeping cover
+//! them like the per-file rules. The registry-backed rule deliberately
+//! bypasses allow directives ([`Findings::report`]): its audit trail
+//! must live in exactly one reviewable file.
 
-use crate::lexer::{self, Token, TokenKind};
-use crate::report::{Finding, Severity};
+use crate::ast::{Item, ItemKind};
+use crate::cursor::{
+    first_arg, ident, ident_is, is_method_call, next, path_tail, punct, punct_is, str_content,
+    turbofish_after,
+};
+use crate::lexer::TokenKind;
 use crate::rules::{
-    AllowTable, NO_FLOAT_ACCOUNTING, NO_UNSAFE, SCHEMA_VERSION_SYNC, SEND_BOUND_REGISTRY,
+    Findings, Rule, NO_FLOAT_ACCOUNTING, SCHEMA_VERSION_SYNC, SEND_BOUND_REGISTRY,
     TRACE_KEY_REGISTRY,
 };
+use crate::scan::ParsedFile;
 use crate::workspace::{FileKind, Workspace};
-use crate::ScannedEntry;
+use crate::Analysis;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The `TraceSink`/`SpanGuardExt` methods whose first argument is a
@@ -62,8 +58,8 @@ const SINK_METHODS: &[&str] =
 
 /// Crates whose library code emits trace events (the registry's crate,
 /// `sgp-trace`, is exempt: its sink impls forward caller-supplied
-/// names).
-const CALLSITE_SCOPE: &[&str] = &["sgp-partition", "sgp-engine", "sgp-db", "sgp-core"];
+/// names). The span-balance rule checks the same crates' fn bodies.
+pub(crate) const SINK_SCOPE: &[&str] = &["sgp-partition", "sgp-engine", "sgp-db", "sgp-core"];
 
 /// Files whose accounting must stay integral: (package, path suffix).
 /// `engine.rs`/`cost.rs` hold the paper's real-valued analytic cost
@@ -78,8 +74,6 @@ const FLOAT_SCOPE: &[(&str, &str)] = &[
 
 /// Workspace-relative path of the schema-version source of truth.
 pub const SCHEMA_VERSIONS_REL: &str = "tests/goldens/SCHEMA_VERSIONS";
-/// Workspace-relative path of the `unsafe` audit registry.
-pub const UNSAFE_REGISTRY_REL: &str = "tests/goldens/UNSAFE_REGISTRY";
 /// Workspace-relative path of the channel-payload Send audit registry.
 pub const SEND_REGISTRY_REL: &str = "tests/goldens/SEND_REGISTRY";
 
@@ -93,215 +87,82 @@ const SCHEMA_SPECS: &[(&str, &str, &str)] = &[
 ];
 
 /// Runs every cross-file rule.
-pub fn check_all(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    allows: &mut [AllowTable<'_>],
-    findings: &mut Vec<Finding>,
-) {
-    check_trace_key_registry(ws, entries, allows, findings);
-    check_float_accounting(ws, entries, allows, findings);
-    check_schema_version_sync(ws, entries, allows, findings);
-    check_no_unsafe(ws, entries, findings);
-    check_send_bound_registry(ws, entries, findings);
+pub fn check_all(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    check_trace_key_registry(cx, out);
+    check_float_accounting(cx, out);
+    check_schema_version_sync(cx, out);
+    check_send_bound_registry(cx, out);
 }
 
-// ---------------------------------------------------------------------------
-// Token-walk helpers (shared by the three rules)
-// ---------------------------------------------------------------------------
-
-fn prev_nontrivia(tokens: &[Token], i: usize) -> Option<usize> {
-    (0..i).rev().find(|&j| !lexer::is_trivia(tokens[j].kind))
-}
-
-fn next_nontrivia(tokens: &[Token], i: usize) -> Option<usize> {
-    (i + 1..tokens.len()).find(|&j| !lexer::is_trivia(tokens[j].kind))
-}
-
-fn punct_char(source: &str, t: &Token) -> Option<char> {
-    (t.kind == TokenKind::Punct).then(|| source[t.start..t.end].chars().next().unwrap_or('\0'))
-}
-
-/// Extracts `(name, value, line)` for every `const NAME: … = "…"; `
-/// string constant in a file.
-fn string_consts(scanned: &crate::scan::ScannedFile) -> Vec<(String, String, usize)> {
-    let src = &scanned.source;
-    let toks = &scanned.tokens;
+/// Every `const` item of `file`, at any module depth, whose
+/// declaration holds a literal of the wanted kind: `(name, line, index
+/// of the first such literal after the name)`, in source order.
+fn const_literals(file: &ParsedFile, wanted: fn(TokenKind) -> bool) -> Vec<(&str, usize, usize)> {
+    let (src, toks) = (file.source.as_str(), file.tokens.as_slice());
     let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].kind == TokenKind::Ident && toks[i].text(src) == "const" {
-            if let Some(ni) = next_nontrivia(toks, i) {
-                if toks[ni].kind == TokenKind::Ident {
-                    let name = toks[ni].text(src).to_string();
-                    let line = toks[ni].line;
-                    // Scan to the terminating `;`, remembering the first
-                    // string literal on the way.
-                    let mut j = ni;
-                    let mut value: Option<String> = None;
-                    while let Some(k) = next_nontrivia(toks, j) {
-                        if punct_char(src, &toks[k]) == Some(';') {
-                            break;
-                        }
-                        if value.is_none() {
-                            if let TokenKind::Str { .. } = toks[k].kind {
-                                value = Some(
-                                    toks[k].text(src).trim_matches(['r', '#', '"']).to_string(),
-                                );
-                            }
-                        }
-                        j = k;
-                    }
-                    if let Some(v) = value {
-                        out.push((name, v, line));
-                    }
-                    i = j + 1;
-                    continue;
-                }
-            }
+    let mut pending: Vec<&Item> = file.items.iter().rev().collect();
+    while let Some(item) = pending.pop() {
+        pending.extend(item.children.iter().rev());
+        if let (ItemKind::Const, Some(name)) = (item.kind, &item.name) {
+            // Start at the name so attribute arguments never count.
+            let literal = (item.span.0..item.span.1)
+                .find(|&i| ident_is(src, toks, Some(i), name))
+                .and_then(|at| (at..item.span.1).find(|&i| wanted(toks[i].kind)));
+            out.extend(literal.map(|l| (name.as_str(), item.line, l)));
         }
-        i += 1;
     }
     out
-}
-
-/// Extracts the integer value and line of `const NAME: … = <int>;`.
-fn int_const(scanned: &crate::scan::ScannedFile, name: &str) -> Option<(u64, usize)> {
-    let src = &scanned.source;
-    let toks = &scanned.tokens;
-    for i in 0..toks.len() {
-        if toks[i].kind != TokenKind::Ident || toks[i].text(src) != name {
-            continue;
-        }
-        let is_const_decl = prev_nontrivia(toks, i)
-            .is_some_and(|p| toks[p].kind == TokenKind::Ident && toks[p].text(src) == "const");
-        if !is_const_decl {
-            continue;
-        }
-        let line = toks[i].line;
-        let mut j = i;
-        while let Some(k) = next_nontrivia(toks, j) {
-            if punct_char(src, &toks[k]) == Some(';') {
-                break;
-            }
-            if let TokenKind::Number { float: false } = toks[k].kind {
-                let digits: String =
-                    toks[k].text(src).chars().take_while(char::is_ascii_digit).collect();
-                if let Ok(v) = digits.parse::<u64>() {
-                    return Some((v, line));
-                }
-            }
-            j = k;
-        }
-        return None;
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
 // trace-key-registry
 // ---------------------------------------------------------------------------
 
-fn check_trace_key_registry(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    allows: &mut [AllowTable<'_>],
-    findings: &mut Vec<Finding>,
-) {
-    // Locate the canonical registry module.
-    let registry_idx = entries.iter().position(|e| {
-        ws.members[e.member].name == "sgp-trace" && e.scanned.rel.ends_with("src/keys.rs")
+fn check_trace_key_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    // Locate the canonical registry module and its string constants.
+    let registry_idx = cx.entries.iter().position(|e| {
+        cx.ws.members[e.member].name == "sgp-trace" && e.file.rel.ends_with("src/keys.rs")
     });
-    let registry: Vec<(String, String, usize)> =
-        registry_idx.map(|i| string_consts(&entries[i].scanned)).unwrap_or_default();
-    let registry_names: BTreeSet<&str> = registry.iter().map(|(n, _, _)| n.as_str()).collect();
+    let registry = registry_idx.map_or_else(Vec::new, |i| {
+        const_literals(&cx.entries[i].file, |k| matches!(k, TokenKind::Str { .. }))
+    });
+    let registry_names: BTreeSet<&str> = registry.iter().map(|&(n, _, _)| n).collect();
 
     // Pass over every sink call site in the instrumented crates.
-    for (ei, e) in entries.iter().enumerate() {
-        let member = &ws.members[e.member];
-        if !CALLSITE_SCOPE.contains(&member.name.as_str()) || e.kind != FileKind::LibSrc {
+    for (ei, e) in cx.entries.iter().enumerate() {
+        let member = &cx.ws.members[e.member];
+        if !SINK_SCOPE.contains(&member.name.as_str()) || e.kind != FileKind::LibSrc {
             continue;
         }
-        let src = &e.scanned.source;
-        let toks = &e.scanned.tokens;
+        let (src, toks) = (e.file.source.as_str(), e.file.tokens.as_slice());
         for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.kind != TokenKind::Ident || !SINK_METHODS.contains(&t.text(src)) {
+            let is_sink_call = ident(src, toks, i).is_some_and(|t| SINK_METHODS.contains(&t))
+                && !e.file.is_test_line(toks[i].line)
+                && is_method_call(src, toks, i);
+            if !is_sink_call {
                 continue;
             }
-            if e.scanned.is_test_line(t.line) {
-                continue;
-            }
-            if !crate::rules::is_method_call(src, toks, i) {
-                continue;
-            }
-            let Some(open) = next_nontrivia(toks, i) else { continue };
-            // First argument, skipping reference sigils.
-            let mut arg = next_nontrivia(toks, open);
-            while let Some(a) = arg {
-                if punct_char(src, &toks[a]) == Some('&') {
-                    arg = next_nontrivia(toks, a);
-                } else {
-                    break;
-                }
-            }
-            let Some(a) = arg else { continue };
-            match toks[a].kind {
+            let Some(arg) = first_arg(src, toks, i) else { continue };
+            match toks[arg].kind {
                 TokenKind::Str { .. } => {
-                    let line = toks[a].line;
-                    if !allows[ei].allows(TRACE_KEY_REGISTRY, line) {
-                        findings.push(Finding::new(
-                            TRACE_KEY_REGISTRY,
-                            Severity::Error,
-                            &e.scanned.rel,
-                            line,
-                            format!(
-                                "hardcoded trace key {} — declare it in sgp_trace::keys and pass \
-                                 the constant, so the goldens-pinned schema has one source of \
-                                 truth",
-                                toks[a].text(src)
-                            ),
-                        ));
-                    }
+                    let msg = format!(
+                        "hardcoded trace key {} — declare it in sgp_trace::keys and pass the \
+                         constant, so the goldens-pinned schema has one source of truth",
+                        toks[arg].text(src)
+                    );
+                    out.emit(&TRACE_KEY_REGISTRY, ei, toks[arg].line, msg);
                 }
                 TokenKind::Ident => {
                     // Resolve a path like `keys::PARTITION_RUN` to its
                     // final segment.
-                    let mut last = a;
-                    let mut j = a;
-                    while let (Some(c1), Some(c2)) = (
-                        next_nontrivia(toks, j),
-                        next_nontrivia(toks, j).and_then(|k| next_nontrivia(toks, k)),
-                    ) {
-                        if punct_char(src, &toks[c1]) == Some(':')
-                            && punct_char(src, &toks[c2]) == Some(':')
-                        {
-                            if let Some(seg) = next_nontrivia(toks, c2) {
-                                if toks[seg].kind == TokenKind::Ident {
-                                    last = seg;
-                                    j = seg;
-                                    continue;
-                                }
-                            }
-                        }
-                        break;
-                    }
+                    let last = path_tail(src, toks, arg);
                     let name = toks[last].text(src);
-                    let line = toks[last].line;
-                    if registry_idx.is_some()
-                        && !registry_names.contains(name)
-                        && !allows[ei].allows(TRACE_KEY_REGISTRY, line)
-                    {
-                        findings.push(Finding::new(
-                            TRACE_KEY_REGISTRY,
-                            Severity::Error,
-                            &e.scanned.rel,
-                            line,
-                            format!(
-                                "trace key argument `{name}` does not name a sgp_trace::keys \
-                                 constant — route every key through the registry"
-                            ),
-                        ));
+                    if registry_idx.is_some() && !registry_names.contains(name) {
+                        let msg = format!(
+                            "trace key argument `{name}` does not name a sgp_trace::keys \
+                             constant — route every key through the registry"
+                        );
+                        out.emit(&TRACE_KEY_REGISTRY, ei, toks[last].line, msg);
                     }
                 }
                 _ => {}
@@ -313,32 +174,22 @@ fn check_trace_key_registry(
     // registry module itself (call sites, re-exports, or tests).
     let Some(ri) = registry_idx else { return };
     let mut used: BTreeSet<&str> = BTreeSet::new();
-    for (ei, e) in entries.iter().enumerate() {
+    for (ei, e) in cx.entries.iter().enumerate() {
         if ei == ri {
             continue;
         }
-        let src = &e.scanned.source;
-        for t in &e.scanned.tokens {
-            if t.kind == TokenKind::Ident {
-                if let Some(name) = registry_names.get(t.text(src)) {
-                    used.insert(name);
-                }
-            }
-        }
+        let (src, toks) = (e.file.source.as_str(), e.file.tokens.as_slice());
+        used.extend((0..toks.len()).filter_map(|i| registry_names.get(ident(src, toks, i)?)));
     }
-    let rel = entries[ri].scanned.rel.clone();
-    for (name, value, line) in &registry {
-        if !used.contains(name.as_str()) && !allows[ri].allows(TRACE_KEY_REGISTRY, *line) {
-            findings.push(Finding::new(
-                TRACE_KEY_REGISTRY,
-                Severity::Error,
-                &rel,
-                *line,
-                format!(
-                    "registry key `{name}` (\"{value}\") is never referenced by any crate — \
-                     delete it or wire up the instrumentation it promises"
-                ),
-            ));
+    let keys = &cx.entries[ri].file;
+    for &(name, line, value) in &registry {
+        if !used.contains(name) {
+            let msg = format!(
+                "registry key `{name}` (\"{}\") is never referenced by any crate — delete it or \
+                 wire up the instrumentation it promises",
+                str_content(&keys.source, &keys.tokens, value)
+            );
+            out.emit(&TRACE_KEY_REGISTRY, ri, line, msg);
         }
     }
 }
@@ -347,54 +198,31 @@ fn check_trace_key_registry(
 // no-float-accounting
 // ---------------------------------------------------------------------------
 
-fn check_float_accounting(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    allows: &mut [AllowTable<'_>],
-    findings: &mut Vec<Finding>,
-) {
-    for (ei, e) in entries.iter().enumerate() {
-        let member = &ws.members[e.member];
+fn check_float_accounting(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    for (ei, e) in cx.entries.iter().enumerate() {
+        let member = &cx.ws.members[e.member];
         let scoped = FLOAT_SCOPE
             .iter()
-            .any(|(pkg, suffix)| member.name == *pkg && e.scanned.rel.ends_with(suffix));
+            .any(|(pkg, suffix)| member.name == *pkg && e.file.rel.ends_with(suffix));
         if !scoped {
             continue;
         }
-        let src = &e.scanned.source;
-        let toks = &e.scanned.tokens;
-        let mut reported: BTreeSet<usize> = BTreeSet::new();
-        for i in 0..toks.len() {
-            let t = &toks[i];
+        let (src, toks) = (e.file.source.as_str(), e.file.tokens.as_slice());
+        for (i, t) in toks.iter().enumerate() {
             let is_float_literal = matches!(t.kind, TokenKind::Number { float: true });
-            let is_float_cast = t.kind == TokenKind::Ident
-                && t.text(src) == "as"
-                && next_nontrivia(toks, i).is_some_and(|n| {
-                    toks[n].kind == TokenKind::Ident && matches!(toks[n].text(src), "f32" | "f64")
-                });
-            if !is_float_literal && !is_float_cast {
+            let is_float_cast = ident_is(src, toks, Some(i), "as")
+                && next(toks, i)
+                    .is_some_and(|n| matches!(ident(src, toks, n), Some("f32") | Some("f64")));
+            if (!is_float_literal && !is_float_cast) || e.file.is_test_line(t.line) {
                 continue;
             }
-            let line = t.line;
-            if e.scanned.is_test_line(line) || reported.contains(&line) {
-                continue;
-            }
-            if !allows[ei].allows(NO_FLOAT_ACCOUNTING, line) {
-                reported.insert(line);
-                let what =
-                    if is_float_cast { "an `as f32`/`as f64` cast" } else { "a float literal" };
-                findings.push(Finding::new(
-                    NO_FLOAT_ACCOUNTING,
-                    Severity::Error,
-                    &e.scanned.rel,
-                    line,
-                    format!(
-                        "{what} in a simulated-time/message-accounting path — accounting must \
-                         stay integral (ticks, ns, bytes); quantile/report rendering belongs \
-                         under a scoped allow"
-                    ),
-                ));
-            }
+            let what = if is_float_cast { "an `as f32`/`as f64` cast" } else { "a float literal" };
+            let msg = format!(
+                "{what} in a simulated-time/message-accounting path — accounting must stay \
+                 integral (ticks, ns, bytes); quantile/report rendering belongs under a scoped \
+                 allow"
+            );
+            out.emit(&NO_FLOAT_ACCOUNTING, ei, t.line, msg);
         }
     }
 }
@@ -403,13 +231,8 @@ fn check_float_accounting(
 // schema-version-sync
 // ---------------------------------------------------------------------------
 
-fn check_schema_version_sync(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    allows: &mut [AllowTable<'_>],
-    findings: &mut Vec<Finding>,
-) {
-    let Ok(text) = std::fs::read_to_string(ws.root.join(SCHEMA_VERSIONS_REL)) else {
+fn check_schema_version_sync(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    let Ok(text) = std::fs::read_to_string(cx.ws.root.join(SCHEMA_VERSIONS_REL)) else {
         // Workspaces without a goldens manifest (e.g. ad-hoc fixture
         // trees) simply don't pin schema versions.
         return;
@@ -427,73 +250,60 @@ fn check_schema_version_sync(
             Some((key, value)) if SCHEMA_SPECS.iter().any(|(k, _, _)| *k == key) => {
                 pinned.insert(key, (value, idx + 1));
             }
-            _ => findings.push(Finding::new(
-                SCHEMA_VERSION_SYNC,
-                Severity::Error,
+            _ => out.report(
+                &SCHEMA_VERSION_SYNC,
                 SCHEMA_VERSIONS_REL,
                 idx + 1,
                 format!("unrecognised schema pin `{line}` — expected `<name>=<integer>` with a known name"),
-            )),
+            ),
         }
     }
 
     for (key, pkg, const_name) in SCHEMA_SPECS {
-        let found = entries.iter().enumerate().find_map(|(ei, e)| {
-            (ws.members[e.member].name == *pkg && e.kind == FileKind::LibSrc)
-                .then(|| int_const(&e.scanned, const_name).map(|(v, l)| (ei, v, l)))
-                .flatten()
+        // The first library file of the package declaring the constant
+        // with an integer value: (entry, value, line).
+        let found = cx.entries.iter().enumerate().find_map(|(ei, e)| {
+            if cx.ws.members[e.member].name != *pkg || e.kind != FileKind::LibSrc {
+                return None;
+            }
+            let ints = const_literals(&e.file, |k| matches!(k, TokenKind::Number { float: false }));
+            let &(_, line, at) = ints.iter().find(|(name, _, _)| name == const_name)?;
+            let digits: String = e.file.tokens[at]
+                .text(&e.file.source)
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            Some((ei, digits.parse::<u64>().ok()?, line))
         });
         match (found, pinned.get(key)) {
-            (Some((ei, value, line)), Some(&(want, _))) => {
-                if value != want && !allows[ei].allows(SCHEMA_VERSION_SYNC, line) {
-                    let rel = entries[ei].scanned.rel.clone();
-                    findings.push(Finding::new(
-                        SCHEMA_VERSION_SYNC,
-                        Severity::Error,
-                        &rel,
-                        line,
-                        format!(
-                            "`{const_name}` is {value} but {SCHEMA_VERSIONS_REL} pins `{key}={want}` \
-                             — bump the pin and re-bless the goldens in the same change, or revert \
-                             the constant"
-                        ),
-                    ));
-                }
+            (Some((ei, value, line)), Some(&(want, _))) if value != want => {
+                let msg = format!(
+                    "`{const_name}` is {value} but {SCHEMA_VERSIONS_REL} pins `{key}={want}` — bump \
+                     the pin and re-bless the goldens in the same change, or revert the constant"
+                );
+                out.emit(&SCHEMA_VERSION_SYNC, ei, line, msg);
             }
             (Some((ei, value, _)), None) => {
-                let rel = entries[ei].scanned.rel.clone();
-                findings.push(Finding::new(
-                    SCHEMA_VERSION_SYNC,
-                    Severity::Error,
-                    SCHEMA_VERSIONS_REL,
-                    0,
-                    format!(
-                        "missing pin `{key}={value}` for `{pkg}::{const_name}` (declared in {rel})"
-                    ),
-                ));
+                let rel = &cx.entries[ei].file.rel;
+                let msg = format!(
+                    "missing pin `{key}={value}` for `{pkg}::{const_name}` (declared in {rel})"
+                );
+                out.report(&SCHEMA_VERSION_SYNC, SCHEMA_VERSIONS_REL, 0, msg);
             }
-            (None, Some(&(want, mline))) => {
-                // A pin exists but the constant is gone: only meaningful
-                // when the crate itself is present in this workspace.
-                if ws.members.iter().any(|m| m.name == *pkg) {
-                    findings.push(Finding::new(
-                        SCHEMA_VERSION_SYNC,
-                        Severity::Error,
-                        SCHEMA_VERSIONS_REL,
-                        mline,
-                        format!(
-                            "pin `{key}={want}` has no matching `{const_name}` constant in {pkg}"
-                        ),
-                    ));
-                }
+            // A pin exists but the constant is gone: only meaningful
+            // when the crate itself is present in this workspace.
+            (None, Some(&(want, mline))) if cx.ws.members.iter().any(|m| m.name == *pkg) => {
+                let msg =
+                    format!("pin `{key}={want}` has no matching `{const_name}` constant in {pkg}");
+                out.report(&SCHEMA_VERSION_SYNC, SCHEMA_VERSIONS_REL, mline, msg);
             }
-            (None, None) => {}
+            _ => {}
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Registry files (shared by no-unsafe and send-bound-registry)
+// Registry files (send-bound-registry, PANIC_AUDIT, ALGORITHM_SURFACES)
 // ---------------------------------------------------------------------------
 
 /// Parses a `<key> = <justification>` registry file at `rel` under the
@@ -503,8 +313,8 @@ fn check_schema_version_sync(
 pub(crate) fn parse_registry(
     ws: &Workspace,
     rel: &str,
-    rule: &'static str,
-    findings: &mut Vec<Finding>,
+    rule: &Rule,
+    out: &mut Findings<'_>,
 ) -> Vec<(String, usize)> {
     let Ok(text) = std::fs::read_to_string(ws.root.join(rel)) else {
         return Vec::new();
@@ -519,74 +329,18 @@ pub(crate) fn parse_registry(
             Some((key, just)) if !key.trim().is_empty() && !just.trim().is_empty() => {
                 entries.push((key.trim().to_string(), idx + 1));
             }
-            _ => findings.push(Finding::new(
+            _ => out.report(
                 rule,
-                Severity::Error,
                 rel,
                 idx + 1,
                 format!(
                     "malformed registry entry `{line}` — expected `<key> = <justification>` with \
                      both sides non-empty"
                 ),
-            )),
+            ),
         }
     }
     entries
-}
-
-// ---------------------------------------------------------------------------
-// no-unsafe
-// ---------------------------------------------------------------------------
-
-fn check_no_unsafe(ws: &Workspace, entries: &[ScannedEntry], findings: &mut Vec<Finding>) {
-    let registry = parse_registry(ws, UNSAFE_REGISTRY_REL, NO_UNSAFE, findings);
-    let mut used = vec![false; registry.len()];
-    for e in entries {
-        let src = &e.scanned.source;
-        let mut reported: BTreeSet<usize> = BTreeSet::new();
-        for t in &e.scanned.tokens {
-            if t.kind != TokenKind::Ident || t.text(src) != "unsafe" {
-                continue;
-            }
-            let mut registered = false;
-            for (i, (key, _)) in registry.iter().enumerate() {
-                if key == &e.scanned.rel {
-                    used[i] = true;
-                    registered = true;
-                }
-            }
-            if registered || reported.contains(&t.line) {
-                continue;
-            }
-            reported.insert(t.line);
-            findings.push(Finding::new(
-                NO_UNSAFE,
-                Severity::Error,
-                &e.scanned.rel,
-                t.line,
-                format!(
-                    "`unsafe` outside the audit registry — soundness arguments live in \
-                     {UNSAFE_REGISTRY_REL}; add `{} = <why this is sound>` there after review, \
-                     or rewrite without unsafe",
-                    e.scanned.rel
-                ),
-            ));
-        }
-    }
-    for (i, (key, line)) in registry.iter().enumerate() {
-        if !used[i] {
-            findings.push(Finding::new(
-                NO_UNSAFE,
-                Severity::Error,
-                UNSAFE_REGISTRY_REL,
-                *line,
-                format!(
-                    "stale registry entry `{key}` — that file no longer contains `unsafe`, so \
-                     delete the entry (the audit trail cannot rot)"
-                ),
-            ));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -604,65 +358,44 @@ const SEND_EXEMPT_TYPES: &[&str] = &[
     "f64", "bool", "char", "str", "String", "Vec", "VecDeque", "Option", "Box", "Arc", "Result",
 ];
 
-fn check_send_bound_registry(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    findings: &mut Vec<Finding>,
-) {
-    let registry = parse_registry(ws, SEND_REGISTRY_REL, SEND_BOUND_REGISTRY, findings);
+fn check_send_bound_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    let registry = parse_registry(cx.ws, SEND_REGISTRY_REL, &SEND_BOUND_REGISTRY, out);
     let mut used = vec![false; registry.len()];
     let mut any_designated = false;
 
-    for e in entries {
-        let member = &ws.members[e.member];
-        if !crate::rules::is_exec_backend(member, &e.scanned.rel) {
+    for e in cx.entries {
+        if !crate::rules::is_exec_backend(&cx.ws.members[e.member], &e.file.rel) {
             continue;
         }
         any_designated = true;
-        let src = &e.scanned.source;
-        let toks = &e.scanned.tokens;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.kind != TokenKind::Ident
-                || !CHANNEL_CTORS.contains(&t.text(src))
-                || e.scanned.is_test_line(t.line)
-            {
+        let (src, toks) = (e.file.source.as_str(), e.file.tokens.as_slice());
+        for (i, t) in toks.iter().enumerate() {
+            let Some(ctor) = ident(src, toks, i).filter(|c| CHANNEL_CTORS.contains(c)) else {
+                continue;
+            };
+            if e.file.is_test_line(t.line) {
                 continue;
             }
-            let n1 = next_nontrivia(toks, i);
             // `name(…)` with no turbofish: the payload type is inferred,
             // so the registry has nothing to audit — reject.
-            if n1.is_some_and(|j| punct_char(src, &toks[j]) == Some('(')) {
-                findings.push(Finding::new(
-                    SEND_BOUND_REGISTRY,
-                    Severity::Error,
-                    &e.scanned.rel,
-                    t.line,
-                    format!(
-                        "channel constructor `{}(…)` without an explicit payload turbofish — \
-                         write `{}::<T>(…)` so {SEND_REGISTRY_REL} can audit `T`",
-                        t.text(src),
-                        t.text(src)
-                    ),
-                ));
+            if punct_is(src, toks, next(toks, i), '(') {
+                let msg = format!(
+                    "channel constructor `{ctor}(…)` without an explicit payload turbofish — \
+                     write `{ctor}::<T>(…)` so {SEND_REGISTRY_REL} can audit `T`"
+                );
+                out.report(&SEND_BOUND_REGISTRY, &e.file.rel, t.line, msg);
                 continue;
             }
             // `name::<…>(…)`: audit every workspace type named in the
             // turbofish. `name::ident` (a path segment, e.g. the
             // `channel` in `crossbeam::channel::bounded`) is skipped —
             // the final constructor segment gets checked on its own.
-            let n2 = n1.and_then(|j| next_nontrivia(toks, j));
-            let n3 = n2.and_then(|j| next_nontrivia(toks, j));
-            let is_turbofish = n1.is_some_and(|j| punct_char(src, &toks[j]) == Some(':'))
-                && n2.is_some_and(|j| punct_char(src, &toks[j]) == Some(':'))
-                && n3.is_some_and(|j| punct_char(src, &toks[j]) == Some('<'));
-            if !is_turbofish {
-                continue;
-            }
+            let Some(lt) = turbofish_after(src, toks, i) else { continue };
             let mut depth = 1usize;
-            let mut j = n3;
-            while let Some(k) = j.and_then(|j| next_nontrivia(toks, j)) {
-                match punct_char(src, &toks[k]) {
+            let mut at = lt;
+            while let Some(k) = next(toks, at) {
+                at = k;
+                match punct(src, toks, k) {
                     Some('<') => depth += 1,
                     Some('>') => {
                         depth -= 1;
@@ -670,39 +403,30 @@ fn check_send_bound_registry(
                             break;
                         }
                     }
-                    _ => {
-                        if toks[k].kind == TokenKind::Ident {
-                            let name = toks[k].text(src);
-                            // A segment followed by `::` is a path
-                            // qualifier, not the payload type itself.
-                            let qualifier = next_nontrivia(toks, k)
-                                .is_some_and(|q| punct_char(src, &toks[q]) == Some(':'));
-                            if !qualifier && !SEND_EXEMPT_TYPES.contains(&name) {
-                                let mut registered = false;
-                                for (ri, (key, _)) in registry.iter().enumerate() {
-                                    if key == name {
-                                        used[ri] = true;
-                                        registered = true;
-                                    }
-                                }
-                                if !registered {
-                                    findings.push(Finding::new(
-                                        SEND_BOUND_REGISTRY,
-                                        Severity::Error,
-                                        &e.scanned.rel,
-                                        toks[k].line,
-                                        format!(
-                                            "channel payload type `{name}` is not audited in \
-                                             {SEND_REGISTRY_REL} — verify it is plain owned data \
-                                             (no Rc/RefCell/raw pointers) and register it"
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
+                    _ => {}
+                }
+                // A segment followed by `::` is a path qualifier, not
+                // the payload type itself.
+                let Some(name) = ident(src, toks, k)
+                    .filter(|n| !SEND_EXEMPT_TYPES.contains(n))
+                    .filter(|_| !punct_is(src, toks, next(toks, k), ':'))
+                else {
+                    continue;
+                };
+                let mut registered = false;
+                for (ri, (key, _)) in registry.iter().enumerate() {
+                    if key == name {
+                        used[ri] = true;
+                        registered = true;
                     }
                 }
-                j = Some(k);
+                if !registered {
+                    let msg = format!(
+                        "channel payload type `{name}` is not audited in {SEND_REGISTRY_REL} — \
+                         verify it is plain owned data (no Rc/RefCell/raw pointers) and register it"
+                    );
+                    out.report(&SEND_BOUND_REGISTRY, &e.file.rel, toks[k].line, msg);
+                }
             }
         }
     }
@@ -712,17 +436,42 @@ fn check_send_bound_registry(
     if any_designated {
         for (i, (key, line)) in registry.iter().enumerate() {
             if !used[i] {
-                findings.push(Finding::new(
-                    SEND_BOUND_REGISTRY,
-                    Severity::Error,
-                    SEND_REGISTRY_REL,
-                    *line,
-                    format!(
-                        "stale Send-registry entry `{key}` — no channel in the execution backend \
-                         carries that payload any more; delete the entry"
-                    ),
-                ));
+                let msg = format!(
+                    "stale Send-registry entry `{key}` — no channel in the execution backend \
+                     carries that payload any more; delete the entry"
+                );
+                out.report(&SEND_BOUND_REGISTRY, SEND_REGISTRY_REL, *line, msg);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::lint;
+
+    #[test]
+    fn trace_keys_are_read_off_const_items() {
+        let keys = "/// Run span.\n#[doc = \"not the value\"]\npub const RUN: &str = \"partition.run\";\npub mod nested {\n    pub const ORPHAN: &str = \"x.orphan\";\n}\npub const COUNT: usize = 2;\n";
+        let user = "fn f(s: &mut S) { s.span_enter(keys::RUN, 0, 0); s.span_exit(keys::RUN, 0, 1); s.counter_add(\"adhoc\", 0, 1); }\n";
+        let found = lint(
+            &[
+                ("sgp-trace", "crates/trace/src/keys.rs", keys),
+                ("sgp-db", "crates/db/src/x.rs", user),
+            ],
+            check_trace_key_registry,
+        );
+        let got: Vec<_> = found.iter().map(|f| (f.file.as_str(), f.line)).collect();
+        assert_eq!(got, [("crates/db/src/x.rs", 1), ("crates/trace/src/keys.rs", 5)]);
+        assert!(found[1].message.contains("`ORPHAN` (\"x.orphan\")"), "{}", found[1].message);
+    }
+
+    #[test]
+    fn float_accounting_flags_casts_and_literals_once_per_line() {
+        let src = "fn f(n: u64) -> u64 { (n as f64 * 0.5) as u64 }\n#[cfg(test)]\nmod tests { fn t() { let _ = 1.5; } }\n";
+        let found = lint(&[("sgp-db", "crates/db/src/sim.rs", src)], check_float_accounting);
+        let got: Vec<_> = found.iter().map(|f| (f.rule.as_str(), f.line)).collect();
+        assert_eq!(got, [("no-float-accounting", 1)]);
     }
 }

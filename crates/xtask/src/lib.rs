@@ -10,18 +10,29 @@
 //!   nested block comments, char-vs-lifetime disambiguation, doc
 //!   comments, float-aware number literals) producing a lossless token
 //!   stream with byte offsets and line/column spans.
-//! * [`scan`] — derives everything the rules consume from one lex:
-//!   tokens, masked lines, `#[cfg(test)]` spans, and `sgp-lint:`
-//!   directives anchored to comment tokens.
-//! * [`rules`] — the per-file rule catalogue:
+//! * [`parser`] / [`ast`] — the item-level parser over that stream:
+//!   fns with their bodies, consts, enums with their variants, nested
+//!   `impl`/`mod`/`trait` members, and which items are test-only.
+//! * [`scan`] — [`scan::ParsedFile`]: each file is lexed once and parsed
+//!   once in pass 1, and carries its tokens, item tree and `sgp-lint:`
+//!   directives. Everything structural a rule needs — test lines,
+//!   `allow-scope` ends, `fn place` bodies, schema and trace-key
+//!   constants, crate-root attributes — is read off that one parse.
+//! * [`cursor`] — the trivia-skipping token helpers every matcher uses.
+//! * [`rules`] — the rule table (id, severity, description), the
+//!   [`rules::Findings`] collector every rule reports through, and the
+//!   per-file rules:
 //!   * `no-hash-iteration` — `HashMap`/`HashSet` (nondeterministic
 //!     iteration order) are banned in the determinism-scoped crates;
 //!     use `BTreeMap`/`BTreeSet` or sort before iterating.
 //!   * `no-panic-in-lib` — `unwrap()`/`expect()`/`panic!`/`todo!`/
 //!     `unimplemented!`/`dbg!` in non-test library code must be
-//!     rewritten as `Result` or carry a justified allow directive.
+//!     rewritten as `Result` or carry a justified allow directive; a
+//!     site reachable from a public entry point prints its call path.
 //!   * `crate-attr-policy` — every crate root must carry
-//!     `#![deny(unsafe_code)]` and `#![warn(missing_docs)]`.
+//!     `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`. With
+//!     `unsafe_code = "forbid"` in `[workspace.lints.rust]` this is the
+//!     whole `unsafe` policy: the compiler enforces it on every target.
 //!   * `no-wallclock-in-sim` — `std::time::Instant`, `SystemTime` and
 //!     `thread_rng` are forbidden inside the deterministic simulators.
 //!   * `thread-discipline` — thread, channel and lock primitives
@@ -37,26 +48,25 @@
 //!     construction inside a partitioner `fn place` body allocates per
 //!     streamed element; hoist a scratch buffer into the partitioner
 //!     struct (DESIGN.md §13) or carry a justified allow.
-//! * [`crossfile`] — the whole-workspace semantic rules:
+//! * [`crossfile`] — the whole-workspace rules:
 //!   `trace-key-registry` (every `TraceSink` key is a `sgp_trace::keys`
 //!   constant, every constant is used), `no-float-accounting` (integral
 //!   simulated time and message accounting), `schema-version-sync`
-//!   (schema constants agree with `tests/goldens/SCHEMA_VERSIONS`),
-//!   `no-unsafe` (`unsafe` anywhere — tests and benches included —
-//!   requires a per-file entry in `tests/goldens/UNSAFE_REGISTRY`), and
+//!   (schema constants agree with `tests/goldens/SCHEMA_VERSIONS`), and
 //!   `send-bound-registry` (channel payload types in the execution
 //!   backend are pinned by turbofish and audited in
 //!   `tests/goldens/SEND_REGISTRY`; stale registry entries are errors).
+//! * [`symbols`] / [`callgraph`] / [`semantic`] — the symbol table and
+//!   conservative call graph over the item trees, and the families that
+//!   need them: `panic-reachability` (reachable unchecked indexing,
+//!   audited per file in `tests/goldens/PANIC_AUDIT`),
+//!   `algorithm-surface-exhaustiveness` and `span-guard-balance`.
 //! * [`manifest`] — a minimal TOML section reader for the hygiene rule.
 //! * [`report`] — findings, text diagnostics with `file:line` spans,
 //!   stable machine-readable JSON, and a SARIF 2.1.0 emitter for CI
 //!   annotation.
 //! * [`trace_summary`] — the `sgp-xtask trace-summary` renderer for
 //!   trace dumps written by `experiments --trace <path>`.
-//! * [`bench_check`] — the `sgp-xtask bench-check` throughput gate:
-//!   compares a fresh `BENCH_ingest.json` against the committed copy at
-//!   the repo root and fails on a >20% `elements_per_sec` regression on
-//!   any `(algorithm, mode)` pair.
 //!
 //! ## Allow directives
 //!
@@ -65,7 +75,7 @@
 //!
 //! ```text
 //! // sgp-lint: allow(<rule>): <justification>        same or next line
-//! // sgp-lint: allow-scope(<rule>): <justification>  next brace-delimited item
+//! // sgp-lint: allow-scope(<rule>): <justification>  the next item
 //! // sgp-lint: allow-file(<rule>): <justification>   the whole file
 //! ```
 //!
@@ -75,13 +85,13 @@
 //! `stale-allow` **error** (the allowlist cannot rot silently);
 //! scope/file allows that suppress nothing are `unused-allow` warnings.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod bench_check;
 pub mod callgraph;
 pub mod crossfile;
+pub mod cursor;
 pub mod lexer;
 pub mod manifest;
 pub mod parser;
@@ -96,9 +106,12 @@ pub mod workspace;
 pub use report::{render_json, render_sarif, render_text, Finding, LintReport, Severity};
 pub use trace_summary::summarize;
 
-use rules::AllowTable;
+use callgraph::{CallGraph, Reach};
+use rules::Findings;
+use scan::ParsedFile;
 use std::path::PathBuf;
-use workspace::FileKind;
+use symbols::SymbolTable;
+use workspace::{FileKind, Workspace};
 
 /// Options for one lint run.
 #[derive(Debug, Clone)]
@@ -129,86 +142,93 @@ impl LintConfig {
     }
 }
 
-/// One scanned source file, paired with the index of its owning member
-/// in [`workspace::Workspace::members`]. Cross-file rules iterate these.
-pub struct ScannedEntry {
+/// One parsed source file, paired with the index of its owning member
+/// in [`workspace::Workspace::members`].
+pub struct ParsedEntry {
     /// Index into `ws.members`.
     pub member: usize,
     /// Target classification of the file.
     pub kind: FileKind,
-    /// The scan result (tokens, masked lines, test spans, directives).
-    pub scanned: scan::ScannedFile,
+    /// The file's tokens, item tree and directives.
+    pub file: ParsedFile,
+}
+
+/// What pass 2 reads: the workspace, its parsed files, and the symbol
+/// table, call graph and reachability derived from their item trees.
+pub struct Analysis<'a> {
+    /// The discovered workspace.
+    pub ws: &'a Workspace,
+    /// Every readable source file, parsed once.
+    pub entries: &'a [ParsedEntry],
+    /// Fn and enum definitions across `entries`.
+    pub symbols: SymbolTable,
+    /// Name-resolved call edges between `symbols.fns`.
+    pub graph: CallGraph,
+    /// What the determinism-scope public entry points reach.
+    pub reach: Reach,
+}
+
+impl<'a> Analysis<'a> {
+    /// Derives the symbol table, call graph and reachability.
+    pub fn new(ws: &'a Workspace, entries: &'a [ParsedEntry]) -> Self {
+        let symbols = SymbolTable::build(ws, entries);
+        let graph = CallGraph::build(&symbols, entries);
+        let reach = graph.reach(semantic::entry_points(ws, entries, &symbols));
+        Analysis { ws, entries, symbols, graph, reach }
+    }
 }
 
 /// Runs the full rule catalogue over the workspace at `cfg.root`.
 ///
-/// The run is two-pass: every source file is scanned first (pass 1), so
-/// the cross-file rules in [`crossfile`] can correlate declarations and
-/// uses across crates (pass 2). Allow-directive bookkeeping spans both
-/// passes and is finalised last, which is what makes `stale-allow`
-/// sound: a directive is stale only if *no* rule — per-file or
-/// cross-file — charged a suppression to it.
+/// The run is two-pass. Pass 1 reads every source file and lexes and
+/// parses it exactly once into a [`ParsedFile`]. Pass 2 derives the
+/// symbol table and call graph from those item trees and runs the
+/// per-file, cross-file and semantic rules over the same parsed files,
+/// all reporting through one [`Findings`] collector. Its allow-directive
+/// bookkeeping is finalised last, which is what makes `stale-allow`
+/// sound: a directive is stale only if *no* rule charged a suppression
+/// to it.
 ///
 /// Returns an error string only for environmental failures (unreadable
 /// root, missing root manifest); findings — including broken fixture
 /// code — are data, not errors.
 pub fn run_lint(cfg: &LintConfig) -> Result<LintReport, String> {
     let ws = workspace::discover(&cfg.root)?;
-    let mut findings = Vec::new();
-    let mut files_scanned = 0usize;
-    let mut manifests_scanned = 0usize;
 
-    rules::check_root_manifest(&ws, &mut findings);
-    manifests_scanned += 1;
-
-    // Pass 1: manifests, crate roots, and a full scan of every file.
-    let mut entries: Vec<ScannedEntry> = Vec::new();
-    for (mi, member) in ws.members.iter().enumerate() {
-        rules::check_member_manifest(member, &mut findings);
-        manifests_scanned += 1;
-        rules::check_crate_root_attrs(member, &mut findings);
-        for file in &member.files {
-            match scan::scan_file(&file.path, &file.rel) {
-                Ok(scanned) => {
-                    files_scanned += 1;
-                    entries.push(ScannedEntry { member: mi, kind: file.kind, scanned });
-                }
-                Err(e) => findings.push(Finding::io_error(&file.rel, &e)),
+    // Pass 1: one lex and one parse per file.
+    let mut entries: Vec<ParsedEntry> = Vec::new();
+    let mut unreadable: Vec<(&str, String)> = Vec::new();
+    for (member, m) in ws.members.iter().enumerate() {
+        for f in &m.files {
+            match ParsedFile::read(&f.path, &f.rel) {
+                Ok(file) => entries.push(ParsedEntry { member, kind: f.kind, file }),
+                Err(e) => unreadable.push((&f.rel, e)),
             }
         }
     }
 
-    // Pass 2: per-file rules, then cross-file rules, sharing one allow
-    // table per file.
-    let mut allows: Vec<AllowTable<'_>> =
-        entries.iter().map(|e| AllowTable::new(&e.scanned)).collect();
-    for (i, e) in entries.iter().enumerate() {
-        rules::check_source_file(
-            &ws.members[e.member],
-            e.kind,
-            &e.scanned,
-            &mut allows[i],
-            &mut findings,
-        );
+    // Pass 2: every rule family over the same parsed files.
+    let cx = Analysis::new(&ws, &entries);
+    let mut out = Findings::new(&entries);
+    for (rel, e) in &unreadable {
+        out.io_error(rel, e);
     }
-    crossfile::check_all(&ws, &entries, &mut allows, &mut findings);
-
-    // Semantic tier: parse every file into items, build the symbol
-    // table and call graph, then run the reachability/exhaustiveness/
-    // span-balance families (DESIGN.md §6).
-    let symbols = symbols::SymbolTable::build(&ws, &entries);
-    let graph = callgraph::CallGraph::build(&symbols, &entries);
-    semantic::check_all(&ws, &entries, &symbols, &graph, &mut allows, &mut findings);
+    rules::check_root_manifest(&ws, &mut out);
+    for (mi, member) in ws.members.iter().enumerate() {
+        rules::check_member_manifest(member, &mut out);
+        rules::check_crate_root_attrs(&cx, mi, &mut out);
+    }
+    for ei in 0..entries.len() {
+        rules::check_source_file(&cx, ei, &mut out);
+    }
+    crossfile::check_all(&cx, &mut out);
+    semantic::check_all(&cx, &mut out);
     if let Some(path) = &cfg.emit_callgraph {
-        let roots = semantic::entry_points(&ws, &entries, &symbols);
-        std::fs::write(path, graph.to_dot(&symbols, &roots))
+        std::fs::write(path, cx.graph.to_dot(&cx.symbols, &cx.reach))
             .map_err(|e| format!("cannot write call graph to {}: {e}", path.display()))?;
     }
 
-    for table in allows {
-        table.finish(&mut findings);
-    }
-
+    let mut findings = out.finish();
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.as_str()).cmp(&(b.file.as_str(), b.line, b.rule.as_str()))
     });
@@ -221,8 +241,77 @@ pub fn run_lint(cfg: &LintConfig) -> Result<LintReport, String> {
         let exhaustiveness_live = only.iter().any(|f| semantic::is_exhaustiveness_input(f));
         findings.retain(|f| {
             keep.contains(f.file.as_str())
-                || (exhaustiveness_live && f.rule == rules::ALGORITHM_SURFACE_EXHAUSTIVENESS)
+                || (exhaustiveness_live && f.rule == rules::ALGORITHM_SURFACE_EXHAUSTIVENESS.id)
         });
     }
-    Ok(LintReport { findings, files_scanned, manifests_scanned, strict: cfg.strict })
+    Ok(LintReport {
+        findings,
+        files_scanned: entries.len(),
+        manifests_scanned: 1 + ws.members.len(),
+        strict: cfg.strict,
+    })
+}
+
+/// In-memory fixtures for unit tests: a synthetic workspace with one
+/// member per distinct package name and one library source per tuple.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use super::*;
+    use crate::manifest::parse_manifest;
+    use crate::workspace::Member;
+
+    /// `(package, workspace-relative path, source)`.
+    pub(crate) type Source<'s> = (&'s str, &'s str, &'s str);
+
+    pub(crate) fn workspace(sources: &[Source<'_>]) -> (Workspace, Vec<ParsedEntry>) {
+        let mut members: Vec<Member> = Vec::new();
+        let mut entries = Vec::new();
+        for &(pkg, rel, src) in sources {
+            let member = members.iter().position(|m| m.name == pkg).unwrap_or_else(|| {
+                let manifest_rel = format!("crates/{pkg}/Cargo.toml");
+                members.push(Member {
+                    name: pkg.to_string(),
+                    dir: PathBuf::from(format!("crates/{pkg}")),
+                    manifest: parse_manifest(
+                        &format!("[package]\nname = \"{pkg}\"\n"),
+                        &manifest_rel,
+                    ),
+                    manifest_rel,
+                    files: Vec::new(),
+                    is_root_package: false,
+                });
+                members.len() - 1
+            });
+            let path = PathBuf::from(rel);
+            members[member].files.push(workspace::SourceFile {
+                path,
+                rel: rel.to_string(),
+                kind: FileKind::LibSrc,
+            });
+            entries.push(ParsedEntry {
+                member,
+                kind: FileKind::LibSrc,
+                file: ParsedFile::parse(src, rel),
+            });
+        }
+        let ws = Workspace {
+            root: PathBuf::from("."),
+            root_manifest: parse_manifest("[workspace]\n", "Cargo.toml"),
+            members,
+        };
+        (ws, entries)
+    }
+
+    /// Runs `check` over in-memory `sources` and returns its findings
+    /// plus the allow-directive meta findings, unsorted.
+    pub(crate) fn lint(
+        sources: &[Source<'_>],
+        check: impl FnOnce(&Analysis<'_>, &mut Findings<'_>),
+    ) -> Vec<Finding> {
+        let (ws, entries) = workspace(sources);
+        let cx = Analysis::new(&ws, &entries);
+        let mut out = Findings::new(&entries);
+        check(&cx, &mut out);
+        out.finish()
+    }
 }

@@ -5,13 +5,12 @@
 //! cargo run -p sgp-xtask -- lint [--root DIR] [--format text|json|sarif] [--strict] [--diff REF] [--emit-callgraph PATH]
 //! cargo run -p sgp-xtask -- rules
 //! cargo run -p sgp-xtask -- trace-summary <trace.json> [--top N]
-//! cargo run -p sgp-xtask -- bench-check [--kind ingest|fault] [--baseline PATH] [--fresh PATH] [--threshold PCT]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings (warnings count only under
 //! `--strict`), `2` usage or environment error.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sgp_xtask::{render_json, render_sarif, render_text, rules, run_lint, summarize, LintConfig};
@@ -25,7 +24,6 @@ USAGE:
     sgp-xtask lint [--root DIR] [--format text|json|sarif] [--strict] [--diff REF] [--emit-callgraph PATH]
     sgp-xtask rules
     sgp-xtask trace-summary <trace.json> [--top N]
-    sgp-xtask bench-check [--kind ingest|fault] [--baseline PATH] [--fresh PATH] [--threshold PCT]
     sgp-xtask help
 
 COMMANDS:
@@ -34,9 +32,6 @@ COMMANDS:
     trace-summary  Render a trace dump (from `experiments --trace <path>`):
                    top spans by self cost, per-machine load, counters,
                    histogram quantiles
-    bench-check    Compare a fresh bench summary (BENCH_ingest.json or
-                   BENCH_fault.json) against the committed trajectory
-                   point and fail on a throughput regression
     help           Show this message
 
 LINT OPTIONS:
@@ -58,17 +53,6 @@ LINT OPTIONS:
 TRACE-SUMMARY OPTIONS:
     --top N             Span rows to show (default: 10)
 
-BENCH-CHECK OPTIONS:
-    --kind KIND         ingest (default): elements_per_sec per
-                        (algorithm, mode) from BENCH_ingest.json;
-                        fault: queries_per_sec per algorithm from
-                        BENCH_fault.json
-    --baseline PATH     Committed summary (default: <root>/BENCH_<kind>.json)
-    --fresh PATH        Fresh bench output (default:
-                        <root>/crates/bench/BENCH_<kind>.json, where the
-                        bench binaries write it)
-    --threshold PCT     Tolerated rate slowdown per row key (default: 20)
-
 EXIT CODES:
     0  no findings (warnings allowed unless --strict)
     1  findings reported
@@ -81,7 +65,6 @@ fn main() -> ExitCode {
         Some("lint") => cmd_lint(&args[1..]),
         Some("rules") => cmd_rules(),
         Some("trace-summary") => cmd_trace_summary(&args[1..]),
-        Some("bench-check") => cmd_bench_check(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -225,8 +208,8 @@ fn git_lines(root: &Path, args: &[&str]) -> Result<Vec<String>, String> {
 }
 
 fn cmd_rules() -> ExitCode {
-    for rule in rules::ALL_RULES {
-        println!("{rule}\n    {}", rules::describe(rule));
+    for rule in rules::RULES {
+        println!("{}\n    {}", rule.id, rule.description);
     }
     println!(
         "\nallow directives (plain line comments only; doc comments never count):\n\
@@ -234,8 +217,9 @@ fn cmd_rules() -> ExitCode {
          \x20       attaches to the directive's own line or the line immediately\n\
          \x20       after it (trailing-comment or line-above placement)\n\
          \x20   // sgp-lint: allow-scope(<rule>): <justification>\n\
-         \x20       on its own line, covers the next brace-delimited item through\n\
-         \x20       its closing brace (or the `;` of a braceless item)\n\
+         \x20       on its own line above an item (at module level or between the\n\
+         \x20       members of an impl/mod/trait), covers it through its closing\n\
+         \x20       brace (or the `;` of a braceless item)\n\
          \x20   // sgp-lint: allow-file(<rule>): <justification>\n\
          \x20       covers the whole file\n\
          \x20   The justification is mandatory. A line-scoped allow whose rule no\n\
@@ -243,83 +227,6 @@ fn cmd_rules() -> ExitCode {
          \x20   allows are unused-allow warnings."
     );
     ExitCode::SUCCESS
-}
-
-fn cmd_bench_check(args: &[String]) -> ExitCode {
-    let mut baseline: Option<PathBuf> = None;
-    let mut fresh: Option<PathBuf> = None;
-    let mut threshold = 20.0f64;
-    let mut kind = sgp_xtask::bench_check::BenchKind::Ingest;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--kind" => {
-                match it.next().and_then(|k| sgp_xtask::bench_check::BenchKind::from_name(k)) {
-                    Some(k) => kind = k,
-                    None => return usage_error("--kind requires ingest|fault"),
-                }
-            }
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => return usage_error("--baseline requires a file path"),
-            },
-            "--fresh" => match it.next() {
-                Some(p) => fresh = Some(PathBuf::from(p)),
-                None => return usage_error("--fresh requires a file path"),
-            },
-            "--threshold" => match it.next().and_then(|n| n.parse::<f64>().ok()) {
-                Some(pct) if pct > 0.0 && pct < 100.0 => threshold = pct,
-                _ => return usage_error("--threshold requires a percentage in (0, 100)"),
-            },
-            other => return usage_error(&format!("unknown bench-check option `{other}`")),
-        }
-    }
-    let (baseline, fresh) = match (baseline, fresh) {
-        (Some(b), Some(f)) => (b, f),
-        (b, f) => {
-            // Default both paths relative to the workspace root: the
-            // committed trajectory point at the root, the fresh file
-            // where the bench binary's package-rooted cwd leaves it.
-            let cwd = match std::env::current_dir() {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: cannot determine current directory: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let root = match sgp_xtask::workspace::find_workspace_root(&cwd) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            (
-                b.unwrap_or_else(|| root.join(kind.file_name())),
-                f.unwrap_or_else(|| root.join("crates/bench").join(kind.file_name())),
-            )
-        }
-    };
-    let read = |path: &Path| {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-    };
-    let report = read(&baseline)
-        .and_then(|b| read(&fresh).map(|f| (b, f)))
-        .and_then(|(b, f)| sgp_xtask::bench_check::check(&b, &f, threshold, kind));
-    match report {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.passed() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
 }
 
 fn cmd_trace_summary(args: &[String]) -> ExitCode {

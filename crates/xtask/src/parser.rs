@@ -16,6 +16,7 @@
 //! builder).
 
 use crate::ast::{EnumVariant, File, Item, ItemKind};
+use crate::cursor::{ident, next_in, punct, skip_trivia};
 use crate::lexer::{self, Token, TokenKind};
 
 /// Rust keywords (2021 edition, plus reserved words that matter for
@@ -40,29 +41,8 @@ pub fn parse(source: &str, tokens: &[Token]) -> File {
 }
 
 // ---------------------------------------------------------------------------
-// Token-cursor helpers
+// Delimiter scanning
 // ---------------------------------------------------------------------------
-
-fn skip_trivia(toks: &[Token], mut i: usize, hi: usize) -> usize {
-    while i < hi && lexer::is_trivia(toks[i].kind) {
-        i += 1;
-    }
-    i
-}
-
-/// Index of the next non-trivia token strictly after `i`, below `hi`.
-fn next_nt(toks: &[Token], i: usize, hi: usize) -> Option<usize> {
-    let j = skip_trivia(toks, i + 1, hi);
-    (j < hi).then_some(j)
-}
-
-fn punct(src: &str, toks: &[Token], i: usize) -> Option<char> {
-    (toks[i].kind == TokenKind::Punct).then(|| src[toks[i].start..toks[i].end].chars().next())?
-}
-
-fn ident<'s>(src: &'s str, toks: &[Token], i: usize) -> Option<&'s str> {
-    (toks[i].kind == TokenKind::Ident).then(|| toks[i].text(src))
-}
 
 /// Index of the delimiter closing the group opened at `open` (any of
 /// `(`/`[`/`{`; mixed nesting counts uniformly, which is exact for
@@ -157,32 +137,38 @@ fn parse_range(src: &str, toks: &[Token], lo: usize, hi: usize) -> (Vec<Item>, (
 fn parse_item(src: &str, toks: &[Token], start: usize, first: usize, hi: usize) -> Item {
     let mut k = first;
     let mut is_pub = false;
-    loop {
+    let mut is_test = false;
+    let mut item = loop {
         k = skip_trivia(toks, k, hi);
         if k >= hi {
-            return leaf(ItemKind::Other, None, toks[first].line, is_pub, start, hi);
+            break leaf(ItemKind::Other, None, toks[first].line, is_pub, start, hi);
         }
         if punct(src, toks, k) == Some('#') {
-            // `#[…]` / `#![…]` attribute: skip the bracket group.
-            let mut a = next_nt(toks, k, hi);
-            if a.is_some_and(|j| punct(src, toks, j) == Some('!')) {
-                a = a.and_then(|j| next_nt(toks, j, hi));
+            // `#[…]` / `#![…]` attribute: skip the bracket group. This
+            // is the one place attributes are read, so it is also where
+            // an outer test attribute marks the item.
+            let mut a = next_in(toks, k, hi);
+            let inner = a.is_some_and(|j| punct(src, toks, j) == Some('!'));
+            if inner {
+                a = a.and_then(|j| next_in(toks, j, hi));
             }
             match a {
                 Some(j) if punct(src, toks, j) == Some('[') => {
-                    k = match_group(src, toks, j, hi) + 1;
+                    let close = match_group(src, toks, j, hi);
+                    is_test |= !inner && is_test_attr(src, toks, j, close);
+                    k = close + 1;
                     continue;
                 }
-                _ => return other_item(src, toks, start, k, hi, is_pub),
+                _ => break other_item(src, toks, start, k, hi, is_pub),
             }
         }
         let Some(word) = ident(src, toks, k) else {
-            return other_item(src, toks, start, k, hi, is_pub);
+            break other_item(src, toks, start, k, hi, is_pub);
         };
         match word {
             "pub" => {
                 is_pub = true;
-                if let Some(n) = next_nt(toks, k, hi) {
+                if let Some(n) = next_in(toks, k, hi) {
                     if punct(src, toks, n) == Some('(') {
                         // `pub(crate)` / `pub(in path)`: restricted, not
                         // a public entry point.
@@ -193,36 +179,36 @@ fn parse_item(src: &str, toks: &[Token], start: usize, first: usize, hi: usize) 
                     k = n;
                     continue;
                 }
-                return leaf(ItemKind::Other, None, toks[k].line, false, start, hi);
+                break leaf(ItemKind::Other, None, toks[k].line, false, start, hi);
             }
-            "default" | "async" | "unsafe" => match next_nt(toks, k, hi) {
+            "default" | "async" | "unsafe" => match next_in(toks, k, hi) {
                 Some(n) => k = n,
-                None => return leaf(ItemKind::Other, None, toks[k].line, is_pub, start, hi),
+                None => break leaf(ItemKind::Other, None, toks[k].line, is_pub, start, hi),
             },
             "extern" => {
-                let n = next_nt(toks, k, hi);
+                let n = next_in(toks, k, hi);
                 match n {
                     Some(j) if matches!(toks[j].kind, TokenKind::Str { .. }) => {
                         // `extern "C"` ABI modifier on an fn.
-                        match next_nt(toks, j, hi) {
+                        match next_in(toks, j, hi) {
                             Some(m) => k = m,
                             None => {
-                                return leaf(ItemKind::Other, None, toks[k].line, is_pub, start, hi)
+                                break leaf(ItemKind::Other, None, toks[k].line, is_pub, start, hi)
                             }
                         }
                     }
                     Some(j) if ident(src, toks, j) == Some("crate") => {
-                        let name = next_nt(toks, j, hi)
+                        let name = next_in(toks, j, hi)
                             .and_then(|m| ident(src, toks, m))
                             .map(String::from);
                         let end = consume_to_semi(src, toks, j, hi);
-                        return leaf(ItemKind::Use, name, toks[k].line, is_pub, start, end);
+                        break leaf(ItemKind::Use, name, toks[k].line, is_pub, start, end);
                     }
-                    _ => return other_item(src, toks, start, k, hi, is_pub),
+                    _ => break other_item(src, toks, start, k, hi, is_pub),
                 }
             }
             "const" | "static" => {
-                let n = next_nt(toks, k, hi);
+                let n = next_in(toks, k, hi);
                 let next_word = n.and_then(|j| ident(src, toks, j));
                 if matches!(next_word, Some("fn") | Some("unsafe") | Some("async") | Some("extern"))
                 {
@@ -232,30 +218,91 @@ fn parse_item(src: &str, toks: &[Token], start: usize, first: usize, hi: usize) 
                 }
                 // `static mut NAME`, `const NAME`.
                 let name_at =
-                    if next_word == Some("mut") { n.and_then(|j| next_nt(toks, j, hi)) } else { n };
+                    if next_word == Some("mut") { n.and_then(|j| next_in(toks, j, hi)) } else { n };
                 let name = name_at.and_then(|j| ident(src, toks, j)).map(String::from);
                 let kind = if word == "const" { ItemKind::Const } else { ItemKind::Static };
                 let end = consume_to_semi(src, toks, k, hi);
-                return leaf(kind, name, toks[k].line, is_pub, start, end);
+                break leaf(kind, name, toks[k].line, is_pub, start, end);
             }
-            "fn" => return parse_fn(src, toks, start, k, is_pub, hi),
-            "struct" | "union" => return parse_typedef(src, toks, start, k, is_pub, hi, false),
-            "enum" => return parse_typedef(src, toks, start, k, is_pub, hi, true),
-            "impl" => return parse_impl(src, toks, start, k, is_pub, hi),
-            "mod" => return parse_container(src, toks, start, k, is_pub, hi, ItemKind::Mod),
-            "trait" => return parse_container(src, toks, start, k, is_pub, hi, ItemKind::Trait),
+            "fn" => break parse_fn(src, toks, start, k, is_pub, hi),
+            "struct" | "union" => break parse_typedef(src, toks, start, k, is_pub, hi, false),
+            "enum" => break parse_typedef(src, toks, start, k, is_pub, hi, true),
+            "impl" => break parse_impl(src, toks, start, k, is_pub, hi),
+            "mod" => break parse_container(src, toks, start, k, is_pub, hi, ItemKind::Mod),
+            "trait" => break parse_container(src, toks, start, k, is_pub, hi, ItemKind::Trait),
             "use" => {
                 let end = consume_to_semi(src, toks, k, hi);
-                return leaf(ItemKind::Use, None, toks[k].line, is_pub, start, end);
+                break leaf(ItemKind::Use, None, toks[k].line, is_pub, start, end);
             }
             "type" => {
-                let name = next_nt(toks, k, hi).and_then(|j| ident(src, toks, j)).map(String::from);
+                let name = next_in(toks, k, hi).and_then(|j| ident(src, toks, j)).map(String::from);
                 let end = consume_to_semi(src, toks, k, hi);
-                return leaf(ItemKind::TypeAlias, name, toks[k].line, is_pub, start, end);
+                break leaf(ItemKind::TypeAlias, name, toks[k].line, is_pub, start, end);
             }
-            "macro_rules" => return parse_macro_def(src, toks, start, k, hi),
-            _ => return macro_invocation_or_other(src, toks, start, k, hi, is_pub),
+            "macro_rules" => break parse_macro_def(src, toks, start, k, hi),
+            _ => break macro_invocation_or_other(src, toks, start, k, hi, is_pub),
         }
+    };
+    item.is_test = is_test;
+    item
+}
+
+/// Does the attribute group whose brackets are `open`/`close` compile
+/// its item for tests only? `#[test]` does; `#[cfg(p)]` does when `p`
+/// [requires `test`](requires_test). Everything else — `cfg_attr`,
+/// `should_panic`, tool attributes — does not.
+fn is_test_attr(src: &str, toks: &[Token], open: usize, close: usize) -> bool {
+    let Some(name) = next_in(toks, open, close) else { return false };
+    match ident(src, toks, name) {
+        Some("test") => true,
+        Some("cfg") => match next_in(toks, name, close) {
+            Some(p) if punct(src, toks, p) == Some('(') => {
+                requires_test(src, toks, p + 1, match_group(src, toks, p, close))
+            }
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+/// Is the cfg predicate in `[lo, hi)` false in every non-test build?
+/// `test` is; `all(…)` is when any operand is; `any(…)` only when every
+/// operand is. `not(…)` and every other predicate (`feature = "x"`,
+/// `debug_assertions`, `loom`) can hold in production code.
+fn requires_test(src: &str, toks: &[Token], lo: usize, hi: usize) -> bool {
+    let head = skip_trivia(toks, lo, hi);
+    if head >= hi {
+        return false;
+    }
+    let args = next_in(toks, head, hi);
+    match (ident(src, toks, head), args) {
+        (Some("test"), None) => true,
+        (Some(op @ ("all" | "any")), Some(p)) if punct(src, toks, p) == Some('(') => {
+            let close = match_group(src, toks, p, hi);
+            // Operands are the depth-0 comma-separated runs of the group.
+            let mut operands = Vec::new();
+            let (mut depth, mut from) = (0i64, p + 1);
+            for j in p + 1..close {
+                match punct(src, toks, j) {
+                    Some('(') => depth += 1,
+                    Some(')') => depth -= 1,
+                    Some(',') if depth == 0 => {
+                        operands.push((from, j));
+                        from = j + 1;
+                    }
+                    _ => {}
+                }
+            }
+            operands.push((from, close));
+            operands.retain(|&(a, b)| skip_trivia(toks, a, b) < b);
+            let mut verdicts = operands.iter().map(|&(a, b)| requires_test(src, toks, a, b));
+            if op == "all" {
+                verdicts.any(|v| v)
+            } else {
+                !operands.is_empty() && verdicts.all(|v| v)
+            }
+        }
+        _ => false,
     }
 }
 
@@ -272,6 +319,7 @@ fn leaf(
         name,
         line,
         is_pub,
+        is_test: false,
         span: (start, end),
         body: None,
         children: Vec::new(),
@@ -313,7 +361,7 @@ fn other_item(
 }
 
 fn parse_fn(src: &str, toks: &[Token], start: usize, kw: usize, is_pub: bool, hi: usize) -> Item {
-    let name_at = next_nt(toks, kw, hi).filter(|&j| toks[j].kind == TokenKind::Ident);
+    let name_at = next_in(toks, kw, hi).filter(|&j| toks[j].kind == TokenKind::Ident);
     let (name, line) = match name_at {
         Some(j) => (Some(toks[j].text(src).to_string()), toks[j].line),
         None => (None, toks[kw].line),
@@ -341,7 +389,7 @@ fn parse_typedef(
     hi: usize,
     is_enum: bool,
 ) -> Item {
-    let name_at = next_nt(toks, kw, hi).filter(|&j| toks[j].kind == TokenKind::Ident);
+    let name_at = next_in(toks, kw, hi).filter(|&j| toks[j].kind == TokenKind::Ident);
     let (name, line) = match name_at {
         Some(j) => (Some(toks[j].text(src).to_string()), toks[j].line),
         None => (None, toks[kw].line),
@@ -379,7 +427,7 @@ fn enum_variants(src: &str, toks: &[Token], open: usize, close: usize) -> Vec<En
         match punct(src, toks, k) {
             Some('#') if depth == 0 && expecting => {
                 // Variant attribute: jump the `[...]` group.
-                if let Some(j) = next_nt(toks, k, close) {
+                if let Some(j) = next_in(toks, k, close) {
                     if punct(src, toks, j) == Some('[') {
                         k = match_group(src, toks, j, close) + 1;
                         continue;
@@ -459,7 +507,7 @@ fn parse_container(
     hi: usize,
     kind: ItemKind,
 ) -> Item {
-    let name_at = next_nt(toks, kw, hi).filter(|&j| toks[j].kind == TokenKind::Ident);
+    let name_at = next_in(toks, kw, hi).filter(|&j| toks[j].kind == TokenKind::Ident);
     let (name, line) = match name_at {
         Some(j) => (Some(toks[j].text(src).to_string()), toks[j].line),
         None => (None, toks[kw].line),
@@ -497,12 +545,12 @@ fn finish_container(
 
 fn parse_macro_def(src: &str, toks: &[Token], start: usize, kw: usize, hi: usize) -> Item {
     // `macro_rules` `!` `name` `{ … }`
-    let bang = next_nt(toks, kw, hi).filter(|&j| punct(src, toks, j) == Some('!'));
+    let bang = next_in(toks, kw, hi).filter(|&j| punct(src, toks, j) == Some('!'));
     let name_at =
-        bang.and_then(|j| next_nt(toks, j, hi)).filter(|&j| toks[j].kind == TokenKind::Ident);
+        bang.and_then(|j| next_in(toks, j, hi)).filter(|&j| toks[j].kind == TokenKind::Ident);
     let name = name_at.map(|j| toks[j].text(src).to_string());
     let line = name_at.map_or(toks[kw].line, |j| toks[j].line);
-    let opener = name_at.and_then(|j| next_nt(toks, j, hi));
+    let opener = name_at.and_then(|j| next_in(toks, j, hi));
     match opener {
         Some(o) if matches!(punct(src, toks, o), Some('(') | Some('[') | Some('{')) => {
             let close = match_group(src, toks, o, hi);
@@ -510,7 +558,7 @@ fn parse_macro_def(src: &str, toks: &[Token], start: usize, kw: usize, hi: usize
                 close + 1
             } else {
                 // Paren/bracket-delimited form needs a trailing `;`.
-                next_nt(toks, close, hi)
+                next_in(toks, close, hi)
                     .filter(|&j| punct(src, toks, j) == Some(';'))
                     .map_or(close + 1, |j| j + 1)
             };
@@ -533,9 +581,9 @@ fn macro_invocation_or_other(
     // Walk the invocation path: ident (`::` ident)*.
     let mut last = from;
     loop {
-        let c1 = next_nt(toks, last, hi);
-        let c2 = c1.and_then(|j| next_nt(toks, j, hi));
-        let seg = c2.and_then(|j| next_nt(toks, j, hi));
+        let c1 = next_in(toks, last, hi);
+        let c2 = c1.and_then(|j| next_in(toks, j, hi));
+        let seg = c2.and_then(|j| next_in(toks, j, hi));
         match (c1, c2, seg) {
             (Some(a), Some(b), Some(s))
                 if punct(src, toks, a) == Some(':')
@@ -547,15 +595,15 @@ fn macro_invocation_or_other(
             _ => break,
         }
     }
-    let bang = next_nt(toks, last, hi).filter(|&j| punct(src, toks, j) == Some('!'));
-    let opener = bang.and_then(|j| next_nt(toks, j, hi));
+    let bang = next_in(toks, last, hi).filter(|&j| punct(src, toks, j) == Some('!'));
+    let opener = bang.and_then(|j| next_in(toks, j, hi));
     match opener {
         Some(o) if matches!(punct(src, toks, o), Some('(') | Some('[') | Some('{')) => {
             let close = match_group(src, toks, o, hi);
             let end = if punct(src, toks, o) == Some('{') {
                 close + 1
             } else {
-                next_nt(toks, close, hi)
+                next_in(toks, close, hi)
                     .filter(|&j| punct(src, toks, j) == Some(';'))
                     .map_or(close + 1, |j| j + 1)
             };
@@ -792,7 +840,7 @@ mod tests {
             "",
             "// just a comment\n",
             "fn a() {}\nfn b() { let x = 1; }\n",
-            "#![deny(unsafe_code)]\n//! docs\nuse std::fmt;\npub fn f() -> u32 { 7 }\n",
+            "#![forbid(unsafe_code)]\n//! docs\nuse std::fmt;\npub fn f() -> u32 { 7 }\n",
             "pub struct S { a: u32 }\npub enum E { A, B(u32), C { x: u8 } }\n",
             "impl S {\n    pub fn new() -> Self { S { a: 0 } }\n    fn helper(&self) {}\n}\n",
             "mod inner {\n    pub fn nested() {}\n    mod deeper { fn deepest() {} }\n}\n",
@@ -859,6 +907,29 @@ mod tests {
         assert_eq!(a.kind, ItemKind::Mod);
         assert_eq!(a.children.len(), 2);
         assert_eq!(a.children[1].children[0].name.as_deref(), Some("g"));
+    }
+
+    #[test]
+    fn test_attributes_mark_items_by_what_the_predicate_requires() {
+        let src = "#[test]\nfn a() {}\n#[cfg(test)]\nmod m { fn inner() {} }\n#[cfg(not(test))]\nfn b() {}\n#[cfg(any(test, feature = \"x\"))]\nfn c() {}\n#[derive(Debug)]\n#[cfg(all(feature = \"x\", test))]\nstruct D;\n#[cfg_attr(test, derive(Debug))]\nstruct E;\n#![cfg(test)]\nfn f() {}\n";
+        let file = parse_src(src);
+        let flags: Vec<_> =
+            file.items.iter().map(|i| (i.name.as_deref().unwrap_or("?"), i.is_test)).collect();
+        assert_eq!(
+            flags,
+            [
+                ("a", true),
+                ("m", true),
+                ("b", false),
+                ("c", false),
+                ("D", true),
+                ("E", false),
+                ("f", false)
+            ],
+            "only outer `#[test]` and `#[cfg(p)]` with p requiring `test` count"
+        );
+        assert!(!file.items[1].children[0].is_test, "members are test code by position only");
+        roundtrip(src);
     }
 
     #[test]

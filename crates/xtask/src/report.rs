@@ -180,15 +180,15 @@ pub fn render_sarif(report: &LintReport) -> String {
     out.push_str("      \"tool\": {\n        \"driver\": {\n");
     out.push_str("          \"name\": \"sgp-xtask\",\n");
     out.push_str("          \"rules\": [");
-    for (i, rule) in crate::rules::ALL_RULES.iter().enumerate() {
+    for (i, rule) in crate::rules::RULES.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("\n            {");
-        out.push_str(&format!("\"id\": {}, ", json_string(rule)));
+        out.push_str(&format!("\"id\": {}, ", json_string(rule.id)));
         out.push_str(&format!(
             "\"shortDescription\": {{\"text\": {}}}",
-            json_string(crate::rules::describe(rule))
+            json_string(rule.description)
         ));
         out.push('}');
     }

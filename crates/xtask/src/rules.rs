@@ -1,4 +1,4 @@
-//! The rule catalogue and its per-file enforcement.
+//! The rule catalogue, the findings collector, and the per-file rules.
 //!
 //! Rules are scoped by *package name*, not path, so the same engine
 //! lints the real workspace and the fixture corpus identically:
@@ -6,21 +6,23 @@
 //! | rule | scope |
 //! |------|-------|
 //! | `no-hash-iteration`   | `sgp-engine`, `sgp-db`, `sgp-core`, `sgp-partition`, `sgp-fault`, `sgp-trace` — all targets incl. tests |
-//! | `no-panic-in-lib`     | the above + `sgp-graph` — library sources only, test spans skipped |
+//! | `no-panic-in-lib`     | the above + `sgp-graph` — library sources only, test items skipped |
 //! | `no-wallclock-in-sim` | the above + `sgp-graph` — all targets |
-//! | `thread-discipline`   | the `no-panic-in-lib` crates — library sources, test spans skipped; `sgp-partition`'s `src/exec.rs`/`src/exec/` is the single designated exemption |
-//! | `atomic-ordering-policy` | the `no-panic-in-lib` crates — library sources, test spans skipped, **no** exec exemption |
-//! | `no-alloc-in-place-loop` | `sgp-partition` — library sources, `fn place` bodies only, test spans skipped; **advisory** (warning, not error) |
+//! | `thread-discipline`   | the `no-panic-in-lib` crates — library sources, test items skipped; `sgp-partition`'s `src/exec.rs`/`src/exec/` is the single designated exemption |
+//! | `atomic-ordering-policy` | the `no-panic-in-lib` crates — library sources, test items skipped, **no** exec exemption |
+//! | `no-alloc-in-place-loop` | `sgp-partition` — library sources, `fn place` bodies only, test items skipped; **advisory** (warning, not error) |
 //! | `crate-attr-policy`   | every member |
 //! | `workspace-dep-hygiene` | every member manifest + the root manifest |
 //!
 //! Cross-file rules (`trace-key-registry`, `no-float-accounting`,
-//! `schema-version-sync`, `no-unsafe`, `send-bound-registry`) live in
-//! [`crate::crossfile`]; the first three share the per-file
-//! [`AllowTable`]s so suppressions and staleness are tracked uniformly,
-//! while the two registry-backed rules are suppressed *only* by their
-//! committed registry files (`tests/goldens/UNSAFE_REGISTRY`,
-//! `tests/goldens/SEND_REGISTRY`), whose stale entries are errors.
+//! `schema-version-sync`, `send-bound-registry`) live in
+//! [`crate::crossfile`], the call-graph and item-tree families in
+//! [`crate::semantic`]. Every rule reports through one [`Findings`]
+//! collector: [`Findings::emit`] for a finding anchored in a source
+//! file, which an allow directive there may suppress, and
+//! [`Findings::report`] for the ones no directive reaches — manifests,
+//! the committed registries under `tests/goldens/`, and the rules whose
+//! only audit trail is such a registry.
 //!
 //! The bench harness (`sgp-bench`) and binary targets are outside the
 //! determinism scopes: wall-clock footers and CLI conveniences live
@@ -28,185 +30,121 @@
 //!
 //! ## Matching is token-based
 //!
-//! Source rules walk the lexer's token stream ([`crate::lexer`]), so a
-//! `HashMap` in a doc comment, a `panic!` spelled inside a raw string,
-//! or an `unwrap` in an error message can never fire. A method-call
-//! match (`.unwrap()`) follows the receiver dot across line breaks; the
-//! finding lands on the line of the method name itself.
+//! Source rules walk the lexer's token stream ([`crate::lexer`]) with
+//! the [`crate::cursor`] helpers, so a `HashMap` in a doc comment, a
+//! `panic!` spelled inside a raw string, or an `unwrap` in an error
+//! message can never fire. A method-call match (`.unwrap()`) follows the
+//! receiver dot across line breaks; the finding lands on the line of the
+//! method name itself.
 
-use crate::lexer::{self, Token, TokenKind};
+use crate::cursor::{ident, is_call_position, is_macro_bang, is_method_call, qualified_by, spells};
 use crate::manifest::Manifest;
 use crate::report::{Finding, Severity};
-use crate::scan::{DirectiveScope, ScannedFile};
+use crate::scan::DirectiveScope;
 use crate::workspace::{FileKind, Member, Workspace};
+use crate::{Analysis, ParsedEntry};
+use std::collections::BTreeSet;
 
-/// Rule: hash-container iteration order is nondeterministic.
-pub const NO_HASH_ITERATION: &str = "no-hash-iteration";
-/// Rule: panicking constructs in library code.
-pub const NO_PANIC_IN_LIB: &str = "no-panic-in-lib";
-/// Rule: crate roots must carry the policy attributes.
-pub const CRATE_ATTR_POLICY: &str = "crate-attr-policy";
-/// Rule: wall-clock and ambient randomness in deterministic simulators.
-pub const NO_WALLCLOCK_IN_SIM: &str = "no-wallclock-in-sim";
-/// Rule: manifests must inherit workspace dependencies and lints.
-pub const WORKSPACE_DEP_HYGIENE: &str = "workspace-dep-hygiene";
-/// Rule: thread/channel/lock primitives outside the execution backend.
-pub const THREAD_DISCIPLINE: &str = "thread-discipline";
-/// Rule: atomic orderings must be written qualified; beyond Relaxed
-/// needs a justification.
-pub const ATOMIC_ORDERING_POLICY: &str = "atomic-ordering-policy";
-/// Rule: `unsafe` requires an entry in the committed audit registry.
-pub const NO_UNSAFE: &str = "no-unsafe";
-/// Rule: channel payload types must be audited in the Send registry.
-pub const SEND_BOUND_REGISTRY: &str = "send-bound-registry";
-/// Rule: trace keys must come from the `sgp_trace::keys` registry.
-pub const TRACE_KEY_REGISTRY: &str = "trace-key-registry";
-/// Rule: no float arithmetic in accounting/simulated-time paths.
-pub const NO_FLOAT_ACCOUNTING: &str = "no-float-accounting";
-/// Rule: schema-version constants must match the pinned manifest.
-pub const SCHEMA_VERSION_SYNC: &str = "schema-version-sync";
-/// Rule: allocation in a partitioner's per-element `place` hot path.
-pub const NO_ALLOC_IN_PLACE_LOOP: &str = "no-alloc-in-place-loop";
-/// Rule: panicking constructs reachable from a public entry point.
-pub const PANIC_REACHABILITY: &str = "panic-reachability";
-/// Rule: every `Algorithm` variant must be handled on every surface.
-pub const ALGORITHM_SURFACE_EXHAUSTIVENESS: &str = "algorithm-surface-exhaustiveness";
-/// Rule: span_enter/span_exit must balance per function body.
-pub const SPAN_GUARD_BALANCE: &str = "span-guard-balance";
-/// Meta rule: malformed or unjustified allow directives.
-pub const BAD_ALLOW_DIRECTIVE: &str = "bad-allow-directive";
-/// Meta rule: a line-scoped allow whose rule no longer fires there.
-pub const STALE_ALLOW: &str = "stale-allow";
-/// Meta rule: scope/file allow directives that never suppressed anything.
-pub const UNUSED_ALLOW: &str = "unused-allow";
-
-/// All enforceable rule ids (the meta rules included, so directives can
-/// be validated against this list).
-pub const ALL_RULES: &[&str] = &[
-    NO_HASH_ITERATION,
-    NO_PANIC_IN_LIB,
-    CRATE_ATTR_POLICY,
-    NO_WALLCLOCK_IN_SIM,
-    WORKSPACE_DEP_HYGIENE,
-    THREAD_DISCIPLINE,
-    ATOMIC_ORDERING_POLICY,
-    NO_UNSAFE,
-    SEND_BOUND_REGISTRY,
-    TRACE_KEY_REGISTRY,
-    NO_FLOAT_ACCOUNTING,
-    SCHEMA_VERSION_SYNC,
-    NO_ALLOC_IN_PLACE_LOOP,
-    PANIC_REACHABILITY,
-    ALGORITHM_SURFACE_EXHAUSTIVENESS,
-    SPAN_GUARD_BALANCE,
-    BAD_ALLOW_DIRECTIVE,
-    STALE_ALLOW,
-    UNUSED_ALLOW,
-];
-
-/// One-line description per rule, for `sgp-xtask rules`.
-pub fn describe(rule: &str) -> &'static str {
-    match rule {
-        NO_HASH_ITERATION => {
-            "HashMap/HashSet iteration order is nondeterministic; use BTreeMap/BTreeSet or sort \
-             before iterating (determinism-scoped crates)"
-        }
-        NO_PANIC_IN_LIB => {
-            "unwrap()/expect()/panic!/todo!/unimplemented!/dbg! in non-test library code must be \
-             rewritten as Result or carry a justified allow directive"
-        }
-        CRATE_ATTR_POLICY => {
-            "every crate root must carry #![deny(unsafe_code)] and #![warn(missing_docs)]"
-        }
-        NO_WALLCLOCK_IN_SIM => {
-            "std::time::Instant/SystemTime and thread_rng are forbidden in the deterministic \
-             simulators; wall-clock belongs to the bench harness only"
-        }
-        WORKSPACE_DEP_HYGIENE => {
-            "crate manifests must inherit dependencies (workspace = true, no inline versions) and \
-             opt into [workspace.lints]"
-        }
-        THREAD_DISCIPLINE => {
-            "thread, channel and lock primitives (spawn/channel/Mutex/crossbeam/…) are confined \
-             to the designated execution backend (sgp-partition src/exec.rs); everywhere else in \
-             the determinism-scoped libraries they need a justified allow"
-        }
-        ATOMIC_ORDERING_POLICY => {
-            "atomic memory orderings must be spelled `Ordering::X` at the call site (no bare \
-             imports), and any ordering stronger than Relaxed must carry an allow justifying the \
-             acquire/release pairing it implements"
-        }
-        NO_UNSAFE => {
-            "`unsafe` is banned everywhere (sources, tests, benches); the only suppression is a \
-             per-file entry in tests/goldens/UNSAFE_REGISTRY, and stale entries are errors"
-        }
-        SEND_BOUND_REGISTRY => {
-            "every channel constructor in the execution backend must pin its payload type with a \
-             turbofish, and that type must be audited in tests/goldens/SEND_REGISTRY (guards \
-             which types may cross the loader-thread boundary)"
-        }
-        TRACE_KEY_REGISTRY => {
-            "every TraceSink span/counter/histogram key must be a sgp_trace::keys constant, and \
-             every registry constant must be used somewhere (guards the byte-exact trace goldens)"
-        }
-        NO_FLOAT_ACCOUNTING => {
-            "f32/f64 literals and casts are banned in the simulated-time and message-accounting \
-             paths of sgp-db/sgp-engine; quantile/report rendering may use a scoped allow"
-        }
-        SCHEMA_VERSION_SYNC => {
-            "schema-version constants (sgp-trace JSON, sgp-fault FaultPlan) must agree with the \
-             single source of truth in tests/goldens/SCHEMA_VERSIONS"
-        }
-        NO_ALLOC_IN_PLACE_LOOP => {
-            "advisory: Vec/String construction (vec!/Vec/String/to_vec/to_string/collect/to_owned) \
-             inside a partitioner `fn place` body allocates once per streamed element — hoist a \
-             scratch buffer into the partitioner struct (DESIGN.md §13) or justify with an allow"
-        }
-        PANIC_REACHABILITY => {
-            "unwrap/expect/panic!/todo!/unimplemented!/indexing in any fn transitively reachable \
-             from a public entry point of the determinism-scope crates is an error; the finding \
-             prints the call path, panics are suppressed by the no-panic-in-lib allow they already \
-             carry, and indexing is audited per file in tests/goldens/PANIC_AUDIT"
-        }
-        ALGORITHM_SURFACE_EXHAUSTIVENESS => {
-            "every Algorithm enum variant must be explicitly handled on every algorithm surface \
-             (streaming dispatch, snapshot round-trip, threaded-loader support, ingest bench \
-             table, churn/elastic suites) — matched, table-listed, or registered as a documented \
-             fallback in tests/goldens/ALGORITHM_SURFACES; stale registry entries are errors"
-        }
-        SPAN_GUARD_BALANCE => {
-            "every span_enter in a function body must be matched by a span_exit on the \
-             fall-through path of the same body, or replaced by a let-bound guard_span guard \
-             (guards the byte-exact trace goldens against orphaned spans)"
-        }
-        BAD_ALLOW_DIRECTIVE => "sgp-lint allow directives must name a known rule and justify it",
-        STALE_ALLOW => {
-            "a line-scoped allow whose rule no longer fires on its attached span is dead and must \
-             be deleted, so the allowlist cannot rot"
-        }
-        UNUSED_ALLOW => "allow-scope/allow-file directives that suppress nothing should be removed",
-        _ => "unknown rule",
-    }
+/// One row of the rule catalogue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rule {
+    /// The id findings, directives, JSON and SARIF carry.
+    pub id: &'static str,
+    /// Severity of every finding of this rule.
+    pub severity: Severity,
+    /// One-line description for `sgp-xtask rules` and the SARIF catalogue.
+    pub description: &'static str,
 }
 
-/// Crates whose hash-container use breaks replay determinism.
+/// The rule table: one row per rule, which becomes both a named
+/// constant (what rule code passes to [`Findings::emit`]) and an entry
+/// of [`RULES`] (what `rules`, SARIF and directive validation read).
+macro_rules! rule_table {
+    ($($name:ident = $id:literal, $severity:ident, $description:literal;)*) => {
+        $(
+            #[doc = $description]
+            pub const $name: Rule =
+                Rule { id: $id, severity: Severity::$severity, description: $description };
+        )*
+        /// Every enforceable rule (the meta rules included, so
+        /// directives can be validated against this list).
+        pub const RULES: &[Rule] = &[$($name),*];
+    };
+}
+
+rule_table! {
+    NO_HASH_ITERATION = "no-hash-iteration", Error,
+        "HashMap/HashSet iteration order is nondeterministic; use BTreeMap/BTreeSet or sort \
+         before iterating (determinism-scoped crates)";
+    NO_PANIC_IN_LIB = "no-panic-in-lib", Error,
+        "unwrap()/expect()/panic!/todo!/unimplemented!/dbg! in non-test library code must be \
+         rewritten as Result or carry a justified allow directive; when the enclosing fn is \
+         reachable from a public entry point of the determinism-scope crates the finding prints \
+         the call path";
+    CRATE_ATTR_POLICY = "crate-attr-policy", Error,
+        "every crate root must carry #![forbid(unsafe_code)] and #![warn(missing_docs)]";
+    NO_WALLCLOCK_IN_SIM = "no-wallclock-in-sim", Error,
+        "std::time::Instant/SystemTime and thread_rng are forbidden in the deterministic \
+         simulators; wall-clock belongs to the bench harness only";
+    WORKSPACE_DEP_HYGIENE = "workspace-dep-hygiene", Error,
+        "crate manifests must inherit dependencies (workspace = true, no inline versions) and \
+         opt into [workspace.lints]";
+    THREAD_DISCIPLINE = "thread-discipline", Error,
+        "thread, channel and lock primitives (spawn/channel/Mutex/crossbeam/…) are confined \
+         to the designated execution backend (sgp-partition src/exec.rs); everywhere else in \
+         the determinism-scoped libraries they need a justified allow";
+    ATOMIC_ORDERING_POLICY = "atomic-ordering-policy", Error,
+        "atomic memory orderings must be spelled `Ordering::X` at the call site (no bare \
+         imports), and any ordering stronger than Relaxed must carry an allow justifying the \
+         acquire/release pairing it implements";
+    SEND_BOUND_REGISTRY = "send-bound-registry", Error,
+        "every channel constructor in the execution backend must pin its payload type with a \
+         turbofish, and that type must be audited in tests/goldens/SEND_REGISTRY (guards \
+         which types may cross the loader-thread boundary)";
+    TRACE_KEY_REGISTRY = "trace-key-registry", Error,
+        "every TraceSink span/counter/histogram key must be a sgp_trace::keys constant, and \
+         every registry constant must be used somewhere (guards the byte-exact trace goldens)";
+    NO_FLOAT_ACCOUNTING = "no-float-accounting", Error,
+        "f32/f64 literals and casts are banned in the simulated-time and message-accounting \
+         paths of sgp-db/sgp-engine; quantile/report rendering may use a scoped allow";
+    SCHEMA_VERSION_SYNC = "schema-version-sync", Error,
+        "schema-version constants (sgp-trace JSON, sgp-fault FaultPlan) must agree with the \
+         single source of truth in tests/goldens/SCHEMA_VERSIONS";
+    NO_ALLOC_IN_PLACE_LOOP = "no-alloc-in-place-loop", Warn,
+        "advisory: Vec/String construction (vec!/Vec/String/to_vec/to_string/collect/to_owned) \
+         inside a partitioner `fn place` body allocates once per streamed element — hoist a \
+         scratch buffer into the partitioner struct (DESIGN.md §13) or justify with an allow";
+    PANIC_REACHABILITY = "panic-reachability", Error,
+        "unchecked indexing in any fn transitively reachable from a public entry point of the \
+         determinism-scope crates is an error; the finding prints the call path, and the \
+         bounds argument is audited per file in tests/goldens/PANIC_AUDIT (reachable \
+         unwrap/expect/panic! sites are no-panic-in-lib findings)";
+    ALGORITHM_SURFACE_EXHAUSTIVENESS = "algorithm-surface-exhaustiveness", Error,
+        "every Algorithm enum variant must be explicitly handled on every algorithm surface \
+         (streaming dispatch, snapshot round-trip, threaded-loader support, churn/elastic \
+         suites) — matched, table-listed, or registered as a documented fallback in \
+         tests/goldens/ALGORITHM_SURFACES; stale registry entries are errors";
+    SPAN_GUARD_BALANCE = "span-guard-balance", Error,
+        "every span_enter in a function body must be matched by a span_exit on the \
+         fall-through path of the same body, or replaced by a let-bound guard_span guard \
+         (guards the byte-exact trace goldens against orphaned spans)";
+    BAD_ALLOW_DIRECTIVE = "bad-allow-directive", Error,
+        "sgp-lint allow directives must name a known rule and justify it";
+    STALE_ALLOW = "stale-allow", Error,
+        "a line-scoped allow whose rule no longer fires on its attached span is dead and must \
+         be deleted, so the allowlist cannot rot";
+    UNUSED_ALLOW = "unused-allow", Warn,
+        "allow-scope/allow-file directives that suppress nothing should be removed";
+}
+
+/// Crates whose library code must be panic-free, wall-clock-free and
+/// free of ad-hoc threads, locks and unreviewed atomic orderings.
+const LIB_SCOPE: &[&str] =
+    &["sgp-graph", "sgp-engine", "sgp-db", "sgp-core", "sgp-partition", "sgp-fault", "sgp-trace"];
+/// Crates whose hash-container use breaks replay determinism:
+/// [`LIB_SCOPE`] without the graph substrate.
 const HASH_SCOPE: &[&str] =
     &["sgp-engine", "sgp-db", "sgp-core", "sgp-partition", "sgp-fault", "sgp-trace"];
-/// Crates whose library code must be panic-free.
-const PANIC_SCOPE: &[&str] =
-    &["sgp-graph", "sgp-engine", "sgp-db", "sgp-core", "sgp-partition", "sgp-fault", "sgp-trace"];
-/// Crates forbidden to read wall-clock or ambient randomness.
-const WALLCLOCK_SCOPE: &[&str] =
-    &["sgp-graph", "sgp-engine", "sgp-db", "sgp-core", "sgp-partition", "sgp-fault", "sgp-trace"];
-/// Crates whose library code may not create threads, channels or locks
-/// outside the designated execution backend, and whose atomic orderings
-/// are policed.
-const THREAD_SCOPE: &[&str] =
-    &["sgp-graph", "sgp-engine", "sgp-db", "sgp-core", "sgp-partition", "sgp-fault", "sgp-trace"];
-
-fn in_scope(member: &Member, scope: &[&str]) -> bool {
-    scope.contains(&member.name.as_str())
-}
 
 /// Is `rel` part of the designated threaded-execution backend — the one
 /// module allowed to own thread/channel primitives? Shared with the
@@ -216,11 +154,12 @@ pub fn is_exec_backend(member: &Member, rel: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Allow tables
+// The findings collector
 // ---------------------------------------------------------------------------
 
-/// Tracks which findings each directive suppressed, to report stale and
-/// unused ones once every rule (per-file *and* cross-file) has run.
+/// Collects the findings of one run and tracks which allow directive
+/// suppressed what, so stale and unused ones can be reported once every
+/// rule — per-file, cross-file and semantic — has run.
 ///
 /// Attachment semantics, by directive form:
 ///
@@ -228,31 +167,57 @@ pub fn is_exec_backend(member: &Member, rel: &str) -> bool {
 ///   the line immediately after it (trailing-comment and
 ///   line-above placements; nothing further).
 /// * `allow-scope(rule)` — suppresses findings from the directive line
-///   through the end of the next brace-delimited item.
+///   through the end of the next item.
 /// * `allow-file(rule)` — suppresses findings anywhere in the file.
-pub struct AllowTable<'a> {
-    scanned: &'a ScannedFile,
-    used: Vec<bool>,
+pub struct Findings<'a> {
+    entries: &'a [ParsedEntry],
+    /// Per entry, per directive: did it suppress anything?
+    used: Vec<Vec<bool>>,
+    /// `(rule, entry, line)` triples already emitted.
+    seen: BTreeSet<(&'static str, usize, usize)>,
+    out: Vec<Finding>,
 }
 
-impl<'a> AllowTable<'a> {
-    /// A table for one scanned file; no directive is used yet.
-    pub fn new(scanned: &'a ScannedFile) -> Self {
-        AllowTable { scanned, used: vec![false; scanned.directives.len()] }
+impl<'a> Findings<'a> {
+    /// An empty collector over the run's parsed files; no directive is
+    /// used yet.
+    pub fn new(entries: &'a [ParsedEntry]) -> Self {
+        let used = entries.iter().map(|e| vec![false; e.file.directives.len()]).collect();
+        Findings { entries, used, seen: BTreeSet::new(), out: Vec::new() }
     }
 
-    /// The file this table belongs to (workspace-relative).
-    pub fn rel(&self) -> &str {
-        &self.scanned.rel
+    /// Reports `rule` at `line` of source file `entry` — at most once
+    /// per `(rule, line)`, and not at all when a well-formed directive
+    /// in that file allows it there (the directive is then marked used).
+    pub fn emit(&mut self, rule: &Rule, entry: usize, line: usize, message: impl Into<String>) {
+        if self.seen.contains(&(rule.id, entry, line)) || self.allows(rule, entry, line) {
+            return;
+        }
+        self.seen.insert((rule.id, entry, line));
+        let entries = self.entries;
+        self.report(rule, &entries[entry].file.rel, line, message);
     }
 
-    /// Is `(rule, line)` suppressed by a well-formed directive? Marks the
-    /// directive used. Malformed directives (unknown rule, missing
-    /// justification) never suppress.
-    pub fn allows(&mut self, rule: &str, line: usize) -> bool {
+    /// Reports `rule` at `file:line` unconditionally: no directive can
+    /// suppress it and repeats are kept. For manifests and registries
+    /// (which carry no directives) and for the rules whose audit trail
+    /// must live in one registry file.
+    pub fn report(&mut self, rule: &Rule, file: &str, line: usize, message: impl Into<String>) {
+        self.out.push(Finding::new(rule.id, rule.severity, file, line, message));
+    }
+
+    /// Records a file the linter could not read.
+    pub fn io_error(&mut self, file: &str, err: &str) {
+        self.out.push(Finding::io_error(file, err));
+    }
+
+    /// Is `(rule, line)` suppressed by a well-formed directive of file
+    /// `entry`? Marks every applicable directive used. Malformed
+    /// directives (unknown rule, missing justification) never suppress.
+    fn allows(&mut self, rule: &Rule, entry: usize, line: usize) -> bool {
         let mut hit = false;
-        for (i, d) in self.scanned.directives.iter().enumerate() {
-            if d.rule != rule || d.justification.is_empty() {
+        for (i, d) in self.entries[entry].file.directives.iter().enumerate() {
+            if d.rule != rule.id || d.justification.is_empty() {
                 continue;
             }
             let applies = match d.scope {
@@ -261,184 +226,53 @@ impl<'a> AllowTable<'a> {
                 DirectiveScope::Line => d.line == line || d.line + 1 == line,
             };
             if applies {
-                self.used[i] = true;
+                self.used[entry][i] = true;
                 hit = true;
             }
         }
         hit
     }
 
-    /// Emits the meta findings: `bad-allow-directive` for malformed
+    /// Adds the meta findings — `bad-allow-directive` for malformed
     /// directives, `stale-allow` (error) for line-scoped allows that
-    /// suppressed nothing, and `unused-allow` (warn) for scope/file
-    /// allows that suppressed nothing.
-    pub fn finish(self, findings: &mut Vec<Finding>) {
-        for (i, d) in self.scanned.directives.iter().enumerate() {
-            if d.rule.is_empty() || !ALL_RULES.contains(&d.rule.as_str()) {
-                findings.push(Finding::new(
-                    BAD_ALLOW_DIRECTIVE,
-                    Severity::Error,
-                    &self.scanned.rel,
-                    d.line,
-                    format!(
+    /// suppressed nothing, `unused-allow` (warn) for scope/file allows
+    /// that suppressed nothing — and returns everything collected.
+    pub fn finish(mut self) -> Vec<Finding> {
+        for (entry, used) in self.entries.iter().zip(std::mem::take(&mut self.used)) {
+            let rel = &entry.file.rel;
+            for (d, used) in entry.file.directives.iter().zip(used) {
+                if !RULES.iter().any(|r| r.id == d.rule) {
+                    let msg = format!(
                         "malformed sgp-lint directive (unknown or missing rule name): `{}`",
                         d.raw.trim()
-                    ),
-                ));
-            } else if d.justification.is_empty() {
-                findings.push(Finding::new(
-                    BAD_ALLOW_DIRECTIVE,
-                    Severity::Error,
-                    &self.scanned.rel,
-                    d.line,
-                    format!(
+                    );
+                    self.report(&BAD_ALLOW_DIRECTIVE, rel, d.line, msg);
+                } else if d.justification.is_empty() {
+                    let msg = format!(
                         "allow({}) directive is missing its mandatory justification — write \
                          `// sgp-lint: allow({}): <why this is sound>`",
                         d.rule, d.rule
-                    ),
-                ));
-            } else if !self.used[i] {
-                match d.scope {
-                    DirectiveScope::Line => findings.push(Finding::new(
-                        STALE_ALLOW,
-                        Severity::Error,
-                        &self.scanned.rel,
+                    );
+                    self.report(&BAD_ALLOW_DIRECTIVE, rel, d.line, msg);
+                } else if used {
+                    continue;
+                } else if d.scope == DirectiveScope::Line {
+                    let msg = format!(
+                        "allow({}) is stale: the rule no longer fires on line {} or {} — the \
+                         violation was fixed, so delete the directive",
+                        d.rule,
                         d.line,
-                        format!(
-                            "allow({}) is stale: the rule no longer fires on line {} or {} — the \
-                             violation was fixed, so delete the directive",
-                            d.rule,
-                            d.line,
-                            d.line + 1
-                        ),
-                    )),
-                    DirectiveScope::Scope { .. } | DirectiveScope::File => {
-                        findings.push(Finding::new(
-                            UNUSED_ALLOW,
-                            Severity::Warn,
-                            &self.scanned.rel,
-                            d.line,
-                            format!("allow({}) directive suppresses nothing; remove it", d.rule),
-                        ));
-                    }
+                        d.line + 1
+                    );
+                    self.report(&STALE_ALLOW, rel, d.line, msg);
+                } else {
+                    let msg = format!("allow({}) directive suppresses nothing; remove it", d.rule);
+                    self.report(&UNUSED_ALLOW, rel, d.line, msg);
                 }
             }
         }
+        self.out
     }
-}
-
-// ---------------------------------------------------------------------------
-// Token matchers
-// ---------------------------------------------------------------------------
-
-/// Index of the previous non-trivia token before `i`, if any.
-fn prev_nontrivia(tokens: &[Token], i: usize) -> Option<usize> {
-    (0..i).rev().find(|&j| !lexer::is_trivia(tokens[j].kind))
-}
-
-/// Index of the next non-trivia token after `i`, if any.
-fn next_nontrivia(tokens: &[Token], i: usize) -> Option<usize> {
-    (i + 1..tokens.len()).find(|&j| !lexer::is_trivia(tokens[j].kind))
-}
-
-fn punct_is(source: &str, tokens: &[Token], i: Option<usize>, c: char) -> bool {
-    i.is_some_and(|i| {
-        tokens[i].kind == TokenKind::Punct && source[tokens[i].start..tokens[i].end].starts_with(c)
-    })
-}
-
-/// Is token `i` a method call `.name(` (whitespace/newlines allowed
-/// around the dot and before the parenthesis)?
-pub fn is_method_call(source: &str, tokens: &[Token], i: usize) -> bool {
-    tokens[i].kind == TokenKind::Ident
-        && punct_is(source, tokens, prev_nontrivia(tokens, i), '.')
-        && punct_is(source, tokens, next_nontrivia(tokens, i), '(')
-}
-
-/// Is token `i` a macro invocation `name!`?
-pub fn is_macro_bang(source: &str, tokens: &[Token], i: usize) -> bool {
-    tokens[i].kind == TokenKind::Ident && punct_is(source, tokens, next_nontrivia(tokens, i), '!')
-}
-
-/// Is token `i` invoked as a function or constructor — `name(…)` or
-/// `name::<T>(…)`? Distinguishes `thread::spawn(f)` from an identifier
-/// that merely *names* spawn (`fn spawn_rate()`, `let channel = 3;`).
-pub fn is_call_position(source: &str, tokens: &[Token], i: usize) -> bool {
-    let n1 = next_nontrivia(tokens, i);
-    if punct_is(source, tokens, n1, '(') {
-        return true;
-    }
-    let n2 = n1.and_then(|j| next_nontrivia(tokens, j));
-    let n3 = n2.and_then(|j| next_nontrivia(tokens, j));
-    punct_is(source, tokens, n1, ':')
-        && punct_is(source, tokens, n2, ':')
-        && punct_is(source, tokens, n3, '<')
-}
-
-/// Token-index spans `(open_brace, close_brace)` of every `fn place`
-/// *body* in the file. A trait method declaration (`fn place(…) -> …;`)
-/// has no body — a `;` before any `{` at bracket depth 0 — and yields
-/// no span. Only the exact identifier `place` counts; `place_hybrid_edges`
-/// and friends are ordinary functions outside the per-element hot path.
-pub fn place_body_spans(source: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        let is_place_fn = tokens[i].kind == TokenKind::Ident
-            && tokens[i].text(source) == "place"
-            && prev_nontrivia(tokens, i).is_some_and(|p| {
-                tokens[p].kind == TokenKind::Ident && tokens[p].text(source) == "fn"
-            });
-        if !is_place_fn {
-            i += 1;
-            continue;
-        }
-        // Scan the signature for the body's opening brace, bailing on a
-        // bodiless declaration.
-        let mut open = None;
-        let mut depth = 0i64;
-        for (j, t) in tokens.iter().enumerate().skip(i + 1) {
-            if t.kind != TokenKind::Punct {
-                continue;
-            }
-            match t.text(source).chars().next() {
-                Some('(') | Some('[') => depth += 1,
-                Some(')') | Some(']') => depth -= 1,
-                Some('{') if depth == 0 => {
-                    open = Some(j);
-                    break;
-                }
-                Some(';') if depth == 0 => break,
-                _ => {}
-            }
-        }
-        let Some(open) = open else {
-            i += 1;
-            continue;
-        };
-        // Brace-match to the end of the body.
-        let mut braces = 0i64;
-        let mut close = open;
-        for (j, t) in tokens.iter().enumerate().skip(open) {
-            if t.kind != TokenKind::Punct {
-                continue;
-            }
-            match t.text(source).chars().next() {
-                Some('{') => braces += 1,
-                Some('}') => {
-                    braces -= 1;
-                    if braces == 0 {
-                        close = j;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        spans.push((open, close));
-        i = close + 1;
-    }
-    spans
 }
 
 // ---------------------------------------------------------------------------
@@ -460,237 +294,155 @@ const THREAD_SPAWN_CALLS: &[&str] = &["spawn", "channel", "bounded", "unbounded"
 /// `std::cmp::Ordering` variants (Less/Equal/Greater) never collide.
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// Runs every source-level rule over one scanned file, charging
-/// suppressions to `allows` (finalised later by [`AllowTable::finish`]).
-pub fn check_source_file(
-    member: &Member,
-    file_kind: FileKind,
-    scanned: &ScannedFile,
-    allows: &mut AllowTable<'_>,
-    findings: &mut Vec<Finding>,
-) {
-    let hash_applies = in_scope(member, HASH_SCOPE);
-    let wallclock_applies = in_scope(member, WALLCLOCK_SCOPE);
-    let panic_applies = in_scope(member, PANIC_SCOPE) && file_kind == FileKind::LibSrc;
-    let thread_applies = in_scope(member, THREAD_SCOPE)
-        && file_kind == FileKind::LibSrc
-        && !is_exec_backend(member, &scanned.rel);
-    let ordering_applies = in_scope(member, THREAD_SCOPE) && file_kind == FileKind::LibSrc;
-    let alloc_applies = member.name == "sgp-partition" && file_kind == FileKind::LibSrc;
+/// Runs every source-level rule over file `ei` of the analysis.
+pub fn check_source_file(cx: &Analysis<'_>, ei: usize, out: &mut Findings<'_>) {
+    let entry = &cx.entries[ei];
+    let member = &cx.ws.members[entry.member];
+    let file = &entry.file;
+    let in_lib_scope = LIB_SCOPE.contains(&member.name.as_str());
+    let hash_applies = HASH_SCOPE.contains(&member.name.as_str());
+    // The library-only rules: scoped crate, library source, and (per
+    // token, below) not inside a test item.
+    let lib_applies = in_lib_scope && entry.kind == FileKind::LibSrc;
+    let thread_applies = lib_applies && !is_exec_backend(member, &file.rel);
+    // Bodies of the partitioners' per-element `fn place` hot path. Only
+    // the exact name counts; `place_hybrid_edges` and friends are
+    // ordinary functions, and a bodiless trait declaration has no span.
+    let place_bodies: Vec<(usize, usize)> =
+        if member.name == "sgp-partition" && entry.kind == FileKind::LibSrc {
+            let fns = cx.symbols.fns.iter().filter(|f| f.entry == ei && f.name == "place");
+            fns.filter_map(|f| f.body).collect()
+        } else {
+            Vec::new()
+        };
 
-    let src = &scanned.source;
-    let tokens = &scanned.tokens;
-    let place_spans = if alloc_applies { place_body_spans(src, tokens) } else { Vec::new() };
-    // One finding per (rule, line), matching the old per-line reporting.
-    let mut reported: std::collections::BTreeSet<(&'static str, usize)> =
-        std::collections::BTreeSet::new();
-
+    let (src, tokens) = (file.source.as_str(), file.tokens.as_slice());
     for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let text = t.text(src);
+        let Some(text) = ident(src, tokens, i) else { continue };
         let line = t.line;
 
         if hash_applies && matches!(text, "HashMap" | "HashSet") {
-            if !reported.contains(&(NO_HASH_ITERATION, line))
-                && !allows.allows(NO_HASH_ITERATION, line)
-            {
-                reported.insert((NO_HASH_ITERATION, line));
-                findings.push(Finding::new(
-                    NO_HASH_ITERATION,
-                    Severity::Error,
-                    &scanned.rel,
-                    line,
-                    format!(
-                        "`{text}` has nondeterministic iteration order — use \
-                         `BTreeMap`/`BTreeSet` or collect+sort (bit-for-bit reproduction scope)"
-                    ),
-                ));
-            }
+            let msg = format!(
+                "`{text}` has nondeterministic iteration order — use `BTreeMap`/`BTreeSet` or \
+                 collect+sort (bit-for-bit reproduction scope)"
+            );
+            out.emit(&NO_HASH_ITERATION, ei, line, msg);
         }
-        if wallclock_applies && matches!(text, "Instant" | "SystemTime" | "thread_rng") {
-            if !reported.contains(&(NO_WALLCLOCK_IN_SIM, line))
-                && !allows.allows(NO_WALLCLOCK_IN_SIM, line)
-            {
-                reported.insert((NO_WALLCLOCK_IN_SIM, line));
-                findings.push(Finding::new(
-                    NO_WALLCLOCK_IN_SIM,
-                    Severity::Error,
-                    &scanned.rel,
-                    line,
-                    format!(
-                        "`{text}` reads ambient machine state; deterministic simulators must \
-                         take seeds/counters as inputs (wall-clock belongs to sgp-bench footers)"
-                    ),
-                ));
-            }
+        if in_lib_scope && matches!(text, "Instant" | "SystemTime" | "thread_rng") {
+            let msg = format!(
+                "`{text}` reads ambient machine state; deterministic simulators must take \
+                 seeds/counters as inputs (wall-clock belongs to sgp-bench footers)"
+            );
+            out.emit(&NO_WALLCLOCK_IN_SIM, ei, line, msg);
         }
-        if thread_applies && !scanned.is_test_line(line) {
+        if !lib_applies || file.is_test_line(line) {
+            continue;
+        }
+        if thread_applies {
             let sync_type = THREAD_SYNC_TYPES.contains(&text);
-            let spawn_call = !sync_type
-                && THREAD_SPAWN_CALLS.contains(&text)
-                && is_call_position(src, tokens, i);
-            if (sync_type || spawn_call)
-                && !reported.contains(&(THREAD_DISCIPLINE, line))
-                && !allows.allows(THREAD_DISCIPLINE, line)
-            {
-                reported.insert((THREAD_DISCIPLINE, line));
+            let spawn_call = THREAD_SPAWN_CALLS.contains(&text) && is_call_position(src, tokens, i);
+            if sync_type || spawn_call {
                 let what = if sync_type {
                     format!("synchronisation primitive `{text}`")
                 } else {
                     format!("thread/channel constructor `{text}(…)`")
                 };
-                findings.push(Finding::new(
-                    THREAD_DISCIPLINE,
-                    Severity::Error,
-                    &scanned.rel,
-                    line,
-                    format!(
-                        "{what} outside the designated execution backend — concurrency lives in \
-                         sgp-partition src/exec.rs (route through exec::scoped_workers) or \
-                         carries a justified allow"
-                    ),
-                ));
+                let msg = format!(
+                    "{what} outside the designated execution backend — concurrency lives in \
+                     sgp-partition src/exec.rs or carries a justified allow"
+                );
+                out.emit(&THREAD_DISCIPLINE, ei, line, msg);
             }
         }
-        if ordering_applies && !scanned.is_test_line(line) && ATOMIC_ORDERINGS.contains(&text) {
-            let p1 = prev_nontrivia(tokens, i);
-            let p2 = p1.and_then(|j| prev_nontrivia(tokens, j));
-            let p3 = p2.and_then(|j| prev_nontrivia(tokens, j));
-            let qualified = punct_is(src, tokens, p1, ':')
-                && punct_is(src, tokens, p2, ':')
-                && p3.is_some_and(|j| {
-                    tokens[j].kind == TokenKind::Ident && tokens[j].text(src) == "Ordering"
-                });
-            let complaint = if !qualified {
-                Some(format!(
+        if ATOMIC_ORDERINGS.contains(&text) {
+            if !qualified_by(src, tokens, i, "Ordering") {
+                let msg = format!(
                     "bare atomic ordering `{text}` — write `Ordering::{text}` at the call site \
                      so every ordering decision is locally visible and grep-able"
-                ))
+                );
+                out.emit(&ATOMIC_ORDERING_POLICY, ei, line, msg);
             } else if text != "Relaxed" {
-                Some(format!(
+                let msg = format!(
                     "`Ordering::{text}` is stronger than Relaxed — justify the acquire/release \
                      pairing it implements with an allow directive, or relax it"
-                ))
-            } else {
-                None
-            };
-            if let Some(msg) = complaint {
-                if !reported.contains(&(ATOMIC_ORDERING_POLICY, line))
-                    && !allows.allows(ATOMIC_ORDERING_POLICY, line)
-                {
-                    reported.insert((ATOMIC_ORDERING_POLICY, line));
-                    findings.push(Finding::new(
-                        ATOMIC_ORDERING_POLICY,
-                        Severity::Error,
-                        &scanned.rel,
-                        line,
-                        msg,
-                    ));
-                }
+                );
+                out.emit(&ATOMIC_ORDERING_POLICY, ei, line, msg);
             }
         }
-        if alloc_applies
-            && !scanned.is_test_line(line)
-            && place_spans.iter().any(|&(open, close)| open < i && i < close)
-        {
-            let ty = matches!(text, "Vec" | "String");
-            let mac = !ty && text == "vec" && is_macro_bang(src, tokens, i);
-            let method = !ty
-                && !mac
-                && matches!(text, "to_vec" | "to_string" | "collect" | "to_owned")
+        if place_bodies.iter().any(|&(open, close)| open < i && i < close) {
+            let method = matches!(text, "to_vec" | "to_string" | "collect" | "to_owned")
                 && is_method_call(src, tokens, i);
-            if (ty || mac || method)
-                && !reported.contains(&(NO_ALLOC_IN_PLACE_LOOP, line))
-                && !allows.allows(NO_ALLOC_IN_PLACE_LOOP, line)
+            if method
+                || matches!(text, "Vec" | "String")
+                || (text == "vec" && is_macro_bang(src, tokens, i))
             {
-                reported.insert((NO_ALLOC_IN_PLACE_LOOP, line));
                 let what = if method { format!("`.{text}()`") } else { format!("`{text}`") };
-                findings.push(Finding::new(
-                    NO_ALLOC_IN_PLACE_LOOP,
-                    Severity::Warn,
-                    &scanned.rel,
-                    line,
-                    format!(
-                        "{what} in a `fn place` body allocates once per streamed element — hoist \
-                         a scratch buffer into the partitioner struct (DESIGN.md §13) or justify \
-                         with an allow directive"
-                    ),
-                ));
+                let msg = format!(
+                    "{what} in a `fn place` body allocates once per streamed element — hoist a \
+                     scratch buffer into the partitioner struct (DESIGN.md §13) or justify with \
+                     an allow directive"
+                );
+                out.emit(&NO_ALLOC_IN_PLACE_LOOP, ei, line, msg);
             }
         }
-        if panic_applies && !scanned.is_test_line(line) {
-            let method = PANIC_METHODS.contains(&text) && is_method_call(src, tokens, i);
-            let mac = !method && PANIC_MACROS.contains(&text) && is_macro_bang(src, tokens, i);
-            if (method || mac)
-                && !reported.contains(&(NO_PANIC_IN_LIB, line))
-                && !allows.allows(NO_PANIC_IN_LIB, line)
-            {
-                reported.insert((NO_PANIC_IN_LIB, line));
-                let what = if method { format!("`.{text}()`") } else { format!("`{text}!`") };
-                findings.push(Finding::new(
-                    NO_PANIC_IN_LIB,
-                    Severity::Error,
-                    &scanned.rel,
-                    line,
-                    format!(
-                        "{what} can panic mid-experiment — return a `Result` (see \
-                         sgp_core::SgpError) or justify with an allow directive"
-                    ),
-                ));
-            }
+        let method = PANIC_METHODS.contains(&text) && is_method_call(src, tokens, i);
+        if method || (PANIC_MACROS.contains(&text) && is_macro_bang(src, tokens, i)) {
+            let what = if method { format!("`.{text}()`") } else { format!("`{text}!`") };
+            // A reachable site aborts a measurement instead of failing
+            // it; say how it is reached.
+            let reached = match crate::semantic::call_path_to(cx, ei, i) {
+                Some(path) => format!("; reachable from a public entry point via {path}"),
+                None => String::new(),
+            };
+            let msg = format!(
+                "{what} can panic mid-experiment — return a `Result` (see sgp_core::SgpError) \
+                 or justify with an allow directive{reached}"
+            );
+            out.emit(&NO_PANIC_IN_LIB, ei, line, msg);
         }
     }
 }
 
-/// Checks the crate-root attribute policy for one member.
-pub fn check_crate_root_attrs(member: &Member, findings: &mut Vec<Finding>) {
-    let root_rel = format!("{}/src/lib.rs", dir_rel(member));
-    let root = member
-        .files
-        .iter()
-        .find(|f| f.rel.ends_with("src/lib.rs"))
-        .or_else(|| member.files.iter().find(|f| f.rel.ends_with("src/main.rs")));
-    let Some(root) = root else {
-        findings.push(Finding::new(
-            CRATE_ATTR_POLICY,
-            Severity::Error,
-            &root_rel,
+/// The attributes every crate root must carry: (lint, accepted levels,
+/// what the finding asks for).
+const ROOT_ATTRS: &[(&str, &[&str], &str)] = &[
+    (
+        "unsafe_code",
+        &["forbid"],
+        "`#![forbid(unsafe_code)]` (`deny` can be re-allowed further down; `forbid` cannot)",
+    ),
+    ("missing_docs", &["warn", "deny"], "`#![warn(missing_docs)]` (or `deny`)"),
+];
+
+/// Checks the crate-root attribute policy for member `mi` by token
+/// match on its already-parsed root, so an attribute mentioned in a
+/// comment or string does not satisfy the policy.
+pub fn check_crate_root_attrs(cx: &Analysis<'_>, mi: usize, out: &mut Findings<'_>) {
+    let member = &cx.ws.members[mi];
+    let root_of = |name: &str| member.files.iter().find(|f| f.rel.ends_with(name));
+    let Some(root) = root_of("src/lib.rs").or_else(|| root_of("src/main.rs")) else {
+        let manifest_dir = member.manifest_rel.trim_end_matches("Cargo.toml");
+        out.report(
+            &CRATE_ATTR_POLICY,
+            &format!("{manifest_dir}src/lib.rs"),
             0,
             "crate has neither src/lib.rs nor src/main.rs to carry the policy attributes",
-        ));
+        );
         return;
     };
-    let Ok(text) = std::fs::read_to_string(&root.path) else {
-        findings.push(Finding::io_error(&root.rel, "unreadable crate root"));
-        return;
-    };
-    // Check the masked source so an attribute mentioned in a comment or
-    // string does not satisfy the policy.
-    let scanned = crate::scan::scan_source(&text, &root.rel);
-    let normalized: String =
-        scanned.masked.join("\n").chars().filter(|c| !c.is_whitespace()).collect();
-    for (attr, needle, alt) in [
-        ("#![deny(unsafe_code)]", "#![deny(unsafe_code)]", "#![forbid(unsafe_code)]"),
-        ("#![warn(missing_docs)]", "#![warn(missing_docs)]", "#![deny(missing_docs)]"),
-    ] {
-        let needle: String = needle.chars().filter(|c| !c.is_whitespace()).collect();
-        let alt: String = alt.chars().filter(|c| !c.is_whitespace()).collect();
-        if !normalized.contains(&needle) && !normalized.contains(&alt) {
-            findings.push(Finding::new(
-                CRATE_ATTR_POLICY,
-                Severity::Error,
-                &root.rel,
-                1,
-                format!("crate root is missing `{attr}` (or a stricter equivalent)"),
-            ));
+    // An unreadable root already has its io-error finding from pass 1.
+    let Some(file) = cx.entries.iter().map(|e| &e.file).find(|f| f.rel == root.rel) else { return };
+    let (src, toks) = (file.source.as_str(), file.tokens.as_slice());
+    for (lint, levels, wanted) in ROOT_ATTRS {
+        let present = (0..toks.len()).any(|i| {
+            levels
+                .iter()
+                .any(|level| spells(src, toks, i, &["#", "!", "[", level, "(", lint, ")", "]"]))
+        });
+        if !present {
+            out.report(&CRATE_ATTR_POLICY, &file.rel, 1, format!("crate root is missing {wanted}"));
         }
     }
-}
-
-fn dir_rel(member: &Member) -> String {
-    member.manifest_rel.trim_end_matches("Cargo.toml").trim_end_matches('/').to_string()
 }
 
 // ---------------------------------------------------------------------------
@@ -701,44 +453,42 @@ const DEP_SECTIONS: &[&str] = &["dependencies", "dev-dependencies", "build-depen
 
 /// Checks the root manifest: `[workspace.lints]` must exist so member
 /// `[lints] workspace = true` tables have something to inherit.
-pub fn check_root_manifest(ws: &Workspace, findings: &mut Vec<Finding>) {
+pub fn check_root_manifest(ws: &Workspace, out: &mut Findings<'_>) {
     let m = &ws.root_manifest;
     let has_lints = m
         .sections
         .iter()
         .any(|s| s.name == "workspace.lints" || s.name.starts_with("workspace.lints."));
     if !has_lints {
-        findings.push(Finding::new(
-            WORKSPACE_DEP_HYGIENE,
-            Severity::Error,
+        out.report(
+            &WORKSPACE_DEP_HYGIENE,
             &m.rel,
             0,
             "root manifest has no [workspace.lints] table for members to inherit",
-        ));
+        );
     }
 }
 
 /// Checks one member manifest: workspace-inherited deps, no inline
 /// versions, and a `[lints] workspace = true` opt-in.
-pub fn check_member_manifest(member: &Member, findings: &mut Vec<Finding>) {
+pub fn check_member_manifest(member: &Member, out: &mut Findings<'_>) {
     let m = &member.manifest;
-    check_dep_sections(m, findings);
+    check_dep_sections(m, out);
     let lints_ok = m
         .section("lints")
         .map(|s| s.entries.iter().any(|e| e.key == "workspace" && e.value == "true"))
         .unwrap_or(false);
     if !lints_ok {
-        findings.push(Finding::new(
-            WORKSPACE_DEP_HYGIENE,
-            Severity::Error,
+        out.report(
+            &WORKSPACE_DEP_HYGIENE,
             &m.rel,
             0,
             "manifest must opt into the shared lint policy with `[lints]\\nworkspace = true`",
-        ));
+        );
     }
 }
 
-fn check_dep_sections(m: &Manifest, findings: &mut Vec<Finding>) {
+fn check_dep_sections(m: &Manifest, out: &mut Findings<'_>) {
     for section in &m.sections {
         if !DEP_SECTIONS.contains(&section.name.as_str()) {
             continue;
@@ -749,22 +499,20 @@ fn check_dep_sections(m: &Manifest, findings: &mut Vec<Finding>) {
                 || entry.value.contains("workspace=true");
             if inherited {
                 if entry.value.contains("version") {
-                    findings.push(Finding::new(
-                        WORKSPACE_DEP_HYGIENE,
-                        Severity::Error,
+                    out.report(
+                        &WORKSPACE_DEP_HYGIENE,
                         &m.rel,
                         entry.line,
                         format!(
                             "dependency `{}` mixes `workspace = true` with an inline version",
                             entry.key
                         ),
-                    ));
+                    );
                 }
                 continue;
             }
-            findings.push(Finding::new(
-                WORKSPACE_DEP_HYGIENE,
-                Severity::Error,
+            out.report(
+                &WORKSPACE_DEP_HYGIENE,
                 &m.rel,
                 entry.line,
                 format!(
@@ -772,7 +520,7 @@ fn check_dep_sections(m: &Manifest, findings: &mut Vec<Finding>) {
                      version pinned once in [workspace.dependencies])",
                     entry.key, entry.key
                 ),
-            ));
+            );
         }
     }
 }
@@ -780,23 +528,12 @@ fn check_dep_sections(m: &Manifest, findings: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_source;
 
     fn lint_tokens_as(pkg: &str, rel: &str, src: &str) -> Vec<(String, usize)> {
-        let scanned = scan_source(src, rel);
-        let member = Member {
-            name: pkg.into(),
-            dir: std::path::PathBuf::new(),
-            manifest: crate::manifest::parse_manifest("", "crates/x/Cargo.toml"),
-            manifest_rel: "crates/x/Cargo.toml".into(),
-            files: vec![],
-            is_root_package: false,
-        };
-        let mut findings = Vec::new();
-        let mut allows = AllowTable::new(&scanned);
-        check_source_file(&member, FileKind::LibSrc, &scanned, &mut allows, &mut findings);
-        allows.finish(&mut findings);
-        findings.into_iter().map(|f| (f.rule, f.line)).collect()
+        crate::testkit::lint(&[(pkg, rel, src)], |cx, out| check_source_file(cx, 0, out))
+            .into_iter()
+            .map(|f| (f.rule, f.line))
+            .collect()
     }
 
     fn lint_tokens(src: &str) -> Vec<(String, usize)> {
@@ -995,9 +732,51 @@ mod tests {
     }
 
     #[test]
-    fn rule_catalogue_is_documented() {
-        for rule in ALL_RULES {
-            assert_ne!(describe(rule), "unknown rule", "{rule} lacks a description");
+    fn reachable_panic_sites_print_their_call_path() {
+        let src = "pub fn entry(v: Option<u32>) -> u32 { helper(v) }\nfn helper(v: Option<u32>) -> u32 { v.unwrap() }\nfn orphan(v: Option<u32>) -> u32 { v.unwrap() }\n";
+        let found =
+            crate::testkit::lint(&[("sgp-engine", "crates/x/src/lib.rs", src)], |cx, out| {
+                check_source_file(cx, 0, out)
+            });
+        let msg = |line| &found.iter().find(|f| f.line == line).expect("finding").message;
+        assert!(msg(2).contains("via sgp-engine::entry -> sgp-engine::helper"), "{}", msg(2));
+        assert!(!msg(3).contains("reachable"), "{}", msg(3));
+        // sgp-core is panic-scoped but outside the reachability scope.
+        let found = crate::testkit::lint(&[("sgp-core", "crates/x/src/lib.rs", src)], |cx, out| {
+            check_source_file(cx, 0, out)
+        });
+        assert_eq!(found.len(), 2);
+        assert!(found.iter().all(|f| !f.message.contains("reachable")));
+    }
+
+    #[test]
+    fn crate_root_policy_requires_forbid_and_reads_tokens_not_text() {
+        let lint_root = |src: &str| {
+            crate::testkit::lint(&[("sgp-util", "crates/x/src/lib.rs", src)], |cx, out| {
+                check_crate_root_attrs(cx, 0, out)
+            })
+            .len()
+        };
+        assert_eq!(lint_root("#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n"), 0);
+        assert_eq!(lint_root("#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n"), 0);
+        assert_eq!(
+            lint_root("#![deny(unsafe_code)]\n#![warn(missing_docs)]\n"),
+            1,
+            "deny can be locally re-allowed, so it no longer satisfies the policy"
+        );
+        assert_eq!(
+            lint_root("// #![forbid(unsafe_code)]\nconst S: &str = \"#![warn(missing_docs)]\";\n"),
+            2,
+            "a comment or a string is not an attribute"
+        );
+    }
+
+    #[test]
+    fn rule_table_is_consistent() {
+        for (i, rule) in RULES.iter().enumerate() {
+            assert!(!rule.description.trim().is_empty(), "{} lacks a description", rule.id);
+            assert!(RULES[..i].iter().all(|r| r.id != rule.id), "{} is listed twice", rule.id);
         }
+        assert!(RULES.iter().all(|r| r.id != "no-unsafe"), "retired with the workspace forbid");
     }
 }

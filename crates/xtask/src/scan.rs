@@ -1,19 +1,19 @@
-//! Token-backed source scanning.
+//! One lex and one parse per file.
 //!
-//! [`scan_source`] lexes a file once (see [`crate::lexer`]) and derives
-//! everything the rules need from the token stream:
+//! [`ParsedFile::parse`] is the single place a source file is lexed
+//! ([`crate::lexer`]) and parsed ([`crate::parser`]). Everything the
+//! rules consume is in the resulting [`ParsedFile`], and everything
+//! structural is read off its item tree:
 //!
-//! 1. *The tokens themselves* — rules pattern-match identifiers, method
-//!    calls and macro bangs over tokens, so text inside string literals,
-//!    raw strings, char literals and (doc) comments can never produce a
-//!    finding.
-//! 2. *Masked lines* — the source with literal/comment tokens blanked
-//!    (columns preserved), used by checks that still compare shapes of
-//!    whole lines (crate-root attributes).
-//! 3. *Test spans* — `#[cfg(test)]` / `#[test]` attributes are located
-//!    as token sequences and their items delimited by brace matching, so
-//!    `no-panic-in-lib` skips unit tests embedded in library files.
-//! 4. *Allow directives* — `// sgp-lint: …` comments, parsed only from
+//! 1. *The tokens* — rules pattern-match identifiers, method calls and
+//!    macro bangs over tokens (helpers in [`crate::cursor`]), so text
+//!    inside string literals, raw strings, char literals and (doc)
+//!    comments can never produce a finding.
+//! 2. *The items* — fn bodies, consts, enum variants, and which items
+//!    are test-only ([`Item::is_test`]). [`ParsedFile::is_test_line`]
+//!    answers from that flag, so `no-panic-in-lib` and friends skip unit
+//!    tests embedded in library files.
+//! 3. *Allow directives* — `// sgp-lint: …` comments, parsed only from
 //!    plain (non-doc) line-comment tokens and anchored to the token's
 //!    line. Doc comments describing the syntax never count.
 //!
@@ -21,15 +21,19 @@
 //!
 //! ```text
 //! // sgp-lint: allow(<rule>): <why>        same line or the line after
-//! // sgp-lint: allow-scope(<rule>): <why>  the next brace-delimited item
+//! // sgp-lint: allow-scope(<rule>): <why>  the next item
 //! // sgp-lint: allow-file(<rule>): <why>   the whole file
 //! ```
 //!
-//! `allow-scope` must sit on its own line above the item it exempts; its
-//! reach ends at the item's closing brace (or the `;` of a braceless
-//! item).
+//! `allow-scope` must sit on its own line above the item it exempts —
+//! at module level or between the members of an `impl`/`mod`/`trait` —
+//! and reaches to that item's closing brace (or the `;` of a braceless
+//! item). Statements inside a fn body are not items: an `allow-scope`
+//! there covers nothing and is reported as unused.
 
+use crate::ast::Item;
 use crate::lexer::{self, DocStyle, Token, TokenKind};
+use crate::parser;
 use std::path::Path;
 
 /// The scope of an allow directive.
@@ -37,8 +41,8 @@ use std::path::Path;
 pub enum DirectiveScope {
     /// Applies to the directive's own line and the line after it.
     Line,
-    /// Applies from the directive to the end of the next brace-delimited
-    /// item (inclusive).
+    /// Applies from the directive to the end of the next item
+    /// (inclusive).
     Scope {
         /// 1-based last line the directive covers.
         end_line: usize,
@@ -63,223 +67,88 @@ pub struct Directive {
     pub raw: String,
 }
 
-/// A scanned source file.
+/// One source file, lexed once and parsed once.
 #[derive(Debug)]
-pub struct ScannedFile {
+pub struct ParsedFile {
     /// Workspace-relative path.
     pub rel: String,
     /// The raw source text (tokens index into it).
     pub source: String,
     /// The lossless token stream.
     pub tokens: Vec<Token>,
-    /// Per-line source with strings, chars and comments blanked
-    /// (column-preserving).
-    pub masked: Vec<String>,
-    /// Per-line flag: true when the line is inside a `#[cfg(test)]` /
-    /// `#[test]` item.
-    pub is_test: Vec<bool>,
+    /// The item tree over `tokens` (top-level items in source order).
+    pub items: Vec<Item>,
     /// All `sgp-lint:` directives in the file.
     pub directives: Vec<Directive>,
 }
 
-impl ScannedFile {
-    /// Number of lines.
-    pub fn num_lines(&self) -> usize {
-        self.masked.len()
+impl ParsedFile {
+    /// Reads, lexes and parses one file.
+    pub fn read(path: &Path, rel: &str) -> Result<ParsedFile, String> {
+        let source = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        Ok(ParsedFile::parse(source, rel))
     }
 
-    /// Whether 1-based `line` sits inside a test item.
+    /// Lexes and parses in-memory source.
+    pub fn parse(source: impl Into<String>, rel: &str) -> ParsedFile {
+        let source: String = source.into();
+        let tokens = lexer::lex(&source);
+        let items = parser::parse(&source, &tokens).items;
+        let mut directives = Vec::new();
+        for t in &tokens {
+            if t.kind != TokenKind::LineComment(DocStyle::None) {
+                continue;
+            }
+            if let Some(mut d) = parse_directive(t.line, t.text(&source)) {
+                if matches!(d.scope, DirectiveScope::Scope { .. }) {
+                    d.scope = DirectiveScope::Scope {
+                        end_line: allow_scope_end(&tokens, &items, t.line),
+                    };
+                }
+                directives.push(d);
+            }
+        }
+        ParsedFile { rel: rel.to_string(), source, tokens, items, directives }
+    }
+
+    /// Whether 1-based `line` sits inside a test-only item (from its
+    /// first attribute to its closing brace).
     pub fn is_test_line(&self, line: usize) -> bool {
-        line >= 1 && self.is_test.get(line - 1).copied().unwrap_or(false)
+        in_test_item(&self.tokens, &self.items, line)
     }
 }
 
-/// Reads and scans one file.
-pub fn scan_file(path: &Path, rel: &str) -> Result<ScannedFile, String> {
-    let source = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    Ok(scan_source(&source, rel))
+/// Is `line` inside a test item of `items` (or of their members)?
+/// Sibling spans ascend, so the first candidate is found by bisection;
+/// there is more than one only when items share a line.
+fn in_test_item(toks: &[Token], items: &[Item], line: usize) -> bool {
+    let from = items.partition_point(|it| it.lines(toks).1 < line);
+    items[from..]
+        .iter()
+        .take_while(|it| it.lines(toks).0 <= line)
+        .any(|it| it.is_test || in_test_item(toks, &it.children, line))
 }
 
-/// Scans in-memory source (entry point for unit tests).
-pub fn scan_source(source: &str, rel: &str) -> ScannedFile {
-    let tokens = lexer::lex(source);
-    let masked = masked_lines(source, &tokens);
-    let is_test = test_spans(source, &tokens, masked.len());
-    let mut directives = Vec::new();
-    for t in &tokens {
-        if t.kind != TokenKind::LineComment(DocStyle::None) {
-            continue;
+/// The last line an `allow-scope` directive on `dir_line` covers: the
+/// end of the first item that *starts* on a later line, looked up where
+/// the directive sits — among the top-level items, or among the members
+/// of the container around it. Inside a leaf item (a fn body) there is
+/// no item to attach to and the directive covers only itself.
+fn allow_scope_end(toks: &[Token], items: &[Item], dir_line: usize) -> usize {
+    for it in items {
+        let (first, last) = it.lines(toks);
+        if first > dir_line {
+            return last;
         }
-        if let Some(mut d) = parse_directive(t.line, t.text(source)) {
-            if matches!(d.scope, DirectiveScope::Scope { .. }) {
-                d.scope = DirectiveScope::Scope {
-                    end_line: scope_end(source, &tokens, t.line, masked.len()),
-                };
-            }
-            directives.push(d);
-        }
-    }
-    ScannedFile {
-        rel: rel.to_string(),
-        source: source.to_string(),
-        tokens,
-        masked,
-        is_test,
-        directives,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Masked lines
-// ---------------------------------------------------------------------------
-
-/// True for token kinds whose text is opaque to the rules.
-fn is_opaque(kind: TokenKind) -> bool {
-    matches!(
-        kind,
-        TokenKind::LineComment(_)
-            | TokenKind::BlockComment { .. }
-            | TokenKind::Str { .. }
-            | TokenKind::Char { .. }
-    )
-}
-
-/// Rebuilds the source with opaque tokens blanked to spaces (newlines
-/// kept), then splits into lines. Character counts per line are
-/// preserved, so columns in the masked text line up with the source.
-fn masked_lines(source: &str, tokens: &[Token]) -> Vec<String> {
-    let mut out = String::with_capacity(source.len());
-    for t in tokens {
-        let text = t.text(source);
-        if is_opaque(t.kind) {
-            for c in text.chars() {
-                out.push(if c == '\n' { '\n' } else { ' ' });
-            }
-        } else {
-            out.push_str(text);
+        if dir_line <= last {
+            return if it.is_container() {
+                allow_scope_end(toks, &it.children, dir_line)
+            } else {
+                dir_line
+            };
         }
     }
-    out.split('\n').map(str::to_string).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Test-span detection
-// ---------------------------------------------------------------------------
-
-/// The single source character of a token (only meaningful for
-/// `Punct`, whose tokens are exactly one char).
-fn punct(source: &str, t: &Token) -> Option<char> {
-    if t.kind == TokenKind::Punct {
-        source[t.start..t.end].chars().next()
-    } else {
-        None
-    }
-}
-
-/// Marks lines belonging to `#[cfg(test)]` / `#[test]` items.
-///
-/// Attributes are recognised as token sequences (`#` `[` … `]`), so an
-/// attribute split across lines, or attribute-looking text inside a
-/// string, behaves correctly. The item following a test attribute is
-/// delimited by brace matching; a `;` before any `{` ends a braceless
-/// item (`#[cfg(test)] use …;`).
-fn test_spans(source: &str, tokens: &[Token], num_lines: usize) -> Vec<bool> {
-    let mut is_test = vec![false; num_lines];
-    let nt: Vec<usize> = (0..tokens.len()).filter(|&i| !lexer::is_trivia(tokens[i].kind)).collect();
-
-    let mut k = 0usize;
-    while k < nt.len() {
-        let t = &tokens[nt[k]];
-        if punct(source, t) == Some('#')
-            && nt.get(k + 1).is_some_and(|&j| punct(source, &tokens[j]) == Some('['))
-        {
-            let (is_test_attr, close_k) = read_attribute(source, tokens, &nt, k);
-            if is_test_attr {
-                let start_line = t.line;
-                let end_line = item_end_line(source, tokens, &nt, close_k + 1, num_lines);
-                for line in start_line..=end_line.min(num_lines) {
-                    is_test[line - 1] = true;
-                }
-            }
-            k = close_k + 1;
-            continue;
-        }
-        k += 1;
-    }
-    is_test
-}
-
-/// Reads the attribute group starting at `nt[k]` (`#`). Returns whether
-/// it is a test attribute and the `nt` index of the closing `]`.
-fn read_attribute(source: &str, tokens: &[Token], nt: &[usize], k: usize) -> (bool, usize) {
-    let mut depth = 0i64;
-    let mut idents: Vec<&str> = Vec::new();
-    let mut m = k + 1; // at the `[`
-    while m < nt.len() {
-        let t = &tokens[nt[m]];
-        match punct(source, t) {
-            Some('[') => depth += 1,
-            Some(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {
-                if t.kind == TokenKind::Ident {
-                    idents.push(t.text(source));
-                }
-            }
-        }
-        m += 1;
-    }
-    let is_test_attr = match idents.first() {
-        Some(&"cfg") => idents[1..].contains(&"test"),
-        Some(&"test") => true,
-        _ => false,
-    };
-    (is_test_attr, m.min(nt.len().saturating_sub(1)))
-}
-
-/// Finds the last line of the item starting at `nt[from]`: the matching
-/// close of its first `{`, or a `;` before any `{` (braceless item).
-/// Further attribute groups between `from` and the item are part of it.
-fn item_end_line(
-    source: &str,
-    tokens: &[Token],
-    nt: &[usize],
-    from: usize,
-    num_lines: usize,
-) -> usize {
-    let mut depth = 0i64;
-    let mut m = from;
-    while m < nt.len() {
-        let t = &tokens[nt[m]];
-        match punct(source, t) {
-            Some('{') => depth += 1,
-            Some('}') => {
-                depth -= 1;
-                if depth <= 0 {
-                    return t.line;
-                }
-            }
-            Some(';') if depth == 0 => return t.line,
-            _ => {}
-        }
-        m += 1;
-    }
-    num_lines
-}
-
-/// Computes the last covered line of an `allow-scope` directive on
-/// `dir_line`: the end of the first item that *starts* on a later line.
-fn scope_end(source: &str, tokens: &[Token], dir_line: usize, num_lines: usize) -> usize {
-    let nt: Vec<usize> = (0..tokens.len()).filter(|&i| !lexer::is_trivia(tokens[i].kind)).collect();
-    let from = match nt.iter().position(|&i| tokens[i].line > dir_line) {
-        Some(p) => p,
-        None => return dir_line,
-    };
-    item_end_line(source, tokens, &nt, from, num_lines)
+    dir_line
 }
 
 // ---------------------------------------------------------------------------
@@ -295,8 +164,8 @@ fn parse_directive(line: usize, comment: &str) -> Option<Directive> {
     let (scope, after_kw) = if let Some(r) = rest.strip_prefix("allow-file") {
         (DirectiveScope::File, r)
     } else if let Some(r) = rest.strip_prefix("allow-scope") {
-        // The real end line is filled in by `scan_source`, which has the
-        // token stream in hand.
+        // The real end line is filled in by `ParsedFile::parse`, which
+        // has the item tree in hand.
         (DirectiveScope::Scope { end_line: line }, r)
     } else if let Some(r) = rest.strip_prefix("allow") {
         (DirectiveScope::Line, r)
@@ -326,97 +195,73 @@ fn parse_directive(line: usize, comment: &str) -> Option<Directive> {
 mod tests {
     use super::*;
 
-    fn masked_join(src: &str) -> String {
-        scan_source(src, "t.rs").masked.join("\n")
-    }
-
-    #[test]
-    fn masks_line_and_block_comments() {
-        let m = masked_join("let a = 1; // HashMap here\n/* panic! */ let b = 2;");
-        assert!(!m.contains("HashMap"));
-        assert!(!m.contains("panic"));
-        assert!(m.contains("let a = 1;"));
-        assert!(m.contains("let b = 2;"));
-    }
-
-    #[test]
-    fn masks_nested_block_comments() {
-        let m = masked_join("/* outer /* inner unwrap() */ still comment */ let x = 3;");
-        assert!(!m.contains("unwrap"));
-        assert!(m.contains("let x = 3;"));
-    }
-
-    #[test]
-    fn masks_strings_and_raw_strings() {
-        let m = masked_join(r##"let s = "HashMap"; let r = r#"thread_rng "quoted""#; let t = 1;"##);
-        assert!(!m.contains("HashMap"));
-        assert!(!m.contains("thread_rng"));
-        assert!(m.contains("let t = 1;"));
-    }
-
-    #[test]
-    fn masks_byte_and_escaped_strings() {
-        let m = masked_join(r#"let b = b"unwrap()"; let e = "esc \" unwrap()"; done();"#);
-        assert!(!m.contains("unwrap"));
-        assert!(m.contains("done();"));
-    }
-
-    #[test]
-    fn lifetimes_are_not_char_literals() {
-        let m = masked_join("fn f<'a>(x: &'a str, c: char) -> &'a str { let _q = '\"'; x }");
-        // The quote char literal must be masked; the trailing code kept.
-        assert!(m.contains("fn f<'a>"));
-        assert!(m.ends_with("x }"));
-    }
-
-    #[test]
-    fn char_literal_with_escape() {
-        let m = masked_join(r"let c = '\n'; let d = '\''; after();");
-        assert!(m.contains("after();"));
-    }
-
-    #[test]
-    fn comment_preserves_column_positions() {
-        let src = "abc // xyz";
-        let m = masked_join(src);
-        assert_eq!(m.chars().count(), src.chars().count());
-        assert!(m.starts_with("abc"));
+    /// The per-line test flags, 0-indexed like the source lines.
+    fn test_flags(src: &str) -> Vec<bool> {
+        let f = ParsedFile::parse(src, "t.rs");
+        (1..=src.lines().count()).map(|l| f.is_test_line(l)).collect()
     }
 
     #[test]
     fn cfg_test_block_is_marked() {
         let src = "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\npub fn after() {}\n";
-        let s = scan_source(src, "t.rs");
-        assert!(!s.is_test[0], "lib line");
-        assert!(s.is_test[1] && s.is_test[2] && s.is_test[3] && s.is_test[4]);
-        assert!(!s.is_test[5], "code after test mod");
+        assert_eq!(test_flags(src), [false, true, true, true, true, false]);
     }
 
     #[test]
     fn cfg_test_on_braceless_item_does_not_swallow_next_block() {
         let src = "#[cfg(test)]\nuse std::collections::HashMap;\npub fn real() { body(); }\n";
-        let s = scan_source(src, "t.rs");
-        assert!(!s.is_test[2], "fn after braceless cfg(test) item is not test code");
+        assert_eq!(test_flags(src), [true, true, false], "the fn after is not test code");
     }
 
     #[test]
     fn multi_line_test_attribute_is_recognised() {
         let src = "#[cfg(\n    test\n)]\nmod tests {\n    fn t() {}\n}\nfn real() {}\n";
-        let s = scan_source(src, "t.rs");
-        assert!(s.is_test[0] && s.is_test[3] && s.is_test[5]);
-        assert!(!s.is_test[6], "item after the test mod");
+        assert_eq!(test_flags(src), [true, true, true, true, true, true, false]);
     }
 
     #[test]
     fn test_attr_in_string_is_ignored() {
         let src = "let s = \"#[cfg(test)]\";\nfn f() { g(); }\n";
-        let s = scan_source(src, "t.rs");
-        assert!(!s.is_test[1]);
+        assert_eq!(test_flags(src), [false, false]);
+    }
+
+    #[test]
+    fn cfg_predicates_that_do_not_require_test_are_production_code() {
+        for gate in ["not(test)", "any(test, feature = \"x\")", "feature = \"test\"", "any()"] {
+            let src = format!("#[cfg({gate})]\nfn f() {{ x.unwrap(); }}\n");
+            assert_eq!(test_flags(&src), [false, false], "cfg({gate}) compiles outside tests");
+        }
+        for gate in ["test", "all(test, debug_assertions)", "all(unix, any(test))", "any(test,)"] {
+            let src = format!("#[cfg({gate})]\nfn f() {{ x.unwrap(); }}\n");
+            assert_eq!(test_flags(&src), [true, true], "cfg({gate}) compiles only under test");
+        }
+    }
+
+    #[test]
+    fn array_types_and_attribute_stacks_do_not_end_a_test_item_early() {
+        // A `;` inside `[u8; 3]` is not the end of the item, and the
+        // test attribute need not be the last one before the keyword.
+        let src =
+            "#[test]\n#[should_panic]\nfn t(x: [u8; 3]) {\n    x.unwrap();\n}\nfn real() {}\n";
+        assert_eq!(test_flags(src), [true, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn members_of_a_test_container_are_test_lines_and_siblings_are_not() {
+        let src = "impl S {\n    #[cfg(test)]\n    fn probe(&self) {}\n    fn real(&self) {}\n}\n";
+        assert_eq!(test_flags(src), [false, true, true, false, false]);
+    }
+
+    #[test]
+    fn statement_attributes_inside_a_fn_body_are_not_seen() {
+        // The documented limit (DESIGN.md §6): fn bodies are opaque.
+        let src = "fn f() {\n    #[cfg(test)]\n    { x.unwrap(); }\n}\n";
+        assert_eq!(test_flags(src), [false, false, false, false]);
     }
 
     #[test]
     fn parses_line_directive_with_justification() {
-        let s = scan_source(
+        let s = ParsedFile::parse(
             "// sgp-lint: allow(no-panic-in-lib): value constructed two lines up\nx.unwrap();\n",
             "t.rs",
         );
@@ -430,7 +275,7 @@ mod tests {
 
     #[test]
     fn parses_file_directive_and_missing_justification() {
-        let s = scan_source(
+        let s = ParsedFile::parse(
             "// sgp-lint: allow-file(no-wallclock-in-sim): bench-only harness\n// sgp-lint: allow(no-panic-in-lib)\n",
             "t.rs",
         );
@@ -448,7 +293,7 @@ fn render() {
 }
 fn after() {}
 ";
-        let s = scan_source(src, "t.rs");
+        let s = ParsedFile::parse(src, "t.rs");
         assert_eq!(s.directives.len(), 1);
         assert_eq!(s.directives[0].scope, DirectiveScope::Scope { end_line: 4 });
     }
@@ -456,13 +301,27 @@ fn after() {}
     #[test]
     fn allow_scope_on_braceless_item_ends_at_semicolon() {
         let src = "// sgp-lint: allow-scope(no-hash-iteration): re-export only\nuse x::HashMap;\nfn f() {}\n";
-        let s = scan_source(src, "t.rs");
+        let s = ParsedFile::parse(src, "t.rs");
+        assert_eq!(s.directives[0].scope, DirectiveScope::Scope { end_line: 2 });
+    }
+
+    #[test]
+    fn allow_scope_attaches_to_members_inside_containers() {
+        let src = "impl S {\n    // sgp-lint: allow-scope(no-float-accounting): report ratio\n    fn ratio(&self) -> f64 {\n        1.0\n    }\n    fn after(&self) {}\n}\n";
+        let s = ParsedFile::parse(src, "t.rs");
+        assert_eq!(s.directives[0].scope, DirectiveScope::Scope { end_line: 5 });
+    }
+
+    #[test]
+    fn allow_scope_inside_a_fn_body_covers_only_itself() {
+        let src = "fn f() {\n    // sgp-lint: allow-scope(no-panic-in-lib): a statement is not an item\n    let x = { y.unwrap() };\n}\nfn g() {}\n";
+        let s = ParsedFile::parse(src, "t.rs");
         assert_eq!(s.directives[0].scope, DirectiveScope::Scope { end_line: 2 });
     }
 
     #[test]
     fn doc_comments_do_not_carry_directives() {
-        let s = scan_source(
+        let s = ParsedFile::parse(
             "//! Write `// sgp-lint: allow(x): y` to suppress.\n/// e.g. // sgp-lint: allow(z): w\n",
             "t.rs",
         );
@@ -471,13 +330,13 @@ fn after() {}
 
     #[test]
     fn directive_inside_string_is_not_parsed() {
-        let s = scan_source("let s = \"// sgp-lint: allow(x): y\";\n", "t.rs");
+        let s = ParsedFile::parse("let s = \"// sgp-lint: allow(x): y\";\n", "t.rs");
         assert!(s.directives.is_empty());
     }
 
     #[test]
     fn directive_inside_raw_string_is_not_parsed() {
-        let s = scan_source(
+        let s = ParsedFile::parse(
             "let doc = r#\"\n// sgp-lint: allow-file(no-panic-in-lib): smuggled\n\"#;\n",
             "t.rs",
         );
@@ -486,7 +345,8 @@ fn after() {}
 
     #[test]
     fn trailing_comment_without_newline_is_captured() {
-        let s = scan_source("x.unwrap(); // sgp-lint: allow(no-panic-in-lib): provable", "t.rs");
+        let s =
+            ParsedFile::parse("x.unwrap(); // sgp-lint: allow(no-panic-in-lib): provable", "t.rs");
         assert_eq!(s.directives.len(), 1);
         assert_eq!(s.directives[0].line, 1);
     }

@@ -2,22 +2,23 @@
 //! algorithm-surface exhaustiveness over the parsed `Algorithm` enum,
 //! and span-guard balance over fn bodies.
 //!
-//! All three consume the item trees in [`crate::symbols::SymbolTable`]
+//! All three read the item trees through [`crate::symbols::SymbolTable`]
 //! and the conservative [`crate::callgraph::CallGraph`]; their
 //! soundness notes live in DESIGN.md §6.
 
-use crate::callgraph::CallGraph;
-use crate::crossfile::parse_registry;
+use crate::crossfile::{parse_registry, SINK_SCOPE};
+use crate::cursor::{
+    first_arg, ident, ident_is, is_call_position, is_method_call, path_tail, prev, punct,
+    qualified_by, str_content,
+};
 use crate::lexer::{self, Token, TokenKind};
 use crate::parser::{self, is_keyword};
-use crate::report::{Finding, Severity};
 use crate::rules::{
-    is_call_position, is_macro_bang, is_method_call, AllowTable, ALGORITHM_SURFACE_EXHAUSTIVENESS,
-    NO_PANIC_IN_LIB, PANIC_REACHABILITY, SPAN_GUARD_BALANCE,
+    Findings, ALGORITHM_SURFACE_EXHAUSTIVENESS, PANIC_REACHABILITY, SPAN_GUARD_BALANCE,
 };
 use crate::symbols::SymbolTable;
 use crate::workspace::{FileKind, Workspace};
-use crate::ScannedEntry;
+use crate::{Analysis, ParsedEntry};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Workspace-relative path of the indexing audit registry for the
@@ -34,31 +35,15 @@ pub const ALGORITHM_SURFACES_REL: &str = "tests/goldens/ALGORITHM_SURFACES";
 const REACH_SCOPE: &[&str] =
     &["sgp-partition", "sgp-engine", "sgp-db", "sgp-graph", "sgp-fault", "sgp-trace"];
 
-/// Crates whose fn bodies are checked for span balance — the same set
-/// whose sink call sites the trace-key rule polices.
-const SPAN_SCOPE: &[&str] = &["sgp-partition", "sgp-engine", "sgp-db", "sgp-core"];
-
-/// Methods that panic on the error/none path.
-const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
-/// Macros that panic unconditionally.
-const PANIC_MACRO_NAMES: &[&str] = &["panic", "todo", "unimplemented"];
-
 /// Runs the three semantic rule families.
-pub fn check_all(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    symbols: &SymbolTable,
-    graph: &CallGraph,
-    allows: &mut [AllowTable<'_>],
-    findings: &mut Vec<Finding>,
-) {
-    check_panic_reachability(ws, entries, symbols, graph, allows, findings);
-    check_algorithm_surfaces(ws, entries, symbols, findings);
-    check_span_guard_balance(ws, entries, symbols, allows, findings);
+pub fn check_all(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    check_panic_reachability(cx, out);
+    check_algorithm_surfaces(cx, out);
+    check_span_guard_balance(cx, out);
 }
 
 /// The reach-scope public entry points, in deterministic table order.
-pub fn entry_points(ws: &Workspace, entries: &[ScannedEntry], symbols: &SymbolTable) -> Vec<usize> {
+pub fn entry_points(ws: &Workspace, entries: &[ParsedEntry], symbols: &SymbolTable) -> Vec<usize> {
     symbols
         .fns
         .iter()
@@ -86,113 +71,74 @@ pub fn is_exhaustiveness_input(rel: &str) -> bool {
 // panic-reachability
 // ---------------------------------------------------------------------------
 
-fn check_panic_reachability(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    symbols: &SymbolTable,
-    graph: &CallGraph,
-    allows: &mut [AllowTable<'_>],
-    findings: &mut Vec<Finding>,
-) {
-    let roots = entry_points(ws, entries, symbols);
-    if roots.is_empty() {
+/// Would a panic in fn `fi` abort a measurement? True for non-test
+/// library code of a reach-scope crate that some public entry point
+/// reaches.
+fn is_measured(cx: &Analysis<'_>, fi: usize) -> bool {
+    let f = &cx.symbols.fns[fi];
+    cx.reach.reaches(fi)
+        && cx.entries[f.entry].kind == FileKind::LibSrc
+        && !f.is_test
+        && REACH_SCOPE.contains(&cx.ws.members[f.member].name.as_str())
+}
+
+/// The `a -> b -> c` call path from a public entry point down to `fi`.
+fn call_path(cx: &Analysis<'_>, fi: usize) -> String {
+    let path: Vec<&str> =
+        cx.reach.path_to(fi).into_iter().map(|i| cx.symbols.fns[i].qual.as_str()).collect();
+    path.join(" -> ")
+}
+
+/// The call path to the fn whose body holds token `tok` of file
+/// `entry`, when that fn [is measured](is_measured) — what
+/// `no-panic-in-lib` appends to a reachable site.
+pub fn call_path_to(cx: &Analysis<'_>, entry: usize, tok: usize) -> Option<String> {
+    let fi = cx.symbols.enclosing_fn(entry, tok)?;
+    is_measured(cx, fi).then(|| call_path(cx, fi))
+}
+
+/// Reachable unchecked indexing. The other panicking constructs
+/// (`unwrap`, `expect`, `panic!`, …) are `no-panic-in-lib` findings
+/// wherever they appear in these crates, reachable or not, so this rule
+/// keeps only the class nothing else detects.
+fn check_panic_reachability(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    if cx.reach.roots.is_empty() {
         return;
     }
-    let parent = graph.reachable(&roots);
 
     // The indexing audit: `<workspace-relative file> = <justification>`.
-    let registry = parse_registry(ws, PANIC_AUDIT_REL, PANIC_REACHABILITY, findings);
-    let known_rels: BTreeSet<&str> = entries.iter().map(|e| e.scanned.rel.as_str()).collect();
+    let registry = parse_registry(cx.ws, PANIC_AUDIT_REL, &PANIC_REACHABILITY, out);
+    let known_rels: BTreeSet<&str> = cx.entries.iter().map(|e| e.file.rel.as_str()).collect();
     let mut registry_used = vec![false; registry.len()];
     for (idx, (key, line)) in registry.iter().enumerate() {
         if !known_rels.contains(key.as_str()) {
             registry_used[idx] = true; // don't double-report as stale
-            findings.push(Finding::new(
-                PANIC_REACHABILITY,
-                Severity::Error,
-                PANIC_AUDIT_REL,
-                *line,
-                format!("registry entry `{key}` does not name a workspace source file"),
-            ));
+            let msg = format!("registry entry `{key}` does not name a workspace source file");
+            out.report(&PANIC_REACHABILITY, PANIC_AUDIT_REL, *line, msg);
         }
     }
 
-    // One finding per (file, line), across all reachable fns.
-    let mut reported: BTreeSet<(usize, usize)> = BTreeSet::new();
-
-    for (fi, f) in symbols.fns.iter().enumerate() {
-        if parent[fi].is_none()
-            || entries[f.entry].kind != FileKind::LibSrc
-            || f.is_test
-            || !REACH_SCOPE.contains(&ws.members[f.member].name.as_str())
-        {
-            continue;
-        }
-        let Some((open, close)) = f.body else { continue };
-        let scanned = &entries[f.entry].scanned;
-        let src = &scanned.source;
-        let toks = &scanned.tokens;
-        let path: Vec<&str> =
-            graph.path_to(&parent, fi).into_iter().map(|i| symbols.fns[i].qual.as_str()).collect();
-        let path_str = path.join(" -> ");
-
+    for (fi, f) in cx.symbols.fns.iter().enumerate() {
+        let Some((open, close)) = f.body.filter(|_| is_measured(cx, fi)) else { continue };
+        let file = &cx.entries[f.entry].file;
+        let (src, toks) = (file.source.as_str(), file.tokens.as_slice());
         for i in open + 1..close {
-            let t = &toks[i];
-            if scanned.is_test_line(t.line) {
+            if !is_indexing(src, toks, i) || file.is_test_line(toks[i].line) {
                 continue;
             }
-            let site = panic_site(src, toks, i);
-            let Some(site) = site else { continue };
-            if reported.contains(&(f.entry, t.line)) {
+            if let Some(idx) = registry.iter().position(|(key, _)| key == &file.rel) {
+                registry_used[idx] = true;
                 continue;
             }
-            let suppressed = match site {
-                PanicSite::Method(_) | PanicSite::Macro(_) => {
-                    // A justified no-panic-in-lib allow documents the same
-                    // invariant, so it covers the reachability finding too.
-                    allows[f.entry].allows(PANIC_REACHABILITY, t.line)
-                        || allows[f.entry].allows(NO_PANIC_IN_LIB, t.line)
-                }
-                PanicSite::Indexing => {
-                    let audited = registry
-                        .iter()
-                        .position(|(key, _)| key == &scanned.rel)
-                        .map(|idx| {
-                            registry_used[idx] = true;
-                        })
-                        .is_some();
-                    audited || allows[f.entry].allows(PANIC_REACHABILITY, t.line)
-                }
-            };
-            if suppressed {
-                continue;
-            }
-            reported.insert((f.entry, t.line));
-            let what = match site {
-                PanicSite::Method(name) => format!("`.{name}()`"),
-                PanicSite::Macro(name) => format!("`{name}!`"),
-                PanicSite::Indexing => "unchecked indexing (`[…]`)".to_string(),
-            };
-            let fix = match site {
-                PanicSite::Indexing => format!(
-                    "use .get()/.get_mut() with a typed error, or audit the file in \
-                     {PANIC_AUDIT_REL} (`{} = <why every index is in bounds>`)",
-                    scanned.rel
-                ),
-                _ => "return a typed SgpError/StoreError instead, or justify with an allow \
-                      directive"
-                    .to_string(),
-            };
-            findings.push(Finding::new(
-                PANIC_REACHABILITY,
-                Severity::Error,
-                &scanned.rel,
-                t.line,
-                format!(
-                    "{what} is reachable from a public entry point via {path_str} — a panic here \
-                     aborts a measurement instead of failing it; {fix}"
-                ),
-            ));
+            let path = call_path(cx, fi);
+            let msg = format!(
+                "unchecked indexing (`[…]`) is reachable from a public entry point via {path} — a \
+                 panic here aborts a measurement instead of failing it; use .get()/.get_mut() \
+                 with a typed error, or audit the file in {PANIC_AUDIT_REL} (`{} = <why every \
+                 index is in bounds>`)",
+                file.rel
+            );
+            out.emit(&PANIC_REACHABILITY, f.entry, toks[i].line, msg);
         }
     }
 
@@ -200,64 +146,28 @@ fn check_panic_reachability(
     // indexing in reachable code, so the entry must go.
     for (idx, (key, line)) in registry.iter().enumerate() {
         if !registry_used[idx] {
-            findings.push(Finding::new(
-                PANIC_REACHABILITY,
-                Severity::Error,
-                PANIC_AUDIT_REL,
-                *line,
-                format!(
-                    "stale audit entry `{key}` — no reachable indexing site in that file needs \
-                     it any more; delete the entry so the audit cannot rot"
-                ),
-            ));
+            let msg = format!(
+                "stale audit entry `{key}` — no reachable indexing site in that file needs it any \
+                 more; delete the entry so the audit cannot rot"
+            );
+            out.report(&PANIC_REACHABILITY, PANIC_AUDIT_REL, *line, msg);
         }
     }
 }
 
-enum PanicSite {
-    Method(&'static str),
-    Macro(&'static str),
-    Indexing,
-}
-
-/// Classifies token `i` as a panicking site, if it is one.
-fn panic_site(src: &str, toks: &[Token], i: usize) -> Option<PanicSite> {
-    match toks[i].kind {
-        TokenKind::Ident => {
-            let name = toks[i].text(src);
-            if let Some(m) = PANIC_METHODS.iter().find(|&&m| m == name) {
-                if is_method_call(src, toks, i) {
-                    return Some(PanicSite::Method(m));
-                }
+/// Is token `i` the `[` of an indexing expression `expr[…]` — one that
+/// directly follows a value (identifier, `)` or `]`)? Attributes
+/// (`#[`), macro brackets (`vec![`), slice types (`&[u8]`) and array
+/// literals (`= [1, 2]`) all follow something else.
+fn is_indexing(src: &str, toks: &[Token], i: usize) -> bool {
+    punct(src, toks, i) == Some('[')
+        && prev(toks, i).is_some_and(|p| match toks[p].kind {
+            TokenKind::Ident => {
+                let w = toks[p].text(src);
+                w == "self" || !is_keyword(w)
             }
-            if let Some(m) = PANIC_MACRO_NAMES.iter().find(|&&m| m == name) {
-                if is_macro_bang(src, toks, i) {
-                    return Some(PanicSite::Macro(m));
-                }
-            }
-            None
-        }
-        TokenKind::Punct if toks[i].text(src).starts_with('[') => {
-            // Indexing: `expr[…]` — the `[` directly follows a value
-            // (identifier, `)` or `]`). Attributes (`#[`), macro brackets
-            // (`vec![`), slice types (`&[u8]`) and array literals
-            // (`= [1, 2]`) all follow something else.
-            let p = (0..i).rev().find(|&j| !lexer::is_trivia(toks[j].kind))?;
-            let indexes = match toks[p].kind {
-                TokenKind::Ident => {
-                    let w = toks[p].text(src);
-                    w == "self" || !is_keyword(w)
-                }
-                TokenKind::Punct => {
-                    let c = toks[p].text(src).chars().next();
-                    matches!(c, Some(')') | Some(']'))
-                }
-                _ => false,
-            };
-            indexes.then_some(PanicSite::Indexing)
-        }
-        _ => None,
-    }
+            _ => matches!(punct(src, toks, p), Some(')') | Some(']')),
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +185,7 @@ struct SurfaceSpec {
     pkg: &'static str,
     /// File-path suffixes (workspace-relative) belonging to the surface.
     suffixes: &'static [&'static str],
-    /// Scan `#[cfg(test)]` spans and test targets too?
+    /// Scan test items and test targets too?
     include_tests: bool,
     /// Additionally scan the bodies of these fns in the enum-declaring
     /// file (support predicates and suite tables live there).
@@ -308,14 +218,6 @@ const SURFACES: &[SurfaceSpec] = &[
         fn_filter: &["supports_parallel_loaders"],
     },
     SurfaceSpec {
-        key: "bench-ingest",
-        what: "the ingest bench table",
-        pkg: "sgp-bench",
-        suffixes: &["benches/ingest.rs"],
-        include_tests: true,
-        fn_filter: &[],
-    },
-    SurfaceSpec {
         key: "churn-elastic",
         what: "the churn/elastic suites",
         pkg: "sgp-core",
@@ -337,12 +239,8 @@ const SURFACES: &[SurfaceSpec] = &[
 /// of these from a surface inherits every variant the table lists.
 const TABLE_FNS: &[&str] = &["all", "online_suite", "offline_suite"];
 
-fn check_algorithm_surfaces(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    symbols: &SymbolTable,
-    findings: &mut Vec<Finding>,
-) {
+fn check_algorithm_surfaces(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    let (ws, entries, symbols) = (cx.ws, cx.entries, &cx.symbols);
     // The source of truth: the unique `Algorithm` enum in sgp-partition.
     let Some(enum_def) = symbols.unique_enum("sgp-partition", "Algorithm") else {
         return;
@@ -359,11 +257,11 @@ fn check_algorithm_surfaces(
             continue;
         };
         let (open, close) = def.body.expect("filtered on body");
-        let scanned = &entries[enum_entry].scanned;
+        let file = &entries[enum_entry].file;
         let mut listed = BTreeSet::new();
         collect_variant_mentions(
-            &scanned.source,
-            &scanned.tokens,
+            &file.source,
+            &file.tokens,
             open + 1,
             close,
             &variant_set,
@@ -374,7 +272,7 @@ fn check_algorithm_surfaces(
     }
 
     let registry =
-        parse_registry(ws, ALGORITHM_SURFACES_REL, ALGORITHM_SURFACE_EXHAUSTIVENESS, findings);
+        parse_registry(ws, ALGORITHM_SURFACES_REL, &ALGORITHM_SURFACE_EXHAUSTIVENESS, out);
 
     for spec in SURFACES {
         // Collect the surface's token ranges: (entry index, lo, hi,
@@ -384,8 +282,8 @@ fn check_algorithm_surfaces(
             if ws.members[e.member].name != spec.pkg {
                 continue;
             }
-            if spec.suffixes.iter().any(|s| e.scanned.rel.ends_with(s)) {
-                ranges.push((ei, 0, e.scanned.tokens.len(), false));
+            if spec.suffixes.iter().any(|s| e.file.rel.ends_with(s)) {
+                ranges.push((ei, 0, e.file.tokens.len(), false));
             }
         }
         for &ff in spec.fn_filter {
@@ -403,23 +301,19 @@ fn check_algorithm_surfaces(
 
         let mut covered: BTreeSet<String> = BTreeSet::new();
         for &(ei, lo, hi, bare) in &ranges {
-            let scanned = &entries[ei].scanned;
-            let src = &scanned.source;
-            let toks = &scanned.tokens;
+            let file = &entries[ei].file;
+            let (src, toks) = (file.source.as_str(), file.tokens.as_slice());
 
             // Mechanism 1+2: explicit `Algorithm::V` paths (and bare
             // variant names inside filtered fn bodies).
             for i in lo..hi {
-                if !spec.include_tests && scanned.is_test_line(toks[i].line) {
+                if !spec.include_tests && file.is_test_line(toks[i].line) {
                     continue;
                 }
                 collect_variant_mentions(src, toks, i, i + 1, &variant_set, bare, &mut covered);
                 // Mechanism 3: calling a table fn inherits its variants.
-                if toks[i].kind == TokenKind::Ident {
-                    let name = toks[i].text(src);
-                    if TABLE_FNS.contains(&name)
-                        && (is_call_position(src, toks, i) || is_method_call(src, toks, i))
-                    {
+                if let Some(name) = ident(src, toks, i).filter(|n| TABLE_FNS.contains(n)) {
+                    if is_call_position(src, toks, i) || is_method_call(src, toks, i) {
                         if let Some(listed) = tables.get(name) {
                             covered.extend(listed.iter().cloned());
                         }
@@ -434,7 +328,7 @@ fn check_algorithm_surfaces(
             // variant silently falling into `_ =>` is exactly what this
             // rule reports.
             for m in parser::match_exprs_in(src, toks, lo, hi) {
-                if !spec.include_tests && scanned.is_test_line(m.line) {
+                if !spec.include_tests && file.is_test_line(m.line) {
                     continue;
                 }
                 let mut mentions = BTreeSet::new();
@@ -475,14 +369,12 @@ fn check_algorithm_surfaces(
         }
 
         let surface_files: Vec<&str> =
-            ranges.iter().map(|&(ei, ..)| entries[ei].scanned.rel.as_str()).collect();
-        let enum_rel = entries[enum_entry].scanned.rel.clone();
+            ranges.iter().map(|&(ei, ..)| entries[ei].file.rel.as_str()).collect();
         for (variant, line) in &enum_def.variants {
             if !covered.contains(variant) {
-                findings.push(Finding::new(
-                    ALGORITHM_SURFACE_EXHAUSTIVENESS,
-                    Severity::Error,
-                    &enum_rel,
+                out.report(
+                    &ALGORITHM_SURFACE_EXHAUSTIVENESS,
+                    &entries[enum_entry].file.rel,
                     *line,
                     format!(
                         "variant `{variant}` is not handled on {what} ({files}) — match it, list \
@@ -492,60 +384,42 @@ fn check_algorithm_surfaces(
                         files = dedup_join(&surface_files),
                         key = spec.key,
                     ),
-                ));
+                );
             }
         }
     }
 
     // Registry hygiene: every entry must name a known surface and
     // variant, and must still be needed (not also covered in source).
-    validate_surface_registry(ws, entries, symbols, &registry, enum_entry, &variant_set, findings);
+    validate_surface_registry(cx, &registry, enum_entry, &variant_set, out);
 }
 
 /// Validates ALGORITHM_SURFACES entries after coverage has been
 /// computed: unknown keys and stale (in-source-covered) entries are
 /// errors; entries for surfaces absent from this workspace pass.
 fn validate_surface_registry(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    symbols: &SymbolTable,
+    cx: &Analysis<'_>,
     registry: &[(String, usize)],
     enum_entry: usize,
     variant_set: &BTreeSet<&str>,
-    findings: &mut Vec<Finding>,
+    out: &mut Findings<'_>,
 ) {
+    let (ws, entries, symbols) = (cx.ws, cx.entries, &cx.symbols);
+    let mut rot = |line: usize, msg: String| {
+        out.report(&ALGORITHM_SURFACE_EXHAUSTIVENESS, ALGORITHM_SURFACES_REL, line, msg)
+    };
     for (key, line) in registry {
         let Some((surface, variant)) = key.split_once('/') else {
-            findings.push(Finding::new(
-                ALGORITHM_SURFACE_EXHAUSTIVENESS,
-                Severity::Error,
-                ALGORITHM_SURFACES_REL,
-                *line,
-                format!("registry key `{key}` must be `<surface>/<Variant>`"),
-            ));
+            rot(*line, format!("registry key `{key}` must be `<surface>/<Variant>`"));
             continue;
         };
         let Some(spec) = SURFACES.iter().find(|s| s.key == surface) else {
-            findings.push(Finding::new(
-                ALGORITHM_SURFACE_EXHAUSTIVENESS,
-                Severity::Error,
-                ALGORITHM_SURFACES_REL,
-                *line,
-                format!(
-                    "unknown surface `{surface}` — known surfaces: {}",
-                    SURFACES.iter().map(|s| s.key).collect::<Vec<_>>().join(", ")
-                ),
-            ));
+            let known = SURFACES.iter().map(|s| s.key).collect::<Vec<_>>().join(", ");
+            rot(*line, format!("unknown surface `{surface}` — known surfaces: {known}"));
             continue;
         };
         if !variant_set.contains(variant) {
-            findings.push(Finding::new(
-                ALGORITHM_SURFACE_EXHAUSTIVENESS,
-                Severity::Error,
-                ALGORITHM_SURFACES_REL,
-                *line,
-                format!("`{variant}` is not a variant of the Algorithm enum"),
-            ));
+            rot(*line, format!("`{variant}` is not a variant of the Algorithm enum"));
             continue;
         }
         // Stale check: recompute whether the surface covers the variant
@@ -553,7 +427,7 @@ fn validate_surface_registry(
         // are skipped (the entry is inert there, not stale).
         let present = entries.iter().any(|e| {
             ws.members[e.member].name == spec.pkg
-                && spec.suffixes.iter().any(|s| e.scanned.rel.ends_with(s))
+                && spec.suffixes.iter().any(|s| e.file.rel.ends_with(s))
         }) || spec
             .fn_filter
             .iter()
@@ -562,16 +436,13 @@ fn validate_surface_registry(
             continue;
         }
         if surface_covers_in_source(ws, entries, symbols, spec, enum_entry, variant_set, variant) {
-            findings.push(Finding::new(
-                ALGORITHM_SURFACE_EXHAUSTIVENESS,
-                Severity::Error,
-                ALGORITHM_SURFACES_REL,
+            rot(
                 *line,
                 format!(
                     "stale entry `{key}` — `{variant}` is already handled in source on \
                      `{surface}`; delete the entry so the fallback list cannot rot"
                 ),
-            ));
+            );
         }
     }
 }
@@ -580,7 +451,7 @@ fn validate_surface_registry(
 /// the stale-entry check; mirrors the coverage walk above.
 fn surface_covers_in_source(
     ws: &Workspace,
-    entries: &[ScannedEntry],
+    entries: &[ParsedEntry],
     symbols: &SymbolTable,
     spec: &SurfaceSpec,
     enum_entry: usize,
@@ -590,9 +461,9 @@ fn surface_covers_in_source(
     let mut ranges: Vec<(usize, usize, usize, bool)> = Vec::new();
     for (ei, e) in entries.iter().enumerate() {
         if ws.members[e.member].name == spec.pkg
-            && spec.suffixes.iter().any(|s| e.scanned.rel.ends_with(s))
+            && spec.suffixes.iter().any(|s| e.file.rel.ends_with(s))
         {
-            ranges.push((ei, 0, e.scanned.tokens.len(), false));
+            ranges.push((ei, 0, e.file.tokens.len(), false));
         }
     }
     for &ff in spec.fn_filter {
@@ -603,12 +474,11 @@ fn surface_covers_in_source(
         }
     }
     for &(ei, lo, hi, bare) in &ranges {
-        let scanned = &entries[ei].scanned;
-        let src = &scanned.source;
-        let toks = &scanned.tokens;
+        let file = &entries[ei].file;
+        let (src, toks) = (file.source.as_str(), file.tokens.as_slice());
         let mut covered = BTreeSet::new();
         for i in lo..hi {
-            if !spec.include_tests && scanned.is_test_line(toks[i].line) {
+            if !spec.include_tests && file.is_test_line(toks[i].line) {
                 continue;
             }
             collect_variant_mentions(src, toks, i, i + 1, variant_set, bare, &mut covered);
@@ -617,7 +487,7 @@ fn surface_covers_in_source(
             return true;
         }
         for m in parser::match_exprs_in(src, toks, lo, hi) {
-            if !spec.include_tests && scanned.is_test_line(m.line) {
+            if !spec.include_tests && file.is_test_line(m.line) {
                 continue;
             }
             let mut mentions = BTreeSet::new();
@@ -648,30 +518,11 @@ fn collect_variant_mentions(
     out: &mut BTreeSet<String>,
 ) {
     for i in lo..hi.min(toks.len()) {
-        if toks[i].kind != TokenKind::Ident {
-            continue;
-        }
-        let name = toks[i].text(src);
-        if !variant_set.contains(name) {
-            continue;
-        }
-        if bare || path_qualifier_is(src, toks, i, "Algorithm") {
+        let Some(name) = ident(src, toks, i).filter(|n| variant_set.contains(n)) else { continue };
+        if bare || qualified_by(src, toks, i, "Algorithm") {
             out.insert(name.to_string());
         }
     }
-}
-
-/// Is token `i` the final segment of a `…::<qual>::<i>` path whose
-/// previous segment is `qual`?
-fn path_qualifier_is(src: &str, toks: &[Token], i: usize, qual: &str) -> bool {
-    let mut prevs = (0..i).rev().filter(|&j| !lexer::is_trivia(toks[j].kind));
-    let (Some(c2), Some(c1), Some(q)) = (prevs.next(), prevs.next(), prevs.next()) else {
-        return false;
-    };
-    let colon = |j: usize| {
-        toks[j].kind == TokenKind::Punct && src[toks[j].start..toks[j].end].starts_with(':')
-    };
-    colon(c2) && colon(c1) && toks[q].kind == TokenKind::Ident && toks[q].text(src) == qual
 }
 
 /// Is the arm head `[lo, hi)` an irrefutable pattern — `_` or a single
@@ -679,7 +530,7 @@ fn path_qualifier_is(src: &str, toks: &[Token], i: usize, qual: &str) -> bool {
 fn arm_is_irrefutable(src: &str, toks: &[Token], lo: usize, hi: usize) -> bool {
     let head: Vec<usize> =
         (lo..hi.min(toks.len())).filter(|&j| !lexer::is_trivia(toks[j].kind)).collect();
-    if head.iter().any(|&j| toks[j].kind == TokenKind::Ident && toks[j].text(src) == "if") {
+    if head.iter().any(|&j| ident_is(src, toks, Some(j), "if")) {
         return false;
     }
     match head.as_slice() {
@@ -703,73 +554,50 @@ fn dedup_join(files: &[&str]) -> String {
 // span-guard-balance
 // ---------------------------------------------------------------------------
 
-fn check_span_guard_balance(
-    ws: &Workspace,
-    entries: &[ScannedEntry],
-    symbols: &SymbolTable,
-    allows: &mut [AllowTable<'_>],
-    findings: &mut Vec<Finding>,
-) {
-    for f in &symbols.fns {
+fn check_span_guard_balance(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+    for f in &cx.symbols.fns {
         if f.is_test
-            || entries[f.entry].kind != FileKind::LibSrc
-            || !SPAN_SCOPE.contains(&ws.members[f.member].name.as_str())
+            || cx.entries[f.entry].kind != FileKind::LibSrc
+            || !SINK_SCOPE.contains(&cx.ws.members[f.member].name.as_str())
         {
             continue;
         }
         let Some((open, close)) = f.body else { continue };
-        let scanned = &entries[f.entry].scanned;
-        let src = &scanned.source;
-        let toks = &scanned.tokens;
+        let file = &cx.entries[f.entry].file;
+        let (src, toks) = (file.source.as_str(), file.tokens.as_slice());
         // Per trace key: (enter lines, exit lines) within this body.
         let mut spans: BTreeMap<String, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
         for i in open + 1..close {
-            let t = &toks[i];
-            if t.kind != TokenKind::Ident || scanned.is_test_line(t.line) {
+            let line = toks[i].line;
+            let Some(name) = ident(src, toks, i)
+                .filter(|n| matches!(*n, "span_enter" | "span_exit" | "guard_span"))
+                .filter(|_| !file.is_test_line(line) && is_method_call(src, toks, i))
+            else {
                 continue;
-            }
-            let name = t.text(src);
-            if !matches!(name, "span_enter" | "span_exit" | "guard_span") {
-                continue;
-            }
-            if !is_method_call(src, toks, i) {
-                continue;
-            }
+            };
             let key = first_arg_key(src, toks, i).unwrap_or_else(|| "<unknown>".to_string());
             match name {
-                "span_enter" => spans.entry(key).or_default().0.push(t.line),
-                "span_exit" => spans.entry(key).or_default().1.push(t.line),
-                "guard_span" => {
-                    // A guard transfers the exit obligation to its
-                    // binding; an unbound guard is dropped immediately,
-                    // closing the span before the work it brackets.
-                    if !let_bound(src, toks, i, open)
-                        && !allows[f.entry].allows(SPAN_GUARD_BALANCE, t.line)
-                    {
-                        findings.push(Finding::new(
-                            SPAN_GUARD_BALANCE,
-                            Severity::Error,
-                            &scanned.rel,
-                            t.line,
-                            format!(
-                                "guard_span(`{key}`) result is dropped immediately — bind it \
-                                 (`let _guard = …`) so the span stays open across the work it \
-                                 brackets"
-                            ),
-                        ));
-                    }
+                "span_enter" => spans.entry(key).or_default().0.push(line),
+                "span_exit" => spans.entry(key).or_default().1.push(line),
+                // A guard transfers the exit obligation to its binding;
+                // an unbound guard is dropped immediately, closing the
+                // span before the work it brackets.
+                _ if !let_bound(src, toks, i, open) => {
+                    let msg = format!(
+                        "guard_span(`{key}`) result is dropped immediately — bind it (`let _guard \
+                         = …`) so the span stays open across the work it brackets"
+                    );
+                    out.emit(&SPAN_GUARD_BALANCE, f.entry, line, msg);
                 }
-                _ => unreachable!("filtered above"),
+                _ => {}
             }
         }
         for (key, (enters, exits)) in spans {
-            if enters.len() == exits.len() {
+            let Some(&line) =
+                enters.first().or(exits.first()).filter(|_| enters.len() != exits.len())
+            else {
                 continue;
-            }
-            let line = *enters.first().or(exits.first()).expect("imbalance implies a site");
-            if allows[f.entry].allows(SPAN_GUARD_BALANCE, line) {
-                continue;
-            }
+            };
             let msg = if enters.len() > exits.len() {
                 format!(
                     "span_enter(`{key}`) ({}×) outnumbers span_exit ({}×) on the fall-through \
@@ -788,13 +616,7 @@ fn check_span_guard_balance(
                     f.qual
                 )
             };
-            findings.push(Finding::new(
-                SPAN_GUARD_BALANCE,
-                Severity::Error,
-                &scanned.rel,
-                line,
-                msg,
-            ));
+            out.emit(&SPAN_GUARD_BALANCE, f.entry, line, msg);
         }
     }
 }
@@ -802,51 +624,10 @@ fn check_span_guard_balance(
 /// The trace key of sink call `i` (`.span_enter(keys::X, …)` →
 /// `X`; string literals yield their quoted text).
 fn first_arg_key(src: &str, toks: &[Token], i: usize) -> Option<String> {
-    let next = |j: usize| (j + 1..toks.len()).find(|&k| !lexer::is_trivia(toks[k].kind));
-    let open = next(i)?;
-    let mut arg = next(open);
-    // Skip reference sigils.
-    while let Some(a) = arg {
-        if toks[a].kind == TokenKind::Punct && src[toks[a].start..toks[a].end].starts_with('&') {
-            arg = next(a);
-        } else {
-            break;
-        }
-    }
-    let a = arg?;
-    match toks[a].kind {
-        TokenKind::Str { .. } => {
-            // Strip the literal syntax (`r#"…"#` / `"…"`) without eating
-            // content characters.
-            let t = toks[a].text(src);
-            let t = t.strip_prefix('r').unwrap_or(t);
-            let t = t.trim_matches('#');
-            let t = t.strip_prefix('"').unwrap_or(t);
-            let t = t.strip_suffix('"').unwrap_or(t);
-            Some(t.to_string())
-        }
-        TokenKind::Ident => {
-            // Resolve `keys::PARTITION_RUN` to its last segment.
-            let mut last = a;
-            loop {
-                let c1 = next(last);
-                let c2 = c1.and_then(next);
-                let seg = c2.and_then(next);
-                let colon = |j: usize| {
-                    toks[j].kind == TokenKind::Punct
-                        && src[toks[j].start..toks[j].end].starts_with(':')
-                };
-                match (c1, c2, seg) {
-                    (Some(x), Some(y), Some(s))
-                        if colon(x) && colon(y) && toks[s].kind == TokenKind::Ident =>
-                    {
-                        last = s;
-                    }
-                    _ => break,
-                }
-            }
-            Some(toks[last].text(src).to_string())
-        }
+    let arg = first_arg(src, toks, i)?;
+    match toks[arg].kind {
+        TokenKind::Str { .. } => Some(str_content(src, toks, arg).to_string()),
+        TokenKind::Ident => Some(toks[path_tail(src, toks, arg)].text(src).to_string()),
         _ => None,
     }
 }
@@ -856,13 +637,11 @@ fn first_arg_key(src: &str, toks: &[Token], i: usize) -> Option<String> {
 /// opener) looking for the `let` keyword.
 fn let_bound(src: &str, toks: &[Token], i: usize, body_open: usize) -> bool {
     for j in (body_open + 1..i).rev() {
-        match toks[j].kind {
-            TokenKind::Punct => match src[toks[j].start..toks[j].end].chars().next() {
-                Some(';') | Some('{') | Some('}') => return false,
-                _ => {}
-            },
-            TokenKind::Ident if toks[j].text(src) == "let" => return true,
-            _ => {}
+        if matches!(punct(src, toks, j), Some(';') | Some('{') | Some('}')) {
+            return false;
+        }
+        if ident_is(src, toks, Some(j), "let") {
+            return true;
         }
     }
     false
@@ -871,41 +650,44 @@ fn let_bound(src: &str, toks: &[Token], i: usize, body_open: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_source;
+    use crate::scan::ParsedFile;
 
     #[test]
-    fn panic_site_classifier() {
-        let src = "fn f(v: &[u32], i: usize) -> u32 { v[i] + x.unwrap() + panic!(\"no\") }";
-        let scanned = scan_source(src, "t.rs");
-        let toks = &scanned.tokens;
-        let mut kinds = Vec::new();
-        for i in 0..toks.len() {
-            if let Some(site) = panic_site(src, toks, i) {
-                kinds.push(match site {
-                    PanicSite::Method(m) => m.to_string(),
-                    PanicSite::Macro(m) => format!("{m}!"),
-                    PanicSite::Indexing => "[]".to_string(),
-                });
-            }
-        }
-        assert_eq!(kinds, vec!["[]", "unwrap", "panic!"]);
+    fn indexing_is_the_only_site_class_left() {
+        let src =
+            "fn f(v: &[u32], i: usize) -> u32 { v[i] + x.unwrap() + self.rows[0][i] + g()[1] }";
+        let file = ParsedFile::parse(src, "t.rs");
+        let toks = &file.tokens;
+        let sites = (0..toks.len()).filter(|&i| is_indexing(src, toks, i)).count();
+        assert_eq!(sites, 4, "v[i], rows[0], [0][i], g()[1] — and not the unwrap");
+    }
+
+    #[test]
+    fn reachable_indexing_fires_with_its_path_and_unwraps_do_not() {
+        let src = "pub fn entry(v: &[u32]) -> u32 { pick(v) }\nfn pick(v: &[u32]) -> u32 { v[0] + v.first().unwrap() }\nfn orphan(v: &[u32]) -> u32 { v[1] }\n";
+        let found = crate::testkit::lint(
+            &[("sgp-graph", "crates/graph/src/lib.rs", src)],
+            check_panic_reachability,
+        );
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!((found[0].rule.as_str(), found[0].line), ("panic-reachability", 2));
+        assert!(found[0].message.contains("via sgp-graph::entry -> sgp-graph::pick"));
     }
 
     #[test]
     fn indexing_heuristic_skips_types_attrs_and_literals() {
         let src = "#[derive(Debug)]\nfn f(s: &[u8]) -> Vec<u32> { let a = [1, 2]; let [x, y] = a; vec![x] }\n";
-        let scanned = scan_source(src, "t.rs");
-        let toks = &scanned.tokens;
-        let sites: Vec<usize> =
-            (0..toks.len()).filter(|&i| panic_site(src, toks, i).is_some()).collect();
+        let file = ParsedFile::parse(src, "t.rs");
+        let toks = &file.tokens;
+        let sites: Vec<usize> = (0..toks.len()).filter(|&i| is_indexing(src, toks, i)).collect();
         assert!(sites.is_empty(), "no value is being indexed here: {sites:?}");
     }
 
     #[test]
     fn first_arg_key_resolves_paths_and_strings() {
         let src = "fn f() { sink.span_enter(keys::RUN, 0, 1); sink.span_exit(\"raw\", 0, 1); }";
-        let scanned = scan_source(src, "t.rs");
-        let toks = &scanned.tokens;
+        let file = ParsedFile::parse(src, "t.rs");
+        let toks = &file.tokens;
         let keys: Vec<String> = (0..toks.len())
             .filter(|&i| {
                 toks[i].kind == TokenKind::Ident
@@ -919,8 +701,8 @@ mod tests {
     #[test]
     fn let_binding_detection() {
         let src = "fn f() { let g = sink.guard_span(keys::RUN, 0, s); sink.guard_span(keys::RUN, 0, s); }";
-        let scanned = scan_source(src, "t.rs");
-        let toks = &scanned.tokens;
+        let file = ParsedFile::parse(src, "t.rs");
+        let toks = &file.tokens;
         let sites: Vec<bool> = (0..toks.len())
             .filter(|&i| toks[i].kind == TokenKind::Ident && toks[i].text(src) == "guard_span")
             .map(|i| let_bound(src, toks, i, 0))
@@ -931,8 +713,8 @@ mod tests {
     #[test]
     fn irrefutable_arm_detection() {
         let src = "match a { Alg::A => 1, other => 2, n if n > 3 => 3, _ => 4 }";
-        let scanned = scan_source(src, "t.rs");
-        let toks = &scanned.tokens;
+        let file = ParsedFile::parse(src, "t.rs");
+        let toks = &file.tokens;
         let m = &parser::match_exprs_in(src, toks, 0, toks.len())[0];
         let flags: Vec<bool> =
             m.arms.iter().map(|&(lo, hi)| arm_is_irrefutable(src, toks, lo, hi)).collect();

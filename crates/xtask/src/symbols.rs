@@ -1,7 +1,8 @@
-//! Workspace symbol table: every function and enum definition, parsed
-//! once per file and indexed for the call graph and the semantic rules.
+//! Workspace symbol table: every function and enum definition, indexed
+//! for the call graph and the semantic rules.
 //!
-//! Built from the [`crate::parser`] item trees over every scanned file.
+//! Built from the item trees pass 1 already parsed (one per
+//! [`crate::scan::ParsedFile`]); nothing is lexed or parsed here.
 //! Resolution is *name-based and conservative*: the table maps a bare
 //! function name to every definition with that name anywhere in the
 //! workspace, and the call graph ([`crate::callgraph`]) adds an edge to
@@ -10,16 +11,15 @@
 //! panic-reachability rule — it can report a path that the compiler
 //! would not take, but never misses one it would.
 
-use crate::ast::{File, Item, ItemKind};
-use crate::parser;
-use crate::workspace::Workspace;
-use crate::ScannedEntry;
+use crate::ast::{Item, ItemKind};
+use crate::workspace::{FileKind, Workspace};
+use crate::ParsedEntry;
 use std::collections::BTreeMap;
 
 /// One function definition found in the workspace.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// Index into the scanned-entry list (and into `SymbolTable::files`).
+    /// Index into the parsed-entry list.
     pub entry: usize,
     /// Index into `ws.members`.
     pub member: usize,
@@ -38,8 +38,8 @@ pub struct FnDef {
     /// Unrestricted `pub`, as declared on the item (container
     /// visibility is not chased; see [`FnDef::is_entry_point`]).
     pub is_pub: bool,
-    /// True when the definition line falls inside a `#[cfg(test)]` span
-    /// or the file is a test/bench target.
+    /// True when the fn or a container around it is a test-only item
+    /// ([`Item::is_test`]), or the file is a test/bench/example target.
     pub is_test: bool,
     /// True when the fn is an `impl`/`trait` member (callable as a
     /// method).
@@ -59,7 +59,7 @@ impl FnDef {
 /// One enum definition (name, variants) found in the workspace.
 #[derive(Debug, Clone)]
 pub struct EnumDef {
-    /// Index into the scanned-entry list.
+    /// Index into the parsed-entry list.
     pub entry: usize,
     /// Package name of the owning member.
     pub package: String,
@@ -71,11 +71,8 @@ pub struct EnumDef {
     pub variants: Vec<(String, usize)>,
 }
 
-/// The workspace symbol table: parsed files plus fn/enum indexes.
+/// The workspace symbol table: fn and enum indexes over the parsed files.
 pub struct SymbolTable {
-    /// Parsed item tree per scanned entry, index-aligned with the
-    /// `entries` slice the table was built from.
-    pub files: Vec<File>,
     /// Every fn definition, in deterministic (file, line) order.
     pub fns: Vec<FnDef>,
     /// Bare name → indices into `fns`.
@@ -85,20 +82,18 @@ pub struct SymbolTable {
 }
 
 impl SymbolTable {
-    /// Parses every scanned file and collects fn/enum definitions.
-    pub fn build(ws: &Workspace, entries: &[ScannedEntry]) -> SymbolTable {
-        let mut files = Vec::with_capacity(entries.len());
+    /// Collects fn/enum definitions from every parsed file's item tree.
+    pub fn build(ws: &Workspace, entries: &[ParsedEntry]) -> SymbolTable {
         let mut fns = Vec::new();
         let mut enums = Vec::new();
         for (ei, e) in entries.iter().enumerate() {
-            let src = &e.scanned.source;
-            let file = parser::parse(src, &e.scanned.tokens);
-            let package = ws.members[e.member].name.clone();
-            let mut path = vec![package.clone()];
-            for item in &file.items {
-                collect(item, ei, e, &package, &mut path, false, &mut fns, &mut enums);
+            // The qualified-name path; its first segment is the package.
+            let mut path = vec![ws.members[e.member].name.clone()];
+            // Every fn of a test, bench or example target is test code.
+            let in_test = e.kind != FileKind::LibSrc && e.kind != FileKind::BinSrc;
+            for item in &e.file.items {
+                collect(item, ei, e, &mut path, (false, in_test), &mut fns, &mut enums);
             }
-            files.push(file);
         }
         fns.sort_by(|a, b| {
             (a.rel.as_str(), a.line, a.name.as_str()).cmp(&(
@@ -111,7 +106,7 @@ impl SymbolTable {
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.clone()).or_default().push(i);
         }
-        SymbolTable { files, fns, by_name, enums }
+        SymbolTable { fns, by_name, enums }
     }
 
     /// The enum named `name` inside package `pkg`, if defined exactly
@@ -129,15 +124,26 @@ impl SymbolTable {
         }
         found
     }
+
+    /// The fn whose body holds token `tok` of file `entry`. Bodies in a
+    /// file are disjoint (nested fns are not split out), so there is at
+    /// most one.
+    pub fn enclosing_fn(&self, entry: usize, tok: usize) -> Option<usize> {
+        self.fns.iter().position(|f| {
+            f.entry == entry && f.body.is_some_and(|(open, close)| open < tok && tok < close)
+        })
+    }
 }
 
+/// Walks `item`, recording fns and enums. `flags` is what the item
+/// inherits from its position: (inside an `impl`/`trait`, inside test
+/// code).
 fn collect(
     item: &Item,
     entry: usize,
-    e: &ScannedEntry,
-    package: &str,
+    e: &ParsedEntry,
     path: &mut Vec<String>,
-    in_impl: bool,
+    (in_impl, in_test): (bool, bool),
     fns: &mut Vec<FnDef>,
     enums: &mut Vec<EnumDef>,
 ) {
@@ -153,24 +159,17 @@ fn collect(
                 q.push_str(&name);
                 q
             };
-            let is_test = e.scanned.is_test_line(item.line)
-                || matches!(
-                    e.kind,
-                    crate::workspace::FileKind::TestFile
-                        | crate::workspace::FileKind::BenchFile
-                        | crate::workspace::FileKind::ExampleFile
-                );
             fns.push(FnDef {
                 entry,
                 member: e.member,
-                package: package.to_string(),
-                rel: e.scanned.rel.clone(),
+                package: path[0].clone(),
+                rel: e.file.rel.clone(),
                 name,
                 qual,
                 line: item.line,
                 body: item.body,
                 is_pub: item.is_pub,
-                is_test,
+                is_test: in_test || item.is_test,
                 in_impl,
             });
         }
@@ -178,8 +177,8 @@ fn collect(
             if let Some(name) = &item.name {
                 enums.push(EnumDef {
                     entry,
-                    package: package.to_string(),
-                    rel: e.scanned.rel.clone(),
+                    package: path[0].clone(),
+                    rel: e.file.rel.clone(),
                     name: name.clone(),
                     variants: item.variants.iter().map(|v| (v.name.clone(), v.line)).collect(),
                 });
@@ -187,10 +186,11 @@ fn collect(
         }
         ItemKind::Impl | ItemKind::Mod | ItemKind::Trait => {
             let seg = item.name.clone().unwrap_or_else(|| "_".to_string());
-            let child_in_impl = matches!(item.kind, ItemKind::Impl | ItemKind::Trait);
+            let flags =
+                (matches!(item.kind, ItemKind::Impl | ItemKind::Trait), in_test || item.is_test);
             path.push(seg);
             for child in &item.children {
-                collect(child, entry, e, package, path, child_in_impl, fns, enums);
+                collect(child, entry, e, path, flags, fns, enums);
             }
             path.pop();
         }
@@ -201,34 +201,10 @@ fn collect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_source;
-    use crate::workspace::FileKind;
-
-    fn entry_for(src: &str, rel: &str) -> ScannedEntry {
-        ScannedEntry { member: 0, kind: FileKind::LibSrc, scanned: scan_source(src, rel) }
-    }
 
     fn table_for(src: &str) -> SymbolTable {
-        // A workspace with one synthetic member; only `name` is read.
-        let ws = fake_ws();
-        SymbolTable::build(&ws, &[entry_for(src, "crates/p/src/lib.rs")])
-    }
-
-    fn fake_ws() -> Workspace {
-        use crate::manifest::parse_manifest;
-        use crate::workspace::Member;
-        Workspace {
-            root: std::path::PathBuf::from("."),
-            root_manifest: parse_manifest("[workspace]\n", "Cargo.toml"),
-            members: vec![Member {
-                name: "sgp-test".to_string(),
-                dir: std::path::PathBuf::from("crates/p"),
-                manifest: parse_manifest("[package]\nname = \"sgp-test\"\n", "crates/p/Cargo.toml"),
-                manifest_rel: "crates/p/Cargo.toml".to_string(),
-                files: Vec::new(),
-                is_root_package: false,
-            }],
-        }
+        let (ws, entries) = crate::testkit::workspace(&[("sgp-test", "crates/p/src/lib.rs", src)]);
+        SymbolTable::build(&ws, &entries)
     }
 
     #[test]
@@ -253,6 +229,28 @@ mod tests {
         let helper = t.fns.iter().find(|f| f.name == "helper").expect("helper");
         assert!(real.is_entry_point());
         assert!(helper.is_test && !helper.is_entry_point());
+    }
+
+    #[test]
+    fn is_test_follows_the_cfg_predicate_not_the_word_test() {
+        let src = "#[cfg(not(test))]\npub fn shipped() {}\n#[cfg(all(test, debug_assertions))]\npub fn probe() {}\n";
+        let t = table_for(src);
+        let by = |n: &str| t.fns.iter().find(|f| f.name == n).expect("fn");
+        assert!(by("shipped").is_entry_point(), "cfg(not(test)) is production code");
+        assert!(by("probe").is_test);
+    }
+
+    #[test]
+    fn enclosing_fn_finds_the_body_holding_a_token() {
+        let src = "fn a() { x(); }\nimpl S { fn b(&self) { y(); } }\nconst C: u32 = 1;\n";
+        let (ws, entries) = crate::testkit::workspace(&[("sgp-test", "crates/p/src/lib.rs", src)]);
+        let t = SymbolTable::build(&ws, &entries);
+        let f = &entries[0].file;
+        let tok =
+            |text: &str| f.tokens.iter().position(|t| t.text(&f.source) == text).expect("tok");
+        assert_eq!(t.enclosing_fn(0, tok("x")).map(|i| t.fns[i].name.as_str()), Some("a"));
+        assert_eq!(t.enclosing_fn(0, tok("y")).map(|i| t.fns[i].name.as_str()), Some("b"));
+        assert_eq!(t.enclosing_fn(0, tok("C")), None);
     }
 
     #[test]

@@ -25,16 +25,15 @@ fn mark_line(rel: &str, mark: &str) -> usize {
 
 const GRAPH_LIB: &str = "crates/graph/src/lib.rs";
 const CORE_LIB: &str = "crates/core/src/lib.rs";
-const UNSAFETY_LIB: &str = "crates/unsafety/src/lib.rs";
 const PARTITION_EXEC: &str = "crates/partition/src/exec.rs";
 const SEND_REGISTRY: &str = "tests/goldens/SEND_REGISTRY";
-const UNSAFE_REGISTRY: &str = "tests/goldens/UNSAFE_REGISTRY";
 const ENGINE_LIB: &str = "crates/engine/src/lib.rs";
 const ENGINE_TOML: &str = "crates/engine/Cargo.toml";
 const ENGINE_SMOKE: &str = "crates/engine/tests/smoke.rs";
 const DB_SIM: &str = "crates/db/src/sim.rs";
 const GRAPH_PIPELINE: &str = "crates/graph/src/pipeline.rs";
 const ENGINE_SPANS: &str = "crates/engine/src/spans.rs";
+const ENGINE_GATES: &str = "crates/engine/src/gates.rs";
 const PARTITION_REGISTRY: &str = "crates/partition/src/registry.rs";
 const SURFACES_REGISTRY: &str = "tests/goldens/ALGORITHM_SURFACES";
 const PANIC_AUDIT: &str = "tests/goldens/PANIC_AUDIT";
@@ -164,18 +163,6 @@ fn fixture_findings_match_exactly() {
         ),
         ("atomic-ordering-policy".into(), CORE_LIB.into(), mark_line(CORE_LIB, "MARK-seqcst")),
         ("stale-allow".into(), CORE_LIB.into(), mark_line(CORE_LIB, "MARK-stale-ordering-allow")),
-        // no-unsafe: the unregistered block fires in-source; the stale
-        // registry entry fires at the registry line.
-        (
-            "no-unsafe".into(),
-            UNSAFETY_LIB.into(),
-            mark_line(UNSAFETY_LIB, "MARK-unregistered-unsafe"),
-        ),
-        (
-            "no-unsafe".into(),
-            UNSAFE_REGISTRY.into(),
-            mark_line(UNSAFE_REGISTRY, "MARK-stale-unsafe"),
-        ),
         // send-bound-registry: unaudited payload, inference-typed
         // constructor, and the stale registry entry.
         (
@@ -193,35 +180,18 @@ fn fixture_findings_match_exactly() {
             SEND_REGISTRY.into(),
             mark_line(SEND_REGISTRY, "MARK-stale-send"),
         ),
-        // panic-reachability: panic sites transitively reachable from a
-        // public entry point. The depth-1 engine sites fire both the
-        // per-file panic rule (above) and reachability; the pipeline
-        // seeds prove depth ≥ 2 chains and method-call edges, while the
-        // orphan fn's expect stays per-file only (unreached).
-        ("panic-reachability".into(), ENGINE_LIB.into(), mark_line(ENGINE_LIB, "MARK-unwrap")),
-        ("panic-reachability".into(), ENGINE_LIB.into(), mark_line(ENGINE_LIB, "MARK-panic")),
-        (
-            "panic-reachability".into(),
-            ENGINE_LIB.into(),
-            mark_line(ENGINE_LIB, "MARK-unsuppressed"),
-        ),
-        (
-            "panic-reachability".into(),
-            GRAPH_PIPELINE.into(),
-            mark_line(GRAPH_PIPELINE, "MARK-deep-unwrap"),
-        ),
-        (
-            "panic-reachability".into(),
-            GRAPH_PIPELINE.into(),
-            mark_line(GRAPH_PIPELINE, "MARK-deep-panic"),
-        ),
+        // panic-reachability is the indexing class only: the site below
+        // is reachable through a *method* edge. (The partition lib.rs
+        // indexing is suppressed by the used PANIC_AUDIT entry.)
         (
             "panic-reachability".into(),
             GRAPH_PIPELINE.into(),
             mark_line(GRAPH_PIPELINE, "MARK-method-indexing"),
         ),
-        // ...their per-file co-findings (the partition lib.rs indexing
-        // is suppressed by the used PANIC_AUDIT entry instead).
+        // Reachable unwrap/panic! sites are no-panic-in-lib findings like
+        // any other — once per line, with the call path in the message
+        // (asserted below). The pipeline seeds prove depth ≥ 2 chains;
+        // the orphan fn's expect fires too, without a path.
         (
             "no-panic-in-lib".into(),
             GRAPH_PIPELINE.into(),
@@ -236,6 +206,20 @@ fn fixture_findings_match_exactly() {
             "no-panic-in-lib".into(),
             GRAPH_PIPELINE.into(),
             mark_line(GRAPH_PIPELINE, "MARK-orphan-expect"),
+        ),
+        // cfg gates: an item is test code only when its predicate
+        // *requires* `test`. `not(test)` and `any(test, …)` ship, so
+        // their unwraps fire; the `all(test, …)` and multi-line
+        // `cfg(test)` items beside them stay silent.
+        (
+            "no-panic-in-lib".into(),
+            ENGINE_GATES.into(),
+            mark_line(ENGINE_GATES, "MARK-cfg-not-test"),
+        ),
+        (
+            "no-panic-in-lib".into(),
+            ENGINE_GATES.into(),
+            mark_line(ENGINE_GATES, "MARK-cfg-any-test"),
         ),
         // ...and the stale PANIC_AUDIT entry (db has no indexing).
         (
@@ -330,9 +314,26 @@ fn fixture_findings_match_exactly() {
         "finding set mismatch\nactual:\n{:#?}\nexpected:\n{:#?}",
         actual, expected
     );
-    assert_eq!(report.errors(), 59);
+    assert_eq!(report.errors(), 54);
     assert_eq!(report.warnings(), 2);
     assert_eq!(report.exit_code(), 1, "seeded fixture must fail the lint");
+
+    // A reachable site says how it is reached; an unreached one does not.
+    let message = |file: &str, mark: &str| {
+        let line = mark_line(file, mark);
+        let hit = report
+            .findings
+            .iter()
+            .find(|f| f.rule == "no-panic-in-lib" && f.file == file && f.line == line);
+        &hit.unwrap_or_else(|| panic!("no no-panic-in-lib finding at {mark}")).message
+    };
+    let deep = message(GRAPH_PIPELINE, "MARK-deep-unwrap");
+    assert!(
+        deep.contains("sgp-graph::run_pipeline -> sgp-graph::stage_one -> sgp-graph::stage_two"),
+        "{deep}"
+    );
+    let orphan = message(GRAPH_PIPELINE, "MARK-orphan-expect");
+    assert!(!orphan.contains("->") && !orphan.contains("reachable"), "{orphan}");
 }
 
 #[test]
@@ -374,7 +375,7 @@ fn json_output_is_stable_and_wellformed() {
     let b = sgp_xtask::render_json(&report);
     assert_eq!(a, b, "rendering is deterministic");
     assert!(a.starts_with("{\n  \"version\": 1,\n"));
-    assert!(a.contains("\"errors\": 59"));
+    assert!(a.contains("\"errors\": 54"));
     assert!(a.contains("\"warnings\": 2"));
     assert!(a.contains("\"rule\": \"no-hash-iteration\""));
     // Findings arrive sorted by (file, line, rule): the manifest file

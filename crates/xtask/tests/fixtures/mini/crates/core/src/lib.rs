@@ -3,7 +3,7 @@
 //! needs a justified allow. This file seeds a bare-import use, an
 //! unjustified SeqCst, and a stale allow; the justified Acquire and
 //! the plain Relaxed uses must stay silent.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::atomic::Ordering::Relaxed;

@@ -1,7 +1,7 @@
 //! Fixture: a determinism-scoped crate seeded with one violation of
 //! every source rule, plus tricky negatives that must NOT fire. The
 //! integration test locates expected findings by the MARK tokens.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 // The crate root deliberately lacks `#![warn(missing_docs)]`.
 
 use std::collections::HashMap; // MARK-hash-use

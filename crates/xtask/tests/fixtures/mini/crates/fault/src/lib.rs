@@ -3,7 +3,7 @@
 //! ambient machine state. This file seeds one wallclock and one
 //! hash-iteration violation inside a fault-plan module; the manifest and
 //! crate attributes are clean, so only those two findings may fire.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 // sgp-lint: allow-file(no-panic-in-lib): fixture — nothing in this file panics, so this file allow is unused MARK-unused-file-allow

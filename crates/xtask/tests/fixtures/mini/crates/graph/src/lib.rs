@@ -3,7 +3,7 @@
 //! and threads scattered through the loaders. This file seeds exactly
 //! two violations (a lock type and a spawn call); the mere *words*
 //! `channel` and `bounded` outside call position must stay silent.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Builds a degree snapshot behind a lock — but lock types may not even

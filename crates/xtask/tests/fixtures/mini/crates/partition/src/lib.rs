@@ -8,7 +8,7 @@
 //! a `fn place` body (the `no-alloc-in-place-loop` warning) and one
 //! hardcoded trace key; everything else in the crate is clean, so only
 //! those seeded findings may fire.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Merges per-loader decision logs into a global assignment — through a

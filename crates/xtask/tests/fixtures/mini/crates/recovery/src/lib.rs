@@ -5,7 +5,7 @@
 //! one hash-iteration violation inside a membership-rejoin handler; the
 //! manifest and crate attributes are clean, so only those two findings
 //! may fire.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Measuring recovery time with the host clock instead of the DES

@@ -3,7 +3,7 @@
 //! wallclock, or identical seeds stop producing byte-identical dumps.
 //! This file seeds exactly one wallclock violation; the manifest and
 //! crate attributes are clean, so only that finding may fire.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The canonical trace-key registry.

@@ -1,7 +1,7 @@
 //! Fixture: a crate *outside* the determinism scopes. Hash containers,
 //! wall-clock and unwrap are all allowed here; only the attribute and
 //! manifest policies apply (and this crate satisfies both).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;

@@ -8,7 +8,7 @@
 //! (the layer the real window buffer lives in) and seeds exactly that
 //! violation; everything else is clean, so only the one finding may
 //! fire.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Drains a fake look-ahead buffer of parked stream elements — through

@@ -33,26 +33,32 @@ fn real_workspace_is_lint_clean() {
 
 #[test]
 fn every_rule_is_described_and_catalogued() {
-    use sgp_xtask::rules::{describe, ALL_RULES};
+    use sgp_xtask::rules::RULES;
 
     // The `rules` subcommand and the SARIF catalogue both promise a
-    // human explanation per rule id; an empty describe() would render
+    // human explanation per rule id; an empty description would render
     // as a blank row in one and an empty shortDescription in the other.
-    for rule in ALL_RULES {
-        assert!(!describe(rule).trim().is_empty(), "rule `{rule}` has no description");
+    for rule in RULES {
+        assert!(!rule.description.trim().is_empty(), "rule `{}` has no description", rule.id);
     }
 
     // The SARIF driver catalogue must carry every rule id even when a
     // run has zero findings — CI annotation resolves results against it.
     let report = run_lint(&LintConfig::new(workspace_root())).expect("workspace lints");
     let sarif = sgp_xtask::render_sarif(&report);
-    for rule in ALL_RULES {
+    for rule in RULES {
         assert!(
-            sarif.contains(&format!("\"id\": \"{rule}\"")),
-            "rule `{rule}` missing from the SARIF catalogue"
+            sarif.contains(&format!("\"id\": \"{}\"", rule.id)),
+            "rule `{}` missing from the SARIF catalogue",
+            rule.id
         );
     }
-    for rule in ["panic-reachability", "algorithm-surface-exhaustiveness", "span-guard-balance"] {
-        assert!(ALL_RULES.contains(&rule), "semantic-tier rule `{rule}` not registered");
+    for id in ["panic-reachability", "algorithm-surface-exhaustiveness", "span-guard-balance"] {
+        assert!(RULES.iter().any(|r| r.id == id), "semantic-tier rule `{id}` not registered");
     }
+    // `unsafe` is the compiler's job now (`unsafe_code = "forbid"` plus
+    // `#![forbid(unsafe_code)]` on every crate root): the rule is gone
+    // from the table and from what SARIF advertises.
+    assert!(RULES.iter().all(|r| r.id != "no-unsafe"));
+    assert!(!sarif.contains("no-unsafe"));
 }

@@ -53,7 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub use sgp_core as core;
 pub use sgp_db as db;
