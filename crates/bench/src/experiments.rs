@@ -834,12 +834,11 @@ pub fn fig15(params: &Params) -> String {
 pub fn appendix_a(params: &Params) -> String {
     use sgp_core::runners::default_order;
     use sgp_partition::attribute::AttributeLdg;
-    use sgp_partition::edge_cut::run_vertex_stream;
     use sgp_partition::edge_stream_cut::IogpStyle;
     use sgp_partition::hetero::{ClusterProfile, HeteroHdrf};
     use sgp_partition::metrics;
-    use sgp_partition::vertex_cut::run_edge_stream;
-    use sgp_partition::PartitionerConfig;
+    use sgp_partition::{run_edge_stream, run_vertex_stream, PartitionerConfig};
+    use sgp_trace::NullSink;
 
     let mut out = header("Appendix A — generalized cost models (survey algorithms, implemented)");
 
@@ -849,7 +848,7 @@ pub fn appendix_a(params: &Params) -> String {
     let cfg = PartitionerConfig::new(k);
     let profile = ClusterProfile::new(&[4.0, 1.0, 1.0, 1.0]);
     let mut hdrf = HeteroHdrf::new(&cfg, profile.clone(), g.num_edges());
-    let p = run_edge_stream(&g, &mut hdrf, k, default_order());
+    let p = run_edge_stream(&g, &mut hdrf, k, default_order(), &mut NullSink);
     let counts = p.edges_per_partition();
     let total: usize = counts.iter().sum();
     let mut t = TextTable::new(["Machine", "Capacity share", "Edge share"]);
@@ -866,7 +865,7 @@ pub fn appendix_a(params: &Params) -> String {
     let cfg = PartitionerConfig::new(8);
     let weights: Vec<u64> = g.vertices().map(|v| 1 + (g.degree(v) as u64).pow(2) / 8).collect();
     let mut aldg = AttributeLdg::new(&cfg, weights.clone());
-    let aware = run_vertex_stream(&g, &mut aldg, 8, default_order());
+    let aware = run_vertex_stream(&g, &mut aldg, 8, default_order(), &mut NullSink);
     let plain = sgp_partition::partition(&g, Algorithm::Ldg, &cfg, default_order());
     let load_imb = |p: &Partitioning| {
         let mut loads = vec![0u64; 8];
@@ -966,30 +965,37 @@ pub fn robustness(params: &Params) -> String {
         }
         Err(e) => out.push_str(&format!("\nonline robustness run failed: {e}\n")),
     }
-    let rows = engine_robustness_suite(Dataset::LdbcSnb.name(), &g, &algs, k, &cfg);
-    let mut t = TextTable::new([
-        "Alg",
-        "Cut",
-        "Healthy ms",
-        "Faulted ms",
-        "Recovered",
-        "Recomputed",
-        "Recovery bytes",
-        "Straggler ms",
-    ]);
-    for r in &rows {
-        t.row([
-            r.algorithm.short_name().to_string(),
-            r.cut_model.clone(),
-            f3(r.healthy_seconds * 1e3),
-            f3(r.faulted_seconds * 1e3),
-            r.recovered_vertices.to_string(),
-            r.recomputed_vertices.to_string(),
-            human_bytes(r.recovery_bytes),
-            f3(r.straggler_extra_seconds * 1e3),
-        ]);
+    match engine_robustness_suite(Dataset::LdbcSnb.name(), &g, &algs, k, &cfg) {
+        Ok(rows) => {
+            let mut t = TextTable::new([
+                "Alg",
+                "Cut",
+                "Healthy ms",
+                "Faulted ms",
+                "Recovered",
+                "Recomputed",
+                "Recovery bytes",
+                "Straggler ms",
+            ]);
+            for r in &rows {
+                t.row([
+                    r.algorithm.short_name().to_string(),
+                    r.cut_model.clone(),
+                    f3(r.healthy_seconds * 1e3),
+                    f3(r.faulted_seconds * 1e3),
+                    r.recovered_vertices.to_string(),
+                    r.recomputed_vertices.to_string(),
+                    human_bytes(r.recovery_bytes),
+                    f3(r.straggler_extra_seconds * 1e3),
+                ]);
+            }
+            out.push_str(&format!(
+                "\n--- engine: PageRank under the same plan ---\n{}",
+                t.render()
+            ));
+        }
+        Err(e) => out.push_str(&format!("\nengine robustness run failed: {e}\n")),
     }
-    out.push_str(&format!("\n--- engine: PageRank under the same plan ---\n{}", t.render()));
     out.push_str(
         "\n(replication pays under faults: vertex/hybrid-cut placements redirect reads to \
          live mirrors and restore crashed masters from mirror state, while edge-cut \

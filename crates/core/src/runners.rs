@@ -11,14 +11,14 @@ use sgp_db::{
 };
 use sgp_engine::apps::{PageRank, Sssp, Wcc};
 use sgp_engine::cost::five_number_summary;
-use sgp_engine::{run_program, run_program_with_faults, EngineOptions, Placement, RunReport};
+use sgp_engine::{run_program, run_program_with, EngineError, EngineOptions, Placement, RunReport};
 use sgp_fault::FaultPlan;
 use sgp_graph::{ChurnConfig, ChurnStream, Graph, StreamOrder};
 use sgp_partition::metis::MultilevelPartitioner;
 use sgp_partition::metrics::QualityReport;
 use sgp_partition::{
-    cut_edges, partition, partition_multi_loader, plan_rebalance, Algorithm, LoaderConfig,
-    MigrationConfig, MigrationStrategy, PartitionId, PartitionerConfig, Partitioning,
+    cut_edges, partition, partition_multi_loader, plan_rebalance, run_vertex_stream, Algorithm,
+    LoaderConfig, MigrationConfig, MigrationStrategy, PartitionId, PartitionerConfig, Partitioning,
 };
 use sgp_trace::{keys, NullSink, TraceSink};
 
@@ -455,7 +455,7 @@ pub fn workload_aware_suite(
     // access counts — no offline repartitioning required.
     let cfg = PartitionerConfig::new(k);
     let mut aldg = sgp_partition::attribute::AttributeLdg::new(&cfg, weights);
-    let p = sgp_partition::edge_cut::run_vertex_stream(g, &mut aldg, k, default_order());
+    let p = run_vertex_stream(g, &mut aldg, k, default_order(), &mut NullSink);
     let streaming_store = PartitionedStore::new(g.clone(), &p);
     let row = online_run_on_store(
         "workload-aware",
@@ -696,14 +696,15 @@ pub struct EngineRobustnessRow {
 /// Runs the engine robustness suite: PageRank over each algorithm's
 /// placement, healthy and fault-inflated, under one shared plan. The
 /// computed ranks are identical in both runs (pause-and-recover model);
-/// only the cost accounting differs.
+/// only the cost accounting differs. Errors when `cfg` builds a plan the
+/// engine refuses.
 pub fn engine_robustness_suite(
     dataset_name: &str,
     g: &Graph,
     algorithms: &[Algorithm],
     k: usize,
     cfg: &RobustnessConfig,
-) -> Vec<EngineRobustnessRow> {
+) -> Result<Vec<EngineRobustnessRow>, EngineError> {
     let opts = EngineOptions::default();
     let plan = cfg.build_plan(k);
     let pcfg = PartitionerConfig::new(k);
@@ -713,7 +714,7 @@ pub fn engine_robustness_suite(
         let placement = Placement::build(g, &p);
         let prog = PageRank::new(20);
         let healthy = run_program(g, &placement, &prog, &opts).1;
-        let faulted = run_program_with_faults(g, &placement, &prog, &opts, &plan).1;
+        let faulted = run_program_with(g, &placement, &prog, &opts, Some(&plan), &mut NullSink)?.1;
         let summary = faulted.fault.clone().unwrap_or_default();
         rows.push(EngineRobustnessRow {
             dataset: dataset_name.to_string(),
@@ -728,7 +729,7 @@ pub fn engine_robustness_suite(
             straggler_extra_seconds: summary.straggler_extra_ns / 1e9,
         });
     }
-    rows
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -1269,7 +1270,8 @@ mod tests {
             &[Algorithm::EcrHash, Algorithm::VcrHash],
             4,
             &cfg,
-        );
+        )
+        .expect("the stock plan fits the placement");
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(

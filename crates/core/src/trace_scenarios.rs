@@ -24,8 +24,9 @@ use sgp_db::{
     SimConfig, SimError, Workload, WorkloadKind,
 };
 use sgp_engine::apps::PageRank;
-use sgp_engine::{run_program_traced, EngineOptions, Placement, RunReport};
-use sgp_partition::{partition_traced, Algorithm, PartitionerConfig};
+use sgp_engine::{run_program_with, EngineOptions, Placement, RunReport};
+use sgp_graph::Graph;
+use sgp_partition::{Algorithm, Exec, PartitionerConfig, Partitioning, Run};
 use sgp_trace::{CollectingSink, TraceSink};
 
 /// Algorithm of the engine scenario: vertex-cut, so the partitioner
@@ -59,15 +60,27 @@ pub fn db_scenario_config() -> RobustnessConfig {
     }
 }
 
+/// The scenarios' traced sequential partitioning over
+/// [`SCENARIO_MACHINES`] partitions.
+fn traced_partition<S: TraceSink>(g: &Graph, algorithm: Algorithm, sink: &mut S) -> Partitioning {
+    let cfg = PartitionerConfig::new(SCENARIO_MACHINES);
+    Run { algorithm, cfg: &cfg, order: default_order(), exec: Exec::Sequential }
+        .execute(g, sink)
+        // sgp-lint: allow(no-panic-in-lib): RunError only refuses loader runs; Exec::Sequential has no error path
+        .expect("a sequential run cannot be refused")
+}
+
 /// Runs the engine scenario, recording `partition.*` and `engine.*`
 /// events into `sink`; returns the run report.
 pub fn record_engine_scenario<S: TraceSink>(scale: Scale, sink: &mut S) -> RunReport {
     let g = Dataset::LdbcSnb.generate(scale);
-    let cfg = PartitionerConfig::new(SCENARIO_MACHINES);
-    let p = partition_traced(&g, ENGINE_SCENARIO_ALGORITHM, &cfg, default_order(), sink);
+    let p = traced_partition(&g, ENGINE_SCENARIO_ALGORITHM, sink);
     let placement = Placement::build(&g, &p);
     let prog = PageRank::new(ENGINE_SCENARIO_ITERATIONS);
-    run_program_traced(&g, &placement, &prog, &EngineOptions::default(), sink).1
+    run_program_with(&g, &placement, &prog, &EngineOptions::default(), None, sink)
+        // sgp-lint: allow(no-panic-in-lib): EngineError only refuses fault plans, and none is passed
+        .expect("a run without a fault plan cannot be refused")
+        .1
 }
 
 /// Runs the DES scenario, recording `partition.*` and `db.*` events
@@ -80,8 +93,7 @@ pub fn record_db_scenario<S: TraceSink>(
     let cfg = db_scenario_config();
     let k = SCENARIO_MACHINES;
     let plan = cfg.build_plan(k);
-    let pcfg = PartitionerConfig::new(k);
-    let p = partition_traced(&g, DB_SCENARIO_ALGORITHM, &pcfg, default_order(), sink);
+    let p = traced_partition(&g, DB_SCENARIO_ALGORITHM, sink);
     let store = PartitionedStore::from_owner(g.clone(), k, p.masters(&g));
     let mirrors = MirrorDirectory::for_model(&g, &p);
     let workload =

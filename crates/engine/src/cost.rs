@@ -95,7 +95,7 @@ impl IterationStats {
 /// Fault accounting of a run executed under a
 /// [`FaultPlan`](sgp_fault::FaultPlan) (pause-and-recover model: the
 /// computed result is identical to the healthy run; only the cost
-/// accounting changes — see `run_program_with_faults`).
+/// accounting changes — see `run_program_with`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSummary {
     /// Crash events charged to the run.

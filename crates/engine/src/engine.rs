@@ -28,7 +28,7 @@ use crate::cost::{CostModel, FaultSummary, IterationStats, RunReport};
 use crate::placement::Placement;
 use crate::program::VertexProgram;
 use crate::wire::encoded_len;
-use sgp_fault::{FaultEvent, FaultPlan};
+use sgp_fault::{FaultEvent, FaultPlan, PlanError};
 use sgp_graph::{Graph, VertexId};
 use sgp_partition::PartitionId;
 use sgp_trace::{keys, NullSink, TraceSink};
@@ -49,8 +49,36 @@ impl Default for EngineOptions {
     }
 }
 
-/// Runs `prog` to completion; returns the final vertex data and the run
-/// report.
+/// Why [`run_program_with`] refused a fault plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EngineError {
+    /// The plan covers a different number of machines than the
+    /// placement.
+    MachineCountMismatch {
+        /// Machines the plan was written for.
+        plan: usize,
+        /// Machines of the placement.
+        placement: usize,
+    },
+    /// The plan fails [`FaultPlan::validate`].
+    InvalidPlan(PlanError),
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::MachineCountMismatch { plan, placement } => {
+                write!(f, "fault plan covers {plan} machines but the placement has {placement}")
+            }
+            EngineError::InvalidPlan(e) => write!(f, "invalid fault plan: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+/// Runs `prog` to completion, healthy and untraced; returns the final
+/// vertex data and the run report.
 pub fn run_program<P: VertexProgram>(
     g: &Graph,
     placement: &Placement,
@@ -60,24 +88,16 @@ pub fn run_program<P: VertexProgram>(
     run_program_impl(g, placement, prog, opts, None, &mut NullSink, BodyPolicy::Auto)
 }
 
-/// [`run_program`] with trace events recorded into `sink` (DESIGN.md §9).
+/// The general entry: runs `prog` under an optional deterministic
+/// [`FaultPlan`] (DESIGN.md §7), recording trace events into `sink`
+/// (DESIGN.md §9; pass [`NullSink`] for none). Errors only when a plan
+/// is given and does not fit: `None` cannot fail.
 ///
 /// All stamps are **simulated nanoseconds** from the cost model, so the
 /// emitted trace is a pure function of the inputs — identical runs yield
 /// byte-identical traces. With a [`NullSink`] the instrumentation
-/// monomorphizes away and the computed result and report are exactly
-/// those of [`run_program`].
-pub fn run_program_traced<P: VertexProgram, S: TraceSink>(
-    g: &Graph,
-    placement: &Placement,
-    prog: &P,
-    opts: &EngineOptions,
-    sink: &mut S,
-) -> (Vec<P::VertexData>, RunReport) {
-    run_program_impl(g, placement, prog, opts, None, sink, BodyPolicy::Auto)
-}
-
-/// Runs `prog` under a deterministic [`FaultPlan`] (DESIGN.md §7).
+/// monomorphizes away; with no plan the computed result and report are
+/// exactly those of [`run_program`].
 ///
 /// The engine models faults as **pause-and-recover**: the synchronous
 /// barrier makes every superstep a global checkpoint, so the computed
@@ -88,41 +108,27 @@ pub fn run_program_traced<P: VertexProgram, S: TraceSink>(
 /// masters with a live mirror are restored by shipping their vertex
 /// data (bytes on the NIC), masters without one are recomputed
 /// (apply + edge ops), and both costs land in `total_wall_ns` and the
-/// report's [`FaultSummary`]. Message loss does not apply: barrier
-/// delivery is reliable-retransmit, which the recovery model subsumes.
-///
-/// # Panics
-/// Panics if the plan fails validation or covers a different number of
-/// machines than `placement`.
-pub fn run_program_with_faults<P: VertexProgram>(
+/// report's [`FaultSummary`], next to fault-recovery spans and crash
+/// counters in the trace. Message loss does not apply: barrier delivery
+/// is reliable-retransmit, which the recovery model subsumes.
+pub fn run_program_with<P: VertexProgram, S: TraceSink>(
     g: &Graph,
     placement: &Placement,
     prog: &P,
     opts: &EngineOptions,
-    plan: &FaultPlan,
-) -> (Vec<P::VertexData>, RunReport) {
-    run_program_with_faults_traced(g, placement, prog, opts, plan, &mut NullSink)
-}
-
-/// [`run_program_with_faults`] with trace events recorded into `sink`.
-///
-/// Adds fault-recovery spans and crash counters on top of the healthy
-/// instrumentation of [`run_program_traced`].
-///
-/// # Panics
-/// Panics if the plan fails validation or covers a different number of
-/// machines than `placement`.
-pub fn run_program_with_faults_traced<P: VertexProgram, S: TraceSink>(
-    g: &Graph,
-    placement: &Placement,
-    prog: &P,
-    opts: &EngineOptions,
-    plan: &FaultPlan,
+    plan: Option<&FaultPlan>,
     sink: &mut S,
-) -> (Vec<P::VertexData>, RunReport) {
-    assert_eq!(plan.machines, placement.k, "fault plan must match the placement");
-    assert!(plan.validate().is_ok(), "fault plan must validate");
-    run_program_impl(g, placement, prog, opts, Some(plan), sink, BodyPolicy::Auto)
+) -> Result<(Vec<P::VertexData>, RunReport), EngineError> {
+    if let Some(plan) = plan {
+        if plan.machines != placement.k {
+            return Err(EngineError::MachineCountMismatch {
+                plan: plan.machines,
+                placement: placement.k,
+            });
+        }
+        plan.validate().map_err(EngineError::InvalidPlan)?;
+    }
+    Ok(run_program_impl(g, placement, prog, opts, plan, sink, BodyPolicy::Auto))
 }
 
 /// Tracks which plan events have been charged and accumulates the
@@ -1056,7 +1062,9 @@ mod tests {
         let opts = EngineOptions::default();
         let (data, healthy) = run_program(&g, &pl, &PageRank::new(5), &opts);
         let plan = FaultPlan::healthy(4, 1);
-        let (fdata, faulted) = run_program_with_faults(&g, &pl, &PageRank::new(5), &opts, &plan);
+        let (fdata, faulted) =
+            run_program_with(&g, &pl, &PageRank::new(5), &opts, Some(&plan), &mut NullSink)
+                .unwrap();
         assert_eq!(data, fdata, "pause-and-recover must not change results");
         assert_eq!(healthy.total_wall_ns, faulted.total_wall_ns);
         assert!(healthy.fault.is_none());
@@ -1071,7 +1079,9 @@ mod tests {
         let opts = EngineOptions::default();
         let (data, healthy) = run_program(&g, &pl, &PageRank::new(5), &opts);
         let plan = FaultPlan::healthy(4, 1).with_straggler(0, 0, u64::MAX, 3.0);
-        let (fdata, faulted) = run_program_with_faults(&g, &pl, &PageRank::new(5), &opts, &plan);
+        let (fdata, faulted) =
+            run_program_with(&g, &pl, &PageRank::new(5), &opts, Some(&plan), &mut NullSink)
+                .unwrap();
         assert_eq!(data, fdata);
         assert!(
             faulted.total_wall_ns > healthy.total_wall_ns,
@@ -1095,7 +1105,9 @@ mod tests {
         let opts = EngineOptions::default();
         let plan = FaultPlan::healthy(4, 1).with_crash(2, 0);
         let pl_vc = placement_for(&g, Algorithm::VcrHash, 4);
-        let (data, faulted) = run_program_with_faults(&g, &pl_vc, &PageRank::new(5), &opts, &plan);
+        let (data, faulted) =
+            run_program_with(&g, &pl_vc, &PageRank::new(5), &opts, Some(&plan), &mut NullSink)
+                .unwrap();
         let (hdata, healthy) = run_program(&g, &pl_vc, &PageRank::new(5), &opts);
         assert_eq!(data, hdata, "crash recovery must not change results");
         let s = faulted.fault.expect("summary present");
@@ -1118,7 +1130,9 @@ mod tests {
         let p2 = Partitioning::from_vertex_owners(&g2, 2, vec![0, 0, 0, 1, 1, 1]);
         let pl2 = Placement::build(&g2, &p2);
         let plan2 = FaultPlan::healthy(2, 1).with_crash(1, 0);
-        let (_, ec) = run_program_with_faults(&g2, &pl2, &PageRank::new(3), &opts, &plan2);
+        let (_, ec) =
+            run_program_with(&g2, &pl2, &PageRank::new(3), &opts, Some(&plan2), &mut NullSink)
+                .unwrap();
         let se = ec.fault.expect("summary present");
         assert_eq!(se.recomputed_vertices, 3, "machine 1's masters have no mirrors");
         assert_eq!(se.recovered_vertices, 0);
@@ -1137,8 +1151,12 @@ mod tests {
             u64::MAX,
             2.5,
         );
-        let (da, ra) = run_program_with_faults(&g, &pl, &PageRank::new(5), &opts, &plan);
-        let (db, rb) = run_program_with_faults(&g, &pl, &PageRank::new(5), &opts, &plan);
+        let (da, ra) =
+            run_program_with(&g, &pl, &PageRank::new(5), &opts, Some(&plan), &mut NullSink)
+                .unwrap();
+        let (db, rb) =
+            run_program_with(&g, &pl, &PageRank::new(5), &opts, Some(&plan), &mut NullSink)
+                .unwrap();
         assert_eq!(da, db);
         assert_eq!(ra.total_wall_ns, rb.total_wall_ns);
         assert_eq!(ra.fault, rb.fault);
@@ -1152,7 +1170,8 @@ mod tests {
         let opts = EngineOptions::default();
         let (data, report) = run_program(&g, &pl, &PageRank::new(5), &opts);
         let mut sink = CollectingSink::new();
-        let (tdata, treport) = run_program_traced(&g, &pl, &PageRank::new(5), &opts, &mut sink);
+        let (tdata, treport) =
+            run_program_with(&g, &pl, &PageRank::new(5), &opts, None, &mut sink).unwrap();
         assert_eq!(data, tdata, "tracing must not perturb results");
         assert_eq!(report.total_wall_ns, treport.total_wall_ns);
         sink.check_nesting().expect("well-formed span nesting");
@@ -1183,7 +1202,7 @@ mod tests {
         let plan = FaultPlan::healthy(4, 1).with_crash(2, 0);
         let mut sink = CollectingSink::new();
         let (_, report) =
-            run_program_with_faults_traced(&g, &pl, &PageRank::new(5), &opts, &plan, &mut sink);
+            run_program_with(&g, &pl, &PageRank::new(5), &opts, Some(&plan), &mut sink).unwrap();
         let summary = report.fault.expect("faulted run reports a summary");
         assert_eq!(sink.counter_total(keys::ENGINE_FAULT_CRASHES), summary.crashes as u64);
         assert_eq!(sink.counter_total(keys::ENGINE_FAULT_RECOVERY_BYTES), summary.recovery_bytes);
@@ -1191,12 +1210,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault plan must match the placement")]
-    fn mismatched_fault_plan_panics() {
+    fn unfit_fault_plans_are_typed_errors() {
         let g = any_graph();
         let pl = placement_for(&g, Algorithm::EcrHash, 4);
-        let plan = FaultPlan::healthy(8, 1);
-        run_program_with_faults(&g, &pl, &PageRank::new(2), &EngineOptions::default(), &plan);
+        let run = |plan: &FaultPlan| {
+            let opts = EngineOptions::default();
+            run_program_with(&g, &pl, &PageRank::new(2), &opts, Some(plan), &mut NullSink)
+        };
+        assert_eq!(
+            run(&FaultPlan::healthy(3, 1)).unwrap_err(),
+            EngineError::MachineCountMismatch { plan: 3, placement: 4 }
+        );
+        let lossy = FaultPlan { message_loss: 1.5, ..FaultPlan::healthy(4, 1) };
+        assert_eq!(
+            run(&lossy).unwrap_err(),
+            EngineError::InvalidPlan(PlanError::BadLossProbability)
+        );
+        assert!(run(&FaultPlan::healthy(4, 1)).is_ok());
     }
 
     // ---- dense ≡ sparse ≡ auto --------------------------------------------
@@ -1650,10 +1680,7 @@ mod tests {
             what: &str,
         ) {
             let (pl, rp) = layouts;
-            let (data, report) = match plan {
-                Some(plan) => run_program_with_faults(g, pl, prog, opts, plan),
-                None => run_program(g, pl, prog, opts),
-            };
+            let (data, report) = run_program_with(g, pl, prog, opts, plan, &mut NullSink).unwrap();
             let (naive_data, naive_report) = naive_run(g, rp, prog, opts, plan);
             assert_eq!(data, naive_data, "{what}: vertex data");
             assert_same_report(&report, &naive_report, what);

@@ -24,11 +24,10 @@
 //!   apply vertex operations), from which load-balance distributions
 //!   (Fig. 4) and the simulated execution time (Fig. 3) derive via the
 //!   [`cost::CostModel`];
-//! * **fault-inflated runs** ([`engine::run_program_with_faults`]):
-//!   the same superstep under a deterministic
-//!   [`sgp_fault::FaultPlan`] — straggler-aware barriers plus
-//!   crash-recovery charges (mirror state transfer or recomputation),
-//!   reported in [`cost::FaultSummary`].
+//! * **fault-inflated runs** ([`engine::run_program_with`]): the same
+//!   superstep under a deterministic [`sgp_fault::FaultPlan`] —
+//!   straggler-aware barriers plus crash-recovery charges (mirror state
+//!   transfer or recomputation), reported in [`cost::FaultSummary`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,9 +41,6 @@ pub mod reference;
 pub mod wire;
 
 pub use cost::{CostModel, FaultSummary, IterationStats, RunReport};
-pub use engine::{
-    run_program, run_program_traced, run_program_with_faults, run_program_with_faults_traced,
-    EngineOptions,
-};
+pub use engine::{run_program, run_program_with, EngineError, EngineOptions};
 pub use placement::Placement;
 pub use program::{Direction, VertexProgram};

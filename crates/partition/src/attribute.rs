@@ -190,12 +190,14 @@ impl VertexStreamPartitioner for AttributeFennel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge_cut::{run_vertex_stream, Ldg};
+    use crate::edge_cut::Ldg;
     use crate::metrics;
+    use crate::streaming::run_vertex_stream;
     use rand::Rng;
     use sgp_graph::generators::{snb_social, SnbConfig};
     use sgp_graph::sampling::{seeded_rng, Zipf};
     use sgp_graph::{Graph, StreamOrder};
+    use sgp_trace::NullSink;
 
     fn graph() -> Graph {
         snb_social(SnbConfig {
@@ -238,8 +240,15 @@ mod tests {
         let weights = skewed_weights(g.num_vertices(), 3);
         let order = StreamOrder::Random { seed: 9 };
 
-        let plain = run_vertex_stream(&g, &mut Ldg::new(&cfg, g.num_vertices()), k, order);
-        let aware = run_vertex_stream(&g, &mut AttributeLdg::new(&cfg, weights.clone()), k, order);
+        let plain =
+            run_vertex_stream(&g, &mut Ldg::new(&cfg, g.num_vertices()), k, order, &mut NullSink);
+        let aware = run_vertex_stream(
+            &g,
+            &mut AttributeLdg::new(&cfg, weights.clone()),
+            k,
+            order,
+            &mut NullSink,
+        );
 
         let imb = |p: &crate::Partitioning| {
             let loads = attribute_loads(p.vertex_owner.as_ref().unwrap(), &weights, k);
@@ -265,6 +274,7 @@ mod tests {
             &mut AttributeFennel::new(&cfg, weights.clone(), g.num_edges()),
             k,
             StreamOrder::Random { seed: 2 },
+            &mut NullSink,
         );
         let loads = attribute_loads(p.vertex_owner.as_ref().unwrap(), &weights, k);
         let avg = loads.iter().sum::<u64>() as f64 / k as f64;
@@ -281,6 +291,7 @@ mod tests {
             &mut AttributeLdg::new(&cfg, vec![1; g.num_vertices()]),
             4,
             StreamOrder::Random { seed: 7 },
+            &mut NullSink,
         );
         let counts = p.vertices_per_partition().unwrap();
         assert!(metrics::load_imbalance(&counts) < 1.1);
@@ -297,12 +308,14 @@ mod tests {
             &mut AttributeLdg::new(&cfg, vec![1; g.num_vertices()]),
             4,
             StreamOrder::Random { seed: 1 },
+            &mut NullSink,
         );
         let hash = run_vertex_stream(
             &g,
             &mut crate::edge_cut::HashVertex::new(&cfg),
             4,
             StreamOrder::Random { seed: 1 },
+            &mut NullSink,
         );
         let (ea, eh) = (
             metrics::edge_cut_ratio(&g, &aware).unwrap(),
@@ -326,7 +339,13 @@ mod tests {
         let cfg = PartitionerConfig::new(4);
         let mut w = vec![1u64; g.num_vertices()];
         w[0] = 10 * g.num_vertices() as u64;
-        let p = run_vertex_stream(&g, &mut AttributeLdg::new(&cfg, w), 4, StreamOrder::Natural);
+        let p = run_vertex_stream(
+            &g,
+            &mut AttributeLdg::new(&cfg, w),
+            4,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         assert!(p.vertex_owner.unwrap().iter().all(|&x| x < 4));
     }
 }

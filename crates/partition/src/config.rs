@@ -26,11 +26,15 @@ pub struct PartitionerConfig {
     /// Seed for all hash-based and tie-breaking decisions.
     pub seed: u64,
     /// Look-ahead window size `W` for the buffered streaming model
-    /// (ADWISE-style): the [`crate::streaming::StreamingPartitioner`]
-    /// facade holds up to `W − 1` elements and places the highest-affinity
-    /// buffered element first. `W = 1` (the default) degenerates exactly
-    /// to the paper's one-pass model — the buffer never holds an element
-    /// across a placement, so arrival order is placement order.
+    /// (ADWISE-style): every sequential run — [`crate::registry::Run`]
+    /// under `Exec::Sequential`, [`crate::registry::partition`],
+    /// restreaming, the [`crate::streaming::StreamingPartitioner`]
+    /// facade — holds up to `W − 1` elements and places the
+    /// highest-affinity buffered element first; the parallel loaders
+    /// place on arrival and `Run::execute` refuses `W > 1` under them.
+    /// `W = 1` (the default) degenerates exactly to the paper's one-pass
+    /// model — the buffer never holds an element across a placement, so
+    /// arrival order is placement order.
     #[serde(default = "default_window")]
     pub window: usize,
     /// Whether the 2PS two-phase partitioner runs its streaming

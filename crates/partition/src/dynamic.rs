@@ -5,11 +5,11 @@
 //! closer to a full partitioning — so re-running the same partitioner
 //! with its *own previous output* preloaded as the starting assignment
 //! monotonically improves the cut in practice. [`restream_rounds`]
-//! packages that loop over the [`StreamingPartitioner`] facade: each
-//! round preloads the current vertex-owner map via
-//! [`StreamingPartitioner::preload_assignment`], replays the stream, and
-//! accepts the candidate only if the integer edge-cut did not get worse,
-//! stopping at a fixpoint (no vertex moved). The bounded-movement
+//! packages that loop over the sequential vertex driver: each round
+//! preloads the current vertex-owner map into a fresh machine, replays
+//! the stream, and accepts the candidate only if the integer edge-cut
+//! did not get worse, stopping at a fixpoint (no vertex moved). The
+//! bounded-movement
 //! variant lives in [`crate::migration`], which runs this loop under
 //! [`MigrationConfig::budget`](crate::migration::MigrationConfig)
 //! accounting.
@@ -20,9 +20,9 @@
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
-use crate::registry::Algorithm;
-use crate::streaming::{StreamInput, StreamingPartitioner, DEFAULT_CHUNK};
-use sgp_graph::{Graph, StreamOrder, VertexStreamSource};
+use crate::registry::{Algorithm, Boxed};
+use crate::streaming::{drive_vertex_stream, VertexIngest};
+use sgp_graph::{Graph, StreamOrder};
 use sgp_trace::{keys, NullSink, TraceSink};
 
 /// Number of edges whose endpoints live on different partitions under
@@ -54,24 +54,13 @@ pub struct RestreamOutcome {
 }
 
 /// Runs up to `rounds` restreaming rounds of `algorithm` over its own
-/// prior assignment, starting from `initial` (one owner per vertex).
+/// prior assignment, starting from `initial` (one owner per vertex),
+/// and counts the accepted rounds into `sink`
+/// ([`keys::PARTITION_RESTREAM_ROUNDS`]; pass [`NullSink`] for none).
 /// Returns `None` when `algorithm` does not consume a vertex stream —
 /// restreaming re-places *vertices* against a persistent owner map, so
 /// only the edge-cut family participates.
-pub fn restream_rounds(
-    g: &Graph,
-    algorithm: Algorithm,
-    cfg: &PartitionerConfig,
-    order: StreamOrder,
-    initial: &[PartitionId],
-    rounds: usize,
-) -> Option<RestreamOutcome> {
-    restream_rounds_traced(g, algorithm, cfg, order, initial, rounds, &mut NullSink)
-}
-
-/// [`restream_rounds`] that also counts the accepted rounds into `sink`
-/// ([`keys::PARTITION_RESTREAM_ROUNDS`]).
-pub fn restream_rounds_traced<S: TraceSink>(
+pub fn restream_rounds<S: TraceSink>(
     g: &Graph,
     algorithm: Algorithm,
     cfg: &PartitionerConfig,
@@ -84,24 +73,15 @@ pub fn restream_rounds_traced<S: TraceSink>(
     let initial_cut_edges = cut_edges(g, &owner);
     let mut current_cut = initial_cut_edges;
     let mut accepted = Vec::new();
+    let machines = algorithm.boxed(g, cfg);
     for _ in 0..rounds {
-        let mut sp = StreamingPartitioner::init(g, algorithm, cfg);
-        if sp.input() != StreamInput::Vertices {
+        let Boxed::Vertex(make, _) = &machines else {
             return None;
-        }
-        // sgp-lint: allow(no-panic-in-lib): input() was just checked to be Vertices
-        sp.preload_assignment(&owner).expect("vertex machine accepts preloaded owners");
-        let mut source = VertexStreamSource::new(g, order);
-        let mut chunk = Vec::new();
-        for _ in 0..sp.passes() {
-            source.restart();
-            while source.next_chunk(DEFAULT_CHUNK, &mut chunk) > 0 {
-                // sgp-lint: allow(no-panic-in-lib): input() was just checked to be Vertices
-                sp.ingest_vertices(&chunk).expect("vertex machine accepts vertex chunks");
-            }
-            sp.flush_window();
-        }
-        let cand = sp.seal().vertex_owner?;
+        };
+        let mut core = VertexIngest::init(make(), g.num_vertices(), cfg.k);
+        core.preload(&owner);
+        drive_vertex_stream(g, &mut core, order, cfg.window.max(1), &mut NullSink);
+        let cand = core.into_owner();
         let cand_cut = cut_edges(g, &cand);
         if cand_cut > current_cut {
             break;
@@ -130,6 +110,17 @@ mod tests {
         erdos_renyi(ErdosRenyiConfig { vertices: 400, edges: 2400, seed: 11 })
     }
 
+    /// `k = 4`, natural order, untraced.
+    fn restream(
+        g: &Graph,
+        alg: Algorithm,
+        initial: &[PartitionId],
+        rounds: usize,
+    ) -> Option<RestreamOutcome> {
+        let cfg = PartitionerConfig::new(4);
+        restream_rounds(g, alg, &cfg, StreamOrder::Natural, initial, rounds, &mut NullSink)
+    }
+
     fn initial_owner(g: &Graph, k: usize) -> Vec<PartitionId> {
         let cfg = PartitionerConfig::new(k);
         let p = partition(g, Algorithm::Ldg, &cfg, StreamOrder::Natural);
@@ -140,9 +131,7 @@ mod tests {
     fn cut_never_increases_over_rounds() {
         let g = graph();
         let initial = initial_owner(&g, 4);
-        let cfg = PartitionerConfig::new(4);
-        let out =
-            restream_rounds(&g, Algorithm::Ldg, &cfg, StreamOrder::Natural, &initial, 6).unwrap();
+        let out = restream(&g, Algorithm::Ldg, &initial, 6).unwrap();
         let mut last = out.initial_cut_edges;
         for r in &out.rounds {
             assert!(r.cut_edges <= last, "round cut {} > previous {last}", r.cut_edges);
@@ -155,9 +144,8 @@ mod tests {
     fn same_inputs_same_outcome() {
         let g = graph();
         let initial = initial_owner(&g, 4);
-        let cfg = PartitionerConfig::new(4);
-        let a = restream_rounds(&g, Algorithm::Fennel, &cfg, StreamOrder::Natural, &initial, 3);
-        let b = restream_rounds(&g, Algorithm::Fennel, &cfg, StreamOrder::Natural, &initial, 3);
+        let a = restream(&g, Algorithm::Fennel, &initial, 3);
+        let b = restream(&g, Algorithm::Fennel, &initial, 3);
         assert_eq!(a, b);
     }
 
@@ -165,19 +153,14 @@ mod tests {
     fn edge_stream_algorithms_refuse() {
         let g = graph();
         let initial = initial_owner(&g, 4);
-        let cfg = PartitionerConfig::new(4);
-        assert!(
-            restream_rounds(&g, Algorithm::Hdrf, &cfg, StreamOrder::Natural, &initial, 2).is_none()
-        );
+        assert!(restream(&g, Algorithm::Hdrf, &initial, 2).is_none());
     }
 
     #[test]
     fn zero_rounds_is_identity() {
         let g = graph();
         let initial = initial_owner(&g, 4);
-        let cfg = PartitionerConfig::new(4);
-        let out =
-            restream_rounds(&g, Algorithm::Ldg, &cfg, StreamOrder::Natural, &initial, 0).unwrap();
+        let out = restream(&g, Algorithm::Ldg, &initial, 0).unwrap();
         assert_eq!(out.owner, initial);
         assert!(out.rounds.is_empty());
     }

@@ -6,16 +6,16 @@
 //! partitioning. The shared streaming state (previous assignments +
 //! partition sizes) that the paper notes each worker must "continuously
 //! communicate and synchronize" lives in [`VertexStreamState`], owned by
-//! the incremental core in [`crate::streaming`]; [`run_vertex_stream`]
-//! and its traced twin are thin adapters over that core.
+//! the incremental core in [`crate::streaming`], whose
+//! [`run_vertex_stream`](crate::streaming::run_vertex_stream) drives any
+//! partitioner defined here.
 
-use crate::assignment::{hash_to_partition, PartitionId, Partitioning};
+use crate::assignment::{hash_to_partition, PartitionId};
 use crate::config::PartitionerConfig;
 use crate::decisions::DecisionStats;
 use crate::kernels;
 use sgp_graph::stream::VertexRecord;
-use sgp_graph::{Graph, StreamOrder};
-use sgp_trace::{NullSink, TraceSink};
+use sgp_graph::VertexId;
 
 /// Shared state visible to a vertex-stream partitioner at placement time:
 /// the history of previous assignments and current partition sizes.
@@ -129,11 +129,16 @@ impl HashVertex {
     pub fn new(cfg: &PartitionerConfig) -> Self {
         HashVertex { k: cfg.k, seed: cfg.seed }
     }
+
+    /// The partition vertex `v` hashes to — all `place` ever computes.
+    pub(crate) fn owner(&self, v: VertexId) -> PartitionId {
+        hash_to_partition(v, self.k, self.seed)
+    }
 }
 
 impl VertexStreamPartitioner for HashVertex {
     fn place(&mut self, rec: &VertexRecord, _state: &VertexStreamState) -> PartitionId {
-        hash_to_partition(rec.vertex, self.k, self.seed)
+        self.owner(rec.vertex)
     }
 
     fn name(&self) -> &'static str {
@@ -350,46 +355,14 @@ fn argmin_size(sizes: &[usize]) -> PartitionId {
         .expect("at least one partition")
 }
 
-/// Runs a vertex-stream partitioner over `g` and returns the resulting
-/// edge-cut [`Partitioning`] (out-edges grouped with their source, per
-/// Appendix B).
-pub fn run_vertex_stream<P: VertexStreamPartitioner>(
-    g: &Graph,
-    partitioner: &mut P,
-    k: usize,
-    order: StreamOrder,
-) -> Partitioning {
-    run_vertex_stream_traced(g, partitioner, k, order, &mut NullSink)
-}
-
-/// [`run_vertex_stream`] with trace instrumentation: a
-/// `partition.stream` span around the run, one `partition.pass` span
-/// per stream pass (stamps are stream positions — logical sequence
-/// numbers, never wallclock), the flushed decision counters, and the
-/// final per-partition vertex loads.
-pub fn run_vertex_stream_traced<P: VertexStreamPartitioner, S: TraceSink>(
-    g: &Graph,
-    partitioner: &mut P,
-    k: usize,
-    order: StreamOrder,
-    sink: &mut S,
-) -> Partitioning {
-    crate::streaming::run_vertex_chunked(
-        g,
-        partitioner,
-        k,
-        order,
-        crate::streaming::DEFAULT_CHUNK,
-        sink,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics;
+    use crate::streaming::run_vertex_stream;
     use sgp_graph::generators::{erdos_renyi, snb_social, ErdosRenyiConfig, SnbConfig};
-    use sgp_graph::GraphBuilder;
+    use sgp_graph::{Graph, GraphBuilder, StreamOrder};
+    use sgp_trace::NullSink;
 
     fn cfg(k: usize) -> PartitionerConfig {
         PartitionerConfig::new(k)
@@ -443,9 +416,15 @@ mod tests {
     fn hash_vertex_is_deterministic_and_balanced() {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 4000, edges: 12_000, seed: 1 });
         let c = cfg(8);
-        let p1 = run_vertex_stream(&g, &mut HashVertex::new(&c), 8, StreamOrder::Natural);
-        let p2 =
-            run_vertex_stream(&g, &mut HashVertex::new(&c), 8, StreamOrder::Random { seed: 3 });
+        let p1 =
+            run_vertex_stream(&g, &mut HashVertex::new(&c), 8, StreamOrder::Natural, &mut NullSink);
+        let p2 = run_vertex_stream(
+            &g,
+            &mut HashVertex::new(&c),
+            8,
+            StreamOrder::Random { seed: 3 },
+            &mut NullSink,
+        );
         // Hash placement ignores stream order entirely.
         assert_eq!(p1.vertex_owner, p2.vertex_owner);
         let sizes = p1.vertices_per_partition().unwrap();
@@ -457,7 +436,13 @@ mod tests {
     fn ldg_finds_clique_structure() {
         let g = two_cliques();
         let c = cfg(2).with_slack(1.2);
-        let p = run_vertex_stream(&g, &mut Ldg::new(&c, g.num_vertices()), 2, StreamOrder::Natural);
+        let p = run_vertex_stream(
+            &g,
+            &mut Ldg::new(&c, g.num_vertices()),
+            2,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         let ecr = metrics::edge_cut_ratio(&g, &p).unwrap();
         // Only the bridge (and perhaps one early misplacement) should cross.
         assert!(ecr < 0.2, "LDG edge-cut ratio {ecr}");
@@ -467,7 +452,13 @@ mod tests {
     fn ldg_respects_capacity() {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 1000, edges: 5000, seed: 2 });
         let c = cfg(4).with_slack(1.05);
-        let p = run_vertex_stream(&g, &mut Ldg::new(&c, 1000), 4, StreamOrder::Random { seed: 7 });
+        let p = run_vertex_stream(
+            &g,
+            &mut Ldg::new(&c, 1000),
+            4,
+            StreamOrder::Random { seed: 7 },
+            &mut NullSink,
+        );
         let cap = (1.05f64 * 1000.0 / 4.0).ceil() as usize;
         for &s in &p.vertices_per_partition().unwrap() {
             assert!(s <= cap, "partition size {s} exceeds capacity {cap}");
@@ -483,13 +474,19 @@ mod tests {
             ..SnbConfig::default()
         });
         let c = cfg(4);
-        let hash =
-            run_vertex_stream(&g, &mut HashVertex::new(&c), 4, StreamOrder::Random { seed: 1 });
+        let hash = run_vertex_stream(
+            &g,
+            &mut HashVertex::new(&c),
+            4,
+            StreamOrder::Random { seed: 1 },
+            &mut NullSink,
+        );
         let fnl = run_vertex_stream(
             &g,
             &mut Fennel::new(&c, g.num_vertices(), g.num_edges()),
             4,
             StreamOrder::Random { seed: 1 },
+            &mut NullSink,
         );
         let ecr_hash = metrics::edge_cut_ratio(&g, &hash).unwrap();
         let ecr_fnl = metrics::edge_cut_ratio(&g, &fnl).unwrap();
@@ -508,6 +505,7 @@ mod tests {
             &mut Fennel::new(&c, 2000, g.num_edges()),
             8,
             StreamOrder::Random { seed: 9 },
+            &mut NullSink,
         );
         let cap = (c.balance_slack * 2000.0 / 8.0).ceil() as usize;
         for &s in &p.vertices_per_partition().unwrap() {
@@ -529,12 +527,14 @@ mod tests {
             &mut Ldg::new(&c, g.num_vertices()),
             4,
             StreamOrder::Random { seed: 2 },
+            &mut NullSink,
         );
         let multi = run_vertex_stream(
             &g,
             &mut Restream::new(Ldg::new(&c, g.num_vertices()), 5),
             4,
             StreamOrder::Random { seed: 2 },
+            &mut NullSink,
         );
         let e1 = metrics::edge_cut_ratio(&g, &single).unwrap();
         let e5 = metrics::edge_cut_ratio(&g, &multi).unwrap();
@@ -546,9 +546,15 @@ mod tests {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 500, edges: 2000, seed: 4 });
         let c = cfg(5);
         for p in [
-            run_vertex_stream(&g, &mut HashVertex::new(&c), 5, StreamOrder::Bfs),
-            run_vertex_stream(&g, &mut Ldg::new(&c, 500), 5, StreamOrder::Bfs),
-            run_vertex_stream(&g, &mut Fennel::new(&c, 500, g.num_edges()), 5, StreamOrder::Dfs),
+            run_vertex_stream(&g, &mut HashVertex::new(&c), 5, StreamOrder::Bfs, &mut NullSink),
+            run_vertex_stream(&g, &mut Ldg::new(&c, 500), 5, StreamOrder::Bfs, &mut NullSink),
+            run_vertex_stream(
+                &g,
+                &mut Fennel::new(&c, 500, g.num_edges()),
+                5,
+                StreamOrder::Dfs,
+                &mut NullSink,
+            ),
         ] {
             let owner = p.vertex_owner.as_ref().unwrap();
             assert_eq!(owner.len(), 500);
@@ -560,7 +566,13 @@ mod tests {
     fn k_equals_one_puts_everything_in_partition_zero() {
         let g = two_cliques();
         let c = cfg(1);
-        let p = run_vertex_stream(&g, &mut Ldg::new(&c, g.num_vertices()), 1, StreamOrder::Natural);
+        let p = run_vertex_stream(
+            &g,
+            &mut Ldg::new(&c, g.num_vertices()),
+            1,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         assert!(p.vertex_owner.unwrap().iter().all(|&x| x == 0));
         assert_eq!(metrics::edge_cut_ratio_from_owner(&g, &vec![0; g.num_vertices()]), 0.0);
     }
@@ -569,7 +581,8 @@ mod tests {
     fn isolated_vertices_are_placed() {
         let g = GraphBuilder::new().add_edge(0, 1).ensure_vertices(10).build();
         let c = cfg(3);
-        let p = run_vertex_stream(&g, &mut Ldg::new(&c, 10), 3, StreamOrder::Natural);
+        let p =
+            run_vertex_stream(&g, &mut Ldg::new(&c, 10), 3, StreamOrder::Natural, &mut NullSink);
         assert!(p.vertex_owner.unwrap().iter().all(|&x| x < 3));
     }
 }

@@ -161,9 +161,11 @@ impl IogpStyle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge_cut::{run_vertex_stream, HashVertex, Ldg};
+    use crate::edge_cut::{HashVertex, Ldg};
     use crate::metrics;
+    use crate::streaming::run_vertex_stream;
     use sgp_graph::generators::{snb_social, SnbConfig};
+    use sgp_trace::NullSink;
 
     fn graph() -> Graph {
         snb_social(SnbConfig {
@@ -192,8 +194,9 @@ mod tests {
         let cfg = PartitionerConfig::new(8);
         let order = StreamOrder::Random { seed: 4 };
         let iogp = IogpStyle::new(&cfg, g.num_vertices()).run(&g, order);
-        let hash = run_vertex_stream(&g, &mut HashVertex::new(&cfg), 8, order);
-        let ldg = run_vertex_stream(&g, &mut Ldg::new(&cfg, g.num_vertices()), 8, order);
+        let hash = run_vertex_stream(&g, &mut HashVertex::new(&cfg), 8, order, &mut NullSink);
+        let ldg =
+            run_vertex_stream(&g, &mut Ldg::new(&cfg, g.num_vertices()), 8, order, &mut NullSink);
         let ecr = |p: &Partitioning| metrics::edge_cut_ratio(&g, p).unwrap();
         let (ei, eh, el) = (ecr(&iogp), ecr(&hash), ecr(&ldg));
         assert!(ei < eh, "IOGP-style {ei:.3} must beat hash {eh:.3}");

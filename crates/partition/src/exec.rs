@@ -38,12 +38,9 @@
 use crate::assignment::{PartitionId, Partitioning};
 use crate::config::PartitionerConfig;
 use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
-use crate::loaders::{
-    apply_edge_decisions, apply_vertex_decisions, merge_start, seal_vertices, vertex_seal,
-    LoaderConfig, VertexLoaderSeal,
-};
-use crate::registry::{partition, Algorithm};
-use crate::streaming::{boxed_edge_partitioner, boxed_vertex_partitioner};
+use crate::loaders::{apply_edge_decisions, apply_vertex_decisions, merge_start, LoaderConfig};
+use crate::registry::{offline_baseline, Algorithm, Boxed, Exec, Run};
+use crate::streaming::{owner_from_assignment, VertexSeal};
 use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
 use crossbeam::channel::{Receiver, Sender};
 use sgp_graph::stream::VertexRecord;
@@ -106,6 +103,10 @@ struct EdgeLog {
 /// [`partition`](crate::registry::partition) when `lc.loaders == 1`.
 /// The offline METIS baseline ignores `lc` and runs sequentially, like
 /// the modelled path.
+///
+/// `cfg.window` is ignored here, as it always was (loaders place on
+/// arrival); [`Run::execute`] refuses a window above 1 under
+/// [`Exec::Threads`] with a typed error instead.
 pub fn partition_threaded(
     g: &Graph,
     algorithm: Algorithm,
@@ -113,45 +114,27 @@ pub fn partition_threaded(
     order: StreamOrder,
     lc: &LoaderConfig,
 ) -> Partitioning {
-    partition_threaded_traced(g, algorithm, cfg, order, lc, &mut NullSink)
+    Run { algorithm, cfg, order, exec: Exec::Threads(lc) }.run(g, 1, &mut NullSink)
 }
 
-/// [`partition_threaded`] with trace emission: counts the worker
-/// threads ([`keys::PARTITION_EXEC_THREADS`]) and synchronization
-/// rounds ([`keys::PARTITION_EXEC_BARRIER_ROUNDS`]) of the run.
-pub fn partition_threaded_traced<S: TraceSink>(
+/// The threaded loader run over one machine per worker; counts the
+/// worker threads ([`keys::PARTITION_EXEC_THREADS`]) and
+/// synchronization rounds ([`keys::PARTITION_EXEC_BARRIER_ROUNDS`]).
+pub(crate) fn run_threaded<S: TraceSink>(
     g: &Graph,
-    algorithm: Algorithm,
-    cfg: &PartitionerConfig,
+    k: usize,
+    machines: Boxed,
     order: StreamOrder,
     lc: &LoaderConfig,
     sink: &mut S,
 ) -> Partitioning {
-    if !algorithm.supports_parallel_loaders() {
-        // Same routing as the modelled multi-loader: METIS and 2PS fall
-        // back to the single-loader run.
-        return partition(g, algorithm, cfg, order);
-    }
-    let (l, _) = lc.clamped();
-    let mut edge_machines = Vec::with_capacity(l);
-    for _ in 0..l {
-        match boxed_edge_partitioner(g, algorithm, cfg) {
-            Some(m) => edge_machines.push(m),
-            None => break,
+    let l = lc.clamped().0;
+    let (result, rounds) = match machines {
+        Boxed::Vertex(make, seal) => {
+            threaded_vertices(g, k, (0..l).map(|_| make()).collect(), order, lc, seal)
         }
-    }
-    let (result, rounds) = if edge_machines.len() == l {
-        threaded_edges(g, cfg.k, edge_machines, order, lc)
-    } else {
-        let mut vertex_machines = Vec::with_capacity(l);
-        for _ in 0..l {
-            match boxed_vertex_partitioner(g, algorithm, cfg) {
-                Some(m) => vertex_machines.push(m),
-                None => return partition(g, algorithm, cfg, order),
-            }
-        }
-        let seal = vertex_seal(g, algorithm, cfg);
-        threaded_vertices(g, cfg.k, vertex_machines, order, lc, seal)
+        Boxed::Edge(make) => threaded_edges(g, k, (0..l).map(|_| make()).collect(), order, lc),
+        Boxed::Offline => return offline_baseline(g, k),
     };
     if sink.enabled() {
         sink.counter_add(keys::PARTITION_EXEC_THREADS, 0, l as u64);
@@ -166,7 +149,7 @@ fn threaded_vertices(
     machines: Vec<Box<dyn VertexStreamPartitioner>>,
     order: StreamOrder,
     lc: &LoaderConfig,
-    seal: VertexLoaderSeal,
+    seal: VertexSeal,
 ) -> (Partitioning, u64) {
     let (l, t) = lc.clamped();
     let passes = machines.first().map(|m| m.passes()).unwrap_or(1);
@@ -223,7 +206,7 @@ fn threaded_vertices(
     })
     // sgp-lint: allow(no-panic-in-lib): the scope errs only when a worker panicked, and that panic should propagate
     .expect("threaded vertex-ingestion scope");
-    (seal_vertices(g, k, global.assignment, seal), rounds)
+    (seal.apply(g, k, owner_from_assignment(global.assignment)).0, rounds)
 }
 
 fn vertex_worker(
@@ -343,6 +326,7 @@ fn edge_worker(
 mod tests {
     use super::*;
     use crate::loaders::partition_multi_loader;
+    use crate::registry::partition;
     use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
 
     fn graph() -> Graph {
@@ -449,14 +433,13 @@ mod tests {
         let lc = LoaderConfig::new(2).with_sync_interval(32);
         let plain = partition_threaded(&g, Algorithm::Fennel, &cfg, StreamOrder::Natural, &lc);
         let mut sink = sgp_trace::CollectingSink::new();
-        let traced = partition_threaded_traced(
-            &g,
-            Algorithm::Fennel,
-            &cfg,
-            StreamOrder::Natural,
-            &lc,
-            &mut sink,
-        );
+        let run = Run {
+            algorithm: Algorithm::Fennel,
+            cfg: &cfg,
+            order: StreamOrder::Natural,
+            exec: Exec::Threads(&lc),
+        };
+        let traced = run.execute(&g, &mut sink).expect("no window, no refusal");
         assert_eq!(plain.edge_parts, traced.edge_parts);
         assert_eq!(plain.vertex_owner, traced.vertex_owner);
         let threads: u64 = sink.counter_total(keys::PARTITION_EXEC_THREADS);

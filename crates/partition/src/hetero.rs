@@ -177,10 +177,10 @@ impl EdgeStreamPartitioner for HeteroHdrf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge_cut::run_vertex_stream;
-    use crate::vertex_cut::run_edge_stream;
+    use crate::streaming::{run_edge_stream, run_vertex_stream};
     use sgp_graph::generators::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
     use sgp_graph::StreamOrder;
+    use sgp_trace::NullSink;
 
     #[test]
     fn homogeneous_profile_is_uniform() {
@@ -209,7 +209,8 @@ mod tests {
         let cfg = PartitionerConfig::new(4);
         let profile = ClusterProfile::new(&[4.0, 2.0, 1.0, 1.0]);
         let mut p = HeteroLdg::new(&cfg, profile.clone(), g.num_vertices());
-        let result = run_vertex_stream(&g, &mut p, 4, StreamOrder::Random { seed: 1 });
+        let result =
+            run_vertex_stream(&g, &mut p, 4, StreamOrder::Random { seed: 1 }, &mut NullSink);
         let counts = result.vertices_per_partition().unwrap();
         let total: usize = counts.iter().sum();
         for (i, &count) in counts.iter().enumerate() {
@@ -230,7 +231,7 @@ mod tests {
         let cfg = PartitionerConfig::new(4);
         let profile = ClusterProfile::new(&[3.0, 1.0, 1.0, 1.0]);
         let mut p = HeteroHdrf::new(&cfg, profile.clone(), g.num_edges());
-        let result = run_edge_stream(&g, &mut p, 4, StreamOrder::Random { seed: 2 });
+        let result = run_edge_stream(&g, &mut p, 4, StreamOrder::Random { seed: 2 }, &mut NullSink);
         let counts = result.edges_per_partition();
         let total: usize = counts.iter().sum();
         let big = counts[0] as f64 / total as f64;
@@ -245,7 +246,7 @@ mod tests {
         let g = rmat(RmatConfig { scale: 10, edge_factor: 8, ..RmatConfig::default() });
         let cfg = PartitionerConfig::new(4);
         let mut p = HeteroHdrf::new(&cfg, ClusterProfile::homogeneous(4), g.num_edges());
-        let result = run_edge_stream(&g, &mut p, 4, StreamOrder::Random { seed: 3 });
+        let result = run_edge_stream(&g, &mut p, 4, StreamOrder::Random { seed: 3 }, &mut NullSink);
         let imb = crate::metrics::load_imbalance(&result.edges_per_partition());
         assert!(imb < 1.3, "uniform hetero-HDRF imbalance {imb}");
     }

@@ -7,14 +7,20 @@
 //! the *in-edges* of a low-degree vertex `v` are grouped on `v`'s own
 //! partition (making its gather local), while the in-edges of a
 //! high-degree vertex are scattered by hashing their *source* endpoint.
+//!
+//! Both run as vertex machines of the registry's table: hybrid random
+//! (`HCR`) hashes every vertex to an owner (embarrassingly parallel,
+//! like plain hash), Ginger (`HG`) places it with [`GingerVertex`]; at
+//! seal time `place_hybrid_edges` routes the in-edges of low-degree
+//! vertices to the *target*'s owner and those of high-degree vertices
+//! to the *source*'s — the two-phase behaviour the paper notes is
+//! "difficult for streaming data".
 
-use crate::assignment::{hash_to_partition, CutModel, PartitionId, Partitioning};
+use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
-use crate::decisions::DecisionStats;
 use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
-use crate::streaming::{VertexIngest, DEFAULT_CHUNK};
 use sgp_graph::stream::VertexRecord;
-use sgp_graph::{Graph, StreamOrder, VertexStreamSource};
+use sgp_graph::Graph;
 
 /// Degree threshold separating low- from high-degree vertices. PowerLyra
 /// exposes this as a user knob; the reproduction derives it from the
@@ -23,83 +29,14 @@ pub(crate) fn high_degree_threshold(g: &Graph, cfg: &PartitionerConfig) -> usize
     ((g.avg_degree() * cfg.ginger_threshold_factor).ceil() as usize).max(1)
 }
 
-/// Hybrid random (`HCR`): vertices are hashed to an owner partition;
-/// in-edges of low-degree vertices follow the *target*'s owner, in-edges
-/// of high-degree vertices follow the *source*'s owner. Embarrassingly
-/// parallel, like plain hash.
-pub fn hybrid_random(g: &Graph, cfg: &PartitionerConfig) -> Partitioning {
-    hybrid_random_with_stats(g, cfg).0
-}
-
-/// [`hybrid_random`] plus the decision counters of the run (how many
-/// edges took the high-degree source-hash route).
-pub fn hybrid_random_with_stats(
-    g: &Graph,
-    cfg: &PartitionerConfig,
-) -> (Partitioning, DecisionStats) {
-    let k = cfg.k;
-    let threshold = high_degree_threshold(g, cfg);
-    let owner: Vec<PartitionId> = g.vertices().map(|v| hash_to_partition(v, k, cfg.seed)).collect();
-    let (edge_parts, degree_threshold_hits) = place_hybrid_edges(g, k, &owner, threshold);
-    let stats = DecisionStats { degree_threshold_hits, ..DecisionStats::default() };
-    (Partitioning { k, model: CutModel::HybridCut, edge_parts, vertex_owner: Some(owner) }, stats)
-}
-
-/// Ginger (`HG`), Eq. (8) of the paper: a FENNEL-like greedy that places
-/// each vertex `v` (and its in-edges) on the partition maximizing
-///
-/// `|N(v) ∩ P_i| − ½(|V_i| + (|V|/|E|)·|E_i|)`
-///
-/// balancing both vertex and edge counts; afterwards, the in-edges of
-/// high-degree vertices are re-assigned by hashing their source — the
-/// two-phase behaviour the paper notes is "difficult for streaming data".
-pub fn ginger(g: &Graph, cfg: &PartitionerConfig, order: StreamOrder) -> Partitioning {
-    ginger_with_stats(g, cfg, order).0
-}
-
-/// [`ginger`] plus the decision counters of the run.
-pub fn ginger_with_stats(
-    g: &Graph,
-    cfg: &PartitionerConfig,
-    order: StreamOrder,
-) -> (Partitioning, DecisionStats) {
-    ginger_chunked(g, cfg, order, DEFAULT_CHUNK)
-}
-
-/// [`ginger_with_stats`] with a caller-chosen ingestion chunk size —
-/// phase 1 runs through the incremental core, so any chunk size yields
-/// a byte-identical result.
-pub fn ginger_chunked(
-    g: &Graph,
-    cfg: &PartitionerConfig,
-    order: StreamOrder,
-    chunk_size: usize,
-) -> (Partitioning, DecisionStats) {
-    let k = cfg.k;
-    let threshold = high_degree_threshold(g, cfg);
-
-    // Phase 1: greedy vertex placement over the vertex stream, driven
-    // through the incremental core.
-    let mut core = VertexIngest::init(GingerVertex::new(cfg, g), g.num_vertices(), k);
-    let mut source = VertexStreamSource::new(g, order);
-    let mut chunk = Vec::new();
-    while source.next_chunk(chunk_size, &mut chunk) > 0 {
-        core.ingest(&chunk);
-    }
-    let owner = core.into_owner();
-
-    // Phase 2: re-assign in-edges of high-degree vertices by source hash.
-    let (edge_parts, degree_threshold_hits) = place_hybrid_edges(g, k, &owner, threshold);
-    let stats = DecisionStats { degree_threshold_hits, ..DecisionStats::default() };
-    (Partitioning { k, model: CutModel::HybridCut, edge_parts, vertex_owner: Some(owner) }, stats)
-}
-
-/// Ginger's phase-1 greedy as a [`VertexStreamPartitioner`]: places each
-/// vertex `v` on the partition maximizing
-/// `|N(v) ∩ P_i| − ½(|V_i| + (|V|/|E|)·|E_i|)` (Eq. (8)). Vertex counts
-/// come from the shared streaming state; the edge-count term tracks the
-/// in-edges that travel with every vertex this machine placed, which is
-/// private knowledge of the greedy (the shared state counts vertices).
+/// Ginger's phase-1 greedy as a [`VertexStreamPartitioner`], Eq. (8) of
+/// the paper: a FENNEL-like greedy that places each vertex `v` (and its
+/// in-edges) on the partition maximizing
+/// `|N(v) ∩ P_i| − ½(|V_i| + (|V|/|E|)·|E_i|)`, balancing both vertex
+/// and edge counts. Vertex counts come from the shared streaming state;
+/// the edge-count term tracks the in-edges that travel with every vertex
+/// this machine placed, which is private knowledge of the greedy (the
+/// shared state counts vertices).
 #[derive(Debug, Clone)]
 pub struct GingerVertex {
     k: usize,
@@ -207,10 +144,11 @@ pub(crate) fn place_hybrid_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::Partitioning;
     use crate::metrics;
-    use crate::vertex_cut::{run_edge_stream, HashEdge};
+    use crate::registry::{partition, Algorithm};
     use sgp_graph::generators::{rmat, road_grid, RmatConfig, RoadConfig};
-    use sgp_graph::GraphBuilder;
+    use sgp_graph::{GraphBuilder, StreamOrder};
 
     fn cfg(k: usize) -> PartitionerConfig {
         PartitionerConfig::new(k)
@@ -218,6 +156,15 @@ mod tests {
 
     fn twitter_like() -> Graph {
         rmat(RmatConfig { scale: 11, edge_factor: 12, ..RmatConfig::default() })
+    }
+
+    /// HCR is a hash: the stream order cannot matter.
+    fn hybrid_random(g: &Graph, cfg: &PartitionerConfig) -> Partitioning {
+        partition(g, Algorithm::HybridRandom, cfg, StreamOrder::Natural)
+    }
+
+    fn ginger(g: &Graph, cfg: &PartitionerConfig, order: StreamOrder) -> Partitioning {
+        partition(g, Algorithm::Ginger, cfg, order)
     }
 
     #[test]
@@ -261,7 +208,7 @@ mod tests {
     fn ginger_beats_vcr_on_skewed_graph() {
         let g = twitter_like();
         let c = cfg(8);
-        let vcr = run_edge_stream(&g, &mut HashEdge::new(&c), 8, StreamOrder::Random { seed: 1 });
+        let vcr = partition(&g, Algorithm::VcrHash, &c, StreamOrder::Random { seed: 1 });
         let hg = ginger(&g, &c, StreamOrder::Random { seed: 1 });
         assert!(
             metrics::replication_factor(&g, &hg) < metrics::replication_factor(&g, &vcr),

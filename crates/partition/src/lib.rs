@@ -28,13 +28,17 @@
 //! closed-form expectations used as property-test oracles.
 //!
 //! Every algorithm runs on the incremental core in [`streaming`] —
-//! `init(k, config) → ingest(chunk) → seal() → Partitioning` — and
-//! [`loaders`] splits one logical stream across deterministic parallel
-//! loaders with periodic state synchronization, turning Table 1's
-//! "parallelization" column into measurable behaviour. [`exec`] runs the
-//! same split on real OS threads — byte-identical to the modelled path,
-//! with all thread/channel primitives confined there by the
-//! `thread-discipline` lint.
+//! `init(k, config) → ingest(chunk) → seal() → Partitioning` — from one
+//! table of constructors in [`registry`], through one general entry:
+//! [`Run`]`{ algorithm, cfg, order, exec }.execute(&g, &mut sink)`, of
+//! which [`partition`], [`partition_multi_loader`] and
+//! [`partition_threaded`] are the untraced calls. [`loaders`] splits one
+//! logical stream across deterministic parallel loaders with periodic
+//! state synchronization, turning Table 1's "parallelization" column
+//! into measurable behaviour. [`exec`] runs the same split on real OS
+//! threads — byte-identical to the modelled path, with all
+//! thread/channel primitives confined there by the `thread-discipline`
+//! lint.
 //!
 //! The elasticity layer (DESIGN.md §11) builds on that core:
 //! [`snapshot`] serializes a machine's run-varying state in a
@@ -46,9 +50,9 @@
 //! The dynamic-graph tier (DESIGN.md §12) adds the multi-pass and
 //! buffered streaming models on the same machine lifecycle: 2PS
 //! two-phase edge partitioning ([`two_phase::TwoPhase`]), a bounded
-//! look-ahead window on the [`streaming::StreamingPartitioner`] facade
-//! (`W = 1` degenerates exactly to one-pass), and restreaming over a
-//! prior assignment with bounded movement ([`dynamic`]).
+//! look-ahead window on every sequential run (`W = 1` degenerates
+//! exactly to one-pass), and restreaming over a prior assignment with
+//! bounded movement ([`dynamic`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -74,15 +78,21 @@ pub mod streaming;
 pub mod two_phase;
 pub mod vertex_cut;
 
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 pub use assignment::{CutModel, PartitionId, Partitioning};
 pub use config::PartitionerConfig;
 pub use decisions::DecisionStats;
-pub use dynamic::{cut_edges, restream_rounds, restream_rounds_traced, RestreamOutcome};
-pub use exec::{partition_threaded, partition_threaded_traced};
+pub use dynamic::{cut_edges, restream_rounds, RestreamOutcome};
+pub use exec::partition_threaded;
 pub use loaders::{partition_multi_loader, LoaderConfig};
 pub use migration::{
     plan_rebalance, MigrationConfig, MigrationPlan, MigrationStrategy, VertexMove,
 };
-pub use registry::{partition, partition_traced, Algorithm};
+pub use registry::{partition, Algorithm, Exec, Run, RunError};
 pub use snapshot::{SnapshotError, SNAPSHOT_SCHEMA_VERSION};
-pub use streaming::{partition_chunked, StreamInput, StreamingPartitioner, DEFAULT_CHUNK};
+pub use streaming::{
+    run_edge_stream, run_vertex_stream, StreamInput, StreamingPartitioner, DEFAULT_CHUNK,
+};

@@ -41,16 +41,16 @@
 //! shared hybrid edge routing. Only the offline METIS baseline ignores
 //! `L` entirely and runs sequentially.
 
-use crate::assignment::{fxhash64, CutModel, PartitionId, Partitioning};
+use crate::assignment::{fxhash64, PartitionId, Partitioning};
 use crate::config::PartitionerConfig;
 use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
-use crate::hybrid::{high_degree_threshold, place_hybrid_edges};
-use crate::registry::{partition, Algorithm};
-use crate::streaming::{boxed_edge_partitioner, boxed_vertex_partitioner, owner_from_assignment};
+use crate::registry::{offline_baseline, Algorithm, Boxed, Exec, Run};
+use crate::streaming::{owner_from_assignment, VertexSeal};
 use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
 use serde::{Deserialize, Serialize};
 use sgp_graph::stream::VertexRecord;
 use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder, VertexStreamSource};
+use sgp_trace::NullSink;
 
 /// Configuration of the multi-loader split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -91,6 +91,10 @@ impl LoaderConfig {
 /// [`LoaderConfig::loaders`] parallel loaders. Deterministic for a
 /// fixed `(cfg, order, lc)`; byte-identical to
 /// [`partition`](crate::registry::partition) when `lc.loaders == 1`.
+///
+/// `cfg.window` is ignored here, as it always was (loaders place on
+/// arrival); [`Run::execute`] refuses a window above 1 under
+/// [`Exec::Loaders`] with a typed error instead.
 pub fn partition_multi_loader(
     g: &Graph,
     algorithm: Algorithm,
@@ -98,71 +102,24 @@ pub fn partition_multi_loader(
     order: StreamOrder,
     lc: &LoaderConfig,
 ) -> Partitioning {
-    if !algorithm.supports_parallel_loaders() {
-        // METIS (offline) and 2PS (its clustering pass must see the
-        // whole stream before placement) run single-loader.
-        return partition(g, algorithm, cfg, order);
-    }
-    let (l, _) = lc.clamped();
-    let mut edge_machines = Vec::with_capacity(l);
-    for _ in 0..l {
-        match boxed_edge_partitioner(g, algorithm, cfg) {
-            Some(m) => edge_machines.push(m),
-            None => break,
-        }
-    }
-    if edge_machines.len() == l {
-        return multi_loader_edges(g, cfg.k, edge_machines, order, lc);
-    }
-    let mut vertex_machines = Vec::with_capacity(l);
-    for _ in 0..l {
-        match boxed_vertex_partitioner(g, algorithm, cfg) {
-            Some(m) => vertex_machines.push(m),
-            None => return partition(g, algorithm, cfg, order),
-        }
-    }
-    let seal = vertex_seal(g, algorithm, cfg);
-    multi_loader_vertices(g, cfg.k, vertex_machines, order, lc, seal)
+    Run { algorithm, cfg, order, exec: Exec::Loaders(lc) }.run(g, 1, &mut NullSink)
 }
 
-/// How a vertex-stream loader run turns the final assignment into a
-/// [`Partitioning`] — shared by the modelled loaders and the threaded
-/// backend in [`crate::exec`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum VertexLoaderSeal {
-    EdgeCut,
-    Hybrid { threshold: usize },
-}
-
-/// The seal `algorithm` needs, with the hybrid degree threshold
-/// precomputed (it must be fixed *before* ingestion starts).
-pub(crate) fn vertex_seal(
-    g: &Graph,
-    algorithm: Algorithm,
-    cfg: &PartitionerConfig,
-) -> VertexLoaderSeal {
-    match algorithm.info().model {
-        CutModel::HybridCut => {
-            VertexLoaderSeal::Hybrid { threshold: high_degree_threshold(g, cfg) }
-        }
-        _ => VertexLoaderSeal::EdgeCut,
-    }
-}
-
-/// Seals a finished vertex-stream assignment into a [`Partitioning`].
-pub(crate) fn seal_vertices(
+/// The modelled loader run, one fresh machine per loader.
+pub(crate) fn run_modelled(
     g: &Graph,
     k: usize,
-    assignment: Vec<PartitionId>,
-    seal: VertexLoaderSeal,
+    machines: Boxed,
+    order: StreamOrder,
+    lc: &LoaderConfig,
 ) -> Partitioning {
-    let owner = owner_from_assignment(assignment);
-    match seal {
-        VertexLoaderSeal::EdgeCut => Partitioning::from_vertex_owners(g, k, owner),
-        VertexLoaderSeal::Hybrid { threshold } => {
-            let (edge_parts, _) = place_hybrid_edges(g, k, &owner, threshold);
-            Partitioning { k, model: CutModel::HybridCut, edge_parts, vertex_owner: Some(owner) }
+    let l = lc.clamped().0;
+    match machines {
+        Boxed::Vertex(make, seal) => {
+            multi_loader_vertices(g, k, (0..l).map(|_| make()).collect(), order, lc, seal)
         }
+        Boxed::Edge(make) => multi_loader_edges(g, k, (0..l).map(|_| make()).collect(), order, lc),
+        Boxed::Offline => offline_baseline(g, k),
     }
 }
 
@@ -224,7 +181,7 @@ fn multi_loader_vertices(
     mut machines: Vec<Box<dyn VertexStreamPartitioner>>,
     order: StreamOrder,
     lc: &LoaderConfig,
-    seal: VertexLoaderSeal,
+    seal: VertexSeal,
 ) -> Partitioning {
     let (l, t) = lc.clamped();
     let passes = machines.first().map(|m| m.passes()).unwrap_or(1);
@@ -261,7 +218,7 @@ fn multi_loader_vertices(
             round += 1;
         }
     }
-    seal_vertices(g, k, global.assignment, seal)
+    seal.apply(g, k, owner_from_assignment(global.assignment)).0
 }
 
 fn multi_loader_edges(
@@ -307,6 +264,7 @@ fn multi_loader_edges(
 mod tests {
     use super::*;
     use crate::metrics;
+    use crate::registry::partition;
     use sgp_graph::generators::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 
     fn graph() -> Graph {

@@ -427,10 +427,12 @@ fn refine(
 mod tests {
     use super::*;
     use crate::config::PartitionerConfig;
-    use crate::edge_cut::{run_vertex_stream, Fennel, HashVertex};
+    use crate::edge_cut::{Fennel, HashVertex};
     use crate::metrics;
+    use crate::streaming::run_vertex_stream;
     use sgp_graph::generators::{road_grid, snb_social, RoadConfig, SnbConfig};
     use sgp_graph::{GraphBuilder, StreamOrder};
+    use sgp_trace::NullSink;
 
     #[test]
     fn metis_two_cliques_optimal_cut() {
@@ -466,8 +468,15 @@ mod tests {
             &mut Fennel::new(&cfg, g.num_vertices(), g.num_edges()),
             8,
             StreamOrder::Random { seed: 3 },
+            &mut NullSink,
         );
-        let hash = run_vertex_stream(&g, &mut HashVertex::new(&cfg), 8, StreamOrder::Natural);
+        let hash = run_vertex_stream(
+            &g,
+            &mut HashVertex::new(&cfg),
+            8,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         let e_mts = metrics::edge_cut_ratio(&g, &mts).unwrap();
         let e_fnl = metrics::edge_cut_ratio(&g, &fnl).unwrap();
         let e_hash = metrics::edge_cut_ratio(&g, &hash).unwrap();

@@ -147,10 +147,12 @@ mod tests {
     use super::*;
     use crate::assignment::Partitioning;
     use crate::config::PartitionerConfig;
-    use crate::edge_cut::{run_vertex_stream, HashVertex};
-    use crate::vertex_cut::{run_edge_stream, HashEdge};
+    use crate::edge_cut::HashVertex;
+    use crate::streaming::{run_edge_stream, run_vertex_stream};
+    use crate::vertex_cut::HashEdge;
     use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
     use sgp_graph::{GraphBuilder, StreamOrder};
+    use sgp_trace::NullSink;
 
     #[test]
     fn edge_cut_ratio_of_trivial_partitionings() {
@@ -193,7 +195,13 @@ mod tests {
     fn hash_edge_cut_matches_expectation() {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 5000, edges: 40_000, seed: 11 });
         let cfg = PartitionerConfig::new(8);
-        let p = run_vertex_stream(&g, &mut HashVertex::new(&cfg), 8, StreamOrder::Natural);
+        let p = run_vertex_stream(
+            &g,
+            &mut HashVertex::new(&cfg),
+            8,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         let measured = edge_cut_ratio(&g, &p).unwrap();
         let expected = expected_hash_edge_cut(8);
         assert!((measured - expected).abs() < 0.02, "measured {measured} expected {expected}");
@@ -203,7 +211,8 @@ mod tests {
     fn hash_vertex_cut_rf_matches_expectation() {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 3000, edges: 30_000, seed: 12 });
         let cfg = PartitionerConfig::new(8);
-        let p = run_edge_stream(&g, &mut HashEdge::new(&cfg), 8, StreamOrder::Natural);
+        let p =
+            run_edge_stream(&g, &mut HashEdge::new(&cfg), 8, StreamOrder::Natural, &mut NullSink);
         let measured = replication_factor(&g, &p);
         let expected = expected_rf_random_vertex_cut(&g, 8);
         assert!(
@@ -216,7 +225,13 @@ mod tests {
     fn hash_edge_cut_rf_matches_expectation() {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 3000, edges: 30_000, seed: 13 });
         let cfg = PartitionerConfig::new(8);
-        let p = run_vertex_stream(&g, &mut HashVertex::new(&cfg), 8, StreamOrder::Natural);
+        let p = run_vertex_stream(
+            &g,
+            &mut HashVertex::new(&cfg),
+            8,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         let measured = replication_factor(&g, &p);
         let expected = expected_rf_random_edge_cut(&g, 8);
         assert!(
@@ -229,7 +244,13 @@ mod tests {
     fn quality_report_fields_consistent() {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 500, edges: 3000, seed: 14 });
         let cfg = PartitionerConfig::new(4);
-        let p = run_vertex_stream(&g, &mut HashVertex::new(&cfg), 4, StreamOrder::Natural);
+        let p = run_vertex_stream(
+            &g,
+            &mut HashVertex::new(&cfg),
+            4,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         let q = QualityReport::measure(&g, &p);
         assert_eq!(q.k, 4);
         assert!(q.replication_factor >= 1.0);

@@ -28,6 +28,7 @@ use crate::dynamic::restream_rounds;
 use crate::edge_cut::UNASSIGNED;
 use crate::registry::Algorithm;
 use sgp_graph::{Graph, StreamOrder};
+use sgp_trace::NullSink;
 
 /// How [`plan_rebalance`] chooses the post-migration owner map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,7 +324,9 @@ fn plan_rebalance_restream(
         .map(|&p| live_ids.binary_search(&p).map(|i| i as PartitionId).unwrap_or(UNASSIGNED))
         .collect();
     let pcfg = PartitionerConfig::new(live_ids.len()).with_slack(cfg.balance_slack);
-    let Some(outcome) = restream_rounds(g, algorithm, &pcfg, order, &compact, rounds) else {
+    let Some(outcome) =
+        restream_rounds(g, algorithm, &pcfg, order, &compact, rounds, &mut NullSink)
+    else {
         // Edge-stream algorithms cannot restream a vertex-owner map.
         return plan_rebalance_greedy(g, owner, live, cfg);
     };

@@ -1,14 +1,22 @@
 //! Algorithm registry: the paper's Table 1/Table 2 taxonomy as code,
-//! plus a uniform driver for running any algorithm by name.
+//! the one table that constructs each algorithm's machine
+//! (`Algorithm::build`), and the one general entry that runs any
+//! algorithm by name ([`Run`]).
 
 use crate::assignment::{CutModel, Partitioning};
 use crate::config::PartitionerConfig;
-use crate::edge_cut::{run_vertex_stream_traced, Fennel, HashVertex, Ldg, Restream};
-use crate::hybrid::{ginger_with_stats, hybrid_random_with_stats};
+use crate::decisions::DecisionStats;
+use crate::edge_cut::{Fennel, HashVertex, Ldg, Restream, VertexStreamPartitioner};
+use crate::exec::run_threaded;
+use crate::hybrid::{high_degree_threshold, GingerVertex};
+use crate::loaders::{run_modelled, LoaderConfig};
 use crate::metis::MultilevelPartitioner;
+use crate::streaming::{
+    drive_edge_stream, drive_vertex_stream, EdgeIngest, VertexIngest, VertexSeal,
+};
 use crate::two_phase::TwoPhase;
 use crate::vertex_cut::{
-    run_edge_stream_traced, Dbh, GridConstrained, HashEdge, Hdrf, PowerGraphGreedy,
+    Dbh, EdgeStreamPartitioner, GridConstrained, HashEdge, Hdrf, PowerGraphGreedy,
 };
 use serde::{Deserialize, Serialize};
 use sgp_graph::{Graph, StreamOrder};
@@ -316,89 +324,271 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Runs `algorithm` on `g` with the shared config and stream order; the
-/// single entry point the experiment harness uses.
+/// What [`Algorithm::build`] hands its consumer: the concrete machine
+/// of one Table 2 algorithm. The sequential driver consumes it
+/// monomorphised; the facade, the modelled loaders and the threads box
+/// it (machines are plain data, so a clone of a fresh machine is a fresh
+/// machine — that is how `L` loaders get one each).
+pub(crate) trait MachineVisitor: Sized {
+    /// What the consumer makes of the machine.
+    type Out;
+
+    /// A vertex-stream machine and how its owner map seals into edges.
+    fn vertex<P: VertexStreamPartitioner + Clone + 'static>(
+        self,
+        p: P,
+        seal: VertexSeal,
+    ) -> Self::Out;
+
+    /// An edge-stream machine.
+    fn edge<P: EdgeStreamPartitioner + Clone + 'static>(self, p: P) -> Self::Out;
+
+    /// The offline baseline: no machine, the whole graph at once.
+    fn offline(self) -> Self::Out;
+
+    /// HCR's vertex phase is a pure hash of the vertex id. By default it
+    /// streams like any vertex machine; a consumer that owns the whole
+    /// run may compute the owners without a stream instead.
+    fn hashed_hybrid(self, p: HashVertex, seal: VertexSeal) -> Self::Out {
+        self.vertex(p, seal)
+    }
+}
+
+impl Algorithm {
+    /// The one algorithm table: constructs this algorithm's machine for
+    /// `g` and hands it to `v`. The hybrid algorithms appear as vertex
+    /// machines because their first phase is a vertex stream (hash
+    /// placement for HCR, the Ginger greedy for HG); their edge routing
+    /// happens at seal time, under a degree threshold fixed here.
+    pub(crate) fn build<V: MachineVisitor>(
+        self,
+        g: &Graph,
+        cfg: &PartitionerConfig,
+        v: V,
+    ) -> V::Out {
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let hybrid = || VertexSeal::Hybrid { threshold: high_degree_threshold(g, cfg) };
+        // Exhaustive on purpose: adding a variant forces an arm here
+        // (the `algorithm-surface-exhaustiveness` lint checks this
+        // surface).
+        match self {
+            Algorithm::EcrHash => v.vertex(HashVertex::new(cfg), VertexSeal::EdgeCut),
+            Algorithm::Ldg => v.vertex(Ldg::new(cfg, n), VertexSeal::EdgeCut),
+            Algorithm::Fennel => v.vertex(Fennel::new(cfg, n, m), VertexSeal::EdgeCut),
+            Algorithm::RestreamLdg => {
+                v.vertex(Restream::new(Ldg::new(cfg, n), 5), VertexSeal::EdgeCut)
+            }
+            Algorithm::RestreamFennel => {
+                v.vertex(Restream::new(Fennel::new(cfg, n, m), 5), VertexSeal::EdgeCut)
+            }
+            Algorithm::VcrHash => v.edge(HashEdge::new(cfg)),
+            Algorithm::Dbh => v.edge(Dbh::with_exact_degrees(cfg, g)),
+            Algorithm::Grid => v.edge(GridConstrained::new(cfg)),
+            Algorithm::PowerGraphGreedy => v.edge(PowerGraphGreedy::new(cfg)),
+            Algorithm::Hdrf => v.edge(Hdrf::new(cfg, m)),
+            Algorithm::HybridRandom => v.hashed_hybrid(HashVertex::new(cfg), hybrid()),
+            Algorithm::Ginger => v.vertex(GingerVertex::new(cfg, g), hybrid()),
+            Algorithm::Metis => v.offline(),
+            Algorithm::TwoPhaseHdrf => v.edge(TwoPhase::new(cfg, m)),
+        }
+    }
+
+    /// This algorithm's machine, boxed.
+    pub(crate) fn boxed(self, g: &Graph, cfg: &PartitionerConfig) -> Boxed {
+        self.build(g, cfg, Boxing)
+    }
+}
+
+/// Boxed machines on demand: what the facade, the restream loop, the
+/// modelled loaders and the threads make of [`Algorithm::build`]. Each
+/// call of a maker yields one fresh machine.
+pub(crate) enum Boxed {
+    Vertex(Box<dyn Fn() -> Box<dyn VertexStreamPartitioner>>, VertexSeal),
+    Edge(Box<dyn Fn() -> Box<dyn EdgeStreamPartitioner>>),
+    Offline,
+}
+
+/// The table consumer that boxes.
+struct Boxing;
+
+impl MachineVisitor for Boxing {
+    type Out = Boxed;
+
+    fn vertex<P: VertexStreamPartitioner + Clone + 'static>(self, p: P, seal: VertexSeal) -> Boxed {
+        Boxed::Vertex(Box::new(move || Box::new(p.clone())), seal)
+    }
+
+    fn edge<P: EdgeStreamPartitioner + Clone + 'static>(self, p: P) -> Boxed {
+        Boxed::Edge(Box::new(move || Box::new(p.clone())))
+    }
+
+    fn offline(self) -> Boxed {
+        Boxed::Offline
+    }
+}
+
+/// The offline multilevel baseline (`MTS`): reads the whole graph.
+pub(crate) fn offline_baseline(g: &Graph, k: usize) -> Partitioning {
+    MultilevelPartitioner::default().partitioning(g, k)
+}
+
+/// How a [`Run`] executes its stream.
+#[derive(Debug, Clone, Copy)]
+pub enum Exec<'a> {
+    /// One machine places every element on arrival, behind the
+    /// look-ahead window [`PartitionerConfig::window`].
+    Sequential,
+    /// The stream split across modelled parallel loaders
+    /// ([`crate::loaders`]).
+    Loaders(&'a LoaderConfig),
+    /// The same split on real OS threads ([`crate::exec`]).
+    Threads(&'a LoaderConfig),
+}
+
+/// Why a [`Run`] was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// A look-ahead window `W > 1` was combined with parallel loaders.
+    /// Loaders place every element on arrival against stale shared
+    /// state; buffering would need a window per loader and a rule for
+    /// draining it at barriers, which nothing defines.
+    WindowedLoaders {
+        /// The configured [`PartitionerConfig::window`].
+        window: usize,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let RunError::WindowedLoaders { window } = self;
+        write!(f, "a look-ahead window of {window} cannot be combined with parallel loaders")
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// One partitioning run: the general entry every other entry point of
+/// this crate is a call of.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// The Table 2 algorithm to run.
+    pub algorithm: Algorithm,
+    /// The shared partitioner configuration.
+    pub cfg: &'a PartitionerConfig,
+    /// The order the stream arrives in.
+    pub order: StreamOrder,
+    /// Sequential, modelled loaders, or threads.
+    pub exec: Exec<'a>,
+}
+
+impl Run<'_> {
+    /// Runs the algorithm over `g`, recording trace events into `sink`
+    /// (pass [`NullSink`] for none; the produced [`Partitioning`] does
+    /// not depend on the sink — the workspace differential tests enforce
+    /// this for every algorithm).
+    ///
+    /// A sequential run is wrapped in a `partition.run` span (keyed by
+    /// the algorithm's position in [`Algorithm::all`], stamps are logical
+    /// element counts) and flushes the per-algorithm decision counters —
+    /// balance tie-breaks, hybrid degree-threshold hits, vertex-cut
+    /// mirror creations; it honours [`PartitionerConfig::window`] and
+    /// cannot fail. A threaded run counts its worker threads
+    /// ([`keys::PARTITION_EXEC_THREADS`]) and synchronization rounds
+    /// ([`keys::PARTITION_EXEC_BARRIER_ROUNDS`]). Algorithms without
+    /// [loader support](Algorithm::supports_parallel_loaders) run
+    /// sequentially under either loader mode.
+    pub fn execute<S: TraceSink>(&self, g: &Graph, sink: &mut S) -> Result<Partitioning, RunError> {
+        let window = self.cfg.window;
+        if window > 1 && !matches!(self.exec, Exec::Sequential) {
+            return Err(RunError::WindowedLoaders { window });
+        }
+        Ok(self.run(g, window, sink))
+    }
+
+    /// [`execute`](Run::execute) past its check: a sequential run looks
+    /// `window` elements ahead, the loaders not at all.
+    pub(crate) fn run<S: TraceSink>(&self, g: &Graph, window: usize, sink: &mut S) -> Partitioning {
+        let Run { algorithm, cfg, order, exec } = *self;
+        // METIS (offline) and 2PS (its clustering pass must see the
+        // whole stream before placement) run single-loader.
+        let splits = algorithm.supports_parallel_loaders();
+        match exec {
+            Exec::Loaders(lc) if splits => {
+                run_modelled(g, cfg.k, algorithm.boxed(g, cfg), order, lc)
+            }
+            Exec::Threads(lc) if splits => {
+                run_threaded(g, cfg.k, algorithm.boxed(g, cfg), order, lc, sink)
+            }
+            _ => {
+                let alg_key =
+                    Algorithm::all().iter().position(|&a| a == algorithm).unwrap_or(0) as u64;
+                let run_span = sink.guard_span(keys::PARTITION_RUN, alg_key, 0);
+                let window = window.max(1);
+                let visitor = Sequential { g, k: cfg.k, order, window, sink: &mut *sink };
+                let p = algorithm.build(g, cfg, visitor);
+                run_span.exit(sink, (g.num_vertices() + g.num_edges()) as u64);
+                p
+            }
+        }
+    }
+}
+
+/// Runs `algorithm` on `g` sequentially with the shared config and
+/// stream order, untraced; the entry point the experiment harness uses.
 pub fn partition(
     g: &Graph,
     algorithm: Algorithm,
     cfg: &PartitionerConfig,
     order: StreamOrder,
 ) -> Partitioning {
-    partition_traced(g, algorithm, cfg, order, &mut NullSink)
+    Run { algorithm, cfg, order, exec: Exec::Sequential }.run(g, cfg.window, &mut NullSink)
 }
 
-/// [`partition`] with trace instrumentation: wraps the run in a
-/// `partition.run` span (keyed by the algorithm's position in
-/// [`Algorithm::all`], stamps are logical element counts) and flushes
-/// the per-algorithm decision counters — balance tie-breaks, hybrid
-/// degree-threshold hits, vertex-cut mirror creations — into `sink`.
-/// The produced [`Partitioning`] is identical to the untraced one; the
-/// sink only observes (the workspace differential tests enforce this
-/// for every algorithm).
-pub fn partition_traced<S: TraceSink>(
-    g: &Graph,
-    algorithm: Algorithm,
-    cfg: &PartitionerConfig,
+/// The sequential consumer of the table: drives the concrete machine,
+/// `place` monomorphised, through the one driver of its stream kind.
+struct Sequential<'a, S> {
+    g: &'a Graph,
+    k: usize,
     order: StreamOrder,
-    sink: &mut S,
-) -> Partitioning {
-    let k = cfg.k;
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    let alg_key = Algorithm::all().iter().position(|&a| a == algorithm).unwrap_or(0) as u64;
-    let run_span = sink.guard_span(keys::PARTITION_RUN, alg_key, 0);
-    let p = match algorithm {
-        Algorithm::EcrHash => {
-            run_vertex_stream_traced(g, &mut HashVertex::new(cfg), k, order, sink)
+    window: usize,
+    sink: &'a mut S,
+}
+
+impl<S: TraceSink> MachineVisitor for Sequential<'_, S> {
+    type Out = Partitioning;
+
+    fn vertex<P: VertexStreamPartitioner + Clone + 'static>(
+        self,
+        mut p: P,
+        seal: VertexSeal,
+    ) -> Partitioning {
+        let mut core = VertexIngest::init(&mut p, self.g.num_vertices(), self.k);
+        drive_vertex_stream(self.g, &mut core, self.order, self.window, self.sink);
+        core.seal_as(self.g, seal, self.sink)
+    }
+
+    fn edge<P: EdgeStreamPartitioner + Clone + 'static>(self, mut p: P) -> Partitioning {
+        let mut core = EdgeIngest::init(self.g, &mut p, self.k);
+        drive_edge_stream(self.g, &mut core, self.order, self.window, self.sink);
+        core.seal_traced(self.sink)
+    }
+
+    fn offline(self) -> Partitioning {
+        offline_baseline(self.g, self.k)
+    }
+
+    /// No stream: delivering |V| records a hash never reads would be
+    /// most of what HCR costs (measured: 120 M → 20 M elements/s).
+    fn hashed_hybrid(self, p: HashVertex, seal: VertexSeal) -> Partitioning {
+        let owner = self.g.vertices().map(|v| p.owner(v)).collect();
+        let (p, degree_threshold_hits) = seal.apply(self.g, self.k, owner);
+        if self.sink.enabled() {
+            self.sink.counter_add(keys::PARTITION_EDGES_PLACED, 0, self.g.num_edges() as u64);
+            DecisionStats { degree_threshold_hits, ..DecisionStats::default() }
+                .flush_into(self.sink);
         }
-        Algorithm::Ldg => run_vertex_stream_traced(g, &mut Ldg::new(cfg, n), k, order, sink),
-        Algorithm::Fennel => {
-            run_vertex_stream_traced(g, &mut Fennel::new(cfg, n, m), k, order, sink)
-        }
-        Algorithm::RestreamLdg => {
-            run_vertex_stream_traced(g, &mut Restream::new(Ldg::new(cfg, n), 5), k, order, sink)
-        }
-        Algorithm::RestreamFennel => run_vertex_stream_traced(
-            g,
-            &mut Restream::new(Fennel::new(cfg, n, m), 5),
-            k,
-            order,
-            sink,
-        ),
-        Algorithm::VcrHash => run_edge_stream_traced(g, &mut HashEdge::new(cfg), k, order, sink),
-        Algorithm::Dbh => {
-            run_edge_stream_traced(g, &mut Dbh::with_exact_degrees(cfg, g), k, order, sink)
-        }
-        Algorithm::Grid => {
-            run_edge_stream_traced(g, &mut GridConstrained::new(cfg), k, order, sink)
-        }
-        Algorithm::PowerGraphGreedy => {
-            run_edge_stream_traced(g, &mut PowerGraphGreedy::new(cfg), k, order, sink)
-        }
-        Algorithm::Hdrf => run_edge_stream_traced(g, &mut Hdrf::new(cfg, m), k, order, sink),
-        Algorithm::HybridRandom => {
-            let (p, stats) = hybrid_random_with_stats(g, cfg);
-            if sink.enabled() {
-                sink.counter_add(keys::PARTITION_EDGES_PLACED, 0, m as u64);
-                stats.flush_into(sink);
-            }
-            p
-        }
-        Algorithm::Ginger => {
-            let (p, stats) = ginger_with_stats(g, cfg, order);
-            if sink.enabled() {
-                sink.counter_add(keys::PARTITION_EDGES_PLACED, 0, m as u64);
-                stats.flush_into(sink);
-            }
-            p
-        }
-        Algorithm::Metis => MultilevelPartitioner::default().partitioning(g, k),
-        Algorithm::TwoPhaseHdrf => {
-            run_edge_stream_traced(g, &mut TwoPhase::new(cfg, m), k, order, sink)
-        }
-    };
-    run_span.exit(sink, (n + m) as u64);
-    p
+        p
+    }
 }
 
 #[cfg(test)]
@@ -418,6 +608,49 @@ mod tests {
             let q = QualityReport::measure(&g, &p);
             assert!(q.replication_factor >= 1.0, "{alg}: rf {}", q.replication_factor);
             assert!(q.replication_factor <= 4.0, "{alg}: rf exceeds k");
+        }
+    }
+
+    /// Window × loaders is decided once: the general entry refuses the
+    /// combination, the pinned wrappers keep ignoring the window — for
+    /// the split stream and for the single-loader fallback (2PS) alike.
+    #[test]
+    fn a_window_is_refused_under_loaders_and_ignored_by_the_pinned_wrappers() {
+        use crate::exec::partition_threaded;
+        use crate::loaders::partition_multi_loader;
+        let g = erdos_renyi(ErdosRenyiConfig { vertices: 300, edges: 1800, seed: 5 });
+        let order = StreamOrder::Random { seed: 6 };
+        let lc = LoaderConfig::new(2).with_sync_interval(16);
+        let (plain, windowed) =
+            (PartitionerConfig::new(4), PartitionerConfig::new(4).with_window(7));
+        let bits = |p: Partitioning| (p.edge_parts, p.vertex_owner);
+        for algorithm in [Algorithm::Ldg, Algorithm::Hdrf, Algorithm::TwoPhaseHdrf] {
+            for exec in [Exec::Loaders(&lc), Exec::Threads(&lc)] {
+                let refused =
+                    Run { algorithm, cfg: &windowed, order, exec }.execute(&g, &mut NullSink);
+                assert_eq!(
+                    refused.err(),
+                    Some(RunError::WindowedLoaders { window: 7 }),
+                    "{algorithm}"
+                );
+                let run = Run { algorithm, cfg: &plain, order, exec };
+                let accepted = run.execute(&g, &mut NullSink).expect("no window, no refusal");
+                let pinned = match exec {
+                    Exec::Threads(_) => partition_threaded(&g, algorithm, &windowed, order, &lc),
+                    _ => partition_multi_loader(&g, algorithm, &windowed, order, &lc),
+                };
+                assert_eq!(
+                    bits(accepted),
+                    bits(pinned),
+                    "{algorithm}: the wrappers ignore the window"
+                );
+            }
+            let sequential = Run { algorithm, cfg: &windowed, order, exec: Exec::Sequential };
+            let p =
+                sequential.execute(&g, &mut NullSink).expect("sequential runs are never refused");
+            let p = bits(p);
+            assert_eq!(p, bits(partition(&g, algorithm, &windowed, order)), "{algorithm}");
+            assert_ne!(p, bits(partition(&g, algorithm, &plain, order)), "{algorithm}: W = 7 vs 1");
         }
     }
 

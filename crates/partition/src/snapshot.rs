@@ -446,9 +446,9 @@ fn apply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::partition_chunked;
+    use crate::support::{drive_facade, facade_run};
     use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
-    use sgp_graph::{EdgeStreamSource, StreamOrder, VertexStreamSource};
+    use sgp_graph::StreamOrder;
 
     fn graph() -> Graph {
         erdos_renyi(ErdosRenyiConfig { vertices: 200, edges: 1200, seed: 11 })
@@ -468,9 +468,10 @@ mod tests {
         }
     }
 
-    /// Streams `g` into `sp`, snapshotting after `cut` chunks, restoring
-    /// into a fresh machine, finishing the stream there, and returning
-    /// the sealed result plus the snapshot it crossed.
+    /// Streams `g` into a machine, snapshotting after `cut` chunks,
+    /// restoring into a fresh machine, finishing the stream there, and
+    /// returning the sealed result plus the snapshot it crossed (the
+    /// offline baseline round-trips before its seal).
     fn interrupted_run(
         g: &Graph,
         alg: Algorithm,
@@ -479,53 +480,15 @@ mod tests {
         chunk: usize,
         cut: usize,
     ) -> (crate::assignment::Partitioning, String) {
-        let mut sp = StreamingPartitioner::init(g, alg, cfg);
-        let mut fed = 0usize;
         let mut text = None;
-        match sp.input() {
-            StreamInput::Vertices => {
-                let passes = sp.passes();
-                let mut source = VertexStreamSource::new(g, order);
-                let mut buf = Vec::new();
-                for _ in 0..passes {
-                    source.restart();
-                    while source.next_chunk(chunk, &mut buf) > 0 {
-                        sp.ingest_vertices(&buf).unwrap();
-                        fed += 1;
-                        if fed == cut {
-                            let snap = sp.snapshot();
-                            sp = StreamingPartitioner::restore(g, alg, cfg, &snap).unwrap();
-                            text = Some(snap);
-                        }
-                    }
-                    sp.flush_window();
-                }
-            }
-            StreamInput::Edges => {
-                let passes = sp.passes();
-                let mut source = EdgeStreamSource::new(g, order);
-                let mut buf = Vec::new();
-                for _ in 0..passes {
-                    source.restart();
-                    while source.next_chunk(chunk, &mut buf) > 0 {
-                        sp.ingest_edges(&buf).unwrap();
-                        fed += 1;
-                        if fed == cut {
-                            let snap = sp.snapshot();
-                            sp = StreamingPartitioner::restore(g, alg, cfg, &snap).unwrap();
-                            text = Some(snap);
-                        }
-                    }
-                    sp.flush_window();
-                }
-            }
-            StreamInput::Offline => {
+        let p = drive_facade(g, alg, cfg, order, chunk, |sp, fed| {
+            if fed == cut || sp.input() == StreamInput::Offline {
                 let snap = sp.snapshot();
-                sp = StreamingPartitioner::restore(g, alg, cfg, &snap).unwrap();
+                *sp = StreamingPartitioner::restore(g, alg, cfg, &snap).unwrap();
                 text = Some(snap);
             }
-        }
-        (sp.seal(), text.expect("cut point crossed"))
+        });
+        (p, text.expect("cut point crossed"))
     }
 
     #[test]
@@ -534,7 +497,7 @@ mod tests {
         let cfg = PartitionerConfig::new(4);
         let order = StreamOrder::Random { seed: 17 };
         for &alg in Algorithm::all() {
-            let whole = partition_chunked(&g, alg, &cfg, order, 32);
+            let whole = facade_run(&g, alg, &cfg, order, 32);
             let (resumed, _) = interrupted_run(&g, alg, &cfg, order, 32, 3);
             assert_eq!(whole.edge_parts, resumed.edge_parts, "{alg}");
             assert_eq!(whole.vertex_owner, resumed.vertex_owner, "{alg}");

@@ -12,19 +12,20 @@
 //!   [`EdgeStreamState`]), accept bounded chunks from the chunked
 //!   sources in `sgp_graph::stream`, and seal into a [`Partitioning`].
 //!   Ingestion is O(chunk); nothing about the whole stream is assumed.
-//! * [`run_vertex_chunked`] / [`run_edge_chunked`]: traced drivers that
-//!   pump a source through a machine. The legacy entry points
-//!   (`run_vertex_stream_traced`, `run_edge_stream_traced`) are thin
-//!   adapters over these, and the trace span/sequence emission is
-//!   byte-identical to the pre-refactor drivers: chunking only batches
-//!   the *delivery* of elements, never reorders them, and spans are
-//!   stamped with logical element counts that don't observe chunk
-//!   boundaries.
+//! * [`run_vertex_stream`] / [`run_edge_stream`]: the one sequential
+//!   driver per stream kind. Each pumps a source through a machine in
+//!   [`DEFAULT_CHUNK`]-sized chunks and emits the `partition.stream` /
+//!   `partition.pass` spans; chunking only batches the *delivery* of
+//!   elements, never reorders them, and spans are stamped with logical
+//!   element counts that don't observe chunk boundaries. The registry's
+//!   [`Run`](crate::registry::Run) drives every Table 2 algorithm
+//!   through them (with the look-ahead window of DESIGN.md §12); the
+//!   public functions serve partitioners outside the registry.
 //! * [`StreamingPartitioner`]: an algorithm-agnostic facade over the
-//!   registry — callers that stream their own chunks (e.g. the
-//!   multi-loader layer, external ingestion pipelines) get one uniform
-//!   lifecycle for all Table 2 algorithms, with METIS staying offline
-//!   behind the same interface.
+//!   registry — callers that stream their own chunks (external
+//!   ingestion pipelines, the snapshot layer) get one uniform lifecycle
+//!   for all Table 2 algorithms, with METIS staying offline behind the
+//!   same interface.
 //!
 //! Determinism contract: for every algorithm, any chunk size (including
 //! 1 and whole-stream) yields a byte-identical [`Partitioning`] to the
@@ -33,129 +34,26 @@
 
 use crate::assignment::{CutModel, PartitionId, Partitioning};
 use crate::config::PartitionerConfig;
-use crate::decisions::DecisionStats;
-use crate::edge_cut::{
-    Fennel, HashVertex, Ldg, Restream, VertexStreamPartitioner, VertexStreamState, UNASSIGNED,
-};
-use crate::hybrid::{high_degree_threshold, place_hybrid_edges, GingerVertex};
-use crate::metis::MultilevelPartitioner;
-use crate::registry::Algorithm;
-use crate::vertex_cut::{
-    Dbh, EdgeStreamPartitioner, EdgeStreamState, GridConstrained, HashEdge, Hdrf, PowerGraphGreedy,
-};
+use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState, UNASSIGNED};
+use crate::hybrid::place_hybrid_edges;
+use crate::registry::{offline_baseline, Algorithm, Boxed};
+use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
 use sgp_graph::stream::VertexRecord;
 use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder, VertexId, VertexStreamSource};
 use sgp_trace::{keys, NullSink, TraceSink};
+use std::ops::DerefMut;
 
-/// Default ingestion chunk size used by the legacy one-shot entry
-/// points. Large enough to amortize per-chunk overhead, small enough to
+/// Ingestion chunk size of the sequential drivers. Large enough to amortize per-chunk overhead, small enough to
 /// keep the resident buffer trivial next to the graph itself.
 pub const DEFAULT_CHUNK: usize = 1024;
-
-// Forwarding impls so machines can hold partitioners by `&mut` or boxed
-// trait object interchangeably with owned values.
-impl<P: VertexStreamPartitioner + ?Sized> VertexStreamPartitioner for &mut P {
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
-        (**self).place(rec, state)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn passes(&self) -> usize {
-        (**self).passes()
-    }
-    fn decision_stats(&self) -> DecisionStats {
-        (**self).decision_stats()
-    }
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        (**self).snapshot_records()
-    }
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        (**self).restore_record(key, value)
-    }
-}
-
-impl<P: VertexStreamPartitioner + ?Sized> VertexStreamPartitioner for Box<P> {
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
-        (**self).place(rec, state)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn passes(&self) -> usize {
-        (**self).passes()
-    }
-    fn decision_stats(&self) -> DecisionStats {
-        (**self).decision_stats()
-    }
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        (**self).snapshot_records()
-    }
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        (**self).restore_record(key, value)
-    }
-}
-
-impl<P: EdgeStreamPartitioner + ?Sized> EdgeStreamPartitioner for &mut P {
-    fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
-        (**self).place(e, state)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn passes(&self) -> usize {
-        (**self).passes()
-    }
-    fn observing(&self) -> bool {
-        (**self).observing()
-    }
-    fn observe(&mut self, e: Edge) {
-        (**self).observe(e)
-    }
-    fn decision_stats(&self) -> DecisionStats {
-        (**self).decision_stats()
-    }
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        (**self).snapshot_records()
-    }
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        (**self).restore_record(key, value)
-    }
-}
-
-impl<P: EdgeStreamPartitioner + ?Sized> EdgeStreamPartitioner for Box<P> {
-    fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
-        (**self).place(e, state)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn passes(&self) -> usize {
-        (**self).passes()
-    }
-    fn observing(&self) -> bool {
-        (**self).observing()
-    }
-    fn observe(&mut self, e: Edge) {
-        (**self).observe(e)
-    }
-    fn decision_stats(&self) -> DecisionStats {
-        (**self).decision_stats()
-    }
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        (**self).snapshot_records()
-    }
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        (**self).restore_record(key, value)
-    }
-}
 
 /// Incremental state machine for vertex-stream (edge-cut) partitioners.
 ///
 /// Owns the shared assignment/size state and a logical sequence counter
 /// (elements placed so far — the trace stamp domain). Feed it chunks in
 /// stream order via [`ingest`](VertexIngest::ingest); [`seal`](VertexIngest::seal)
-/// closes the lifecycle.
+/// closes the lifecycle. `P` is any pointer to the partitioner — `&mut`
+/// to a concrete one (placement monomorphises) or a boxed trait object.
 #[derive(Debug, Clone)]
 pub struct VertexIngest<P> {
     partitioner: P,
@@ -164,7 +62,7 @@ pub struct VertexIngest<P> {
     seq: u64,
 }
 
-impl<P: VertexStreamPartitioner> VertexIngest<P> {
+impl<P: DerefMut<Target: VertexStreamPartitioner>> VertexIngest<P> {
     /// Initializes the machine for `n` vertices and `k` partitions.
     pub fn init(partitioner: P, n: usize, k: usize) -> Self {
         VertexIngest { partitioner, state: VertexStreamState::new(n, k), k, seq: 0 }
@@ -196,6 +94,17 @@ impl<P: VertexStreamPartitioner> VertexIngest<P> {
         }
     }
 
+    /// Seeds the assignment state from a prior owner map before any
+    /// element streams in — the restreaming model (DESIGN.md §12).
+    /// Entries equal to [`UNASSIGNED`] are skipped.
+    pub(crate) fn preload(&mut self, owner: &[PartitionId]) {
+        for (v, &p) in owner.iter().enumerate() {
+            if p != UNASSIGNED {
+                self.state.assign(v as VertexId, p);
+            }
+        }
+    }
+
     /// Seals into an edge-cut [`Partitioning`] (out-edges grouped with
     /// their source, per Appendix B). Vertices never ingested are placed
     /// on partition 0 deterministically.
@@ -205,32 +114,48 @@ impl<P: VertexStreamPartitioner> VertexIngest<P> {
 
     /// [`seal`](VertexIngest::seal) that also flushes the end-of-stream
     /// counters (placements, decision stats, per-partition loads) into
-    /// `sink` — exactly the counter block the legacy traced driver
-    /// emitted after its stream span.
+    /// `sink`, after the driver's stream span.
     pub fn seal_traced<S: TraceSink>(self, g: &Graph, sink: &mut S) -> Partitioning {
+        self.seal_as(g, VertexSeal::EdgeCut, sink)
+    }
+
+    /// [`seal_traced`](VertexIngest::seal_traced) under either seal
+    /// mode. A hybrid seal additionally counts the routed edges and
+    /// folds the high-degree hits into the flushed decision stats.
+    pub(crate) fn seal_as<S: TraceSink>(
+        self,
+        g: &Graph,
+        seal: VertexSeal,
+        sink: &mut S,
+    ) -> Partitioning {
+        let mut stats = self.partitioner.decision_stats();
+        let (p, hits) = seal.apply(g, self.k, owner_from_assignment(self.state.assignment));
+        stats.degree_threshold_hits += hits;
         if sink.enabled() {
             sink.counter_add(keys::PARTITION_VERTICES_PLACED, 0, self.seq);
-            self.partitioner.decision_stats().flush_into(sink);
+            if matches!(seal, VertexSeal::Hybrid { .. }) {
+                sink.counter_add(keys::PARTITION_EDGES_PLACED, 0, g.num_edges() as u64);
+            }
+            stats.flush_into(sink);
             for (i, &size) in self.state.sizes.iter().enumerate() {
                 sink.counter_add(keys::PARTITION_LOAD, i as u64, size as u64);
             }
         }
-        Partitioning::from_vertex_owners(g, self.k, owner_from_assignment(self.state.assignment))
+        p
     }
 
-    /// Tears the machine down into its final vertex-owner map (used by
-    /// the hybrid seal, which routes edges itself).
+    /// Tears the machine down into its final vertex-owner map.
     pub(crate) fn into_owner(self) -> Vec<PartitionId> {
         owner_from_assignment(self.state.assignment)
     }
 
     /// Snapshot support: the wrapped partitioner.
-    pub(crate) fn partitioner(&self) -> &P {
+    pub(crate) fn partitioner(&self) -> &P::Target {
         &self.partitioner
     }
 
     /// Snapshot support: mutable access to the wrapped partitioner.
-    pub(crate) fn partitioner_mut(&mut self) -> &mut P {
+    pub(crate) fn partitioner_mut(&mut self) -> &mut P::Target {
         &mut self.partitioner
     }
 
@@ -252,6 +177,32 @@ pub(crate) fn owner_from_assignment(assignment: Vec<PartitionId>) -> Vec<Partiti
     assignment.into_iter().map(|p| if p == UNASSIGNED { 0 } else { p }).collect()
 }
 
+/// How a finished vertex-owner map turns into edges at seal time; fixed
+/// by the registry's table *before* ingestion starts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum VertexSeal {
+    /// Appendix-B edge-cut grouping (out-edges follow their source).
+    EdgeCut,
+    /// PowerLyra hybrid routing: low-degree in-edges follow the target's
+    /// owner, high-degree in-edges the source's.
+    Hybrid { threshold: usize },
+}
+
+impl VertexSeal {
+    /// Seals `owner` into a [`Partitioning`]; also returns how many
+    /// edges took the hybrid high-degree route (0 for edge-cut).
+    pub(crate) fn apply(self, g: &Graph, k: usize, owner: Vec<PartitionId>) -> (Partitioning, u64) {
+        match self {
+            VertexSeal::EdgeCut => (Partitioning::from_vertex_owners(g, k, owner), 0),
+            VertexSeal::Hybrid { threshold } => {
+                let (edge_parts, hits) = place_hybrid_edges(g, k, &owner, threshold);
+                let model = CutModel::HybridCut;
+                (Partitioning { k, model, edge_parts, vertex_owner: Some(owner) }, hits)
+            }
+        }
+    }
+}
+
 /// Incremental state machine for edge-stream (vertex-cut) partitioners.
 ///
 /// Holds the replica-table state plus the edge-placement vector; unlike
@@ -268,7 +219,7 @@ pub struct EdgeIngest<'g, P> {
     seq: u64,
 }
 
-impl<'g, P: EdgeStreamPartitioner> EdgeIngest<'g, P> {
+impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
     /// Initializes the machine over `g` with `k` partitions.
     pub fn init(g: &'g Graph, partitioner: P, k: usize) -> Self {
         EdgeIngest {
@@ -326,7 +277,7 @@ impl<'g, P: EdgeStreamPartitioner> EdgeIngest<'g, P> {
     /// [`seal`](EdgeIngest::seal) that also flushes the end-of-stream
     /// counters — placements, decision stats enriched with the replica
     /// and mirror counts the shared state accumulated, per-partition
-    /// edge loads — exactly as the legacy traced driver did.
+    /// edge loads — after the driver's stream span.
     pub fn seal_traced<S: TraceSink>(self, sink: &mut S) -> Partitioning {
         if sink.enabled() {
             sink.counter_add(keys::PARTITION_EDGES_PLACED, 0, self.seq);
@@ -342,12 +293,12 @@ impl<'g, P: EdgeStreamPartitioner> EdgeIngest<'g, P> {
     }
 
     /// Snapshot support: the wrapped partitioner.
-    pub(crate) fn partitioner(&self) -> &P {
+    pub(crate) fn partitioner(&self) -> &P::Target {
         &self.partitioner
     }
 
     /// Snapshot support: mutable access to the wrapped partitioner.
-    pub(crate) fn partitioner_mut(&mut self) -> &mut P {
+    pub(crate) fn partitioner_mut(&mut self) -> &mut P::Target {
         &mut self.partitioner
     }
 
@@ -372,50 +323,130 @@ impl<'g, P: EdgeStreamPartitioner> EdgeIngest<'g, P> {
     }
 }
 
-/// Drives a vertex-stream partitioner through the incremental core in
-/// bounded chunks, emitting the same trace spans as the legacy driver:
-/// one `partition.stream` span, one `partition.pass` span per pass,
-/// stamps = logical element counts.
-pub fn run_vertex_chunked<P: VertexStreamPartitioner, S: TraceSink>(
+/// The look-ahead window of the buffered streaming model (ADWISE-style,
+/// DESIGN.md §12), written once over both machines: elements enter a
+/// buffer of up to `window − 1` and the one with the highest
+/// [`affinity`](Windowed::affinity) to the current state is placed first.
+pub(crate) trait Windowed {
+    /// The stream element the machine ingests.
+    type Elem: Clone;
+
+    /// Places `chunk` in order, on arrival.
+    fn ingest(&mut self, chunk: &[Self::Elem]);
+
+    /// How much of `e` the state already knows: assigned neighbours of
+    /// a vertex record, replicated endpoints of an edge.
+    fn affinity(&self, e: &Self::Elem) -> usize;
+
+    /// [`ingest`](Windowed::ingest) behind a window of `window ≥ 1`
+    /// elements: the best buffered element is placed whenever `buf`
+    /// reaches `window`. At `window = 1` nothing is buffered: the chunk
+    /// goes to the core as is (a buffer restored from a wider-window
+    /// snapshot drains first, through the buffered path).
+    fn ingest_windowed(&mut self, chunk: &[Self::Elem], window: usize, buf: &mut Vec<Self::Elem>) {
+        if window == 1 && buf.is_empty() {
+            return self.ingest(chunk);
+        }
+        for e in chunk {
+            buf.push(e.clone());
+            while buf.len() >= window {
+                self.place_best(buf);
+            }
+        }
+    }
+
+    /// Drains the buffer completely, best-first. Every pass boundary
+    /// must flush so no element leaks into the next pass.
+    fn flush_window(&mut self, buf: &mut Vec<Self::Elem>) {
+        while !buf.is_empty() {
+            self.place_best(buf);
+        }
+    }
+
+    /// Places the buffered element of highest affinity. Ties resolve to
+    /// the earliest arrival, which is what makes `W = 1` degenerate
+    /// exactly to the one-pass order.
+    fn place_best(&mut self, buf: &mut Vec<Self::Elem>) {
+        debug_assert!(!buf.is_empty(), "selection from an empty window");
+        let mut best = (0usize, 0usize);
+        for (i, e) in buf.iter().enumerate() {
+            let score = self.affinity(e);
+            if i == 0 || score > best.1 {
+                best = (i, score);
+            }
+        }
+        let e = buf.remove(best.0);
+        self.ingest(std::slice::from_ref(&e));
+    }
+}
+
+impl<P: DerefMut<Target: VertexStreamPartitioner>> Windowed for VertexIngest<P> {
+    type Elem = VertexRecord;
+
+    fn ingest(&mut self, chunk: &[VertexRecord]) {
+        VertexIngest::ingest(self, chunk);
+    }
+
+    fn affinity(&self, rec: &VertexRecord) -> usize {
+        let assigned = |&&nb: &&VertexId| self.state.assignment[nb as usize] != UNASSIGNED;
+        rec.neighbors.iter().filter(assigned).count()
+    }
+}
+
+impl<P: DerefMut<Target: EdgeStreamPartitioner>> Windowed for EdgeIngest<'_, P> {
+    type Elem = Edge;
+
+    fn ingest(&mut self, chunk: &[Edge]) {
+        EdgeIngest::ingest(self, chunk);
+    }
+
+    fn affinity(&self, e: &Edge) -> usize {
+        usize::from(self.state.has_any_replica(e.src))
+            + usize::from(self.state.has_any_replica(e.dst))
+    }
+}
+
+/// Pumps the vertex stream of `g` through `core`, every pass of it, in
+/// [`DEFAULT_CHUNK`]-sized chunks behind a look-ahead window of `window`
+/// elements: one `partition.stream` span, one `partition.pass` span per
+/// pass, stamps = logical element counts.
+pub(crate) fn drive_vertex_stream<P: DerefMut<Target: VertexStreamPartitioner>, S: TraceSink>(
     g: &Graph,
-    partitioner: &mut P,
-    k: usize,
+    core: &mut VertexIngest<P>,
     order: StreamOrder,
-    chunk_size: usize,
+    window: usize,
     sink: &mut S,
-) -> Partitioning {
-    let mut core = VertexIngest::init(partitioner, g.num_vertices(), k);
+) {
     let mut source = VertexStreamSource::new(g, order);
     let mut chunk = Vec::new();
+    let mut buf = Vec::new();
     sink.span_enter(keys::PARTITION_STREAM, 0, core.seq());
     for pass in 0..core.passes() {
         sink.span_enter(keys::PARTITION_PASS, pass as u64, core.seq());
         source.restart();
-        while source.next_chunk(chunk_size, &mut chunk) > 0 {
-            core.ingest(&chunk);
+        while source.next_chunk(DEFAULT_CHUNK, &mut chunk) > 0 {
+            core.ingest_windowed(&chunk, window, &mut buf);
         }
+        core.flush_window(&mut buf);
         sink.span_exit(keys::PARTITION_PASS, pass as u64, core.seq());
     }
     sink.span_exit(keys::PARTITION_STREAM, 0, core.seq());
-    core.seal_traced(g, sink)
 }
 
-/// Drives an edge-stream partitioner through the incremental core in
-/// bounded chunks; trace emission matches the legacy edge driver for
-/// one-pass algorithms (a single `partition.stream` span, no pass
-/// spans). Multi-pass edge partitioners (2PS) additionally get one
-/// `partition.pass` span per pass, mirroring the vertex driver.
-pub fn run_edge_chunked<P: EdgeStreamPartitioner, S: TraceSink>(
+/// Edge-stream twin of [`drive_vertex_stream`]. One-pass algorithms get
+/// a single `partition.stream` span and no pass spans; multi-pass edge
+/// partitioners (2PS) additionally get one `partition.pass` span per
+/// pass, mirroring the vertex driver.
+pub(crate) fn drive_edge_stream<P: DerefMut<Target: EdgeStreamPartitioner>, S: TraceSink>(
     g: &Graph,
-    partitioner: &mut P,
-    k: usize,
+    core: &mut EdgeIngest<'_, P>,
     order: StreamOrder,
-    chunk_size: usize,
+    window: usize,
     sink: &mut S,
-) -> Partitioning {
-    let mut core = EdgeIngest::init(g, partitioner, k);
+) {
     let mut source = EdgeStreamSource::new(g, order);
     let mut chunk = Vec::new();
+    let mut buf = Vec::new();
     let passes = core.passes().max(1);
     sink.span_enter(keys::PARTITION_STREAM, 0, core.seq());
     for pass in 0..passes {
@@ -423,59 +454,52 @@ pub fn run_edge_chunked<P: EdgeStreamPartitioner, S: TraceSink>(
             sink.span_enter(keys::PARTITION_PASS, pass as u64, core.seq());
         }
         source.restart();
-        while source.next_chunk(chunk_size, &mut chunk) > 0 {
-            core.ingest(&chunk);
+        while source.next_chunk(DEFAULT_CHUNK, &mut chunk) > 0 {
+            core.ingest_windowed(&chunk, window, &mut buf);
         }
+        core.flush_window(&mut buf);
         if passes > 1 {
             sink.span_exit(keys::PARTITION_PASS, pass as u64, core.seq());
         }
     }
     sink.span_exit(keys::PARTITION_STREAM, 0, core.seq());
+}
+
+/// Runs a vertex-stream partitioner over `g` and returns the resulting
+/// edge-cut [`Partitioning`] (out-edges grouped with their source, per
+/// Appendix B). Trace emission into `sink` (pass [`NullSink`] for none):
+/// a `partition.stream` span around the run, one `partition.pass` span
+/// per stream pass (stamps are stream positions — logical sequence
+/// numbers, never wallclock), the flushed decision counters, and the
+/// final per-partition vertex loads.
+pub fn run_vertex_stream<P: VertexStreamPartitioner, S: TraceSink>(
+    g: &Graph,
+    partitioner: &mut P,
+    k: usize,
+    order: StreamOrder,
+    sink: &mut S,
+) -> Partitioning {
+    let mut core = VertexIngest::init(partitioner, g.num_vertices(), k);
+    drive_vertex_stream(g, &mut core, order, 1, sink);
+    core.seal_traced(g, sink)
+}
+
+/// Runs an edge-stream partitioner over `g` and returns the resulting
+/// vertex-cut [`Partitioning`]. Trace emission into `sink` (pass
+/// [`NullSink`] for none): a `partition.stream` span (stamps are stream
+/// positions), the flushed decision counters — including the mirror
+/// creations counted by [`EdgeStreamState::record`] — and the final
+/// per-partition edge loads.
+pub fn run_edge_stream<P: EdgeStreamPartitioner, S: TraceSink>(
+    g: &Graph,
+    partitioner: &mut P,
+    k: usize,
+    order: StreamOrder,
+    sink: &mut S,
+) -> Partitioning {
+    let mut core = EdgeIngest::init(g, partitioner, k);
+    drive_edge_stream(g, &mut core, order, 1, sink);
     core.seal_traced(sink)
-}
-
-/// Builds the boxed vertex-stream machine for `algorithm`, or `None`
-/// when the algorithm does not consume a vertex stream. The hybrid
-/// algorithms appear here because their first phase is a vertex stream
-/// (hash placement for HCR, the Ginger greedy for HG); their edge
-/// routing happens at seal time.
-pub(crate) fn boxed_vertex_partitioner(
-    g: &Graph,
-    algorithm: Algorithm,
-    cfg: &PartitionerConfig,
-) -> Option<Box<dyn VertexStreamPartitioner>> {
-    let n = g.num_vertices();
-    let m = g.num_edges();
-    match algorithm {
-        Algorithm::EcrHash => Some(Box::new(HashVertex::new(cfg))),
-        Algorithm::Ldg => Some(Box::new(Ldg::new(cfg, n))),
-        Algorithm::Fennel => Some(Box::new(Fennel::new(cfg, n, m))),
-        Algorithm::RestreamLdg => Some(Box::new(Restream::new(Ldg::new(cfg, n), 5))),
-        Algorithm::RestreamFennel => Some(Box::new(Restream::new(Fennel::new(cfg, n, m), 5))),
-        Algorithm::HybridRandom => Some(Box::new(HashVertex::new(cfg))),
-        Algorithm::Ginger => Some(Box::new(GingerVertex::new(cfg, g))),
-        _ => None,
-    }
-}
-
-/// Builds the boxed edge-stream machine for `algorithm`, or `None` when
-/// the algorithm does not consume an edge stream.
-pub(crate) fn boxed_edge_partitioner(
-    g: &Graph,
-    algorithm: Algorithm,
-    cfg: &PartitionerConfig,
-) -> Option<Box<dyn EdgeStreamPartitioner>> {
-    match algorithm {
-        Algorithm::VcrHash => Some(Box::new(HashEdge::new(cfg))),
-        Algorithm::Dbh => Some(Box::new(Dbh::with_exact_degrees(cfg, g))),
-        Algorithm::Grid => Some(Box::new(GridConstrained::new(cfg))),
-        Algorithm::PowerGraphGreedy => Some(Box::new(PowerGraphGreedy::new(cfg))),
-        Algorithm::Hdrf => Some(Box::new(Hdrf::new(cfg, g.num_edges()))),
-        Algorithm::TwoPhaseHdrf => {
-            Some(Box::new(crate::two_phase::TwoPhase::new(cfg, g.num_edges())))
-        }
-        _ => None,
-    }
 }
 
 /// Which stream a [`StreamingPartitioner`] consumes.
@@ -505,18 +529,8 @@ impl std::fmt::Display for WrongStreamKind {
 
 impl std::error::Error for WrongStreamKind {}
 
-/// How a vertex machine turns its owner map into edges at seal time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum VertexSealMode {
-    /// Appendix-B edge-cut grouping (out-edges follow their source).
-    EdgeCut,
-    /// PowerLyra hybrid routing: low-degree in-edges follow the target's
-    /// owner, high-degree in-edges the source's.
-    Hybrid { threshold: usize },
-}
-
 pub(crate) enum Machine<'g> {
-    Vertex { core: VertexIngest<Box<dyn VertexStreamPartitioner>>, seal: VertexSealMode },
+    Vertex { core: VertexIngest<Box<dyn VertexStreamPartitioner>>, seal: VertexSeal },
     Edge { core: EdgeIngest<'g, Box<dyn EdgeStreamPartitioner>> },
     Offline,
 }
@@ -549,18 +563,12 @@ pub struct StreamingPartitioner<'g> {
 impl<'g> StreamingPartitioner<'g> {
     /// Initializes the state machine for `algorithm` over `g`.
     pub fn init(g: &'g Graph, algorithm: Algorithm, cfg: &PartitionerConfig) -> Self {
-        let machine = if let Some(core) = boxed_edge_partitioner(g, algorithm, cfg) {
-            Machine::Edge { core: EdgeIngest::init(g, core, cfg.k) }
-        } else if let Some(p) = boxed_vertex_partitioner(g, algorithm, cfg) {
-            let seal = match algorithm.info().model {
-                CutModel::HybridCut => {
-                    VertexSealMode::Hybrid { threshold: high_degree_threshold(g, cfg) }
-                }
-                _ => VertexSealMode::EdgeCut,
-            };
-            Machine::Vertex { core: VertexIngest::init(p, g.num_vertices(), cfg.k), seal }
-        } else {
-            Machine::Offline
+        let machine = match algorithm.boxed(g, cfg) {
+            Boxed::Vertex(make, seal) => {
+                Machine::Vertex { core: VertexIngest::init(make(), g.num_vertices(), cfg.k), seal }
+            }
+            Boxed::Edge(make) => Machine::Edge { core: EdgeIngest::init(g, make(), cfg.k) },
+            Boxed::Offline => Machine::Offline,
         };
         StreamingPartitioner {
             g,
@@ -647,24 +655,13 @@ impl<'g> StreamingPartitioner<'g> {
     /// Ingests a chunk of vertex records; errors if this machine
     /// consumes edges (or nothing). With a look-ahead window `W > 1`
     /// each record enters the buffer first and the highest-affinity
-    /// buffered record is placed whenever the buffer reaches `W`. At
-    /// `W = 1` nothing is buffered: the chunk goes to the core as is
-    /// (a buffer restored from a wider-window snapshot drains first,
-    /// through the buffered path).
+    /// buffered record is placed whenever the buffer reaches `W`; at
+    /// `W = 1` the chunk goes to the core as is.
     pub fn ingest_vertices(&mut self, chunk: &[VertexRecord]) -> Result<(), WrongStreamKind> {
         let expected = self.input();
         match &mut self.machine {
-            Machine::Vertex { core, .. } if self.window == 1 && self.wbuf_v.is_empty() => {
-                core.ingest(chunk);
-                Ok(())
-            }
             Machine::Vertex { core, .. } => {
-                for rec in chunk {
-                    self.wbuf_v.push(rec.clone());
-                    while self.wbuf_v.len() >= self.window {
-                        place_best_vertex(core, &mut self.wbuf_v);
-                    }
-                }
+                core.ingest_windowed(chunk, self.window, &mut self.wbuf_v);
                 Ok(())
             }
             _ => Err(WrongStreamKind { expected }),
@@ -677,17 +674,8 @@ impl<'g> StreamingPartitioner<'g> {
     pub fn ingest_edges(&mut self, chunk: &[Edge]) -> Result<(), WrongStreamKind> {
         let expected = self.input();
         match &mut self.machine {
-            Machine::Edge { core } if self.window == 1 && self.wbuf_e.is_empty() => {
-                core.ingest(chunk);
-                Ok(())
-            }
             Machine::Edge { core } => {
-                for &e in chunk {
-                    self.wbuf_e.push(e);
-                    while self.wbuf_e.len() >= self.window {
-                        place_best_edge(core, &mut self.wbuf_e);
-                    }
-                }
+                core.ingest_windowed(chunk, self.window, &mut self.wbuf_e);
                 Ok(())
             }
             _ => Err(WrongStreamKind { expected }),
@@ -700,38 +688,9 @@ impl<'g> StreamingPartitioner<'g> {
     /// [`seal`](StreamingPartitioner::seal) flushes implicitly.
     pub fn flush_window(&mut self) {
         match &mut self.machine {
-            Machine::Vertex { core, .. } => {
-                while !self.wbuf_v.is_empty() {
-                    place_best_vertex(core, &mut self.wbuf_v);
-                }
-            }
-            Machine::Edge { core } => {
-                while !self.wbuf_e.is_empty() {
-                    place_best_edge(core, &mut self.wbuf_e);
-                }
-            }
+            Machine::Vertex { core, .. } => core.flush_window(&mut self.wbuf_v),
+            Machine::Edge { core } => core.flush_window(&mut self.wbuf_e),
             Machine::Offline => {}
-        }
-    }
-
-    /// Seeds the machine's assignment state from a prior partitioning
-    /// before any element streams in — the restreaming model (DESIGN.md
-    /// §12): the next pass sees where every vertex *currently* lives and
-    /// re-places each arriving vertex against that state. Entries equal
-    /// to [`UNASSIGNED`] are skipped. Errors for machines that do not
-    /// consume vertex streams.
-    pub fn preload_assignment(&mut self, owner: &[PartitionId]) -> Result<(), WrongStreamKind> {
-        let expected = self.input();
-        match &mut self.machine {
-            Machine::Vertex { core, .. } => {
-                for (v, &p) in owner.iter().enumerate() {
-                    if p != UNASSIGNED {
-                        core.state_mut().assign(v as VertexId, p);
-                    }
-                }
-                Ok(())
-            }
-            _ => Err(WrongStreamKind { expected }),
         }
     }
 
@@ -759,116 +718,18 @@ impl<'g> StreamingPartitioner<'g> {
     pub fn seal(mut self) -> Partitioning {
         self.flush_window();
         match self.machine {
-            Machine::Vertex { core, seal } => match seal {
-                VertexSealMode::EdgeCut => core.seal(self.g),
-                VertexSealMode::Hybrid { threshold } => {
-                    let owner = core.into_owner();
-                    let (edge_parts, _) = place_hybrid_edges(self.g, self.k, &owner, threshold);
-                    Partitioning {
-                        k: self.k,
-                        model: CutModel::HybridCut,
-                        edge_parts,
-                        vertex_owner: Some(owner),
-                    }
-                }
-            },
+            Machine::Vertex { core, seal } => core.seal_as(self.g, seal, &mut NullSink),
             Machine::Edge { core } => core.seal(),
-            Machine::Offline => MultilevelPartitioner::default().partitioning(self.g, self.k),
+            Machine::Offline => offline_baseline(self.g, self.k),
         }
     }
-}
-
-/// Places the buffered vertex record with the most already-assigned
-/// neighbours — the look-ahead affinity rule of the buffered streaming
-/// model (ADWISE-style). Ties resolve to the earliest arrival, which is
-/// what makes `W = 1` degenerate exactly to the one-pass order.
-fn place_best_vertex(
-    core: &mut VertexIngest<Box<dyn VertexStreamPartitioner>>,
-    buf: &mut Vec<VertexRecord>,
-) {
-    debug_assert!(!buf.is_empty(), "selection from an empty window");
-    let mut best = 0usize;
-    let mut best_score = 0usize;
-    for (i, rec) in buf.iter().enumerate() {
-        let score = rec
-            .neighbors
-            .iter()
-            .filter(|&&nb| core.state().assignment[nb as usize] != UNASSIGNED)
-            .count();
-        if i == 0 || score > best_score {
-            best = i;
-            best_score = score;
-        }
-    }
-    let rec = buf.remove(best);
-    core.ingest(std::slice::from_ref(&rec));
-}
-
-/// Places the buffered edge with the most endpoints already replicated
-/// somewhere (ties → earliest arrival); the edge-stream analogue of
-/// [`place_best_vertex`].
-fn place_best_edge(core: &mut EdgeIngest<'_, Box<dyn EdgeStreamPartitioner>>, buf: &mut Vec<Edge>) {
-    debug_assert!(!buf.is_empty(), "selection from an empty window");
-    let mut best = 0usize;
-    let mut best_score = 0usize;
-    for (i, e) in buf.iter().enumerate() {
-        let score = usize::from(core.state().has_any_replica(e.src))
-            + usize::from(core.state().has_any_replica(e.dst));
-        if i == 0 || score > best_score {
-            best = i;
-            best_score = score;
-        }
-    }
-    let e = buf.remove(best);
-    core.ingest(&[e]);
-}
-
-/// Runs `algorithm` end to end through the incremental core with a
-/// caller-chosen chunk size. Byte-identical to
-/// [`partition`](crate::registry::partition) for every algorithm and
-/// every chunk size ≥ 1 — the differential tests pin this down.
-pub fn partition_chunked(
-    g: &Graph,
-    algorithm: Algorithm,
-    cfg: &PartitionerConfig,
-    order: StreamOrder,
-    chunk_size: usize,
-) -> Partitioning {
-    let mut sp = StreamingPartitioner::init(g, algorithm, cfg);
-    match sp.input() {
-        StreamInput::Vertices => {
-            let mut source = VertexStreamSource::new(g, order);
-            let mut chunk = Vec::new();
-            for _ in 0..sp.passes() {
-                source.restart();
-                while source.next_chunk(chunk_size, &mut chunk) > 0 {
-                    // sgp-lint: allow(no-panic-in-lib): the machine was just initialized as a vertex consumer
-                    sp.ingest_vertices(&chunk).expect("vertex machine accepts vertex chunks");
-                }
-                sp.flush_window();
-            }
-        }
-        StreamInput::Edges => {
-            let mut source = EdgeStreamSource::new(g, order);
-            let mut chunk = Vec::new();
-            for _ in 0..sp.passes() {
-                source.restart();
-                while source.next_chunk(chunk_size, &mut chunk) > 0 {
-                    // sgp-lint: allow(no-panic-in-lib): the machine was just initialized as an edge consumer
-                    sp.ingest_edges(&chunk).expect("edge machine accepts edge chunks");
-                }
-                sp.flush_window();
-            }
-        }
-        StreamInput::Offline => {}
-    }
-    sp.seal()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::partition;
+    use crate::support::facade_run;
     use sgp_graph::generators::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 
     fn graph() -> Graph {
@@ -883,7 +744,7 @@ mod tests {
         for &alg in Algorithm::all() {
             let whole = partition(&g, alg, &cfg, order);
             for chunk_size in [1usize, 7, 64, usize::MAX] {
-                let chunked = partition_chunked(&g, alg, &cfg, order, chunk_size);
+                let chunked = facade_run(&g, alg, &cfg, order, chunk_size);
                 assert_eq!(whole.edge_parts, chunked.edge_parts, "{alg} chunk {chunk_size}");
                 assert_eq!(whole.vertex_owner, chunked.vertex_owner, "{alg} chunk {chunk_size}");
                 assert_eq!(whole.model, chunked.model, "{alg}");
@@ -955,8 +816,8 @@ mod tests {
     fn traced_drivers_survive_chunk_resizing_on_skewed_graph() {
         let g = rmat(RmatConfig { scale: 9, edge_factor: 8, ..RmatConfig::default() });
         let cfg = PartitionerConfig::new(8);
-        let a = partition_chunked(&g, Algorithm::Hdrf, &cfg, StreamOrder::Bfs, 3);
-        let b = partition_chunked(&g, Algorithm::Hdrf, &cfg, StreamOrder::Bfs, 1usize << 20);
+        let a = facade_run(&g, Algorithm::Hdrf, &cfg, StreamOrder::Bfs, 3);
+        let b = facade_run(&g, Algorithm::Hdrf, &cfg, StreamOrder::Bfs, 1usize << 20);
         assert_eq!(a.edge_parts, b.edge_parts);
     }
 }

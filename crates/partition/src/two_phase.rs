@@ -344,9 +344,10 @@ impl EdgeStreamPartitioner for TwoPhase {
 mod tests {
     use super::*;
     use crate::metrics;
-    use crate::vertex_cut::run_edge_stream;
+    use crate::streaming::run_edge_stream;
     use sgp_graph::generators::{rmat, RmatConfig};
     use sgp_graph::{Graph, StreamOrder};
+    use sgp_trace::NullSink;
 
     fn graph() -> Graph {
         rmat(RmatConfig { scale: 10, edge_factor: 10, ..RmatConfig::default() })
@@ -410,10 +411,20 @@ mod tests {
     fn two_pass_run_beats_hdrf_replication() {
         let g = graph();
         let cfg = PartitionerConfig::new(16);
-        let hdrf =
-            run_edge_stream(&g, &mut Hdrf::new(&cfg, g.num_edges()), 16, StreamOrder::Natural);
-        let tps =
-            run_edge_stream(&g, &mut TwoPhase::new(&cfg, g.num_edges()), 16, StreamOrder::Natural);
+        let hdrf = run_edge_stream(
+            &g,
+            &mut Hdrf::new(&cfg, g.num_edges()),
+            16,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
+        let tps = run_edge_stream(
+            &g,
+            &mut TwoPhase::new(&cfg, g.num_edges()),
+            16,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         let (rf_h, rf_t) =
             (metrics::replication_factor(&g, &hdrf), metrics::replication_factor(&g, &tps));
         assert!(

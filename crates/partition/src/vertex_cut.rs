@@ -7,15 +7,15 @@
 //! `A(u)`, partial degrees, partition edge counts) is the "distributed
 //! table" the paper says greedy methods must synchronize; it lives in
 //! [`EdgeStreamState`], folded incrementally by the core in
-//! [`crate::streaming`], with [`run_edge_stream`] and its traced twin as
-//! thin adapters.
+//! [`crate::streaming`], whose
+//! [`run_edge_stream`](crate::streaming::run_edge_stream) drives any
+//! partitioner defined here.
 
-use crate::assignment::{fxhash64, hash_to_partition, PartitionId, Partitioning};
+use crate::assignment::{fxhash64, hash_to_partition, PartitionId};
 use crate::config::PartitionerConfig;
 use crate::decisions::DecisionStats;
 use crate::kernels;
-use sgp_graph::{Edge, Graph, StreamOrder};
-use sgp_trace::{NullSink, TraceSink};
+use sgp_graph::{Edge, Graph};
 
 /// Replica-set table `A(u)` plus partial degree counters and per-partition
 /// edge counts — the state greedy vertex-cut heuristics consult.
@@ -623,44 +623,14 @@ impl EdgeStreamPartitioner for Hdrf {
     }
 }
 
-/// Runs an edge-stream partitioner over `g` and returns the resulting
-/// vertex-cut [`Partitioning`].
-pub fn run_edge_stream<P: EdgeStreamPartitioner>(
-    g: &Graph,
-    partitioner: &mut P,
-    k: usize,
-    order: StreamOrder,
-) -> Partitioning {
-    run_edge_stream_traced(g, partitioner, k, order, &mut NullSink)
-}
-
-/// [`run_edge_stream`] with trace instrumentation: a `partition.stream`
-/// span (stamps are stream positions), the flushed decision counters —
-/// including the mirror creations counted by
-/// [`EdgeStreamState::record`] — and the final per-partition edge
-/// loads.
-pub fn run_edge_stream_traced<P: EdgeStreamPartitioner, S: TraceSink>(
-    g: &Graph,
-    partitioner: &mut P,
-    k: usize,
-    order: StreamOrder,
-    sink: &mut S,
-) -> Partitioning {
-    crate::streaming::run_edge_chunked(
-        g,
-        partitioner,
-        k,
-        order,
-        crate::streaming::DEFAULT_CHUNK,
-        sink,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics;
+    use crate::streaming::run_edge_stream;
     use sgp_graph::generators::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
+    use sgp_graph::StreamOrder;
+    use sgp_trace::NullSink;
 
     fn cfg(k: usize) -> PartitionerConfig {
         PartitionerConfig::new(k)
@@ -674,8 +644,14 @@ mod tests {
     fn hash_edge_balanced_and_order_independent() {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 2000, edges: 20_000, seed: 3 });
         let c = cfg(8);
-        let a = run_edge_stream(&g, &mut HashEdge::new(&c), 8, StreamOrder::Natural);
-        let b = run_edge_stream(&g, &mut HashEdge::new(&c), 8, StreamOrder::Random { seed: 1 });
+        let a = run_edge_stream(&g, &mut HashEdge::new(&c), 8, StreamOrder::Natural, &mut NullSink);
+        let b = run_edge_stream(
+            &g,
+            &mut HashEdge::new(&c),
+            8,
+            StreamOrder::Random { seed: 1 },
+            &mut NullSink,
+        );
         assert_eq!(a.edge_parts, b.edge_parts);
         assert!(metrics::load_imbalance(&a.edges_per_partition()) < 1.1);
     }
@@ -684,12 +660,19 @@ mod tests {
     fn dbh_beats_hash_on_skewed_graph() {
         let g = twitter_like();
         let c = cfg(16);
-        let hash = run_edge_stream(&g, &mut HashEdge::new(&c), 16, StreamOrder::Random { seed: 2 });
+        let hash = run_edge_stream(
+            &g,
+            &mut HashEdge::new(&c),
+            16,
+            StreamOrder::Random { seed: 2 },
+            &mut NullSink,
+        );
         let dbh = run_edge_stream(
             &g,
             &mut Dbh::with_exact_degrees(&c, &g),
             16,
             StreamOrder::Random { seed: 2 },
+            &mut NullSink,
         );
         let rf_hash = metrics::replication_factor(&g, &hash);
         let rf_dbh = metrics::replication_factor(&g, &dbh);
@@ -705,12 +688,14 @@ mod tests {
             &mut Dbh::with_exact_degrees(&c, &g),
             8,
             StreamOrder::Random { seed: 4 },
+            &mut NullSink,
         );
         let partial = run_edge_stream(
             &g,
             &mut Dbh::with_partial_degrees(&c),
             8,
             StreamOrder::Random { seed: 4 },
+            &mut NullSink,
         );
         let (re, rp) =
             (metrics::replication_factor(&g, &exact), metrics::replication_factor(&g, &partial));
@@ -722,8 +707,13 @@ mod tests {
         let g = twitter_like();
         let k = 16; // 4x4 grid: bound = 2*sqrt(16) - 1 = 7
         let c = cfg(k);
-        let p =
-            run_edge_stream(&g, &mut GridConstrained::new(&c), k, StreamOrder::Random { seed: 5 });
+        let p = run_edge_stream(
+            &g,
+            &mut GridConstrained::new(&c),
+            k,
+            StreamOrder::Random { seed: 5 },
+            &mut NullSink,
+        );
         let sets = p.replica_sets(&g);
         let bound = 2 * (k as f64).sqrt() as usize - 1;
         for (v, set) in sets.iter().enumerate() {
@@ -791,8 +781,9 @@ mod tests {
             let (rows, cols) = squarest_factorization(k);
             let mut old = OldGrid { k, rows, cols, seed: c.seed };
             for order in [StreamOrder::Natural, StreamOrder::Random { seed: 9 }, StreamOrder::Bfs] {
-                let new_p = run_edge_stream(&g, &mut GridConstrained::new(&c), k, order);
-                let old_p = run_edge_stream(&g, &mut old, k, order);
+                let new_p =
+                    run_edge_stream(&g, &mut GridConstrained::new(&c), k, order, &mut NullSink);
+                let old_p = run_edge_stream(&g, &mut old, k, order, &mut NullSink);
                 assert_eq!(
                     new_p.edge_parts, old_p.edge_parts,
                     "Grid placements diverged from the per-edge reference at k={k} ({order:?})"
@@ -816,8 +807,15 @@ mod tests {
         // keeps balance.
         let g = twitter_like();
         let c = cfg(8);
-        let greedy = run_edge_stream(&g, &mut PowerGraphGreedy::new(&c), 8, StreamOrder::Bfs);
-        let hdrf = run_edge_stream(&g, &mut Hdrf::new(&c, g.num_edges()), 8, StreamOrder::Bfs);
+        let greedy =
+            run_edge_stream(&g, &mut PowerGraphGreedy::new(&c), 8, StreamOrder::Bfs, &mut NullSink);
+        let hdrf = run_edge_stream(
+            &g,
+            &mut Hdrf::new(&c, g.num_edges()),
+            8,
+            StreamOrder::Bfs,
+            &mut NullSink,
+        );
         let imb_greedy = metrics::load_imbalance(&greedy.edges_per_partition());
         let imb_hdrf = metrics::load_imbalance(&hdrf.edges_per_partition());
         assert!(
@@ -835,6 +833,7 @@ mod tests {
             &mut Hdrf::new(&c, g.num_edges()),
             16,
             StreamOrder::Random { seed: 6 },
+            &mut NullSink,
         );
         let imb = metrics::load_imbalance(&p.edges_per_partition());
         assert!(imb < 1.25, "HDRF edge imbalance {imb}");
@@ -844,12 +843,19 @@ mod tests {
     fn hdrf_beats_hash_on_replication() {
         let g = twitter_like();
         let c = cfg(16);
-        let hash = run_edge_stream(&g, &mut HashEdge::new(&c), 16, StreamOrder::Random { seed: 7 });
+        let hash = run_edge_stream(
+            &g,
+            &mut HashEdge::new(&c),
+            16,
+            StreamOrder::Random { seed: 7 },
+            &mut NullSink,
+        );
         let hdrf = run_edge_stream(
             &g,
             &mut Hdrf::new(&c, g.num_edges()),
             16,
             StreamOrder::Random { seed: 7 },
+            &mut NullSink,
         );
         let (rh, rd) =
             (metrics::replication_factor(&g, &hash), metrics::replication_factor(&g, &hdrf));
@@ -861,11 +867,35 @@ mod tests {
         let g = erdos_renyi(ErdosRenyiConfig { vertices: 300, edges: 1500, seed: 8 });
         let c = cfg(5);
         for p in [
-            run_edge_stream(&g, &mut HashEdge::new(&c), 5, StreamOrder::Bfs),
-            run_edge_stream(&g, &mut Dbh::with_partial_degrees(&c), 5, StreamOrder::Dfs),
-            run_edge_stream(&g, &mut GridConstrained::new(&c), 5, StreamOrder::Natural),
-            run_edge_stream(&g, &mut PowerGraphGreedy::new(&c), 5, StreamOrder::Natural),
-            run_edge_stream(&g, &mut Hdrf::new(&c, g.num_edges()), 5, StreamOrder::Natural),
+            run_edge_stream(&g, &mut HashEdge::new(&c), 5, StreamOrder::Bfs, &mut NullSink),
+            run_edge_stream(
+                &g,
+                &mut Dbh::with_partial_degrees(&c),
+                5,
+                StreamOrder::Dfs,
+                &mut NullSink,
+            ),
+            run_edge_stream(
+                &g,
+                &mut GridConstrained::new(&c),
+                5,
+                StreamOrder::Natural,
+                &mut NullSink,
+            ),
+            run_edge_stream(
+                &g,
+                &mut PowerGraphGreedy::new(&c),
+                5,
+                StreamOrder::Natural,
+                &mut NullSink,
+            ),
+            run_edge_stream(
+                &g,
+                &mut Hdrf::new(&c, g.num_edges()),
+                5,
+                StreamOrder::Natural,
+                &mut NullSink,
+            ),
         ] {
             assert_eq!(p.edge_parts.len(), g.num_edges());
             assert!(p.edge_parts.iter().all(|&x| x < 5));
@@ -882,7 +912,13 @@ mod tests {
         }
         let g = b.build();
         let c = cfg(4);
-        let p = run_edge_stream(&g, &mut PowerGraphGreedy::new(&c), 4, StreamOrder::Natural);
+        let p = run_edge_stream(
+            &g,
+            &mut PowerGraphGreedy::new(&c),
+            4,
+            StreamOrder::Natural,
+            &mut NullSink,
+        );
         let rf = metrics::replication_factor(&g, &p);
         // Leaves have one edge each (RF 1); hub replicates on at most k.
         assert!(rf < 1.2, "greedy star RF {rf}");

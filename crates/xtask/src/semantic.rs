@@ -195,11 +195,11 @@ struct SurfaceSpec {
 const SURFACES: &[SurfaceSpec] = &[
     SurfaceSpec {
         key: "stream-dispatch",
-        what: "the streaming core dispatch",
+        what: "the one algorithm table (`Algorithm::build`)",
         pkg: "sgp-partition",
-        suffixes: &["src/streaming.rs"],
+        suffixes: &[],
         include_tests: false,
-        fn_filter: &[],
+        fn_filter: &["build"],
     },
     SurfaceSpec {
         key: "snapshot-roundtrip",

@@ -1,8 +1,9 @@
-//! Fixture: the canonical `Algorithm` table and the two in-file
+//! Fixture: the canonical `Algorithm` table and the three in-file
 //! surfaces the exhaustiveness rule reads from the enum's own file —
-//! the `all()` table and the `supports_parallel_loaders` predicate.
-//! `Delta` is deliberately absent from `all()`, and the predicate only
-//! names `Beta`, so the rule must report the gaps per surface at the
+//! the `all()` table, the `supports_parallel_loaders` predicate and the
+//! `build` dispatch. `Delta` is deliberately absent from `all()`, the
+//! predicate only names `Beta`, and the dispatch match carries a
+//! wildcard arm, so the rule must report the gaps per surface at the
 //! missing variant's declaration line.
 
 /// The streaming algorithms of the mini study.
@@ -32,5 +33,17 @@ impl Algorithm {
     /// the negation covers nothing the rule can see.
     pub fn supports_parallel_loaders(&self) -> bool {
         !matches!(self, Algorithm::Beta)
+    }
+
+    /// The streaming dispatch surface. The match carries a wildcard
+    /// arm, so only the variants its arm heads name are covered; `Gamma`
+    /// is excused by a registry entry, and `Delta` silently falls into
+    /// `_ =>` — exactly the drift the exhaustiveness rule reports.
+    pub fn build(&self) -> u32 {
+        match self {
+            Algorithm::Alpha => 1,
+            Algorithm::Beta => 2,
+            _ => 0, // MARK-stream-wildcard
+        }
     }
 }

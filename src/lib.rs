@@ -50,6 +50,21 @@
 //! let (ranks, report) = run_program(&graph, &placement, &PageRank::new(5), &EngineOptions::default());
 //! assert_eq!(ranks.len(), graph.num_vertices());
 //! assert!(report.total_messages() > 0);
+//!
+//! // `partition` and `run_program` are the untraced, healthy calls of one
+//! // general entry per layer; the sink and the fault plan are values.
+//! let mut sink = CollectingSink::new();
+//! let order = StreamOrder::default();
+//! let run = Run { algorithm: Algorithm::Hdrf, cfg: &config, order, exec: Exec::Sequential };
+//! let traced = run.execute(&graph, &mut sink).expect("sequential runs are never refused");
+//! assert_eq!(traced.edge_parts, partitioning.edge_parts);
+//! let plan = FaultPlan::healthy(8, 1).with_crash(2, 0);
+//! let opts = EngineOptions::default();
+//! let (_, faulted) =
+//!     run_program_with(&graph, &placement, &PageRank::new(5), &opts, Some(&plan), &mut sink)
+//!         .expect("the plan fits the placement");
+//! assert!(faulted.total_wall_ns > report.total_wall_ns);
+//! assert_eq!(sink.counter_total("engine.fault_crashes"), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -76,10 +91,7 @@ pub mod prelude {
         PartitionedStore, Query, SimConfig, SimError, Workload, WorkloadKind,
     };
     pub use sgp_engine::apps::{PageRank, Sssp, Wcc};
-    pub use sgp_engine::{
-        run_program, run_program_traced, run_program_with_faults, run_program_with_faults_traced,
-        EngineOptions, Placement,
-    };
+    pub use sgp_engine::{run_program, run_program_with, EngineError, EngineOptions, Placement};
     pub use sgp_fault::{FaultPlan, FaultPlanConfig, MembershipKind, RetryPolicy};
     pub use sgp_graph::{
         ChurnConfig, ChurnStream, Edge, EdgeStreamSource, Graph, GraphBuilder, StreamOrder,
@@ -87,10 +99,11 @@ pub mod prelude {
     };
     pub use sgp_partition::metrics::{edge_cut_ratio, load_imbalance, replication_factor};
     pub use sgp_partition::{
-        cut_edges, partition, partition_chunked, partition_multi_loader, partition_threaded,
-        partition_traced, plan_rebalance, restream_rounds, Algorithm, CutModel, LoaderConfig,
-        MigrationConfig, MigrationPlan, MigrationStrategy, PartitionerConfig, Partitioning,
-        RestreamOutcome, SnapshotError, StreamInput, StreamingPartitioner,
+        cut_edges, partition, partition_multi_loader, partition_threaded, plan_rebalance,
+        restream_rounds, run_edge_stream, run_vertex_stream, Algorithm, CutModel, Exec,
+        LoaderConfig, MigrationConfig, MigrationPlan, MigrationStrategy, PartitionerConfig,
+        Partitioning, RestreamOutcome, Run, RunError, SnapshotError, StreamInput,
+        StreamingPartitioner,
     };
     pub use sgp_trace::{CollectingSink, NullSink, SummarySink, TraceSink};
 }

@@ -15,6 +15,10 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use streaming_graph_partitioning::prelude::*;
 
+#[path = "../crates/partition/tests/support/mod.rs"]
+mod support;
+use support::facade_run;
+
 static GRAPH: OnceLock<Graph> = OnceLock::new();
 
 fn graph() -> &'static Graph {
@@ -32,11 +36,27 @@ fn window_of_one_is_bit_identical_to_one_pass_for_every_algorithm() {
     let order = StreamOrder::Random { seed: 41 };
     for &alg in Algorithm::all() {
         let cfg = PartitionerConfig::new(4).with_window(1);
-        let windowed = partition_chunked(g, alg, &cfg, order, 19);
+        let windowed = facade_run(g, alg, &cfg, order, 19);
         let one_pass = partition(g, alg, &PartitionerConfig::new(4), order);
         assert_eq!(one_pass.vertex_owner, windowed.vertex_owner, "{alg}: owners diverged");
         assert_eq!(one_pass.edge_parts, windowed.edge_parts, "{alg}: edge parts diverged");
     }
+}
+
+/// The one-shot entry point honours the window: `partition` at `W = 7`
+/// is the facade driven by hand at `W = 7`, and not the one-pass run
+/// (it used to drop `cfg.window`, which made the churn suite's W-LDG
+/// plain LDG).
+#[test]
+fn one_shot_partition_honours_the_window() {
+    let g = graph();
+    let order = StreamOrder::Random { seed: 41 };
+    let windowed_cfg = PartitionerConfig::new(4).with_window(7);
+    let windowed = partition(g, Algorithm::Ldg, &windowed_cfg, order);
+    let by_hand = facade_run(g, Algorithm::Ldg, &windowed_cfg, order, 19);
+    assert_eq!(by_hand.vertex_owner, windowed.vertex_owner, "W = 7 must match the facade");
+    let one_pass = partition(g, Algorithm::Ldg, &PartitionerConfig::new(4), order);
+    assert_ne!(one_pass.vertex_owner, windowed.vertex_owner, "W = 7 must not be one-pass LDG");
 }
 
 /// With the clustering pass disabled, 2PS's second pass *is* HDRF: the
@@ -166,7 +186,7 @@ proptest! {
         let cfg = PartitionerConfig::new(4);
         let order = StreamOrder::Random { seed };
         let initial = partition(g, Algorithm::Ldg, &cfg, order).masters(g);
-        let outcome = restream_rounds(g, Algorithm::Ldg, &cfg, order, &initial, rounds)
+        let outcome = restream_rounds(g, Algorithm::Ldg, &cfg, order, &initial, rounds, &mut NullSink)
             .expect("LDG consumes vertex streams");
         let mut last = outcome.initial_cut_edges;
         for (i, round) in outcome.rounds.iter().enumerate() {

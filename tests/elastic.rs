@@ -8,6 +8,10 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use streaming_graph_partitioning::prelude::*;
 
+#[path = "../crates/partition/tests/support/mod.rs"]
+mod support;
+use support::{drive_facade, facade_run};
+
 static GRAPH: OnceLock<Graph> = OnceLock::new();
 
 fn graph() -> &'static Graph {
@@ -42,55 +46,15 @@ fn interrupted(
     chunk: usize,
     cut: usize,
 ) -> (Partitioning, bool) {
-    let mut sp = StreamingPartitioner::init(g, alg, cfg);
-    let mut fed = 0usize;
     let mut crossed = false;
-    match sp.input() {
-        StreamInput::Vertices => {
-            let passes = sp.passes();
-            let mut source = VertexStreamSource::new(g, order);
-            let mut buf = Vec::new();
-            for _ in 0..passes {
-                source.restart();
-                while source.next_chunk(chunk, &mut buf) > 0 {
-                    sp.ingest_vertices(&buf).expect("vertex machine accepts vertex chunks");
-                    fed += 1;
-                    if fed == cut {
-                        let snap = sp.snapshot();
-                        sp = StreamingPartitioner::restore(g, alg, cfg, &snap)
-                            .expect("own snapshot restores");
-                        crossed = true;
-                    }
-                }
-                sp.flush_window();
-            }
-        }
-        StreamInput::Edges => {
-            let passes = sp.passes();
-            let mut source = EdgeStreamSource::new(g, order);
-            let mut buf = Vec::new();
-            for _ in 0..passes {
-                source.restart();
-                while source.next_chunk(chunk, &mut buf) > 0 {
-                    sp.ingest_edges(&buf).expect("edge machine accepts edge chunks");
-                    fed += 1;
-                    if fed == cut {
-                        let snap = sp.snapshot();
-                        sp = StreamingPartitioner::restore(g, alg, cfg, &snap)
-                            .expect("own snapshot restores");
-                        crossed = true;
-                    }
-                }
-                sp.flush_window();
-            }
-        }
-        StreamInput::Offline => {
+    let p = drive_facade(g, alg, cfg, order, chunk, |sp, fed| {
+        if fed == cut || sp.input() == StreamInput::Offline {
             let snap = sp.snapshot();
-            sp = StreamingPartitioner::restore(g, alg, cfg, &snap).expect("own snapshot restores");
+            *sp = StreamingPartitioner::restore(g, alg, cfg, &snap).expect("own snapshot restores");
             crossed = true;
         }
-    }
-    (sp.seal(), crossed)
+    });
+    (p, crossed)
 }
 
 /// The dynamic-tier machine states added in DESIGN.md §12 round-trip:
@@ -107,7 +71,7 @@ fn dynamic_tier_snapshots_round_trip() {
     // 2PS: cut 2 lands mid-pass-1 (clustering), cut chunks_per_pass + 2
     // lands mid-pass-2 (cluster-aware placement).
     let cfg = PartitionerConfig::new(4);
-    let whole = partition_chunked(g, Algorithm::TwoPhaseHdrf, &cfg, order, chunk);
+    let whole = facade_run(g, Algorithm::TwoPhaseHdrf, &cfg, order, chunk);
     for cut in [2, chunks_per_pass + 2] {
         let (resumed, crossed) = interrupted(g, Algorithm::TwoPhaseHdrf, &cfg, order, chunk, cut);
         assert!(crossed, "cut {cut} never reached");
@@ -135,7 +99,7 @@ fn dynamic_tier_snapshots_round_trip() {
                 assert!(sp.snapshot().contains("\nwe "), "{alg}: buffer must serialize");
             }
         }
-        let whole = partition_chunked(g, alg, &wcfg, order, chunk);
+        let whole = facade_run(g, alg, &wcfg, order, chunk);
         let (resumed, crossed) = interrupted(g, alg, &wcfg, order, chunk, 3);
         assert!(crossed, "{alg}: cut never reached");
         assert_eq!(whole.vertex_owner, resumed.vertex_owner, "{alg}: owners diverged");
@@ -167,7 +131,7 @@ proptest! {
         let cfg = PartitionerConfig::new(4);
         let order = StreamOrder::Random { seed };
         for &alg in Algorithm::all() {
-            let whole = partition_chunked(g, alg, &cfg, order, chunk);
+            let whole = facade_run(g, alg, &cfg, order, chunk);
             let (resumed, crossed) = interrupted(g, alg, &cfg, order, chunk, cut);
             prop_assert!(crossed, "cut {} never reached for {}", cut, alg);
             prop_assert_eq!(&whole.vertex_owner, &resumed.vertex_owner, "owners differ: {}", alg);

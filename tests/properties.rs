@@ -256,9 +256,11 @@ proptest! {
     ) {
         let cfg = PartitionerConfig::new(k);
         let mut sink = CollectingSink::new();
-        let p = partition_traced(&g, alg, &cfg, order, &mut sink);
+        let run = Run { algorithm: alg, cfg: &cfg, order, exec: Exec::Sequential };
+        let p = run.execute(&g, &mut sink).expect("sequential runs are never refused");
         let placement = Placement::build(&g, &p);
-        run_program_traced(&g, &placement, &PageRank::new(3), &EngineOptions::default(), &mut sink);
+        let opts = EngineOptions::default();
+        run_program_with(&g, &placement, &PageRank::new(3), &opts, None, &mut sink).expect("no plan");
         prop_assert!(!sink.is_empty());
         if let Err(e) = sink.check_nesting() {
             return Err(TestCaseError::fail(format!("{alg:?}: {e}")));
@@ -302,9 +304,11 @@ proptest! {
         let cfg = PartitionerConfig::new(k);
         let order = StreamOrder::Random { seed };
         let trace_of = |sink: &mut CollectingSink| {
-            let p = partition_traced(&g, alg, &cfg, order, sink);
+            let run = Run { algorithm: alg, cfg: &cfg, order, exec: Exec::Sequential };
+            let p = run.execute(&g, sink).expect("sequential runs are never refused");
             let placement = Placement::build(&g, &p);
-            run_program_traced(&g, &placement, &PageRank::new(3), &EngineOptions::default(), sink);
+            let opts = EngineOptions::default();
+            run_program_with(&g, &placement, &PageRank::new(3), &opts, None, sink).expect("no plan");
         };
         let mut a = CollectingSink::new();
         trace_of(&mut a);
@@ -342,10 +346,12 @@ proptest! {
         let prog = Sssp::new(source);
         let mut trace = CollectingSink::new();
         let (dist, report) =
-            run_program_traced(&g, &Placement::build(&g, &p), &prog, &opts, &mut trace);
+            run_program_with(&g, &Placement::build(&g, &p), &prog, &opts, None, &mut trace)
+                .expect("no plan");
         let mut big_trace = CollectingSink::new();
         let (big_dist, big_report) =
-            run_program_traced(&big, &Placement::build(&big, &big_p), &prog, &opts, &mut big_trace);
+            run_program_with(&big, &Placement::build(&big, &big_p), &prog, &opts, None, &mut big_trace)
+                .expect("no plan");
 
         prop_assert_eq!(&big_dist[..g.num_vertices()], &dist[..]);
         prop_assert_eq!(report.num_iterations(), big_report.num_iterations());
@@ -377,8 +383,12 @@ proptest! {
             .with_crash(p.k as u32 - 1, crash_at)
             .with_straggler(0, 0, u64::MAX, 2.5);
         let (healthy_dist, healthy) = run_program(&g, &placement, &prog, &opts);
-        let (dist, a) = run_program_with_faults(&g, &placement, &prog, &opts, &plan);
-        let (_, b) = run_program_with_faults(&g, &placement, &prog, &opts, &plan);
+        let faulted = || {
+            run_program_with(&g, &placement, &prog, &opts, Some(&plan), &mut NullSink)
+                .expect("the plan fits the placement")
+        };
+        let (dist, a) = faulted();
+        let (_, b) = faulted();
         prop_assert_eq!(dist, healthy_dist);
         prop_assert_eq!(&a.fault, &b.fault);
         prop_assert_eq!(a.total_wall_ns.to_bits(), b.total_wall_ns.to_bits());

@@ -6,8 +6,11 @@
 //! unit variants at start 0, including through serde.
 
 use proptest::prelude::*;
-use sgp_partition::streaming::StreamInput;
 use streaming_graph_partitioning::prelude::*;
+
+#[path = "../crates/partition/tests/support/mod.rs"]
+mod support;
+use support::{drive_facade, facade_run};
 
 /// Strategy: a random simple directed graph with 2..=50 vertices.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -60,7 +63,7 @@ proptest! {
     ) {
         let cfg = PartitionerConfig::new(k);
         let whole = partition(&g, alg, &cfg, order);
-        let chunked = partition_chunked(&g, alg, &cfg, order, chunk);
+        let chunked = facade_run(&g, alg, &cfg, order, chunk);
         prop_assert_eq!(&whole.edge_parts, &chunked.edge_parts);
         prop_assert_eq!(&whole.vertex_owner, &chunked.vertex_owner);
         prop_assert_eq!(whole.model, chunked.model);
@@ -147,29 +150,22 @@ proptest! {
             }
             for k in [3usize, 16, 64, 100] {
                 let cfg = PartitionerConfig::new(k);
-                let whole = partition_chunked(&g, alg, &cfg, order, CHUNK);
+                let whole = facade_run(&g, alg, &cfg, order, CHUNK);
 
-                let mut sp = StreamingPartitioner::init(&g, alg, &cfg);
-                let total_chunks = sp.passes() * g.num_edges().div_ceil(CHUNK);
+                let total_chunks = probe.passes() * g.num_edges().div_ceil(CHUNK);
                 let cut = cut_seed as usize % total_chunks.max(1);
-                let mut source = EdgeStreamSource::new(&g, order);
-                let mut chunk = Vec::new();
-                let mut done = 0usize;
-                for _ in 0..sp.passes() {
-                    source.restart();
-                    while source.next_chunk(CHUNK, &mut chunk) > 0 {
-                        sp.ingest_edges(&chunk).expect("edge machine accepts edge chunks");
-                        done += 1;
-                        if done == cut + 1 {
-                            let bytes = sp.snapshot();
-                            sp = StreamingPartitioner::restore(&g, alg, &cfg, &bytes)
-                                .expect("mid-stream snapshot restores");
-                            prop_assert_eq!(&sp.snapshot(), &bytes, "{} k={}", alg, k);
-                        }
+                let mut reserialized = None;
+                let resumed = drive_facade(&g, alg, &cfg, order, CHUNK, |sp, done| {
+                    if done == cut + 1 {
+                        let bytes = sp.snapshot();
+                        *sp = StreamingPartitioner::restore(&g, alg, &cfg, &bytes)
+                            .expect("mid-stream snapshot restores");
+                        reserialized = Some((sp.snapshot(), bytes));
                     }
-                    sp.flush_window();
+                });
+                if let Some((again, bytes)) = reserialized {
+                    prop_assert_eq!(&again, &bytes, "{} k={}", alg, k);
                 }
-                let resumed = sp.seal();
                 prop_assert_eq!(&whole.edge_parts, &resumed.edge_parts, "{} k={}", alg, k);
                 prop_assert_eq!(&whole.vertex_owner, &resumed.vertex_owner, "{} k={}", alg, k);
             }

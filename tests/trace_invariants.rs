@@ -24,7 +24,8 @@ fn traced_partitioning_is_identical_for_every_algorithm() {
     for &alg in Algorithm::all() {
         let untraced = partition(&g, alg, &cfg, default_order());
         let mut sink = CollectingSink::new();
-        let traced = partition_traced(&g, alg, &cfg, default_order(), &mut sink);
+        let run = Run { algorithm: alg, cfg: &cfg, order: default_order(), exec: Exec::Sequential };
+        let traced = run.execute(&g, &mut sink).expect("sequential runs are never refused");
         assert_eq!(untraced.masters(&g), traced.masters(&g), "{alg:?}: masters diverged");
         assert_eq!(
             untraced.edges_per_partition(),
@@ -33,10 +34,10 @@ fn traced_partitioning_is_identical_for_every_algorithm() {
         );
         sink.check_nesting().unwrap_or_else(|e| panic!("{alg:?}: bad span nesting: {e}"));
         // The streaming element-at-a-time runners report per-partition
-        // load counters that must mirror the placement itself (the
-        // offline multilevel baseline and the hybrid constructors
-        // aggregate decision counters only).
-        if !matches!(alg, Algorithm::Metis | Algorithm::HybridRandom | Algorithm::Ginger) {
+        // load counters that must mirror the placement itself — HG's
+        // vertex phase included (the offline multilevel baseline has no
+        // stream, and sequential HCR hashes its owners without one).
+        if !matches!(alg, Algorithm::Metis | Algorithm::HybridRandom) {
             let loads: Vec<u64> =
                 (0..K as u64).map(|i| sink.counter_total_keyed("partition.load", i)).collect();
             match traced.vertices_per_partition() {
@@ -65,7 +66,8 @@ fn engine_trace_counters_match_untraced_report_for_every_algorithm() {
         let prog = PageRank::new(5);
         let (data_untraced, untraced) = run_program(&g, &placement, &prog, &opts);
         let mut sink = CollectingSink::new();
-        let (data_traced, traced) = run_program_traced(&g, &placement, &prog, &opts, &mut sink);
+        let (data_traced, traced) =
+            run_program_with(&g, &placement, &prog, &opts, None, &mut sink).expect("no plan");
 
         assert_eq!(data_untraced, data_traced, "{alg:?}: computed ranks diverged");
         assert_eq!(
@@ -135,7 +137,8 @@ fn engine_trace_matches_untraced_report_for_activation_driven_programs() {
         let opts = EngineOptions::default();
         let (data_untraced, untraced) = run_program(g, placement, prog, &opts);
         let mut sink = CollectingSink::new();
-        let (data_traced, traced) = run_program_traced(g, placement, prog, &opts, &mut sink);
+        let (data_traced, traced) =
+            run_program_with(g, placement, prog, &opts, None, &mut sink).expect("no plan");
         assert_eq!(data_untraced, data_traced, "{what}: results diverged");
         assert_eq!(
             untraced.total_wall_ns.to_bits(),
@@ -176,7 +179,7 @@ fn engine_trace_matches_untraced_report_for_activation_driven_programs() {
         }
         sink.check_nesting().unwrap_or_else(|e| panic!("{what}: bad span nesting: {e}"));
         let mut again = CollectingSink::new();
-        run_program_traced(g, placement, prog, &opts, &mut again);
+        run_program_with(g, placement, prog, &opts, None, &mut again).expect("no plan");
         assert_eq!(sink.to_json(), again.to_json(), "{what}: trace bytes not reproducible");
     }
 
