@@ -5,7 +5,6 @@
 //! (`tiny` | `small` | `default` | `large`) selects how big.
 
 use crate::error::SgpError;
-use serde::{Deserialize, Serialize};
 use sgp_graph::generators::{
     powerlaw_cm, rmat, road_grid, snb_social, PowerLawConfig, RmatConfig, RoadConfig, SnbConfig,
 };
@@ -13,7 +12,7 @@ use sgp_graph::stats::GraphClass;
 use sgp_graph::{Graph, GraphStats};
 
 /// Experiment scale selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Smoke-test size (CI, unit tests): thousands of edges.
     Tiny,
@@ -71,7 +70,7 @@ impl Scale {
 }
 
 /// The four datasets of the paper's Table 3, as synthetic stand-ins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// Twitter follower graph stand-in (heavy-tailed, R-MAT).
     Twitter,
@@ -85,7 +84,7 @@ pub enum Dataset {
 
 /// A Table 3 row for the *original* dataset, for paper-vs-measured
 /// comparison in reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PaperDatasetRow {
     /// Edge count reported by the paper.
     pub edges: &'static str,

@@ -10,14 +10,12 @@
 //! > effective for low-degree graphs like road networks. Hybrid model is
 //! > most effective on heavy-tailed graphs [...]. For graphs with
 //! > power-law degree distribution, we recommend HDRF."
-
-use serde::{Deserialize, Serialize};
 use sgp_graph::stats::GraphClass;
 use sgp_graph::{Graph, GraphStats};
 use sgp_partition::Algorithm;
 
 /// The workload side of the tree's first split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadClass {
     /// Iterative offline analytics (PageRank, WCC, SSSP).
     OfflineAnalytics,
@@ -26,7 +24,7 @@ pub enum WorkloadClass {
 }
 
 /// For online queries: which objective dominates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OnlineObjective {
     /// Tail latency is critical (user-facing SLOs).
     TailLatency,
@@ -35,7 +33,7 @@ pub enum OnlineObjective {
 }
 
 /// A recommendation with the reasoning path taken through the tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recommendation {
     /// The recommended algorithm.
     pub algorithm: Algorithm,

@@ -3,8 +3,8 @@
 //! The lint policy (`sgp-xtask lint`, rule `no-panic-in-lib`) forbids
 //! `unwrap`/`expect` in library code unless the invariant is locally
 //! provable. Paths whose failure depends on the *environment* — env
-//! vars, serialization, I/O — cannot prove anything locally, so they
-//! return `SgpError` instead and the binaries decide how to die.
+//! vars, I/O — cannot prove anything locally, so they return `SgpError`
+//! instead and the binaries decide how to die.
 
 use std::fmt;
 
@@ -21,8 +21,6 @@ pub enum SgpError {
         /// What would have been accepted.
         expected: &'static str,
     },
-    /// Serializing experiment output failed.
-    Serialize(String),
     /// An I/O failure while reading inputs or writing results.
     Io(std::io::Error),
 }
@@ -33,7 +31,6 @@ impl fmt::Display for SgpError {
             SgpError::Config { what, value, expected } => {
                 write!(f, "invalid {what}: `{value}` (expected {expected})")
             }
-            SgpError::Serialize(msg) => write!(f, "serialization failed: {msg}"),
             SgpError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }

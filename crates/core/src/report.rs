@@ -1,7 +1,5 @@
 //! Plain-text table rendering and JSON export for experiment results.
 
-use serde::Serialize;
-
 /// A simple fixed-width text table builder for paper-style output.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -91,21 +89,6 @@ pub fn human_bytes(bytes: u64) -> String {
     }
 }
 
-/// Serializes any result rows to pretty JSON (for EXPERIMENTS.md
-/// regeneration and downstream plotting), surfacing serializer errors.
-pub fn try_to_json<T: Serialize>(rows: &T) -> Result<String, crate::error::SgpError> {
-    serde_json::to_string_pretty(rows).map_err(|e| crate::error::SgpError::Serialize(e.to_string()))
-}
-
-/// Serializes any result rows to pretty JSON. Every row type in this
-/// crate derives `Serialize` with no custom impls and all floats are
-/// finite by construction, so serialization cannot fail on them; should
-/// it ever fail anyway, the error is returned *as* a JSON object so
-/// regenerated reports show the problem instead of a panic backtrace.
-pub fn to_json<T: Serialize>(rows: &T) -> String {
-    try_to_json(rows).unwrap_or_else(|e| format!("{{\"error\": \"{e}\"}}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,27 +116,6 @@ mod tests {
         assert_eq!(human_bytes(512), "512 B");
         assert_eq!(human_bytes(2048), "2.0 KiB");
         assert_eq!(human_bytes(3 * 1024 * 1024), "3.0 MiB");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        #[derive(serde::Serialize)]
-        struct R {
-            a: u32,
-        }
-        let s = to_json(&vec![R { a: 1 }]);
-        assert!(s.contains("\"a\": 1"));
-        assert_eq!(try_to_json(&vec![R { a: 1 }]).as_deref().ok(), Some(s.as_str()));
-    }
-
-    #[test]
-    fn try_to_json_surfaces_serializer_errors() {
-        // JSON object keys must be strings; a tuple-keyed map cannot
-        // serialize. (None of the crate's row types look like this —
-        // the test just proves errors surface instead of panicking.)
-        let bad: std::collections::BTreeMap<(u32, u32), u32> = [((1, 2), 3)].into_iter().collect();
-        let err = try_to_json(&bad);
-        assert!(matches!(err, Err(crate::error::SgpError::Serialize(_))));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! binary renders.
 
 use crate::config::{Dataset, Scale};
-use serde::{Deserialize, Serialize};
 use sgp_db::workload::{run_workload, Skew};
 use sgp_db::{
     ClusterSim, DegradedConfig, ElasticPlan, FaultSimConfig, LoadLevel, MirrorDirectory,
@@ -29,7 +28,7 @@ pub fn default_order() -> StreamOrder {
 }
 
 /// The paper's offline analytic workloads (§5.1.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OfflineWorkload {
     /// PageRank, 20 fixed iterations, all-active.
     PageRank,
@@ -87,7 +86,7 @@ pub fn run_offline_workload(
 // ---------------------------------------------------------------------------
 
 /// One partitioning-quality measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QualityRow {
     /// Dataset name.
     pub dataset: String,
@@ -148,7 +147,7 @@ pub fn quality_suite_for(
 /// One multi-loader measurement: the structural quality of the placement
 /// produced when the input stream is split across `loaders` parallel
 /// loaders that synchronize shared state every `sync_interval` elements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoaderRow {
     /// Dataset name.
     pub dataset: String,
@@ -213,7 +212,7 @@ pub fn loaders_suite(
 // ---------------------------------------------------------------------------
 
 /// One offline-analytics measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OfflineRow {
     /// Dataset name.
     pub dataset: String,
@@ -278,7 +277,7 @@ pub fn offline_suite(
 // ---------------------------------------------------------------------------
 
 /// One online-query measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnlineRow {
     /// Dataset name.
     pub dataset: String,
@@ -402,7 +401,7 @@ pub fn online_run_on_store(
 
 /// Result of the Fig. 8 experiment: the named configuration, its
 /// throughput and its load RSD.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadAwareRow {
     /// Configuration label (`ECR`, `LDG`, `FNL`, `MTS`, `MTS (W)`).
     pub label: String,
@@ -477,7 +476,7 @@ pub fn workload_aware_suite(
 // ---------------------------------------------------------------------------
 
 /// One (cut-size, network I/O) scatter point, grouped by cut model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScatterPoint {
     /// Cut-model label ("Edge-cut", "Vertex-cut", "Hybrid-cut").
     pub series: String,
@@ -595,7 +594,7 @@ impl RobustnessConfig {
 }
 
 /// One online (DES) robustness measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RobustnessRow {
     /// Dataset name.
     pub dataset: String,
@@ -669,7 +668,7 @@ pub fn robustness_suite(
 
 /// One engine (offline analytics) robustness measurement: the same
 /// PageRank run healthy and under the fault plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineRobustnessRow {
     /// Dataset name.
     pub dataset: String,
@@ -782,7 +781,7 @@ impl Default for ElasticityConfig {
 
 /// One elasticity measurement: availability and tail latency while the
 /// cluster rides out a membership change, plus the recovery accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ElasticityRow {
     /// Dataset name.
     pub dataset: String,
@@ -873,7 +872,7 @@ pub fn elastic_suite(
 
 /// A maintenance strategy under edge churn: how the cluster reacts when
 /// a repartitioning trigger fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnMethod {
     /// Full repartition with two-phase streaming (2PS) on every trigger.
     TwoPhase,
@@ -963,7 +962,7 @@ impl Default for ChurnSuiteConfig {
 
 /// One churn measurement: how one maintenance method traded movement for
 /// quality over the whole churn stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnRow {
     /// Dataset name.
     pub dataset: String,

@@ -12,13 +12,12 @@
 
 use crate::decision::{recommend_for_graph, WorkloadClass};
 use crate::runners::{default_order, run_offline_workload, OfflineWorkload};
-use serde::{Deserialize, Serialize};
 use sgp_engine::{EngineOptions, Placement};
 use sgp_graph::Graph;
 use sgp_partition::{partition, Algorithm, PartitionerConfig};
 
 /// One sweep point of the advisor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScaleOutPoint {
     /// Cluster size.
     pub k: usize,
@@ -32,7 +31,7 @@ pub struct ScaleOutPoint {
 }
 
 /// The advisor's result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScaleOutReport {
     /// The partitioner the sweep used (decision-tree pick).
     pub algorithm: Algorithm,

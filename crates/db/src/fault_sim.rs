@@ -22,7 +22,6 @@
 //! plan is bit-for-bit reproducible.
 
 use crate::sim::{rsd, ClusterSim, EventQueue, SimConfig, SimReport};
-use serde::{Deserialize, Serialize};
 use sgp_fault::{FaultEvent, FaultPlan, MembershipKind, PlanError, RetryPolicy};
 use sgp_graph::Graph;
 use sgp_partition::{CutModel, Partitioning};
@@ -193,7 +192,7 @@ impl MirrorDirectory {
 
 /// Configuration of a fault-injected run: the healthy DES parameters
 /// plus the coordinator's retry policy.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FaultSimConfig {
     /// Parameters shared with the healthy simulation.
     pub base: SimConfig,
@@ -202,7 +201,6 @@ pub struct FaultSimConfig {
     /// Degraded-mode behaviour during recovery and migration. Defaults
     /// to fully off, so plain fault runs are byte-identical to before
     /// the elasticity layer existed.
-    #[serde(default)]
     pub degraded: DegradedConfig,
 }
 
@@ -210,7 +208,7 @@ pub struct FaultSimConfig {
 /// (DESIGN.md §11). Both knobs default to "off"/free so that runs
 /// without membership events — and old callers that never set them —
 /// behave exactly as before.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DegradedConfig {
     /// Queue depth at which a machine sheds (fast-rejects) new shares
     /// while migration is in flight. `0` disables admission control.
@@ -233,7 +231,7 @@ pub struct ElasticPlan {
 }
 
 /// Results of one fault-injected run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultSimReport {
     /// Fraction of post-warm-up queries that completed successfully.
     pub availability: f64,
@@ -271,14 +269,11 @@ pub struct FaultSimReport {
     /// from a membership disruption to full service restored (machine
     /// back up and its migration drained). `0` when the plan has no
     /// membership events.
-    #[serde(default)]
     pub rto_ms: f64,
     /// Migration records shipped over all membership events.
-    #[serde(default)]
     pub data_moved: u64,
     /// Shares fast-rejected by admission control while the cluster was
     /// in degraded mode.
-    #[serde(default)]
     pub shed_queries: u64,
 }
 
@@ -1288,9 +1283,11 @@ mod tests {
         let mirrors = full_coverage(2);
         let a = sim.run_faulted(&cfg, &plan, &mirrors).unwrap();
         let b = sim.run_faulted(&cfg, &plan, &mirrors).unwrap();
-        let ja = serde_json::to_string(&a).unwrap();
-        let jb = serde_json::to_string(&b).unwrap();
-        assert_eq!(ja, jb, "same plan + seed must reproduce the report bit-for-bit");
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "same plan + seed must reproduce the report bit-for-bit"
+        );
     }
 
     #[test]
@@ -1585,8 +1582,5 @@ mod tests {
             format!("{b:?}"),
             "same plan + seed + migration load must reproduce bit-for-bit"
         );
-        if let (Ok(ja), Ok(jb)) = (serde_json::to_string(&a), serde_json::to_string(&b)) {
-            assert_eq!(ja, jb, "the serialized reports must be byte-identical too");
-        }
     }
 }

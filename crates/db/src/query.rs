@@ -11,7 +11,6 @@
 //! Fig. 7/15 — plus the derived message and byte counts behind Fig. 5.
 
 use crate::store::PartitionedStore;
-use serde::{Deserialize, Serialize};
 use sgp_graph::VertexId;
 
 /// Approximate serialized size of one vertex record on the wire
@@ -22,7 +21,7 @@ pub const VERTEX_RECORD_BYTES: u64 = 100;
 pub const RPC_HEADER_BYTES: u64 = 64;
 
 /// An online query (the paper's three classes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Query {
     /// All adjacent vertices of `start` — "more than 50% of Facebook's
     /// LinkBench".
@@ -55,7 +54,7 @@ impl Query {
 }
 
 /// Result payload of a query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryResult {
     /// Neighbour set (1-hop / 2-hop).
     Vertices(Vec<VertexId>),
@@ -80,7 +79,7 @@ impl QueryResult {
 
 /// Per-round read counts: `reads[machine]` vertices were read on that
 /// machine in this round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoundTrace {
     /// Vertices read per machine this round.
     pub reads: Vec<u32>,
@@ -99,7 +98,7 @@ impl RoundTrace {
 }
 
 /// Full execution trace of one query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryTrace {
     /// The coordinator machine the router picked.
     pub coordinator: u32,

@@ -27,14 +27,13 @@ use crate::fault_sim::{ElasticPlan, FaultRun, FaultSimConfig, MirrorDirectory};
 use crate::query::QueryTrace;
 use crate::store::PartitionedStore;
 use crate::workload::Workload;
-use serde::{Deserialize, Serialize};
 use sgp_fault::FaultPlan;
 use sgp_trace::NullSink;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The paper's two load scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadLevel {
     /// 12 concurrent clients per worker machine — "high utilization".
     Medium,
@@ -63,7 +62,7 @@ impl std::fmt::Display for LoadLevel {
 
 /// Simulation parameters (defaults approximate the paper's 12-core
 /// workers; only relative results matter).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Closed-loop clients per machine.
     pub clients_per_machine: usize,
@@ -123,7 +122,7 @@ impl Default for SimConfig {
 }
 
 /// Results of one simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Aggregate throughput, queries per second (post-warm-up).
     pub throughput_qps: f64,

@@ -1,6 +1,4 @@
 //! The sharded adjacency store and partitioning-aware query router.
-
-use serde::{Deserialize, Serialize};
 use sgp_graph::{Graph, VertexId};
 use sgp_partition::{PartitionId, Partitioning};
 use std::fmt;
@@ -55,7 +53,7 @@ impl std::error::Error for StoreError {}
 /// co-located with each query-execution instance, placement controlled
 /// by a Byte Ordered Partitioner so arbitrary edge-cut partitionings can
 /// be installed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PartitionedStore {
     graph: Graph,
     owner: Vec<PartitionId>,

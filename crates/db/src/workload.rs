@@ -11,14 +11,12 @@
 
 use crate::query::{execute, Query, QueryTrace};
 use crate::store::PartitionedStore;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-use sgp_graph::sampling::{seeded_rng, Zipf};
+use sgp_graph::sampling::{seeded_rng, Rng, Zipf};
 use sgp_graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which query class a workload issues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// 1-hop neighbourhood retrievals.
     OneHop,
@@ -39,7 +37,7 @@ impl std::fmt::Display for WorkloadKind {
 }
 
 /// Start-vertex selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Skew {
     /// Uniformly random start vertices (paper's real-world-graph protocol).
     Uniform,
@@ -52,7 +50,7 @@ pub enum Skew {
 }
 
 /// A bound workload: a query class plus its parameter bindings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     /// Query class.
     pub kind: WorkloadKind,
@@ -73,10 +71,10 @@ impl Workload {
             Skew::Uniform => None,
             Skew::Zipf { theta } => Some(Zipf::new(n, theta)),
         };
-        let pick = |rng: &mut rand::rngs::StdRng| -> VertexId {
+        let pick = |rng: &mut Rng| -> VertexId {
             match &zipf {
                 Some(z) => perm[z.sample(rng)],
-                None => rng.gen_range(0..n) as VertexId,
+                None => rng.index(n) as VertexId,
             }
         };
         let queries = (0..count)

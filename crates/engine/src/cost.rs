@@ -13,8 +13,6 @@
 //!   *maximum* over machines of compute + network time, plus a barrier
 //!   latency.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated hardware constants. Defaults approximate the paper's
 /// m5.2xlarge workers (8 cores, 10 Gb/s NIC); only *relative* results
 /// matter for the reproduction.
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// bit for bit, a running sum of one `+= ns_per_*` per operation; with
 /// fractional constants it is the total to within three roundings,
 /// where the running sum drifts by one rounding per operation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Nanoseconds per gather/scatter edge operation.
     pub ns_per_edge_op: f64,
@@ -67,7 +65,7 @@ impl CostModel {
 }
 
 /// Statistics for a single superstep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IterationStats {
     /// Number of active vertices at the start of the iteration.
     pub active_vertices: usize,
@@ -96,7 +94,7 @@ impl IterationStats {
 /// [`FaultPlan`](sgp_fault::FaultPlan) (pause-and-recover model: the
 /// computed result is identical to the healthy run; only the cost
 /// accounting changes — see `run_program_with`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSummary {
     /// Crash events charged to the run.
     pub crashes: usize,
@@ -115,7 +113,7 @@ pub struct FaultSummary {
 }
 
 /// Full report of one engine run — the raw material for Figures 1, 3, 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Program name.
     pub program: &'static str,
@@ -133,7 +131,6 @@ pub struct RunReport {
     pub total_wall_ns: f64,
     /// Fault accounting; `None` for healthy runs (so healthy report
     /// JSON is unchanged by the robustness subsystem).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault: Option<FaultSummary>,
 }
 

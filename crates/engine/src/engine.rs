@@ -1233,7 +1233,7 @@ mod tests {
 
     use crate::placement::tests::{arb_partitioned_graph, ReferencePlacement};
     use crate::program::Direction;
-    use proptest::prelude::*;
+    use sgp_graph::sampling::check_cases;
     use sgp_trace::CollectingSink;
 
     const POLICIES: [BodyPolicy; 3] = [BodyPolicy::Dense, BodyPolicy::Sparse, BodyPolicy::Auto];
@@ -1748,47 +1748,46 @@ mod tests {
         assert_eq!(runs, 2970);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Forced-sparse, forced-dense and auto runs are the same run —
-        /// data, report, trace bytes — and equal the single-machine
-        /// references, on random graphs, partitionings and sources.
-        #[test]
-        fn bodies_agree_on_random_partitionings(
-            (g, p) in arb_partitioned_graph(),
-            source in 0u32..40,
-            aggregate in any::<bool>(),
-        ) {
-            let source = source % g.num_vertices() as u32;
+    /// Forced-sparse, forced-dense and auto runs are the same run —
+    /// data, report, trace bytes — and equal the single-machine
+    /// references, on random graphs, partitionings and sources.
+    #[test]
+    fn bodies_agree_on_random_partitionings() {
+        check_cases(48, |rng| {
+            let (g, p) = arb_partitioned_graph(rng);
+            let source = rng.index(g.num_vertices()) as u32;
+            let aggregate = rng.index(2) == 0;
             let pl = Placement::build(&g, &p);
             let opts = EngineOptions { sender_side_aggregation: aggregate, ..Default::default() };
             let dist = assert_bodies_agree(&g, &pl, &Sssp::new(source), &opts, None, "SSSP");
-            prop_assert_eq!(dist, reference::sssp(&g, source));
+            assert_eq!(dist, reference::sssp(&g, source));
             let labels = assert_bodies_agree(&g, &pl, &Wcc::new(), &opts, None, "WCC");
-            prop_assert_eq!(labels, reference::wcc(&g));
+            assert_eq!(labels, reference::wcc(&g));
             let diffusion = Diffusion::from_every_seventh_vertex(&g);
             assert_bodies_agree(&g, &pl, &diffusion, &opts, None, "Diffusion");
-        }
+        });
+    }
 
-        /// A crash and a straggler are charged identically whichever
-        /// body ran the supersteps they fall into.
-        #[test]
-        fn bodies_agree_under_a_crash_and_a_straggler(
-            (g, p) in arb_partitioned_graph(),
-            source in 0u32..40,
-            crash_at in 0u64..200_000,
-            slowdown in 1.5f64..4.0,
-        ) {
-            let source = source % g.num_vertices() as u32;
+    /// A crash and a straggler are charged identically whichever
+    /// body ran the supersteps they fall into.
+    #[test]
+    fn bodies_agree_under_a_crash_and_a_straggler() {
+        check_cases(48, |rng| {
+            let (g, p) = arb_partitioned_graph(rng);
+            let source = rng.index(g.num_vertices()) as u32;
+            let crash_at = rng.below(200_000);
+            let slowdown = 1.5 + 2.5 * rng.unit();
             let pl = Placement::build(&g, &p);
             let k = pl.k as u32;
-            let plan = FaultPlan::healthy(pl.k, 9)
-                .with_crash(k - 1, crash_at)
-                .with_straggler(0, 0, u64::MAX, slowdown);
+            let plan = FaultPlan::healthy(pl.k, 9).with_crash(k - 1, crash_at).with_straggler(
+                0,
+                0,
+                u64::MAX,
+                slowdown,
+            );
             let opts = EngineOptions::default();
             assert_bodies_agree(&g, &pl, &Sssp::new(source), &opts, Some(&plan), "faulted SSSP");
             assert_bodies_agree(&g, &pl, &Wcc::new(), &opts, Some(&plan), "faulted WCC");
-        }
+        });
     }
 }

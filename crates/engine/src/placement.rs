@@ -287,7 +287,7 @@ impl<I: Iterator<Item = u64>> Iterator for SetBits<I> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use sgp_graph::sampling::{check_cases, Rng};
     use sgp_graph::GraphBuilder;
     use sgp_partition::assignment::fxhash64;
     use sgp_partition::Partitioning;
@@ -516,25 +516,23 @@ pub(crate) mod tests {
     /// kept and some vertices isolated, and a random vertex-owner or
     /// edge-parts partitioning of it over `k <= 130` machines (bitset
     /// strides 1, 2 and 3).
-    pub(crate) fn arb_partitioned_graph() -> impl Strategy<Value = (Graph, Partitioning)> {
-        let k = prop_oneof![1usize..=6, 1usize..=130];
-        (2usize..40, k).prop_flat_map(|(n, k)| {
-            let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..=160);
-            let parts = proptest::collection::vec(0..k as u32, 160.max(n));
-            (edges, parts, any::<bool>()).prop_map(move |(edges, parts, by_vertex)| {
-                let mut b = GraphBuilder::new().keep_self_loops(true).ensure_vertices(n);
-                for (s, d) in edges {
-                    b.push_edge(s, d);
-                }
-                let g = b.build();
-                let p = if by_vertex {
-                    Partitioning::from_vertex_owners(&g, k, parts[..n].to_vec())
-                } else {
-                    Partitioning::from_edge_parts(&g, k, parts[..g.num_edges()].to_vec())
-                };
-                (g, p)
-            })
-        })
+    pub(crate) fn arb_partitioned_graph(rng: &mut Rng) -> (Graph, Partitioning) {
+        let n = rng.range(2..40);
+        let k = if rng.index(2) == 0 { rng.range(1..7) } else { rng.range(1..131) };
+        let mut b = GraphBuilder::new().keep_self_loops(true).ensure_vertices(n);
+        for _ in 0..rng.range(0..161) {
+            b.push_edge(rng.index(n) as u32, rng.index(n) as u32);
+        }
+        let g = b.build();
+        let by_vertex = rng.index(2) == 0;
+        let len = if by_vertex { n } else { g.num_edges() };
+        let parts = (0..len).map(|_| rng.index(k) as PartitionId).collect();
+        let p = if by_vertex {
+            Partitioning::from_vertex_owners(&g, k, parts)
+        } else {
+            Partitioning::from_edge_parts(&g, k, parts)
+        };
+        (g, p)
     }
 
     /// Every accessor of the flat layout against the layout built the
@@ -596,14 +594,11 @@ pub(crate) mod tests {
         assert_matches_reference(&empty, &Partitioning::from_edge_parts(&empty, 4, Vec::new()));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn flat_layout_matches_reference_on_random_partitionings(
-            (g, p) in arb_partitioned_graph(),
-        ) {
+    #[test]
+    fn flat_layout_matches_reference_on_random_partitionings() {
+        check_cases(96, |rng| {
+            let (g, p) = arb_partitioned_graph(rng);
             assert_matches_reference(&g, &p);
-        }
+        });
     }
 }

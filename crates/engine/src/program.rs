@@ -5,12 +5,10 @@
 //! iteration"): a program declares the edge direction it gathers over,
 //! an associative accumulator, an apply function, and the activation
 //! behaviour of its scatter phase.
-
-use serde::{Deserialize, Serialize};
 use sgp_graph::{Graph, VertexId};
 
 /// Edge direction relative to the executing vertex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// In-edges only (PageRank, SSSP).
     In,

@@ -8,8 +8,6 @@
 //! is exactly what it *would* put on the wire, and the unit tests keep
 //! `encoded_len` and the actual encoder in lockstep.
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 /// Kinds of engine messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageKind {
@@ -26,15 +24,15 @@ pub const HEADER_BYTES: usize = 16;
 
 /// Encodes a message with the given payload; used by tests and by any
 /// future real-transport backend.
-pub fn encode(kind: MessageKind, iteration: u32, vertex: u32, payload: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + payload.len());
-    buf.put_u8(kind as u8);
-    buf.put_u32(iteration);
-    buf.put_u32(vertex);
-    buf.put_u32(payload.len() as u32);
-    buf.put_bytes(0, HEADER_BYTES - 13); // padding
-    buf.put_slice(payload);
-    buf.freeze()
+pub fn encode(kind: MessageKind, iteration: u32, vertex: u32, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
+    buf.push(kind as u8);
+    buf.extend_from_slice(&iteration.to_be_bytes());
+    buf.extend_from_slice(&vertex.to_be_bytes());
+    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    buf.resize(HEADER_BYTES, 0); // padding
+    buf.extend_from_slice(payload);
+    buf
 }
 
 /// Size in bytes of an encoded message with `payload_len` payload bytes.

@@ -2,7 +2,6 @@
 //! fault a simulated run will experience.
 
 use crate::rng::{splitmix64, unit_f64, PlanRng};
-use serde::{Deserialize, Serialize};
 
 /// Schema version of the serialized [`FaultPlan`]. Bump on any change
 /// to the event vocabulary or the draw-stream constants — a plan only
@@ -17,7 +16,7 @@ const STREAM_MESSAGE_LOSS: u64 = 0x4D45_5353_4C4F_5353; // "MESSLOSS"
 const STREAM_DRAW_BASE: u64 = 0x4652_4545_4452_5721; // generic keyed draws
 
 /// One scheduled fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// Machine `machine` crashes at simulated time `at_ns`, losing its
     /// queue and in-flight work. With `recovery_ns = Some(d)` it comes
@@ -62,7 +61,7 @@ pub enum FaultEvent {
 }
 
 /// The three membership-change shapes of [`FaultEvent::Membership`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipKind {
     /// The machine joins the cluster at `at_ns` (it is *down* — not yet
     /// a member — before then).
@@ -150,7 +149,7 @@ impl std::error::Error for PlanError {}
 ///
 /// Construct with [`FaultPlan::healthy`] and the `with_*` builders, or
 /// generate a randomized plan from a seed with [`FaultPlan::generate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Schema version this plan was written under.
     pub schema_version: u32,
@@ -460,7 +459,7 @@ impl FaultPlan {
 }
 
 /// Parameters for [`FaultPlan::generate`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FaultPlanConfig {
     /// Number of distinct crash victims (capped at `machines - 1` so a
     /// generated plan never kills the whole cluster).

@@ -1,12 +1,10 @@
 //! Retry/timeout/backoff policy for the DES fault path.
 
-use serde::{Deserialize, Serialize};
-
 /// How the DES coordinator reacts to a lost or unanswered sub-request:
 /// declare it failed after [`RetryPolicy::timeout_ns`], then re-send
 /// after an exponentially growing, capped backoff, up to
 /// [`RetryPolicy::max_attempts`] total attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total send attempts per sub-request (first try included); the
     /// query fails once a sub-request exhausts them.

@@ -19,15 +19,12 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
-use crate::sampling::seeded_rng;
+use crate::sampling::{seeded_rng, Rng};
 use crate::types::{Edge, VertexId};
-use rand::rngs::StdRng;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Shape of the churn workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnConfig {
     /// Number of batches the stream yields.
     pub batches: usize,
@@ -73,7 +70,7 @@ pub struct ChurnStream {
     edges: Vec<Edge>,
     present: BTreeSet<(VertexId, VertexId)>,
     n: usize,
-    rng: StdRng,
+    rng: Rng,
     cfg: ChurnConfig,
     emitted: usize,
 }
@@ -117,7 +114,7 @@ impl ChurnStream {
             if self.edges.is_empty() {
                 break;
             }
-            let idx = self.rng.gen_range(0..self.edges.len());
+            let idx = self.rng.index(self.edges.len());
             // Ordered removal keeps the membership vector a pure function
             // of the op sequence (swap_remove would depend on length
             // history in a more fragile way and reorder survivors).
@@ -133,8 +130,8 @@ impl ChurnStream {
             // draw, in which case the batch simply inserts fewer edges —
             // deterministically, since the draw count is bounded.
             for _attempt in 0..32 {
-                let src = self.rng.gen_range(0..self.n as VertexId);
-                let dst = self.rng.gen_range(0..self.n as VertexId);
+                let src = self.rng.index(self.n) as VertexId;
+                let dst = self.rng.index(self.n) as VertexId;
                 if src == dst || self.present.contains(&(src, dst)) {
                     continue;
                 }

@@ -1,7 +1,6 @@
 //! Immutable compressed-sparse-row graph with out- and in-adjacency.
 
 use crate::types::{Edge, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// An immutable directed graph in compressed-sparse-row form.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// in-adjacency (for PageRank-style gathers) are materialized, mirroring
 /// what PowerLyra and JanusGraph keep per machine. Construction goes
 /// through [`crate::GraphBuilder`] or the generator functions.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     num_vertices: usize,
     /// CSR row offsets into `out_targets`, length `n + 1`.

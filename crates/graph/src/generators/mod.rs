@@ -30,12 +30,10 @@ use crate::csr::Graph;
 use crate::sampling::seeded_rng;
 use crate::types::{Edge, VertexId};
 use crate::GraphBuilder;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the power-law configuration-model generator
 /// ([`powerlaw_cm`]), the UK2007-05 web-graph stand-in.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PowerLawConfig {
     /// Number of vertices.
     pub vertices: usize,
@@ -134,7 +132,7 @@ pub fn sample_start_vertices(
         }
     } else {
         for _ in 0..count {
-            out.push(rng.gen_range(0..n) as VertexId);
+            out.push(rng.index(n) as VertexId);
         }
     }
     out

@@ -5,11 +5,9 @@
 use crate::csr::Graph;
 use crate::sampling::seeded_rng;
 use crate::GraphBuilder;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the [`erdos_renyi`] generator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ErdosRenyiConfig {
     /// Number of vertices.
     pub vertices: usize,
@@ -31,8 +29,8 @@ pub fn erdos_renyi(cfg: ErdosRenyiConfig) -> Graph {
     let mut rng = seeded_rng(cfg.seed);
     let mut builder = GraphBuilder::with_capacity(cfg.edges);
     for _ in 0..cfg.edges {
-        let src = rng.gen_range(0..cfg.vertices) as u32;
-        let dst = rng.gen_range(0..cfg.vertices) as u32;
+        let src = rng.index(cfg.vertices) as u32;
+        let dst = rng.index(cfg.vertices) as u32;
         builder.push_edge(src, dst);
     }
     builder.ensure_vertices(cfg.vertices).build()

@@ -9,11 +9,9 @@
 use crate::csr::Graph;
 use crate::sampling::seeded_rng;
 use crate::GraphBuilder;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the [`rmat`] generator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RmatConfig {
     /// log2 of the number of vertices (n = 2^scale).
     pub scale: u32,
@@ -76,10 +74,10 @@ pub fn rmat(cfg: RmatConfig) -> Graph {
         let (mut x0, mut x1) = (0usize, n);
         let (mut y0, mut y1) = (0usize, n);
         for _ in 0..cfg.scale {
-            let noise = 0.95 + 0.1 * rng.gen::<f64>();
+            let noise = 0.95 + 0.1 * rng.unit();
             let (a, b, c) = (cfg.a * noise, cfg.b, cfg.c);
             let total = a + b + c + d;
-            let r: f64 = rng.gen::<f64>() * total;
+            let r = rng.unit() * total;
             let (right, down) = if r < a {
                 (false, false)
             } else if r < a + b {

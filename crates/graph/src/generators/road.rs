@@ -9,11 +9,9 @@
 use crate::csr::Graph;
 use crate::sampling::seeded_rng;
 use crate::GraphBuilder;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the [`road_grid`] generator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RoadConfig {
     /// Grid width (number of columns).
     pub width: usize,
@@ -54,15 +52,15 @@ pub fn road_grid(cfg: RoadConfig) -> Graph {
     let mut builder = GraphBuilder::with_capacity(cfg.vertices() * 5);
     for y in 0..cfg.height {
         for x in 0..cfg.width {
-            if x + 1 < cfg.width && rng.gen::<f64>() >= cfg.removal_rate {
+            if x + 1 < cfg.width && rng.unit() >= cfg.removal_rate {
                 builder.push_edge(id(x, y), id(x + 1, y));
                 builder.push_edge(id(x + 1, y), id(x, y));
             }
-            if y + 1 < cfg.height && rng.gen::<f64>() >= cfg.removal_rate {
+            if y + 1 < cfg.height && rng.unit() >= cfg.removal_rate {
                 builder.push_edge(id(x, y), id(x, y + 1));
                 builder.push_edge(id(x, y + 1), id(x, y));
             }
-            if x + 1 < cfg.width && y + 1 < cfg.height && rng.gen::<f64>() < cfg.diagonal_rate {
+            if x + 1 < cfg.width && y + 1 < cfg.height && rng.unit() < cfg.diagonal_rate {
                 builder.push_edge(id(x, y), id(x + 1, y + 1));
                 builder.push_edge(id(x + 1, y + 1), id(x, y));
             }

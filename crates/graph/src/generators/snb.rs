@@ -20,11 +20,9 @@ use crate::csr::Graph;
 use crate::sampling::{seeded_rng, Zipf};
 use crate::types::VertexId;
 use crate::GraphBuilder;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the [`snb_social`] generator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SnbConfig {
     /// Number of persons.
     pub persons: usize,
@@ -98,10 +96,10 @@ pub fn snb_social(cfg: SnbConfig) -> Graph {
         let c = community_of[v as usize] as usize;
         let local = &members[c];
         for _ in 0..budgets[v as usize] {
-            let w = if rng.gen::<f64>() < cfg.inter_community_rate || local.len() < 2 {
-                rng.gen_range(0..n) as VertexId
+            let w = if rng.unit() < cfg.inter_community_rate || local.len() < 2 {
+                rng.index(n) as VertexId
             } else {
-                local[rng.gen_range(0..local.len())]
+                local[rng.index(local.len())]
             };
             if w != v {
                 builder.push_edge(v, w);

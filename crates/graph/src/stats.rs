@@ -1,11 +1,10 @@
 //! Dataset characteristics à la the paper's Table 3.
 
 use crate::csr::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Structural classification used in Table 3's "Type" column and by the
 /// decision tree of §6.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphClass {
     /// Heavy-tailed degree distribution (Twitter, LDBC SNB).
     HeavyTailed,
@@ -26,7 +25,7 @@ impl std::fmt::Display for GraphClass {
 }
 
 /// Summary statistics for a graph (one row of Table 3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraphStats {
     /// Number of vertices.
     pub vertices: usize,

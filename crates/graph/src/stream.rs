@@ -28,10 +28,9 @@
 use crate::csr::Graph;
 use crate::sampling::{seeded_rng, shuffle};
 use crate::types::{Edge, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Arrival order of stream elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamOrder {
     /// The natural order of the dataset (vertex id / CSR order).
     Natural,

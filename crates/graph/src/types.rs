@@ -1,7 +1,5 @@
 //! Fundamental identifiers and edge types shared across the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// A vertex identifier.
 ///
 /// Vertices are dense integers in `0..n`; generators and the
@@ -15,7 +13,7 @@ pub type VertexId = u32;
 ///
 /// The paper's graphs are directed (PageRank gathers along in-edges;
 /// WCC treats edges as undirected at the algorithm level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Edge {
     /// Source endpoint.
     pub src: VertexId,

@@ -7,8 +7,6 @@
 //! partition Pi" (Appendix B). [`Partitioning`] stores exactly that: an
 //! edge placement array (indexed by [`Graph::edge_index`]) plus, when the
 //! producing algorithm is vertex-disjoint, the vertex ownership map.
-
-use serde::{Deserialize, Serialize};
 use sgp_graph::{Graph, VertexId};
 
 /// A partition identifier in `0..k`.
@@ -18,7 +16,7 @@ pub type PartitionId = u32;
 /// classification). The engine uses this only for reporting; the
 /// communication semantics are fully determined by the edge placement
 /// and vertex ownership.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CutModel {
     /// Vertex-disjoint placement; out-edges follow their source.
     EdgeCut,
@@ -40,7 +38,7 @@ impl std::fmt::Display for CutModel {
 }
 
 /// The result of partitioning a graph into `k` parts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Partitioning {
     /// Number of partitions.
     pub k: usize,

@@ -193,9 +193,8 @@ mod tests {
     use crate::edge_cut::Ldg;
     use crate::metrics;
     use crate::streaming::run_vertex_stream;
-    use rand::Rng;
     use sgp_graph::generators::{snb_social, SnbConfig};
-    use sgp_graph::sampling::{seeded_rng, Zipf};
+    use sgp_graph::sampling::{seeded_rng, shuffle, Zipf};
     use sgp_graph::{Graph, StreamOrder};
     use sgp_trace::NullSink;
 
@@ -217,10 +216,7 @@ mod tests {
             w[zipf.sample(&mut rng)] += 1;
         }
         let mut perm: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
-            perm.swap(i, j);
-        }
+        shuffle(&mut perm, &mut rng);
         perm.into_iter().map(|i| w[i]).collect()
     }
 

@@ -1,10 +1,8 @@
 //! Shared configuration for the streaming partitioners.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the (k, β)-balanced partitioning problem (Eq. 1 of the
 /// paper) plus the per-algorithm knobs the paper discusses.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PartitionerConfig {
     /// Number of partitions `k`.
     pub k: usize,
@@ -35,21 +33,11 @@ pub struct PartitionerConfig {
     /// `W = 1` (the default) degenerates exactly to the paper's one-pass
     /// model — the buffer never holds an element across a placement, so
     /// arrival order is placement order.
-    #[serde(default = "default_window")]
     pub window: usize,
     /// Whether the 2PS two-phase partitioner runs its streaming
     /// clustering pass. Disabled, its assignment pass degenerates exactly
     /// to HDRF (the differential tests pin this).
-    #[serde(default = "default_two_phase_clustering")]
     pub two_phase_clustering: bool,
-}
-
-fn default_window() -> usize {
-    1
-}
-
-fn default_two_phase_clustering() -> bool {
-    true
 }
 
 impl PartitionerConfig {

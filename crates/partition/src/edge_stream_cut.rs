@@ -9,9 +9,10 @@
 //! deployed in real systems."
 //!
 //! The paper excludes this class from its evaluation; we implement an
-//! IOGP-style representative anyway so the claim is *testable*: the
-//! crate's tests show it beats hash but loses to the vertex-stream LDG
-//! on the same graph — exactly the quality gap §4.1.2 asserts.
+//! IOGP-style representative anyway so the claim is *testable*: over
+//! ten graph seeds and three stream orders it beats hash by a wide
+//! margin every time, while the gap to the vertex-stream LDG that
+//! §4.1.2 asserts does not show at this scale (the two tie on average).
 
 use crate::assignment::{PartitionId, Partitioning};
 use crate::config::PartitionerConfig;
@@ -168,10 +169,15 @@ mod tests {
     use sgp_trace::NullSink;
 
     fn graph() -> Graph {
+        graph_with_seed(SnbConfig::default().seed)
+    }
+
+    fn graph_with_seed(seed: u64) -> Graph {
         snb_social(SnbConfig {
             persons: 2000,
             communities: 25,
             avg_friends: 10.0,
+            seed,
             ..SnbConfig::default()
         })
     }
@@ -186,24 +192,39 @@ mod tests {
         assert!(owner.iter().all(|&x| x < 8));
     }
 
-    /// The §4.1.2 claim, as code: edge-cut on edge streams beats hash but
-    /// loses to its vertex-stream counterpart (LDG) on the same input.
+    /// §4.1.2 says edge-cut on edge streams beats hash but loses to its
+    /// vertex-stream counterpart. Over 10 graph seeds × 3 stream-order
+    /// seeds the first half holds on every run by more than 0.3; the
+    /// second does not show at this scale — LDG is ahead on 11 of the 30
+    /// runs, single runs differ by up to 0.14 either way, and the mean
+    /// cuts are 0.438 (LDG) vs 0.421 (IOGP-style) — so what is pinned is
+    /// that the means stay within 0.03 of each other.
     #[test]
-    fn iogp_quality_sits_between_hash_and_ldg() {
-        let g = graph();
+    fn iogp_beats_hash_and_ties_with_ldg() {
+        let base = SnbConfig::default();
         let cfg = PartitionerConfig::new(8);
-        let order = StreamOrder::Random { seed: 4 };
-        let iogp = IogpStyle::new(&cfg, g.num_vertices()).run(&g, order);
-        let hash = run_vertex_stream(&g, &mut HashVertex::new(&cfg), 8, order, &mut NullSink);
-        let ldg =
-            run_vertex_stream(&g, &mut Ldg::new(&cfg, g.num_vertices()), 8, order, &mut NullSink);
-        let ecr = |p: &Partitioning| metrics::edge_cut_ratio(&g, p).unwrap();
-        let (ei, eh, el) = (ecr(&iogp), ecr(&hash), ecr(&ldg));
-        assert!(ei < eh, "IOGP-style {ei:.3} must beat hash {eh:.3}");
-        assert!(
-            el < ei,
-            "vertex-stream LDG {el:.3} must beat edge-stream IOGP-style {ei:.3} (§4.1.2)"
-        );
+        let (mut iogp_sum, mut ldg_sum, mut runs) = (0.0, 0.0, 0.0);
+        for graph_seed in base.seed..base.seed + 10 {
+            let g = graph_with_seed(graph_seed);
+            let n = g.num_vertices();
+            let ecr = |p: &Partitioning| metrics::edge_cut_ratio(&g, p).unwrap();
+            for order_seed in [4, 5, 6] {
+                let order = StreamOrder::Random { seed: order_seed };
+                let iogp = ecr(&IogpStyle::new(&cfg, n).run(&g, order));
+                let mut hash = HashVertex::new(&cfg);
+                let hash = ecr(&run_vertex_stream(&g, &mut hash, 8, order, &mut NullSink));
+                let mut ldg = Ldg::new(&cfg, n);
+                let ldg = ecr(&run_vertex_stream(&g, &mut ldg, 8, order, &mut NullSink));
+                let at = format!("graph seed {graph_seed:#x}, order seed {order_seed}");
+                assert!(iogp + 0.3 < hash, "{at}: IOGP-style {iogp:.3} vs hash {hash:.3}");
+                assert!(ldg + 0.3 < hash, "{at}: LDG {ldg:.3} vs hash {hash:.3}");
+                iogp_sum += iogp;
+                ldg_sum += ldg;
+                runs += 1.0;
+            }
+        }
+        let (iogp, ldg) = (iogp_sum / runs, ldg_sum / runs);
+        assert!((ldg - iogp).abs() < 0.03, "mean cut: LDG {ldg:.3} vs IOGP-style {iogp:.3}");
     }
 
     #[test]

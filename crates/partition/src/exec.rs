@@ -4,7 +4,7 @@
 //! `L` state machines take turns on one OS thread, so the merge
 //! discipline is exercised but no wall-clock parallelism exists. This
 //! module is the first real execution tier — the same `L` machines run
-//! on `L` OS threads inside a [`crossbeam::thread::scope`], and the
+//! on `L` OS threads inside a [`std::thread::scope`], and the
 //! result is **byte-identical** to the modelled path (and therefore to
 //! the sequential core when `L = 1`), because the protocol moves every
 //! nondeterministic degree of freedom off the threads:
@@ -42,10 +42,10 @@ use crate::loaders::{apply_edge_decisions, apply_vertex_decisions, merge_start, 
 use crate::registry::{offline_baseline, Algorithm, Boxed, Exec, Run};
 use crate::streaming::{owner_from_assignment, VertexSeal};
 use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
-use crossbeam::channel::{Receiver, Sender};
 use sgp_graph::stream::VertexRecord;
 use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder, VertexStreamSource};
 use sgp_trace::{keys, NullSink, TraceSink};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 /// Schema version of `tests/goldens/SEND_REGISTRY`, the pinned list of
@@ -153,17 +153,17 @@ fn threaded_vertices(
 ) -> (Partitioning, u64) {
     let (l, t) = lc.clamped();
     let passes = machines.first().map(|m| m.passes()).unwrap_or(1);
-    let (global, rounds) = crossbeam::thread::scope(|scope| {
+    let (global, rounds) = std::thread::scope(|scope| {
         // Workers persist across rounds *and* passes: worker `j` owns
         // machine `j` for the whole run, so a re-streaming machine sees
         // the same call sequence as its modelled counterpart.
-        let mut work_txs: Vec<Sender<VertexWork>> = Vec::with_capacity(l);
+        let mut work_txs: Vec<SyncSender<VertexWork>> = Vec::with_capacity(l);
         let mut log_rxs: Vec<Receiver<VertexLog>> = Vec::with_capacity(l);
         let n = g.num_vertices();
         for (index, machine) in machines.into_iter().enumerate() {
-            let (work_tx, work_rx) = crossbeam::channel::bounded::<VertexWork>(1);
-            let (log_tx, log_rx) = crossbeam::channel::bounded::<VertexLog>(1);
-            scope.spawn(move |_| vertex_worker(index, n, k, machine, work_rx, log_tx));
+            let (work_tx, work_rx) = sync_channel::<VertexWork>(1);
+            let (log_tx, log_rx) = sync_channel::<VertexLog>(1);
+            scope.spawn(move || vertex_worker(index, n, k, machine, work_rx, log_tx));
             work_txs.push(work_tx);
             log_rxs.push(log_rx);
         }
@@ -200,12 +200,11 @@ fn threaded_vertices(
             }
         }
         // Disconnect the work channels: every worker's `recv` fails and
-        // it exits, letting the scope join them all.
+        // it exits, letting the scope join them all (a worker panic
+        // resurfaces from the scope as a panic here).
         drop(work_txs);
         (global, round)
-    })
-    // sgp-lint: allow(no-panic-in-lib): the scope errs only when a worker panicked, and that panic should propagate
-    .expect("threaded vertex-ingestion scope");
+    });
     (seal.apply(g, k, owner_from_assignment(global.assignment)).0, rounds)
 }
 
@@ -215,7 +214,7 @@ fn vertex_worker(
     k: usize,
     mut machine: Box<dyn VertexStreamPartitioner>,
     work: Receiver<VertexWork>,
-    log: Sender<VertexLog>,
+    log: SyncSender<VertexLog>,
 ) {
     // The worker's retained local replica: fresh-global at round 0,
     // then post-barrier global at every round after the delta replay.
@@ -243,14 +242,14 @@ fn threaded_edges(
     lc: &LoaderConfig,
 ) -> (Partitioning, u64) {
     let (l, t) = lc.clamped();
-    let (edge_parts, rounds) = crossbeam::thread::scope(|scope| {
-        let mut work_txs: Vec<Sender<EdgeWork>> = Vec::with_capacity(l);
+    let (edge_parts, rounds) = std::thread::scope(|scope| {
+        let mut work_txs: Vec<SyncSender<EdgeWork>> = Vec::with_capacity(l);
         let mut log_rxs: Vec<Receiver<EdgeLog>> = Vec::with_capacity(l);
         let n = g.num_vertices();
         for (index, machine) in machines.into_iter().enumerate() {
-            let (work_tx, work_rx) = crossbeam::channel::bounded::<EdgeWork>(1);
-            let (log_tx, log_rx) = crossbeam::channel::bounded::<EdgeLog>(1);
-            scope.spawn(move |_| edge_worker(index, n, k, machine, work_rx, log_tx));
+            let (work_tx, work_rx) = sync_channel::<EdgeWork>(1);
+            let (log_tx, log_rx) = sync_channel::<EdgeLog>(1);
+            scope.spawn(move || edge_worker(index, n, k, machine, work_rx, log_tx));
             work_txs.push(work_tx);
             log_rxs.push(log_rx);
         }
@@ -292,9 +291,7 @@ fn threaded_edges(
         }
         drop(work_txs);
         (edge_parts, round)
-    })
-    // sgp-lint: allow(no-panic-in-lib): the scope errs only when a worker panicked, and that panic should propagate
-    .expect("threaded edge-ingestion scope");
+    });
     (Partitioning::from_edge_parts(g, k, edge_parts), rounds)
 }
 
@@ -304,7 +301,7 @@ fn edge_worker(
     k: usize,
     mut machine: Box<dyn EdgeStreamPartitioner>,
     work: Receiver<EdgeWork>,
-    log: Sender<EdgeLog>,
+    log: SyncSender<EdgeLog>,
 ) {
     let mut local = EdgeStreamState::new(n, k);
     while let Ok(EdgeWork { delta, edges }) = work.recv() {

@@ -47,13 +47,12 @@ use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
 use crate::registry::{offline_baseline, Algorithm, Boxed, Exec, Run};
 use crate::streaming::{owner_from_assignment, VertexSeal};
 use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
-use serde::{Deserialize, Serialize};
 use sgp_graph::stream::VertexRecord;
 use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder, VertexStreamSource};
 use sgp_trace::NullSink;
 
 /// Configuration of the multi-loader split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoaderConfig {
     /// Number of logical parallel loaders `L` (clamped to ≥ 1).
     pub loaders: usize,

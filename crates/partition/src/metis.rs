@@ -15,7 +15,7 @@
 //! (Fig. 8) can partition the access-weighted graph with the same code.
 
 use crate::assignment::{PartitionId, Partitioning};
-use sgp_graph::sampling::{seeded_rng, shuffle};
+use sgp_graph::sampling::{seeded_rng, shuffle, Rng};
 use sgp_graph::Graph;
 
 /// Tuning knobs of the multilevel partitioner.
@@ -188,7 +188,7 @@ fn capacity(total: u64, k: usize, slack: f64) -> u64 {
 
 /// Heavy-edge matching contraction: returns the coarser graph and the
 /// fine→coarse vertex map.
-fn coarsen(wg: &WGraph, rng: &mut impl rand::Rng) -> (WGraph, Vec<u32>) {
+fn coarsen(wg: &WGraph, rng: &mut Rng) -> (WGraph, Vec<u32>) {
     let n = wg.n();
     let mut order: Vec<u32> = (0..n as u32).collect();
     shuffle(&mut order, rng);
@@ -265,12 +265,7 @@ fn coarsen(wg: &WGraph, rng: &mut impl rand::Rng) -> (WGraph, Vec<u32>) {
 }
 
 /// Greedy LDG-style initial partition of the coarsest graph.
-fn initial_partition(
-    wg: &WGraph,
-    k: usize,
-    cap: u64,
-    rng: &mut impl rand::Rng,
-) -> Vec<PartitionId> {
+fn initial_partition(wg: &WGraph, k: usize, cap: u64, rng: &mut Rng) -> Vec<PartitionId> {
     let n = wg.n();
     let mut order: Vec<u32> = (0..n as u32).collect();
     shuffle(&mut order, rng);
@@ -319,7 +314,7 @@ fn refine(
     cap: u64,
     passes: usize,
     assign: &mut [PartitionId],
-    rng: &mut impl rand::Rng,
+    rng: &mut Rng,
 ) {
     let n = wg.n();
     let mut loads = vec![0u64; k];

@@ -11,7 +11,6 @@
 //! and Bourse et al.) are provided as oracles for the property tests.
 
 use crate::assignment::Partitioning;
-use serde::{Deserialize, Serialize};
 use sgp_graph::Graph;
 
 /// Fraction of edges cut across partitions given a vertex ownership map.
@@ -115,7 +114,7 @@ pub fn expected_rf_random_vertex_cut(g: &Graph, k: usize) -> f64 {
 
 /// A full structural-quality report for one partitioning (the per-row
 /// payload behind Fig. 2 and Table 4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QualityReport {
     /// Number of partitions.
     pub k: usize,

@@ -140,7 +140,7 @@ fn gain(g: &Graph, owner: &[PartitionId], v: u32, from: PartitionId, to: Partiti
 /// the cluster means passing a longer `live` with the new slots `true`
 /// and no vertices mapped to them yet).
 ///
-/// Guarantees, pinned by the root proptests:
+/// Guarantees, pinned by the root property tests (`tests/elastic.rs`):
 /// * `moves.len() <= cfg.budget`, always;
 /// * the plan is deterministic in its inputs (byte-identical re-plans);
 /// * when the budget suffices and the strategy is greedy,

@@ -18,7 +18,6 @@ use crate::two_phase::TwoPhase;
 use crate::vertex_cut::{
     Dbh, EdgeStreamPartitioner, GridConstrained, HashEdge, Hdrf, PowerGraphGreedy,
 };
-use serde::{Deserialize, Serialize};
 use sgp_graph::{Graph, StreamOrder};
 use sgp_trace::{keys, NullSink, SpanGuardExt, TraceSink};
 
@@ -29,7 +28,7 @@ use sgp_trace::{keys, NullSink, SpanGuardExt, TraceSink};
 pub const ALGORITHM_SURFACES_SCHEMA_VERSION: u32 = 1;
 
 /// Every partitioning algorithm in the study (Table 2 names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Edge-cut hash-based random vertex placement.
     EcrHash,
@@ -63,7 +62,7 @@ pub enum Algorithm {
 }
 
 /// Input stream model of an algorithm (Table 1's "Stream" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKind {
     /// Vertex + full adjacency list.
     Vertex,
@@ -76,7 +75,7 @@ pub enum StreamKind {
 }
 
 /// Static description of an algorithm: the row it occupies in Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AlgorithmInfo {
     /// Short Table 2 abbreviation.
     pub short_name: &'static str,

@@ -6,7 +6,7 @@
 //! add, so histograms are cheap enough for per-event use inside the
 //! simulators. Quantile *estimates* are bucket-resolution: they are
 //! guaranteed to land in the same bucket as the exact rank-selected
-//! sample (see the workspace proptests), not to equal it.
+//! sample (see `tests/properties.rs`), not to equal it.
 
 /// Number of buckets: one for zero plus one per power of two.
 pub const NUM_BUCKETS: usize = 65;

@@ -3,8 +3,8 @@
 //! The format is deliberately tiny — integers and short static strings
 //! only, one event per line, fixed field order — so that identical
 //! event streams render to identical bytes on every platform (the
-//! golden-snapshot tests depend on this) without pulling a serde
-//! dependency into the observability layer.
+//! golden-snapshot tests depend on this) with no dependency in the
+//! observability layer.
 //!
 //! ```json
 //! {

@@ -22,8 +22,8 @@
 //! * Inner attributes (`#![…]`) and leading doc comments attach to the
 //!   following item's span; the span partition stays exact either way.
 //! * Attributes are read where items are: an attribute on a *statement*
-//!   or nested item inside a fn body (or inside a macro invocation such
-//!   as `proptest! { … }`) is part of that opaque body, so it never sets
+//!   or nested item inside a fn body (or inside a macro invocation's
+//!   `{ … }`) is part of that opaque body, so it never sets
 //!   [`Item::is_test`].
 
 use crate::cursor;

@@ -24,7 +24,7 @@
 //! * [`send-bound-registry`](crate::rules::SEND_BOUND_REGISTRY) — the
 //!   threaded execution backend (`sgp-partition` `src/exec.rs`) ships
 //!   values across threads, so every channel constructor there must pin
-//!   its payload type with a turbofish (`bounded::<VertexWork>(1)`),
+//!   its payload type with a turbofish (`sync_channel::<VertexWork>(1)`),
 //!   and each payload type must be audited in
 //!   `tests/goldens/SEND_REGISTRY` (one line per type, with the
 //!   justification that it is plain owned data). Stale registry entries
@@ -348,7 +348,7 @@ pub(crate) fn parse_registry(
 // ---------------------------------------------------------------------------
 
 /// Channel constructors whose payload type crosses a thread boundary.
-const CHANNEL_CTORS: &[&str] = &["channel", "bounded", "unbounded"];
+const CHANNEL_CTORS: &[&str] = &["channel", "sync_channel", "bounded", "unbounded"];
 
 /// Type names that never need a registry entry: std building blocks
 /// whose Send-ness is the compiler's problem, plus path/qualifier
@@ -388,7 +388,7 @@ fn check_send_bound_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
             }
             // `name::<…>(…)`: audit every workspace type named in the
             // turbofish. `name::ident` (a path segment, e.g. the
-            // `channel` in `crossbeam::channel::bounded`) is skipped —
+            // `mpsc` in `mpsc::sync_channel`) is skipped —
             // the final constructor segment gets checked on its own.
             let Some(lt) = turbofish_after(src, toks, i) else { continue };
             let mut depth = 1usize;

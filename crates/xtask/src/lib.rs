@@ -36,7 +36,7 @@
 //!   * `no-wallclock-in-sim` — `std::time::Instant`, `SystemTime` and
 //!     `thread_rng` are forbidden inside the deterministic simulators.
 //!   * `thread-discipline` — thread, channel and lock primitives
-//!     (`spawn`, `channel`, `Mutex`, `crossbeam`, …) are confined to
+//!     (`spawn`, `sync_channel`, `Mutex`, `mpsc`, …) are confined to
 //!     the designated execution backend (`sgp-partition`
 //!     `src/exec.rs`); everywhere else they need a justified allow.
 //!   * `atomic-ordering-policy` — atomic orderings are written

@@ -88,9 +88,9 @@ rule_table! {
          simulators; wall-clock belongs to the bench harness only";
     WORKSPACE_DEP_HYGIENE = "workspace-dep-hygiene", Error,
         "crate manifests must inherit dependencies (workspace = true, no inline versions) and \
-         opt into [workspace.lints]";
+         opt into [workspace.lints]; every [workspace.dependencies] entry is a path dependency";
     THREAD_DISCIPLINE = "thread-discipline", Error,
-        "thread, channel and lock primitives (spawn/channel/Mutex/crossbeam/…) are confined \
+        "thread, channel and lock primitives (spawn/sync_channel/Mutex/mpsc/…) are confined \
          to the designated execution backend (sgp-partition src/exec.rs); everywhere else in \
          the determinism-scoped libraries they need a justified allow";
     ATOMIC_ORDERING_POLICY = "atomic-ordering-policy", Error,
@@ -289,7 +289,7 @@ const THREAD_SYNC_TYPES: &[&str] =
     &["Mutex", "RwLock", "Condvar", "Barrier", "mpsc", "crossbeam", "parking_lot"];
 /// Function names that fire `thread-discipline` only in call position,
 /// since they are common English words in other contexts.
-const THREAD_SPAWN_CALLS: &[&str] = &["spawn", "channel", "bounded", "unbounded"];
+const THREAD_SPAWN_CALLS: &[&str] = &["spawn", "channel", "sync_channel", "bounded", "unbounded"];
 /// The atomic memory orderings policed by `atomic-ordering-policy`.
 /// `std::cmp::Ordering` variants (Less/Equal/Greater) never collide.
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -452,9 +452,23 @@ pub fn check_crate_root_attrs(cx: &Analysis<'_>, mi: usize, out: &mut Findings<'
 const DEP_SECTIONS: &[&str] = &["dependencies", "dev-dependencies", "build-dependencies"];
 
 /// Checks the root manifest: `[workspace.lints]` must exist so member
-/// `[lints] workspace = true` tables have something to inherit.
+/// `[lints] workspace = true` tables have something to inherit, and
+/// every `[workspace.dependencies]` entry must be a `path` dependency —
+/// members can only inherit, so this is what keeps the workspace
+/// buildable with no registry.
 pub fn check_root_manifest(ws: &Workspace, out: &mut Findings<'_>) {
     let m = &ws.root_manifest;
+    for e in m.section("workspace.dependencies").iter().flat_map(|s| &s.entries) {
+        // `name = { path = ".." }` or the dotted `name.path = ".."`.
+        if !(e.key.ends_with(".path") || e.value.contains("path")) {
+            let msg = format!(
+                "[workspace.dependencies] entry `{}` has no `path` — the workspace names no \
+                 registry crates, so it builds and tests offline",
+                e.key
+            );
+            out.report(&WORKSPACE_DEP_HYGIENE, &m.rel, e.line, msg);
+        }
+    }
     let has_lints = m
         .sections
         .iter()
@@ -643,10 +657,12 @@ mod tests {
             vec![("thread-discipline".into(), 1)]
         );
         // Turbofish constructor calls are call position too.
-        assert_eq!(
-            lint_tokens("fn f() { let (tx, rx) = bounded::<u32>(1); }"),
-            vec![("thread-discipline".into(), 1)]
-        );
+        for ctor in ["bounded", "sync_channel"] {
+            assert_eq!(
+                lint_tokens(&format!("fn f() {{ let (tx, rx) = {ctor}::<u32>(1); }}")),
+                vec![("thread-discipline".into(), 1)]
+            );
+        }
         // Mere mentions are not: a local named `channel`, a spawn-ish
         // fn name, or `bounded` in prose/comment positions.
         assert!(lint_tokens("fn f() { let channel = 3; }").is_empty());

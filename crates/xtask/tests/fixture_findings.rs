@@ -56,6 +56,11 @@ fn fixture_findings_match_exactly() {
             mark_line(ENGINE_TOML, "MARK-inline-version"),
         ),
         ("workspace-dep-hygiene".into(), ENGINE_TOML.into(), 0),
+        (
+            "workspace-dep-hygiene".into(),
+            "Cargo.toml".into(),
+            mark_line("Cargo.toml", "MARK-registry-dep"),
+        ),
         // Crate-root attribute policy (reported at line 1).
         ("crate-attr-policy".into(), ENGINE_LIB.into(), 1),
         // Hash containers, including use-declarations and test files.
@@ -314,7 +319,7 @@ fn fixture_findings_match_exactly() {
         "finding set mismatch\nactual:\n{:#?}\nexpected:\n{:#?}",
         actual, expected
     );
-    assert_eq!(report.errors(), 54);
+    assert_eq!(report.errors(), 55);
     assert_eq!(report.warnings(), 2);
     assert_eq!(report.exit_code(), 1, "seeded fixture must fail the lint");
 
@@ -375,7 +380,7 @@ fn json_output_is_stable_and_wellformed() {
     let b = sgp_xtask::render_json(&report);
     assert_eq!(a, b, "rendering is deterministic");
     assert!(a.starts_with("{\n  \"version\": 1,\n"));
-    assert!(a.contains("\"errors\": 54"));
+    assert!(a.contains("\"errors\": 55"));
     assert!(a.contains("\"warnings\": 2"));
     assert!(a.contains("\"rule\": \"no-hash-iteration\""));
     // Findings arrive sorted by (file, line, rule): the manifest file

@@ -1,10 +1,10 @@
-//! Elasticity proptests: snapshot→restore→continue is bit-identical to
-//! an uninterrupted run for every algorithm × chunking, same-seed
+//! Elasticity property tests: snapshot→restore→continue is bit-identical
+//! to an uninterrupted run for every algorithm × chunking, same-seed
 //! membership plans reproduce byte-identical recovery reports, and
 //! bounded-movement migration never exceeds its budget while restoring
 //! balance whenever the budget allows.
 
-use proptest::prelude::*;
+use sgp_graph::sampling::check_cases;
 use std::sync::OnceLock;
 use streaming_graph_partitioning::prelude::*;
 
@@ -115,44 +115,38 @@ fn sim_cfg() -> FaultSimConfig {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Interrupting any algorithm at any chunk boundary, serializing,
-    /// restoring into a fresh machine, and finishing the stream there
-    /// yields exactly the partitioning of the uninterrupted run.
-    #[test]
-    fn restore_then_continue_matches_uninterrupted(
-        seed in any::<u64>(),
-        chunk in 8usize..48,
-        cut in 1usize..5,
-    ) {
+/// Interrupting any algorithm at any chunk boundary, serializing,
+/// restoring into a fresh machine, and finishing the stream there
+/// yields exactly the partitioning of the uninterrupted run.
+#[test]
+fn restore_then_continue_matches_uninterrupted() {
+    check_cases(8, |rng| {
+        let seed = rng.next_u64();
+        let chunk = rng.range(8..48);
+        let cut = rng.range(1..5);
         let g = graph();
         let cfg = PartitionerConfig::new(4);
         let order = StreamOrder::Random { seed };
         for &alg in Algorithm::all() {
             let whole = facade_run(g, alg, &cfg, order, chunk);
             let (resumed, crossed) = interrupted(g, alg, &cfg, order, chunk, cut);
-            prop_assert!(crossed, "cut {} never reached for {}", cut, alg);
-            prop_assert_eq!(&whole.vertex_owner, &resumed.vertex_owner, "owners differ: {}", alg);
-            prop_assert_eq!(&whole.edge_parts, &resumed.edge_parts, "edge parts differ: {}", alg);
+            assert!(crossed, "cut {} never reached for {}", cut, alg);
+            assert_eq!(&whole.vertex_owner, &resumed.vertex_owner, "owners differ: {}", alg);
+            assert_eq!(&whole.edge_parts, &resumed.edge_parts, "edge parts differ: {}", alg);
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Same membership plan + same elastic record counts ⇒ the recovery
-    /// DES reproduces bit-for-bit: two runs serialize to byte-identical
-    /// report JSON, for every event kind, schedule, and data volume.
-    #[test]
-    fn same_seed_membership_plan_reproduces_report_json(
-        seed in any::<u64>(),
-        kind in 0u8..3,
-        at_ns in 1u64..3_000_000,
-        records in 0u64..4_000,
-    ) {
+/// Same membership plan + same elastic record counts ⇒ the recovery
+/// DES reproduces bit-for-bit: two runs print identical `{:?}`
+/// reports, for every event kind, schedule, and data volume.
+#[test]
+fn same_seed_membership_plan_reproduces_report() {
+    check_cases(16, |rng| {
+        let seed = rng.next_u64();
+        let kind = rng.below(3);
+        let at_ns = 1 + rng.below(2_999_999);
+        let records = rng.below(4_000);
         let (sim, mirrors) = fixture();
         let machine = 3u32;
         let plan = match kind {
@@ -167,23 +161,21 @@ proptest! {
                 .expect("three machines survive")
         };
         let (a, b) = (run(), run());
-        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        if let (Ok(ja), Ok(jb)) = (serde_json::to_string(&a), serde_json::to_string(&b)) {
-            prop_assert_eq!(ja, jb, "reports must serialize byte-identically");
-        }
-    }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    });
+}
 
-    /// The migration planner never exceeds its movement budget; with an
-    /// unconstrained budget it always restores balance — the evacuated
-    /// partition ends empty and the reported loads match replaying the
-    /// move list.
-    #[test]
-    fn migration_budget_is_respected_and_balance_restored_when_feasible(
-        seed in any::<u64>(),
-        k in 2usize..6,
-        victim_raw in 0usize..6,
-        budget in 0usize..64,
-    ) {
+/// The migration planner never exceeds its movement budget; with an
+/// unconstrained budget it always restores balance — the evacuated
+/// partition ends empty and the reported loads match replaying the
+/// move list.
+#[test]
+fn migration_budget_is_respected_and_balance_restored_when_feasible() {
+    check_cases(16, |rng| {
+        let seed = rng.next_u64();
+        let k = rng.range(2..6);
+        let victim_raw = rng.range(0..6);
+        let budget = rng.range(0..64);
         let victim = victim_raw % k;
         let g = graph();
         let cfg = PartitionerConfig::new(k);
@@ -194,7 +186,7 @@ proptest! {
 
         let bounded =
             plan_rebalance(g, &owner, &live, &MigrationConfig { budget, ..Default::default() });
-        prop_assert!(
+        assert!(
             bounded.moves.len() <= budget,
             "{} moves exceed budget {}",
             bounded.moves.len(),
@@ -202,12 +194,12 @@ proptest! {
         );
 
         let unbounded = plan_rebalance(g, &owner, &live, &MigrationConfig::default());
-        prop_assert!(unbounded.balance_restored, "unbounded plan must restore balance");
+        assert!(unbounded.balance_restored, "unbounded plan must restore balance");
         let replanned = plan_rebalance(g, &owner, &live, &MigrationConfig::default());
-        prop_assert_eq!(&unbounded.moves, &replanned.moves, "re-planning must be deterministic");
+        assert_eq!(&unbounded.moves, &replanned.moves, "re-planning must be deterministic");
 
         let after = unbounded.apply(&owner);
-        prop_assert!(
+        assert!(
             after.iter().all(|&q| (q as usize) != victim),
             "evacuated partition still owns vertices"
         );
@@ -215,6 +207,6 @@ proptest! {
         for &q in &after {
             loads[q as usize] += 1;
         }
-        prop_assert_eq!(&loads, &unbounded.loads_after, "reported loads disagree with the moves");
-    }
+        assert_eq!(&loads, &unbounded.loads_after, "reported loads disagree with the moves");
+    });
 }

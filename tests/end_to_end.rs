@@ -41,17 +41,6 @@ fn full_online_pipeline_on_snb() {
 }
 
 #[test]
-fn partitioning_roundtrips_through_serde() {
-    let graph = Dataset::UsaRoad.generate(Scale::Tiny);
-    let config = PartitionerConfig::new(4);
-    let p = partition(&graph, Algorithm::Ldg, &config, StreamOrder::default());
-    let json = serde_json::to_string(&p).expect("serialize");
-    let back: Partitioning = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(p.edge_parts, back.edge_parts);
-    assert_eq!(p.vertex_owner, back.vertex_owner);
-}
-
-#[test]
 fn graph_io_roundtrip_preserves_partitionable_structure() {
     let graph = Dataset::Twitter.generate(Scale::Tiny);
     let mut buf = Vec::new();
