@@ -17,7 +17,7 @@
 //! * [`trace_scenarios`] — the canonical traced workloads behind the
 //!   `trace` experiment, the `--trace` flag, and the golden-snapshot
 //!   tests (DESIGN.md §9).
-//! * [`report`] — plain-text table rendering and JSON export.
+//! * [`report`] — plain-text table rendering.
 //! * [`error`] — the shared [`SgpError`] type for fallible framework
 //!   paths (config parsing, serialization, I/O).
 //!

@@ -1,4 +1,4 @@
-//! Plain-text table rendering and JSON export for experiment results.
+//! Plain-text table rendering for experiment results.
 
 /// A simple fixed-width text table builder for paper-style output.
 #[derive(Debug, Clone, Default)]

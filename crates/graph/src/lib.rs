@@ -21,8 +21,8 @@
 //!   stream in several orders (random, BFS, DFS, natural);
 //! * [`generators`]: deterministic synthetic generators standing in for
 //!   the paper's datasets (Twitter, UK2007-05, USA-Road, LDBC SNB);
-//! * [`sampling`]: Zipf and other samplers used by generators and by the
-//!   skewed online-query workloads;
+//! * [`sampling`]: the workspace RNG, and the Zipf and other samplers used
+//!   by generators and by the skewed online-query workloads;
 //! * [`stats`]: dataset characteristics à la the paper's Table 3;
 //! * [`io`]: a plain-text edge-list format for persistence.
 //!

@@ -1,4 +1,9 @@
-//! Deterministic samplers used by generators and workload drivers.
+//! The workspace RNG and the deterministic samplers used by generators
+//! and workload drivers.
+//!
+//! [`Rng`] is the only sequential generator in the workspace (fault plans
+//! use the counter-keyed `sgp_fault::rng` instead); [`check_cases`] runs
+//! the property tests on it.
 //!
 //! The online-query experiments of the paper (§6.3) depend on *workload
 //! skew*: a minority of start vertices receive the majority of queries.

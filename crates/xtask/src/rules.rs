@@ -462,7 +462,7 @@ pub fn check_root_manifest(ws: &Workspace, out: &mut Findings<'_>) {
         // `name = { path = ".." }` or the dotted `name.path = ".."`.
         if !(e.key.ends_with(".path") || e.value.contains("path")) {
             let msg = format!(
-                "[workspace.dependencies] entry `{}` has no `path` — the workspace names no \
+                "[workspace.dependencies] entry `{}` has no `path`: the workspace names no \
                  registry crates, so it builds and tests offline",
                 e.key
             );

@@ -174,9 +174,8 @@ fn migration_budget_is_respected_and_balance_restored_when_feasible() {
     check_cases(16, |rng| {
         let seed = rng.next_u64();
         let k = rng.range(2..6);
-        let victim_raw = rng.range(0..6);
+        let victim = rng.index(k);
         let budget = rng.range(0..64);
-        let victim = victim_raw % k;
         let g = graph();
         let cfg = PartitionerConfig::new(k);
         let p = partition(g, Algorithm::Ldg, &cfg, StreamOrder::Random { seed });

@@ -138,7 +138,8 @@ fn replica_sets_cover_edges_and_master() {
 fn edge_cut_ratio_bounds() {
     check_cases(64, |rng| {
         let g = arb_graph(rng);
-        let alg = Algorithm::online_suite()[rng.index(Algorithm::online_suite().len())];
+        let suite = Algorithm::online_suite();
+        let alg = suite[rng.index(suite.len())];
         let cfg = PartitionerConfig::new(4);
         let p = partition(&g, alg, &cfg, StreamOrder::Natural);
         let ecr = metrics::edge_cut_ratio(&g, &p).expect("edge-cut algorithm");
@@ -241,7 +242,7 @@ fn hash_algorithms_order_independent() {
 #[test]
 fn imbalance_properties() {
     check_cases(64, |rng| {
-        let counts = (0..rng.range(1..20)).map(|_| rng.range(1..1000)).collect::<Vec<_>>();
+        let counts: Vec<usize> = (0..rng.range(1..20)).map(|_| rng.range(1..1000)).collect();
         let imb = metrics::load_imbalance(&counts);
         assert!(imb >= 1.0 - 1e-12);
         let doubled: Vec<usize> = counts.iter().map(|&c| c * 2).collect();
@@ -279,7 +280,9 @@ fn trace_spans_are_well_nested_for_random_workloads() {
 #[test]
 fn histogram_quantile_within_one_bucket_of_exact() {
     check_cases(64, |rng| {
-        let mut samples = (0..rng.range(1..200)).map(|_| rng.next_u64()).collect::<Vec<_>>();
+        // Random bit widths, so every bucket is exercised, not just the top few.
+        let mut samples: Vec<u64> =
+            (0..rng.range(1..200)).map(|_| rng.next_u64() >> rng.index(64)).collect();
         let q = rng.unit();
         let mut h = Log2Histogram::new();
         for &s in &samples {
