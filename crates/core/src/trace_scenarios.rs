@@ -66,7 +66,7 @@ fn traced_partition<S: TraceSink>(g: &Graph, algorithm: Algorithm, sink: &mut S)
     let cfg = PartitionerConfig::new(SCENARIO_MACHINES);
     Run { algorithm, cfg: &cfg, order: default_order(), exec: Exec::Sequential }
         .execute(g, sink)
-        // sgp-lint: allow(no-panic-in-lib): RunError only refuses loader runs; Exec::Sequential has no error path
+        // sgp-lint: allow(no-panic-in-lib): RunError refuses loader windows and FENNEL gamma < 1; this is a sequential run under the default gamma 1.5
         .expect("a sequential run cannot be refused")
 }
 

@@ -15,6 +15,7 @@
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
 use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
+use crate::kernels::LoadTermMemo;
 use sgp_graph::stream::VertexRecord;
 
 /// LDG with the partition-size term replaced by an arbitrary vertex
@@ -26,6 +27,8 @@ pub struct AttributeLdg {
     capacity: f64,
     loads: Vec<u64>,
     assigned: Vec<PartitionId>,
+    /// Scratch neighbour histogram reused across vertices (DESIGN.md §13).
+    hist: Vec<usize>,
 }
 
 impl AttributeLdg {
@@ -47,6 +50,7 @@ impl AttributeLdg {
             capacity,
             loads: vec![0; cfg.k],
             assigned: vec![PartitionId::MAX; n],
+            hist: Vec::new(),
         }
     }
 
@@ -58,10 +62,10 @@ impl AttributeLdg {
 
 impl VertexStreamPartitioner for AttributeLdg {
     fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
-        let hist = state.neighbor_histogram(&rec.neighbors, self.k);
+        state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
         let w = self.attribute[rec.vertex as usize];
         let mut best: Option<(f64, u64, usize)> = None;
-        for (i, &h) in hist.iter().enumerate() {
+        for (i, &h) in self.hist.iter().enumerate() {
             let load = self.loads[i];
             if (load + w) as f64 > self.capacity {
                 continue;
@@ -118,6 +122,10 @@ pub struct AttributeFennel {
     per_vertex_unit: f64,
     capacity: f64,
     loads: Vec<u64>,
+    /// Scratch neighbour histogram reused across vertices (DESIGN.md §13).
+    hist: Vec<usize>,
+    /// The load penalty per partition, recomputed when `loads[i]` moves.
+    load_penalty: LoadTermMemo,
 }
 
 impl AttributeFennel {
@@ -139,22 +147,26 @@ impl AttributeFennel {
             assigned: vec![PartitionId::MAX; attribute.len()],
             attribute,
             loads: vec![0; cfg.k],
+            hist: Vec::new(),
+            load_penalty: LoadTermMemo::new(cfg.k),
         }
     }
 }
 
 impl VertexStreamPartitioner for AttributeFennel {
     fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
-        let hist = state.neighbor_histogram(&rec.neighbors, self.k);
+        state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
         let w = self.attribute[rec.vertex as usize];
         let mut best: Option<(f64, u64, usize)> = None;
-        for (i, &h) in hist.iter().enumerate() {
+        for (i, &h) in self.hist.iter().enumerate() {
             let load = self.loads[i];
             if (load + w) as f64 > self.capacity {
                 continue;
             }
-            let equivalent_vertices = load as f64 / self.per_vertex_unit;
-            let penalty = self.alpha * self.gamma * equivalent_vertices.powf(self.gamma - 1.0);
+            let penalty = self.load_penalty.get(i, load, |load| {
+                let equivalent_vertices = load as f64 / self.per_vertex_unit;
+                self.alpha * self.gamma * equivalent_vertices.powf(self.gamma - 1.0)
+            });
             let score = h as f64 - penalty;
             let candidate = (score, load, i);
             best = Some(match best {

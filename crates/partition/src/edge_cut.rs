@@ -37,19 +37,12 @@ impl VertexStreamState {
     }
 
     /// Counts, for each partition, how many of `neighbors` are already
-    /// placed there — the `|P_i ∩ N(u)|` term of LDG and FENNEL. Returns
-    /// a dense `k`-length histogram. Unplaced neighbours contribute
-    /// nothing; repeated neighbours (and self-loops of an already-placed
-    /// vertex) count once per occurrence.
-    pub fn neighbor_histogram(&self, neighbors: &[u32], k: usize) -> Vec<usize> {
-        let mut hist = Vec::new();
-        self.neighbor_histogram_into(neighbors, k, &mut hist);
-        hist
-    }
-
-    /// [`neighbor_histogram`](Self::neighbor_histogram) into a caller
-    /// scratch buffer — the zero-alloc form the hot placement loops use
-    /// (DESIGN.md §13). Clears and resizes `hist` to `k`.
+    /// placed there — the `|P_i ∩ N(u)|` term of LDG and FENNEL — into
+    /// the caller's scratch buffer, cleared and resized to a dense
+    /// `k`-length histogram (the zero-alloc form every `place` body uses,
+    /// DESIGN.md §13). Unplaced neighbours contribute nothing; repeated
+    /// neighbours (and self-loops of an already-placed vertex) count once
+    /// per occurrence.
     pub fn neighbor_histogram_into(&self, neighbors: &[u32], k: usize, hist: &mut Vec<usize>) {
         hist.clear();
         hist.resize(k, 0);
@@ -229,7 +222,11 @@ impl VertexStreamPartitioner for Ldg {
 /// with γ = 1.5 and α = √k·m/n^1.5 by default. The additive load term
 /// relaxes LDG's hard constraint; like the original implementation we
 /// still respect the (k, β) capacity so the produced partitioning
-/// satisfies Eq. (1).
+/// satisfies Eq. (1). The load term depends on `|P_i|` alone, so it is
+/// evaluated once per size change, not once per record and partition
+/// (DESIGN.md §13); γ ≥ 1 is required (see [`RunError`]).
+///
+/// [`RunError`]: crate::registry::RunError
 #[derive(Debug, Clone)]
 pub struct Fennel {
     k: usize,
@@ -241,6 +238,8 @@ pub struct Fennel {
     hist: Vec<usize>,
     /// Scratch score column handed to the shared argmax kernel.
     scores: Vec<f64>,
+    /// `α·γ·|P_i|^(γ−1)` per partition, recomputed when `|P_i|` moves.
+    load_penalty: kernels::LoadTermMemo,
 }
 
 impl Fennel {
@@ -254,6 +253,7 @@ impl Fennel {
             stats: DecisionStats::default(),
             hist: Vec::new(),
             scores: vec![0.0; cfg.k],
+            load_penalty: kernels::LoadTermMemo::new(cfg.k),
         }
     }
 }
@@ -266,7 +266,9 @@ impl VertexStreamPartitioner for Fennel {
             self.scores[i] = if (size as f64) >= self.capacity {
                 kernels::SKIP
             } else {
-                let load_penalty = self.alpha * self.gamma * (size as f64).powf(self.gamma - 1.0);
+                let load_penalty = self.load_penalty.get(i, size as u64, |size| {
+                    self.alpha * self.gamma * (size as f64).powf(self.gamma - 1.0)
+                });
                 h as f64 - load_penalty
             };
         }
@@ -358,10 +360,16 @@ fn argmin_size(sizes: &[usize]) -> PartitionId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loaders::{partition_multi_loader, run_modelled, LoaderConfig};
     use crate::metrics;
-    use crate::streaming::run_vertex_stream;
-    use sgp_graph::generators::{erdos_renyi, snb_social, ErdosRenyiConfig, SnbConfig};
-    use sgp_graph::{Graph, GraphBuilder, StreamOrder};
+    use crate::registry::{Algorithm, Boxed};
+    use crate::snapshot::restore_into;
+    use crate::streaming::{run_vertex_stream, StreamingPartitioner, VertexSeal};
+    use sgp_graph::generators::{
+        erdos_renyi, road_grid, snb_social, ErdosRenyiConfig, RoadConfig, SnbConfig,
+    };
+    use sgp_graph::sampling::{check_cases, Rng};
+    use sgp_graph::{Graph, GraphBuilder, StreamOrder, VertexStreamSource};
     use sgp_trace::NullSink;
 
     fn cfg(k: usize) -> PartitionerConfig {
@@ -393,23 +401,26 @@ mod tests {
         // itself is placed — at first-placement time it is unassigned
         // and contributes zero.
         let mut state = VertexStreamState::new(6, 3);
+        let hist = |state: &VertexStreamState, neighbors: &[u32]| {
+            // A dirty scratch buffer: cleared and resized to exactly k
+            // before counting.
+            let mut scratch = vec![99usize; 7];
+            state.neighbor_histogram_into(neighbors, 3, &mut scratch);
+            scratch
+        };
         state.assign(0, 0);
         state.assign(1, 2);
         state.assign(2, 2);
         // Vertex 5 arrives: neighbours 0 (placed on 0), 1 and 2 (placed
         // on 2), 1 repeated, unplaced 3 and 4, and itself (unplaced).
-        assert_eq!(state.neighbor_histogram(&[0, 1, 2, 1, 3, 4, 5], 3), vec![1, 0, 3]);
+        assert_eq!(hist(&state, &[0, 1, 2, 1, 3, 4, 5]), vec![1, 0, 3]);
         // Once 5 is placed, its self-loop occurrences count like any
         // other placed neighbour — the re-streaming case.
         state.assign(5, 1);
-        assert_eq!(state.neighbor_histogram(&[5, 5, 3], 3), vec![0, 2, 0]);
+        assert_eq!(hist(&state, &[5, 5, 3]), vec![0, 2, 0]);
         // No neighbours → all-zero histogram, still dense length k.
-        assert_eq!(state.neighbor_histogram(&[], 3), vec![0, 0, 0]);
-        // The zero-alloc form clears and resizes a dirty scratch buffer
-        // to exactly k before counting.
-        let mut scratch = vec![99usize; 7];
-        state.neighbor_histogram_into(&[0, 5], 3, &mut scratch);
-        assert_eq!(scratch, vec![1, 1, 0]);
+        assert_eq!(hist(&state, &[]), vec![0, 0, 0]);
+        assert_eq!(hist(&state, &[0, 5]), vec![1, 1, 0]);
     }
 
     #[test]
@@ -584,5 +595,301 @@ mod tests {
         let p =
             run_vertex_stream(&g, &mut Ldg::new(&c, 10), 3, StreamOrder::Natural, &mut NullSink);
         assert!(p.vertex_owner.unwrap().iter().all(|&x| x < 3));
+    }
+
+    /// Textbook FENNEL, Eq. (5) written once more and kept apart from the
+    /// production machine: its own histogram per record, the `powf` load
+    /// term recomputed per partition per record, its own ε-fold (ties to
+    /// the smaller partition, then the lower index), no shared scratch.
+    #[derive(Debug, Clone)]
+    struct ReferenceFennel {
+        alpha: f64,
+        gamma: f64,
+        capacity: f64,
+        stats: DecisionStats,
+    }
+
+    impl ReferenceFennel {
+        fn new(cfg: &PartitionerConfig, n: usize, m: usize) -> Self {
+            ReferenceFennel {
+                alpha: cfg.resolved_fennel_alpha(n, m),
+                gamma: cfg.fennel_gamma,
+                capacity: cfg.vertex_capacity(n).max(1.0),
+                stats: DecisionStats::default(),
+            }
+        }
+    }
+
+    impl VertexStreamPartitioner for ReferenceFennel {
+        fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+            let k = state.sizes.len();
+            let mut hist = vec![0usize; k];
+            for &w in &rec.neighbors {
+                let p = state.assignment[w as usize];
+                if p != UNASSIGNED {
+                    hist[p as usize] += 1;
+                }
+            }
+            // (score, size, index) of the best partition below capacity.
+            let mut best: Option<(f64, usize, usize)> = None;
+            for (i, &size) in state.sizes.iter().enumerate() {
+                if size as f64 >= self.capacity {
+                    continue;
+                }
+                let penalty = self.alpha * self.gamma * (size as f64).powf(self.gamma - 1.0);
+                let score = hist[i] as f64 - penalty;
+                best = match best {
+                    None => Some((score, size, i)),
+                    Some((b, _, _)) if score > b + 1e-12 => Some((score, size, i)),
+                    Some((b, b_size, _)) if (score - b).abs() <= 1e-12 && size < b_size => {
+                        self.stats.balance_tiebreaks += 1;
+                        Some((score, size, i))
+                    }
+                    kept => kept,
+                };
+            }
+            let i = best.map(|(_, _, i)| i).unwrap_or_else(|| {
+                self.stats.capacity_fallbacks += 1;
+                (0..k).min_by_key(|&i| (state.sizes[i], i)).unwrap()
+            });
+            i as PartitionId
+        }
+
+        fn name(&self) -> &'static str {
+            "FNL"
+        }
+
+        fn decision_stats(&self) -> DecisionStats {
+            self.stats
+        }
+
+        fn snapshot_records(&self) -> Vec<(&'static str, String)> {
+            self.stats.snapshot_records()
+        }
+
+        fn restore_record(&mut self, key: &str, value: &str) -> bool {
+            self.stats.restore_record(key, value)
+        }
+    }
+
+    /// A graph for the twin grid: a random multigraph with self-loops
+    /// and isolated vertices, a perturbed lattice, or an SNB-like
+    /// community graph.
+    fn twin_graph(rng: &mut Rng) -> Graph {
+        match rng.index(3) {
+            0 => {
+                let n = rng.range(2..300);
+                let mut b = GraphBuilder::new().ensure_vertices(n);
+                for _ in 0..rng.range(0..4 * n) {
+                    b.push_edge(rng.index(n) as u32, rng.index(n) as u32);
+                }
+                b.build()
+            }
+            1 => road_grid(RoadConfig {
+                width: rng.range(2..18),
+                height: rng.range(2..18),
+                seed: rng.next_u64(),
+                ..RoadConfig::default()
+            }),
+            _ => snb_social(SnbConfig {
+                persons: rng.range(50..300),
+                communities: rng.range(1..12),
+                avg_friends: 6.0,
+                seed: rng.next_u64(),
+                ..SnbConfig::default()
+            }),
+        }
+    }
+
+    /// Drives a facade over every pass of `g` in `chunk`-sized chunks,
+    /// replacing the machine by `restore` of its own snapshot after chunk
+    /// `cut`; returns the sealed owners, that snapshot, and the snapshot
+    /// taken just before the seal.
+    fn facade_with_restore<'g>(
+        g: &'g Graph,
+        mut sp: StreamingPartitioner<'g>,
+        order: StreamOrder,
+        (chunk, cut): (usize, usize),
+        restore: impl Fn(&str) -> StreamingPartitioner<'g>,
+    ) -> (Option<Vec<PartitionId>>, String, String) {
+        let mut source = VertexStreamSource::new(g, order);
+        let (mut buf, mut fed, mut mid) = (Vec::new(), 0, String::new());
+        for _ in 0..sp.passes() {
+            source.restart();
+            while source.next_chunk(chunk, &mut buf) > 0 {
+                sp.ingest_vertices(&buf).unwrap();
+                fed += 1;
+                if fed == cut {
+                    mid = sp.snapshot();
+                    sp = restore(&mid);
+                }
+            }
+            sp.flush_window();
+        }
+        let end = sp.snapshot();
+        (sp.seal().vertex_owner, mid, end)
+    }
+
+    /// What the twin grid compared and where the two machines differed.
+    #[derive(Default)]
+    struct Tally {
+        configurations: usize,
+        comparisons: usize,
+        mismatches: Vec<String>,
+    }
+
+    impl Tally {
+        fn expect_eq<T: PartialEq>(&mut self, what: &str, at: &str, production: T, reference: T) {
+            self.comparisons += 1;
+            if production != reference {
+                self.mismatches.push(format!("{what} at {at}"));
+            }
+        }
+    }
+
+    const TWIN_KS: [usize; 6] = [1, 2, 16, 64, 65, 130];
+    const TWIN_GAMMAS: [f64; 4] = [1.0, 1.1, 1.5, 2.0];
+    const TWIN_ALPHAS: [Option<f64>; 3] = [None, Some(0.0), Some(7.5)];
+
+    /// The FENNEL twin differential (ROADMAP item 3(b), FENNEL only):
+    /// production `Fennel` — its load-term memo included — against
+    /// [`ReferenceFennel`] on `cases` graphs × every `StreamOrder` × `ks`
+    /// × `gammas` × every α × {1 pass, 5-pass restream}. Each
+    /// configuration compares the sequential owners and `DecisionStats`,
+    /// the facade run through a mid-stream snapshot and restore (the
+    /// production memo is rebuilt, never restored: owners, and the
+    /// snapshot text at the cut and before the seal, byte for byte), and
+    /// the modelled loaders at L ∈ {2, 4}.
+    fn twin_grid(cases: u64, ks: &[usize], gammas: &[f64]) -> Tally {
+        let mut tally = Tally::default();
+        check_cases(cases, |rng| {
+            let g = twin_graph(rng);
+            let (n, m) = (g.num_vertices(), g.num_edges());
+            let orders = [
+                StreamOrder::Natural,
+                StreamOrder::Random { seed: rng.next_u64() },
+                StreamOrder::Bfs,
+                StreamOrder::Dfs,
+                StreamOrder::BfsFrom { start: rng.index(n) as VertexId },
+                StreamOrder::DfsFrom { start: rng.index(n) as VertexId },
+            ];
+            for order in orders {
+                for &k in ks {
+                    for &fennel_gamma in gammas {
+                        for fennel_alpha in TWIN_ALPHAS {
+                            let cfg = PartitionerConfig {
+                                fennel_gamma,
+                                fennel_alpha,
+                                ..PartitionerConfig::new(k)
+                            };
+                            for (algorithm, passes) in
+                                [(Algorithm::Fennel, 1), (Algorithm::RestreamFennel, 5)]
+                            {
+                                let chunk = rng.range(1..48);
+                                let cut = rng.range(1..passes * n.div_ceil(chunk) + 1);
+                                let at = format!(
+                                    "n={n} m={m} {order:?} k={k} γ={fennel_gamma} \
+                                     α={fennel_alpha:?} passes={passes} chunk={chunk} cut={cut}"
+                                );
+                                tally.configurations += 1;
+                                twin_configuration(
+                                    &mut tally,
+                                    &at,
+                                    &g,
+                                    &cfg,
+                                    order,
+                                    (algorithm, passes),
+                                    (chunk, cut),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        });
+        tally
+    }
+
+    fn twin_configuration(
+        tally: &mut Tally,
+        at: &str,
+        g: &Graph,
+        cfg: &PartitionerConfig,
+        order: StreamOrder,
+        (algorithm, passes): (Algorithm, usize),
+        cut: (usize, usize),
+    ) {
+        let (n, m, k) = (g.num_vertices(), g.num_edges(), cfg.k);
+        let reference = Restream::new(ReferenceFennel::new(cfg, n, m), passes);
+        let reference_machines = || {
+            let reference = reference.clone();
+            Boxed::Vertex(Box::new(move || Box::new(reference.clone())), VertexSeal::EdgeCut)
+        };
+
+        let mut production = Restream::new(Fennel::new(cfg, n, m), passes);
+        let mut twin = reference.clone();
+        let seq = run_vertex_stream(g, &mut production, k, order, &mut NullSink).vertex_owner;
+        let twin_seq = run_vertex_stream(g, &mut twin, k, order, &mut NullSink).vertex_owner;
+        tally.expect_eq("sequential owners", at, &seq, &twin_seq);
+        tally.expect_eq("DecisionStats", at, production.decision_stats(), twin.decision_stats());
+
+        let (owners, mid, end) = facade_with_restore(
+            g,
+            StreamingPartitioner::init(g, algorithm, cfg),
+            order,
+            cut,
+            |text| StreamingPartitioner::restore(g, algorithm, cfg, text).unwrap(),
+        );
+        let (twin_owners, twin_mid, twin_end) = facade_with_restore(
+            g,
+            StreamingPartitioner::with_machines(g, algorithm, cfg, reference_machines()),
+            order,
+            cut,
+            |text| {
+                let fresh =
+                    StreamingPartitioner::with_machines(g, algorithm, cfg, reference_machines());
+                restore_into(fresh, text).unwrap()
+            },
+        );
+        tally.expect_eq("restored owners", at, &owners, &twin_owners);
+        tally.expect_eq("restored owners vs one-shot", at, &owners, &seq);
+        tally.expect_eq("snapshot text at the cut", at, mid, twin_mid);
+        tally.expect_eq("snapshot text before the seal", at, end, twin_end);
+
+        for loaders in [2, 4] {
+            let lc = LoaderConfig::new(loaders).with_sync_interval(8);
+            let par = partition_multi_loader(g, algorithm, cfg, order, &lc).vertex_owner;
+            let twin_par = run_modelled(g, k, reference_machines(), order, &lc).vertex_owner;
+            tally.expect_eq("loader owners", at, par, twin_par);
+        }
+    }
+
+    fn assert_no_twin_mismatch(tally: &Tally) {
+        println!(
+            "FENNEL twin: {} configurations, {} comparisons, {} mismatches",
+            tally.configurations,
+            tally.comparisons,
+            tally.mismatches.len()
+        );
+        assert!(
+            tally.mismatches.is_empty(),
+            "{} mismatches, first: {:?}",
+            tally.mismatches.len(),
+            &tally.mismatches[..tally.mismatches.len().min(5)]
+        );
+    }
+
+    /// The slice of the twin grid that runs under `cargo test`.
+    #[test]
+    fn fennel_matches_its_textbook_twin() {
+        assert_no_twin_mismatch(&twin_grid(2, &[1, 16, 65], &[1.0, 1.5]));
+    }
+
+    /// The full twin grid: `cargo test --release -p sgp-partition --lib
+    /// -- --ignored` (CI runs it on every push).
+    #[test]
+    #[ignore = "full grid; run in release"]
+    fn fennel_matches_its_textbook_twin_full_grid() {
+        assert_no_twin_mismatch(&twin_grid(8, &TWIN_KS, &TWIN_GAMMAS));
     }
 }

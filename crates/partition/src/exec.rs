@@ -107,6 +107,8 @@ struct EdgeLog {
 /// `cfg.window` is ignored here, as it always was (loaders place on
 /// arrival); [`Run::execute`] refuses a window above 1 under
 /// [`Exec::Threads`] with a typed error instead.
+/// Likewise a FENNEL γ below 1 runs unchecked here (empty partitions
+/// score as saturated); `Run::execute` refuses it.
 pub fn partition_threaded(
     g: &Graph,
     algorithm: Algorithm,

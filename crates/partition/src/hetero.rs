@@ -68,6 +68,8 @@ impl ClusterProfile {
 pub struct HeteroLdg {
     profile: ClusterProfile,
     capacities: Vec<f64>,
+    /// Scratch neighbour histogram reused across vertices (DESIGN.md §13).
+    hist: Vec<usize>,
 }
 
 impl HeteroLdg {
@@ -78,16 +80,16 @@ impl HeteroLdg {
     pub fn new(cfg: &PartitionerConfig, profile: ClusterProfile, n: usize) -> Self {
         assert_eq!(profile.k(), cfg.k, "profile must cover every partition");
         let capacities = (0..cfg.k).map(|i| profile.capacity(i, n, cfg.balance_slack)).collect();
-        HeteroLdg { profile, capacities }
+        HeteroLdg { profile, capacities, hist: Vec::new() }
     }
 }
 
 impl VertexStreamPartitioner for HeteroLdg {
     fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
         let k = self.profile.k();
-        let hist = state.neighbor_histogram(&rec.neighbors, k);
+        state.neighbor_histogram_into(&rec.neighbors, k, &mut self.hist);
         let mut best: Option<(f64, f64, usize)> = None; // (score, fill for tie-break, index)
-        for (i, &h) in hist.iter().enumerate() {
+        for (i, &h) in self.hist.iter().enumerate() {
             let size = state.sizes[i] as f64;
             if size >= self.capacities[i] {
                 continue;

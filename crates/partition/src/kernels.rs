@@ -64,6 +64,37 @@ pub(crate) fn epsilon_argmax(
     best
 }
 
+/// A k-sized memo of a score term that depends on a partition's load
+/// alone (FENNEL's `α·γ·|P_i|^(γ−1)`): entry `i` is recomputed only when
+/// the load it is asked for differs from the one it last saw, so a
+/// placement that moves at most two loads costs at most two evaluations
+/// instead of k. Keyed on the load it reads, never filled ahead, so it
+/// stays correct under loader merges, restream passes and snapshot
+/// restore; it is derived state and never enters a snapshot.
+#[derive(Debug, Clone)]
+pub(crate) struct LoadTermMemo {
+    load: Vec<u64>,
+    term: Vec<f64>,
+}
+
+impl LoadTermMemo {
+    /// An empty memo for `k` partitions (no load is `u64::MAX`).
+    pub(crate) fn new(k: usize) -> Self {
+        LoadTermMemo { load: vec![u64::MAX; k], term: vec![0.0; k] }
+    }
+
+    /// `term(load)` for partition `i`, evaluated only if `load` changed
+    /// since partition `i` was last asked — the same `f64` bits either way.
+    #[inline]
+    pub(crate) fn get(&mut self, i: usize, load: u64, term: impl FnOnce(u64) -> f64) -> f64 {
+        if self.load[i] != load {
+            self.load[i] = load;
+            self.term[i] = term(load);
+        }
+        self.term[i]
+    }
+}
+
 /// Index of the smallest load (ties → lower index): the strict-improve
 /// ascending scan form of `min_by_key`, shared by the capacity
 /// fallbacks of the vertex-stream heuristics.
@@ -171,6 +202,25 @@ mod tests {
         let mut ties = 0;
         assert_eq!(epsilon_argmax(&[SKIP, SKIP], &[0, 0], &mut ties), None);
         assert_eq!(ties, 0);
+    }
+
+    #[test]
+    fn load_term_memo_evaluates_once_per_load_change() {
+        let mut memo = LoadTermMemo::new(2);
+        let mut evals = 0;
+        let mut get = |memo: &mut LoadTermMemo, i, load| {
+            memo.get(i, load, |l| {
+                evals += 1;
+                (l as f64).powf(0.5)
+            })
+        };
+        assert_eq!(get(&mut memo, 0, 4), 2.0);
+        assert_eq!(get(&mut memo, 0, 4), 2.0);
+        assert_eq!(get(&mut memo, 1, 4), 2.0);
+        assert_eq!(get(&mut memo, 0, 9), 3.0);
+        // A load that moves back is recomputed, not remembered.
+        assert_eq!(get(&mut memo, 0, 4), 2.0);
+        assert_eq!(evals, 4);
     }
 
     #[test]

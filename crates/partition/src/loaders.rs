@@ -94,6 +94,8 @@ impl LoaderConfig {
 /// `cfg.window` is ignored here, as it always was (loaders place on
 /// arrival); [`Run::execute`] refuses a window above 1 under
 /// [`Exec::Loaders`] with a typed error instead.
+/// Likewise a FENNEL γ below 1 runs unchecked here (empty partitions
+/// score as saturated); `Run::execute` refuses it.
 pub fn partition_multi_loader(
     g: &Graph,
     algorithm: Algorithm,

@@ -445,7 +445,7 @@ pub enum Exec<'a> {
 }
 
 /// Why a [`Run`] was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RunError {
     /// A look-ahead window `W > 1` was combined with parallel loaders.
     /// Loaders place every element on arrival against stale shared
@@ -455,12 +455,29 @@ pub enum RunError {
         /// The configured [`PartitionerConfig::window`].
         window: usize,
     },
+    /// A FENNEL-family run (`FNL`, `reFNL`) with a γ that is non-finite
+    /// or below 1. For γ < 1 an empty partition's load term
+    /// `α·γ·0^(γ−1)` is `+∞`, so its score is the capacity-saturated
+    /// sentinel and the empty partition is treated as full.
+    FennelGamma {
+        /// The configured [`PartitionerConfig::fennel_gamma`].
+        gamma: f64,
+    },
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let RunError::WindowedLoaders { window } = self;
-        write!(f, "a look-ahead window of {window} cannot be combined with parallel loaders")
+        match self {
+            RunError::WindowedLoaders { window } => {
+                write!(
+                    f,
+                    "a look-ahead window of {window} cannot be combined with parallel loaders"
+                )
+            }
+            RunError::FennelGamma { gamma } => {
+                write!(f, "FENNEL needs a finite gamma >= 1, got {gamma}")
+            }
+        }
     }
 }
 
@@ -490,16 +507,26 @@ impl Run<'_> {
     /// the algorithm's position in [`Algorithm::all`], stamps are logical
     /// element counts) and flushes the per-algorithm decision counters —
     /// balance tie-breaks, hybrid degree-threshold hits, vertex-cut
-    /// mirror creations; it honours [`PartitionerConfig::window`] and
-    /// cannot fail. A threaded run counts its worker threads
+    /// mirror creations; it honours [`PartitionerConfig::window`]. A
+    /// threaded run counts its worker threads
     /// ([`keys::PARTITION_EXEC_THREADS`]) and synchronization rounds
     /// ([`keys::PARTITION_EXEC_BARRIER_ROUNDS`]). Algorithms without
     /// [loader support](Algorithm::supports_parallel_loaders) run
     /// sequentially under either loader mode.
+    ///
+    /// Refused, under any `exec`: a window above 1 with loaders
+    /// ([`RunError::WindowedLoaders`]), and FENNEL or re-FENNEL with a
+    /// `fennel_gamma` that is non-finite or below 1
+    /// ([`RunError::FennelGamma`]).
     pub fn execute<S: TraceSink>(&self, g: &Graph, sink: &mut S) -> Result<Partitioning, RunError> {
         let window = self.cfg.window;
         if window > 1 && !matches!(self.exec, Exec::Sequential) {
             return Err(RunError::WindowedLoaders { window });
+        }
+        let gamma = self.cfg.fennel_gamma;
+        let fennel = matches!(self.algorithm, Algorithm::Fennel | Algorithm::RestreamFennel);
+        if fennel && !(gamma.is_finite() && gamma >= 1.0) {
+            return Err(RunError::FennelGamma { gamma });
         }
         Ok(self.run(g, window, sink))
     }
@@ -534,6 +561,10 @@ impl Run<'_> {
 
 /// Runs `algorithm` on `g` sequentially with the shared config and
 /// stream order, untraced; the entry point the experiment harness uses.
+///
+/// Unchecked: a FENNEL γ below 1 runs as it always did (empty
+/// partitions score as saturated); [`Run::execute`] refuses it with
+/// [`RunError::FennelGamma`] instead.
 pub fn partition(
     g: &Graph,
     algorithm: Algorithm,
@@ -651,6 +682,56 @@ mod tests {
             assert_eq!(p, bits(partition(&g, algorithm, &windowed, order)), "{algorithm}");
             assert_ne!(p, bits(partition(&g, algorithm, &plain, order)), "{algorithm}: W = 7 vs 1");
         }
+    }
+
+    /// γ < 1 made an empty partition's FENNEL score `−∞`, the
+    /// capacity-saturated sentinel: on this lattice the parent counted
+    /// one capacity fallback per empty partition (8) with none full.
+    /// The general entry now refuses such a γ for the FENNEL family
+    /// under every exec; γ ≥ 1 runs with no fallback, and the other
+    /// algorithms never read γ.
+    #[test]
+    fn fennel_gamma_below_one_is_refused_not_read_as_saturation() {
+        use sgp_graph::generators::{road_grid, RoadConfig};
+        use sgp_trace::CollectingSink;
+        let g = road_grid(RoadConfig { width: 40, height: 40, ..RoadConfig::default() });
+        let lc = LoaderConfig::new(2);
+        let with_gamma =
+            |gamma| PartitionerConfig { fennel_gamma: gamma, ..PartitionerConfig::new(8) };
+        for algorithm in [Algorithm::Fennel, Algorithm::RestreamFennel] {
+            for gamma in [0.5, 0.9, 1.0 - f64::EPSILON, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            {
+                let cfg = with_gamma(gamma);
+                for exec in [Exec::Sequential, Exec::Loaders(&lc), Exec::Threads(&lc)] {
+                    let run = Run { algorithm, cfg: &cfg, order: StreamOrder::Bfs, exec };
+                    match run.execute(&g, &mut NullSink) {
+                        Err(RunError::FennelGamma { gamma: got }) => {
+                            assert_eq!(got.to_bits(), gamma.to_bits(), "{algorithm}")
+                        }
+                        other => panic!("{algorithm} γ = {gamma}: {:?}", other.map(|p| p.k)),
+                    }
+                }
+            }
+            for gamma in [1.0, 1.5] {
+                let cfg = with_gamma(gamma);
+                let run =
+                    Run { algorithm, cfg: &cfg, order: StreamOrder::Bfs, exec: Exec::Sequential };
+                let mut sink = CollectingSink::new();
+                run.execute(&g, &mut sink).expect("γ ≥ 1 is accepted");
+                assert_eq!(
+                    sink.counter_total(keys::PARTITION_CAPACITY_FALLBACKS),
+                    0,
+                    "{algorithm}"
+                );
+            }
+        }
+        let ldg = Run {
+            algorithm: Algorithm::Ldg,
+            cfg: &with_gamma(0.5),
+            order: StreamOrder::Bfs,
+            exec: Exec::Sequential,
+        };
+        assert!(ldg.execute(&g, &mut NullSink).is_ok(), "LDG never reads γ");
     }
 
     #[test]

@@ -197,7 +197,15 @@ pub fn read_snapshot<'g>(
     cfg: &PartitionerConfig,
     text: &str,
 ) -> Result<StreamingPartitioner<'g>, SnapshotError> {
-    let mut sp = StreamingPartitioner::init(g, algorithm, cfg);
+    restore_into(StreamingPartitioner::init(g, algorithm, cfg), text)
+}
+
+/// [`read_snapshot`] onto a freshly initialized machine `sp`.
+pub(crate) fn restore_into<'g>(
+    mut sp: StreamingPartitioner<'g>,
+    text: &str,
+) -> Result<StreamingPartitioner<'g>, SnapshotError> {
+    let (g, algorithm) = (sp.graph(), sp.algorithm());
     let expected_kind = match sp.input() {
         StreamInput::Vertices => "vertex",
         StreamInput::Edges => "edge",

@@ -563,7 +563,19 @@ pub struct StreamingPartitioner<'g> {
 impl<'g> StreamingPartitioner<'g> {
     /// Initializes the state machine for `algorithm` over `g`.
     pub fn init(g: &'g Graph, algorithm: Algorithm, cfg: &PartitionerConfig) -> Self {
-        let machine = match algorithm.boxed(g, cfg) {
+        Self::with_machines(g, algorithm, cfg, algorithm.boxed(g, cfg))
+    }
+
+    /// [`init`](StreamingPartitioner::init) around the given machine
+    /// maker instead of the table's — the twin tests put a textbook
+    /// machine behind the same facade and snapshot format.
+    pub(crate) fn with_machines(
+        g: &'g Graph,
+        algorithm: Algorithm,
+        cfg: &PartitionerConfig,
+        machines: Boxed,
+    ) -> Self {
+        let machine = match machines {
             Boxed::Vertex(make, seal) => {
                 Machine::Vertex { core: VertexIngest::init(make(), g.num_vertices(), cfg.k), seal }
             }
