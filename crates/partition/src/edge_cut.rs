@@ -358,7 +358,7 @@ fn argmin_size(sizes: &[usize]) -> PartitionId {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::loaders::{partition_multi_loader, run_modelled, LoaderConfig};
     use crate::metrics;
@@ -730,16 +730,22 @@ mod tests {
         (sp.seal().vertex_owner, mid, end)
     }
 
-    /// What the twin grid compared and where the two machines differed.
+    /// What a twin grid compared and where production and twin differed.
     #[derive(Default)]
-    struct Tally {
-        configurations: usize,
+    pub(crate) struct Tally {
+        pub(crate) configurations: usize,
         comparisons: usize,
         mismatches: Vec<String>,
     }
 
     impl Tally {
-        fn expect_eq<T: PartialEq>(&mut self, what: &str, at: &str, production: T, reference: T) {
+        pub(crate) fn expect_eq<T: PartialEq>(
+            &mut self,
+            what: &str,
+            at: &str,
+            production: T,
+            reference: T,
+        ) {
             self.comparisons += 1;
             if production != reference {
                 self.mismatches.push(format!("{what} at {at}"));
@@ -864,9 +870,9 @@ mod tests {
         }
     }
 
-    fn assert_no_twin_mismatch(tally: &Tally) {
+    pub(crate) fn assert_no_twin_mismatch(twin: &str, tally: &Tally) {
         println!(
-            "FENNEL twin: {} configurations, {} comparisons, {} mismatches",
+            "{twin} twin: {} configurations, {} comparisons, {} mismatches",
             tally.configurations,
             tally.comparisons,
             tally.mismatches.len()
@@ -882,7 +888,7 @@ mod tests {
     /// The slice of the twin grid that runs under `cargo test`.
     #[test]
     fn fennel_matches_its_textbook_twin() {
-        assert_no_twin_mismatch(&twin_grid(2, &[1, 16, 65], &[1.0, 1.5]));
+        assert_no_twin_mismatch("FENNEL", &twin_grid(2, &[1, 16, 65], &[1.0, 1.5]));
     }
 
     /// The full twin grid: `cargo test --release -p sgp-partition --lib
@@ -890,6 +896,6 @@ mod tests {
     #[test]
     #[ignore = "full grid; run in release"]
     fn fennel_matches_its_textbook_twin_full_grid() {
-        assert_no_twin_mismatch(&twin_grid(8, &TWIN_KS, &TWIN_GAMMAS));
+        assert_no_twin_mismatch("FENNEL", &twin_grid(8, &TWIN_KS, &TWIN_GAMMAS));
     }
 }

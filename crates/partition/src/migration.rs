@@ -259,34 +259,36 @@ fn plan_rebalance_greedy(
     // Phase 2 — greedy highest-gain balance moves: repeatedly pull the
     // best vertex off the most-loaded live partition until every load
     // is within the cap (or the budget runs out).
-    while !budget_hit {
-        let src = (0..k)
-            .filter(|&p| live[p] && loads[p] > cap)
-            .max_by_key(|&p| (loads[p], std::cmp::Reverse(p)));
-        let Some(src) = src else {
-            break;
-        };
-        if plan.moves.len() >= cfg.budget {
-            break;
-        }
-        // Best (gain, lowest id) vertex currently on `src`.
-        let mut choice: Option<(i64, u32, PartitionId)> = None;
-        for v in 0..n as u32 {
-            if current[v as usize] != src as PartitionId {
-                continue;
-            }
-            let Some(to) = pick_target(&current, &loads, v, src as PartitionId) else {
-                continue;
+    if !budget_hit {
+        loop {
+            let src = (0..k)
+                .filter(|&p| live[p] && loads[p] > cap)
+                .max_by_key(|&p| (loads[p], std::cmp::Reverse(p)));
+            let Some(src) = src else {
+                break;
             };
-            let score = gain(g, &current, v, src as PartitionId, to);
-            if choice.is_none_or(|(best, _, _)| score > best) {
-                choice = Some((score, v, to));
+            if plan.moves.len() >= cfg.budget {
+                break;
             }
+            // Best (gain, lowest id) vertex currently on `src`.
+            let mut choice: Option<(i64, u32, PartitionId)> = None;
+            for v in 0..n as u32 {
+                if current[v as usize] != src as PartitionId {
+                    continue;
+                }
+                let Some(to) = pick_target(&current, &loads, v, src as PartitionId) else {
+                    continue;
+                };
+                let score = gain(g, &current, v, src as PartitionId, to);
+                if choice.is_none_or(|(best, _, _)| score > best) {
+                    choice = Some((score, v, to));
+                }
+            }
+            let Some((_, v, to)) = choice else {
+                break;
+            };
+            apply(&mut plan, &mut current, &mut loads, v, to);
         }
-        let Some((_, v, to)) = choice else {
-            break;
-        };
-        apply(&mut plan, &mut current, &mut loads, v, to);
     }
 
     let dead_empty = (0..k).all(|p| live[p] || loads[p] == 0);
