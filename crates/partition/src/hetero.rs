@@ -17,7 +17,7 @@
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
 use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
-use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
+use crate::vertex_cut::{hdrf_score_column, EdgeStreamPartitioner, EdgeStreamState};
 use sgp_graph::stream::VertexRecord;
 use sgp_graph::Edge;
 
@@ -127,12 +127,15 @@ impl VertexStreamPartitioner for HeteroLdg {
 }
 
 /// Capacity-weighted HDRF: Eq. (7) with the balance term computed on the
-/// *relative fill* `|e(P_i)| / C_i` of each machine.
+/// *relative fill* `|e(P_i)| / C_i` of each machine. The score column
+/// comes from HDRF's own builder; the fold is a strict `>` scan with no
+/// tie epsilon.
 #[derive(Debug, Clone)]
 pub struct HeteroHdrf {
-    profile: ClusterProfile,
     lambda: f64,
     capacities: Vec<f64>,
+    /// Scratch score column reused across edges (DESIGN.md §13).
+    scores: Vec<f64>,
 }
 
 impl HeteroHdrf {
@@ -143,27 +146,16 @@ impl HeteroHdrf {
     pub fn new(cfg: &PartitionerConfig, profile: ClusterProfile, m: usize) -> Self {
         assert_eq!(profile.k(), cfg.k, "profile must cover every partition");
         let capacities = (0..cfg.k).map(|i| profile.capacity(i, m, cfg.balance_slack)).collect();
-        HeteroHdrf { profile, lambda: cfg.hdrf_lambda, capacities }
+        HeteroHdrf { lambda: cfg.hdrf_lambda, capacities, scores: vec![0.0; cfg.k] }
     }
 }
 
 impl EdgeStreamPartitioner for HeteroHdrf {
     fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
-        let k = self.profile.k();
-        let du = state.partial_degree(e.src) as f64 + 1.0;
-        let dv = state.partial_degree(e.dst) as f64 + 1.0;
-        let theta_u = du / (du + dv);
-        let theta_v = 1.0 - theta_u;
+        let capacities = &self.capacities;
+        hdrf_score_column(&mut self.scores, e, state, self.lambda, |i| capacities[i], [None, None]);
         let mut best = (f64::NEG_INFINITY, 0 as PartitionId);
-        for i in 0..k {
-            let fill = state.edge_counts[i] as f64 / self.capacities[i];
-            let mut score = self.lambda * (1.0 - fill);
-            if state.has_replica(e.src, i as PartitionId) {
-                score += 1.0 + (1.0 - theta_u);
-            }
-            if state.has_replica(e.dst, i as PartitionId) {
-                score += 1.0 + (1.0 - theta_v);
-            }
+        for (i, &score) in self.scores.iter().enumerate() {
             if score > best.0 {
                 best = (score, i as PartitionId);
             }

@@ -29,6 +29,9 @@ use sgp_graph::Edge;
 /// Sentinel for a vertex the clustering pass has not seen yet.
 const UNVISITED: u32 = u32::MAX;
 
+/// Home-table sentinel for a vertex with no cluster home.
+const NO_HOME: PartitionId = PartitionId::MAX;
+
 /// Streaming clustering state of pass one: a union-find over vertices
 /// with per-cluster volume (edge-endpoint count) capped at `2m/k`, plus
 /// the cluster → partition map computed when the pass completes.
@@ -48,6 +51,10 @@ struct ClusterPass {
     /// sorted by root id.
     cluster_part: Vec<(u32, PartitionId)>,
     finalized: bool,
+    /// Dense cluster home per vertex (`NO_HOME` if it has none), built
+    /// from `cluster_part` on the first placement after `finalize` or a
+    /// restore; derived state that never enters a snapshot.
+    home: Option<Vec<PartitionId>>,
 }
 
 impl ClusterPass {
@@ -61,6 +68,7 @@ impl ClusterPass {
             observed: 0,
             cluster_part: Vec::new(),
             finalized: false,
+            home: None,
         }
     }
 
@@ -146,18 +154,35 @@ impl ClusterPass {
         self.cluster_part = assigned;
     }
 
-    /// The cluster home of `v`, once finalized; `None` for vertices the
-    /// clustering never saw.
-    fn target(&mut self, v: u32) -> Option<PartitionId> {
-        if (v as usize) < self.parent.len() && self.parent[v as usize] != UNVISITED {
-            let root = self.find(v);
-            return self
-                .cluster_part
-                .binary_search_by_key(&root, |&(r, _)| r)
-                .ok()
-                .map(|i| self.cluster_part[i].1);
+    /// The dense cluster-home table, finalizing the pass and building
+    /// the table on first use: entry `v` is the partition of `v`'s root
+    /// in `cluster_part`, `NO_HOME` for vertices the clustering never saw.
+    fn homes(&mut self) -> &[PartitionId] {
+        self.finalize();
+        if self.home.is_none() {
+            let home = (0..self.parent.len() as u32)
+                .map(|v| {
+                    if self.parent[v as usize] == UNVISITED {
+                        return NO_HOME;
+                    }
+                    let root = self.resolve(v);
+                    match self.cluster_part.binary_search_by_key(&root, |&(r, _)| r) {
+                        Ok(i) => self.cluster_part[i].1,
+                        Err(_) => NO_HOME,
+                    }
+                })
+                .collect();
+            self.home = Some(home);
         }
-        None
+        self.home.as_deref().unwrap_or_default()
+    }
+
+    /// The cluster homes of `e`'s endpoints, once finalized; `None` for
+    /// vertices the clustering never saw.
+    fn targets(&mut self, e: Edge) -> [Option<PartitionId>; 2] {
+        let home = self.homes();
+        let of = |v: u32| home.get(v as usize).copied().filter(|&p| p != NO_HOME);
+        [of(e.src), of(e.dst)]
     }
 
     /// Read-only root lookup (no path compression) for snapshotting:
@@ -191,6 +216,74 @@ impl ClusterPass {
 
     fn cluster_part_record(&self) -> String {
         self.cluster_part.iter().map(|&(r, p)| format!("{r}:{p}")).collect::<Vec<_>>().join(",")
+    }
+
+    /// Appends the pass's canonical snapshot records to `records`.
+    fn push_records(&self, records: &mut Vec<(&'static str, String)>) {
+        if self.observed > 0 {
+            records.push(("2ps.observed", self.observed.to_string()));
+        }
+        let parents = self.parent_record();
+        if !parents.is_empty() {
+            records.push(("2ps.parent", parents));
+        }
+        let volumes = self.volume_record();
+        if !volumes.is_empty() {
+            records.push(("2ps.vol", volumes));
+        }
+        if self.finalized {
+            records.push(("2ps.cpart", self.cluster_part_record()));
+        }
+    }
+
+    /// Restores one `2ps.*` record; `false` for an unknown key or an
+    /// unparsable value. Drops the home table, which the next placement
+    /// rebuilds from the restored forest and cluster map.
+    fn restore_record(&mut self, key: &str, value: &str) -> bool {
+        self.home = None;
+        match key {
+            "2ps.observed" => match value.parse() {
+                Ok(v) if v <= self.total_edges => {
+                    self.observed = v;
+                    true
+                }
+                _ => false,
+            },
+            "2ps.parent" => match parse_pairs(value) {
+                Some(pairs) if pairs.iter().all(|&(_, root)| root < u64::from(UNVISITED)) => {
+                    for (v, root) in pairs {
+                        self.ensure(v);
+                        self.ensure(root as u32);
+                        self.parent[v as usize] = root as u32;
+                    }
+                    true
+                }
+                _ => false,
+            },
+            "2ps.vol" => match parse_pairs(value) {
+                Some(pairs) => {
+                    for (root, vol) in pairs {
+                        self.ensure(root);
+                        self.volume[root as usize] = vol;
+                    }
+                    true
+                }
+                None => false,
+            },
+            "2ps.cpart" => match parse_pairs(value) {
+                Some(pairs) => {
+                    if pairs.iter().any(|&(_, p)| p >= self.k as u64) {
+                        return false;
+                    }
+                    self.cluster_part =
+                        pairs.into_iter().map(|(r, p)| (r, p as PartitionId)).collect();
+                    self.finalized = true;
+                    true
+                }
+                None => false,
+            },
+            _ => false,
+        }
     }
 }
 
@@ -231,10 +324,7 @@ impl TwoPhase {
 impl EdgeStreamPartitioner for TwoPhase {
     fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
         let targets = match &mut self.clustering {
-            Some(c) => {
-                c.finalize();
-                [c.target(e.src), c.target(e.dst)]
-            }
+            Some(c) => c.targets(e),
             None => [None, None],
         };
         self.inner.place_with_affinity(e, state, targets)
@@ -272,85 +362,116 @@ impl EdgeStreamPartitioner for TwoPhase {
     fn snapshot_records(&self) -> Vec<(&'static str, String)> {
         let mut records = self.inner.snapshot_records();
         if let Some(c) = &self.clustering {
-            if c.observed > 0 {
-                records.push(("2ps.observed", c.observed.to_string()));
-            }
-            let parents = c.parent_record();
-            if !parents.is_empty() {
-                records.push(("2ps.parent", parents));
-            }
-            let volumes = c.volume_record();
-            if !volumes.is_empty() {
-                records.push(("2ps.vol", volumes));
-            }
-            if c.finalized {
-                records.push(("2ps.cpart", c.cluster_part_record()));
-            }
+            c.push_records(&mut records);
         }
         records
     }
 
     fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        let Some(c) = &mut self.clustering else {
-            return self.inner.restore_record(key, value);
-        };
-        match key {
-            "2ps.observed" => match value.parse() {
-                Ok(v) if v <= c.total_edges => {
-                    c.observed = v;
-                    true
-                }
-                _ => false,
-            },
-            "2ps.parent" => match parse_pairs(value) {
-                Some(pairs) if pairs.iter().all(|&(_, root)| root < u64::from(UNVISITED)) => {
-                    for (v, root) in pairs {
-                        c.ensure(v);
-                        c.ensure(root as u32);
-                        c.parent[v as usize] = root as u32;
-                    }
-                    true
-                }
-                _ => false,
-            },
-            "2ps.vol" => match parse_pairs(value) {
-                Some(pairs) => {
-                    for (root, vol) in pairs {
-                        c.ensure(root);
-                        c.volume[root as usize] = vol;
-                    }
-                    true
-                }
-                None => false,
-            },
-            "2ps.cpart" => match parse_pairs(value) {
-                Some(pairs) => {
-                    if pairs.iter().any(|&(_, p)| p >= c.k as u64) {
-                        return false;
-                    }
-                    c.cluster_part =
-                        pairs.into_iter().map(|(r, p)| (r, p as PartitionId)).collect();
-                    c.finalized = true;
-                    true
-                }
-                None => false,
-            },
+        match &mut self.clustering {
+            Some(c) if key.starts_with("2ps.") => c.restore_record(key, value),
             _ => self.inner.restore_record(key, value),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metrics;
     use crate::streaming::run_edge_stream;
+    use crate::vertex_cut::tests::ReferenceHdrf;
     use sgp_graph::generators::{rmat, RmatConfig};
     use sgp_graph::{Graph, StreamOrder};
     use sgp_trace::NullSink;
 
     fn graph() -> Graph {
         rmat(RmatConfig { scale: 10, edge_factor: 10, ..RmatConfig::default() })
+    }
+
+    /// Textbook 2PS for the HDRF twin grid: the same clustering pass and
+    /// snapshot records, but each endpoint's cluster home is looked up per
+    /// edge — `find` with path compression, then a binary search over
+    /// `cluster_part` — and scored by [`ReferenceHdrf`]'s probe loop.
+    #[derive(Debug, Clone)]
+    pub(crate) struct ReferenceTwoPhase {
+        inner: ReferenceHdrf,
+        clustering: Option<ClusterPass>,
+    }
+
+    impl ReferenceTwoPhase {
+        pub(crate) fn new(cfg: &PartitionerConfig, m: usize) -> Self {
+            ReferenceTwoPhase {
+                inner: ReferenceHdrf::new(cfg, m),
+                clustering: cfg.two_phase_clustering.then(|| ClusterPass::new(cfg.k, m)),
+            }
+        }
+    }
+
+    fn reference_target(c: &mut ClusterPass, v: u32) -> Option<PartitionId> {
+        if (v as usize) < c.parent.len() && c.parent[v as usize] != UNVISITED {
+            let root = c.find(v);
+            return c
+                .cluster_part
+                .binary_search_by_key(&root, |&(r, _)| r)
+                .ok()
+                .map(|i| c.cluster_part[i].1);
+        }
+        None
+    }
+
+    impl EdgeStreamPartitioner for ReferenceTwoPhase {
+        fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
+            let targets = match &mut self.clustering {
+                Some(c) => {
+                    c.finalize();
+                    [reference_target(c, e.src), reference_target(c, e.dst)]
+                }
+                None => [None, None],
+            };
+            self.inner.place_with_affinity(e, state, targets)
+        }
+
+        fn name(&self) -> &'static str {
+            "2PS"
+        }
+
+        fn passes(&self) -> usize {
+            if self.clustering.is_some() {
+                2
+            } else {
+                1
+            }
+        }
+
+        fn observing(&self) -> bool {
+            self.clustering.as_ref().is_some_and(|c| c.observed < c.total_edges)
+        }
+
+        fn observe(&mut self, e: Edge) {
+            if let Some(c) = &mut self.clustering {
+                c.observe(e);
+            }
+        }
+
+        fn decision_stats(&self) -> DecisionStats {
+            self.inner.decision_stats()
+        }
+
+        fn snapshot_records(&self) -> Vec<(&'static str, String)> {
+            let mut records = self.inner.snapshot_records();
+            if let Some(c) = &self.clustering {
+                c.push_records(&mut records);
+            }
+            records
+        }
+
+        fn restore_record(&mut self, key: &str, value: &str) -> bool {
+            match &mut self.clustering {
+                Some(c) if key.starts_with("2ps.") => c.restore_record(key, value),
+                _ => self.inner.restore_record(key, value),
+            }
+        }
     }
 
     fn observe_all(tp: &mut TwoPhase, g: &Graph) {
@@ -392,9 +513,10 @@ mod tests {
         assert!(c.finalized);
         assert!(!c.cluster_part.is_empty());
         assert!(c.cluster_part.iter().all(|&(_, p)| (p as usize) < 6));
+        let home = c.homes();
         for v in g.vertices() {
             if g.degree(v) > 0 {
-                assert!(c.target(v).is_some(), "vertex {v} has no cluster home");
+                assert_ne!(home[v as usize], NO_HOME, "vertex {v} has no cluster home");
             }
         }
     }
@@ -453,6 +575,51 @@ mod tests {
             tp.observe(e);
             restored.observe(e);
         }
+        assert_eq!(restored.snapshot_records(), tp.snapshot_records());
+    }
+
+    #[test]
+    fn snapshot_records_round_trip_mid_pass_two() {
+        let g = graph();
+        let (k, m) = (8, g.num_edges());
+        let cfg = PartitionerConfig::new(k);
+        let mut tp = TwoPhase::new(&cfg, m);
+        observe_all(&mut tp, &g);
+        // Compress every path, so the in-memory forest is flatter than
+        // anything the pass built on its own; the snapshot still carries
+        // only resolved roots.
+        let c = tp.clustering.as_mut().unwrap();
+        for v in 0..c.parent.len() as u32 {
+            if c.parent[v as usize] != UNVISITED {
+                c.find(v);
+            }
+        }
+        let edges: Vec<Edge> = g.edges().collect();
+        let (head, tail) = edges.split_at(m / 3);
+        let mut state = EdgeStreamState::new(g.num_vertices(), k);
+        for &e in head {
+            let p = tp.place(e, &state);
+            state.record(e, p);
+        }
+        let records = tp.snapshot_records();
+        assert!(records.iter().any(|(key, _)| *key == "2ps.cpart"), "pass one is finalized");
+
+        let mut restored = TwoPhase::new(&cfg, m);
+        for (key, value) in &records {
+            assert!(restored.restore_record(key, value), "restore failed for {key}");
+        }
+        assert!(restored.clustering.as_ref().unwrap().home.is_none(), "the home table is derived");
+        assert_eq!(restored.snapshot_records(), records);
+        let mut restored_state = state.clone();
+        for &e in tail {
+            let p = tp.place(e, &state);
+            state.record(e, p);
+            let q = restored.place(e, &restored_state);
+            restored_state.record(e, q);
+            assert_eq!(q, p, "restored machine diverged at {e:?}");
+        }
+        let (a, b) = (tp.clustering.as_mut().unwrap(), restored.clustering.as_mut().unwrap());
+        assert_eq!(a.homes(), b.homes(), "the rebuilt home table matches the original");
         assert_eq!(restored.snapshot_records(), tp.snapshot_records());
     }
 

@@ -532,7 +532,6 @@ impl EdgeStreamPartitioner for PowerGraphGreedy {
 /// plain greedy on BFS-ordered streams.
 #[derive(Debug, Clone)]
 pub struct Hdrf {
-    k: usize,
     lambda: f64,
     capacity: f64,
     stats: DecisionStats,
@@ -544,7 +543,6 @@ impl Hdrf {
     /// Creates HDRF for a graph with `m` edges.
     pub fn new(cfg: &PartitionerConfig, m: usize) -> Self {
         Hdrf {
-            k: cfg.k,
             lambda: cfg.hdrf_lambda,
             capacity: cfg.edge_capacity(m).max(1.0),
             stats: DecisionStats::default(),
@@ -555,42 +553,20 @@ impl Hdrf {
     /// HDRF's Eq. (7) scoring with an optional per-endpoint cluster
     /// affinity bonus: each `Some(p)` in `targets` adds `+1.0` to
     /// partition `p`'s score, the way 2PS biases its assignment pass
-    /// toward the endpoint's cluster home. With `[None, None]` the loop
-    /// performs exactly the same float operations as plain HDRF, so the
-    /// two are bit-identical (pinned by the dynamic-graph differentials).
+    /// toward the endpoint's cluster home. With `[None, None]` the column
+    /// holds exactly the same floats as plain HDRF, so the two are
+    /// bit-identical (pinned by the dynamic-graph differentials).
     pub(crate) fn place_with_affinity(
         &mut self,
         e: Edge,
         state: &EdgeStreamState,
         targets: [Option<PartitionId>; 2],
     ) -> PartitionId {
-        // Partial degrees +1 so the very first edge of a vertex does not
-        // divide by zero (the HDRF reference implementation does the same).
-        let du = state.partial_degree(e.src) as f64 + 1.0;
-        let dv = state.partial_degree(e.dst) as f64 + 1.0;
-        let theta_u = du / (du + dv);
-        let theta_v = 1.0 - theta_u;
-        // Fill the dense score column, then let the shared kernel pick
-        // the winner — same float ops, same 1e-12 tie discipline as the
-        // historical in-line fold (see kernels.rs for the seed-equivalence
-        // argument vs the old `(NEG_INFINITY, 0)` start).
-        for i in 0..self.k as PartitionId {
-            let mut score =
-                self.lambda * (1.0 - state.edge_counts[i as usize] as f64 / self.capacity);
-            if state.has_replica(e.src, i) {
-                score += 1.0 + (1.0 - theta_u);
-            }
-            if state.has_replica(e.dst, i) {
-                score += 1.0 + (1.0 - theta_v);
-            }
-            if targets[0] == Some(i) {
-                score += 1.0;
-            }
-            if targets[1] == Some(i) {
-                score += 1.0;
-            }
-            self.scores[i as usize] = score;
-        }
+        let capacity = self.capacity;
+        hdrf_score_column(&mut self.scores, e, state, self.lambda, |_| capacity, targets);
+        // Same 1e-12 tie discipline as the historical in-line fold (see
+        // kernels.rs for the seed-equivalence argument vs the old
+        // `(NEG_INFINITY, 0)` start).
         crate::kernels::epsilon_argmax(
             &self.scores,
             &state.edge_counts,
@@ -598,6 +574,44 @@ impl Hdrf {
         )
         .map(|i| i as PartitionId)
         .unwrap_or(0)
+    }
+}
+
+/// Fills `scores` (length k) with HDRF's Eq. (7) column for edge `e`
+/// (DESIGN.md §13, "Score columns from replica sets"): the balance term
+/// `λ·(1 − |e(P_i)|/capacity(i))` over all k, then `1 + (1 − θ)` for each
+/// partition in `A(src)` and in `A(dst)` — walked from the set bits, not
+/// probed k times — then `+1.0` per affinity target. Every entry gets
+/// the float operations of a per-partition probe loop in the same order,
+/// so the column is bit-identical to one. Shared by [`Hdrf`] (uniform
+/// capacity) and [`crate::hetero::HeteroHdrf`] (per-machine capacity).
+pub(crate) fn hdrf_score_column(
+    scores: &mut [f64],
+    e: Edge,
+    state: &EdgeStreamState,
+    lambda: f64,
+    capacity: impl Fn(usize) -> f64,
+    targets: [Option<PartitionId>; 2],
+) {
+    // Partial degrees +1 so the very first edge of a vertex does not
+    // divide by zero (the HDRF reference implementation does the same).
+    let du = state.partial_degree(e.src) as f64 + 1.0;
+    let dv = state.partial_degree(e.dst) as f64 + 1.0;
+    let theta_u = du / (du + dv);
+    let theta_v = 1.0 - theta_u;
+    for (i, (score, &count)) in scores.iter_mut().zip(&state.edge_counts).enumerate() {
+        *score = lambda * (1.0 - count as f64 / capacity(i));
+    }
+    for p in state.replicas(e.src) {
+        scores[p as usize] += 1.0 + (1.0 - theta_u);
+    }
+    for p in state.replicas(e.dst) {
+        scores[p as usize] += 1.0 + (1.0 - theta_v);
+    }
+    for p in targets.into_iter().flatten() {
+        if let Some(score) = scores.get_mut(p as usize) {
+            *score += 1.0;
+        }
     }
 }
 
@@ -624,12 +638,22 @@ impl EdgeStreamPartitioner for Hdrf {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::edge_cut::tests::{assert_no_twin_mismatch, Tally};
+    use crate::loaders::{partition_multi_loader, run_modelled, LoaderConfig};
     use crate::metrics;
-    use crate::streaming::run_edge_stream;
-    use sgp_graph::generators::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
-    use sgp_graph::StreamOrder;
+    use crate::registry::{Algorithm, Boxed};
+    use crate::snapshot::restore_into;
+    use crate::streaming::{drive_edge_stream, run_edge_stream, EdgeIngest, StreamingPartitioner};
+    use crate::two_phase::tests::ReferenceTwoPhase;
+    use crate::two_phase::TwoPhase;
+    use sgp_graph::generators::{
+        erdos_renyi, rmat, road_grid, snb_social, ErdosRenyiConfig, RmatConfig, RoadConfig,
+        SnbConfig,
+    };
+    use sgp_graph::sampling::{check_cases, Rng};
+    use sgp_graph::{EdgeStreamSource, GraphBuilder, StreamOrder, VertexId};
     use sgp_trace::NullSink;
 
     fn cfg(k: usize) -> PartitionerConfig {
@@ -922,5 +946,349 @@ mod tests {
         let rf = metrics::replication_factor(&g, &p);
         // Leaves have one edge each (RF 1); hub replicates on at most k.
         assert!(rf < 1.2, "greedy star RF {rf}");
+    }
+
+    /// Textbook HDRF, Eq. (7) with 2PS's affinity targets, kept apart
+    /// from the production machine: one probe per partition per endpoint
+    /// (`has_replica`) and per target, then the shared ε-fold. This is the
+    /// scoring loop the column builder replaced, verbatim.
+    #[derive(Debug, Clone)]
+    pub(crate) struct ReferenceHdrf {
+        k: usize,
+        lambda: f64,
+        capacity: f64,
+        stats: DecisionStats,
+        scores: Vec<f64>,
+    }
+
+    impl ReferenceHdrf {
+        pub(crate) fn new(cfg: &PartitionerConfig, m: usize) -> Self {
+            ReferenceHdrf {
+                k: cfg.k,
+                lambda: cfg.hdrf_lambda,
+                capacity: cfg.edge_capacity(m).max(1.0),
+                stats: DecisionStats::default(),
+                scores: vec![0.0; cfg.k],
+            }
+        }
+
+        pub(crate) fn place_with_affinity(
+            &mut self,
+            e: Edge,
+            state: &EdgeStreamState,
+            targets: [Option<PartitionId>; 2],
+        ) -> PartitionId {
+            let du = state.partial_degree(e.src) as f64 + 1.0;
+            let dv = state.partial_degree(e.dst) as f64 + 1.0;
+            let theta_u = du / (du + dv);
+            let theta_v = 1.0 - theta_u;
+            for i in 0..self.k as PartitionId {
+                let mut score =
+                    self.lambda * (1.0 - state.edge_counts[i as usize] as f64 / self.capacity);
+                if state.has_replica(e.src, i) {
+                    score += 1.0 + (1.0 - theta_u);
+                }
+                if state.has_replica(e.dst, i) {
+                    score += 1.0 + (1.0 - theta_v);
+                }
+                if targets[0] == Some(i) {
+                    score += 1.0;
+                }
+                if targets[1] == Some(i) {
+                    score += 1.0;
+                }
+                self.scores[i as usize] = score;
+            }
+            crate::kernels::epsilon_argmax(
+                &self.scores,
+                &state.edge_counts,
+                &mut self.stats.balance_tiebreaks,
+            )
+            .map(|i| i as PartitionId)
+            .unwrap_or(0)
+        }
+    }
+
+    impl EdgeStreamPartitioner for ReferenceHdrf {
+        fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
+            self.place_with_affinity(e, state, [None, None])
+        }
+
+        fn name(&self) -> &'static str {
+            "HDRF"
+        }
+
+        fn decision_stats(&self) -> DecisionStats {
+            self.stats
+        }
+
+        fn snapshot_records(&self) -> Vec<(&'static str, String)> {
+            self.stats.snapshot_records()
+        }
+
+        fn restore_record(&mut self, key: &str, value: &str) -> bool {
+            self.stats.restore_record(key, value)
+        }
+    }
+
+    /// A graph for the HDRF twin grid: a small RMAT, a perturbed lattice,
+    /// an SNB-like community graph, or a star whose hub sits at a random
+    /// id and whose spokes point either way (some repeated).
+    fn twin_graph(rng: &mut Rng) -> Graph {
+        match rng.index(4) {
+            0 => rmat(RmatConfig {
+                scale: rng.range(2..9) as u32,
+                edge_factor: rng.range(1..9),
+                seed: rng.next_u64(),
+                ..RmatConfig::default()
+            }),
+            1 => road_grid(RoadConfig {
+                width: rng.range(2..18),
+                height: rng.range(2..18),
+                seed: rng.next_u64(),
+                ..RoadConfig::default()
+            }),
+            2 => snb_social(SnbConfig {
+                persons: rng.range(50..300),
+                communities: rng.range(1..12),
+                avg_friends: 6.0,
+                seed: rng.next_u64(),
+                ..SnbConfig::default()
+            }),
+            _ => {
+                let n = rng.range(2..400);
+                let hub = rng.index(n) as u32;
+                let mut b = GraphBuilder::new().ensure_vertices(n);
+                for _ in 0..rng.range(1..2 * n) {
+                    let leaf = rng.index(n) as u32;
+                    if rng.index(2) == 0 {
+                        b.push_edge(hub, leaf);
+                    } else {
+                        b.push_edge(leaf, hub);
+                    }
+                }
+                b.build()
+            }
+        }
+    }
+
+    /// The textbook machine for `algorithm` (HDRF or 2PS), boxed like the
+    /// registry's.
+    fn reference_machines(algorithm: Algorithm, cfg: &PartitionerConfig, m: usize) -> Boxed {
+        match algorithm {
+            Algorithm::Hdrf => {
+                let r = ReferenceHdrf::new(cfg, m);
+                Boxed::Edge(Box::new(move || Box::new(r.clone())))
+            }
+            _ => {
+                let r = ReferenceTwoPhase::new(cfg, m);
+                Boxed::Edge(Box::new(move || Box::new(r.clone())))
+            }
+        }
+    }
+
+    /// One uninterrupted run of a boxed edge machine: its edge placements
+    /// and final `DecisionStats`.
+    fn sequential(
+        g: &Graph,
+        machines: Boxed,
+        k: usize,
+        order: StreamOrder,
+    ) -> (Vec<PartitionId>, DecisionStats) {
+        let Boxed::Edge(make) = machines else { panic!("HDRF and 2PS are edge machines") };
+        let mut core = EdgeIngest::init(g, make(), k);
+        drive_edge_stream(g, &mut core, order, 1, &mut NullSink);
+        let stats = core.partitioner().decision_stats();
+        (core.seal().edge_parts, stats)
+    }
+
+    /// Drives a facade over every pass of `g` in `chunk`-sized chunks,
+    /// replacing the machine by `restore` of its own snapshot after chunk
+    /// `cut`; returns the sealed placements, that snapshot, and the
+    /// snapshot taken just before the seal.
+    fn facade_with_restore<'g>(
+        g: &'g Graph,
+        mut sp: StreamingPartitioner<'g>,
+        order: StreamOrder,
+        (chunk, cut): (usize, usize),
+        restore: impl Fn(&str) -> StreamingPartitioner<'g>,
+    ) -> (Vec<PartitionId>, String, String) {
+        let mut source = EdgeStreamSource::new(g, order);
+        let (mut buf, mut fed, mut mid) = (Vec::new(), 0, String::new());
+        for _ in 0..sp.passes() {
+            source.restart();
+            while source.next_chunk(chunk, &mut buf) > 0 {
+                sp.ingest_edges(&buf).expect("HDRF and 2PS consume edges");
+                fed += 1;
+                if fed == cut {
+                    mid = sp.snapshot();
+                    sp = restore(&mid);
+                }
+            }
+            sp.flush_window();
+        }
+        let end = sp.snapshot();
+        (sp.seal().edge_parts, mid, end)
+    }
+
+    const TWIN_KS: [usize; 6] = [1, 2, 16, 64, 65, 130];
+
+    /// Walks `g`'s stream through production [`Hdrf`] and
+    /// [`ReferenceHdrf`] side by side, each edge with random affinity
+    /// targets (out-of-range ids included), and returns the first edge
+    /// whose pick or score column differs in any bit. Placements alone
+    /// miss a last-bit change the ε-fold absorbs; the column does not.
+    fn first_column_divergence(
+        g: &Graph,
+        k: usize,
+        order: StreamOrder,
+        rng: &mut Rng,
+    ) -> Option<usize> {
+        let (cfg, m) = (PartitionerConfig::new(k), g.num_edges());
+        let (mut production, mut reference) = (Hdrf::new(&cfg, m), ReferenceHdrf::new(&cfg, m));
+        let mut state = EdgeStreamState::new(g.num_vertices(), k);
+        let mut source = EdgeStreamSource::new(g, order);
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        for (i, e) in std::iter::from_fn(|| source.next_edge()).enumerate() {
+            let mut target = || (rng.index(3) > 0).then(|| rng.index(k + 1) as PartitionId);
+            let targets = [target(), target()];
+            let p = production.place_with_affinity(e, &state, targets);
+            let q = reference.place_with_affinity(e, &state, targets);
+            if p != q || bits(&production.scores) != bits(&reference.scores) {
+                return Some(i);
+            }
+            state.record(e, p);
+        }
+        None
+    }
+
+    /// The HDRF twin differential (ROADMAP item 1, HDRF row): production
+    /// HDRF and 2PS — the replica-set column builder and 2PS's dense
+    /// cluster-home table — against [`ReferenceHdrf`] and
+    /// [`ReferenceTwoPhase`] on `cases` graphs × every `StreamOrder` ×
+    /// `ks` × {HDRF, 2PS clustering on, 2PS clustering off}. Each
+    /// (order, k) first compares HDRF's score column bit for bit (see
+    /// [`first_column_divergence`]); each configuration then compares the
+    /// sequential placements and `DecisionStats`, the facade run through
+    /// a snapshot and restore at a random chunk of either pass
+    /// (placements, and the snapshot text at the cut and before the
+    /// seal, byte for byte), and for HDRF the modelled loaders at
+    /// L ∈ {2, 4}.
+    fn twin_grid(cases: u64, ks: &[usize]) -> Tally {
+        let mut tally = Tally::default();
+        check_cases(cases, |rng| {
+            let g = twin_graph(rng);
+            let (n, m) = (g.num_vertices(), g.num_edges());
+            let orders = [
+                StreamOrder::Natural,
+                StreamOrder::Random { seed: rng.next_u64() },
+                StreamOrder::Bfs,
+                StreamOrder::Dfs,
+                StreamOrder::BfsFrom { start: rng.index(n) as VertexId },
+                StreamOrder::DfsFrom { start: rng.index(n) as VertexId },
+            ];
+            for order in orders {
+                for &k in ks {
+                    let divergence = first_column_divergence(&g, k, order, rng);
+                    tally.expect_eq(
+                        "score column bits",
+                        &format!("n={n} m={m} {order:?} k={k}"),
+                        divergence,
+                        None,
+                    );
+                    for (algorithm, two_phase_clustering) in [
+                        (Algorithm::Hdrf, true),
+                        (Algorithm::TwoPhaseHdrf, true),
+                        (Algorithm::TwoPhaseHdrf, false),
+                    ] {
+                        let cfg =
+                            PartitionerConfig { two_phase_clustering, ..PartitionerConfig::new(k) };
+                        let passes = TwoPhase::new(&cfg, m).passes();
+                        let chunk = rng.range(1..64);
+                        let cut = rng.range(1..passes * m.div_ceil(chunk) + 1);
+                        let at = format!(
+                            "n={n} m={m} {order:?} k={k} {algorithm} \
+                             clustering={two_phase_clustering} chunk={chunk} cut={cut}"
+                        );
+                        tally.configurations += 1;
+                        twin_configuration(
+                            &mut tally,
+                            &at,
+                            &g,
+                            &cfg,
+                            order,
+                            algorithm,
+                            (chunk, cut),
+                        );
+                    }
+                }
+            }
+        });
+        tally
+    }
+
+    fn twin_configuration(
+        tally: &mut Tally,
+        at: &str,
+        g: &Graph,
+        cfg: &PartitionerConfig,
+        order: StreamOrder,
+        algorithm: Algorithm,
+        cut: (usize, usize),
+    ) {
+        let (m, k) = (g.num_edges(), cfg.k);
+        let (seq, stats) = sequential(g, algorithm.boxed(g, cfg), k, order);
+        let (twin_seq, twin_stats) = sequential(g, reference_machines(algorithm, cfg, m), k, order);
+        tally.expect_eq("sequential placements", at, &seq, &twin_seq);
+        tally.expect_eq("DecisionStats", at, stats, twin_stats);
+
+        let (parts, mid, end) = facade_with_restore(
+            g,
+            StreamingPartitioner::init(g, algorithm, cfg),
+            order,
+            cut,
+            |text| StreamingPartitioner::restore(g, algorithm, cfg, text).unwrap(),
+        );
+        let twin_facade = || {
+            StreamingPartitioner::with_machines(
+                g,
+                algorithm,
+                cfg,
+                reference_machines(algorithm, cfg, m),
+            )
+        };
+        let (twin_parts, twin_mid, twin_end) =
+            facade_with_restore(g, twin_facade(), order, cut, |text| {
+                restore_into(twin_facade(), text).unwrap()
+            });
+        tally.expect_eq("restored placements", at, &parts, &twin_parts);
+        tally.expect_eq("restored placements vs one-shot", at, &parts, &seq);
+        tally.expect_eq("snapshot text at the cut", at, mid, twin_mid);
+        tally.expect_eq("snapshot text before the seal", at, end, twin_end);
+
+        if algorithm.supports_parallel_loaders() {
+            for loaders in [2, 4] {
+                let lc = LoaderConfig::new(loaders).with_sync_interval(8);
+                let par = partition_multi_loader(g, algorithm, cfg, order, &lc).edge_parts;
+                let twin_par =
+                    run_modelled(g, k, reference_machines(algorithm, cfg, m), order, &lc)
+                        .edge_parts;
+                tally.expect_eq("loader placements", at, par, twin_par);
+            }
+        }
+    }
+
+    /// The slice of the HDRF twin grid that runs under `cargo test`.
+    #[test]
+    fn hdrf_matches_its_textbook_twin() {
+        assert_no_twin_mismatch("HDRF", &twin_grid(2, &[1, 16, 65]));
+    }
+
+    /// The full HDRF twin grid: `cargo test --release -p sgp-partition
+    /// --lib -- --ignored` (CI runs it on every push).
+    #[test]
+    #[ignore = "full grid; run in release"]
+    fn hdrf_matches_its_textbook_twin_full_grid() {
+        assert_no_twin_mismatch("HDRF", &twin_grid(8, &TWIN_KS));
     }
 }
