@@ -868,7 +868,7 @@ pub fn appendix_a(params: &Params) -> String {
     let aware = run_vertex_stream(&g, &mut aldg, 8, default_order(), &mut NullSink);
     let plain = sgp_partition::partition(&g, Algorithm::Ldg, &cfg, default_order());
     let load_imb = |p: &Partitioning| {
-        let mut loads = vec![0u64; 8];
+        let mut loads = [0u64; 8];
         for (v, &part) in p.vertex_owner.as_ref().unwrap().iter().enumerate() {
             loads[part as usize] += weights[v];
         }

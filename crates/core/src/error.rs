@@ -1,8 +1,8 @@
 //! The shared error type for fallible experiment-framework paths.
 //!
-//! The lint policy (`sgp-xtask lint`, rule `no-panic-in-lib`) forbids
-//! `unwrap`/`expect` in library code unless the invariant is locally
-//! provable. Paths whose failure depends on the *environment* — env
+//! The lint policy (`clippy::unwrap_used`/`expect_used` at the crate
+//! root) forbids `unwrap`/`expect` in library code unless the invariant
+//! is locally provable. Paths whose failure depends on the *environment* — env
 //! vars, I/O — cannot prove anything locally, so they return `SgpError`
 //! instead and the binaries decide how to die.
 

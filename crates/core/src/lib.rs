@@ -26,6 +26,14 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
 
 pub mod config;
 pub mod decision;

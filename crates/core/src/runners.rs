@@ -71,11 +71,11 @@ pub fn run_offline_workload(
         OfflineWorkload::PageRank => run_program(g, placement, &PageRank::new(20), opts).1,
         OfflineWorkload::Wcc => run_program(g, placement, &Wcc::new(), opts).1,
         OfflineWorkload::Sssp => {
-            let source = g
-                .vertices()
-                .max_by_key(|&v| g.out_degree(v))
-                // sgp-lint: allow(no-panic-in-lib): every Dataset::generate graph is non-empty (asserted by config tests), so vertices() yields at least one item
-                .expect("non-empty graph");
+            #[expect(
+                clippy::expect_used,
+                reason = "every Dataset::generate graph is non-empty (asserted by config tests), so vertices() yields at least one item"
+            )]
+            let source = g.vertices().max_by_key(|&v| g.out_degree(v)).expect("non-empty graph");
             run_program(g, placement, &Sssp::new(source), opts).1
         }
     }
@@ -113,7 +113,11 @@ pub fn quality_suite(
     for &k in ks {
         let cfg = PartitionerConfig::new(k);
         for &alg in algorithms {
-            // sgp-lint: allow(no-wallclock-in-sim): partition_seconds is an explicitly host-dependent resource measurement (§4.1.1); it is never rendered into the bit-for-bit results files
+            #[expect(
+                clippy::disallowed_types,
+                clippy::disallowed_methods,
+                reason = "partition_seconds is an explicitly host-dependent resource measurement (§4.1.1); it is never rendered into the bit-for-bit results files"
+            )]
             let start = std::time::Instant::now();
             let p = partition(g, alg, &cfg, default_order());
             let partition_seconds = start.elapsed().as_secs_f64();
@@ -376,7 +380,10 @@ pub fn online_run_on_store(
     };
     let r = sim.run(&sim_cfg);
     let mut sorted: Vec<f64> = r.reads_per_machine.iter().map(|&x| x as f64).collect();
-    // sgp-lint: allow(no-panic-in-lib): operands are u64 counts cast to f64 on the line above, so partial_cmp is total here
+    #[expect(
+        clippy::expect_used,
+        reason = "operands are u64 counts cast to f64 on the line above, so partial_cmp is total here"
+    )]
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     OnlineRow {
         dataset: dataset_name.to_string(),
@@ -771,7 +778,7 @@ impl Default for ElasticityConfig {
                 degraded: DegradedConfig { shed_queue_depth: 4, migration_ns_per_record: 2_000 },
                 ..FaultSimConfig::default()
             },
-            plan_seed: 0xE1A_57,
+            plan_seed: 0x000E_1A57,
             disrupt_at_ns: 2_000_000,
             rejoin_after_ns: 10_000_000,
             migration: MigrationConfig::default(),

@@ -62,23 +62,26 @@ pub fn db_scenario_config() -> RobustnessConfig {
 
 /// The scenarios' traced sequential partitioning over
 /// [`SCENARIO_MACHINES`] partitions.
+#[expect(
+    clippy::expect_used,
+    reason = "RunError refuses loader windows and FENNEL gamma < 1; this is a sequential run under the default gamma 1.5"
+)]
 fn traced_partition<S: TraceSink>(g: &Graph, algorithm: Algorithm, sink: &mut S) -> Partitioning {
     let cfg = PartitionerConfig::new(SCENARIO_MACHINES);
     Run { algorithm, cfg: &cfg, order: default_order(), exec: Exec::Sequential }
         .execute(g, sink)
-        // sgp-lint: allow(no-panic-in-lib): RunError refuses loader windows and FENNEL gamma < 1; this is a sequential run under the default gamma 1.5
         .expect("a sequential run cannot be refused")
 }
 
 /// Runs the engine scenario, recording `partition.*` and `engine.*`
 /// events into `sink`; returns the run report.
+#[expect(clippy::expect_used, reason = "EngineError only refuses fault plans, and none is passed")]
 pub fn record_engine_scenario<S: TraceSink>(scale: Scale, sink: &mut S) -> RunReport {
     let g = Dataset::LdbcSnb.generate(scale);
     let p = traced_partition(&g, ENGINE_SCENARIO_ALGORITHM, sink);
     let placement = Placement::build(&g, &p);
     let prog = PageRank::new(ENGINE_SCENARIO_ITERATIONS);
     run_program_with(&g, &placement, &prog, &EngineOptions::default(), None, sink)
-        // sgp-lint: allow(no-panic-in-lib): EngineError only refuses fault plans, and none is passed
         .expect("a run without a fault plan cannot be refused")
         .1
 }

@@ -20,6 +20,11 @@
 //! Every random decision — message drops, failover draws — is a
 //! counter-keyed function of the plan seed, so a run under a fixed
 //! plan is bit-for-bit reproducible.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "machine ids index per-machine tables sized by the fixed cluster size at construction; replica ids come from the placement map built over the same cluster"
+)]
+#![warn(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 use crate::sim::{rsd, ClusterSim, EventQueue, SimConfig, SimReport};
 use sgp_fault::{FaultEvent, FaultPlan, MembershipKind, PlanError, RetryPolicy};
@@ -117,7 +122,6 @@ impl MirrorDirectory {
     /// Directory for an edge-cut store: JanusGraph keeps a single copy
     /// of every vertex, so no machine's data survives its crash.
     pub fn edge_cut(machines: usize) -> Self {
-        // sgp-lint: allow(no-float-accounting): mirror coverage is a ratio in [0,1], not simulated time
         MirrorDirectory { coverage: vec![0.0; machines], peers: vec![Vec::new(); machines] }
     }
 
@@ -145,8 +149,12 @@ impl MirrorDirectory {
                 mirrored[m] += 1;
             }
         }
+        #[expect(
+            clippy::float_arithmetic,
+            clippy::cast_precision_loss,
+            reason = "mirror coverage is a ratio in [0,1], not simulated time"
+        )]
         let coverage = (0..k)
-            // sgp-lint: allow(no-float-accounting): mirror coverage is a ratio in [0,1], not simulated time
             .map(|m| if mastered[m] == 0 { 0.0 } else { mirrored[m] as f64 / mastered[m] as f64 })
             .collect();
         let peers = peer_counts
@@ -518,7 +526,11 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         let k = sim.machines;
         let clients = cfg.base.clients_per_machine * k;
         let total_queries = clients * cfg.base.queries_per_client;
-        // sgp-lint: allow(no-float-accounting): warmup cutoff is a one-time fraction of the query count, rounded before the event loop starts
+        #[expect(
+            clippy::float_arithmetic,
+            clippy::cast_precision_loss,
+            reason = "warmup cutoff is a one-time fraction of the query count, rounded before the event loop starts"
+        )]
         let warmup = (total_queries as f64 * cfg.base.warmup_fraction) as usize;
         let machines = (0..k)
             .map(|_| Machine {
@@ -764,7 +776,11 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
     /// Puts share `id` on a core of `machine` (already counted busy).
     fn start_service(&mut self, id: u32, machine: u32, now: u64) {
         let slow = self.plan.slowdown(machine, now);
-        // sgp-lint: allow(no-float-accounting): the one float->integral boundary applying the slowdown factor
+        #[expect(
+            clippy::float_arithmetic,
+            clippy::cast_precision_loss,
+            reason = "the one float->integral boundary applying the slowdown factor"
+        )]
         let effective = (self.shares[id].service_ns as f64 * slow) as u64;
         let epoch = self.machines[machine as usize].epoch;
         self.events.push(now + effective, Event::SubDone { share: id, machine, epoch });
@@ -928,8 +944,11 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
                 if remote {
                     remote_fanout += 1;
                 }
-                // sgp-lint: allow(no-float-accounting): evaluating the float service-time model; the result is cast to integral ns below
                 let extra_ns = if remote { cfg.remote_read_extra_ns } else { 0.0 };
+                #[expect(
+                    clippy::float_arithmetic,
+                    reason = "evaluating the float service-time model; the result is cast to integral ns below"
+                )]
                 let per_read = cfg.read_service_ns + extra_ns;
                 // A batch read parallelizes over up to
                 // `intra_request_parallelism` cores of the target
@@ -940,7 +959,10 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
                 let remainder = reads % shares;
                 for share in 0..shares {
                     let share_reads = per_share + u32::from(share < remainder);
-                    // sgp-lint: allow(no-float-accounting): the one float->integral boundary for per-share service time
+                    #[expect(
+                        clippy::float_arithmetic,
+                        reason = "the one float->integral boundary for per-share service time"
+                    )]
                     let mut service_ns = (share_reads as f64 * per_read) as u64;
                     if share == 0 {
                         service_ns += cfg.request_overhead_ns as u64;
@@ -960,7 +982,10 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
             // remote request and merges every remote response.
             if remote_fanout > 0 {
                 pending += 1;
-                // sgp-lint: allow(no-float-accounting): the one float->integral boundary for coordinator fan-out time
+                #[expect(
+                    clippy::float_arithmetic,
+                    reason = "the one float->integral boundary for coordinator fan-out time"
+                )]
                 let service_ns = (cfg.fanout_ns * remote_fanout as f64) as u64;
                 let share =
                     Share { query: slot, origin: coordinator, reads: 0, attempt: 1, service_ns };
@@ -1006,7 +1031,11 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         self.events.push(now, Event::Issue { client });
     }
 
-    // sgp-lint: allow-scope(no-float-accounting): report rendering — availability, qps and seconds are derived from integral counters after the clock stops
+    #[expect(
+        clippy::float_arithmetic,
+        clippy::cast_precision_loss,
+        reason = "report rendering — availability, qps and seconds are derived from integral counters after the clock stops"
+    )]
     pub(crate) fn report(mut self) -> FaultSimReport {
         let lat = latency_summary_ms(&mut self.latencies_ns);
         let window_ns = self.last_completion_ns.saturating_sub(self.warmup_end_ns).max(1);
@@ -1243,6 +1272,10 @@ mod tests {
         };
         let cfg = quick_cfg();
         let total = 2 * cfg.base.clients_per_machine * cfg.base.queries_per_client;
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "the test oracle recomputes the simulator's float expression"
+        )]
         let counted = total - (total as f64 * cfg.base.warmup_fraction) as usize;
         let crash = FaultPlan::healthy(2, 3).with_recovering_crash(1, 1_000_000, 4_000_000);
         let run = |rounds: &[[u32; 2]], plan: &FaultPlan| {

@@ -30,6 +30,15 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+#![warn(clippy::indexing_slicing)]
 
 pub mod fault_sim;
 pub mod query;

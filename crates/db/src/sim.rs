@@ -22,6 +22,7 @@
 //! This module holds the configuration, the report and the event queue;
 //! the event loop itself is [`crate::fault_sim`]'s, and a healthy run is
 //! that loop under a plan with no faults.
+#![warn(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 use crate::fault_sim::{ElasticPlan, FaultRun, FaultSimConfig, MirrorDirectory};
 use crate::query::QueryTrace;
@@ -101,7 +102,6 @@ impl SimConfig {
     }
 }
 
-// sgp-lint: allow-scope(no-float-accounting): service-time parameters are float nanoseconds by the paper's cost-model convention; every event stamp derived from them is cast to integral ns exactly once
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
@@ -232,7 +232,11 @@ impl ClusterSim {
 }
 
 /// Relative standard deviation of per-machine loads.
-// sgp-lint: allow-scope(no-float-accounting): relative standard deviation is a report statistic over final integral counters
+#[expect(
+    clippy::float_arithmetic,
+    clippy::cast_precision_loss,
+    reason = "relative standard deviation is a report statistic over final integral counters"
+)]
 pub(crate) fn rsd(counts: &[u64]) -> f64 {
     if counts.is_empty() {
         return 0.0;
@@ -279,6 +283,10 @@ mod tests {
         let cfg = quick_cfg(4);
         let r = sim.run(&cfg);
         let total = cfg.clients_per_machine * 4 * cfg.queries_per_client;
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "the test oracle recomputes the simulator's float expression"
+        )]
         let warmup = (total as f64 * cfg.warmup_fraction) as usize;
         assert_eq!(r.completed, total - warmup);
         assert!(r.throughput_qps > 0.0);
@@ -446,11 +454,19 @@ mod tests {
             };
             let r = sim.run(&cfg);
             let service_ns = (cfg.request_overhead_ns + cfg.read_service_ns) as u64;
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "the test oracle recomputes the simulator's float expression"
+            )]
             let latency_ms = (clients as u64 * service_ns) as f64 / 1e6;
             assert_eq!(r.completed, clients * 8);
             // Mean == max pins every counted latency, not just the tail.
             assert_eq!(r.max_latency_ms, latency_ms, "{clients} clients");
             assert_eq!(r.mean_latency_ms, latency_ms, "{clients} clients");
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "the test oracle recomputes the simulator's float expression"
+            )]
             let service_rate = 1e9 / service_ns as f64;
             assert!(
                 (r.throughput_qps / service_rate - 1.0).abs() < 1e-9,

@@ -1,4 +1,8 @@
 //! The sharded adjacency store and partitioning-aware query router.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "owner and adjacency tables are sized num_vertices at build; routed VertexIds originate from the workload generator, which samples only existing vertices"
+)]
 use sgp_graph::{Graph, VertexId};
 use sgp_partition::{PartitionId, Partitioning};
 use std::fmt;
@@ -67,8 +71,11 @@ impl PartitionedStore {
     /// Panics if `p` carries no vertex ownership (vertex-cut placements
     /// cannot back an adjacency-list store — §5.2.2 of the paper).
     /// [`PartitionedStore::try_new`] is the non-panicking equivalent.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; callers that cannot prove edge-cut use try_new"
+    )]
     pub fn new(graph: Graph, p: &Partitioning) -> Self {
-        // sgp-lint: allow(no-panic-in-lib): documented panic; callers that cannot prove edge-cut use try_new
         Self::try_new(graph, p).expect("graph database requires a vertex-disjoint partitioning")
     }
 
@@ -85,8 +92,11 @@ impl PartitionedStore {
     /// # Panics
     /// Panics when the map does not cover the graph or names a machine
     /// `>= k`; [`PartitionedStore::try_from_owner`] reports instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; callers that cannot prove coverage use try_from_owner"
+    )]
     pub fn from_owner(graph: Graph, k: usize, owner: Vec<PartitionId>) -> Self {
-        // sgp-lint: allow(no-panic-in-lib): documented panic; callers that cannot prove coverage use try_from_owner
         Self::try_from_owner(graph, k, owner).expect("ownership map must cover the graph")
     }
 

@@ -23,6 +23,10 @@
 //! and costs O(frontier + its incident edges + k) instead of O(n + m)
 //! (DESIGN.md §3.3, "Frontier representation and the sparse/dense
 //! switch").
+#![expect(
+    clippy::indexing_slicing,
+    reason = "per-machine op counters and byte tables are sized k at run construction and indexed by machine ids below k (edge_parts entries, masters, set bits of the k-bit machine sets); per-vertex scratch is sized n and indexed by vertex ids of the graph the run was built for; in_edge_ids entries are edge indices below m and index edge_parts, which has m entries"
+)]
 
 use crate::cost::{CostModel, FaultSummary, IterationStats, RunReport};
 use crate::placement::Placement;
@@ -142,7 +146,10 @@ struct FaultState<'p> {
 impl FaultState<'_> {
     /// Returns the fault-inflated wall time of one superstep and
     /// charges any crash whose time has come.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one superstep's inputs, borrowed from the run loop's locals; a struct would only repackage them"
+    )]
     fn charge_iteration(
         &mut self,
         g: &Graph,

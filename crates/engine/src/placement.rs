@@ -10,6 +10,11 @@
 //! The layout is flat (DESIGN.md §3.3): machine sets are fixed-stride
 //! `u64` bitsets, the per-machine edge lists are ranges of one array,
 //! and every in-adjacency slot carries its edge index.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "build sizes out_bits/in_bits at n x stride words with stride = ceil(k/64), so vertex v's block v*stride..(v+1)*stride and word part>>6 of a part below k are in bounds; local_offsets has k+1 ascending entries ending at m, the counting-sort cursors start at those offsets and advance once per edge of their machine, so every write lands in its machine's range of the m-entry local_edges; the in-edge cursors start at Graph::in_edge_range(v).start and advance once per in-edge of v, so in_edge_ids (m entries) is sliced and filled inside each vertex's range"
+)]
+#![warn(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 use sgp_graph::{Edge, Graph, VertexId};
 use sgp_partition::assignment::hashed_master;
@@ -117,7 +122,11 @@ impl Placement {
 
     /// Measured replication factor (average replica-set size), identical
     /// to [`sgp_partition::metrics::replication_factor`].
-    // sgp-lint: allow-scope(no-float-accounting): replication factor is a report ratio over integral replica counts
+    #[expect(
+        clippy::float_arithmetic,
+        clippy::cast_precision_loss,
+        reason = "replication factor is a report ratio over integral replica counts"
+    )]
     pub fn replication_factor(&self) -> f64 {
         if self.masters.is_empty() {
             return 0.0;
@@ -568,6 +577,11 @@ pub(crate) mod tests {
         let per_machine: Vec<usize> = rp.local_edges.iter().map(|edges| edges.len()).collect();
         assert_eq!(pl.edges_per_machine(), per_machine);
         let total: usize = rp.replicas.iter().map(|set| set.len()).sum();
+        #[expect(
+            clippy::float_arithmetic,
+            clippy::cast_precision_loss,
+            reason = "the test oracle recomputes the report ratio"
+        )]
         let rf = if rp.replicas.is_empty() { 0.0 } else { total as f64 / rp.replicas.len() as f64 };
         assert_eq!(pl.replication_factor().to_bits(), rf.to_bits());
     }

@@ -1,6 +1,10 @@
 //! Single-machine reference implementations used to validate the
 //! distributed engine: the engine must produce identical results (up to
 //! floating-point associativity for PageRank) for *every* partitioning.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the reference (unpartitioned) executor indexes adjacency by ids from the same loaded graph it scans"
+)]
 
 use sgp_graph::{Graph, VertexId};
 

@@ -7,6 +7,7 @@
 //! would simulate a cluster at the speed of one), but the encoding here
 //! is exactly what it *would* put on the wire, and the unit tests keep
 //! `encoded_len` and the actual encoder in lockstep.
+#![warn(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 /// Kinds of engine messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -22,11 +22,20 @@
 //! Every random decision flows from [`FaultPlan::seed`] through a
 //! counter-keyed [splitmix64](https://prng.di.unimi.it/splitmix64.c)
 //! mix, so a run under a fixed plan is bit-for-bit reproducible — no
-//! `thread_rng`, no wall-clock (enforced by `sgp-xtask lint`'s
-//! `no-wallclock-in-sim` rule, which scopes this crate).
+//! `thread_rng`, no wall-clock (`clippy.toml` disallows the host-clock
+//! types and methods).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+#![warn(clippy::indexing_slicing)]
 
 pub mod plan;
 pub mod retry;

@@ -374,14 +374,14 @@ impl FaultPlan {
     pub fn is_up(&self, machine: u32, t_ns: u64) -> bool {
         for e in &self.events {
             match *e {
-                FaultEvent::Crash { machine: m, at_ns, recovery_ns } if m == machine => {
-                    if t_ns >= at_ns {
-                        match recovery_ns {
-                            None => return false,
-                            Some(d) => {
-                                if t_ns < at_ns.saturating_add(d) {
-                                    return false;
-                                }
+                FaultEvent::Crash { machine: m, at_ns, recovery_ns }
+                    if m == machine && t_ns >= at_ns =>
+                {
+                    match recovery_ns {
+                        None => return false,
+                        Some(d) => {
+                            if t_ns < at_ns.saturating_add(d) {
+                                return false;
                             }
                         }
                     }

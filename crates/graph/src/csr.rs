@@ -1,4 +1,8 @@
 //! Immutable compressed-sparse-row graph with out- and in-adjacency.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "CSR invariant: out_offsets and in_offsets have num_vertices+1 ascending entries ending at m, so out_targets[out_offsets[v]..out_offsets[v+1]] and in_sources[in_offsets[v]..in_offsets[v+1]] are in bounds for every v < n; from_edges establishes it (endpoints are below n by the builder's choice of n, each counting-sort cursor starts at its row's offset and advances once per edge of the row, and the dedup compaction writes at or left of where it reads) and the struct is immutable after build"
+)]
 
 use crate::types::{Edge, VertexId};
 

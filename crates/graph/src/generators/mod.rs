@@ -15,6 +15,10 @@
 //! | LDBC SNB      | [`snb_social`] | community structure + heavy-tailed friendships |
 //!
 //! Every generator is a pure function of its config (including the seed).
+#![expect(
+    clippy::indexing_slicing,
+    reason = "generators index degree/target buffers they allocated to the requested graph size earlier in the same fn"
+)]
 
 mod random;
 mod rmat;

@@ -15,6 +15,10 @@
 //! mostly inside its community, with a configurable fraction of
 //! long-range friendships. Friendships are symmetric (both directions
 //! materialized), like `knows`.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "SNB-like generator indexes community and degree tables allocated from the parameter struct before the fill loops"
+)]
 
 use crate::csr::Graph;
 use crate::sampling::{seeded_rng, Zipf};

@@ -31,6 +31,15 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+#![warn(clippy::indexing_slicing)]
 
 pub mod builder;
 pub mod churn;

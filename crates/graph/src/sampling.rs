@@ -9,6 +9,10 @@
 //! skew*: a minority of start vertices receive the majority of queries.
 //! We model that with a Zipf sampler; graph generators additionally use a
 //! discrete alias sampler for degree-proportional choices.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "reservoir and permutation buffers are indexed by positions drawn modulo their own length"
+)]
 
 /// The workspace's one sequential generator: xoshiro256** (Blackman &
 /// Vigna) seeded through splitmix64. Generators, shuffles, the METIS
@@ -157,9 +161,12 @@ impl Zipf {
     }
 
     /// Samples a rank in `0..n` (0 = most popular).
+    #[expect(
+        clippy::expect_used,
+        reason = "cdf entries are partial sums of positive finite weights and u is in [0, 1), so partial_cmp is total here"
+    )]
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.unit();
-        // sgp-lint: allow(no-panic-in-lib): cdf entries are partial sums of positive finite weights and u is in [0, 1), so partial_cmp is total here
         match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite")) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),

@@ -24,6 +24,10 @@
 //!   iterators, now thin adapters over the sources (`EdgeStream` remains
 //!   fully materialized; it is the baseline the `ingest` bench compares
 //!   chunked ingestion against).
+#![expect(
+    clippy::indexing_slicing,
+    reason = "stream orders permute 0..num_vertices / 0..num_edges, so replay indexes the backing arrays within their length"
+)]
 
 use crate::csr::Graph;
 use crate::sampling::{seeded_rng, shuffle};

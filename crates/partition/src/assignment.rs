@@ -7,6 +7,10 @@
 //! partition Pi" (Appendix B). [`Partitioning`] stores exactly that: an
 //! edge placement array (indexed by [`Graph::edge_index`]) plus, when the
 //! producing algorithm is vertex-disjoint, the vertex ownership map.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "assignment vectors are sized num_vertices at construction and indexed by VertexIds from the same graph's stream; the replica bitset has stride = ceil(k/64) words per vertex and is indexed at word part>>6 of a part below k"
+)]
 use sgp_graph::{Graph, VertexId};
 
 /// A partition identifier in `0..k`.

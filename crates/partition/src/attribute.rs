@@ -11,6 +11,10 @@
 //! streaming counterpart of the paper's offline weighted-METIS
 //! experiment (Fig. 8), and one of the §7 future-work directions
 //! ("algorithms that consider … impacts of workload execution skew").
+#![expect(
+    clippy::indexing_slicing,
+    reason = "attribute histograms are sized by the label alphabet recorded at build; per-partition rows are sized k"
+)]
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
@@ -80,9 +84,12 @@ impl VertexStreamPartitioner for AttributeLdg {
                 Some(b) => b,
             });
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "0..self.k is non-empty because PartitionerConfig::new asserts k >= 1"
+        )]
         let target = best.map(|(_, _, i)| i).unwrap_or_else(|| {
             // Heavy vertex that fits nowhere within slack: least loaded.
-            // sgp-lint: allow(no-panic-in-lib): 0..self.k is non-empty because PartitionerConfig::new asserts k >= 1
             (0..self.k).min_by_key(|&i| self.loads[i]).expect("k >= 1")
         });
         // Re-streaming support: undo the previous pass's placement.
@@ -177,10 +184,13 @@ impl VertexStreamPartitioner for AttributeFennel {
                 Some(b) => b,
             });
         }
-        let target = best.map(|(_, _, i)| i).unwrap_or_else(|| {
-            // sgp-lint: allow(no-panic-in-lib): 0..self.k is non-empty because PartitionerConfig::new asserts k >= 1
-            (0..self.k).min_by_key(|&i| self.loads[i]).expect("k >= 1")
-        });
+        #[expect(
+            clippy::expect_used,
+            reason = "0..self.k is non-empty because PartitionerConfig::new asserts k >= 1"
+        )]
+        let target = best
+            .map(|(_, _, i)| i)
+            .unwrap_or_else(|| (0..self.k).min_by_key(|&i| self.loads[i]).expect("k >= 1"));
         let old = self.assigned[rec.vertex as usize];
         if old != PartitionId::MAX {
             self.loads[old as usize] -= w;

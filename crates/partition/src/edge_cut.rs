@@ -9,6 +9,10 @@
 //! the incremental core in [`crate::streaming`], whose
 //! [`run_vertex_stream`](crate::streaming::run_vertex_stream) drives any
 //! partitioner defined here.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "LDG/Fennel score tables are sized k and indexed by candidate partition; degree arrays are sized num_vertices"
+)]
 
 use crate::assignment::{hash_to_partition, PartitionId};
 use crate::config::PartitionerConfig;
@@ -350,11 +354,12 @@ impl<P: VertexStreamPartitioner> VertexStreamPartitioner for Restream<P> {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "sizes has length k and PartitionerConfig::new asserts k >= 1"
+)]
 fn argmin_size(sizes: &[usize]) -> PartitionId {
-    kernels::argmin_load(sizes)
-        .map(|i| i as PartitionId)
-        // sgp-lint: allow(no-panic-in-lib): sizes has length k and PartitionerConfig::new asserts k >= 1
-        .expect("at least one partition")
+    kernels::argmin_load(sizes).map(|i| i as PartitionId).expect("at least one partition")
 }
 
 #[cfg(test)]

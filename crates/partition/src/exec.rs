@@ -31,9 +31,17 @@
 //! Cross-thread traffic flows through exactly two rendezvous channels
 //! per worker (depth-1 bounded: work down, log up), and every payload
 //! type is listed in `tests/goldens/SEND_REGISTRY` — the
-//! `send-bound-registry` lint keeps that list honest, and the
-//! `thread-discipline` lint confines every thread/channel/lock
-//! primitive in the workspace to this module.
+//! `send-bound-registry` lint keeps that list honest, and `clippy.toml`
+//! disallows every thread/channel/lock primitive outside this module.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the designated execution backend: threads and channels are confined to this module"
+)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "worker chunk ranges are produced by splitting 0..len, so chunk slicing stays in bounds; per-worker outputs are indexed by the worker id that created them"
+)]
 
 use crate::assignment::{PartitionId, Partitioning};
 use crate::config::PartitionerConfig;
@@ -183,16 +191,22 @@ fn threaded_vertices(
                 }
                 for (tx, records) in work_txs.iter().zip(strides) {
                     let work = VertexWork { delta: Arc::clone(&delta), records };
-                    // sgp-lint: allow(no-panic-in-lib): a dead receiver means the worker panicked; re-raising on the coordinator is intended
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a dead receiver means the worker panicked; re-raising on the coordinator is intended"
+                    )]
                     tx.send(work).expect("vertex worker hung up");
                 }
                 // Collect logs in worker-index order — never completion
                 // order — then replay in the seeded barrier rotation, so
                 // the merged state is schedule-independent. The merged
                 // logs become the next round's delta.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a dead sender means the worker panicked; re-raising on the coordinator is intended"
+                )]
                 let decisions: Vec<Vec<(u32, PartitionId)>> = log_rxs
                     .iter()
-                    // sgp-lint: allow(no-panic-in-lib): a dead sender means the worker panicked; re-raising on the coordinator is intended
                     .map(|rx| rx.recv().expect("vertex worker hung up").decisions)
                     .collect();
                 let start = merge_start(lc.seed, round, l);
@@ -270,12 +284,18 @@ fn threaded_edges(
             }
             for (tx, edges) in work_txs.iter().zip(strides) {
                 let work = EdgeWork { delta: Arc::clone(&delta), edges };
-                // sgp-lint: allow(no-panic-in-lib): a dead receiver means the worker panicked; re-raising on the coordinator is intended
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a dead receiver means the worker panicked; re-raising on the coordinator is intended"
+                )]
                 tx.send(work).expect("edge worker hung up");
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a dead sender means the worker panicked; re-raising on the coordinator is intended"
+            )]
             let decisions: Vec<Vec<(Edge, PartitionId)>> = log_rxs
                 .iter()
-                // sgp-lint: allow(no-panic-in-lib): a dead sender means the worker panicked; re-raising on the coordinator is intended
                 .map(|rx| rx.recv().expect("edge worker hung up").decisions)
                 .collect();
             // Each edge is placed exactly once, so writing its partition
@@ -283,7 +303,10 @@ fn threaded_edges(
             // placement time.
             for log in &decisions {
                 for &(e, p) in log {
-                    // sgp-lint: allow(no-panic-in-lib): logged edges come from a stream over g, so the CSR lookup cannot miss
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "logged edges come from a stream over g, so the CSR lookup cannot miss"
+                    )]
                     let idx = g.edge_index(e.src, e.dst).expect("stream edge exists in graph");
                     edge_parts[idx] = p;
                 }

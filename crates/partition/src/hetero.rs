@@ -13,6 +13,10 @@
 //! (capacity-weighted HDRF, the LeBeane-style vertex-cut variant).
 //! A machine with weight 2.0 is expected to host twice the load of a
 //! machine with weight 1.0.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "capacity-aware tables are sized by the machine-spec list length; partition ids are validated against k on entry"
+)]
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
@@ -85,6 +89,10 @@ impl HeteroLdg {
 }
 
 impl VertexStreamPartitioner for HeteroLdg {
+    #[expect(
+        clippy::expect_used,
+        reason = "capacities are validated positive at construction, so the fill ratios are finite; 0..k is non-empty because PartitionerConfig::new asserts k >= 1"
+    )]
     fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
         let k = self.profile.k();
         state.neighbor_histogram_into(&rec.neighbors, k, &mut self.hist);
@@ -113,10 +121,8 @@ impl VertexStreamPartitioner for HeteroLdg {
                 .min_by(|&a, &b| {
                     let fa = state.sizes[a] as f64 / self.capacities[a];
                     let fb = state.sizes[b] as f64 / self.capacities[b];
-                    // sgp-lint: allow(no-panic-in-lib): capacities are validated positive at construction, so the fill ratios are finite
                     fa.partial_cmp(&fb).expect("finite fill")
                 })
-                // sgp-lint: allow(no-panic-in-lib): 0..k is non-empty because PartitionerConfig::new asserts k >= 1
                 .expect("k >= 1") as PartitionId
         })
     }

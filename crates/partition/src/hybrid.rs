@@ -15,6 +15,10 @@
 //! vertices to the *target*'s owner and those of high-degree vertices
 //! to the *source*'s — the two-phase behaviour the paper notes is
 //! "difficult for streaming data".
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the degree-threshold router indexes the same sized-k tables as its two delegate kernels and shares their id ranges"
+)]
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;

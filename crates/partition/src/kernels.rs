@@ -18,6 +18,10 @@
 //! the fold with negative infinity (HDRF's historical form) and seeding
 //! it with "no candidate yet" (LDG/FENNEL's historical form) pick the
 //! same winner.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "shared scoring kernels are called with candidate indices iterated from the scratch table's own length"
+)]
 
 use crate::assignment::PartitionId;
 

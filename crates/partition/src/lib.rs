@@ -37,8 +37,7 @@
 //! state synchronization, turning Table 1's "parallelization" column
 //! into measurable behaviour. [`exec`] runs the same split on real OS
 //! threads — byte-identical to the modelled path, with all
-//! thread/channel primitives confined there by the `thread-discipline`
-//! lint.
+//! thread/channel primitives confined there by `clippy.toml`.
 //!
 //! The elasticity layer (DESIGN.md §11) builds on that core:
 //! [`snapshot`] serializes a machine's run-varying state in a
@@ -56,6 +55,15 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+#![warn(clippy::indexing_slicing)]
 
 pub mod assignment;
 pub mod attribute;

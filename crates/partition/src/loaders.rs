@@ -40,6 +40,10 @@
 //! vertex counts through the synchronized state) and seal with the
 //! shared hybrid edge routing. Only the offline METIS baseline ignores
 //! `L` entirely and runs sequentially.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "loader batches slice the element array by offsets computed from its length; replica bitsets are sized during setup"
+)]
 
 use crate::assignment::{fxhash64, PartitionId, Partitioning};
 use crate::config::PartitionerConfig;
@@ -246,7 +250,10 @@ fn multi_loader_edges(
             let p = machines[j].place(e, &locals[j]);
             debug_assert!((p as usize) < k, "partitioner returned out-of-range id");
             locals[j].record(e, p);
-            // sgp-lint: allow(no-panic-in-lib): block edges come from a stream over g, so the CSR lookup cannot miss
+            #[expect(
+                clippy::expect_used,
+                reason = "block edges come from a stream over g, so the CSR lookup cannot miss"
+            )]
             let idx = g.edge_index(e.src, e.dst).expect("stream edge exists in graph");
             edge_parts[idx] = p;
             decisions[j].push((e, p));

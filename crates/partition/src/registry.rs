@@ -21,12 +21,6 @@ use crate::vertex_cut::{
 use sgp_graph::{Graph, StreamOrder};
 use sgp_trace::{keys, NullSink, SpanGuardExt, TraceSink};
 
-/// Format version of `tests/goldens/ALGORITHM_SURFACES`, the audited
-/// fallback registry of the `algorithm-surface-exhaustiveness` lint.
-/// Pinned in `tests/goldens/SCHEMA_VERSIONS`; bump only together with
-/// the pin and a registry re-audit in the same change.
-pub const ALGORITHM_SURFACES_SCHEMA_VERSION: u32 = 1;
-
 /// Every partitioning algorithm in the study (Table 2 names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
@@ -149,9 +143,8 @@ impl Algorithm {
     /// and for the two-pass 2PS partitioner (whose clustering pass must
     /// see the entire stream before any edge is placed).
     pub fn supports_parallel_loaders(&self) -> bool {
-        // Exhaustive on purpose: adding a variant forces an explicit
-        // decision here (the `algorithm-surface-exhaustiveness` lint
-        // checks this surface).
+        // No wildcard on purpose: rustc rejects a new variant until it
+        // is decided here.
         match self {
             Algorithm::EcrHash
             | Algorithm::Ldg
@@ -367,9 +360,8 @@ impl Algorithm {
     ) -> V::Out {
         let (n, m) = (g.num_vertices(), g.num_edges());
         let hybrid = || VertexSeal::Hybrid { threshold: high_degree_threshold(g, cfg) };
-        // Exhaustive on purpose: adding a variant forces an arm here
-        // (the `algorithm-surface-exhaustiveness` lint checks this
-        // surface).
+        // No wildcard on purpose: rustc rejects a new variant until it
+        // has an arm here.
         match self {
             Algorithm::EcrHash => v.vertex(HashVertex::new(cfg), VertexSeal::EdgeCut),
             Algorithm::Ldg => v.vertex(Ldg::new(cfg, n), VertexSeal::EdgeCut),
@@ -626,6 +618,37 @@ mod tests {
     use super::*;
     use crate::metrics::QualityReport;
     use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
+
+    /// `all()` is the table every suite, snapshot and loader test walks.
+    /// The match has no wildcard, so a new variant does not compile until
+    /// it gets a position here; the count below and `all()` then have to
+    /// grow with it.
+    #[test]
+    fn all_lists_every_variant_exactly_once() {
+        const VARIANTS: usize = 14;
+        let position = |a: Algorithm| match a {
+            Algorithm::VcrHash => 0,
+            Algorithm::Grid => 1,
+            Algorithm::Dbh => 2,
+            Algorithm::PowerGraphGreedy => 3,
+            Algorithm::Hdrf => 4,
+            Algorithm::HybridRandom => 5,
+            Algorithm::Ginger => 6,
+            Algorithm::EcrHash => 7,
+            Algorithm::Ldg => 8,
+            Algorithm::Fennel => 9,
+            Algorithm::RestreamLdg => 10,
+            Algorithm::RestreamFennel => 11,
+            Algorithm::Metis => 12,
+            Algorithm::TwoPhaseHdrf => 13,
+        };
+        // Entry i sits at position i, so the entries are distinct; with
+        // VARIANTS of them every variant is listed.
+        assert_eq!(Algorithm::all().len(), VARIANTS);
+        for (i, &a) in Algorithm::all().iter().enumerate() {
+            assert_eq!(position(a), i, "{a} is out of place in Algorithm::all()");
+        }
+    }
 
     #[test]
     fn every_algorithm_runs_end_to_end() {

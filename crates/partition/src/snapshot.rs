@@ -24,6 +24,10 @@
 //! in `tests/goldens/SCHEMA_VERSIONS`, and a snapshot from any other
 //! version is rejected with a typed [`SnapshotError`] instead of being
 //! misread.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "header fields are split from lines the parser already length-checked; record arrays are indexed by counts read from the validated header"
+)]
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;

@@ -19,6 +19,10 @@
 //! With [`PartitionerConfig::two_phase_clustering`] disabled the
 //! clustering pass disappears and the assignment pass is bit-identical
 //! to plain HDRF — the root differential tests pin that degeneracy.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "2PS cluster arrays are sized num_vertices; cluster ids are allocated sequentially and remapped within the recorded count before phase two indexes by them"
+)]
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;

@@ -10,6 +10,10 @@
 //! [`crate::streaming`], whose
 //! [`run_edge_stream`](crate::streaming::run_edge_stream) drives any
 //! partitioner defined here.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "vertex-cut kernels index replica sets and partial degrees sized num_vertices/k at construction; affinity scoring iterates partitions 0..k"
+)]
 
 use crate::assignment::{fxhash64, hash_to_partition, PartitionId};
 use crate::config::PartitionerConfig;
@@ -207,13 +211,16 @@ impl EdgeStreamState {
 
     /// Least-loaded partition among `candidates` (ties → lower id); falls
     /// back to the global least-loaded when `candidates` is empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "the candidate set is 0..k (non-empty, k >= 1 asserted at construction) or a non-empty slice"
+    )]
     pub fn least_loaded(&self, candidates: &[PartitionId]) -> PartitionId {
         let pick = if candidates.is_empty() {
             kernels::least_loaded_among(0..self.k as PartitionId, &self.edge_counts)
         } else {
             kernels::least_loaded_among(candidates.iter().copied(), &self.edge_counts)
         };
-        // sgp-lint: allow(no-panic-in-lib): the candidate set is 0..k (non-empty, k >= 1 asserted at construction) or a non-empty slice
         pick.expect("k >= 1")
     }
 

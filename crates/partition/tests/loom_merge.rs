@@ -1,4 +1,3 @@
-#![cfg(loom)]
 //! Loom model of the merge barrier in the threaded execution backend
 //! (`src/exec.rs`): L workers each publish a decision log for the
 //! round, the coordinator joins them at the barrier and replays the
@@ -12,6 +11,8 @@
 //! workflow job runs `cargo add loom --dev -p sgp-partition` on the
 //! runner and then tests with `RUSTFLAGS="--cfg loom"`; in a normal
 //! build this whole file is compiled out by the `cfg(loom)` gate.
+
+#![cfg(loom)]
 
 use loom::sync::{Arc, Mutex};
 use loom::thread;

@@ -17,9 +17,8 @@
 //!
 //! Every stamp is **simulated time or a logical sequence number** —
 //! never wallclock — so identical seeds yield byte-identical traces.
-//! This crate is inside the `no-wallclock-in-sim`, `no-hash-iteration`,
-//! and `no-panic-in-lib` scopes of `sgp-xtask lint`: no `Instant`, no
-//! `SystemTime`, no `HashMap` iteration, no panicking calls. All JSON
+//! `clippy.toml` and the crate-root lints hold it to that: no `Instant`,
+//! no `SystemTime`, no `HashMap` iteration, no panicking calls. All JSON
 //! payloads are integers (no floats), so the export has a single
 //! canonical rendering.
 //!
@@ -31,6 +30,15 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro
+)]
+#![warn(clippy::indexing_slicing)]
 
 pub mod guard;
 pub mod hist;

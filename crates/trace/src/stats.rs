@@ -70,7 +70,7 @@ mod tests {
         // fault_sim.rs, bit for bit.
         let mut lat: Vec<u64> = vec![5_000_000, 1_000_000, 3_000_000, 9_000_000];
         let s = latency_summary_ms(&mut lat);
-        let mut reference = vec![5_000_000u64, 1_000_000, 3_000_000, 9_000_000];
+        let mut reference = [5_000_000u64, 1_000_000, 3_000_000, 9_000_000];
         reference.sort_unstable();
         let measured = reference.len().max(1) as f64;
         let mean_ns = reference.iter().sum::<u64>() as f64 / measured;

@@ -1,4 +1,4 @@
-//! Item-level AST for the semantic lint tier.
+//! Item-level AST.
 //!
 //! The parser ([`crate::parser`]) groups the lossless token stream
 //! ([`crate::lexer`]) into *items* — functions, types, impl blocks,
@@ -12,13 +12,10 @@
 //!
 //! * Function bodies are opaque brace-matched token ranges; statements
 //!   and expressions are not parsed. Rules that need structure inside a
-//!   body (match arms, call sites) pattern-match over the body's token
-//!   range with the helpers in [`crate::parser`].
+//!   body (call sites) pattern-match over the body's token range with
+//!   the helpers in [`crate::cursor`].
 //! * Nested `fn` items inside a body are *not* split out: their tokens
-//!   belong to the enclosing function's body. The call graph therefore
-//!   attributes a nested fn's panics to its parent (a sound
-//!   over-approximation) and cannot resolve calls *to* it (an
-//!   under-approximation, noted in the reachability rule's docs).
+//!   belong to the enclosing function's body.
 //! * Inner attributes (`#![…]`) and leading doc comments attach to the
 //!   following item's span; the span partition stays exact either way.
 //! * Attributes are read where items are: an attribute on a *statement*
@@ -36,7 +33,7 @@ pub enum ItemKind {
     Fn,
     /// `struct` or `union` definition.
     Struct,
-    /// `enum` definition; variants are extracted into [`Item::variants`].
+    /// `enum` definition.
     Enum,
     /// `impl … { … }`; members are parsed into [`Item::children`].
     Impl,
@@ -62,15 +59,6 @@ pub enum ItemKind {
     Other,
 }
 
-/// One enum variant: its identifier and 1-based source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnumVariant {
-    /// Variant identifier (payloads and discriminants are skipped).
-    pub name: String,
-    /// 1-based line of the identifier token.
-    pub line: usize,
-}
-
 /// One parsed item. All ranges are half-open `[start, end)` indices
 /// into the token stream the file was parsed from, except `body`,
 /// which is the *inclusive* index pair of the `{` and `}` tokens.
@@ -79,13 +67,10 @@ pub struct Item {
     /// Syntactic class.
     pub kind: ItemKind,
     /// Declared name, when the grammar position has one (`impl` blocks
-    /// record the self-type's last path segment).
+    /// have none).
     pub name: Option<String>,
     /// 1-based line of the name (or of the introducing keyword).
     pub line: usize,
-    /// True only for unrestricted `pub`; `pub(crate)`/`pub(super)` are
-    /// not public entry points and stay false.
-    pub is_pub: bool,
     /// True when one of the item's own outer attributes compiles it
     /// for tests only: `#[test]`, or `#[cfg(p)]` where `p` *requires*
     /// `test` (`test`, `all(test, …)`; `not(test)` and `any(test, …)`
@@ -103,8 +88,6 @@ pub struct Item {
     /// container's interior trailing trivia); set only when `children`
     /// semantics apply.
     pub body_trailing: Option<(usize, usize)>,
-    /// Variants of an `enum` item.
-    pub variants: Vec<EnumVariant>,
 }
 
 /// A parsed file: top-level items plus the trailing token range after

@@ -10,13 +10,6 @@
 //!   every constant in that module must be referenced somewhere. This
 //!   pins the trace schema: a renamed or orphaned key would silently
 //!   drift the byte-exact trace goldens.
-//! * [`no-float-accounting`](crate::rules::NO_FLOAT_ACCOUNTING) — the
-//!   simulated-time and message-accounting paths (`sgp-db` simulators,
-//!   `sgp-engine` wire/placement accounting) must stay integral: float
-//!   literals and `as f32`/`as f64` casts are findings. Real-valued
-//!   *algorithm* state (PageRank ranks, the analytic cost model) is out
-//!   of scope by design; quantile/report rendering inside scoped files
-//!   carries `allow-scope` directives.
 //! * [`schema-version-sync`](crate::rules::SCHEMA_VERSION_SYNC) — the
 //!   schema-version constants in `sgp-trace` (JSON trace documents) and
 //!   `sgp-fault` (FaultPlan) must agree with the single source of truth
@@ -30,11 +23,9 @@
 //!   justification that it is plain owned data). Stale registry entries
 //!   are errors.
 //!
-//! The first three report through [`Findings::emit`], so allow
-//! directives and their `stale-allow`/`unused-allow` bookkeeping cover
-//! them like the per-file rules. The registry-backed rule deliberately
-//! bypasses allow directives ([`Findings::report`]): its audit trail
-//! must live in exactly one reviewable file.
+//! No attribute or comment suppresses these findings: the registry
+//! module and the committed files under `tests/goldens/` are the audit
+//! trail.
 
 use crate::ast::{Item, ItemKind};
 use crate::cursor::{
@@ -42,10 +33,7 @@ use crate::cursor::{
     turbofish_after,
 };
 use crate::lexer::TokenKind;
-use crate::rules::{
-    Findings, Rule, NO_FLOAT_ACCOUNTING, SCHEMA_VERSION_SYNC, SEND_BOUND_REGISTRY,
-    TRACE_KEY_REGISTRY,
-};
+use crate::rules::{Findings, SCHEMA_VERSION_SYNC, SEND_BOUND_REGISTRY, TRACE_KEY_REGISTRY};
 use crate::scan::ParsedFile;
 use crate::workspace::{FileKind, Workspace};
 use crate::Analysis;
@@ -61,17 +49,6 @@ const SINK_METHODS: &[&str] =
 /// names). The span-balance rule checks the same crates' fn bodies.
 pub(crate) const SINK_SCOPE: &[&str] = &["sgp-partition", "sgp-engine", "sgp-db", "sgp-core"];
 
-/// Files whose accounting must stay integral: (package, path suffix).
-/// `engine.rs`/`cost.rs` hold the paper's real-valued analytic cost
-/// model and are deliberately outside this list.
-const FLOAT_SCOPE: &[(&str, &str)] = &[
-    ("sgp-db", "src/sim.rs"),
-    ("sgp-db", "src/fault_sim.rs"),
-    ("sgp-engine", "src/wire.rs"),
-    ("sgp-engine", "src/placement.rs"),
-    ("sgp-partition", "src/migration.rs"),
-];
-
 /// Workspace-relative path of the schema-version source of truth.
 pub const SCHEMA_VERSIONS_REL: &str = "tests/goldens/SCHEMA_VERSIONS";
 /// Workspace-relative path of the channel-payload Send audit registry.
@@ -83,13 +60,11 @@ const SCHEMA_SPECS: &[(&str, &str, &str)] = &[
     ("fault-plan", "sgp-fault", "FAULT_PLAN_SCHEMA_VERSION"),
     ("send-registry", "sgp-partition", "SEND_REGISTRY_SCHEMA_VERSION"),
     ("snapshot", "sgp-partition", "SNAPSHOT_SCHEMA_VERSION"),
-    ("algorithm-surfaces", "sgp-partition", "ALGORITHM_SURFACES_SCHEMA_VERSION"),
 ];
 
 /// Runs every cross-file rule.
-pub fn check_all(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+pub fn check_all(cx: &Analysis<'_>, out: &mut Findings) {
     check_trace_key_registry(cx, out);
-    check_float_accounting(cx, out);
     check_schema_version_sync(cx, out);
     check_send_bound_registry(cx, out);
 }
@@ -118,7 +93,7 @@ fn const_literals(file: &ParsedFile, wanted: fn(TokenKind) -> bool) -> Vec<(&str
 // trace-key-registry
 // ---------------------------------------------------------------------------
 
-fn check_trace_key_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+fn check_trace_key_registry(cx: &Analysis<'_>, out: &mut Findings) {
     // Locate the canonical registry module and its string constants.
     let registry_idx = cx.entries.iter().position(|e| {
         cx.ws.members[e.member].name == "sgp-trace" && e.file.rel.ends_with("src/keys.rs")
@@ -129,7 +104,7 @@ fn check_trace_key_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
     let registry_names: BTreeSet<&str> = registry.iter().map(|&(n, _, _)| n).collect();
 
     // Pass over every sink call site in the instrumented crates.
-    for (ei, e) in cx.entries.iter().enumerate() {
+    for e in cx.entries {
         let member = &cx.ws.members[e.member];
         if !SINK_SCOPE.contains(&member.name.as_str()) || e.kind != FileKind::LibSrc {
             continue;
@@ -150,7 +125,7 @@ fn check_trace_key_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
                          constant, so the goldens-pinned schema has one source of truth",
                         toks[arg].text(src)
                     );
-                    out.emit(&TRACE_KEY_REGISTRY, ei, toks[arg].line, msg);
+                    out.report(&TRACE_KEY_REGISTRY, &e.file.rel, toks[arg].line, msg);
                 }
                 TokenKind::Ident => {
                     // Resolve a path like `keys::PARTITION_RUN` to its
@@ -162,7 +137,7 @@ fn check_trace_key_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
                             "trace key argument `{name}` does not name a sgp_trace::keys \
                              constant — route every key through the registry"
                         );
-                        out.emit(&TRACE_KEY_REGISTRY, ei, toks[last].line, msg);
+                        out.report(&TRACE_KEY_REGISTRY, &e.file.rel, toks[last].line, msg);
                     }
                 }
                 _ => {}
@@ -189,40 +164,7 @@ fn check_trace_key_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
                  wire up the instrumentation it promises",
                 str_content(&keys.source, &keys.tokens, value)
             );
-            out.emit(&TRACE_KEY_REGISTRY, ri, line, msg);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// no-float-accounting
-// ---------------------------------------------------------------------------
-
-fn check_float_accounting(cx: &Analysis<'_>, out: &mut Findings<'_>) {
-    for (ei, e) in cx.entries.iter().enumerate() {
-        let member = &cx.ws.members[e.member];
-        let scoped = FLOAT_SCOPE
-            .iter()
-            .any(|(pkg, suffix)| member.name == *pkg && e.file.rel.ends_with(suffix));
-        if !scoped {
-            continue;
-        }
-        let (src, toks) = (e.file.source.as_str(), e.file.tokens.as_slice());
-        for (i, t) in toks.iter().enumerate() {
-            let is_float_literal = matches!(t.kind, TokenKind::Number { float: true });
-            let is_float_cast = ident_is(src, toks, Some(i), "as")
-                && next(toks, i)
-                    .is_some_and(|n| matches!(ident(src, toks, n), Some("f32") | Some("f64")));
-            if (!is_float_literal && !is_float_cast) || e.file.is_test_line(t.line) {
-                continue;
-            }
-            let what = if is_float_cast { "an `as f32`/`as f64` cast" } else { "a float literal" };
-            let msg = format!(
-                "{what} in a simulated-time/message-accounting path — accounting must stay \
-                 integral (ticks, ns, bytes); quantile/report rendering belongs under a scoped \
-                 allow"
-            );
-            out.emit(&NO_FLOAT_ACCOUNTING, ei, t.line, msg);
+            out.report(&TRACE_KEY_REGISTRY, &keys.rel, line, msg);
         }
     }
 }
@@ -231,7 +173,7 @@ fn check_float_accounting(cx: &Analysis<'_>, out: &mut Findings<'_>) {
 // schema-version-sync
 // ---------------------------------------------------------------------------
 
-fn check_schema_version_sync(cx: &Analysis<'_>, out: &mut Findings<'_>) {
+fn check_schema_version_sync(cx: &Analysis<'_>, out: &mut Findings) {
     let Ok(text) = std::fs::read_to_string(cx.ws.root.join(SCHEMA_VERSIONS_REL)) else {
         // Workspaces without a goldens manifest (e.g. ad-hoc fixture
         // trees) simply don't pin schema versions.
@@ -266,7 +208,7 @@ fn check_schema_version_sync(cx: &Analysis<'_>, out: &mut Findings<'_>) {
             if cx.ws.members[e.member].name != *pkg || e.kind != FileKind::LibSrc {
                 return None;
             }
-            let ints = const_literals(&e.file, |k| matches!(k, TokenKind::Number { float: false }));
+            let ints = const_literals(&e.file, |k| k == TokenKind::Number);
             let &(_, line, at) = ints.iter().find(|(name, _, _)| name == const_name)?;
             let digits: String = e.file.tokens[at]
                 .text(&e.file.source)
@@ -281,7 +223,7 @@ fn check_schema_version_sync(cx: &Analysis<'_>, out: &mut Findings<'_>) {
                     "`{const_name}` is {value} but {SCHEMA_VERSIONS_REL} pins `{key}={want}` — bump \
                      the pin and re-bless the goldens in the same change, or revert the constant"
                 );
-                out.emit(&SCHEMA_VERSION_SYNC, ei, line, msg);
+                out.report(&SCHEMA_VERSION_SYNC, &cx.entries[ei].file.rel, line, msg);
             }
             (Some((ei, value, _)), None) => {
                 let rel = &cx.entries[ei].file.rel;
@@ -303,19 +245,14 @@ fn check_schema_version_sync(cx: &Analysis<'_>, out: &mut Findings<'_>) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry files (send-bound-registry, PANIC_AUDIT, ALGORITHM_SURFACES)
+// send-bound-registry
 // ---------------------------------------------------------------------------
 
-/// Parses a `<key> = <justification>` registry file at `rel` under the
+/// Parses the `<type> = <justification>` registry at `rel` under the
 /// workspace root. `#` comments and blank lines are skipped; malformed
-/// entries (no `=`, empty key or empty justification) become findings
-/// under `rule`. A missing file is an empty registry, not an error.
-pub(crate) fn parse_registry(
-    ws: &Workspace,
-    rel: &str,
-    rule: &Rule,
-    out: &mut Findings<'_>,
-) -> Vec<(String, usize)> {
+/// entries (no `=`, empty key or empty justification) are findings. A
+/// missing file is an empty registry, not an error.
+fn parse_registry(ws: &Workspace, rel: &str, out: &mut Findings) -> Vec<(String, usize)> {
     let Ok(text) = std::fs::read_to_string(ws.root.join(rel)) else {
         return Vec::new();
     };
@@ -330,7 +267,7 @@ pub(crate) fn parse_registry(
                 entries.push((key.trim().to_string(), idx + 1));
             }
             _ => out.report(
-                rule,
+                &SEND_BOUND_REGISTRY,
                 rel,
                 idx + 1,
                 format!(
@@ -343,10 +280,6 @@ pub(crate) fn parse_registry(
     entries
 }
 
-// ---------------------------------------------------------------------------
-// send-bound-registry
-// ---------------------------------------------------------------------------
-
 /// Channel constructors whose payload type crosses a thread boundary.
 const CHANNEL_CTORS: &[&str] = &["channel", "sync_channel", "bounded", "unbounded"];
 
@@ -358,8 +291,8 @@ const SEND_EXEMPT_TYPES: &[&str] = &[
     "f64", "bool", "char", "str", "String", "Vec", "VecDeque", "Option", "Box", "Arc", "Result",
 ];
 
-fn check_send_bound_registry(cx: &Analysis<'_>, out: &mut Findings<'_>) {
-    let registry = parse_registry(cx.ws, SEND_REGISTRY_REL, &SEND_BOUND_REGISTRY, out);
+fn check_send_bound_registry(cx: &Analysis<'_>, out: &mut Findings) {
+    let registry = parse_registry(cx.ws, SEND_REGISTRY_REL, out);
     let mut used = vec![false; registry.len()];
     let mut any_designated = false;
 
@@ -465,13 +398,5 @@ mod tests {
         let got: Vec<_> = found.iter().map(|f| (f.file.as_str(), f.line)).collect();
         assert_eq!(got, [("crates/db/src/x.rs", 1), ("crates/trace/src/keys.rs", 5)]);
         assert!(found[1].message.contains("`ORPHAN` (\"x.orphan\")"), "{}", found[1].message);
-    }
-
-    #[test]
-    fn float_accounting_flags_casts_and_literals_once_per_line() {
-        let src = "fn f(n: u64) -> u64 { (n as f64 * 0.5) as u64 }\n#[cfg(test)]\nmod tests { fn t() { let _ = 1.5; } }\n";
-        let found = lint(&[("sgp-db", "crates/db/src/sim.rs", src)], check_float_accounting);
-        let got: Vec<_> = found.iter().map(|f| (f.rule.as_str(), f.line)).collect();
-        assert_eq!(got, [("no-float-accounting", 1)]);
     }
 }

@@ -4,7 +4,7 @@
 //! [`lexer::is_trivia`]) and address tokens by index into the file's
 //! lossless stream, so a match can never land inside a string, a char
 //! literal or a comment, and line breaks between the pieces of a shape
-//! (`x\n    .unwrap()`) do not matter.
+//! (`sink\n    .span_enter(…)`) do not matter.
 
 use crate::lexer::{self, Token, TokenKind};
 
@@ -54,30 +54,12 @@ pub fn ident_is(src: &str, toks: &[Token], i: Option<usize>, word: &str) -> bool
     i.is_some_and(|i| ident(src, toks, i) == Some(word))
 }
 
-/// Do the non-trivia tokens starting at `i` spell `texts`, one token
-/// each? Used for fixed shapes such as `#![forbid(unsafe_code)]`.
-pub fn spells(src: &str, toks: &[Token], i: usize, texts: &[&str]) -> bool {
-    let mut at = Some(skip_trivia(toks, i, toks.len())).filter(|&j| j < toks.len());
-    for want in texts {
-        match at {
-            Some(j) if toks[j].text(src) == *want => at = next(toks, j),
-            _ => return false,
-        }
-    }
-    true
-}
-
 /// Is token `i` a method call `.name(` (whitespace/newlines allowed
 /// around the dot and before the parenthesis)?
 pub fn is_method_call(src: &str, toks: &[Token], i: usize) -> bool {
     toks[i].kind == TokenKind::Ident
         && punct_is(src, toks, prev(toks, i), '.')
         && punct_is(src, toks, next(toks, i), '(')
-}
-
-/// Is token `i` a macro invocation `name!`?
-pub fn is_macro_bang(src: &str, toks: &[Token], i: usize) -> bool {
-    toks[i].kind == TokenKind::Ident && punct_is(src, toks, next(toks, i), '!')
 }
 
 /// Does a turbofish `::<` follow token `i`? Returns the index of the `<`.
@@ -89,22 +71,6 @@ pub fn turbofish_after(src: &str, toks: &[Token], i: usize) -> Option<usize> {
         && punct(src, toks, c2) == Some(':')
         && punct(src, toks, lt) == Some('<'))
     .then_some(lt)
-}
-
-/// Is token `i` invoked as a function or constructor — `name(…)` or
-/// `name::<T>(…)`? Distinguishes `thread::spawn(f)` from an identifier
-/// that merely *names* spawn (`fn spawn_rate()`, `let channel = 3;`).
-pub fn is_call_position(src: &str, toks: &[Token], i: usize) -> bool {
-    punct_is(src, toks, next(toks, i), '(') || turbofish_after(src, toks, i).is_some()
-}
-
-/// Is `i` the last segment of a path whose previous segment is `qual`
-/// (`…::qual::<i>`)?
-pub fn qualified_by(src: &str, toks: &[Token], i: usize, qual: &str) -> bool {
-    let c2 = prev(toks, i);
-    let c1 = c2.and_then(|j| prev(toks, j));
-    let q = c1.and_then(|j| prev(toks, j));
-    punct_is(src, toks, c2, ':') && punct_is(src, toks, c1, ':') && ident_is(src, toks, q, qual)
 }
 
 /// The last segment of the path starting at identifier `i`
@@ -168,13 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn call_shapes() {
-        let f = ParsedFile::parse("spawn(f); bounded::<u32>(1); let channel = 3; vec![1]", "t.rs");
+    fn turbofish_shapes() {
+        let f = ParsedFile::parse("bounded::<u32>(1); mpsc::sync_channel(1)", "t.rs");
         let (src, toks) = (f.source.as_str(), f.tokens.as_slice());
-        assert!(is_call_position(src, toks, at(&f, "spawn")));
-        assert!(is_call_position(src, toks, at(&f, "bounded")));
-        assert!(!is_call_position(src, toks, at(&f, "channel")));
-        assert!(is_macro_bang(src, toks, at(&f, "vec")));
+        assert!(turbofish_after(src, toks, at(&f, "bounded")).is_some());
+        assert!(turbofish_after(src, toks, at(&f, "mpsc")).is_none());
     }
 
     #[test]
@@ -185,17 +149,7 @@ mod tests {
         assert_eq!(toks[arg].text(src), "keys");
         let tail = path_tail(src, toks, arg);
         assert_eq!(toks[tail].text(src), "RUN");
-        assert!(qualified_by(src, toks, tail, "sub"));
         let lit = first_arg(src, toks, at(&f, "exit")).expect("argument");
         assert_eq!(str_content(src, toks, lit), "raw");
-    }
-
-    #[test]
-    fn fixed_shapes_ignore_spacing_but_not_strings() {
-        let f = ParsedFile::parse("#! [ forbid(unsafe_code) ]\nlet s = \"#![x]\";", "t.rs");
-        let (src, toks) = (f.source.as_str(), f.tokens.as_slice());
-        let shape = ["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"];
-        assert!(spells(src, toks, 0, &shape));
-        assert!(!spells(src, toks, at(&f, "let"), &shape));
     }
 }

@@ -12,53 +12,36 @@
 //! * raw strings with any number of hashes (`r#"…"#`, `br##"…"##`),
 //!   including multi-line bodies containing quotes and hashes;
 //! * byte strings and C strings (`b"…"`, `c"…"`);
-//! * nested block comments (`/* a /* b */ c */`) and block doc
-//!   comments (`/** … */`, `/*! … */`);
-//! * line comments vs. outer/inner doc comments (`//`, `///`, `//!`,
-//!   and the non-doc `////…` form);
+//! * nested block comments (`/* a /* b */ c */`);
 //! * char literals vs. lifetimes (`'a'` vs `'a`), escaped chars
 //!   (`'\''`, `'\n'`), byte chars (`b'x'`);
-//! * raw identifiers (`r#match`);
-//! * numeric literals, with float detection (`1.5`, `1.`, `1e9`,
-//!   `2.5e-3`, `1f64`) that does not misfire on hex digits
-//!   (`0x1f32`), ranges (`1..2`), method calls on integers
-//!   (`1.max(2)`), or tuple indexing (`x.0`).
+//! * raw identifiers (`r#match`).
 //!
-//! It deliberately does **not** parse: rules pattern-match over the
-//! token stream (see [`crate::rules`]), which is exactly enough to
-//! anchor findings and allow directives to tokens instead of lines.
-
-/// Doc-comment flavour of a comment token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DocStyle {
-    /// A plain (non-doc) comment.
-    None,
-    /// An outer doc comment (`///` or `/**`).
-    Outer,
-    /// An inner doc comment (`//!` or `/*!`).
-    Inner,
-}
+//! A number is one token of digits and identifier characters (`0x1f`,
+//! `1_000u64`, `1e9`); a fraction's `.` is punctuation, which no rule
+//! reads.
+//!
+//! It deliberately does **not** parse: the item parser
+//! ([`crate::parser`]) and the rules work on this token stream, so text
+//! inside strings and comments can never match.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// A run of whitespace (including newlines).
     Whitespace,
-    /// A `//`-style comment, up to but excluding the newline.
-    LineComment(DocStyle),
+    /// A `//`-style comment (doc comments included), up to but
+    /// excluding the newline.
+    LineComment,
     /// A `/* … */` comment (possibly nested; `terminated` is false when
     /// the file ends inside it).
     BlockComment {
-        /// Doc flavour (`/**` outer, `/*!` inner).
-        doc: DocStyle,
         /// Whether the closing `*/` was found.
         terminated: bool,
     },
     /// A string literal: `"…"`, `b"…"`, `c"…"`, `r"…"`, `r#"…"#`,
-    /// `br#"…"#` — `raw` distinguishes the no-escape forms.
+    /// `br#"…"#`.
     Str {
-        /// Raw string (no escape processing, hash-delimited).
-        raw: bool,
         /// Whether the closing delimiter was found.
         terminated: bool,
     },
@@ -71,12 +54,8 @@ pub enum TokenKind {
     Lifetime,
     /// An identifier or keyword, including raw identifiers (`r#match`).
     Ident,
-    /// A numeric literal; `float` is true for `1.5`, `1.`, `1e9`,
-    /// `1f64` and friends.
-    Number {
-        /// Whether the literal is floating-point.
-        float: bool,
-    },
+    /// A numeric literal (see the module docs for where it ends).
+    Number,
     /// A single punctuation character (`.`, `{`, `!`, …).
     Punct,
 }
@@ -185,7 +164,7 @@ impl<'s> Lexer<'s> {
             return self.block_comment();
         }
         if c == '"' {
-            return self.string(0, false);
+            return self.string(0);
         }
         if c == '\'' {
             return self.char_or_lifetime();
@@ -201,32 +180,15 @@ impl<'s> Lexer<'s> {
     }
 
     fn line_comment(&mut self) -> TokenKind {
-        let doc = if self.peek(2) == Some('/') && self.peek(3) != Some('/') {
-            DocStyle::Outer
-        } else if self.peek(2) == Some('!') {
-            DocStyle::Inner
-        } else {
-            DocStyle::None
-        };
         let mut n = 2;
         while self.peek(n).is_some_and(|c| c != '\n') {
             n += 1;
         }
         self.bump(n);
-        TokenKind::LineComment(doc)
+        TokenKind::LineComment
     }
 
     fn block_comment(&mut self) -> TokenKind {
-        let doc = if self.peek(2) == Some('*')
-            && self.peek(3) != Some('*')
-            && self.peek(3) != Some('/')
-        {
-            DocStyle::Outer
-        } else if self.peek(2) == Some('!') {
-            DocStyle::Inner
-        } else {
-            DocStyle::None
-        };
         let mut n = 2;
         let mut depth = 1u32;
         let terminated = loop {
@@ -247,12 +209,12 @@ impl<'s> Lexer<'s> {
             }
         };
         self.bump(n);
-        TokenKind::BlockComment { doc, terminated }
+        TokenKind::BlockComment { terminated }
     }
 
     /// Lexes `"…"` with escapes. `prefix` characters (the `b` of a byte
     /// string, already validated) are consumed along with the literal.
-    fn string(&mut self, prefix: usize, _byte: bool) -> TokenKind {
+    fn string(&mut self, prefix: usize) -> TokenKind {
         let mut n = prefix + 1; // past the opening quote
         let terminated = loop {
             match self.peek(n) {
@@ -266,7 +228,7 @@ impl<'s> Lexer<'s> {
             }
         };
         self.bump(n);
-        TokenKind::Str { raw: false, terminated }
+        TokenKind::Str { terminated }
     }
 
     /// Lexes `r#*"…"#*` (prefix = chars before the first `#`/`"`, i.e.
@@ -293,7 +255,7 @@ impl<'s> Lexer<'s> {
             }
         };
         self.bump(n);
-        TokenKind::Str { raw: true, terminated }
+        TokenKind::Str { terminated }
     }
 
     /// Disambiguates `'a'` (char), `'\n'` (char), `'a` (lifetime).
@@ -358,7 +320,7 @@ impl<'s> Lexer<'s> {
             }
             'b' => {
                 if self.peek(1) == Some('"') {
-                    return self.string(1, true);
+                    return self.string(1);
                 }
                 if self.peek(1) == Some('\'') {
                     return self.char_literal(1);
@@ -370,11 +332,7 @@ impl<'s> Lexer<'s> {
                     return self.raw_string(2);
                 }
             }
-            'c' => {
-                if self.peek(1) == Some('"') {
-                    return self.string(1, false);
-                }
-            }
+            'c' if self.peek(1) == Some('"') => return self.string(1),
             _ => {}
         }
         let mut n = 1;
@@ -397,65 +355,11 @@ impl<'s> Lexer<'s> {
 
     fn number(&mut self) -> TokenKind {
         let mut n = 1;
-        let mut float = false;
-        let radix_prefixed = self.peek(0) == Some('0')
-            && matches!(self.peek(1), Some('x') | Some('o') | Some('b') | Some('X'));
-        if radix_prefixed {
-            n = 2;
-            while self.peek(n).is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
-                n += 1;
-            }
-            self.bump(n);
-            return TokenKind::Number { float: false };
-        }
-        while self.peek(n).is_some_and(|c| c.is_ascii_digit() || c == '_') {
-            n += 1;
-        }
-        // Fractional part: `.` followed by a digit (`1.5`), or a
-        // trailing `.` not starting a range or method call (`1.`).
-        if self.peek(n) == Some('.') {
-            match self.peek(n + 1) {
-                Some(c) if c.is_ascii_digit() => {
-                    float = true;
-                    n += 1;
-                    while self.peek(n).is_some_and(|c| c.is_ascii_digit() || c == '_') {
-                        n += 1;
-                    }
-                }
-                Some(c) if c == '.' || is_ident_start(c) => {}
-                _ => {
-                    float = true;
-                    n += 1;
-                }
-            }
-        }
-        // Exponent: `e`/`E` with optional sign and at least one digit.
-        if matches!(self.peek(n), Some('e') | Some('E')) {
-            let mut m = n + 1;
-            if matches!(self.peek(m), Some('+') | Some('-')) {
-                m += 1;
-            }
-            if self.peek(m).is_some_and(|c| c.is_ascii_digit()) {
-                float = true;
-                n = m;
-                while self.peek(n).is_some_and(|c| c.is_ascii_digit() || c == '_') {
-                    n += 1;
-                }
-            }
-        }
-        // Type suffix (`u64`, `f64`, `usize` …).
-        let suffix_start = n;
         while self.peek(n).is_some_and(is_ident_continue) {
             n += 1;
         }
-        if !float && n > suffix_start {
-            let sfx: String = (suffix_start..n).filter_map(|i| self.peek(i)).collect();
-            if sfx.starts_with("f32") || sfx.starts_with("f64") {
-                float = true;
-            }
-        }
         self.bump(n);
-        TokenKind::Number { float }
+        TokenKind::Number
     }
 }
 
@@ -470,10 +374,7 @@ fn is_ident_continue(c: char) -> bool {
 /// True for token kinds that carry no syntactic weight (whitespace and
 /// comments) — rule matchers skip these when looking at neighbours.
 pub fn is_trivia(kind: TokenKind) -> bool {
-    matches!(
-        kind,
-        TokenKind::Whitespace | TokenKind::LineComment(_) | TokenKind::BlockComment { .. }
-    )
+    matches!(kind, TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment { .. })
 }
 
 #[cfg(test)]
@@ -518,10 +419,8 @@ mod tests {
     fn raw_strings_with_hashes() {
         let src = r####"let s = r##"contains "# and " quotes"##;"####;
         let k = kinds(src);
-        assert!(k
-            .iter()
-            .any(|(kind, text)| matches!(kind, TokenKind::Str { raw: true, terminated: true })
-                && text.contains("contains")));
+        assert!(k.iter().any(|(kind, text)| matches!(kind, TokenKind::Str { terminated: true })
+            && text.contains("contains")));
         // Nothing inside the raw string leaks out as an ident.
         assert!(!k.iter().any(|(kind, text)| *kind == TokenKind::Ident && text == "contains"));
     }
@@ -541,24 +440,12 @@ mod tests {
     }
 
     #[test]
-    fn doc_comment_styles() {
-        assert!(matches!(kinds("/// outer")[0].0, TokenKind::LineComment(DocStyle::Outer)));
-        assert!(matches!(kinds("//! inner")[0].0, TokenKind::LineComment(DocStyle::Inner)));
-        assert!(matches!(kinds("// plain")[0].0, TokenKind::LineComment(DocStyle::None)));
-        assert!(matches!(kinds("//// not doc")[0].0, TokenKind::LineComment(DocStyle::None)));
-        assert!(matches!(
-            kinds("/** outer block */")[0].0,
-            TokenKind::BlockComment { doc: DocStyle::Outer, .. }
-        ));
-        assert!(matches!(
-            kinds("/*! inner block */")[0].0,
-            TokenKind::BlockComment { doc: DocStyle::Inner, .. }
-        ));
-        // `/**/` is an empty plain comment, not a doc comment.
-        assert!(matches!(
-            kinds("/**/")[0].0,
-            TokenKind::BlockComment { doc: DocStyle::None, terminated: true }
-        ));
+    fn comments_of_every_style_are_trivia() {
+        for src in ["/// outer", "//! inner", "// plain", "/** block */", "/*! inner */", "/**/"] {
+            let k = kinds(src);
+            assert_eq!(k.len(), 1, "{src}");
+            assert!(is_trivia(k[0].0), "{src}");
+        }
     }
 
     #[test]
@@ -578,36 +465,16 @@ mod tests {
     }
 
     #[test]
-    fn number_float_detection() {
-        let one = |src: &str| {
-            let k = kinds(src);
-            k.iter()
-                .find_map(|(kind, _)| match kind {
-                    TokenKind::Number { float } => Some(*float),
-                    _ => None,
-                })
-                .expect("number token")
+    fn numbers_take_their_suffix_and_stop_at_a_dot() {
+        let texts = |src: &str| -> Vec<String> {
+            kinds(src)
+                .into_iter()
+                .filter(|(k, _)| *k == TokenKind::Number)
+                .map(|(_, t)| t)
+                .collect()
         };
-        assert!(one("1.5"));
-        assert!(one("1."));
-        assert!(one("1e9"));
-        assert!(one("2.5e-3"));
-        assert!(one("1f64"));
-        assert!(one("3f32"));
-        assert!(!one("1"));
-        assert!(!one("1_000u64"));
-        assert!(!one("0x1f32"), "hex digits are not a float suffix");
-        assert!(!one("0b1010"));
-    }
-
-    #[test]
-    fn ranges_and_method_calls_on_ints_are_not_floats() {
-        let k = kinds("for i in 1..10 { let m = 1.max(2); let t = x.0; }");
-        for (kind, text) in &k {
-            if let TokenKind::Number { float } = kind {
-                assert!(!float, "{text} misdetected as float");
-            }
-        }
+        assert_eq!(texts("0x1f32 1_000u64 1e9"), ["0x1f32", "1_000u64", "1e9"]);
+        assert_eq!(texts("for i in 1..10 { x.0; 1.5 }"), ["1", "10", "0", "1", "5"]);
     }
 
     #[test]
@@ -630,7 +497,7 @@ mod tests {
     #[test]
     fn cstring_literal() {
         let k = kinds("let p = c\"path\";");
-        assert!(k.iter().any(|(kind, _)| matches!(kind, TokenKind::Str { raw: false, .. })));
+        assert!(k.iter().any(|(kind, _)| matches!(kind, TokenKind::Str { .. })));
         assert!(!k.iter().any(|(_, text)| text == "path"));
     }
 }

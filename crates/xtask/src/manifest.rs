@@ -1,18 +1,16 @@
-//! A minimal `Cargo.toml` section reader for the hygiene rule.
+//! A minimal `Cargo.toml` section reader for member discovery and the
+//! `[lints]` opt-in rule.
 //!
 //! This is not a general TOML parser — it reads exactly the shapes that
 //! appear in Cargo manifests: `[section.header]` lines and single-line
 //! `key = value` entries. Multi-line arrays are joined for the
-//! `[workspace] members` list; everything else is inspected line by
-//! line so findings carry accurate line numbers.
+//! `[workspace] members` list.
 
 use std::path::Path;
 
 /// One `key = value` entry inside a section.
 #[derive(Debug, Clone)]
 pub struct Entry {
-    /// 1-based line number in the manifest.
-    pub line: usize,
     /// The key, including any dotted suffix (`serde.workspace`).
     pub key: String,
     /// The raw value text after `=`, trimmed.
@@ -20,13 +18,11 @@ pub struct Entry {
 }
 
 /// One `[section]` with its entries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Section {
     /// Header without brackets (e.g. `dependencies`,
     /// `workspace.lints.rust`).
     pub name: String,
-    /// 1-based line of the header.
-    pub line: usize,
     /// Entries in order of appearance.
     pub entries: Vec<Entry>,
 }
@@ -85,12 +81,11 @@ pub fn parse_manifest(text: &str, rel: &str) -> Manifest {
     let mut package_name = None;
     // Implicit top-level "section" for keys before any header (unused by
     // Cargo manifests in practice, but keeps the parser total).
-    let mut current = Section { name: String::new(), line: 0, entries: Vec::new() };
+    let mut current = Section::default();
 
     let lines: Vec<&str> = text.lines().collect();
     let mut i = 0usize;
     while i < lines.len() {
-        let lineno = i + 1;
         let raw = lines[i];
         let line = strip_toml_comment(raw).trim().to_string();
         i += 1;
@@ -99,16 +94,9 @@ pub fn parse_manifest(text: &str, rel: &str) -> Manifest {
         }
         if line.starts_with('[') && line.ends_with(']') {
             if !current.name.is_empty() || !current.entries.is_empty() {
-                sections.push(std::mem::replace(
-                    &mut current,
-                    Section { name: String::new(), line: 0, entries: Vec::new() },
-                ));
+                sections.push(std::mem::take(&mut current));
             }
-            current = Section {
-                name: line.trim_matches(['[', ']']).trim().to_string(),
-                line: lineno,
-                entries: Vec::new(),
-            };
+            current.name = line.trim_matches(['[', ']']).trim().to_string();
             continue;
         }
         if let Some((key, value)) = line.split_once('=') {
@@ -129,7 +117,7 @@ pub fn parse_manifest(text: &str, rel: &str) -> Manifest {
             if current.name == "package" && key == "name" {
                 package_name = Some(value.trim_matches('"').to_string());
             }
-            current.entries.push(Entry { line: lineno, key, value });
+            current.entries.push(Entry { key, value });
         }
     }
     if !current.name.is_empty() || !current.entries.is_empty() {

@@ -36,16 +36,10 @@ pub struct SourceFile {
 pub struct Member {
     /// Package name from `[package]`.
     pub name: String,
-    /// Member directory, absolute.
-    pub dir: PathBuf,
     /// Parsed manifest.
     pub manifest: Manifest,
-    /// Workspace-relative manifest path.
-    pub manifest_rel: String,
     /// All source files of this member.
     pub files: Vec<SourceFile>,
-    /// Whether this member is the root package of the workspace.
-    pub is_root_package: bool,
 }
 
 /// The discovered workspace.
@@ -53,8 +47,6 @@ pub struct Member {
 pub struct Workspace {
     /// Workspace root directory.
     pub root: PathBuf,
-    /// The root manifest (may also define the root package).
-    pub root_manifest: Manifest,
     /// All members, root package first when present.
     pub members: Vec<Member>,
 }
@@ -91,7 +83,7 @@ pub fn discover(root: &Path) -> Result<Workspace, String> {
 
     let mut members = Vec::new();
     if root_manifest.has_section("package") {
-        members.push(load_member(&root, &root, root_manifest.clone(), "Cargo.toml", true));
+        members.push(load_member(&root, &root, root_manifest.clone()));
     }
     for pattern in root_manifest.workspace_members() {
         for dir in expand_member_pattern(&root, &pattern) {
@@ -101,10 +93,10 @@ pub fn discover(root: &Path) -> Result<Workspace, String> {
             }
             let rel = rel_path(&root, &manifest_path);
             let manifest = read_manifest(&manifest_path, &rel)?;
-            members.push(load_member(&root, &dir, manifest, &rel, false));
+            members.push(load_member(&root, &dir, manifest));
         }
     }
-    Ok(Workspace { root, root_manifest, members })
+    Ok(Workspace { root, members })
 }
 
 /// Expands a `[workspace] members` entry: either a literal path or a
@@ -126,13 +118,7 @@ fn expand_member_pattern(root: &Path, pattern: &str) -> Vec<PathBuf> {
     }
 }
 
-fn load_member(
-    root: &Path,
-    dir: &Path,
-    manifest: Manifest,
-    manifest_rel: &str,
-    is_root_package: bool,
-) -> Member {
+fn load_member(root: &Path, dir: &Path, manifest: Manifest) -> Member {
     let name = manifest.package_name.clone().unwrap_or_else(|| "<unnamed>".to_string());
     let mut files = Vec::new();
     collect_rs(root, &dir.join("src"), FileKind::LibSrc, true, &mut files);
@@ -140,14 +126,7 @@ fn load_member(
     collect_rs(root, &dir.join("benches"), FileKind::BenchFile, false, &mut files);
     collect_rs(root, &dir.join("examples"), FileKind::ExampleFile, false, &mut files);
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
-    Member {
-        name,
-        dir: dir.to_path_buf(),
-        manifest,
-        manifest_rel: manifest_rel.to_string(),
-        files,
-        is_root_package,
-    }
+    Member { name, manifest, files }
 }
 
 /// Collects `.rs` files under `dir`. `recursive` descends into
@@ -193,57 +172,9 @@ fn rel_path(root: &Path, path: &Path) -> String {
     path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/")
 }
 
-/// Parses one line of `git diff --name-status -M` output into the path
-/// that exists *now*, or `None` for paths the diff removed.
-///
-/// The `--diff` fast path must lint the post-change tree: a plain
-/// `--name-only` diff reports the *old* path of a rename (which no
-/// longer exists, so its findings can never match) and lists deleted
-/// files (which cannot be scanned at all). Name-status lines look like:
-///
-/// ```text
-/// M\tpath            modified — lint `path`
-/// A\tpath            added — lint `path`
-/// D\tpath            deleted — nothing to lint
-/// R100\told\tnew     renamed — lint `new`, `old` is gone
-/// C75\told\tnew      copied — lint `new`
-/// ```
-pub fn parse_name_status_line(line: &str) -> Option<String> {
-    let mut parts = line.split('\t');
-    let status = parts.next()?.trim();
-    let first = parts.next()?.trim();
-    match status.chars().next()? {
-        'D' => None,
-        'R' | 'C' => parts.next().map(|new| new.trim().to_string()),
-        _ => Some(first.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn name_status_lines_resolve_to_current_paths() {
-        assert_eq!(parse_name_status_line("M\tsrc/lib.rs"), Some("src/lib.rs".into()));
-        assert_eq!(
-            parse_name_status_line("A\tcrates/x/src/new.rs"),
-            Some("crates/x/src/new.rs".into())
-        );
-        assert_eq!(
-            parse_name_status_line("D\tsrc/gone.rs"),
-            None,
-            "deleted files cannot be linted"
-        );
-        assert_eq!(
-            parse_name_status_line("R100\tsrc/old.rs\tsrc/new.rs"),
-            Some("src/new.rs".into()),
-            "a rename reports the post-change path, not the vanished one"
-        );
-        assert_eq!(parse_name_status_line("C75\tsrc/a.rs\tsrc/b.rs"), Some("src/b.rs".into()));
-        assert_eq!(parse_name_status_line(""), None);
-        assert_eq!(parse_name_status_line("R100"), None, "truncated rename line");
-    }
 
     #[test]
     fn classify_bins() {

@@ -1,7 +1,5 @@
-//! Fixture: the designated execution backend. Thread and channel
-//! primitives are legal here — thread-discipline exempts this file, so
-//! the crossbeam scope and spawn below must stay silent — but every
-//! channel payload type must be pinned by a turbofish and audited in
+//! Fixture: the designated execution backend. Every channel payload
+//! type must be pinned by a turbofish and audited in
 //! tests/goldens/SEND_REGISTRY.
 
 /// Format version of the Send registry this backend is audited

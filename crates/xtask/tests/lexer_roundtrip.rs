@@ -5,8 +5,7 @@
 //! line/column positions consistent with the newlines actually seen.
 //!
 //! This is the contract every rule builds on: a lexer that drops or
-//! double-counts a byte would silently shift `file:line` spans and
-//! detach allow directives from their violations.
+//! double-counts a byte would silently shift `file:line` spans.
 
 use sgp_xtask::lexer::{lex, TokenKind};
 use sgp_xtask::workspace;

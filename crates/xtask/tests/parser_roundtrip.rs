@@ -5,9 +5,9 @@
 //! byte-for-byte. [`sgp_xtask::parser::emit`] asserts the tiling
 //! internally and concatenates the spans, so one call checks both.
 //!
-//! This is the contract the semantic tier builds on: a parser that
-//! dropped or double-counted a token would silently detach fn bodies
-//! from their names and shift every reachability path.
+//! This is the contract the rules build on: a parser that dropped or
+//! double-counted a token would silently detach fn bodies from their
+//! names and test attributes from their items.
 
 use sgp_xtask::lexer::lex;
 use sgp_xtask::parser::{self, parse};
