@@ -33,6 +33,22 @@ pub struct DecisionStats {
     pub replicas_created: u64,
 }
 
+/// Exact work counters of the vertex-stream greedy kernels (LDG, FENNEL
+/// and their restreaming wrappers; all-zero elsewhere).
+///
+/// Unlike [`DecisionStats`] these describe how a placement was computed,
+/// not what was decided: they are kept out of snapshots and traces, so a
+/// restored machine counts from zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkStats {
+    /// Partition scores computed: each below-capacity candidate the
+    /// candidate fold scored, plus every below-capacity partition of a
+    /// full fold.
+    pub score_evals: u64,
+    /// Records placed by the full k-way fold instead of the candidate fold.
+    pub full_folds: u64,
+}
+
 impl DecisionStats {
     /// Adds another stats block into this one.
     pub fn merge(&mut self, other: &DecisionStats) {

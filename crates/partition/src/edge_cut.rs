@@ -16,7 +16,7 @@
 
 use crate::assignment::{hash_to_partition, PartitionId};
 use crate::config::PartitionerConfig;
-use crate::decisions::DecisionStats;
+use crate::decisions::{DecisionStats, WorkStats};
 use crate::kernels;
 use sgp_graph::stream::VertexRecord;
 use sgp_graph::VertexId;
@@ -43,10 +43,11 @@ impl VertexStreamState {
     /// Counts, for each partition, how many of `neighbors` are already
     /// placed there — the `|P_i ∩ N(u)|` term of LDG and FENNEL — into
     /// the caller's scratch buffer, cleared and resized to a dense
-    /// `k`-length histogram (the zero-alloc form every `place` body uses,
-    /// DESIGN.md §13). Unplaced neighbours contribute nothing; repeated
-    /// neighbours (and self-loops of an already-placed vertex) count once
-    /// per occurrence.
+    /// `k`-length histogram (the zero-alloc form the attribute-aware,
+    /// heterogeneous and Ginger `place` bodies use; LDG and FENNEL count
+    /// into their candidate fold instead, DESIGN.md §13). Unplaced
+    /// neighbours contribute nothing; repeated neighbours (and self-loops
+    /// of an already-placed vertex) count once per occurrence.
     pub fn neighbor_histogram_into(&self, neighbors: &[u32], k: usize, hist: &mut Vec<usize>) {
         hist.clear();
         hist.resize(k, 0);
@@ -92,6 +93,12 @@ pub trait VertexStreamPartitioner: Send {
     /// without greedy decisions, e.g. hash placement).
     fn decision_stats(&self) -> DecisionStats {
         DecisionStats::default()
+    }
+
+    /// Exact work counters accumulated so far (all-zero for algorithms
+    /// that do not count their work).
+    fn work_stats(&self) -> WorkStats {
+        WorkStats::default()
     }
 
     /// Algorithm-specific run-varying tables as canonical `(key, value)`
@@ -153,45 +160,53 @@ impl VertexStreamPartitioner for HashVertex {
 /// available (the standard LDG tie-break).
 #[derive(Debug, Clone)]
 pub struct Ldg {
-    k: usize,
-    capacity: f64,
     stats: DecisionStats,
-    /// Scratch neighbour histogram reused across vertices (DESIGN.md §13).
-    hist: Vec<usize>,
-    /// Scratch score column handed to the shared argmax kernel.
-    scores: Vec<f64>,
+    /// Scores only the partitions a neighbour sits in (DESIGN.md §13).
+    fold: kernels::CandidateFold,
+    rule: LdgScore,
 }
 
 impl Ldg {
     /// Creates LDG for a graph with `n` vertices.
     pub fn new(cfg: &PartitionerConfig, n: usize) -> Self {
+        let capacity = cfg.vertex_capacity(n).max(1.0);
         Ldg {
-            k: cfg.k,
-            capacity: cfg.vertex_capacity(n).max(1.0),
             stats: DecisionStats::default(),
-            hist: Vec::new(),
-            scores: vec![0.0; cfg.k],
+            fold: kernels::CandidateFold::new(cfg.k, capacity),
+            rule: LdgScore { capacity },
         }
+    }
+}
+
+/// Eq. (4)'s score for the candidate fold. A partition holding no
+/// neighbour scores `0 · (1 − |P_i|/C) = +0.0` at every load below
+/// capacity: a constant band.
+#[derive(Debug, Clone)]
+struct LdgScore {
+    capacity: f64,
+}
+
+impl kernels::NeighbourScore for LdgScore {
+    fn score(&mut self, _i: usize, neighbours: usize, load: usize) -> f64 {
+        neighbours as f64 * (1.0 - load as f64 / self.capacity)
+    }
+
+    fn band(&mut self, _loads: &[usize], _below: usize) -> Option<kernels::Band> {
+        Some(kernels::Band::Constant(0.0))
     }
 }
 
 impl VertexStreamPartitioner for Ldg {
     fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
-        state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
-        // Capacity-saturated partitions become SKIP entries — LDG never
-        // overfills; otherwise the exact Eq. (4) score. Partition sizes
-        // do not change inside the scan, so the kernel's load tie-break
-        // is the historical "prefer the smaller partition" comparison.
-        for (i, &h) in self.hist.iter().enumerate() {
-            let size = state.sizes[i];
-            self.scores[i] = if (size as f64) >= self.capacity {
-                kernels::SKIP
-            } else {
-                h as f64 * (1.0 - size as f64 / self.capacity)
-            };
-        }
-        match kernels::epsilon_argmax(&self.scores, &state.sizes, &mut self.stats.balance_tiebreaks)
-        {
+        // Capacity-saturated partitions are skipped — LDG never
+        // overfills; the rest score Eq. (4) exactly, and ties break to
+        // the smaller partition (sizes do not change inside the fold).
+        match self.fold.place(
+            &rec.neighbors,
+            state,
+            &mut self.rule,
+            &mut self.stats.balance_tiebreaks,
+        ) {
             Some(i) => i as PartitionId,
             None => {
                 // All partitions at capacity (only possible with β = 1 and
@@ -208,6 +223,10 @@ impl VertexStreamPartitioner for Ldg {
 
     fn decision_stats(&self) -> DecisionStats {
         self.stats
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.fold.work
     }
 
     fn snapshot_records(&self) -> Vec<(&'static str, String)> {
@@ -233,51 +252,89 @@ impl VertexStreamPartitioner for Ldg {
 /// [`RunError`]: crate::registry::RunError
 #[derive(Debug, Clone)]
 pub struct Fennel {
-    k: usize,
-    alpha: f64,
-    gamma: f64,
-    capacity: f64,
     stats: DecisionStats,
-    /// Scratch neighbour histogram reused across vertices (DESIGN.md §13).
-    hist: Vec<usize>,
-    /// Scratch score column handed to the shared argmax kernel.
-    scores: Vec<f64>,
-    /// `α·γ·|P_i|^(γ−1)` per partition, recomputed when `|P_i|` moves.
-    load_penalty: kernels::LoadTermMemo,
+    /// Scores only the partitions a neighbour sits in (DESIGN.md §13).
+    fold: kernels::CandidateFold,
+    rule: FennelScore,
 }
 
 impl Fennel {
     /// Creates FENNEL for a graph with `n` vertices and `m` edges.
     pub fn new(cfg: &PartitionerConfig, n: usize, m: usize) -> Self {
-        Fennel {
-            k: cfg.k,
-            alpha: cfg.resolved_fennel_alpha(n, m),
-            gamma: cfg.fennel_gamma,
-            capacity: cfg.vertex_capacity(n).max(1.0),
-            stats: DecisionStats::default(),
-            hist: Vec::new(),
-            scores: vec![0.0; cfg.k],
+        let capacity = cfg.vertex_capacity(n).max(1.0);
+        let (alpha, gamma) = (cfg.resolved_fennel_alpha(n, m), cfg.fennel_gamma);
+        // γ = 1 makes the load term α·γ·|P_i|^0 = α·γ at every load; α = 0
+        // makes it 0 at every load below capacity unless `powf` overflows
+        // there (0 · ∞ is NaN).
+        let constant = gamma == 1.0
+            || (alpha == 0.0 && fennel_penalty(alpha, gamma, capacity.ceil()).is_finite());
+        let rule = FennelScore {
+            alpha,
+            gamma,
+            constant_band: constant.then(|| 0.0 - fennel_penalty(alpha, gamma, 0.0)),
             load_penalty: kernels::LoadTermMemo::new(cfg.k),
+            separated: kernels::SeparatedLoads::new(),
+        };
+        Fennel {
+            stats: DecisionStats::default(),
+            fold: kernels::CandidateFold::new(cfg.k, capacity),
+            rule,
         }
+    }
+}
+
+/// Eq. (5)'s score for the candidate fold. A partition holding no
+/// neighbour scores `0 − α·γ·|P_i|^(γ−1)`: constant when γ = 1 or α = 0,
+/// otherwise separated wherever adjacent loads' penalties differ by more
+/// than ε.
+#[derive(Debug, Clone)]
+struct FennelScore {
+    alpha: f64,
+    gamma: f64,
+    /// The band's score when it does not depend on load.
+    constant_band: Option<f64>,
+    /// `α·γ·|P_i|^(γ−1)` per partition, recomputed when `|P_i|` moves.
+    load_penalty: kernels::LoadTermMemo,
+    /// Loads over which the band is known to be separated.
+    separated: kernels::SeparatedLoads,
+}
+
+/// FENNEL's load term `α·γ·load^(γ−1)`: one expression for the memo and
+/// the band, so both read the same bits.
+fn fennel_penalty(alpha: f64, gamma: f64, load: f64) -> f64 {
+    alpha * gamma * load.powf(gamma - 1.0)
+}
+
+impl kernels::NeighbourScore for FennelScore {
+    fn score(&mut self, i: usize, neighbours: usize, load: usize) -> f64 {
+        let (alpha, gamma) = (self.alpha, self.gamma);
+        let penalty =
+            self.load_penalty.get(i, load as u64, |size| fennel_penalty(alpha, gamma, size as f64));
+        neighbours as f64 - penalty
+    }
+
+    fn band(&mut self, loads: &[usize], below: usize) -> Option<kernels::Band> {
+        if let Some(score) = self.constant_band {
+            return Some(kernels::Band::Constant(score));
+        }
+        let (lightest, min, max) = kernels::below_capacity_range(loads, below)?;
+        let (alpha, gamma) = (self.alpha, self.gamma);
+        if !self.separated.covers(min, max, |load| 0.0 - fennel_penalty(alpha, gamma, load as f64))
+        {
+            return None;
+        }
+        Some(kernels::Band::Separated(self.score(lightest, 0, min)))
     }
 }
 
 impl VertexStreamPartitioner for Fennel {
     fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
-        state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
-        for (i, &h) in self.hist.iter().enumerate() {
-            let size = state.sizes[i];
-            self.scores[i] = if (size as f64) >= self.capacity {
-                kernels::SKIP
-            } else {
-                let load_penalty = self.load_penalty.get(i, size as u64, |size| {
-                    self.alpha * self.gamma * (size as f64).powf(self.gamma - 1.0)
-                });
-                h as f64 - load_penalty
-            };
-        }
-        match kernels::epsilon_argmax(&self.scores, &state.sizes, &mut self.stats.balance_tiebreaks)
-        {
+        match self.fold.place(
+            &rec.neighbors,
+            state,
+            &mut self.rule,
+            &mut self.stats.balance_tiebreaks,
+        ) {
             Some(i) => i as PartitionId,
             None => {
                 self.stats.capacity_fallbacks += 1;
@@ -292,6 +349,10 @@ impl VertexStreamPartitioner for Fennel {
 
     fn decision_stats(&self) -> DecisionStats {
         self.stats
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.fold.work
     }
 
     fn snapshot_records(&self) -> Vec<(&'static str, String)> {
@@ -343,6 +404,10 @@ impl<P: VertexStreamPartitioner> VertexStreamPartitioner for Restream<P> {
 
     fn decision_stats(&self) -> DecisionStats {
         self.inner.decision_stats()
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.inner.work_stats()
     }
 
     fn snapshot_records(&self) -> Vec<(&'static str, String)> {
@@ -602,6 +667,108 @@ pub(crate) mod tests {
         assert!(p.vertex_owner.unwrap().iter().all(|&x| x < 3));
     }
 
+    /// Drives `machine` over every pass of `g` in BFS order, checking per
+    /// record that a candidate-fold placement scored exactly the distinct
+    /// below-capacity partitions holding a placed neighbour; returns the
+    /// machine's work counters.
+    fn work_per_record(
+        g: &Graph,
+        cfg: &PartitionerConfig,
+        machine: &mut dyn VertexStreamPartitioner,
+    ) -> WorkStats {
+        let (n, k) = (g.num_vertices(), cfg.k);
+        let below = cfg.vertex_capacity(n).max(1.0).ceil() as usize;
+        let mut state = VertexStreamState::new(n, k);
+        let mut source = VertexStreamSource::new(g, StreamOrder::Bfs);
+        for _ in 0..machine.passes() {
+            source.restart();
+            while let Some(rec) = source.next_record() {
+                let mut candidates: Vec<PartitionId> = rec
+                    .neighbors
+                    .iter()
+                    .map(|&w| state.assignment[w as usize])
+                    .filter(|&p| p != UNASSIGNED && state.sizes[p as usize] < below)
+                    .collect();
+                candidates.sort_unstable();
+                candidates.dedup();
+                let before = machine.work_stats();
+                let p = machine.place(&rec, &state);
+                state.assign(rec.vertex, p);
+                let after = machine.work_stats();
+                if after.full_folds == before.full_folds {
+                    assert_eq!(
+                        after.score_evals - before.score_evals,
+                        candidates.len() as u64,
+                        "{} scored a partition without a neighbour at {}",
+                        machine.name(),
+                        rec.vertex
+                    );
+                }
+            }
+        }
+        machine.work_stats()
+    }
+
+    #[test]
+    fn work_counters_are_exact_on_a_lattice() {
+        let g = road_grid(RoadConfig { width: 64, height: 64, ..RoadConfig::default() });
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let c = cfg(64);
+        // (machine, its exact work, the most records in 100 that may take
+        // the full fold). FENNEL's one pass is the exception: while the
+        // partitions fill, an empty one's −pen(0) outscores a neighbour's
+        // 1 − pen(|P_i|), and the candidate fold leaves every record a
+        // non-candidate may win to the full fold.
+        let cells: [(Box<dyn VertexStreamPartitioner>, WorkStats, u64); 4] = [
+            (Box::new(Ldg::new(&c, n)), WorkStats { score_evals: 11_444, full_folds: 147 }, 5),
+            (
+                Box::new(Fennel::new(&c, n, m)),
+                WorkStats { score_evals: 51_488, full_folds: 730 },
+                20,
+            ),
+            (
+                Box::new(Restream::new(Ldg::new(&c, n), 5)),
+                WorkStats { score_evals: 37_261, full_folds: 151 },
+                5,
+            ),
+            (
+                Box::new(Restream::new(Fennel::new(&c, n, m), 5)),
+                WorkStats { score_evals: 81_255, full_folds: 738 },
+                5,
+            ),
+        ];
+        for (mut machine, pinned, percent) in cells {
+            let records = (n * machine.passes()) as u64;
+            let work = work_per_record(&g, &c, machine.as_mut());
+            assert_eq!(work, pinned, "{}", machine.name());
+            assert!(work.full_folds * 100 < records * percent, "{}: {work:?}", machine.name());
+        }
+        // `run_vertex_stream` counts the same work as the hand-driven loop.
+        let mut ldg = Ldg::new(&c, n);
+        run_vertex_stream(&g, &mut ldg, 64, StreamOrder::Bfs, &mut NullSink);
+        let mut reference = Ldg::new(&c, n);
+        assert_eq!(ldg.work_stats(), work_per_record(&g, &c, &mut reference));
+    }
+
+    #[test]
+    fn ldg_falls_back_when_a_candidate_score_rounds_into_the_band() {
+        // C = 5e12: one below capacity, a single neighbour scores
+        // 1 · (1 − (C − 1)/C) ≈ 2e-13, within ε of the empty partition's
+        // +0.0, so the dense fold breaks the tie to the lighter partition.
+        let n = 10_000_000_000_000;
+        let c = cfg(2).with_slack(1.0);
+        let cap = 5_000_000_000_000;
+        let state =
+            VertexStreamState { assignment: vec![0, UNASSIGNED], sizes: vec![cap - 1, cap - 3] };
+        let rec = VertexRecord { vertex: 1, neighbors: vec![0], out_neighbors: vec![0] };
+        let (mut ldg, mut reference) = (Ldg::new(&c, n), ReferenceLdg::new(&c, n));
+        assert_eq!(ldg.place(&rec, &state), 1);
+        assert_eq!(reference.place(&rec, &state), 1);
+        assert_eq!(ldg.decision_stats(), reference.decision_stats());
+        assert_eq!(ldg.decision_stats().balance_tiebreaks, 1);
+        assert_eq!(ldg.work_stats(), WorkStats { score_evals: 3, full_folds: 1 });
+    }
+
     /// Textbook FENNEL, Eq. (5) written once more and kept apart from the
     /// production machine: its own histogram per record, the `powf` load
     /// term recomputed per partition per record, its own ε-fold (ties to
@@ -662,6 +829,77 @@ pub(crate) mod tests {
 
         fn name(&self) -> &'static str {
             "FNL"
+        }
+
+        fn decision_stats(&self) -> DecisionStats {
+            self.stats
+        }
+
+        fn snapshot_records(&self) -> Vec<(&'static str, String)> {
+            self.stats.snapshot_records()
+        }
+
+        fn restore_record(&mut self, key: &str, value: &str) -> bool {
+            self.stats.restore_record(key, value)
+        }
+    }
+
+    /// Textbook LDG, Eq. (4) written once more and kept apart from the
+    /// production machine: its own histogram per record, the score
+    /// `|P_i ∩ N(u)| · (1 − |P_i|/C)` computed for every partition below
+    /// capacity, its own ε-fold (ties to the smaller partition, then the
+    /// lower index), no candidate set, no shared scratch.
+    #[derive(Debug, Clone)]
+    struct ReferenceLdg {
+        capacity: f64,
+        stats: DecisionStats,
+    }
+
+    impl ReferenceLdg {
+        fn new(cfg: &PartitionerConfig, n: usize) -> Self {
+            ReferenceLdg {
+                capacity: cfg.vertex_capacity(n).max(1.0),
+                stats: DecisionStats::default(),
+            }
+        }
+    }
+
+    impl VertexStreamPartitioner for ReferenceLdg {
+        fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+            let k = state.sizes.len();
+            let mut hist = vec![0usize; k];
+            for &w in &rec.neighbors {
+                let p = state.assignment[w as usize];
+                if p != UNASSIGNED {
+                    hist[p as usize] += 1;
+                }
+            }
+            // (score, size, index) of the best partition below capacity.
+            let mut best: Option<(f64, usize, usize)> = None;
+            for (i, &size) in state.sizes.iter().enumerate() {
+                if size as f64 >= self.capacity {
+                    continue;
+                }
+                let score = hist[i] as f64 * (1.0 - size as f64 / self.capacity);
+                best = match best {
+                    None => Some((score, size, i)),
+                    Some((b, _, _)) if score > b + 1e-12 => Some((score, size, i)),
+                    Some((b, b_size, _)) if (score - b).abs() <= 1e-12 && size < b_size => {
+                        self.stats.balance_tiebreaks += 1;
+                        Some((score, size, i))
+                    }
+                    kept => kept,
+                };
+            }
+            let i = best.map(|(_, _, i)| i).unwrap_or_else(|| {
+                self.stats.capacity_fallbacks += 1;
+                (0..k).min_by_key(|&i| (state.sizes[i], i)).unwrap()
+            });
+            i as PartitionId
+        }
+
+        fn name(&self) -> &'static str {
+            "LDG"
         }
 
         fn decision_stats(&self) -> DecisionStats {
@@ -760,22 +998,22 @@ pub(crate) mod tests {
 
     const TWIN_KS: [usize; 6] = [1, 2, 16, 64, 65, 130];
     const TWIN_GAMMAS: [f64; 4] = [1.0, 1.1, 1.5, 2.0];
-    const TWIN_ALPHAS: [Option<f64>; 3] = [None, Some(0.0), Some(7.5)];
+    /// α = 1e-12 puts adjacent loads' penalties within ε of each other,
+    /// so ε-ties inside the load band actually occur.
+    const TWIN_ALPHAS: [Option<f64>; 4] = [None, Some(0.0), Some(7.5), Some(1e-12)];
+    const TWIN_SLACKS: [f64; 3] = [1.0, 1.05, 1.3];
 
-    /// The FENNEL twin differential (ROADMAP item 3(b), FENNEL only):
-    /// production `Fennel` — its load-term memo included — against
-    /// [`ReferenceFennel`] on `cases` graphs × every `StreamOrder` × `ks`
-    /// × `gammas` × every α × {1 pass, 5-pass restream}. Each
-    /// configuration compares the sequential owners and `DecisionStats`,
-    /// the facade run through a mid-stream snapshot and restore (the
-    /// production memo is rebuilt, never restored: owners, and the
-    /// snapshot text at the cut and before the seal, byte for byte), and
-    /// the modelled loaders at L ∈ {2, 4}.
-    fn twin_grid(cases: u64, ks: &[usize], gammas: &[f64]) -> Tally {
+    /// Runs `configure` on `cases` graphs × every `StreamOrder` × `ks`,
+    /// handing it the graph, the order, k and the case's generator.
+    fn twin_grid(
+        cases: u64,
+        ks: &[usize],
+        mut configure: impl FnMut(&mut Tally, &Graph, StreamOrder, usize, &mut Rng),
+    ) -> Tally {
         let mut tally = Tally::default();
         check_cases(cases, |rng| {
             let g = twin_graph(rng);
-            let (n, m) = (g.num_vertices(), g.num_edges());
+            let n = g.num_vertices();
             let orders = [
                 StreamOrder::Natural,
                 StreamOrder::Random { seed: rng.next_u64() },
@@ -786,58 +1024,106 @@ pub(crate) mod tests {
             ];
             for order in orders {
                 for &k in ks {
-                    for &fennel_gamma in gammas {
-                        for fennel_alpha in TWIN_ALPHAS {
-                            let cfg = PartitionerConfig {
-                                fennel_gamma,
-                                fennel_alpha,
-                                ..PartitionerConfig::new(k)
-                            };
-                            for (algorithm, passes) in
-                                [(Algorithm::Fennel, 1), (Algorithm::RestreamFennel, 5)]
-                            {
-                                let chunk = rng.range(1..48);
-                                let cut = rng.range(1..passes * n.div_ceil(chunk) + 1);
-                                let at = format!(
-                                    "n={n} m={m} {order:?} k={k} γ={fennel_gamma} \
-                                     α={fennel_alpha:?} passes={passes} chunk={chunk} cut={cut}"
-                                );
-                                tally.configurations += 1;
-                                twin_configuration(
-                                    &mut tally,
-                                    &at,
-                                    &g,
-                                    &cfg,
-                                    order,
-                                    (algorithm, passes),
-                                    (chunk, cut),
-                                );
-                            }
-                        }
-                    }
+                    configure(&mut tally, &g, order, k, rng);
                 }
             }
         });
         tally
     }
 
-    fn twin_configuration(
+    /// The FENNEL twin differential: production `Fennel` — its load-term
+    /// memo and candidate fold included — against [`ReferenceFennel`] on
+    /// the [`twin_grid`] × `gammas` × every α × {1 pass, 5-pass
+    /// restream}, each compared by [`twin_configuration`].
+    fn fennel_twin_grid(cases: u64, ks: &[usize], gammas: &[f64]) -> Tally {
+        twin_grid(cases, ks, |tally, g, order, k, rng| {
+            let (n, m) = (g.num_vertices(), g.num_edges());
+            for &fennel_gamma in gammas {
+                for fennel_alpha in TWIN_ALPHAS {
+                    let cfg = PartitionerConfig {
+                        fennel_gamma,
+                        fennel_alpha,
+                        ..PartitionerConfig::new(k)
+                    };
+                    for (algorithm, passes) in
+                        [(Algorithm::Fennel, 1), (Algorithm::RestreamFennel, 5)]
+                    {
+                        let machines = (
+                            algorithm,
+                            Restream::new(Fennel::new(&cfg, n, m), passes),
+                            Restream::new(ReferenceFennel::new(&cfg, n, m), passes),
+                        );
+                        let cut = twin_cut(rng, n, passes);
+                        let at = format!(
+                            "n={n} m={m} {order:?} k={k} γ={fennel_gamma} α={fennel_alpha:?} \
+                             passes={passes} chunk={} cut={}",
+                            cut.0, cut.1
+                        );
+                        twin_configuration(tally, &at, g, &cfg, order, machines, cut);
+                    }
+                }
+            }
+        })
+    }
+
+    /// The LDG twin differential: production `Ldg` — its candidate fold
+    /// included — against [`ReferenceLdg`] on the [`twin_grid`] × `slacks`
+    /// × {1 pass, 5-pass restream}, each compared by
+    /// [`twin_configuration`].
+    fn ldg_twin_grid(cases: u64, ks: &[usize], slacks: &[f64]) -> Tally {
+        twin_grid(cases, ks, |tally, g, order, k, rng| {
+            let (n, m) = (g.num_vertices(), g.num_edges());
+            for &beta in slacks {
+                let cfg = PartitionerConfig::new(k).with_slack(beta);
+                for (algorithm, passes) in [(Algorithm::Ldg, 1), (Algorithm::RestreamLdg, 5)] {
+                    let machines = (
+                        algorithm,
+                        Restream::new(Ldg::new(&cfg, n), passes),
+                        Restream::new(ReferenceLdg::new(&cfg, n), passes),
+                    );
+                    let cut = twin_cut(rng, n, passes);
+                    let at = format!(
+                        "n={n} m={m} {order:?} k={k} β={beta} passes={passes} chunk={} cut={}",
+                        cut.0, cut.1
+                    );
+                    twin_configuration(tally, &at, g, &cfg, order, machines, cut);
+                }
+            }
+        })
+    }
+
+    /// A random facade chunk size and the chunk after which the facade
+    /// is snapshotted and restored.
+    fn twin_cut(rng: &mut Rng, n: usize, passes: usize) -> (usize, usize) {
+        let chunk = rng.range(1..48);
+        (chunk, rng.range(1..passes * n.div_ceil(chunk) + 1))
+    }
+
+    /// One twin configuration: `production` (the machine `algorithm`
+    /// builds) against `reference`. Compares the sequential owners and
+    /// `DecisionStats`, the facade run through a mid-stream snapshot and
+    /// restore (production's derived state is rebuilt, never restored:
+    /// owners, and the snapshot text at the cut and before the seal, byte
+    /// for byte), and the modelled loaders at L ∈ {2, 4}.
+    fn twin_configuration<P, R>(
         tally: &mut Tally,
         at: &str,
         g: &Graph,
         cfg: &PartitionerConfig,
         order: StreamOrder,
-        (algorithm, passes): (Algorithm, usize),
+        (algorithm, mut production, reference): (Algorithm, P, R),
         cut: (usize, usize),
-    ) {
-        let (n, m, k) = (g.num_vertices(), g.num_edges(), cfg.k);
-        let reference = Restream::new(ReferenceFennel::new(cfg, n, m), passes);
+    ) where
+        P: VertexStreamPartitioner,
+        R: VertexStreamPartitioner + Clone + 'static,
+    {
+        tally.configurations += 1;
+        let k = cfg.k;
         let reference_machines = || {
             let reference = reference.clone();
             Boxed::Vertex(Box::new(move || Box::new(reference.clone())), VertexSeal::EdgeCut)
         };
 
-        let mut production = Restream::new(Fennel::new(cfg, n, m), passes);
         let mut twin = reference.clone();
         let seq = run_vertex_stream(g, &mut production, k, order, &mut NullSink).vertex_owner;
         let twin_seq = run_vertex_stream(g, &mut twin, k, order, &mut NullSink).vertex_owner;
@@ -893,7 +1179,7 @@ pub(crate) mod tests {
     /// The slice of the twin grid that runs under `cargo test`.
     #[test]
     fn fennel_matches_its_textbook_twin() {
-        assert_no_twin_mismatch("FENNEL", &twin_grid(2, &[1, 16, 65], &[1.0, 1.5]));
+        assert_no_twin_mismatch("FENNEL", &fennel_twin_grid(2, &[1, 16, 65], &[1.0, 1.5]));
     }
 
     /// The full twin grid: `cargo test --release -p sgp-partition --lib
@@ -901,6 +1187,19 @@ pub(crate) mod tests {
     #[test]
     #[ignore = "full grid; run in release"]
     fn fennel_matches_its_textbook_twin_full_grid() {
-        assert_no_twin_mismatch("FENNEL", &twin_grid(8, &TWIN_KS, &TWIN_GAMMAS));
+        assert_no_twin_mismatch("FENNEL", &fennel_twin_grid(8, &TWIN_KS, &TWIN_GAMMAS));
+    }
+
+    /// The slice of the LDG twin grid that runs under `cargo test`.
+    #[test]
+    fn ldg_matches_its_textbook_twin() {
+        assert_no_twin_mismatch("LDG", &ldg_twin_grid(2, &[1, 16, 65], &TWIN_SLACKS));
+    }
+
+    /// The full LDG twin grid, run in release with the FENNEL one.
+    #[test]
+    #[ignore = "full grid; run in release"]
+    fn ldg_matches_its_textbook_twin_full_grid() {
+        assert_no_twin_mismatch("LDG", &ldg_twin_grid(8, &TWIN_KS, &TWIN_SLACKS));
     }
 }

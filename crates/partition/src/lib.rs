@@ -92,7 +92,7 @@ mod support;
 
 pub use assignment::{CutModel, PartitionId, Partitioning};
 pub use config::PartitionerConfig;
-pub use decisions::DecisionStats;
+pub use decisions::{DecisionStats, WorkStats};
 pub use dynamic::{cut_edges, restream_rounds, RestreamOutcome};
 pub use exec::partition_threaded;
 pub use loaders::{partition_multi_loader, LoaderConfig};
