@@ -330,7 +330,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
         data: &[P::VertexData],
         active: &[bool],
         acc: &mut [Option<P::Gather>],
-        tally: &mut Tally,
+        tally: &mut Tally<'_>,
     ) {
         let (g, placement, prog) = (self.g, self.placement, self.prog);
         let count_messages = !self.aggregate;
@@ -369,7 +369,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
         data: &[P::VertexData],
         slot: &mut Option<P::Gather>,
         edges: &mut Vec<GatherEdge>,
-        tally: &mut Tally,
+        tally: &mut Tally<'_>,
     ) {
         let (g, placement) = (self.g, self.placement);
         edges.clear();
@@ -400,7 +400,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// Aggregated gather partials of one active vertex: one per mirror
     /// machine holding gather edges.
     #[inline]
-    fn count_gather_partials(self, v: VertexId, tally: &mut Tally) {
+    fn count_gather_partials(self, v: VertexId, tally: &mut Tally<'_>) {
         let master = self.placement.masters[v as usize];
         for machine in self.placement.gather_partial_parts(v, self.gather_in, self.gather_out) {
             tally.gather_message::<P>(machine as usize, master);
@@ -418,7 +418,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
         iteration: usize,
         value: &mut P::VertexData,
         slot: &mut Option<P::Gather>,
-        tally: &mut Tally,
+        tally: &mut Tally<'_>,
     ) -> bool {
         tally.applies[self.placement.masters[v as usize] as usize] += 1;
         let total = slot.take().unwrap_or_else(|| self.prog.gather_identity());
@@ -435,7 +435,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
     fn scatter_flagged(
         self,
         changed: &mut [bool],
-        tally: &mut Tally,
+        tally: &mut Tally<'_>,
         mut mark: impl FnMut(VertexId),
     ) {
         for (v, flag) in changed.iter_mut().enumerate() {
@@ -448,7 +448,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// Update and scatter of one changed vertex; `mark` sees every
     /// neighbour the scatter activates.
     #[inline]
-    fn scatter_vertex(self, v: VertexId, tally: &mut Tally, mut mark: impl FnMut(VertexId)) {
+    fn scatter_vertex(self, v: VertexId, tally: &mut Tally<'_>, mut mark: impl FnMut(VertexId)) {
         let (g, placement) = (self.g, self.placement);
         // Vertex-data updates to mirrors that future gathers read.
         let master = placement.masters[v as usize] as usize;

@@ -14,12 +14,15 @@
 //! Two layers are exposed:
 //!
 //! * [`VertexStreamSource`] / [`EdgeStreamSource`] — chunked cursors that
-//!   yield bounded chunks of stream elements in any order. `Natural`
-//!   order walks the CSR directly (O(1) cursor state), `Bfs`/`Dfs` hold
-//!   only the O(|V|) vertex visit order (edges are expanded lazily), and
-//!   only `Random` materializes the full element permutation, because the
-//!   seeded Fisher–Yates shuffle finalizes the *last* position first and
-//!   therefore cannot be replayed lazily from the front.
+//!   yield bounded chunks of stream elements in any order. Vertex records
+//!   borrow CSR rows: a symmetric, duplicate-free row is lent as is, and
+//!   any other neighbourhood is one linear merge of the out- and in-row.
+//!   `Natural` order walks the CSR directly (O(1) cursor state),
+//!   `Bfs`/`Dfs` hold only the O(|V|) vertex visit order (edges are
+//!   expanded lazily), and only `Random` materializes the full element
+//!   permutation, because the seeded Fisher–Yates shuffle finalizes the
+//!   *last* position first and therefore cannot be replayed lazily from
+//!   the front.
 //! * [`VertexStream`] / [`EdgeStream`] — the original whole-stream
 //!   iterators, now thin adapters over the sources (`EdgeStream` remains
 //!   fully materialized; it is the baseline the `ingest` bench compares
@@ -32,6 +35,7 @@
 use crate::csr::Graph;
 use crate::sampling::{seeded_rng, shuffle};
 use crate::types::{Edge, VertexId};
+use std::borrow::Cow;
 
 /// Arrival order of stream elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,7 +109,12 @@ fn traversal_order(g: &Graph, bfs: bool, start: VertexId) -> Vec<VertexId> {
         frontier.push_back(root);
         while let Some(v) = if bfs { frontier.pop_front() } else { frontier.pop_back() } {
             out.push(v);
-            for w in g.undirected_neighbors(v) {
+            // `N(v)` is the out-row then the in-row. When the two rows
+            // are equal, the out-row scan has already marked every
+            // in-neighbour, so the in-row adds nothing.
+            let (outs, ins) = (g.out_neighbors(v), g.in_neighbors(v));
+            let ins = if ins == outs { &[][..] } else { ins };
+            for &w in outs.iter().chain(ins) {
                 if !seen[w as usize] {
                     seen[w as usize] = true;
                     frontier.push_back(w);
@@ -118,30 +127,67 @@ fn traversal_order(g: &Graph, bfs: bool, start: VertexId) -> Vec<VertexId> {
 
 /// A single vertex-stream element: a vertex with its full (undirected)
 /// neighbourhood, the input model of LDG/FENNEL (§4.1.1).
+///
+/// The record borrows its row from the graph's CSR whenever it can: a
+/// vertex whose out-row equals its in-row and is strictly ascending
+/// already holds `N(u)` in one slice. Other vertices get one owned row,
+/// merged from the two sorted CSR rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VertexRecord {
+pub struct VertexRecord<'g> {
     /// The arriving vertex.
     pub vertex: VertexId,
     /// Its complete neighbourhood `N(u)` over the undirected structure
     /// (out- and in-neighbours, deduplicated, sorted).
-    pub neighbors: Vec<VertexId>,
-    /// Out-neighbours only — needed when deriving the Appendix-B
-    /// edge-disjoint placement (all out-edges follow the source).
-    pub out_neighbors: Vec<VertexId>,
+    pub neighbors: Cow<'g, [VertexId]>,
 }
 
-impl VertexRecord {
-    /// Builds the stream element for `v` exactly as the stream sources
-    /// do: undirected neighbourhood sorted and deduplicated, out-edges
-    /// verbatim. Exposed so consumers that persist buffered records by
-    /// vertex id (the windowed partitioner's snapshot layer) can rebuild
-    /// them canonically from the graph.
-    pub fn for_vertex(g: &Graph, v: VertexId) -> VertexRecord {
-        let mut neighbors: Vec<VertexId> = g.undirected_neighbors(v).collect();
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        VertexRecord { vertex: v, neighbors, out_neighbors: g.out_neighbors(v).to_vec() }
+impl<'g> VertexRecord<'g> {
+    /// Builds the stream element for `v`, the only constructor: the
+    /// stream sources call it per record, and consumers that persist
+    /// buffered records by vertex id (the windowed partitioner's
+    /// snapshot layer) call it to rebuild them from the graph.
+    pub fn for_vertex(g: &'g Graph, v: VertexId) -> VertexRecord<'g> {
+        let (outs, ins) = (g.out_neighbors(v), g.in_neighbors(v));
+        let neighbors = if outs == ins && outs.windows(2).all(|w| w[0] < w[1]) {
+            Cow::Borrowed(outs)
+        } else {
+            Cow::Owned(merge_distinct(outs, ins))
+        };
+        VertexRecord { vertex: v, neighbors }
     }
+
+    /// The same record with an owned row, free of the graph's lifetime
+    /// (for payloads that cross a thread boundary).
+    pub fn into_owned(self) -> VertexRecord<'static> {
+        VertexRecord { vertex: self.vertex, neighbors: Cow::Owned(self.neighbors.into_owned()) }
+    }
+}
+
+/// The sorted union of two ascending rows, each value once.
+fn merge_distinct(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+    let mut merged: Vec<VertexId> = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x <= y => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, None) => break,
+        };
+        if merged.last() != Some(&next) {
+            merged.push(next);
+        }
+    }
+    merged
 }
 
 /// Cursor state of a [`VertexStreamSource`].
@@ -154,10 +200,12 @@ enum VertexCursor {
 }
 
 /// Chunked vertex-stream cursor: yields bounded chunks of
-/// [`VertexRecord`]s in any [`StreamOrder`] without materializing the
-/// records (and, for `Natural`, without materializing the permutation
-/// either). This is the ingestion primitive of the incremental
-/// partitioner core; [`VertexStream`] wraps it as a plain iterator.
+/// [`VertexRecord`]s in any [`StreamOrder`]. Records borrow CSR rows
+/// wherever the graph already holds `N(u)` as one row (see
+/// [`VertexRecord::for_vertex`]), and `Natural` order does not
+/// materialize the permutation either. This is the ingestion primitive
+/// of the incremental partitioner core; [`VertexStream`] wraps it as a
+/// plain iterator.
 #[derive(Debug, Clone)]
 pub struct VertexStreamSource<'g> {
     graph: &'g Graph,
@@ -220,20 +268,16 @@ impl<'g> VertexStreamSource<'g> {
         }
     }
 
-    fn record_of(&self, v: VertexId) -> VertexRecord {
-        VertexRecord::for_vertex(self.graph, v)
-    }
-
     /// Yields the next stream element, or `None` at end of stream.
-    pub fn next_record(&mut self) -> Option<VertexRecord> {
-        self.next_vertex().map(|v| self.record_of(v))
+    pub fn next_record(&mut self) -> Option<VertexRecord<'g>> {
+        self.next_vertex().map(|v| VertexRecord::for_vertex(self.graph, v))
     }
 
     /// Fills `out` with the next up-to-`max_len` stream elements
     /// (clearing it first) and returns how many were produced; 0 means
     /// end of stream. `max_len = 0` is treated as 1 so the cursor always
     /// makes progress.
-    pub fn next_chunk(&mut self, max_len: usize, out: &mut Vec<VertexRecord>) -> usize {
+    pub fn next_chunk(&mut self, max_len: usize, out: &mut Vec<VertexRecord<'g>>) -> usize {
         out.clear();
         let max_len = max_len.max(1);
         while out.len() < max_len {
@@ -276,7 +320,7 @@ impl<'g> VertexStream<'g> {
 }
 
 impl<'g> Iterator for VertexStream<'g> {
-    type Item = VertexRecord;
+    type Item = VertexRecord<'g>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.source.next_record()
@@ -486,6 +530,7 @@ impl Iterator for EdgeStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::{check_cases, Rng};
     use crate::GraphBuilder;
 
     fn path_graph() -> Graph {
@@ -519,7 +564,152 @@ mod tests {
             .find(|r| r.vertex == 1)
             .expect("vertex 1 in stream");
         assert_eq!(rec.neighbors, vec![0, 2]);
-        assert_eq!(rec.out_neighbors, vec![2]);
+        assert!(matches!(rec.neighbors, Cow::Owned(_)), "out-row [2] and in-row [0] are merged");
+    }
+
+    /// How the edges of a [`random_graph`] are drawn.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Any directed edges, self-loops and parallel edges kept or not.
+        Directed,
+        /// Every edge in both directions, parallel edges merged.
+        Symmetric,
+        /// Every edge in both directions, some of them twice, all kept.
+        SymmetricMulti,
+    }
+
+    /// A small random graph of the given shape, with a few isolated
+    /// vertices appended past the last id an edge can name.
+    fn random_graph(rng: &mut Rng, shape: Shape) -> Graph {
+        let n = rng.range(1..12);
+        let coin = |rng: &mut Rng| rng.below(2) == 1;
+        let (symmetric, keep_duplicates) = match shape {
+            Shape::Directed => (false, coin(rng)),
+            Shape::Symmetric => (true, false),
+            Shape::SymmetricMulti => (true, true),
+        };
+        let mut b = GraphBuilder::new()
+            .keep_duplicates(keep_duplicates)
+            .keep_self_loops(coin(rng))
+            .ensure_vertices(n + rng.range(0..3));
+        for _ in 0..rng.range(0..3 * n + 1) {
+            let (u, v) = (rng.index(n) as VertexId, rng.index(n) as VertexId);
+            let copies = if rng.below(4) == 0 { 2 } else { 1 };
+            for _ in 0..copies {
+                b.push_edge(u, v);
+                if symmetric {
+                    b.push_edge(v, u);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// The neighbourhood as the paper defines it, built the obvious way.
+    fn textbook_neighbors(g: &Graph, v: VertexId) -> Vec<VertexId> {
+        let mut row: Vec<VertexId> = g.undirected_neighbors(v).collect();
+        row.sort_unstable();
+        row.dedup();
+        row
+    }
+
+    #[test]
+    fn lent_rows_equal_the_textbook_neighbourhood() {
+        let (mut records, mut mismatches, mut lent, mut repeated) =
+            (0usize, 0usize, 0usize, 0usize);
+        check_cases(96, |rng| {
+            let shape = [Shape::Directed, Shape::Symmetric, Shape::SymmetricMulti][rng.index(3)];
+            let g = random_graph(rng, shape);
+            let mut orders = all_orders();
+            orders.push(StreamOrder::Random { seed: rng.next_u64() });
+            for order in orders {
+                for chunk_len in [1usize, 2, 64] {
+                    let mut source = VertexStreamSource::new(&g, order);
+                    let mut chunk = Vec::new();
+                    let mut seen = vec![false; g.num_vertices()];
+                    while source.next_chunk(chunk_len, &mut chunk) > 0 {
+                        for rec in &chunk {
+                            let v = rec.vertex;
+                            assert!(!seen[v as usize], "{v} streamed twice in {order:?}");
+                            seen[v as usize] = true;
+                            let (outs, ins) = (g.out_neighbors(v), g.in_neighbors(v));
+                            let lendable = outs == ins && outs.windows(2).all(|w| w[0] < w[1]);
+                            let borrowed = matches!(rec.neighbors, Cow::Borrowed(_));
+                            // On a symmetric simple graph every row is lent
+                            // straight out of the CSR: no record allocates.
+                            let in_place = !matches!(shape, Shape::Symmetric)
+                                || rec.neighbors.as_ptr() == outs.as_ptr();
+                            records += 1;
+                            lent += usize::from(borrowed);
+                            repeated += usize::from(outs == ins && !lendable);
+                            if rec.neighbors != textbook_neighbors(&g, v)
+                                || borrowed != lendable
+                                || !in_place
+                            {
+                                mismatches += 1;
+                            }
+                        }
+                    }
+                    assert!(seen.iter().all(|&s| s), "{order:?} chunk {chunk_len} skips a vertex");
+                }
+            }
+        });
+        assert_eq!(mismatches, 0, "{mismatches} of {records} records differ from the oracle");
+        assert!(0 < lent && lent < records, "both row kinds occur: {lent} of {records} lent");
+        assert!(repeated > 0, "some symmetric rows repeat a neighbour");
+    }
+
+    /// [`traversal_order`] as first written: every vertex scans its
+    /// out-row and its in-row.
+    fn textbook_traversal(g: &Graph, bfs: bool, start: VertexId) -> Vec<VertexId> {
+        let n = g.num_vertices();
+        let mut seen = vec![false; n];
+        let mut out = Vec::new();
+        let mut frontier = std::collections::VecDeque::new();
+        for root in std::iter::once(start).chain(0..n as VertexId) {
+            if (root as usize) >= n || seen[root as usize] {
+                continue;
+            }
+            seen[root as usize] = true;
+            frontier.push_back(root);
+            while let Some(v) = if bfs { frontier.pop_front() } else { frontier.pop_back() } {
+                out.push(v);
+                for w in g.undirected_neighbors(v) {
+                    if !seen[w as usize] {
+                        seen[w as usize] = true;
+                        frontier.push_back(w);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn traversal_order_equals_the_two_row_scan() {
+        check_cases(96, |rng| {
+            let shape = [Shape::Directed, Shape::Symmetric, Shape::SymmetricMulti][rng.index(3)];
+            let g = random_graph(rng, shape);
+            let start = rng.index(g.num_vertices() + 1) as VertexId;
+            for bfs in [true, false] {
+                assert_eq!(
+                    traversal_order(&g, bfs, start),
+                    textbook_traversal(&g, bfs, start),
+                    "{shape:?} bfs {bfs} start {start}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn into_owned_keeps_the_row() {
+        let g = GraphBuilder::new().add_edge(0, 1).add_edge(1, 0).add_edge(1, 2).build();
+        for v in g.vertices() {
+            let rec = VertexRecord::for_vertex(&g, v);
+            let owned = rec.clone().into_owned();
+            assert!(matches!(owned.neighbors, Cow::Owned(_)));
+            assert_eq!(owned, rec);
+        }
     }
 
     #[test]
@@ -650,7 +840,7 @@ mod tests {
             .add_edge(5, 6)
             .build();
         for order in all_orders() {
-            let whole: Vec<VertexRecord> = VertexStream::new(&g, order).collect();
+            let whole: Vec<VertexRecord<'_>> = VertexStream::new(&g, order).collect();
             for chunk_len in [1usize, 2, 3, 64] {
                 let mut source = VertexStreamSource::new(&g, order);
                 let mut chunk = Vec::new();

@@ -65,7 +65,7 @@ impl AttributeLdg {
 }
 
 impl VertexStreamPartitioner for AttributeLdg {
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
         let w = self.attribute[rec.vertex as usize];
         let mut best: Option<(f64, u64, usize)> = None;
@@ -161,7 +161,7 @@ impl AttributeFennel {
 }
 
 impl VertexStreamPartitioner for AttributeFennel {
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
         let w = self.attribute[rec.vertex as usize];
         let mut best: Option<(f64, u64, usize)> = None;

@@ -78,7 +78,7 @@ impl VertexStreamState {
 /// owned data (counters and vectors), so the bound costs nothing.
 pub trait VertexStreamPartitioner: Send {
     /// Chooses a partition for the arriving vertex given the shared state.
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId;
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId;
 
     /// Short display name (Table 2 abbreviation).
     fn name(&self) -> &'static str;
@@ -141,7 +141,7 @@ impl HashVertex {
 }
 
 impl VertexStreamPartitioner for HashVertex {
-    fn place(&mut self, rec: &VertexRecord, _state: &VertexStreamState) -> PartitionId {
+    fn place(&mut self, rec: &VertexRecord<'_>, _state: &VertexStreamState) -> PartitionId {
         self.owner(rec.vertex)
     }
 
@@ -197,7 +197,7 @@ impl kernels::NeighbourScore for LdgScore {
 }
 
 impl VertexStreamPartitioner for Ldg {
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         // Capacity-saturated partitions are skipped — LDG never
         // overfills; the rest score Eq. (4) exactly, and ties break to
         // the smaller partition (sizes do not change inside the fold).
@@ -328,7 +328,7 @@ impl kernels::NeighbourScore for FennelScore {
 }
 
 impl VertexStreamPartitioner for Fennel {
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         match self.fold.place(
             &rec.neighbors,
             state,
@@ -390,7 +390,7 @@ impl<P: VertexStreamPartitioner> Restream<P> {
 }
 
 impl<P: VertexStreamPartitioner> VertexStreamPartitioner for Restream<P> {
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         self.inner.place(rec, state)
     }
 
@@ -760,7 +760,7 @@ pub(crate) mod tests {
         let cap = 5_000_000_000_000;
         let state =
             VertexStreamState { assignment: vec![0, UNASSIGNED], sizes: vec![cap - 1, cap - 3] };
-        let rec = VertexRecord { vertex: 1, neighbors: vec![0], out_neighbors: vec![0] };
+        let rec = VertexRecord { vertex: 1, neighbors: vec![0].into() };
         let (mut ldg, mut reference) = (Ldg::new(&c, n), ReferenceLdg::new(&c, n));
         assert_eq!(ldg.place(&rec, &state), 1);
         assert_eq!(reference.place(&rec, &state), 1);
@@ -793,10 +793,10 @@ pub(crate) mod tests {
     }
 
     impl VertexStreamPartitioner for ReferenceFennel {
-        fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+        fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
             let k = state.sizes.len();
             let mut hist = vec![0usize; k];
-            for &w in &rec.neighbors {
+            for &w in rec.neighbors.iter() {
                 let p = state.assignment[w as usize];
                 if p != UNASSIGNED {
                     hist[p as usize] += 1;
@@ -865,10 +865,10 @@ pub(crate) mod tests {
     }
 
     impl VertexStreamPartitioner for ReferenceLdg {
-        fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+        fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
             let k = state.sizes.len();
             let mut hist = vec![0usize; k];
-            for &w in &rec.neighbors {
+            for &w in rec.neighbors.iter() {
                 let p = state.assignment[w as usize];
                 if p != UNASSIGNED {
                     hist[p as usize] += 1;

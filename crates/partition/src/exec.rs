@@ -82,10 +82,11 @@ struct VertexDelta {
 
 /// One round of work for a vertex-stream worker: the previous barrier's
 /// delta plus the worker's stride of the block. The delta is shared by
-/// `Arc` and never mutated after construction; the records are owned.
+/// `Arc` and never mutated after construction; the records are owned
+/// copies, free of the graph's lifetime.
 struct VertexWork {
     delta: Arc<VertexDelta>,
-    records: Vec<VertexRecord>,
+    records: Vec<VertexRecord<'static>>,
 }
 
 /// A vertex worker's decision log for one round, replayed at the
@@ -190,14 +191,14 @@ fn threaded_vertices(
         let mut global = VertexStreamState::new(n, k);
         let mut delta = Arc::new(VertexDelta { start: 0, decisions: Vec::new() });
         let mut source = VertexStreamSource::new(g, order);
-        let mut block: Vec<VertexRecord> = Vec::new();
+        let mut block = Vec::new();
         let mut round: u64 = 0;
         for _pass in 0..passes {
             source.restart();
             while source.next_chunk(l.saturating_mul(t), &mut block) > 0 {
-                let mut strides: Vec<Vec<VertexRecord>> = vec![Vec::new(); l];
+                let mut strides: Vec<Vec<VertexRecord<'static>>> = vec![Vec::new(); l];
                 for (i, rec) in block.drain(..).enumerate() {
-                    strides[i % l].push(rec);
+                    strides[i % l].push(rec.into_owned());
                 }
                 for (tx, records) in work_txs.iter().zip(strides) {
                     let work = VertexWork { delta: Arc::clone(&delta), records };

@@ -93,7 +93,7 @@ impl VertexStreamPartitioner for HeteroLdg {
         clippy::expect_used,
         reason = "capacities are validated positive at construction, so the fill ratios are finite; 0..k is non-empty because PartitionerConfig::new asserts k >= 1"
     )]
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         let k = self.profile.k();
         state.neighbor_histogram_into(&rec.neighbors, k, &mut self.hist);
         let mut best: Option<(f64, f64, usize)> = None; // (score, fill for tie-break, index)

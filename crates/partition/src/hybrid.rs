@@ -70,7 +70,7 @@ impl GingerVertex {
 }
 
 impl VertexStreamPartitioner for GingerVertex {
-    fn place(&mut self, rec: &VertexRecord, state: &VertexStreamState) -> PartitionId {
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
         let mut best = (f64::NEG_INFINITY, 0usize);
         for i in 0..self.k {

@@ -51,7 +51,6 @@ use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
 use crate::registry::{offline_baseline, Algorithm, Boxed, Exec, Run};
 use crate::streaming::{owner_from_assignment, VertexSeal};
 use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
-use sgp_graph::stream::VertexRecord;
 use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder, VertexStreamSource};
 use sgp_trace::NullSink;
 
@@ -194,7 +193,7 @@ fn multi_loader_vertices(
     let mut locals: Vec<VertexStreamState> = vec![global.clone(); l];
     let mut decisions: Vec<Vec<(u32, PartitionId)>> = vec![Vec::new(); l];
     let mut source = VertexStreamSource::new(g, order);
-    let mut block: Vec<VertexRecord> = Vec::new();
+    let mut block = Vec::new();
     let mut round: u64 = 0;
     for _pass in 0..passes {
         source.restart();

@@ -366,7 +366,7 @@ fn refine(
     }
     let mut rows = ConnRows::build(wg, k, assign, stats);
     // Best admissible move for `v`: (gain, target). Gain may be negative.
-    let best_move = |rows: &ConnRows,
+    let best_move = |rows: &ConnRows<'_>,
                      v: u32,
                      assign: &[PartitionId],
                      loads: &[u64],

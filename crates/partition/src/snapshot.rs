@@ -355,11 +355,11 @@ pub(crate) fn restore_into<'g>(
 }
 
 /// Applies fully-parsed records onto a freshly initialized machine.
-fn apply(
-    sp: &mut StreamingPartitioner<'_>,
+fn apply<'g>(
+    sp: &mut StreamingPartitioner<'g>,
     parsed: Parsed,
     k: usize,
-    g: &Graph,
+    g: &'g Graph,
 ) -> Result<(), SnapshotError> {
     match sp.machine_mut() {
         Machine::Vertex { core, .. } => {
@@ -459,8 +459,9 @@ fn apply(
 mod tests {
     use super::*;
     use crate::support::{drive_facade, facade_run};
-    use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
-    use sgp_graph::StreamOrder;
+    use sgp_graph::generators::{erdos_renyi, road_grid, ErdosRenyiConfig, RoadConfig};
+    use sgp_graph::{StreamOrder, VertexId};
+    use std::borrow::Cow;
 
     fn graph() -> Graph {
         erdos_renyi(ErdosRenyiConfig { vertices: 200, edges: 1200, seed: 11 })
@@ -524,6 +525,56 @@ mod tests {
             let (_, snap) = interrupted_run(&g, alg, &cfg, StreamOrder::Natural, 16, 2);
             let restored = StreamingPartitioner::restore(&g, alg, &cfg, &snap).unwrap();
             assert_eq!(restored.snapshot(), snap, "{alg}");
+        }
+    }
+
+    /// The look-ahead window holds lent rows on the lattice (every row
+    /// symmetric) and merged rows on a directed random graph. A restore
+    /// rebuilds both through `VertexRecord::for_vertex`, and the resumed
+    /// run matches the uninterrupted one snapshot for snapshot.
+    #[test]
+    fn windowed_restore_rebuilds_lent_and_merged_rows() {
+        let lattice =
+            road_grid(RoadConfig { width: 12, height: 12, seed: 3, ..RoadConfig::default() });
+        let random = graph();
+        let lent = |g: &Graph| {
+            let lent = |&v: &VertexId| {
+                matches!(VertexRecord::for_vertex(g, v).neighbors, Cow::Borrowed(_))
+            };
+            g.vertices().filter(lent).count()
+        };
+        assert_eq!(lent(&lattice), lattice.num_vertices(), "every lattice row is lent");
+        assert!(lent(&random) < random.num_vertices() / 2, "most random rows are merged");
+        let order = StreamOrder::Bfs;
+        for (name, g) in [("lattice", &lattice), ("random", &random)] {
+            for window in [1, 3] {
+                let cfg = PartitionerConfig::new(8).with_window(window);
+                for &alg in Algorithm::all() {
+                    if StreamingPartitioner::init(g, alg, &cfg).input() != StreamInput::Vertices {
+                        continue;
+                    }
+                    let what = format!("{alg} on the {name}, W = {window}");
+                    let mut texts = Vec::new();
+                    let whole =
+                        drive_facade(g, alg, &cfg, order, 16, |sp, _| texts.push(sp.snapshot()));
+                    let mut resumed_texts = Vec::new();
+                    let resumed = drive_facade(g, alg, &cfg, order, 16, |sp, fed| {
+                        if fed == 3 {
+                            let snap = sp.snapshot();
+                            assert_eq!(
+                                snap.contains("\nwv "),
+                                window > 1,
+                                "{what}: buffered records in the snapshot"
+                            );
+                            *sp = StreamingPartitioner::restore(g, alg, &cfg, &snap).unwrap();
+                        }
+                        resumed_texts.push(sp.snapshot());
+                    });
+                    assert_eq!(resumed_texts, texts, "{what}");
+                    assert_eq!(resumed.vertex_owner, whole.vertex_owner, "{what}");
+                    assert_eq!(resumed.edge_parts, whole.edge_parts, "{what}");
+                }
+            }
         }
     }
 

@@ -89,7 +89,7 @@ impl<P: DerefMut<Target: VertexStreamPartitioner>> VertexIngest<P> {
 
     /// Ingests one bounded chunk of stream elements, placing each
     /// against the state folded over all previous elements.
-    pub fn ingest(&mut self, chunk: &[VertexRecord]) {
+    pub fn ingest(&mut self, chunk: &[VertexRecord<'_>]) {
         for rec in chunk {
             let p = self.partitioner.place(rec, &self.state);
             debug_assert!((p as usize) < self.k, "partitioner returned out-of-range id");
@@ -334,23 +334,23 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
 /// DESIGN.md §12), written once over both machines: elements enter a
 /// buffer of up to `window − 1` and the one with the highest
 /// [`affinity`](Windowed::affinity) to the current state is placed first.
-pub(crate) trait Windowed {
-    /// The stream element the machine ingests.
-    type Elem: Clone;
-
+///
+/// The element type `E` is a parameter, not an associated type: a
+/// vertex machine ingests records borrowing rows of any graph lifetime.
+pub(crate) trait Windowed<E: Clone> {
     /// Places `chunk` in order, on arrival.
-    fn ingest(&mut self, chunk: &[Self::Elem]);
+    fn ingest(&mut self, chunk: &[E]);
 
     /// How much of `e` the state already knows: assigned neighbours of
     /// a vertex record, replicated endpoints of an edge.
-    fn affinity(&self, e: &Self::Elem) -> usize;
+    fn affinity(&self, e: &E) -> usize;
 
     /// [`ingest`](Windowed::ingest) behind a window of `window ≥ 1`
     /// elements: the best buffered element is placed whenever `buf`
     /// reaches `window`. At `window = 1` nothing is buffered: the chunk
     /// goes to the core as is (a buffer restored from a wider-window
     /// snapshot drains first, through the buffered path).
-    fn ingest_windowed(&mut self, chunk: &[Self::Elem], window: usize, buf: &mut Vec<Self::Elem>) {
+    fn ingest_windowed(&mut self, chunk: &[E], window: usize, buf: &mut Vec<E>) {
         if window == 1 && buf.is_empty() {
             return self.ingest(chunk);
         }
@@ -364,7 +364,7 @@ pub(crate) trait Windowed {
 
     /// Drains the buffer completely, best-first. Every pass boundary
     /// must flush so no element leaks into the next pass.
-    fn flush_window(&mut self, buf: &mut Vec<Self::Elem>) {
+    fn flush_window(&mut self, buf: &mut Vec<E>) {
         while !buf.is_empty() {
             self.place_best(buf);
         }
@@ -373,7 +373,7 @@ pub(crate) trait Windowed {
     /// Places the buffered element of highest affinity. Ties resolve to
     /// the earliest arrival, which is what makes `W = 1` degenerate
     /// exactly to the one-pass order.
-    fn place_best(&mut self, buf: &mut Vec<Self::Elem>) {
+    fn place_best(&mut self, buf: &mut Vec<E>) {
         debug_assert!(!buf.is_empty(), "selection from an empty window");
         let mut best = (0usize, 0usize);
         for (i, e) in buf.iter().enumerate() {
@@ -387,22 +387,20 @@ pub(crate) trait Windowed {
     }
 }
 
-impl<P: DerefMut<Target: VertexStreamPartitioner>> Windowed for VertexIngest<P> {
-    type Elem = VertexRecord;
-
-    fn ingest(&mut self, chunk: &[VertexRecord]) {
+impl<'g, P: DerefMut<Target: VertexStreamPartitioner>> Windowed<VertexRecord<'g>>
+    for VertexIngest<P>
+{
+    fn ingest(&mut self, chunk: &[VertexRecord<'g>]) {
         VertexIngest::ingest(self, chunk);
     }
 
-    fn affinity(&self, rec: &VertexRecord) -> usize {
+    fn affinity(&self, rec: &VertexRecord<'g>) -> usize {
         let assigned = |&&nb: &&VertexId| self.state.assignment[nb as usize] != UNASSIGNED;
         rec.neighbors.iter().filter(assigned).count()
     }
 }
 
-impl<P: DerefMut<Target: EdgeStreamPartitioner>> Windowed for EdgeIngest<'_, P> {
-    type Elem = Edge;
-
+impl<P: DerefMut<Target: EdgeStreamPartitioner>> Windowed<Edge> for EdgeIngest<'_, P> {
     fn ingest(&mut self, chunk: &[Edge]) {
         EdgeIngest::ingest(self, chunk);
     }
@@ -561,7 +559,7 @@ pub struct StreamingPartitioner<'g> {
     window: usize,
     /// Buffered vertex records awaiting placement (≤ `W − 1` between
     /// ingest calls), in arrival order.
-    wbuf_v: Vec<VertexRecord>,
+    wbuf_v: Vec<VertexRecord<'g>>,
     /// Buffered edges awaiting placement, in arrival order.
     wbuf_e: Vec<Edge>,
 }
@@ -675,7 +673,7 @@ impl<'g> StreamingPartitioner<'g> {
     /// each record enters the buffer first and the highest-affinity
     /// buffered record is placed whenever the buffer reaches `W`; at
     /// `W = 1` the chunk goes to the core as is.
-    pub fn ingest_vertices(&mut self, chunk: &[VertexRecord]) -> Result<(), WrongStreamKind> {
+    pub fn ingest_vertices(&mut self, chunk: &[VertexRecord<'g>]) -> Result<(), WrongStreamKind> {
         let expected = self.input();
         match &mut self.machine {
             Machine::Vertex { core, .. } => {
@@ -713,7 +711,7 @@ impl<'g> StreamingPartitioner<'g> {
     }
 
     /// Snapshot support: the buffered vertex records in arrival order.
-    pub(crate) fn window_vertex_buffer(&self) -> &[VertexRecord] {
+    pub(crate) fn window_vertex_buffer(&self) -> &[VertexRecord<'g>] {
         &self.wbuf_v
     }
 
@@ -723,7 +721,7 @@ impl<'g> StreamingPartitioner<'g> {
     }
 
     /// Snapshot support: refills the vertex buffer during restore.
-    pub(crate) fn push_window_vertex(&mut self, rec: VertexRecord) {
+    pub(crate) fn push_window_vertex(&mut self, rec: VertexRecord<'g>) {
         self.wbuf_v.push(rec);
     }
 
