@@ -23,6 +23,15 @@
 //! and costs O(frontier + its incident edges + k) instead of O(n + m)
 //! (DESIGN.md §3.3, "Frontier representation and the sparse/dense
 //! switch").
+//!
+//! The dense body charges in bulk what a full superstep repeats
+//! (DESIGN.md §3.3, "Full-frontier supersteps"). When every vertex is
+//! active, the gather scan does not probe the frontier, and the
+//! aggregated gather partials are counted once per run and added in
+//! each such superstep. An all-active program's scatter activates
+//! nothing, so its edge work is charged by a second scan of the edge
+//! lists instead of a walk from each changed vertex. Every charge is an
+//! integer count, so neither shortcut can change a report bit.
 #![expect(
     clippy::indexing_slicing,
     reason = "per-machine op counters and byte tables are sized k at run construction and indexed by machine ids below k (edge_parts entries, masters, set bits of the k-bit machine sets); per-vertex scratch is sized n and indexed by vertex ids of the graph the run was built for; in_edge_ids entries are edge indices below m and index edge_parts, which has m entries"
@@ -83,6 +92,10 @@ impl std::error::Error for EngineError {}
 
 /// Runs `prog` to completion, healthy and untraced; returns the final
 /// vertex data and the run report.
+///
+/// # Panics
+/// Panics if `placement` was not built for a graph with `g`'s vertex
+/// and edge counts.
 pub fn run_program<P: VertexProgram>(
     g: &Graph,
     placement: &Placement,
@@ -115,6 +128,10 @@ pub fn run_program<P: VertexProgram>(
 /// report's [`FaultSummary`], next to fault-recovery spans and crash
 /// counters in the trace. Message loss does not apply: barrier delivery
 /// is reliable-retransmit, which the recovery model subsumes.
+///
+/// # Panics
+/// Panics if `placement` was not built for a graph with `g`'s vertex
+/// and edge counts.
 pub fn run_program_with<P: VertexProgram, S: TraceSink>(
     g: &Graph,
     placement: &Placement,
@@ -272,6 +289,14 @@ impl<'t> Tally<'t> {
     }
 }
 
+/// Aggregated gather partials of one superstep, by sending and
+/// receiving machine.
+struct Partials {
+    sent_bytes: Vec<u64>,
+    recv_bytes: Vec<u64>,
+    gather_messages: u64,
+}
+
 /// The fixed inputs of a run and the per-vertex steps both bodies share.
 struct Ctx<'a, P> {
     g: &'a Graph,
@@ -324,8 +349,9 @@ impl<P: VertexProgram> Ctx<'_, P> {
     /// other direction's test, and the function stays out of line with
     /// its slices as parameters so the loop knows they are disjoint;
     /// either one alone gives back 5-15 % of a partially active scan.
+    /// `ALL` says every vertex is active, so the scan skips the probe.
     #[inline(never)]
-    fn gather_scan<const IN: bool, const OUT: bool>(
+    fn gather_scan<const IN: bool, const OUT: bool, const ALL: bool>(
         self,
         data: &[P::VertexData],
         active: &[bool],
@@ -340,7 +366,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
             for e in placement.local_edges(machine) {
                 // Edge (u, v): contributes to v when gathering over IN,
                 // to u when gathering over OUT.
-                if IN && active[e.dst as usize] {
+                if IN && (ALL || active[e.dst as usize]) {
                     let contrib = prog.gather_edge(g, e.dst, e.src, &data[e.src as usize]);
                     merge_into(prog, &mut acc[e.dst as usize], contrib);
                     ops += 1;
@@ -348,7 +374,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
                         tally.gather_message::<P>(machine, placement.masters[e.dst as usize]);
                     }
                 }
-                if OUT && active[e.src as usize] {
+                if OUT && (ALL || active[e.src as usize]) {
                     let contrib = prog.gather_edge(g, e.src, e.dst, &data[e.dst as usize]);
                     merge_into(prog, &mut acc[e.src as usize], contrib);
                     ops += 1;
@@ -358,6 +384,28 @@ impl<P: VertexProgram> Ctx<'_, P> {
                 }
             }
             tally.edge_ops[machine] += ops;
+        }
+    }
+
+    /// Dense-body scatter of an all-active program, whose only effect
+    /// is the edge work: one scan of every machine's edge list charges
+    /// each edge once per changed endpoint on the scatter side, as the
+    /// walk from the changed vertices would (a changed self-loop twice
+    /// under a BOTH scatter). Same shape as [`Ctx::gather_scan`].
+    #[inline(never)]
+    fn scatter_scan<const IN: bool, const OUT: bool>(self, changed: &[bool], edge_ops: &mut [u64]) {
+        for (machine, machine_ops) in edge_ops.iter_mut().enumerate() {
+            let mut ops = 0u64;
+            for e in self.placement.local_edges(machine) {
+                // Edge (u, v) is an out-edge of u and an in-edge of v.
+                if OUT {
+                    ops += u64::from(changed[e.src as usize]);
+                }
+                if IN {
+                    ops += u64::from(changed[e.dst as usize]);
+                }
+            }
+            *machine_ops += ops;
         }
     }
 
@@ -407,6 +455,19 @@ impl<P: VertexProgram> Ctx<'_, P> {
         }
     }
 
+    /// The aggregated gather partials of a full frontier, which are the
+    /// same in every superstep that has one.
+    fn full_frontier_partials(self) -> Partials {
+        let k = self.placement.k;
+        let (mut sent_bytes, mut recv_bytes) = (vec![0; k], vec![0; k]);
+        let mut tally = Tally::over(&mut [], &mut [], &mut sent_bytes, &mut recv_bytes);
+        for v in self.g.vertices() {
+            self.count_gather_partials(v, &mut tally);
+        }
+        let gather_messages = tally.gather_messages;
+        Partials { sent_bytes, recv_bytes, gather_messages }
+    }
+
     /// Apply at the master. Returns whether `v` announces its value: it
     /// changed, or this is the seeding superstep — the initial frontier
     /// propagates even when apply leaves the value unchanged (e.g. the
@@ -445,12 +506,11 @@ impl<P: VertexProgram> Ctx<'_, P> {
         }
     }
 
-    /// Update and scatter of one changed vertex; `mark` sees every
-    /// neighbour the scatter activates.
+    /// Vertex-data updates of one changed vertex to the mirrors that
+    /// future gathers read.
     #[inline]
-    fn scatter_vertex(self, v: VertexId, tally: &mut Tally<'_>, mut mark: impl FnMut(VertexId)) {
-        let (g, placement) = (self.g, self.placement);
-        // Vertex-data updates to mirrors that future gathers read.
+    fn send_updates(self, v: VertexId, tally: &mut Tally<'_>) {
+        let placement = self.placement;
         let master = placement.masters[v as usize] as usize;
         for machine in placement.update_target_parts(v, self.gather_in, self.gather_out) {
             tally.update_messages += 1;
@@ -458,6 +518,14 @@ impl<P: VertexProgram> Ctx<'_, P> {
             tally.sent_bytes[master] += len;
             tally.recv_bytes[machine as usize] += len;
         }
+    }
+
+    /// Update and scatter of one changed vertex; `mark` sees every
+    /// neighbour the scatter activates.
+    #[inline]
+    fn scatter_vertex(self, v: VertexId, tally: &mut Tally<'_>, mut mark: impl FnMut(VertexId)) {
+        let (g, placement) = (self.g, self.placement);
+        self.send_updates(v, tally);
         // Activation along the scatter direction; the scatter edge work
         // executes on the machine storing each edge.
         if self.scatter_out {
@@ -505,6 +573,9 @@ struct Run<'a, P: VertexProgram> {
     next_frontier: Vec<VertexId>,
     next_listed: bool,
     gather_edges: Vec<GatherEdge>,
+    /// Dense body with aggregation: the partials of a full frontier,
+    /// counted at the first superstep that has one.
+    full_partials: Option<Partials>,
 
     // Accounting of the last superstep.
     edge_ops: Vec<u64>,
@@ -558,6 +629,7 @@ impl<'a, P: VertexProgram> Run<'a, P> {
             next_frontier: Vec::new(),
             next_listed: false,
             gather_edges: Vec::new(),
+            full_partials: None,
             edge_ops: vec![0; k],
             applies: vec![0; k],
             sent_bytes: vec![0; k],
@@ -622,7 +694,7 @@ impl<'a, P: VertexProgram> Run<'a, P> {
         if sparse {
             self.sparse_superstep(iteration);
         } else {
-            self.dense_superstep(iteration);
+            self.dense_superstep(iteration, active_count == self.active.len());
         }
 
         if cx.prog.all_active() {
@@ -648,9 +720,12 @@ impl<'a, P: VertexProgram> Run<'a, P> {
     }
 
     /// The dense body: gather scans every machine's edge list and every
-    /// other pass is a range over a bitmap. The next frontier is left
-    /// as a bitmap.
-    fn dense_superstep(&mut self, iteration: usize) {
+    /// other pass is a range over a bitmap, except an all-active
+    /// program's scatter, which is a scan too. The next frontier is left
+    /// as a bitmap. On a `full` frontier (every vertex active) the
+    /// gather scan skips the activity probe and the aggregated partials
+    /// are the run's cached ones.
+    fn dense_superstep(&mut self, iteration: usize, full: bool) {
         let cx = self.cx;
         let n = cx.g.num_vertices();
         let mut tally = Tally::over(
@@ -662,13 +737,27 @@ impl<'a, P: VertexProgram> Run<'a, P> {
         let (data, active) = (&mut self.data[..], &self.active[..]);
         let (acc, changed) = (&mut self.acc[..], &mut self.changed[..]);
 
-        match (cx.gather_in, cx.gather_out) {
-            (true, false) => cx.gather_scan::<true, false>(data, active, acc, &mut tally),
-            (false, true) => cx.gather_scan::<false, true>(data, active, acc, &mut tally),
-            (true, true) => cx.gather_scan::<true, true>(data, active, acc, &mut tally),
-            (false, false) => {}
+        let t = &mut tally;
+        match (cx.gather_in, cx.gather_out, full) {
+            (true, false, false) => cx.gather_scan::<true, false, false>(data, active, acc, t),
+            (true, false, true) => cx.gather_scan::<true, false, true>(data, active, acc, t),
+            (false, true, false) => cx.gather_scan::<false, true, false>(data, active, acc, t),
+            (false, true, true) => cx.gather_scan::<false, true, true>(data, active, acc, t),
+            (true, true, false) => cx.gather_scan::<true, true, false>(data, active, acc, t),
+            (true, true, true) => cx.gather_scan::<true, true, true>(data, active, acc, t),
+            (false, false, _) => {}
         }
-        if cx.aggregate {
+        if cx.aggregate && full {
+            // Counts, so adding them in a block is exact.
+            let partials = self.full_partials.get_or_insert_with(|| cx.full_frontier_partials());
+            for (total, &bytes) in tally.sent_bytes.iter_mut().zip(&partials.sent_bytes) {
+                *total += bytes;
+            }
+            for (total, &bytes) in tally.recv_bytes.iter_mut().zip(&partials.recv_bytes) {
+                *total += bytes;
+            }
+            tally.gather_messages += partials.gather_messages;
+        } else if cx.aggregate {
             for (v, &is_active) in active.iter().enumerate() {
                 if is_active {
                     cx.count_gather_partials(v as VertexId, &mut tally);
@@ -686,8 +775,19 @@ impl<'a, P: VertexProgram> Run<'a, P> {
 
         if cx.prog.all_active() {
             // The next frontier is the whole graph whatever scatter
-            // reaches, so only the edge work is charged.
-            cx.scatter_flagged(changed, &mut tally, |_| {});
+            // reaches, so only the edge work is charged, by a scan.
+            let edge_ops = &mut *tally.edge_ops;
+            match (cx.scatter_in, cx.scatter_out) {
+                (true, false) => cx.scatter_scan::<true, false>(changed, edge_ops),
+                (false, true) => cx.scatter_scan::<false, true>(changed, edge_ops),
+                (true, true) => cx.scatter_scan::<true, true>(changed, edge_ops),
+                (false, false) => {}
+            }
+            for (v, flag) in changed.iter_mut().enumerate() {
+                if std::mem::take(flag) {
+                    cx.send_updates(v as VertexId, &mut tally);
+                }
+            }
         } else {
             let next_active = &mut self.next_active[..];
             cx.scatter_flagged(changed, &mut tally, |w| next_active[w as usize] = true);
@@ -762,6 +862,7 @@ fn run_program_impl<P: VertexProgram, S: TraceSink>(
 ) -> (Vec<P::VertexData>, RunReport) {
     let k = placement.k;
     assert_eq!(placement.num_vertices(), g.num_vertices(), "placement does not match graph");
+    assert_eq!(placement.edge_parts.len(), g.num_edges(), "placement does not match graph");
 
     let mut run = Run::new(g, placement, prog, opts);
     let mut iterations: Vec<IterationStats> = Vec::new();
@@ -1236,6 +1337,16 @@ mod tests {
         assert!(run(&FaultPlan::healthy(4, 1)).is_ok());
     }
 
+    #[test]
+    #[should_panic(expected = "placement does not match graph")]
+    fn a_placement_built_for_another_graph_is_refused() {
+        // Same vertex count, other edges: only the edge count tells the
+        // two graphs apart.
+        let pl = placement_for(&any_graph(), Algorithm::EcrHash, 4);
+        let g = erdos_renyi(ErdosRenyiConfig { vertices: 300, edges: 1000, seed: 21 });
+        run_program(&g, &pl, &PageRank::new(20), &EngineOptions::default());
+    }
+
     // ---- dense ≡ sparse ≡ auto --------------------------------------------
 
     use crate::placement::tests::{arb_partitioned_graph, ReferencePlacement};
@@ -1316,11 +1427,20 @@ mod tests {
     /// directions with weights of very different magnitude, started from
     /// the given partial frontier. A sparse gather that merged a vertex's
     /// contributions in any order but the scan's would round differently.
-    struct Diffusion(Vec<VertexId>);
+    /// As `AllActiveDiffusion` it is all-active after that first partial
+    /// frontier, the one case where an all-active superstep is not full.
+    struct Diffusion {
+        seeds: Vec<VertexId>,
+        all_active: bool,
+    }
 
     impl Diffusion {
         fn from_every_seventh_vertex(g: &Graph) -> Self {
-            Diffusion(g.vertices().filter(|v| v % 7 == 3).collect())
+            Diffusion { seeds: g.vertices().filter(|v| v % 7 == 3).collect(), all_active: false }
+        }
+
+        fn all_active_from_every_seventh_vertex(g: &Graph) -> Self {
+            Diffusion { all_active: true, ..Diffusion::from_every_seventh_vertex(g) }
         }
     }
 
@@ -1331,7 +1451,11 @@ mod tests {
         const GATHER_BYTES: usize = 8;
 
         fn name(&self) -> &'static str {
-            "Diffusion"
+            if self.all_active {
+                "AllActiveDiffusion"
+            } else {
+                "Diffusion"
+            }
         }
         fn gather_direction(&self) -> Direction {
             Direction::Both
@@ -1343,7 +1467,7 @@ mod tests {
             1.0 + f64::from(v) * 0.37
         }
         fn initial_frontier(&self, _g: &Graph) -> Option<Vec<VertexId>> {
-            Some(self.0.clone())
+            Some(self.seeds.clone())
         }
         fn gather_identity(&self) -> f64 {
             0.0
@@ -1362,6 +1486,9 @@ mod tests {
         fn max_iterations(&self) -> usize {
             9
         }
+        fn all_active(&self) -> bool {
+            self.all_active
+        }
     }
 
     #[test]
@@ -1369,6 +1496,7 @@ mod tests {
         let g = any_graph();
         let source = g.vertices().max_by_key(|&v| g.out_degree(v)).expect("non-empty graph");
         let diffusion = Diffusion::from_every_seventh_vertex(&g);
+        let all_active = Diffusion::all_active_from_every_seventh_vertex(&g);
         for alg in [
             Algorithm::EcrHash,
             Algorithm::Ldg,
@@ -1390,6 +1518,7 @@ mod tests {
                     let dist = assert_bodies_agree(&g, &pl, &Sssp::new(source), &opts, None, &what);
                     assert_eq!(dist, reference::sssp(&g, source), "{what}");
                     assert_bodies_agree(&g, &pl, &diffusion, &opts, None, &what);
+                    assert_bodies_agree(&g, &pl, &all_active, &opts, None, &what);
                 }
             }
         }
@@ -1445,6 +1574,7 @@ mod tests {
         let g = loops_and_reciprocal_edges();
         assert_eq!(g.num_edges(), 9);
         let diffusion = Diffusion::from_every_seventh_vertex(&g);
+        let all_active = Diffusion::all_active_from_every_seventh_vertex(&g);
         let by_edge = Partitioning::from_edge_parts(&g, 3, vec![0, 1, 2, 1, 0, 2, 1, 0, 2]);
         let by_vertex = Partitioning::from_vertex_owners(&g, 3, vec![0, 1, 2, 0, 1, 2]);
         for (p, what) in [(by_edge, "vertex-cut"), (by_vertex, "edge-cut")] {
@@ -1456,6 +1586,7 @@ mod tests {
                 let dist = assert_bodies_agree(&g, &pl, &Sssp::new(1), &opts, None, what);
                 assert_eq!(dist, reference::sssp(&g, 1), "{what}");
                 assert_bodies_agree(&g, &pl, &diffusion, &opts, None, what);
+                assert_bodies_agree(&g, &pl, &all_active, &opts, None, what);
             }
         }
     }
@@ -1480,8 +1611,17 @@ mod tests {
         // 2400 edge ops on each machine; 611 and 590 applies.
         assert_eq!(report.machine_compute_ns, vec![96_660.0, 95_400.0]);
         assert_bodies_agree(&g, &pl, &Sssp::new(0), &opts, None, "doubled path");
-        let naive = naive_run(&g, &ReferencePlacement::build(&g, &p), &Sssp::new(0), &opts, None);
+        let rp = ReferencePlacement::build(&g, &p);
+        let naive = naive_run(&g, &rp, &Sssp::new(0), &opts, None);
         assert_same_report(&report, &naive.1, "doubled path vs naive");
+        let all_active = Diffusion::all_active_from_every_seventh_vertex(&g);
+        for opts in both_aggregation_modes() {
+            assert_bodies_agree(&g, &pl, &all_active, &opts, None, "doubled path");
+            let (data, report) = run_program(&g, &pl, &all_active, &opts);
+            let (naive_data, naive_report) = naive_run(&g, &rp, &all_active, &opts, None);
+            assert_eq!(data, naive_data, "doubled path vs naive");
+            assert_same_report(&report, &naive_report, "doubled path vs naive");
+        }
     }
 
     #[test]
@@ -1489,7 +1629,7 @@ mod tests {
         let g = any_graph();
         let pl = placement_for(&g, Algorithm::Hdrf, 4);
         let opts = EngineOptions::default();
-        let prog = Diffusion(vec![3, 0, 3, 0]);
+        let prog = Diffusion { seeds: vec![3, 0, 3, 0], all_active: false };
         assert_bodies_agree(&g, &pl, &prog, &opts, None, "duplicated seeds");
         let (_, report) = run_program(&g, &pl, &prog, &opts);
         assert_eq!(report.iterations[0].active_vertices, 2);
@@ -1668,8 +1808,8 @@ mod tests {
         (data, report)
     }
 
-    /// Runs PageRank, WCC and SSSP healthy, and WCC and PageRank under a
-    /// crash and a straggler (where there is a second machine), through
+    /// Runs PageRank, WCC, SSSP and `AllActiveDiffusion` healthy, and WCC
+    /// and PageRank under a crash and a straggler (where there is a second machine), through
     /// `run_program*` and through the naive engine over the reference
     /// placement, on every graph × k × algorithm × aggregation mode;
     /// data and whole reports must be equal. Returns the runs compared.
@@ -1696,6 +1836,7 @@ mod tests {
         let mut runs = 0;
         for (name, g) in graphs {
             let source = g.vertices().max_by_key(|&v| g.out_degree(v)).expect("non-empty graph");
+            let all_active = Diffusion::all_active_from_every_seventh_vertex(g);
             for (&k, &alg) in ks.iter().flat_map(|k| algorithms.iter().map(move |alg| (k, alg))) {
                 let p =
                     partition(g, alg, &PartitionerConfig::new(k), StreamOrder::Random { seed: 5 });
@@ -1711,7 +1852,8 @@ mod tests {
                     compare(g, (&pl, &rp), &PageRank::new(4), &opts, None, &what);
                     compare(g, (&pl, &rp), &Wcc::new(), &opts, None, &what);
                     compare(g, (&pl, &rp), &Sssp::new(source), &opts, None, &what);
-                    runs += 3;
+                    compare(g, (&pl, &rp), &all_active, &opts, None, &what);
+                    runs += 4;
                     if k > 1 {
                         compare(g, (&pl, &rp), &Wcc::new(), &opts, Some(&plan), &what);
                         compare(g, (&pl, &rp), &PageRank::new(4), &opts, Some(&plan), &what);
@@ -1727,7 +1869,7 @@ mod tests {
     fn run_program_matches_the_naive_engine() {
         let graphs = [("ER 300", any_graph()), ("loops", loops_and_reciprocal_edges())];
         let algorithms = [Algorithm::Ldg, Algorithm::Dbh, Algorithm::HybridRandom];
-        assert_eq!(compare_with_naive_engine(&graphs, &[1, 4, 65], &algorithms), 156);
+        assert_eq!(compare_with_naive_engine(&graphs, &[1, 4, 65], &algorithms), 192);
     }
 
     /// The full grid; minutes unoptimized, so CI runs it in release.
@@ -1752,7 +1894,7 @@ mod tests {
             .collect();
         assert_eq!(streaming.len(), 9);
         let runs = compare_with_naive_engine(&graphs, &[1, 2, 4, 16, 64, 65, 130], &streaming);
-        assert_eq!(runs, 2970);
+        assert_eq!(runs, 3600);
     }
 
     /// Forced-sparse, forced-dense and auto runs are the same run —
@@ -1772,6 +1914,8 @@ mod tests {
             assert_eq!(labels, reference::wcc(&g));
             let diffusion = Diffusion::from_every_seventh_vertex(&g);
             assert_bodies_agree(&g, &pl, &diffusion, &opts, None, "Diffusion");
+            let all_active = Diffusion::all_active_from_every_seventh_vertex(&g);
+            assert_bodies_agree(&g, &pl, &all_active, &opts, None, "AllActiveDiffusion");
         });
     }
 
