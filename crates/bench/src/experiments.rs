@@ -46,7 +46,7 @@ pub struct Params {
 impl Params {
     /// Parameters for a given scale (smaller scales shrink the sweep so
     /// smoke runs stay fast).
-    pub fn for_scale(scale: Scale) -> Self {
+    pub(crate) fn for_scale(scale: Scale) -> Self {
         match scale {
             Scale::Tiny => Params {
                 scale,
@@ -831,7 +831,7 @@ pub fn fig15(params: &Params) -> String {
 /// surveys but does not evaluate — heterogeneous capacities
 /// (LeBeane/BMI), attribute balancing (re-streaming on `a(u)`), and
 /// edge-cut on edge streams (IOGP-class).
-pub fn appendix_a(params: &Params) -> String {
+pub(crate) fn appendix_a(params: &Params) -> String {
     use sgp_core::runners::default_order;
     use sgp_partition::attribute::AttributeLdg;
     use sgp_partition::edge_stream_cut::IogpStyle;
@@ -1260,7 +1260,7 @@ pub fn ablations(params: &Params) -> String {
 /// traced scenarios through a streaming [`SummarySink`] and renders the
 /// aggregation — the same event streams `experiments --trace <path>`
 /// dumps as JSON and `sgp-xtask trace-summary` renders from a file.
-pub fn trace_demo(params: &Params) -> String {
+pub(crate) fn trace_demo(params: &Params) -> String {
     let k = SCENARIO_MACHINES;
     let mut sink = SummarySink::new();
     let engine_report = record_engine_scenario(params.scale, &mut sink);

@@ -8,7 +8,6 @@ use crate::error::SgpError;
 use sgp_graph::generators::{
     powerlaw_cm, rmat, road_grid, snb_social, PowerLawConfig, RmatConfig, RoadConfig, SnbConfig,
 };
-use sgp_graph::stats::GraphClass;
 use sgp_graph::{Graph, GraphStats};
 
 /// Experiment scale selector.
@@ -117,15 +116,6 @@ impl Dataset {
         }
     }
 
-    /// The structural class the stand-in must reproduce.
-    pub fn expected_class(&self) -> GraphClass {
-        match self {
-            Dataset::Twitter | Dataset::LdbcSnb => GraphClass::HeavyTailed,
-            Dataset::UkWeb => GraphClass::PowerLaw,
-            Dataset::UsaRoad => GraphClass::LowDegree,
-        }
-    }
-
     /// The original dataset's Table 3 row.
     pub fn paper_row(&self) -> PaperDatasetRow {
         match self {
@@ -215,8 +205,8 @@ mod tests {
         for &d in Dataset::all() {
             let s = d.stats(Scale::Small);
             assert_eq!(
-                s.classify(),
-                d.expected_class(),
+                s.classify().to_string(),
+                d.paper_row().kind,
                 "{d}: stats {s} classified {:?}",
                 s.classify()
             );

@@ -21,16 +21,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with column alignment and a separator line.
     pub fn render(&self) -> String {
         let cols = self.header.len();

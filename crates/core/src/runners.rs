@@ -2,7 +2,6 @@
 //! family of tables/figures, returning typed rows the `experiments`
 //! binary renders.
 
-use crate::config::{Dataset, Scale};
 use sgp_db::workload::{run_workload, Skew};
 use sgp_db::{
     ClusterSim, DegradedConfig, ElasticPlan, FaultSimConfig, LoadLevel, MirrorDirectory,
@@ -131,17 +130,6 @@ pub fn quality_suite(
         }
     }
     rows
-}
-
-/// Convenience: generates the dataset and runs [`quality_suite`].
-pub fn quality_suite_for(
-    dataset: Dataset,
-    scale: Scale,
-    algorithms: &[Algorithm],
-    ks: &[usize],
-) -> Vec<QualityRow> {
-    let g = dataset.generate(scale);
-    quality_suite(dataset.name(), &g, algorithms, ks)
 }
 
 // ---------------------------------------------------------------------------
@@ -361,7 +349,7 @@ pub fn online_run(
 
 /// Runs one online measurement against a pre-built store (used by the
 /// workload-aware experiment to install custom ownership maps).
-pub fn online_run_on_store(
+pub(crate) fn online_run_on_store(
     dataset_name: &str,
     store: &PartitionedStore,
     alg: Algorithm,
@@ -1034,7 +1022,7 @@ pub fn churn_suite(
 /// [`churn_suite`] with trace instrumentation: per method (counter key =
 /// method index) it emits the batches applied, the repartitions
 /// triggered, and the vertices moved.
-pub fn churn_suite_traced<S: TraceSink>(
+pub(crate) fn churn_suite_traced<S: TraceSink>(
     dataset_name: &str,
     g: &Graph,
     methods: &[ChurnMethod],

@@ -31,18 +31,18 @@ use sgp_trace::{CollectingSink, TraceSink};
 
 /// Algorithm of the engine scenario: vertex-cut, so the partitioner
 /// emits mirror-creation and replica counters.
-pub const ENGINE_SCENARIO_ALGORITHM: Algorithm = Algorithm::Hdrf;
+pub(crate) const ENGINE_SCENARIO_ALGORITHM: Algorithm = Algorithm::Hdrf;
 
 /// Algorithm of the DES scenario: hybrid-cut, so crashed masters fail
 /// reads over to live mirrors (the failover counters fire).
-pub const DB_SCENARIO_ALGORITHM: Algorithm = Algorithm::HybridRandom;
+pub(crate) const DB_SCENARIO_ALGORITHM: Algorithm = Algorithm::HybridRandom;
 
 /// Machines simulated by both scenarios.
 pub const SCENARIO_MACHINES: usize = 4;
 
 /// PageRank supersteps in the engine scenario (kept short so the golden
 /// trace stays reviewable).
-pub const ENGINE_SCENARIO_ITERATIONS: usize = 8;
+pub(crate) const ENGINE_SCENARIO_ITERATIONS: usize = 8;
 
 /// Fault-plan and load parameters of the DES scenario — a deliberately
 /// small robustness configuration (fewer bindings/clients than the

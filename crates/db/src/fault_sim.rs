@@ -128,7 +128,7 @@ impl MirrorDirectory {
     /// Directory derived from a replicating (vertex-cut or hybrid-cut)
     /// partitioning: every machine holding an edge incident to a vertex
     /// holds a replica of that vertex.
-    pub fn from_partitioning(g: &Graph, p: &Partitioning) -> Self {
+    pub(crate) fn from_partitioning(g: &Graph, p: &Partitioning) -> Self {
         let k = p.k;
         let masters = p.masters(g);
         let sets = p.replica_sets(g);
@@ -183,17 +183,17 @@ impl MirrorDirectory {
     }
 
     /// Number of machines the directory covers.
-    pub fn machines(&self) -> usize {
+    pub(crate) fn machines(&self) -> usize {
         self.coverage.len()
     }
 
     /// Fraction of `machine`'s mastered vertices that have a mirror.
-    pub fn coverage(&self, machine: u32) -> f64 {
+    pub(crate) fn coverage(&self, machine: u32) -> f64 {
         self.coverage[machine as usize]
     }
 
     /// First live mirror machine for data mastered on `machine`.
-    pub fn failover_target(&self, machine: u32, is_up: impl Fn(u32) -> bool) -> Option<u32> {
+    pub(crate) fn failover_target(&self, machine: u32, is_up: impl Fn(u32) -> bool) -> Option<u32> {
         self.peers[machine as usize].iter().copied().find(|&p| is_up(p))
     }
 }
@@ -232,9 +232,9 @@ pub struct DegradedConfig {
 /// to the cost model here.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ElasticPlan {
-    /// Records each membership event moves, aligned with the order
-    /// [`sgp_fault::FaultPlan::membership_events`] yields them. Events
-    /// beyond the end of the vector move nothing.
+    /// Records each membership event moves, aligned with the plan's
+    /// membership events in schedule order. Events beyond the end of the
+    /// vector move nothing.
     pub records_per_event: Vec<u64>,
 }
 
@@ -1165,7 +1165,7 @@ mod tests {
                     base: SimConfig { warmup_fraction, ..quick_cfg().base },
                     ..quick_cfg()
                 };
-                let k = sim.machines();
+                let k = sim.machines;
                 let healthy = sim.run(&cfg.base);
                 let r = sim
                     .run_elastic_traced(

@@ -22,7 +22,7 @@
 //!   serving closed-loop concurrent clients (12/machine = the paper's
 //!   *medium load*, 24/machine = *high load*), producing throughput,
 //!   mean/p99 latency, and per-machine read distributions.
-//! * [`fault_sim`] — the simulation's one event loop, run under a
+//! * `fault_sim` — the simulation's one event loop, run under a
 //!   deterministic [`sgp_fault::FaultPlan`]: crashes, stragglers,
 //!   membership changes, message loss, retry/backoff, and mirror
 //!   failover, producing availability and goodput (DESIGN.md §7). A
@@ -40,10 +40,10 @@
 )]
 #![warn(clippy::indexing_slicing)]
 
-pub mod fault_sim;
+pub(crate) mod fault_sim;
 pub mod query;
-pub mod sim;
-pub mod store;
+pub(crate) mod sim;
+pub(crate) mod store;
 pub mod workload;
 
 pub use fault_sim::{
@@ -51,5 +51,5 @@ pub use fault_sim::{
 };
 pub use query::{Query, QueryResult, QueryTrace};
 pub use sim::{ClusterSim, LoadLevel, SimConfig, SimReport};
-pub use store::{PartitionedStore, StoreError};
+pub use store::PartitionedStore;
 pub use workload::{AccessRecorder, Workload, WorkloadKind};

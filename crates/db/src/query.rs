@@ -19,10 +19,10 @@ use sgp_graph::VertexId;
 
 /// Approximate serialized size of one vertex record on the wire
 /// (JanusGraph vertices carry properties; 100 B is a conservative stand-in).
-pub const VERTEX_RECORD_BYTES: u64 = 100;
+pub(crate) const VERTEX_RECORD_BYTES: u64 = 100;
 
 /// Fixed RPC envelope size per inter-machine request.
-pub const RPC_HEADER_BYTES: u64 = 64;
+pub(crate) const RPC_HEADER_BYTES: u64 = 64;
 
 /// An online query (the paper's three classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,7 @@ pub enum Query {
 
 impl Query {
     /// The vertex the router dispatches on.
-    pub fn start_vertex(&self) -> VertexId {
+    pub(crate) fn start_vertex(&self) -> VertexId {
         match *self {
             Query::OneHop { start } | Query::TwoHop { start } => start,
             Query::ShortestPath { src, .. } => src,
@@ -66,20 +66,7 @@ pub enum QueryResult {
     PathLength(Option<u32>),
 }
 
-impl QueryResult {
-    /// Number of vertices in the result (path queries count 0).
-    pub fn len(&self) -> usize {
-        match self {
-            QueryResult::Vertices(v) => v.len(),
-            QueryResult::PathLength(_) => 0,
-        }
-    }
-
-    /// True for an empty vertex result.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+impl QueryResult {}
 
 /// Per-round read counts: `reads[machine]` vertices were read on that
 /// machine in this round.
@@ -87,18 +74,6 @@ impl QueryResult {
 pub struct RoundTrace {
     /// Vertices read per machine this round.
     pub reads: Vec<u32>,
-}
-
-impl RoundTrace {
-    /// Machines touched this round.
-    pub fn machines_touched(&self) -> usize {
-        self.reads.iter().filter(|&&r| r > 0).count()
-    }
-
-    /// Total vertices read this round.
-    pub fn total_reads(&self) -> u64 {
-        self.reads.iter().map(|&r| r as u64).sum()
-    }
 }
 
 /// Full execution trace of one query.
@@ -124,17 +99,6 @@ impl QueryTrace {
         totals
     }
 
-    /// Vertices read on machines other than the coordinator — the remote
-    /// read amplification that the edge-cut ratio controls.
-    pub fn remote_reads(&self) -> u64 {
-        self.rounds
-            .iter()
-            .flat_map(|r| r.reads.iter().enumerate())
-            .filter(|&(m, _)| m as u32 != self.coordinator)
-            .map(|(_, &c)| c as u64)
-            .sum()
-    }
-
     /// Bytes moved over the network: vertex records from remote machines
     /// plus one RPC envelope per (round, remote machine) pair.
     pub fn network_bytes(&self) -> u64 {
@@ -147,15 +111,6 @@ impl QueryTrace {
             }
         }
         bytes
-    }
-
-    /// Number of inter-machine request messages.
-    pub fn network_messages(&self) -> u64 {
-        self.rounds
-            .iter()
-            .flat_map(|r| r.reads.iter().enumerate())
-            .filter(|&(m, &c)| m as u32 != self.coordinator && c > 0)
-            .count() as u64
     }
 }
 
@@ -291,6 +246,26 @@ mod tests {
         PartitionedStore::new(g, &p)
     }
 
+    /// Vertices read on machines other than the coordinator — the remote
+    /// read amplification that the edge-cut ratio controls.
+    fn remote_reads(t: &QueryTrace) -> u64 {
+        t.rounds
+            .iter()
+            .flat_map(|r| r.reads.iter().enumerate())
+            .filter(|&(m, _)| m as u32 != t.coordinator)
+            .map(|(_, &c)| c as u64)
+            .sum()
+    }
+
+    /// Number of inter-machine request messages.
+    fn network_messages(t: &QueryTrace) -> u64 {
+        t.rounds
+            .iter()
+            .flat_map(|r| r.reads.iter().enumerate())
+            .filter(|&(m, &c)| m as u32 != t.coordinator && c > 0)
+            .count() as u64
+    }
+
     #[test]
     fn one_hop_reads_neighbors_at_owners() {
         let s = store();
@@ -300,7 +275,7 @@ mod tests {
         // Round 2 reads: 0,1 on m0; 2,3 on m1; 4 on m2.
         assert_eq!(t.rounds[1].reads, vec![2, 2, 1]);
         // Remote reads = reads off machine 2 = 4.
-        assert_eq!(t.remote_reads(), 4);
+        assert_eq!(remote_reads(&t), 4);
     }
 
     #[test]
@@ -309,9 +284,9 @@ mod tests {
         let p = Partitioning::from_vertex_owners(&g, 2, vec![0, 0, 0]);
         let s = PartitionedStore::new(g, &p);
         let t = execute(&s, Query::OneHop { start: 0 });
-        assert_eq!(t.remote_reads(), 0);
+        assert_eq!(remote_reads(&t), 0);
         assert_eq!(t.network_bytes(), 0);
-        assert_eq!(t.network_messages(), 0);
+        assert_eq!(network_messages(&t), 0);
     }
 
     #[test]
@@ -363,9 +338,9 @@ mod tests {
         let t = execute(&s, Query::TwoHop { start: 5 });
         let per_machine = t.reads_per_machine(3);
         let total: u64 = per_machine.iter().sum();
-        let per_round: u64 = t.rounds.iter().map(|r| r.total_reads()).sum();
+        let per_round: u64 = t.rounds.iter().flat_map(|r| &r.reads).map(|&c| c as u64).sum();
         assert_eq!(total, per_round);
-        assert!(t.network_bytes() >= t.network_messages() * RPC_HEADER_BYTES);
+        assert!(t.network_bytes() >= network_messages(&t) * RPC_HEADER_BYTES);
     }
 
     #[test]
@@ -383,7 +358,7 @@ mod tests {
         );
         let tg = execute(&good, Query::OneHop { start: 0 });
         let tb = execute(&bad, Query::OneHop { start: 0 });
-        assert!(tg.remote_reads() < tb.remote_reads());
+        assert!(remote_reads(&tg) < remote_reads(&tb));
         assert!(tg.network_bytes() < tb.network_bytes());
     }
 }

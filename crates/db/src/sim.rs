@@ -206,13 +206,8 @@ impl ClusterSim {
         ClusterSim { machines, traces }
     }
 
-    /// Number of machines in the simulated cluster.
-    pub fn machines(&self) -> usize {
-        self.machines
-    }
-
     /// Runs the discrete-event simulation on a healthy cluster: the one
-    /// event loop of this crate ([`crate::fault_sim`]) under a plan with
+    /// event loop of this crate (`crate::fault_sim`) under a plan with
     /// no faults, an edge-cut mirror directory and the default retry
     /// policy, projected onto a [`SimReport`].
     ///

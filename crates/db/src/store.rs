@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Why a [`PartitionedStore`] could not be built from a partitioning.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreError {
+pub(crate) enum StoreError {
     /// The partitioning carries no vertex-ownership map (a vertex-cut
     /// placement — §5.2.2: adjacency-list stores need edge-cut).
     NotVertexDisjoint,
@@ -70,7 +70,7 @@ impl PartitionedStore {
     /// # Panics
     /// Panics if `p` carries no vertex ownership (vertex-cut placements
     /// cannot back an adjacency-list store — §5.2.2 of the paper).
-    /// [`PartitionedStore::try_new`] is the non-panicking equivalent.
+    /// `PartitionedStore::try_new` is the non-panicking equivalent.
     #[expect(
         clippy::expect_used,
         reason = "documented panic; callers that cannot prove edge-cut use try_new"
@@ -81,7 +81,7 @@ impl PartitionedStore {
 
     /// Builds a store from an edge-cut partitioning, reporting *why* an
     /// incompatible partitioning was rejected instead of panicking.
-    pub fn try_new(graph: Graph, p: &Partitioning) -> Result<Self, StoreError> {
+    pub(crate) fn try_new(graph: Graph, p: &Partitioning) -> Result<Self, StoreError> {
         let owner = p.vertex_owner.clone().ok_or(StoreError::NotVertexDisjoint)?;
         Self::try_from_owner(graph, p.k, owner)
     }
@@ -91,7 +91,7 @@ impl PartitionedStore {
     ///
     /// # Panics
     /// Panics when the map does not cover the graph or names a machine
-    /// `>= k`; [`PartitionedStore::try_from_owner`] reports instead.
+    /// `>= k`; `PartitionedStore::try_from_owner` reports instead.
     #[expect(
         clippy::expect_used,
         reason = "documented panic; callers that cannot prove coverage use try_from_owner"
@@ -101,7 +101,7 @@ impl PartitionedStore {
     }
 
     /// Validating constructor behind [`PartitionedStore::from_owner`].
-    pub fn try_from_owner(
+    pub(crate) fn try_from_owner(
         graph: Graph,
         k: usize,
         owner: Vec<PartitionId>,
@@ -128,15 +128,10 @@ impl PartitionedStore {
         &self.graph
     }
 
-    /// The ownership map.
-    pub fn owner_map(&self) -> &[PartitionId] {
-        &self.owner
-    }
-
     /// The partitioning-aware router (Appendix C): the machine a client
     /// query for start vertex `v` is forwarded to.
     #[inline]
-    pub fn route(&self, v: VertexId) -> PartitionId {
+    pub(crate) fn route(&self, v: VertexId) -> PartitionId {
         self.owner[v as usize]
     }
 
@@ -147,15 +142,6 @@ impl PartitionedStore {
         n.sort_unstable();
         n.dedup();
         n
-    }
-
-    /// Vertices stored per machine.
-    pub fn vertices_per_machine(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.k];
-        for &p in &self.owner {
-            counts[p as usize] += 1;
-        }
-        counts
     }
 
     /// Fraction of edges whose endpoints live on different machines —
@@ -189,12 +175,6 @@ mod tests {
         let s = store();
         assert_eq!(s.neighbors(0), vec![1, 2]);
         assert_eq!(s.neighbors(1), vec![0, 2]);
-    }
-
-    #[test]
-    fn vertices_per_machine_counts() {
-        let s = store();
-        assert_eq!(s.vertices_per_machine(), vec![2, 1]);
     }
 
     #[test]

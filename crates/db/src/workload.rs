@@ -97,59 +97,6 @@ impl Workload {
             .collect();
         Workload { kind, queries }
     }
-
-    /// Generates a LinkBench-style *mixed* workload: the paper cites
-    /// LinkBench, where 1-hop retrievals are "more than 50%" of the
-    /// production mix. `mix` gives the relative weight of each query
-    /// class (1-hop, 2-hop, shortest-path); queries are interleaved
-    /// deterministically by weight.
-    ///
-    /// # Panics
-    /// Panics if all weights are zero.
-    pub fn generate_mixed(g: &Graph, mix: [u32; 3], count: usize, skew: Skew, seed: u64) -> Self {
-        let total: u32 = mix.iter().sum();
-        assert!(total > 0, "at least one query class must have weight");
-        let kinds = [WorkloadKind::OneHop, WorkloadKind::TwoHop, WorkloadKind::ShortestPath];
-        // Generate per-class pools, then interleave by weight so the mix
-        // holds over any prefix (closed-loop clients cycle the list).
-        let pools: Vec<Workload> = kinds
-            .iter()
-            .enumerate()
-            .map(|(i, &kind)| {
-                let share = ((count as u64 * mix[i] as u64).div_ceil(total as u64)) as usize;
-                Workload::generate(g, kind, share.max(1), skew, seed ^ (i as u64 + 1))
-            })
-            .collect();
-        let mut queries = Vec::with_capacity(count);
-        let mut cursors = [0usize; 3];
-        let mut credit = [0i64; 3];
-        while queries.len() < count {
-            for i in 0..3 {
-                credit[i] += mix[i] as i64;
-            }
-            // Emit from the class with the most accumulated credit.
-            #[expect(
-                clippy::expect_used,
-                reason = "max_by_key over the literal non-empty range 0..3"
-            )]
-            let i = (0..3).max_by_key(|&i| credit[i]).expect("three classes");
-            credit[i] -= total as i64;
-            let pool = &pools[i];
-            queries.push(pool.queries[cursors[i] % pool.queries.len()]);
-            cursors[i] += 1;
-        }
-        Workload { kind: WorkloadKind::OneHop, queries }
-    }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// True if no bindings were generated.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
 }
 
 /// Thread-safe per-vertex access counter. JanusGraph instances serve
@@ -174,25 +121,20 @@ impl AccessRecorder {
     }
 
     /// Records one access to `v`.
-    pub fn record(&self, v: VertexId) {
+    pub(crate) fn record(&self, v: VertexId) {
         self.counts[v as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records every vertex read in a query's execution: the start
     /// vertex plus all result-set vertices (what the store actually
     /// touched).
-    pub fn record_query(&self, q: &Query, trace: &QueryTrace) {
+    pub(crate) fn record_query(&self, q: &Query, trace: &QueryTrace) {
         self.record(q.start_vertex());
         if let crate::query::QueryResult::Vertices(vs) = &trace.result {
             for &v in vs {
                 self.record(v);
             }
         }
-    }
-
-    /// Snapshot of the raw counts.
-    pub fn counts(&self) -> Vec<u64> {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
     /// Converts the counts into the vertex-weight vector of the paper's
@@ -248,7 +190,7 @@ mod tests {
     fn workload_generates_requested_count() {
         let s = small_store();
         let w = Workload::generate(s.graph(), WorkloadKind::OneHop, 100, Skew::Uniform, 1);
-        assert_eq!(w.len(), 100);
+        assert_eq!(w.queries.len(), 100);
     }
 
     #[test]
@@ -294,7 +236,6 @@ mod tests {
         let rec = AccessRecorder::new(3);
         let w = Workload { kind: WorkloadKind::OneHop, queries: vec![Query::OneHop { start: 0 }] };
         run_workload(&store, &w, Some(&rec));
-        assert_eq!(rec.counts(), vec![1, 1, 1]);
         assert_eq!(rec.vertex_weights(), vec![2, 2, 2]);
     }
 
@@ -317,46 +258,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(rec.counts()[2], 4000);
-    }
-
-    #[test]
-    fn mixed_workload_matches_requested_ratios() {
-        let s = small_store();
-        // LinkBench-ish: 60% 1-hop, 30% 2-hop, 10% shortest path.
-        let w = Workload::generate_mixed(s.graph(), [6, 3, 1], 1000, Skew::Uniform, 9);
-        assert_eq!(w.len(), 1000);
-        let count = |f: fn(&Query) -> bool| w.queries.iter().filter(|q| f(q)).count();
-        let one = count(|q| matches!(q, Query::OneHop { .. }));
-        let two = count(|q| matches!(q, Query::TwoHop { .. }));
-        let sp = count(|q| matches!(q, Query::ShortestPath { .. }));
-        assert!((one as i64 - 600).abs() <= 10, "1-hop {one}");
-        assert!((two as i64 - 300).abs() <= 10, "2-hop {two}");
-        assert!((sp as i64 - 100).abs() <= 10, "spsp {sp}");
-        // The mix must hold over prefixes too (closed-loop fairness).
-        let prefix_one =
-            w.queries[..100].iter().filter(|q| matches!(q, Query::OneHop { .. })).count();
-        assert!((prefix_one as i64 - 60).abs() <= 5, "prefix 1-hop {prefix_one}");
-    }
-
-    #[test]
-    fn mixed_workload_runs_through_simulator() {
-        let s = small_store();
-        let w = Workload::generate_mixed(s.graph(), [5, 4, 1], 120, Skew::Zipf { theta: 0.8 }, 4);
-        let sim = crate::sim::ClusterSim::prepare(&s, &w);
-        let r = sim.run(&crate::sim::SimConfig {
-            clients_per_machine: 4,
-            queries_per_client: 10,
-            ..Default::default()
-        });
-        assert!(r.throughput_qps > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one query class")]
-    fn mixed_workload_rejects_zero_mix() {
-        let s = small_store();
-        Workload::generate_mixed(s.graph(), [0, 0, 0], 10, Skew::Uniform, 1);
+        assert_eq!(rec.vertex_weights()[2], 4001);
     }
 
     #[test]

@@ -6,6 +6,8 @@ mod pagerank;
 mod sssp;
 mod wcc;
 
-pub use pagerank::{PageRank, DAMPING};
-pub use sssp::{Sssp, UNREACHABLE};
+pub use pagerank::PageRank;
+pub(crate) use pagerank::DAMPING;
+pub use sssp::Sssp;
+pub(crate) use sssp::UNREACHABLE;
 pub use wcc::Wcc;

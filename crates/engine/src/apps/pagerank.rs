@@ -11,7 +11,7 @@ use crate::program::{Direction, VertexProgram};
 use sgp_graph::{Graph, VertexId};
 
 /// Damping factor used by PowerGraph/PowerLyra's default PageRank.
-pub const DAMPING: f64 = 0.85;
+pub(crate) const DAMPING: f64 = 0.85;
 
 /// The PageRank vertex program.
 #[derive(Debug, Clone)]

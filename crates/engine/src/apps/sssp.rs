@@ -10,7 +10,7 @@ use crate::program::{Direction, VertexProgram};
 use sgp_graph::{Graph, VertexId};
 
 /// Distance value for unreachable vertices.
-pub const UNREACHABLE: u64 = u64::MAX;
+pub(crate) const UNREACHABLE: u64 = u64::MAX;
 
 /// The SSSP vertex program (Bellman-Ford style over in-edges).
 #[derive(Debug, Clone)]

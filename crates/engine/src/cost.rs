@@ -23,7 +23,7 @@
 ///
 /// The engine counts a superstep's edge operations and applies per
 /// machine as integers and prices them once, at the barrier
-/// ([`CostModel::compute_ns`]). While `ns_per_edge_op` and
+/// (`CostModel::compute_ns`). While `ns_per_edge_op` and
 /// `ns_per_apply` are integer-valued (the defaults are) and a
 /// machine's superstep total stays below 2^53 ns, that price equals,
 /// bit for bit, a running sum of one `+= ns_per_*` per operation; with
@@ -63,7 +63,7 @@ impl CostModel {
     /// Simulated compute nanoseconds of a machine that executed
     /// `edge_ops` gather/scatter edge operations and `applies` applies
     /// in one superstep.
-    pub fn compute_ns(&self, edge_ops: u64, applies: u64) -> f64 {
+    pub(crate) fn compute_ns(&self, edge_ops: u64, applies: u64) -> f64 {
         edge_ops as f64 * self.ns_per_edge_op + applies as f64 * self.ns_per_apply
     }
 }

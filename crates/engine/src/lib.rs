@@ -43,9 +43,9 @@
 
 pub mod apps;
 pub mod cost;
-pub mod engine;
-pub mod placement;
-pub mod program;
+pub(crate) mod engine;
+pub(crate) mod placement;
+pub(crate) mod program;
 pub mod reference;
 pub mod wire;
 

@@ -116,7 +116,7 @@ impl Placement {
     }
 
     /// Number of vertices covered by the placement.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.masters.len()
     }
 
@@ -127,7 +127,7 @@ impl Placement {
         clippy::cast_precision_loss,
         reason = "replication factor is a report ratio over integral replica counts"
     )]
-    pub fn replication_factor(&self) -> f64 {
+    pub(crate) fn replication_factor(&self) -> f64 {
         if self.masters.is_empty() {
             return 0.0;
         }
@@ -135,14 +135,9 @@ impl Placement {
         total as f64 / self.masters.len() as f64
     }
 
-    /// Edges stored per machine (the vertex-cut load metric).
-    pub fn edges_per_machine(&self) -> Vec<usize> {
-        self.local_offsets.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-
     /// Edges stored on `machine`, in edge-index order.
     #[inline]
-    pub fn local_edges(&self, machine: usize) -> &[Edge] {
+    pub(crate) fn local_edges(&self, machine: usize) -> &[Edge] {
         &self.local_edges[self.local_offsets[machine]..self.local_offsets[machine + 1]]
     }
 
@@ -150,29 +145,12 @@ impl Placement {
     /// edge `g.in_neighbors(v)[i] -> v`, parallel edges each getting their
     /// own. `g` must be the graph the placement was built for.
     #[inline]
-    pub fn in_edge_ids(&self, g: &Graph, v: VertexId) -> &[u32] {
+    pub(crate) fn in_edge_ids(&self, g: &Graph, v: VertexId) -> &[u32] {
         &self.in_edge_ids[g.in_edge_range(v)]
     }
 
-    /// Machines holding at least one *out*-edge of `v`, ascending.
-    pub fn out_parts(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
-        SetBits::new(self.words(v, false, true))
-    }
-
-    /// Machines holding at least one *in*-edge of `v`, ascending.
-    pub fn in_parts(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
-        SetBits::new(self.words(v, true, false))
-    }
-
-    /// Full replica set `A(v)`, ascending; includes the master.
-    pub fn replicas(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
-        let (word, bit) = self.master_bit(v);
-        let words = self.words(v, true, true).enumerate();
-        SetBits::new(words.map(move |(w, bits)| if w == word { bits | bit } else { bits }))
-    }
-
     /// `|A(v)|`.
-    pub fn replica_count(&self, v: VertexId) -> usize {
+    pub(crate) fn replica_count(&self, v: VertexId) -> usize {
         count_ones(self.mirror_words(v, true, true)) + 1
     }
 
@@ -183,15 +161,9 @@ impl Placement {
 
     /// Machines (excluding the master) that must send a gather partial
     /// for `v` when the gather direction needs in-edges (`use_in`) and/or
-    /// out-edges (`use_out`).
-    pub fn gather_partial_count(&self, v: VertexId, use_in: bool, use_out: bool) -> usize {
-        count_ones(self.mirror_words(v, use_in, use_out))
-    }
-
-    /// The machines counted by [`Placement::gather_partial_count`],
-    /// ascending.
+    /// out-edges (`use_out`), ascending.
     #[inline]
-    pub fn gather_partial_parts(
+    pub(crate) fn gather_partial_parts(
         &self,
         v: VertexId,
         use_in: bool,
@@ -203,15 +175,9 @@ impl Placement {
     /// Machines (excluding the master) that must receive `v`'s updated
     /// value so that *neighbours'* gathers keep working: mirrors holding
     /// out-edges when neighbours gather over IN, mirrors holding in-edges
-    /// when neighbours gather over OUT.
-    pub fn update_target_count(&self, v: VertexId, gather_in: bool, gather_out: bool) -> usize {
-        self.gather_partial_count(v, gather_out, gather_in)
-    }
-
-    /// The machines counted by [`Placement::update_target_count`],
-    /// ascending.
+    /// when neighbours gather over OUT. Ascending.
     #[inline]
-    pub fn update_target_parts(
+    pub(crate) fn update_target_parts(
         &self,
         v: VertexId,
         gather_in: bool,
@@ -302,6 +268,24 @@ pub(crate) mod tests {
     use sgp_partition::Partitioning;
     use std::collections::BTreeSet;
 
+    /// Full replica set `A(v)`, ascending; includes the master.
+    fn replicas(pl: &Placement, v: VertexId) -> Vec<PartitionId> {
+        let (word, bit) = pl.master_bit(v);
+        let words = pl.words(v, true, true).enumerate();
+        SetBits::new(words.map(move |(w, bits)| if w == word { bits | bit } else { bits }))
+            .collect()
+    }
+
+    /// Machines holding at least one *out*-edge of `v`, ascending.
+    fn out_parts(pl: &Placement, v: VertexId) -> Vec<PartitionId> {
+        SetBits::new(pl.words(v, false, true)).collect()
+    }
+
+    /// Machines holding at least one *in*-edge of `v`, ascending.
+    fn in_parts(pl: &Placement, v: VertexId) -> Vec<PartitionId> {
+        SetBits::new(pl.words(v, true, false)).collect()
+    }
+
     /// The 6-vertex example of the paper's Fig. 10: vertex 6 (here 5)
     /// receives edges from 1..=5 (here 0..=4), plus a few chain edges.
     fn fig10_graph() -> Graph {
@@ -323,12 +307,12 @@ pub(crate) mod tests {
         let pl = Placement::build(&g, &p);
         for v in g.vertices() {
             // Every out-edge partition must be exactly the master.
-            for part in pl.out_parts(v) {
+            for part in out_parts(&pl, v) {
                 assert_eq!(part, pl.masters[v as usize], "vertex {v}");
             }
         }
         // Vertex 5 has in-edges on machines 0, 1, 2 → 2 mirror machines.
-        assert_eq!(pl.in_parts(5).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(in_parts(&pl, 5), vec![0, 1, 2]);
         assert_eq!(pl.mirrors(5).count(), 2);
     }
 
@@ -340,9 +324,9 @@ pub(crate) mod tests {
         let g = fig10_graph();
         let p = Partitioning::from_vertex_owners(&g, 3, vec![0, 0, 1, 1, 2, 2]);
         let pl = Placement::build(&g, &p);
-        assert_eq!(pl.gather_partial_count(5, true, false), 2);
+        assert_eq!(pl.gather_partial_parts(5, true, false).count(), 2);
         // And zero update messages: all its out-edges (none) are local.
-        assert_eq!(pl.update_target_count(5, true, false), 0);
+        assert_eq!(pl.update_target_parts(5, true, false).count(), 0);
     }
 
     #[test]
@@ -355,10 +339,10 @@ pub(crate) mod tests {
         let p = Partitioning::from_edge_parts(&g, 3, vec![0, 1, 0, 1, 1, 2]);
         let pl = Placement::build(&g, &p);
         let v0_master = pl.masters[0];
-        let updates = pl.update_target_count(0, true, false);
+        let updates = pl.update_target_parts(0, true, false).count();
         // Vertex 0 has out-edges on machines {0, 1}; one of them is the
         // master, the other needs an update.
-        assert_eq!(pl.out_parts(0).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(out_parts(&pl, 0), vec![0, 1]);
         assert_eq!(updates, if v0_master == 0 || v0_master == 1 { 1 } else { 2 });
     }
 
@@ -378,7 +362,8 @@ pub(crate) mod tests {
         let pl = Placement::build(&g, &p);
         let total: usize = (0..pl.k).map(|m| pl.local_edges(m).len()).sum();
         assert_eq!(total, g.num_edges());
-        assert_eq!(pl.edges_per_machine(), vec![2, 3, 1]);
+        let per_machine: Vec<usize> = (0..pl.k).map(|m| pl.local_edges(m).len()).collect();
+        assert_eq!(per_machine, vec![2, 3, 1]);
     }
 
     #[test]
@@ -392,7 +377,7 @@ pub(crate) mod tests {
         // Vertex 1: in-edges on {0}, out-edges on {1}. Gather BOTH =
         // union {0,1} minus master.
         let expected = [0u32, 1u32].iter().filter(|&&x| x != m).count();
-        assert_eq!(pl.gather_partial_count(1, true, true), expected);
+        assert_eq!(pl.gather_partial_parts(1, true, true).count(), expected);
     }
 
     #[test]
@@ -553,20 +538,18 @@ pub(crate) mod tests {
         assert_eq!(pl.masters, rp.masters);
         for v in g.vertices() {
             let i = v as usize;
-            assert_eq!(pl.replicas(v).collect::<Vec<_>>(), sorted(&rp.replicas[i]), "A({v})");
+            assert_eq!(replicas(&pl, v), sorted(&rp.replicas[i]), "A({v})");
             assert_eq!(pl.replica_count(v), rp.replicas[i].len(), "|A({v})|");
-            assert_eq!(pl.out_parts(v).collect::<Vec<_>>(), sorted(&rp.out_parts[i]), "out {v}");
-            assert_eq!(pl.in_parts(v).collect::<Vec<_>>(), sorted(&rp.in_parts[i]), "in {v}");
+            assert_eq!(out_parts(&pl, v), sorted(&rp.out_parts[i]), "out {v}");
+            assert_eq!(in_parts(&pl, v), sorted(&rp.in_parts[i]), "in {v}");
             let mirrors: Vec<_> =
                 sorted(&rp.replicas[i]).into_iter().filter(|&m| m != rp.masters[i]).collect();
             assert_eq!(pl.mirrors(v).collect::<Vec<_>>(), mirrors, "mirrors of {v}");
             for (a, b) in [(true, false), (false, true), (true, true)] {
                 let gather = rp.gather_partial_parts(v, a, b);
                 assert_eq!(pl.gather_partial_parts(v, a, b).collect::<Vec<_>>(), gather, "{v}");
-                assert_eq!(pl.gather_partial_count(v, a, b), gather.len(), "{v}");
                 let update = rp.update_target_parts(v, a, b);
                 assert_eq!(pl.update_target_parts(v, a, b).collect::<Vec<_>>(), update, "{v}");
-                assert_eq!(pl.update_target_count(v, a, b), update.len(), "{v}");
             }
             let ids: Vec<usize> = pl.in_edge_ids(g, v).iter().map(|&id| id as usize).collect();
             assert_eq!(ids, rp.in_edge_ids[i], "in-edge ids of {v}");
@@ -574,8 +557,6 @@ pub(crate) mod tests {
         for (m, edges) in rp.local_edges.iter().enumerate() {
             assert_eq!(pl.local_edges(m), &edges[..], "machine {m}");
         }
-        let per_machine: Vec<usize> = rp.local_edges.iter().map(|edges| edges.len()).collect();
-        assert_eq!(pl.edges_per_machine(), per_machine);
         let total: usize = rp.replicas.iter().map(|set| set.len()).sum();
         #[expect(
             clippy::float_arithmetic,

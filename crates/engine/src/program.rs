@@ -22,12 +22,12 @@ pub enum Direction {
 
 impl Direction {
     /// Does the direction include in-edges of the executing vertex?
-    pub fn uses_in(self) -> bool {
+    pub(crate) fn uses_in(self) -> bool {
         matches!(self, Direction::In | Direction::Both)
     }
 
     /// Does the direction include out-edges of the executing vertex?
-    pub fn uses_out(self) -> bool {
+    pub(crate) fn uses_out(self) -> bool {
         matches!(self, Direction::Out | Direction::Both)
     }
 }

@@ -37,8 +37,8 @@
 )]
 #![warn(clippy::indexing_slicing)]
 
-pub mod plan;
-pub mod retry;
+pub(crate) mod plan;
+pub(crate) mod retry;
 mod rng;
 
 pub use plan::{

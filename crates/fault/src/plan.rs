@@ -249,12 +249,6 @@ impl FaultPlan {
         self
     }
 
-    /// The membership events of the plan, in schedule order — the
-    /// rebalance triggers an elastic run must answer.
-    pub fn membership_events(&self) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(|e| matches!(e, FaultEvent::Membership { .. }))
-    }
-
     fn sort_events(&mut self) {
         self.events.sort_by_key(|e| (e.start_ns(), e.machine()));
     }
@@ -371,7 +365,7 @@ impl FaultPlan {
     }
 
     /// Is `machine` up (a live cluster member) at simulated time `t_ns`?
-    pub fn is_up(&self, machine: u32, t_ns: u64) -> bool {
+    pub(crate) fn is_up(&self, machine: u32, t_ns: u64) -> bool {
         for e in &self.events {
             match *e {
                 FaultEvent::Crash { machine: m, at_ns, recovery_ns }
@@ -504,6 +498,11 @@ impl Default for FaultPlanConfig {
 mod tests {
     use super::*;
 
+    /// How many membership events the plan schedules.
+    fn membership_events(plan: &FaultPlan) -> usize {
+        plan.events.iter().filter(|e| matches!(e, FaultEvent::Membership { .. })).count()
+    }
+
     #[test]
     fn healthy_plan_validates_and_is_quiet() {
         let p = FaultPlan::healthy(4, 1);
@@ -578,7 +577,7 @@ mod tests {
         assert!(p.is_up(1, 49) && !p.is_up(1, 50) && !p.is_up(1, 74) && p.is_up(1, 75));
         // Untouched machine stays up throughout.
         assert!(p.is_up(0, 0) && p.is_up(0, u64::MAX));
-        assert_eq!(p.membership_events().count(), 3);
+        assert_eq!(membership_events(&p), 3);
     }
 
     #[test]
@@ -588,7 +587,7 @@ mod tests {
         let b = FaultPlan::generate(&cfg, 8, 7);
         assert_eq!(a, b);
         assert!(a.validate().is_ok());
-        assert_eq!(a.membership_events().count(), 2);
+        assert_eq!(membership_events(&a), 2);
         // memberships = 0 reproduces the v1 draw stream: the non-
         // membership prefix of the plan is unchanged.
         let v1_cfg = FaultPlanConfig { memberships: 0, ..Default::default() };

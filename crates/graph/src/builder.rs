@@ -51,7 +51,7 @@ impl GraphBuilder {
     }
 
     /// Creates a builder with capacity for `edges` edges.
-    pub fn with_capacity(edges: usize) -> Self {
+    pub(crate) fn with_capacity(edges: usize) -> Self {
         let mut b = Self::new();
         b.edges.reserve(edges);
         b
@@ -92,11 +92,6 @@ impl GraphBuilder {
     pub fn extend_edges<I: IntoIterator<Item = Edge>>(mut self, iter: I) -> Self {
         self.edges.extend(iter);
         self
-    }
-
-    /// Number of edges currently staged (before dedup/self-loop policy).
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finalizes the builder into an immutable CSR [`Graph`].

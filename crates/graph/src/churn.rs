@@ -91,16 +91,6 @@ impl ChurnStream {
         }
     }
 
-    /// Batches still to come.
-    pub fn remaining(&self) -> usize {
-        self.cfg.batches - self.emitted
-    }
-
-    /// Edges currently live in the dynamic graph.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Produces the next batch, or `None` once
     /// [`ChurnConfig::batches`] have been emitted.
     pub fn next_batch(&mut self) -> Option<ChurnBatch> {
@@ -203,12 +193,12 @@ mod tests {
     fn ops_match_membership_delta() {
         let g = seed_graph();
         let mut s = ChurnStream::new(&g, ChurnConfig::default());
-        let before = s.num_edges();
+        let before = s.edges.len();
         let b = s.next_batch().unwrap();
         let deletes = b.ops.iter().filter(|o| matches!(o, ChurnOp::Delete(_))).count();
         let inserts = b.ops.iter().filter(|o| matches!(o, ChurnOp::Insert(_))).count();
-        assert_eq!(s.num_edges(), before - deletes + inserts);
-        assert_eq!(b.graph.num_edges(), s.num_edges());
+        assert_eq!(s.edges.len(), before - deletes + inserts);
+        assert_eq!(b.graph.num_edges(), s.edges.len());
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl Graph {
         self.out_neighbors(v).iter().copied().chain(self.in_neighbors(v).iter().copied())
     }
 
-    /// True if the directed edge `src -> dst` exists.
-    pub fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.out_neighbors(src).binary_search(&dst).is_ok()
-    }
-
     /// Dense index of the directed edge `src -> dst` in [`Graph::edges`]
     /// iteration order, or `None` if the edge does not exist. Partition
     /// assignments are stored as arrays indexed by this value.
@@ -192,11 +187,6 @@ impl Graph {
             .flat_map(move |v| self.out_neighbors(v).iter().map(move |&w| Edge::new(v, w)))
     }
 
-    /// The maximum out-degree over all vertices (0 for an empty graph).
-    pub fn max_out_degree(&self) -> usize {
-        self.vertices().map(|v| self.out_degree(v)).max().unwrap_or(0)
-    }
-
     /// The maximum total degree over all vertices (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
@@ -209,12 +199,6 @@ impl Graph {
         } else {
             self.num_edges() as f64 / self.num_vertices as f64
         }
-    }
-
-    /// Materializes the full out-degree sequence. The Appendix-B
-    /// replication-factor expectation `ψ(d, k)` is evaluated over this.
-    pub fn out_degree_sequence(&self) -> Vec<usize> {
-        self.vertices().map(|v| self.out_degree(v)).collect()
     }
 
     /// Returns the undirected view of this graph (every edge mirrored,
@@ -260,14 +244,6 @@ mod tests {
         assert_eq!(g.in_neighbors(3), &[1, 2]);
         assert!(g.out_neighbors(3).is_empty());
         assert!(g.in_neighbors(0).is_empty());
-    }
-
-    #[test]
-    fn csr_has_edge() {
-        let g = diamond();
-        assert!(g.has_edge(0, 1));
-        assert!(!g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 3));
     }
 
     #[test]
@@ -384,7 +360,6 @@ mod tests {
     #[test]
     fn csr_degree_stats() {
         let g = diamond();
-        assert_eq!(g.max_out_degree(), 2);
         assert_eq!(g.max_degree(), 2);
         assert!((g.avg_degree() - 1.0).abs() < 1e-12);
     }
@@ -393,8 +368,8 @@ mod tests {
     fn undirected_view_mirrors_edges() {
         let g = diamond().to_undirected();
         assert_eq!(g.num_edges(), 8);
-        assert!(g.has_edge(1, 0));
-        assert!(g.has_edge(0, 1));
+        assert!(g.edge_index(1, 0).is_some());
+        assert!(g.edge_index(0, 1).is_some());
         assert_eq!(g.out_degree(3), 2);
     }
 

@@ -32,7 +32,7 @@ pub use snb::{snb_social, SnbConfig};
 
 use crate::csr::Graph;
 use crate::sampling::seeded_rng;
-use crate::types::{Edge, VertexId};
+use crate::types::VertexId;
 use crate::GraphBuilder;
 
 /// Configuration for the power-law configuration-model generator
@@ -115,38 +115,6 @@ pub fn powerlaw_cm(cfg: PowerLawConfig) -> Graph {
     builder.ensure_vertices(n).build()
 }
 
-/// Samples `count` distinct query start vertices, biased by out-degree
-/// when `degree_biased` is set (the LDBC parameter-binding generator picks
-/// "person" start vertices whose activity correlates with degree).
-pub fn sample_start_vertices(
-    g: &Graph,
-    count: usize,
-    degree_biased: bool,
-    seed: u64,
-) -> Vec<VertexId> {
-    let mut rng = seeded_rng(seed);
-    let n = g.num_vertices();
-    assert!(n > 0, "cannot sample from empty graph");
-    let mut out = Vec::with_capacity(count);
-    if degree_biased {
-        let weights: Vec<f64> = g.vertices().map(|v| (g.degree(v) + 1) as f64).collect();
-        let alias = crate::sampling::AliasTable::new(&weights);
-        for _ in 0..count {
-            out.push(alias.sample(&mut rng) as VertexId);
-        }
-    } else {
-        for _ in 0..count {
-            out.push(rng.index(n) as VertexId);
-        }
-    }
-    out
-}
-
-/// Convenience: collect a generator's edges (used in tests and benches).
-pub fn edges_of(g: &Graph) -> Vec<Edge> {
-    g.edges().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,8 +124,7 @@ mod tests {
         let cfg = PowerLawConfig { vertices: 500, avg_degree: 4.0, exponent: 0.8, seed: 1 };
         let a = powerlaw_cm(cfg);
         let b = powerlaw_cm(cfg);
-        assert_eq!(a.num_edges(), b.num_edges());
-        assert_eq!(edges_of(&a), edges_of(&b));
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -182,33 +149,5 @@ mod tests {
         let g =
             powerlaw_cm(PowerLawConfig { vertices: 333, avg_degree: 3.0, exponent: 0.7, seed: 3 });
         assert_eq!(g.num_vertices(), 333);
-    }
-
-    #[test]
-    fn start_vertex_sampling_uniform_in_range() {
-        let g =
-            powerlaw_cm(PowerLawConfig { vertices: 100, avg_degree: 3.0, exponent: 0.5, seed: 4 });
-        let picks = sample_start_vertices(&g, 50, false, 9);
-        assert_eq!(picks.len(), 50);
-        assert!(picks.iter().all(|&v| (v as usize) < 100));
-    }
-
-    #[test]
-    fn start_vertex_sampling_degree_biased_prefers_hubs() {
-        let g = powerlaw_cm(PowerLawConfig {
-            vertices: 1000,
-            avg_degree: 10.0,
-            exponent: 0.9,
-            seed: 5,
-        });
-        let picks = sample_start_vertices(&g, 2000, true, 10);
-        let avg_deg_of_picks: f64 =
-            picks.iter().map(|&v| g.degree(v) as f64).sum::<f64>() / picks.len() as f64;
-        let avg_deg: f64 =
-            g.vertices().map(|v| g.degree(v) as f64).sum::<f64>() / g.num_vertices() as f64;
-        assert!(
-            avg_deg_of_picks > avg_deg,
-            "biased picks should hit hubs: {avg_deg_of_picks} vs {avg_deg}"
-        );
     }
 }

@@ -36,12 +36,12 @@ impl Default for RmatConfig {
 
 impl RmatConfig {
     /// The implied bottom-right quadrant probability `d = 1 - a - b - c`.
-    pub fn d(&self) -> f64 {
+    pub(crate) fn d(&self) -> f64 {
         1.0 - self.a - self.b - self.c
     }
 
     /// Number of vertices `2^scale`.
-    pub fn vertices(&self) -> usize {
+    pub(crate) fn vertices(&self) -> usize {
         1usize << self.scale
     }
 }

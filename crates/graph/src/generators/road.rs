@@ -35,7 +35,7 @@ impl Default for RoadConfig {
 
 impl RoadConfig {
     /// Number of vertices `width * height`.
-    pub fn vertices(&self) -> usize {
+    pub(crate) fn vertices(&self) -> usize {
         self.width * self.height
     }
 }
@@ -95,7 +95,7 @@ mod tests {
     fn road_edges_are_bidirectional() {
         let g = road_grid(small());
         for e in g.edges() {
-            assert!(g.has_edge(e.dst, e.src), "missing reverse of {e}");
+            assert!(g.edge_index(e.dst, e.src).is_some(), "missing reverse of {e}");
         }
     }
 

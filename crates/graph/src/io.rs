@@ -92,12 +92,6 @@ pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> io::Result<()> {
     w.flush()
 }
 
-/// Writes a graph to a file path.
-pub fn write_edge_list_file<P: AsRef<Path>>(g: &Graph, path: P) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_edge_list(g, file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +140,7 @@ mod tests {
         let dir = std::env::temp_dir().join("sgp_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.txt");
-        write_edge_list_file(&g, &path).unwrap();
+        write_edge_list(&g, std::fs::File::create(&path).unwrap()).unwrap();
         let back = read_edge_list_file(&path).unwrap();
         assert_eq!(g, back);
     }

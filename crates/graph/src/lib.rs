@@ -41,19 +41,19 @@
 )]
 #![warn(clippy::indexing_slicing)]
 
-pub mod builder;
-pub mod churn;
-pub mod csr;
+pub(crate) mod builder;
+pub(crate) mod churn;
+pub(crate) mod csr;
 pub mod generators;
 pub mod io;
 pub mod sampling;
 pub mod stats;
 pub mod stream;
-pub mod types;
+pub(crate) mod types;
 
 pub use builder::GraphBuilder;
 pub use churn::{ChurnBatch, ChurnConfig, ChurnOp, ChurnStream};
 pub use csr::Graph;
 pub use stats::GraphStats;
-pub use stream::{EdgeStream, EdgeStreamSource, StreamOrder, VertexStream, VertexStreamSource};
+pub use stream::{EdgeStream, EdgeStreamSource, StreamOrder, VertexStreamSource};
 pub use types::{Edge, VertexId};

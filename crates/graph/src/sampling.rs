@@ -150,16 +150,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of items in the distribution.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if the distribution has exactly one item.
-    pub fn is_empty(&self) -> bool {
-        false // construction guarantees n > 0
-    }
-
     /// Samples a rank in `0..n` (0 = most popular).
     #[expect(
         clippy::expect_used,
@@ -172,15 +162,6 @@ impl Zipf {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
-
-    /// Probability mass of rank `i`.
-    pub fn pmf(&self, i: usize) -> f64 {
-        if i == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[i] - self.cdf[i - 1]
-        }
-    }
 }
 
 /// Walker alias-method sampler for arbitrary discrete distributions.
@@ -189,7 +170,7 @@ impl Zipf {
 /// attachment and configuration-model generators, where O(1) sampling
 /// matters for generator throughput benchmarks.
 #[derive(Debug, Clone)]
-pub struct AliasTable {
+pub(crate) struct AliasTable {
     prob: Vec<f64>,
     alias: Vec<u32>,
 }
@@ -199,7 +180,7 @@ impl AliasTable {
     ///
     /// # Panics
     /// Panics if `weights` is empty or sums to zero.
-    pub fn new(weights: &[f64]) -> Self {
+    pub(crate) fn new(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "AliasTable requires at least one weight");
         let n = weights.len();
         let total: f64 = weights.iter().sum();
@@ -232,23 +213,13 @@ impl AliasTable {
     }
 
     /// Samples an index in `0..weights.len()`.
-    pub fn sample(&self, rng: &mut Rng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> usize {
         let i = rng.index(self.prob.len());
         if rng.unit() < self.prob[i] {
             i
         } else {
             self.alias[i] as usize
         }
-    }
-
-    /// Number of items in the table.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Always false: construction requires at least one weight.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -265,25 +236,34 @@ pub fn shuffle<T>(items: &mut [T], rng: &mut Rng) {
 mod tests {
     use super::*;
 
+    /// Probability mass of rank `i`, read off the table `sample` draws from.
+    fn pmf(z: &Zipf, i: usize) -> f64 {
+        if i == 0 {
+            z.cdf[0]
+        } else {
+            z.cdf[i] - z.cdf[i - 1]
+        }
+    }
+
     #[test]
     fn zipf_uniform_when_theta_zero() {
         let z = Zipf::new(4, 0.0);
         for i in 0..4 {
-            assert!((z.pmf(i) - 0.25).abs() < 1e-9, "pmf({i}) = {}", z.pmf(i));
+            assert!((pmf(&z, i) - 0.25).abs() < 1e-9, "pmf({i}) = {}", pmf(&z, i));
         }
     }
 
     #[test]
     fn zipf_rank0_most_popular() {
         let z = Zipf::new(100, 1.0);
-        assert!(z.pmf(0) > z.pmf(1));
-        assert!(z.pmf(1) > z.pmf(50));
+        assert!(pmf(&z, 0) > pmf(&z, 1));
+        assert!(pmf(&z, 1) > pmf(&z, 50));
     }
 
     #[test]
     fn zipf_cdf_terminates_at_one() {
         let z = Zipf::new(10, 0.99);
-        let total: f64 = (0..10).map(|i| z.pmf(i)).sum();
+        let total: f64 = (0..10).map(|i| pmf(&z, i)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 

@@ -23,10 +23,9 @@
 //!   permutation, because the seeded Fisher–Yates shuffle finalizes the
 //!   *last* position first and therefore cannot be replayed lazily from
 //!   the front.
-//! * [`VertexStream`] / [`EdgeStream`] — the original whole-stream
-//!   iterators, now thin adapters over the sources (`EdgeStream` remains
-//!   fully materialized; it is the baseline the `ingest` bench compares
-//!   chunked ingestion against).
+//! * [`EdgeStream`] — the original whole-stream edge iterator, fully
+//!   materialized; it is the baseline the `ingest` bench compares
+//!   chunked ingestion against.
 #![expect(
     clippy::indexing_slicing,
     reason = "stream orders permute 0..num_vertices / 0..num_edges, so replay indexes the backing arrays within their length"
@@ -204,8 +203,7 @@ enum VertexCursor {
 /// wherever the graph already holds `N(u)` as one row (see
 /// [`VertexRecord::for_vertex`]), and `Natural` order does not
 /// materialize the permutation either. This is the ingestion primitive
-/// of the incremental partitioner core; [`VertexStream`] wraps it as a
-/// plain iterator.
+/// of the incremental partitioner core.
 #[derive(Debug, Clone)]
 pub struct VertexStreamSource<'g> {
     graph: &'g Graph,
@@ -220,24 +218,6 @@ impl<'g> VertexStreamSource<'g> {
             _ => VertexCursor::Materialized { order: vertex_order(g, order), pos: 0 },
         };
         VertexStreamSource { graph: g, cursor }
-    }
-
-    /// Total number of elements in the stream (`|V|`).
-    pub fn len(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    /// True if the stream has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Elements not yet yielded since the last [`restart`](Self::restart).
-    pub fn remaining(&self) -> usize {
-        match &self.cursor {
-            VertexCursor::Natural { next } => self.len() - *next as usize,
-            VertexCursor::Materialized { order, pos } => order.len() - pos,
-        }
     }
 
     /// Restarts the stream from the beginning with the same order — the
@@ -290,48 +270,6 @@ impl<'g> VertexStreamSource<'g> {
     }
 }
 
-/// Replays a [`Graph`] as a vertex stream (adjacency-list loading model).
-#[derive(Debug, Clone)]
-pub struct VertexStream<'g> {
-    source: VertexStreamSource<'g>,
-}
-
-impl<'g> VertexStream<'g> {
-    /// Creates a vertex stream over `g` in the given arrival order.
-    pub fn new(g: &'g Graph, order: StreamOrder) -> Self {
-        VertexStream { source: VertexStreamSource::new(g, order) }
-    }
-
-    /// Total number of elements in the stream (`|V|`).
-    pub fn len(&self) -> usize {
-        self.source.len()
-    }
-
-    /// True if the stream has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.source.is_empty()
-    }
-
-    /// Restarts the stream from the beginning with the same order — the
-    /// primitive behind the re-streaming variants (re-LDG / re-FENNEL).
-    pub fn restart(&mut self) {
-        self.source.restart();
-    }
-}
-
-impl<'g> Iterator for VertexStream<'g> {
-    type Item = VertexRecord<'g>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.source.next_record()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.source.remaining();
-        (rem, Some(rem))
-    }
-}
-
 /// Cursor state of an [`EdgeStreamSource`].
 #[derive(Debug, Clone)]
 enum EdgeCursor {
@@ -356,7 +294,6 @@ enum EdgeCursor {
 pub struct EdgeStreamSource<'g> {
     graph: &'g Graph,
     cursor: EdgeCursor,
-    emitted: usize,
 }
 
 impl<'g> EdgeStreamSource<'g> {
@@ -376,27 +313,16 @@ impl<'g> EdgeStreamSource<'g> {
                 EdgeCursor::ByVertex { order: vertex_order(g, order), vi: 0, off: 0 }
             }
         };
-        EdgeStreamSource { graph: g, cursor, emitted: 0 }
+        EdgeStreamSource { graph: g, cursor }
     }
 
     /// Total number of elements in the stream (`|E|`).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.graph.num_edges()
-    }
-
-    /// True if the stream has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Elements not yet yielded since the last [`restart`](Self::restart).
-    pub fn remaining(&self) -> usize {
-        self.len() - self.emitted
     }
 
     /// Restarts the stream from the beginning with the same order.
     pub fn restart(&mut self) {
-        self.emitted = 0;
         match &mut self.cursor {
             EdgeCursor::Csr { v, off } => {
                 *v = 0;
@@ -412,7 +338,7 @@ impl<'g> EdgeStreamSource<'g> {
 
     /// Yields the next stream element, or `None` at end of stream.
     pub fn next_edge(&mut self) -> Option<Edge> {
-        let e = match &mut self.cursor {
+        match &mut self.cursor {
             EdgeCursor::Csr { v, off } => loop {
                 if (*v as usize) >= self.graph.num_vertices() {
                     break None;
@@ -444,11 +370,7 @@ impl<'g> EdgeStreamSource<'g> {
                 }
                 e
             }
-        };
-        if e.is_some() {
-            self.emitted += 1;
         }
-        e
     }
 
     /// Fills `out` with the next up-to-`max_len` stream elements
@@ -470,8 +392,7 @@ impl<'g> EdgeStreamSource<'g> {
 
 /// Replays a [`Graph`] as a fully materialized edge stream (the vertex-cut
 /// input model). The ordering logic lives in [`EdgeStreamSource`]; this
-/// adapter buffers the whole permutation up front, which keeps
-/// [`as_slice`](EdgeStream::as_slice) available and serves as the
+/// adapter buffers the whole permutation up front and serves as the
 /// materialized baseline in the `ingest` bench.
 #[derive(Debug, Clone)]
 pub struct EdgeStream {
@@ -489,26 +410,6 @@ impl EdgeStream {
         }
         edges.shrink_to_fit();
         EdgeStream { edges, pos: 0 }
-    }
-
-    /// Number of elements in the stream (`|E|`).
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True if the stream has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Restarts the stream from the beginning with the same order.
-    pub fn restart(&mut self) {
-        self.pos = 0;
-    }
-
-    /// Borrow the underlying edge order (used by parallel-ingest tests).
-    pub fn as_slice(&self) -> &[Edge] {
-        &self.edges
     }
 }
 
@@ -537,6 +438,12 @@ mod tests {
         GraphBuilder::new().add_edge(0, 1).add_edge(1, 2).add_edge(2, 3).build()
     }
 
+    /// Every record of a vertex stream, drained one at a time.
+    fn records(g: &Graph, order: StreamOrder) -> Vec<VertexRecord<'_>> {
+        let mut source = VertexStreamSource::new(g, order);
+        std::iter::from_fn(|| source.next_record()).collect()
+    }
+
     fn all_orders() -> Vec<StreamOrder> {
         vec![
             StreamOrder::Natural,
@@ -552,7 +459,7 @@ mod tests {
     fn vertex_stream_visits_every_vertex_once() {
         let g = path_graph();
         let mut seen: Vec<VertexId> =
-            VertexStream::new(&g, StreamOrder::Random { seed: 11 }).map(|r| r.vertex).collect();
+            records(&g, StreamOrder::Random { seed: 11 }).iter().map(|r| r.vertex).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
     }
@@ -560,7 +467,8 @@ mod tests {
     #[test]
     fn vertex_stream_neighborhoods_are_undirected() {
         let g = path_graph();
-        let rec = VertexStream::new(&g, StreamOrder::Natural)
+        let rec = records(&g, StreamOrder::Natural)
+            .into_iter()
             .find(|r| r.vertex == 1)
             .expect("vertex 1 in stream");
         assert_eq!(rec.neighbors, vec![0, 2]);
@@ -767,10 +675,12 @@ mod tests {
     #[test]
     fn restart_replays_identical_stream() {
         let g = path_graph();
-        let mut s = VertexStream::new(&g, StreamOrder::Random { seed: 4 });
-        let first: Vec<VertexId> = s.by_ref().map(|r| r.vertex).collect();
+        let mut s = VertexStreamSource::new(&g, StreamOrder::Random { seed: 4 });
+        let first: Vec<VertexId> =
+            std::iter::from_fn(|| s.next_record()).map(|r| r.vertex).collect();
         s.restart();
-        let second: Vec<VertexId> = s.map(|r| r.vertex).collect();
+        let second: Vec<VertexId> =
+            std::iter::from_fn(|| s.next_record()).map(|r| r.vertex).collect();
         assert_eq!(first, second);
     }
 
@@ -840,7 +750,7 @@ mod tests {
             .add_edge(5, 6)
             .build();
         for order in all_orders() {
-            let whole: Vec<VertexRecord<'_>> = VertexStream::new(&g, order).collect();
+            let whole = records(&g, order);
             for chunk_len in [1usize, 2, 3, 64] {
                 let mut source = VertexStreamSource::new(&g, order);
                 let mut chunk = Vec::new();
@@ -878,14 +788,12 @@ mod tests {
     }
 
     #[test]
-    fn edge_source_restart_replays_and_tracks_remaining() {
+    fn edge_source_restart_replays() {
         let g = path_graph();
         let mut s = EdgeStreamSource::new(&g, StreamOrder::Bfs);
-        assert_eq!(s.remaining(), 3);
         let first: Vec<Edge> = std::iter::from_fn(|| s.next_edge()).collect();
-        assert_eq!(s.remaining(), 0);
+        assert_eq!(first.len(), 3);
         s.restart();
-        assert_eq!(s.remaining(), 3);
         let second: Vec<Edge> = std::iter::from_fn(|| s.next_edge()).collect();
         assert_eq!(first, second);
     }

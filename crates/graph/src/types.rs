@@ -30,18 +30,8 @@ impl Edge {
 
     /// Returns the edge with endpoints swapped.
     #[inline]
-    pub fn reversed(self) -> Self {
+    pub(crate) fn reversed(self) -> Self {
         Edge { src: self.dst, dst: self.src }
-    }
-
-    /// Returns the canonical undirected form (smaller endpoint first).
-    #[inline]
-    pub fn canonical(self) -> Self {
-        if self.src <= self.dst {
-            self
-        } else {
-            self.reversed()
-        }
     }
 
     /// True if both endpoints are the same vertex.
@@ -73,13 +63,6 @@ mod tests {
         let e = Edge::new(3, 7);
         assert_eq!(e.reversed(), Edge::new(7, 3));
         assert_eq!(e.reversed().reversed(), e);
-    }
-
-    #[test]
-    fn edge_canonical_orders_endpoints() {
-        assert_eq!(Edge::new(9, 2).canonical(), Edge::new(2, 9));
-        assert_eq!(Edge::new(2, 9).canonical(), Edge::new(2, 9));
-        assert_eq!(Edge::new(4, 4).canonical(), Edge::new(4, 4));
     }
 
     #[test]

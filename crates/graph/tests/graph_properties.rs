@@ -3,7 +3,7 @@
 
 use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
 use sgp_graph::sampling::{check_cases, Rng};
-use sgp_graph::{Edge, Graph, GraphBuilder, GraphStats, StreamOrder, VertexStream};
+use sgp_graph::{Edge, Graph, GraphBuilder, GraphStats, StreamOrder, VertexStreamSource};
 
 const CASES: u64 = 128;
 
@@ -72,7 +72,8 @@ fn vertex_stream_complete() {
             [StreamOrder::Natural, StreamOrder::Random { seed }, StreamOrder::Bfs, StreamOrder::Dfs]
         {
             let mut seen = vec![0usize; n];
-            for rec in VertexStream::new(&g, order) {
+            let mut source = VertexStreamSource::new(&g, order);
+            while let Some(rec) = source.next_record() {
                 seen[rec.vertex as usize] += 1;
                 // Neighbourhood must be the undirected adjacency, deduped.
                 let mut expected: Vec<u32> = g.undirected_neighbors(rec.vertex).collect();

@@ -187,11 +187,6 @@ impl Partitioning {
             counts
         })
     }
-
-    /// Partition of the directed edge `src -> dst`, if it exists.
-    pub fn edge_partition(&self, g: &Graph, src: VertexId, dst: VertexId) -> Option<PartitionId> {
-        g.edge_index(src, dst).map(|i| self.edge_parts[i])
-    }
 }
 
 /// The master of `v` in a placement without a vertex ownership map:
@@ -234,7 +229,7 @@ pub fn fxhash64(mut x: u64) -> u64 {
 
 /// Hash a vertex id to a partition in `0..k`.
 #[inline]
-pub fn hash_to_partition(v: VertexId, k: usize, seed: u64) -> PartitionId {
+pub(crate) fn hash_to_partition(v: VertexId, k: usize, seed: u64) -> PartitionId {
     (fxhash64(v as u64 ^ seed.rotate_left(17)) % k as u64) as PartitionId
 }
 
@@ -358,14 +353,6 @@ mod tests {
         let counts = p.edges_per_partition();
         assert_eq!(counts.iter().sum::<usize>(), 4);
         assert_eq!(counts, vec![1, 2, 1]);
-    }
-
-    #[test]
-    fn edge_partition_lookup() {
-        let g = diamond();
-        let p = Partitioning::from_edge_parts(&g, 2, vec![0, 1, 1, 0]);
-        assert_eq!(p.edge_partition(&g, 0, 2), Some(1));
-        assert_eq!(p.edge_partition(&g, 3, 0), None);
     }
 
     #[test]

@@ -4,22 +4,19 @@
 //! partitioning on any vertex attribute `a(u)` by substituting `|P_i|`
 //! with `x_i = Σ_{u∈P_i} a(u)` in Equation (4) and (5)."
 //!
-//! This module implements exactly that substitution, turning LDG and
-//! FENNEL into *workload-aware streaming* partitioners: feed the access
-//! counts recorded by `sgp_db`'s `AccessRecorder` as the attribute and
-//! the stream pass balances *load* instead of cardinality — the
-//! streaming counterpart of the paper's offline weighted-METIS
-//! experiment (Fig. 8), and one of the §7 future-work directions
-//! ("algorithms that consider … impacts of workload execution skew").
-#![expect(
-    clippy::indexing_slicing,
-    reason = "attribute histograms are sized by the label alphabet recorded at build; per-partition rows are sized k"
-)]
+//! This module implements that substitution for LDG, turning it into a
+//! *workload-aware streaming* partitioner: feed the access counts
+//! recorded by `sgp_db`'s `AccessRecorder` as the attribute and the
+//! stream pass balances *load* instead of cardinality — the streaming
+//! counterpart of the paper's offline weighted-METIS experiment
+//! (Fig. 8), and one of the §7 future-work directions ("algorithms that
+//! consider … impacts of workload execution skew"). The workload-aware
+//! suite and the Appendix A report run it; FENNEL's substitution is not
+//! implemented.
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
 use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
-use crate::kernels::LoadTermMemo;
 use sgp_graph::stream::VertexRecord;
 
 /// LDG with the partition-size term replaced by an arbitrary vertex
@@ -57,14 +54,13 @@ impl AttributeLdg {
             hist: Vec::new(),
         }
     }
-
-    /// Current per-partition attribute loads.
-    pub fn loads(&self) -> &[u64] {
-        &self.loads
-    }
 }
 
 impl VertexStreamPartitioner for AttributeLdg {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the histogram and loads have k entries; attribute and assigned cover every vertex id of the graph"
+    )]
     fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
         let w = self.attribute[rec.vertex as usize];
@@ -110,101 +106,6 @@ impl VertexStreamPartitioner for AttributeLdg {
         // Appendix A frames attribute balancing as a re-streaming
         // technique: a second pass lets early placements adapt to heavy
         // vertices discovered late in the first pass.
-        2
-    }
-}
-
-/// FENNEL with the additive load term computed over an arbitrary vertex
-/// attribute (Eq. 5 with `x_i = Σ a(u)`, load measured as a fraction of
-/// the per-partition share so α keeps its original scale).
-#[derive(Debug, Clone)]
-pub struct AttributeFennel {
-    k: usize,
-    attribute: Vec<u64>,
-    assigned: Vec<PartitionId>,
-    alpha: f64,
-    gamma: f64,
-    /// Average attribute mass per vertex — converts attribute loads back
-    /// into "equivalent vertices" so α's calibration survives.
-    per_vertex_unit: f64,
-    capacity: f64,
-    loads: Vec<u64>,
-    /// Scratch neighbour histogram reused across vertices (DESIGN.md §13).
-    hist: Vec<usize>,
-    /// The load penalty per partition, recomputed when `loads[i]` moves.
-    load_penalty: LoadTermMemo,
-}
-
-impl AttributeFennel {
-    /// Creates the partitioner for a graph with `m` edges.
-    ///
-    /// # Panics
-    /// Panics if the attribute vector is empty or contains zeros.
-    pub fn new(cfg: &PartitionerConfig, attribute: Vec<u64>, m: usize) -> Self {
-        assert!(!attribute.is_empty(), "attribute vector must cover the graph");
-        assert!(attribute.iter().all(|&a| a > 0), "attributes must be positive");
-        let n = attribute.len();
-        let total: u64 = attribute.iter().sum();
-        AttributeFennel {
-            k: cfg.k,
-            alpha: cfg.resolved_fennel_alpha(n, m),
-            gamma: cfg.fennel_gamma,
-            per_vertex_unit: total as f64 / n as f64,
-            capacity: (cfg.balance_slack * total as f64 / cfg.k as f64).max(1.0),
-            assigned: vec![PartitionId::MAX; attribute.len()],
-            attribute,
-            loads: vec![0; cfg.k],
-            hist: Vec::new(),
-            load_penalty: LoadTermMemo::new(cfg.k),
-        }
-    }
-}
-
-impl VertexStreamPartitioner for AttributeFennel {
-    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
-        state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
-        let w = self.attribute[rec.vertex as usize];
-        let mut best: Option<(f64, u64, usize)> = None;
-        for (i, &h) in self.hist.iter().enumerate() {
-            let load = self.loads[i];
-            if (load + w) as f64 > self.capacity {
-                continue;
-            }
-            let penalty = self.load_penalty.get(i, load, |load| {
-                let equivalent_vertices = load as f64 / self.per_vertex_unit;
-                self.alpha * self.gamma * equivalent_vertices.powf(self.gamma - 1.0)
-            });
-            let score = h as f64 - penalty;
-            let candidate = (score, load, i);
-            best = Some(match best {
-                None => candidate,
-                Some(b) if score > b.0 + 1e-12 || ((score - b.0).abs() <= 1e-12 && load < b.1) => {
-                    candidate
-                }
-                Some(b) => b,
-            });
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "0..self.k is non-empty because PartitionerConfig::new asserts k >= 1"
-        )]
-        let target = best
-            .map(|(_, _, i)| i)
-            .unwrap_or_else(|| (0..self.k).min_by_key(|&i| self.loads[i]).expect("k >= 1"));
-        let old = self.assigned[rec.vertex as usize];
-        if old != PartitionId::MAX {
-            self.loads[old as usize] -= w;
-        }
-        self.assigned[rec.vertex as usize] = target as PartitionId;
-        self.loads[target] += w;
-        target as PartitionId
-    }
-
-    fn name(&self) -> &'static str {
-        "aFNL"
-    }
-
-    fn passes(&self) -> usize {
         2
     }
 }
@@ -279,25 +180,6 @@ mod tests {
             "attribute LDG weight imbalance {aware_imb:.2} must beat plain LDG {plain_imb:.2}"
         );
         assert!(aware_imb < 1.25, "attribute LDG must stay near the slack: {aware_imb:.2}");
-    }
-
-    #[test]
-    fn attribute_fennel_balances_weights() {
-        let g = graph();
-        let k = 8;
-        let cfg = PartitionerConfig::new(k);
-        let weights = skewed_weights(g.num_vertices(), 5);
-        let p = run_vertex_stream(
-            &g,
-            &mut AttributeFennel::new(&cfg, weights.clone(), g.num_edges()),
-            k,
-            StreamOrder::Random { seed: 2 },
-            &mut NullSink,
-        );
-        let loads = attribute_loads(p.vertex_owner.as_ref().unwrap(), &weights, k);
-        let avg = loads.iter().sum::<u64>() as f64 / k as f64;
-        let imb = *loads.iter().max().unwrap() as f64 / avg;
-        assert!(imb < 1.3, "attribute FENNEL weight imbalance {imb:.2}");
     }
 
     #[test]

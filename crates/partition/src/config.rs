@@ -65,7 +65,7 @@ impl PartitionerConfig {
     }
 
     /// Returns a copy with a different balance slack.
-    pub fn with_slack(mut self, beta: f64) -> Self {
+    pub(crate) fn with_slack(mut self, beta: f64) -> Self {
         assert!(beta >= 1.0, "slack must be >= 1");
         self.balance_slack = beta;
         self
@@ -79,18 +79,18 @@ impl PartitionerConfig {
     }
 
     /// Vertex capacity `C = β·n/k` used by LDG's penalty term.
-    pub fn vertex_capacity(&self, n: usize) -> f64 {
+    pub(crate) fn vertex_capacity(&self, n: usize) -> f64 {
         self.balance_slack * n as f64 / self.k as f64
     }
 
     /// Edge capacity `C = β·m/k` used by HDRF's and Ginger's balance terms.
-    pub fn edge_capacity(&self, m: usize) -> f64 {
+    pub(crate) fn edge_capacity(&self, m: usize) -> f64 {
         self.balance_slack * m as f64 / self.k as f64
     }
 
     /// FENNEL's α: explicit override or the closed form
     /// `√k · m / n^1.5` from the FENNEL paper (§4.1.1).
-    pub fn resolved_fennel_alpha(&self, n: usize, m: usize) -> f64 {
+    pub(crate) fn resolved_fennel_alpha(&self, n: usize, m: usize) -> f64 {
         self.fennel_alpha.unwrap_or_else(|| {
             if n == 0 {
                 1.0

@@ -2,9 +2,9 @@
 //!
 //! Each algorithm accumulates the counters relevant to its placement
 //! rule while it runs (plain `u64` increments — cheap enough to stay on
-//! even untraced); the traced drivers flush them into a
-//! [`TraceSink`](sgp_trace::TraceSink) after the stream ends. The
-//! counter names are part of the trace schema (see DESIGN.md §9).
+//! even untraced); the traced drivers flush them into a [`TraceSink`]
+//! after the stream ends. The counter names are part of the trace
+//! schema (see DESIGN.md §9).
 
 use sgp_trace::{keys, TraceSink};
 
@@ -50,19 +50,10 @@ pub struct WorkStats {
 }
 
 impl DecisionStats {
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, other: &DecisionStats) {
-        self.balance_tiebreaks += other.balance_tiebreaks;
-        self.capacity_fallbacks += other.capacity_fallbacks;
-        self.degree_threshold_hits += other.degree_threshold_hits;
-        self.mirror_creations += other.mirror_creations;
-        self.replicas_created += other.replicas_created;
-    }
-
     /// Canonical `(field, value)` records for the snapshot layer
     /// (DESIGN.md §11): every counter, in declaration order, so the same
     /// state always serializes to the same bytes.
-    pub fn snapshot_records(&self) -> Vec<(&'static str, String)> {
+    pub(crate) fn snapshot_records(&self) -> Vec<(&'static str, String)> {
         vec![
             ("balance_tiebreaks", self.balance_tiebreaks.to_string()),
             ("capacity_fallbacks", self.capacity_fallbacks.to_string()),
@@ -75,7 +66,7 @@ impl DecisionStats {
     /// Restores one record produced by
     /// [`snapshot_records`](DecisionStats::snapshot_records); returns
     /// `false` on an unknown field or unparsable value.
-    pub fn restore_record(&mut self, key: &str, value: &str) -> bool {
+    pub(crate) fn restore_record(&mut self, key: &str, value: &str) -> bool {
         let Ok(v) = value.parse::<u64>() else {
             return false;
         };
@@ -92,7 +83,7 @@ impl DecisionStats {
 
     /// Emits every counter (including zeros, for schema stability) into
     /// `sink` under the `partition.*` namespace.
-    pub fn flush_into<S: TraceSink>(&self, sink: &mut S) {
+    pub(crate) fn flush_into<S: TraceSink>(&self, sink: &mut S) {
         sink.counter_add(keys::PARTITION_BALANCE_TIEBREAKS, 0, self.balance_tiebreaks);
         sink.counter_add(keys::PARTITION_CAPACITY_FALLBACKS, 0, self.capacity_fallbacks);
         sink.counter_add(keys::PARTITION_DEGREE_THRESHOLD_HITS, 0, self.degree_threshold_hits);
@@ -105,15 +96,6 @@ impl DecisionStats {
 mod tests {
     use super::*;
     use sgp_trace::CollectingSink;
-
-    #[test]
-    fn merge_sums_fields() {
-        let mut a = DecisionStats { balance_tiebreaks: 1, ..Default::default() };
-        let b = DecisionStats { balance_tiebreaks: 2, mirror_creations: 5, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.balance_tiebreaks, 3);
-        assert_eq!(a.mirror_creations, 5);
-    }
 
     #[test]
     fn flush_emits_stable_schema() {

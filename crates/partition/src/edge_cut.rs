@@ -32,11 +32,11 @@ pub struct VertexStreamState {
 }
 
 /// Sentinel for "not yet placed".
-pub const UNASSIGNED: PartitionId = PartitionId::MAX;
+pub(crate) const UNASSIGNED: PartitionId = PartitionId::MAX;
 
 impl VertexStreamState {
     /// Fresh state for `n` vertices and `k` partitions.
-    pub fn new(n: usize, k: usize) -> Self {
+    pub(crate) fn new(n: usize, k: usize) -> Self {
         VertexStreamState { assignment: vec![UNASSIGNED; n], sizes: vec![0; k] }
     }
 
@@ -48,7 +48,12 @@ impl VertexStreamState {
     /// into their candidate fold instead, DESIGN.md §13). Unplaced
     /// neighbours contribute nothing; repeated neighbours (and self-loops
     /// of an already-placed vertex) count once per occurrence.
-    pub fn neighbor_histogram_into(&self, neighbors: &[u32], k: usize, hist: &mut Vec<usize>) {
+    pub(crate) fn neighbor_histogram_into(
+        &self,
+        neighbors: &[u32],
+        k: usize,
+        hist: &mut Vec<usize>,
+    ) {
         hist.clear();
         hist.resize(k, 0);
         for &w in neighbors {
@@ -61,7 +66,7 @@ impl VertexStreamState {
 
     /// Records the placement of `v`, maintaining size counters. If `v`
     /// was already placed (re-streaming), the old counter is decremented.
-    pub fn assign(&mut self, v: u32, p: PartitionId) {
+    pub(crate) fn assign(&mut self, v: u32, p: PartitionId) {
         let old = self.assignment[v as usize];
         if old != UNASSIGNED {
             self.sizes[old as usize] -= 1;
@@ -123,14 +128,14 @@ pub trait VertexStreamPartitioner: Send {
 /// "It achieves a well-balanced distribution; however it completely
 /// ignores the graph topology" — expected edge-cut ratio `1 − 1/k`.
 #[derive(Debug, Clone)]
-pub struct HashVertex {
+pub(crate) struct HashVertex {
     k: usize,
     seed: u64,
 }
 
 impl HashVertex {
     /// Creates the hash partitioner from the shared config.
-    pub fn new(cfg: &PartitionerConfig) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig) -> Self {
         HashVertex { k: cfg.k, seed: cfg.seed }
     }
 
@@ -159,7 +164,7 @@ impl VertexStreamPartitioner for HashVertex {
 /// back to the least-loaded partition when no neighbour information is
 /// available (the standard LDG tie-break).
 #[derive(Debug, Clone)]
-pub struct Ldg {
+pub(crate) struct Ldg {
     stats: DecisionStats,
     /// Scores only the partitions a neighbour sits in (DESIGN.md §13).
     fold: kernels::CandidateFold,
@@ -168,7 +173,7 @@ pub struct Ldg {
 
 impl Ldg {
     /// Creates LDG for a graph with `n` vertices.
-    pub fn new(cfg: &PartitionerConfig, n: usize) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig, n: usize) -> Self {
         let capacity = cfg.vertex_capacity(n).max(1.0);
         Ldg {
             stats: DecisionStats::default(),
@@ -251,7 +256,7 @@ impl VertexStreamPartitioner for Ldg {
 ///
 /// [`RunError`]: crate::registry::RunError
 #[derive(Debug, Clone)]
-pub struct Fennel {
+pub(crate) struct Fennel {
     stats: DecisionStats,
     /// Scores only the partitions a neighbour sits in (DESIGN.md §13).
     fold: kernels::CandidateFold,
@@ -260,7 +265,7 @@ pub struct Fennel {
 
 impl Fennel {
     /// Creates FENNEL for a graph with `n` vertices and `m` edges.
-    pub fn new(cfg: &PartitionerConfig, n: usize, m: usize) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig, n: usize, m: usize) -> Self {
         let capacity = cfg.vertex_capacity(n).max(1.0);
         let (alpha, gamma) = (cfg.resolved_fennel_alpha(n, m), cfg.fennel_gamma);
         // γ = 1 makes the load term α·γ·|P_i|^0 = α·γ at every load; α = 0
@@ -370,7 +375,7 @@ impl VertexStreamPartitioner for Fennel {
 /// "utilize\[s\] partitioning results of previous iterations to improve
 /// partitioning quality".
 #[derive(Debug, Clone)]
-pub struct Restream<P> {
+pub(crate) struct Restream<P> {
     inner: P,
     passes: usize,
     name: &'static str,
@@ -378,7 +383,7 @@ pub struct Restream<P> {
 
 impl<P: VertexStreamPartitioner> Restream<P> {
     /// Wraps `inner`, running `passes` total stream passes.
-    pub fn new(inner: P, passes: usize) -> Self {
+    pub(crate) fn new(inner: P, passes: usize) -> Self {
         assert!(passes >= 1, "need at least one pass");
         let name = match inner.name() {
             "LDG" => "reLDG",

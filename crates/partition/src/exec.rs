@@ -25,7 +25,7 @@
 //! * **The merge is single-threaded and seeded.** The coordinator
 //!   collects logs in worker-index order — never completion order — and
 //!   replays them in the same seeded rotation as the modelled barrier
-//!   ([`merge_start`] on [`LoaderConfig::seed`]), so thread scheduling
+//!   (`merge_start` on [`LoaderConfig::seed`]), so thread scheduling
 //!   cannot leak into the placement.
 //!
 //! Cross-thread traffic flows through exactly two rendezvous channels

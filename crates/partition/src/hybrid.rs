@@ -10,7 +10,7 @@
 //!
 //! Both run as vertex machines of the registry's table: hybrid random
 //! (`HCR`) hashes every vertex to an owner (embarrassingly parallel,
-//! like plain hash), Ginger (`HG`) places it with [`GingerVertex`]; at
+//! like plain hash), Ginger (`HG`) places it with `GingerVertex`; at
 //! seal time `place_hybrid_edges` routes the in-edges of low-degree
 //! vertices to the *target*'s owner and those of high-degree vertices
 //! to the *source*'s — the two-phase behaviour the paper notes is
@@ -42,7 +42,7 @@ pub(crate) fn high_degree_threshold(g: &Graph, cfg: &PartitionerConfig) -> usize
 /// this machine placed, which is private knowledge of the greedy (the
 /// shared state counts vertices).
 #[derive(Debug, Clone)]
-pub struct GingerVertex {
+pub(crate) struct GingerVertex {
     k: usize,
     nm_ratio: f64,
     vertex_cap: f64,
@@ -55,7 +55,7 @@ pub struct GingerVertex {
 impl GingerVertex {
     /// Creates the Ginger phase-1 machine for `g` (in-degrees are the
     /// a-priori knowledge Ginger shares with the offline formulation).
-    pub fn new(cfg: &PartitionerConfig, g: &Graph) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig, g: &Graph) -> Self {
         let n = g.num_vertices();
         let m = g.num_edges().max(1);
         GingerVertex {
@@ -185,9 +185,9 @@ mod tests {
         let p = hybrid_random(&g, &c);
         let owner = p.vertex_owner.as_ref().unwrap();
         // Low-degree target: edge (31,32) must sit on owner of 32.
-        assert_eq!(p.edge_partition(&g, 31, 32).unwrap(), owner[32]);
+        assert_eq!(p.edge_parts[g.edge_index(31, 32).unwrap()], owner[32]);
         // High-degree target: edge (5,0) must sit on owner of 5 (source).
-        assert_eq!(p.edge_partition(&g, 5, 0).unwrap(), owner[5]);
+        assert_eq!(p.edge_parts[g.edge_index(5, 0).unwrap()], owner[5]);
     }
 
     #[test]

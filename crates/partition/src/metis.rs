@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 
 /// Tuning knobs of the multilevel partitioner.
 #[derive(Debug, Clone, Copy)]
-pub struct MultilevelConfig {
+pub(crate) struct MultilevelConfig {
     /// Balance slack β (Eq. 1): every part ≤ β·W/k.
     pub balance_slack: f64,
     /// Stop coarsening when at most `coarsest_factor · k` vertices remain.
@@ -146,13 +146,8 @@ impl WGraph {
 }
 
 impl MultilevelPartitioner {
-    /// Creates a partitioner with the given configuration.
-    pub fn new(cfg: MultilevelConfig) -> Self {
-        MultilevelPartitioner { cfg }
-    }
-
     /// Partitions `g` into `k` parts; returns the vertex ownership map.
-    pub fn partition(&self, g: &Graph, k: usize) -> Vec<PartitionId> {
+    pub(crate) fn partition(&self, g: &Graph, k: usize) -> Vec<PartitionId> {
         self.partition_weighted(g, k, None)
     }
 
@@ -177,7 +172,7 @@ impl MultilevelPartitioner {
 
     /// Convenience: wraps [`Self::partition`] into an edge-cut
     /// [`Partitioning`] (Appendix-B edge placement).
-    pub fn partitioning(&self, g: &Graph, k: usize) -> Partitioning {
+    pub(crate) fn partitioning(&self, g: &Graph, k: usize) -> Partitioning {
         Partitioning::from_vertex_owners(g, k, self.partition(g, k))
     }
 
@@ -996,7 +991,7 @@ mod tests {
                             tally.configurations += 1;
                             let wg = WGraph::from_graph(g, weights.as_deref());
                             let (twin, _) = twin_multilevel(&cfg, wg, k, &mut tally, &at);
-                            let production = MultilevelPartitioner::new(cfg).partition_weighted(
+                            let production = MultilevelPartitioner { cfg }.partition_weighted(
                                 g,
                                 k,
                                 weights.as_deref(),

@@ -8,7 +8,8 @@
 //! * **Load imbalance** — largest partition over average partition size.
 //!
 //! The closed-form expectations for uniform random placement (Appendix B
-//! and Bourse et al.) are provided as oracles for the property tests.
+//! and Bourse et al.) live in the tests, as oracles the hash
+//! partitioners are checked against.
 #![expect(
     clippy::indexing_slicing,
     reason = "fraction_cut asserts owner covers num_vertices before indexing by edge endpoints of the same graph"
@@ -57,65 +58,6 @@ pub fn load_imbalance(counts: &[usize]) -> f64 {
     *counts.iter().max().expect("non-empty") as f64 / avg
 }
 
-/// Relative standard deviation (σ/μ) of a load vector — the measure the
-/// paper plots in Fig. 8 for workload-aware partitioning.
-pub fn relative_std_dev(counts: &[usize]) -> f64 {
-    if counts.is_empty() {
-        return 0.0;
-    }
-    let n = counts.len() as f64;
-    let mean = counts.iter().sum::<usize>() as f64 / n;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = counts.iter().map(|&c| (c as f64 - mean).powi(2)).sum::<f64>() / n;
-    var.sqrt() / mean
-}
-
-/// Expected edge-cut ratio of uniform random vertex placement:
-/// `1 − 1/k` (§4.1.1).
-pub fn expected_hash_edge_cut(k: usize) -> f64 {
-    1.0 - 1.0 / k as f64
-}
-
-/// Expected replication factor of uniform random *vertex* placement with
-/// Appendix-B edge grouping (out-edges follow the source): vertex `v`'s
-/// replica set is its own partition plus the owners of its in-neighbours,
-/// i.e. `d_in(v) + 1` i.i.d. uniform draws, so
-/// `E|A(v)| = k·(1 − (1 − 1/k)^(d_in(v)+1))`.
-pub fn expected_rf_random_edge_cut(g: &Graph, k: usize) -> f64 {
-    if g.num_vertices() == 0 {
-        return 0.0;
-    }
-    let kf = k as f64;
-    let sum: f64 =
-        g.vertices().map(|v| kf * (1.0 - (1.0 - 1.0 / kf).powi(g.in_degree(v) as i32 + 1))).sum();
-    sum / g.num_vertices() as f64
-}
-
-/// Expected replication factor of uniform random *edge* placement
-/// (Bourse et al.): vertex `v`'s `d(v)` incident edges land on i.i.d.
-/// uniform partitions, so `E|A(v)| = k·(1 − (1 − 1/k)^d(v))`; isolated
-/// vertices contribute 1 (their deterministic parking partition).
-pub fn expected_rf_random_vertex_cut(g: &Graph, k: usize) -> f64 {
-    if g.num_vertices() == 0 {
-        return 0.0;
-    }
-    let kf = k as f64;
-    let sum: f64 = g
-        .vertices()
-        .map(|v| {
-            let d = g.degree(v);
-            if d == 0 {
-                1.0
-            } else {
-                kf * (1.0 - (1.0 - 1.0 / kf).powi(d as i32))
-            }
-        })
-        .sum();
-    sum / g.num_vertices() as f64
-}
-
 /// A full structural-quality report for one partitioning (the per-row
 /// payload behind Fig. 2 and Table 4).
 #[derive(Debug, Clone)]
@@ -151,11 +93,60 @@ mod tests {
     use crate::assignment::Partitioning;
     use crate::config::PartitionerConfig;
     use crate::edge_cut::HashVertex;
+    use crate::registry::{partition, Algorithm};
     use crate::streaming::{run_edge_stream, run_vertex_stream};
     use crate::vertex_cut::HashEdge;
-    use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
+    use sgp_graph::generators::{
+        erdos_renyi, rmat, snb_social, ErdosRenyiConfig, RmatConfig, SnbConfig,
+    };
     use sgp_graph::{GraphBuilder, StreamOrder};
     use sgp_trace::NullSink;
+
+    /// Expected edge-cut ratio of uniform random vertex placement:
+    /// `1 − 1/k` (§4.1.1).
+    fn expected_hash_edge_cut(k: usize) -> f64 {
+        1.0 - 1.0 / k as f64
+    }
+
+    /// Expected replication factor of uniform random *vertex* placement with
+    /// Appendix-B edge grouping (out-edges follow the source): vertex `v`'s
+    /// replica set is its own partition plus the owners of its in-neighbours,
+    /// i.e. `d_in(v) + 1` i.i.d. uniform draws, so
+    /// `E|A(v)| = k·(1 − (1 − 1/k)^(d_in(v)+1))`.
+    fn expected_rf_random_edge_cut(g: &Graph, k: usize) -> f64 {
+        if g.num_vertices() == 0 {
+            return 0.0;
+        }
+        let kf = k as f64;
+        let sum: f64 = g
+            .vertices()
+            .map(|v| kf * (1.0 - (1.0 - 1.0 / kf).powi(g.in_degree(v) as i32 + 1)))
+            .sum();
+        sum / g.num_vertices() as f64
+    }
+
+    /// Expected replication factor of uniform random *edge* placement
+    /// (Bourse et al.): vertex `v`'s `d(v)` incident edges land on i.i.d.
+    /// uniform partitions, so `E|A(v)| = k·(1 − (1 − 1/k)^d(v))`; isolated
+    /// vertices contribute 1 (their deterministic parking partition).
+    fn expected_rf_random_vertex_cut(g: &Graph, k: usize) -> f64 {
+        if g.num_vertices() == 0 {
+            return 0.0;
+        }
+        let kf = k as f64;
+        let sum: f64 = g
+            .vertices()
+            .map(|v| {
+                let d = g.degree(v);
+                if d == 0 {
+                    1.0
+                } else {
+                    kf * (1.0 - (1.0 - 1.0 / kf).powi(d as i32))
+                }
+            })
+            .sum();
+        sum / g.num_vertices() as f64
+    }
 
     #[test]
     fn edge_cut_ratio_of_trivial_partitionings() {
@@ -186,12 +177,6 @@ mod tests {
         assert!((load_imbalance(&[30, 0, 0]) - 3.0).abs() < 1e-12);
         assert_eq!(load_imbalance(&[]), 1.0);
         assert_eq!(load_imbalance(&[0, 0]), 1.0);
-    }
-
-    #[test]
-    fn rsd_zero_for_uniform() {
-        assert!(relative_std_dev(&[5, 5, 5, 5]) < 1e-12);
-        assert!(relative_std_dev(&[10, 0]) > 0.9);
     }
 
     #[test]
@@ -268,5 +253,31 @@ mod tests {
         assert!(expected_rf_random_vertex_cut(&g, 4) < expected_rf_random_vertex_cut(&g, 16));
         assert!(expected_rf_random_edge_cut(&g, 4) < expected_rf_random_edge_cut(&g, 16));
         assert!(expected_hash_edge_cut(4) < expected_hash_edge_cut(16));
+    }
+
+    #[test]
+    fn hash_matches_its_closed_forms_on_every_generator() {
+        let order = StreamOrder::Random { seed: 0xABCD };
+        for g in [
+            rmat(RmatConfig { scale: 11, edge_factor: 8, ..RmatConfig::default() }),
+            snb_social(SnbConfig { persons: 3000, communities: 30, ..SnbConfig::default() }),
+        ] {
+            for k in [4usize, 16] {
+                let cfg = PartitionerConfig::new(k);
+                let ec = partition(&g, Algorithm::EcrHash, &cfg, order);
+                let measured = edge_cut_ratio(&g, &ec).unwrap();
+                assert!(
+                    (measured - expected_hash_edge_cut(k)).abs() < 0.05,
+                    "k={k}: ECR {measured}"
+                );
+                let vc = partition(&g, Algorithm::VcrHash, &cfg, order);
+                let rf_measured = replication_factor(&g, &vc);
+                let rf_expected = expected_rf_random_vertex_cut(&g, k);
+                assert!(
+                    (rf_measured - rf_expected).abs() / rf_expected < 0.06,
+                    "k={k}: RF {rf_measured} vs {rf_expected}"
+                );
+            }
+        }
     }
 }

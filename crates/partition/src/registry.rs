@@ -430,9 +430,9 @@ pub enum Exec<'a> {
     /// look-ahead window [`PartitionerConfig::window`].
     Sequential,
     /// The stream split across modelled parallel loaders
-    /// ([`crate::loaders`]).
+    /// (`crate::loaders`).
     Loaders(&'a LoaderConfig),
-    /// The same split on real OS threads ([`crate::exec`]).
+    /// The same split on real OS threads (`crate::exec`).
     Threads(&'a LoaderConfig),
 }
 

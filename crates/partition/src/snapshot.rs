@@ -5,7 +5,7 @@
 //! [`StreamingPartitioner`] at a chunk boundary — assignments, loads,
 //! and the algorithm-specific tables the greedy heuristics consult — in
 //! a canonical one-record-per-line text format. The contract mirrors
-//! the chunking contract of [`crate::streaming`]: for every Table 2
+//! the chunking contract of `crate::streaming`: for every Table 2
 //! algorithm, restoring a snapshot and continuing the stream is
 //! bit-identical to the uninterrupted run, because placement decisions
 //! depend only on the element sequence and the state folded over it
@@ -99,7 +99,7 @@ impl std::error::Error for SnapshotError {}
 /// format. Prefer the method form
 /// [`StreamingPartitioner::snapshot`]; this free function is the
 /// implementation both share.
-pub fn write_snapshot(sp: &StreamingPartitioner<'_>) -> String {
+pub(crate) fn write_snapshot(sp: &StreamingPartitioner<'_>) -> String {
     let g = sp.graph();
     let mut out = String::new();
     let mut push = |line: String| {
@@ -195,7 +195,7 @@ fn parse_u64(s: &str) -> Option<u64> {
 /// Rebuilds a [`StreamingPartitioner`] from `text`, previously produced
 /// by [`write_snapshot`] for the same graph, algorithm, and config.
 /// Prefer the method form [`StreamingPartitioner::restore`].
-pub fn read_snapshot<'g>(
+pub(crate) fn read_snapshot<'g>(
     g: &'g Graph,
     algorithm: Algorithm,
     cfg: &PartitionerConfig,

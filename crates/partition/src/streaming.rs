@@ -7,7 +7,7 @@
 //! `init(k, config) → ingest(chunk) → seal() → Partitioning` — instead
 //! of the whole-graph batch functions the reproduction started with:
 //!
-//! * [`VertexIngest`] / [`EdgeIngest`]: the per-family machines. They
+//! * `VertexIngest` / `EdgeIngest`: the per-family machines. They
 //!   own the shared streaming state ([`VertexStreamState`] /
 //!   [`EdgeStreamState`]), accept bounded chunks from the chunked
 //!   sources in `sgp_graph::stream`, and seal into a [`Partitioning`].
@@ -55,11 +55,11 @@ pub const DEFAULT_CHUNK: usize = 1024;
 ///
 /// Owns the shared assignment/size state and a logical sequence counter
 /// (elements placed so far — the trace stamp domain). Feed it chunks in
-/// stream order via [`ingest`](VertexIngest::ingest); [`seal`](VertexIngest::seal)
+/// stream order via [`ingest`](VertexIngest::ingest); [`seal_traced`](VertexIngest::seal_traced)
 /// closes the lifecycle. `P` is any pointer to the partitioner — `&mut`
 /// to a concrete one (placement monomorphises) or a boxed trait object.
 #[derive(Debug, Clone)]
-pub struct VertexIngest<P> {
+pub(crate) struct VertexIngest<P> {
     partitioner: P,
     state: VertexStreamState,
     k: usize,
@@ -68,28 +68,28 @@ pub struct VertexIngest<P> {
 
 impl<P: DerefMut<Target: VertexStreamPartitioner>> VertexIngest<P> {
     /// Initializes the machine for `n` vertices and `k` partitions.
-    pub fn init(partitioner: P, n: usize, k: usize) -> Self {
+    pub(crate) fn init(partitioner: P, n: usize, k: usize) -> Self {
         VertexIngest { partitioner, state: VertexStreamState::new(n, k), k, seq: 0 }
     }
 
     /// Stream passes the wrapped partitioner wants (≥ 2 for restreaming).
-    pub fn passes(&self) -> usize {
+    pub(crate) fn passes(&self) -> usize {
         self.partitioner.passes()
     }
 
     /// Elements placed so far (the logical trace stamp).
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
     /// Read access to the shared streaming state.
-    pub fn state(&self) -> &VertexStreamState {
+    pub(crate) fn state(&self) -> &VertexStreamState {
         &self.state
     }
 
     /// Ingests one bounded chunk of stream elements, placing each
     /// against the state folded over all previous elements.
-    pub fn ingest(&mut self, chunk: &[VertexRecord<'_>]) {
+    pub(crate) fn ingest(&mut self, chunk: &[VertexRecord<'_>]) {
         for rec in chunk {
             let p = self.partitioner.place(rec, &self.state);
             debug_assert!((p as usize) < self.k, "partitioner returned out-of-range id");
@@ -110,16 +110,11 @@ impl<P: DerefMut<Target: VertexStreamPartitioner>> VertexIngest<P> {
     }
 
     /// Seals into an edge-cut [`Partitioning`] (out-edges grouped with
-    /// their source, per Appendix B). Vertices never ingested are placed
-    /// on partition 0 deterministically.
-    pub fn seal(self, g: &Graph) -> Partitioning {
-        self.seal_traced(g, &mut NullSink)
-    }
-
-    /// [`seal`](VertexIngest::seal) that also flushes the end-of-stream
+    /// their source, per Appendix B) and flushes the end-of-stream
     /// counters (placements, decision stats, per-partition loads) into
-    /// `sink`, after the driver's stream span.
-    pub fn seal_traced<S: TraceSink>(self, g: &Graph, sink: &mut S) -> Partitioning {
+    /// `sink`, after the driver's stream span. Vertices never ingested
+    /// are placed on partition 0 deterministically.
+    pub(crate) fn seal_traced<S: TraceSink>(self, g: &Graph, sink: &mut S) -> Partitioning {
         self.seal_as(g, VertexSeal::EdgeCut, sink)
     }
 
@@ -214,7 +209,7 @@ impl VertexSeal {
 /// CSR slots. Edges never ingested stay on partition 0 (the same
 /// initialization the batch driver used).
 #[derive(Debug, Clone)]
-pub struct EdgeIngest<'g, P> {
+pub(crate) struct EdgeIngest<'g, P> {
     g: &'g Graph,
     partitioner: P,
     state: EdgeStreamState,
@@ -225,7 +220,7 @@ pub struct EdgeIngest<'g, P> {
 
 impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
     /// Initializes the machine over `g` with `k` partitions.
-    pub fn init(g: &'g Graph, partitioner: P, k: usize) -> Self {
+    pub(crate) fn init(g: &'g Graph, partitioner: P, k: usize) -> Self {
         EdgeIngest {
             g,
             partitioner,
@@ -237,17 +232,17 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
     }
 
     /// Stream passes the wrapped partitioner wants (2 for 2PS).
-    pub fn passes(&self) -> usize {
+    pub(crate) fn passes(&self) -> usize {
         self.partitioner.passes()
     }
 
     /// Elements placed so far (the logical trace stamp).
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
     /// Read access to the shared streaming state.
-    pub fn state(&self) -> &EdgeStreamState {
+    pub(crate) fn state(&self) -> &EdgeStreamState {
         &self.state
     }
 
@@ -257,7 +252,7 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
     /// [`EdgeStreamPartitioner::observe`] and neither the shared state,
     /// the placement vector, nor the sequence counter changes — the
     /// snapshot invariant `sum(loads) == seq` holds across passes.
-    pub fn ingest(&mut self, chunk: &[Edge]) {
+    pub(crate) fn ingest(&mut self, chunk: &[Edge]) {
         for &e in chunk {
             if self.partitioner.observing() {
                 self.partitioner.observe(e);
@@ -277,7 +272,7 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
     }
 
     /// Seals into a vertex-cut [`Partitioning`].
-    pub fn seal(self) -> Partitioning {
+    pub(crate) fn seal(self) -> Partitioning {
         self.seal_traced(&mut NullSink)
     }
 
@@ -285,7 +280,7 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
     /// counters — placements, decision stats enriched with the replica
     /// and mirror counts the shared state accumulated, per-partition
     /// edge loads — after the driver's stream span.
-    pub fn seal_traced<S: TraceSink>(self, sink: &mut S) -> Partitioning {
+    pub(crate) fn seal_traced<S: TraceSink>(self, sink: &mut S) -> Partitioning {
         if sink.enabled() {
             sink.counter_add(keys::PARTITION_EDGES_PLACED, 0, self.seq);
             let mut stats = self.partitioner.decision_stats();
@@ -492,7 +487,7 @@ pub fn run_vertex_stream<P: VertexStreamPartitioner, S: TraceSink>(
 /// vertex-cut [`Partitioning`]. Trace emission into `sink` (pass
 /// [`NullSink`] for none): a `partition.stream` span (stamps are stream
 /// positions), the flushed decision counters — including the mirror
-/// creations counted by [`EdgeStreamState::record`] — and the final
+/// creations counted by `EdgeStreamState::record` — and the final
 /// per-partition edge loads.
 pub fn run_edge_stream<P: EdgeStreamPartitioner, S: TraceSink>(
     g: &Graph,
@@ -598,7 +593,7 @@ impl<'g> StreamingPartitioner<'g> {
     }
 
     /// The algorithm this machine runs.
-    pub fn algorithm(&self) -> Algorithm {
+    pub(crate) fn algorithm(&self) -> Algorithm {
         self.algorithm
     }
 

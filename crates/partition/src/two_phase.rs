@@ -10,8 +10,7 @@
 //! same partition and the replication factor drops below what one-pass
 //! HDRF achieves on the same stream.
 //!
-//! The two passes ride on the ordinary
-//! [`EdgeStreamPartitioner`](crate::vertex_cut::EdgeStreamPartitioner)
+//! The two passes ride on the ordinary [`EdgeStreamPartitioner`]
 //! machine lifecycle: [`TwoPhase::passes`] reports 2,
 //! [`TwoPhase::observing`] is true until every edge has been observed
 //! once, and the ingestion core routes edges to [`TwoPhase::observe`]
@@ -308,7 +307,7 @@ fn parse_pairs(value: &str) -> Option<Vec<(u32, u64)>> {
 /// The 2PS two-phase edge partitioner: streaming clustering pass, then
 /// cluster-affine HDRF assignment pass.
 #[derive(Debug, Clone)]
-pub struct TwoPhase {
+pub(crate) struct TwoPhase {
     inner: Hdrf,
     clustering: Option<ClusterPass>,
 }
@@ -317,7 +316,7 @@ impl TwoPhase {
     /// Creates 2PS for a graph with `m` edges. With
     /// [`PartitionerConfig::two_phase_clustering`] disabled the result
     /// is a one-pass machine bit-identical to [`Hdrf`].
-    pub fn new(cfg: &PartitionerConfig, m: usize) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig, m: usize) -> Self {
         TwoPhase {
             inner: Hdrf::new(cfg, m),
             clustering: cfg.two_phase_clustering.then(|| ClusterPass::new(cfg.k, m)),
@@ -332,10 +331,6 @@ impl EdgeStreamPartitioner for TwoPhase {
             None => [None, None],
         };
         self.inner.place_with_affinity(e, state, targets)
-    }
-
-    fn name(&self) -> &'static str {
-        "2PS"
     }
 
     fn passes(&self) -> usize {
@@ -434,10 +429,6 @@ pub(crate) mod tests {
                 None => [None, None],
             };
             self.inner.place_with_affinity(e, state, targets)
-        }
-
-        fn name(&self) -> &'static str {
-            "2PS"
         }
 
         fn passes(&self) -> usize {

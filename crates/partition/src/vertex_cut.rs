@@ -53,7 +53,7 @@ pub struct EdgeStreamState {
 /// optionally intersected word-wise with a second block. Yields the
 /// same sequence the historical sorted `Vec<PartitionId>` sets held.
 #[derive(Debug, Clone)]
-pub struct ReplicaIter<'a> {
+pub(crate) struct ReplicaIter<'a> {
     words: &'a [u64],
     mask: Option<&'a [u64]>,
     next_word: usize,
@@ -96,7 +96,7 @@ impl Iterator for ReplicaIter<'_> {
 
 impl EdgeStreamState {
     /// Fresh state for `n` vertices and `k` partitions.
-    pub fn new(n: usize, k: usize) -> Self {
+    pub(crate) fn new(n: usize, k: usize) -> Self {
         let stride = k.div_ceil(64).max(1);
         EdgeStreamState {
             k,
@@ -118,32 +118,25 @@ impl EdgeStreamState {
 
     /// The replica set `A(u)` in ascending partition order.
     #[inline]
-    pub fn replicas(&self, u: u32) -> ReplicaIter<'_> {
+    pub(crate) fn replicas(&self, u: u32) -> ReplicaIter<'_> {
         ReplicaIter::new(self.block(u))
     }
 
     /// True if `u` has at least one replica anywhere (one word scan).
     #[inline]
-    pub fn has_any_replica(&self, u: u32) -> bool {
+    pub(crate) fn has_any_replica(&self, u: u32) -> bool {
         self.block(u).iter().any(|&w| w != 0)
     }
 
     /// Partial degree of `u` (edges seen so far).
     #[inline]
-    pub fn partial_degree(&self, u: u32) -> u64 {
+    pub(crate) fn partial_degree(&self, u: u32) -> u64 {
         self.partial_degree[u as usize]
-    }
-
-    /// True if `u` already has a replica on partition `p` (shift-and-mask).
-    #[inline]
-    pub fn has_replica(&self, u: u32, p: PartitionId) -> bool {
-        let word = self.replica_bits[u as usize * self.stride + (p as usize >> 6)];
-        (word >> (p & 63)) & 1 == 1
     }
 
     /// Records edge `e` placed on `p`: updates replica sets, partial
     /// degrees and edge counts.
-    pub fn record(&mut self, e: Edge, p: PartitionId) {
+    pub(crate) fn record(&mut self, e: Edge, p: PartitionId) {
         for v in [e.src, e.dst] {
             let base = v as usize * self.stride;
             let word = base + (p as usize >> 6);
@@ -215,7 +208,7 @@ impl EdgeStreamState {
         clippy::expect_used,
         reason = "the candidate set is 0..k (non-empty, k >= 1 asserted at construction) or a non-empty slice"
     )]
-    pub fn least_loaded(&self, candidates: &[PartitionId]) -> PartitionId {
+    pub(crate) fn least_loaded(&self, candidates: &[PartitionId]) -> PartitionId {
         let pick = if candidates.is_empty() {
             kernels::least_loaded_among(0..self.k as PartitionId, &self.edge_counts)
         } else {
@@ -227,7 +220,7 @@ impl EdgeStreamState {
     /// Least-loaded partition hosting a replica of `u` (ties → lower
     /// id); the global least-loaded when `u` has none — the bitset form
     /// of `least_loaded(A(u))`.
-    pub fn least_loaded_replica(&self, u: u32) -> PartitionId {
+    pub(crate) fn least_loaded_replica(&self, u: u32) -> PartitionId {
         match kernels::least_loaded_among(self.replicas(u), &self.edge_counts) {
             Some(p) => p,
             None => self.least_loaded(&[]),
@@ -238,7 +231,7 @@ impl EdgeStreamState {
     /// (`A(u) ∩ A(v)`), or `None` when the intersection is empty. The
     /// intersection is a word-wise AND over the two blocks; no candidate
     /// list is ever materialized.
-    pub fn least_loaded_common(&self, u: u32, v: u32) -> Option<PartitionId> {
+    pub(crate) fn least_loaded_common(&self, u: u32, v: u32) -> Option<PartitionId> {
         let iter = ReplicaIter::intersect(self.block(u), self.block(v));
         kernels::least_loaded_among(iter, &self.edge_counts)
     }
@@ -252,9 +245,6 @@ impl EdgeStreamState {
 pub trait EdgeStreamPartitioner: Send {
     /// Chooses a partition for the arriving edge given the shared state.
     fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId;
-
-    /// Short display name (Table 2 abbreviation).
-    fn name(&self) -> &'static str;
 
     /// Number of full passes over the edge stream this partitioner
     /// needs (DESIGN.md §12). One-pass algorithms keep the default; a
@@ -304,14 +294,14 @@ pub trait EdgeStreamPartitioner: Send {
 /// the endpoint ids. "Produces perfectly balanced partitions \[but\] is
 /// known to have high communication cost."
 #[derive(Debug, Clone)]
-pub struct HashEdge {
+pub(crate) struct HashEdge {
     k: usize,
     seed: u64,
 }
 
 impl HashEdge {
     /// Creates the hash edge partitioner.
-    pub fn new(cfg: &PartitionerConfig) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig) -> Self {
         HashEdge { k: cfg.k, seed: cfg.seed }
     }
 }
@@ -321,65 +311,36 @@ impl EdgeStreamPartitioner for HashEdge {
         let key = ((e.src as u64) << 32) | e.dst as u64;
         (fxhash64(key ^ self.seed) % self.k as u64) as PartitionId
     }
-
-    fn name(&self) -> &'static str {
-        "VCR"
-    }
-}
-
-/// Degree source for [`Dbh`]: the paper notes DBH "relies on a priori
-/// knowledge of degree information"; the reproduction supports both the
-/// faithful oracle and a streaming-friendly partial-degree approximation.
-#[derive(Debug, Clone)]
-pub enum DegreeSource {
-    /// Exact degrees precomputed from the full graph (the paper's model).
-    Exact(Vec<u64>),
-    /// Partial degrees observed so far in the stream.
-    Partial,
 }
 
 /// Degree-Based Hashing (Xie et al.): "assigns an edge to a partition by
 /// hashing the vertex of smaller degree to preserve the locality of
 /// vertices of lower degree". Embarrassingly parallel.
 #[derive(Debug, Clone)]
-pub struct Dbh {
+pub(crate) struct Dbh {
     k: usize,
     seed: u64,
-    degrees: DegreeSource,
+    /// Exact total degree of every vertex, known before the stream (the
+    /// paper: DBH "relies on a priori knowledge of degree information").
+    degrees: Vec<u64>,
 }
 
 impl Dbh {
     /// DBH with exact degrees computed from `g` (total degree, matching
     /// the undirected treatment in the DBH paper).
-    pub fn with_exact_degrees(cfg: &PartitionerConfig, g: &Graph) -> Self {
+    pub(crate) fn with_exact_degrees(cfg: &PartitionerConfig, g: &Graph) -> Self {
         let degrees = g.vertices().map(|v| g.degree(v) as u64).collect();
-        Dbh { k: cfg.k, seed: cfg.seed, degrees: DegreeSource::Exact(degrees) }
-    }
-
-    /// DBH with streaming partial degrees.
-    pub fn with_partial_degrees(cfg: &PartitionerConfig) -> Self {
-        Dbh { k: cfg.k, seed: cfg.seed, degrees: DegreeSource::Partial }
-    }
-
-    fn degree_of(&self, v: u32, state: &EdgeStreamState) -> u64 {
-        match &self.degrees {
-            DegreeSource::Exact(d) => d[v as usize],
-            DegreeSource::Partial => state.partial_degree(v),
-        }
+        Dbh { k: cfg.k, seed: cfg.seed, degrees }
     }
 }
 
 impl EdgeStreamPartitioner for Dbh {
-    fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
-        let (du, dv) = (self.degree_of(e.src, state), self.degree_of(e.dst, state));
+    fn place(&mut self, e: Edge, _state: &EdgeStreamState) -> PartitionId {
+        let (du, dv) = (self.degrees[e.src as usize], self.degrees[e.dst as usize]);
         // Hash the endpoint of smaller degree (ties → source, which keeps
         // the rule deterministic).
         let anchor = if du <= dv { e.src } else { e.dst };
         hash_to_partition(anchor, self.k, self.seed)
-    }
-
-    fn name(&self) -> &'static str {
-        "DBH"
     }
 }
 
@@ -394,7 +355,7 @@ impl EdgeStreamPartitioner for Dbh {
 /// when grid folding leaves the intersection empty) are precomputed at
 /// construction; `place` is two shard hashes and one table lookup.
 #[derive(Debug, Clone)]
-pub struct GridConstrained {
+pub(crate) struct GridConstrained {
     k: usize,
     rows: usize,
     cols: usize,
@@ -407,7 +368,7 @@ pub struct GridConstrained {
 impl GridConstrained {
     /// Creates the grid partitioner; `k` is factored into the most square
     /// `r × c ≤ k` grid (excess ids fold onto the grid by modulo).
-    pub fn new(cfg: &PartitionerConfig) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig) -> Self {
         let k = cfg.k;
         let (rows, cols) = squarest_factorization(k);
         let sets: Vec<Vec<PartitionId>> =
@@ -465,10 +426,6 @@ impl EdgeStreamPartitioner for GridConstrained {
         let (pu, pv) = (self.shard(e.src), self.shard(e.dst));
         state.least_loaded(&self.pairs[pu as usize * self.k + pv as usize])
     }
-
-    fn name(&self) -> &'static str {
-        "Grid"
-    }
 }
 
 /// The most square `r × c = k` factorization (r ≤ c). For prime `k` this
@@ -493,11 +450,11 @@ fn squarest_factorization(k: usize) -> (usize, usize) {
 /// 3. one endpoint has replicas → least-loaded among them;
 /// 4. neither → globally least-loaded.
 #[derive(Debug, Clone)]
-pub struct PowerGraphGreedy;
+pub(crate) struct PowerGraphGreedy;
 
 impl PowerGraphGreedy {
     /// Creates the greedy partitioner (stateless besides shared state).
-    pub fn new(_cfg: &PartitionerConfig) -> Self {
+    pub(crate) fn new(_cfg: &PartitionerConfig) -> Self {
         PowerGraphGreedy
     }
 }
@@ -523,10 +480,6 @@ impl EdgeStreamPartitioner for PowerGraphGreedy {
             (false, false) => state.least_loaded(&[]),
         }
     }
-
-    fn name(&self) -> &'static str {
-        "PGG"
-    }
 }
 
 /// HDRF — High-Degree (are) Replicated First (Petroni et al.), Eq. (7):
@@ -538,7 +491,7 @@ impl EdgeStreamPartitioner for PowerGraphGreedy {
 /// degrees". λ > 1 escapes the degenerate single-partition behaviour of
 /// plain greedy on BFS-ordered streams.
 #[derive(Debug, Clone)]
-pub struct Hdrf {
+pub(crate) struct Hdrf {
     lambda: f64,
     capacity: f64,
     stats: DecisionStats,
@@ -548,7 +501,7 @@ pub struct Hdrf {
 
 impl Hdrf {
     /// Creates HDRF for a graph with `m` edges.
-    pub fn new(cfg: &PartitionerConfig, m: usize) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig, m: usize) -> Self {
         Hdrf {
             lambda: cfg.hdrf_lambda,
             capacity: cfg.edge_capacity(m).max(1.0),
@@ -625,10 +578,6 @@ pub(crate) fn hdrf_score_column(
 impl EdgeStreamPartitioner for Hdrf {
     fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
         self.place_with_affinity(e, state, [None, None])
-    }
-
-    fn name(&self) -> &'static str {
-        "HDRF"
     }
 
     fn decision_stats(&self) -> DecisionStats {
@@ -711,29 +660,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn dbh_partial_close_to_exact() {
-        let g = twitter_like();
-        let c = cfg(8);
-        let exact = run_edge_stream(
-            &g,
-            &mut Dbh::with_exact_degrees(&c, &g),
-            8,
-            StreamOrder::Random { seed: 4 },
-            &mut NullSink,
-        );
-        let partial = run_edge_stream(
-            &g,
-            &mut Dbh::with_partial_degrees(&c),
-            8,
-            StreamOrder::Random { seed: 4 },
-            &mut NullSink,
-        );
-        let (re, rp) =
-            (metrics::replication_factor(&g, &exact), metrics::replication_factor(&g, &partial));
-        assert!((re - rp).abs() / re < 0.35, "partial DBH ({rp}) far from exact ({re})");
-    }
-
-    #[test]
     fn grid_respects_replication_bound() {
         let g = twitter_like();
         let k = 16; // 4x4 grid: bound = 2*sqrt(16) - 1 = 7
@@ -800,9 +726,6 @@ pub(crate) mod tests {
                     common.dedup();
                 }
                 state.least_loaded(&common)
-            }
-            fn name(&self) -> &'static str {
-                "OldGrid"
             }
         }
 
@@ -901,7 +824,7 @@ pub(crate) mod tests {
             run_edge_stream(&g, &mut HashEdge::new(&c), 5, StreamOrder::Bfs, &mut NullSink),
             run_edge_stream(
                 &g,
-                &mut Dbh::with_partial_degrees(&c),
+                &mut Dbh::with_exact_degrees(&c, &g),
                 5,
                 StreamOrder::Dfs,
                 &mut NullSink,
@@ -955,6 +878,12 @@ pub(crate) mod tests {
         assert!(rf < 1.2, "greedy star RF {rf}");
     }
 
+    /// True if `u` already has a replica on partition `p` (shift-and-mask).
+    fn has_replica(state: &EdgeStreamState, u: u32, p: PartitionId) -> bool {
+        let word = state.replica_bits[u as usize * state.stride + (p as usize >> 6)];
+        (word >> (p & 63)) & 1 == 1
+    }
+
     /// Textbook HDRF, Eq. (7) with 2PS's affinity targets, kept apart
     /// from the production machine: one probe per partition per endpoint
     /// (`has_replica`) and per target, then the shared ε-fold. This is the
@@ -992,10 +921,10 @@ pub(crate) mod tests {
             for i in 0..self.k as PartitionId {
                 let mut score =
                     self.lambda * (1.0 - state.edge_counts[i as usize] as f64 / self.capacity);
-                if state.has_replica(e.src, i) {
+                if has_replica(state, e.src, i) {
                     score += 1.0 + (1.0 - theta_u);
                 }
-                if state.has_replica(e.dst, i) {
+                if has_replica(state, e.dst, i) {
                     score += 1.0 + (1.0 - theta_v);
                 }
                 if targets[0] == Some(i) {
@@ -1019,10 +948,6 @@ pub(crate) mod tests {
     impl EdgeStreamPartitioner for ReferenceHdrf {
         fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
             self.place_with_affinity(e, state, [None, None])
-        }
-
-        fn name(&self) -> &'static str {
-            "HDRF"
         }
 
         fn decision_stats(&self) -> DecisionStats {

@@ -64,16 +64,6 @@ impl SpanGuard {
     pub fn exit<S: TraceSink + ?Sized>(self, sink: &mut S, stamp: Stamp) {
         sink.record(Event(TraceEvent::SpanExit { name: self.name.name(), key: self.key, stamp }));
     }
-
-    /// The registered key this guard will close.
-    pub fn name(&self) -> Key {
-        self.name
-    }
-
-    /// The key dimension this guard will close.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +92,8 @@ mod tests {
         let mut sink = CollectingSink::new();
         let a = sink.guard_span(Key("outer"), 1, 0);
         let b = sink.guard_span(Key("inner"), 2, 1);
-        assert_eq!((a.name(), a.key()), (Key("outer"), 1));
-        assert_eq!((b.name(), b.key()), (Key("inner"), 2));
+        assert_eq!((a.name, a.key), (Key("outer"), 1));
+        assert_eq!((b.name, b.key), (Key("inner"), 2));
         // Non-LIFO close is allowed by the type; sinks that require
         // nesting (SummarySink) report it as data, not a panic.
         b.exit(&mut sink, 5);

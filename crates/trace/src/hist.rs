@@ -9,7 +9,7 @@
 //! sample (see `tests/properties.rs`), not to equal it.
 
 /// Number of buckets: one for zero plus one per power of two.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// A fixed-size log₂-bucket histogram over `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,20 +37,11 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// Inclusive upper bound of a bucket.
-pub fn bucket_upper_bound(index: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
     match index {
         0 => 0,
         i if i >= 64 => u64::MAX,
         i => (1u64 << i) - 1,
-    }
-}
-
-/// Inclusive lower bound of a bucket.
-pub fn bucket_lower_bound(index: usize) -> u64 {
-    match index {
-        0 => 0,
-        i if i >= 64 => 1u64 << 63,
-        i => 1u64 << (i - 1),
     }
 }
 
@@ -75,35 +66,13 @@ impl Log2Histogram {
         }
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            if other.min < self.min {
-                self.min = other.min;
-            }
-            if other.max > self.max {
-                self.max = other.max;
-            }
-        }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -116,30 +85,10 @@ impl Log2Histogram {
         self.max
     }
 
-    /// Mean of the recorded samples (exact; the sum is kept in full
-    /// precision, only this accessor converts to float).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Occupancy of one bucket.
-    pub fn bucket(&self, index: usize) -> u64 {
-        self.buckets.get(index).copied().unwrap_or(0)
-    }
-
-    /// Iterator over `(bucket_index, occupancy)` for non-empty buckets.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (i, c))
-    }
-
     /// Bucket-resolution quantile estimate for `q` in `[0, 1]`.
     ///
     /// Uses the same rank convention as
-    /// [`crate::stats::percentile_sorted_ns`] — `rank = round((n-1)·q)`
+    /// `crate::stats::percentile_sorted_ns` — `rank = round((n-1)·q)`
     /// — then returns the upper bound of the bucket containing that
     /// rank, clamped to the observed maximum. The estimate therefore
     /// always lands in the same log₂ bucket as the exact rank-selected
@@ -175,6 +124,15 @@ impl Log2Histogram {
 mod tests {
     use super::*;
 
+    /// Inclusive lower bound of a bucket.
+    fn bucket_lower_bound(index: usize) -> u64 {
+        match index {
+            0 => 0,
+            i if i >= 64 => 1u64 << 63,
+            i => 1u64 << (i - 1),
+        }
+    }
+
     #[test]
     fn bucket_index_boundaries() {
         assert_eq!(bucket_index(0), 0);
@@ -193,7 +151,7 @@ mod tests {
     #[test]
     fn record_tracks_count_sum_min_max() {
         let mut h = Log2Histogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0);
         for v in [0u64, 1, 7, 8, 1000] {
             h.record(v);
@@ -201,10 +159,10 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 203.2).abs() < 1e-12);
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(10), 1); // 1000 lies in 512..=1023
+        assert_eq!(h.sum, 1016);
+        assert_eq!(h.buckets[0], 1);
+        assert_eq!(h.buckets[1], 1);
+        assert_eq!(h.buckets[10], 1); // 1000 lies in 512..=1023
     }
 
     #[test]
@@ -213,8 +171,8 @@ mod tests {
         for v in [7u64, 8] {
             h.record(v);
         }
-        assert_eq!(h.bucket(3), 1); // 4..=7
-        assert_eq!(h.bucket(4), 1); // 8..=15
+        assert_eq!(h.buckets[3], 1); // 4..=7
+        assert_eq!(h.buckets[4], 1); // 8..=15
     }
 
     #[test]
@@ -231,22 +189,5 @@ mod tests {
             let est = h.quantile(q);
             assert_eq!(bucket_index(est), bucket_index(exact), "q={q}: est {est} vs exact {exact}");
         }
-    }
-
-    #[test]
-    fn merge_is_sum() {
-        let mut a = Log2Histogram::new();
-        let mut b = Log2Histogram::new();
-        let mut all = Log2Histogram::new();
-        for v in 0..50u64 {
-            a.record(v * 3);
-            all.record(v * 3);
-        }
-        for v in 0..30u64 {
-            b.record(v * 17 + 1);
-            all.record(v * 17 + 1);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 }

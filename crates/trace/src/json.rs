@@ -75,7 +75,7 @@ fn push_escaped(out: &mut String, s: &str) {
 }
 
 /// Render an event stream as the canonical trace document.
-pub fn write_trace(events: &[TraceEvent]) -> String {
+pub(crate) fn write_trace(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(64 + events.len() * 72);
     out.push_str("{\n");
     out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
@@ -271,7 +271,7 @@ fn parse_event(c: &mut Cursor<'_>) -> Result<ParsedEvent, String> {
     Ok(ParsedEvent { kind, name, key, value })
 }
 
-/// Parse a trace document produced by [`write_trace`].
+/// Parse a trace document produced by `write_trace`.
 ///
 /// Strict about structure (it is a reader for one schema, not a general
 /// JSON parser) but tolerant of whitespace and event-field order.

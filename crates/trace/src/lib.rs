@@ -10,7 +10,7 @@
 //! * [`NullSink`] — the default; its one method is an empty inlineable
 //!   body, so untraced runs pay (near) zero cost;
 //! * [`CollectingSink`] — records every event in order and exports a
-//!   byte-stable JSON document (see [`json`]) for golden tests and the
+//!   byte-stable JSON document (see `json`) for golden tests and the
 //!   `sgp-xtask trace-summary` renderer;
 //! * [`SummarySink`] — streaming aggregation only (per-span self-cost,
 //!   counter totals, histograms), never the raw event stream.
@@ -24,7 +24,7 @@
 //! payloads are integers (no floats), so the export has a single
 //! canonical rendering.
 //!
-//! The [`stats`] module additionally hosts the one shared
+//! The `stats` module additionally hosts the one shared
 //! latency-percentile implementation used by both `sgp-db` simulators
 //! (exact, float-typed — distinct from the bucketed histogram
 //! estimates, which are only guaranteed to land within one log₂ bucket
@@ -42,19 +42,19 @@
 )]
 #![warn(clippy::indexing_slicing)]
 
-pub mod guard;
+pub(crate) mod guard;
 pub mod hist;
-pub mod json;
+pub(crate) mod json;
 pub mod keys;
-pub mod sink;
-pub mod stats;
+pub(crate) mod sink;
+pub(crate) mod stats;
 
 pub use guard::SpanGuard;
 pub use hist::Log2Histogram;
 pub use json::{parse_trace, EventKind, ParsedEvent, ParsedTrace};
 pub use keys::Key;
 pub use sink::{CollectingSink, Event, NullSink, SpanStat, SummarySink, TraceSink};
-pub use stats::{latency_summary_ms, percentile_sorted_ns, LatencySummary};
+pub use stats::{latency_summary_ms, LatencySummary};
 
 /// Schema version stamped into every exported trace document.
 pub const SCHEMA_VERSION: u64 = 1;

@@ -259,11 +259,6 @@ impl SummarySink {
         &self.histograms
     }
 
-    /// Aggregate span costs per name, in sorted order.
-    pub fn spans(&self) -> &BTreeMap<&'static str, SpanStat> {
-        &self.spans
-    }
-
     /// Span names sorted by decreasing self cost (ties by name).
     pub fn spans_by_self_cost(&self) -> Vec<(&'static str, SpanStat)> {
         let mut v: Vec<(&'static str, SpanStat)> =
@@ -358,8 +353,8 @@ mod tests {
     fn summary_sink_attributes_self_cost() {
         let mut s = SummarySink::new();
         emit_sample(&mut s);
-        let outer = s.spans()["outer"];
-        let inner = s.spans()["inner"];
+        let outer = s.spans["outer"];
+        let inner = s.spans["inner"];
         assert_eq!(outer, SpanStat { count: 1, total: 40, self_total: 30 });
         assert_eq!(inner, SpanStat { count: 1, total: 10, self_total: 10 });
         assert_eq!(s.counter_total("ops"), 5);
@@ -397,7 +392,7 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::SpanEnter { .. } | TraceEvent::SpanExit { .. }))
             .collect();
         assert_eq!(raw.events(), spans);
-        assert_eq!(summary.spans()["outer"], SpanStat { count: 1, total: 40, self_total: 30 });
+        assert_eq!(summary.spans["outer"], SpanStat { count: 1, total: 40, self_total: 30 });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 /// histogram estimate ([`crate::Log2Histogram::quantile`]) targets.
 /// Returns 0.0 on an empty sample; `p` is clamped into the valid index
 /// range.
-pub fn percentile_sorted_ns(sorted: &[u64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted_ns(sorted: &[u64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
