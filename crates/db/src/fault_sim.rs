@@ -20,6 +20,14 @@
 //! Every random decision — message drops, failover draws — is a
 //! counter-keyed function of the plan seed, so a run under a fixed
 //! plan is bit-for-bit reproducible.
+//!
+//! A round's sub-request to a machine is split into up to
+//! `intra_request_parallelism` shares, each served and failed on its
+//! own. Shares sent back to back that arrive at one machine at one
+//! instant travel as one *arrival run*: one `SubArrive` whose handler
+//! takes the members in send order, which replays exactly as one event
+//! per share would (DESIGN.md §7). Completions stay one event per
+//! share.
 #![expect(
     clippy::indexing_slicing,
     reason = "machine ids index per-machine tables sized by the fixed cluster size at construction; replica ids come from the placement map built over the same cluster"
@@ -57,8 +65,9 @@ pub enum SimError {
         /// Machines in the simulated cluster.
         cluster: usize,
     },
-    /// The configuration offers no load: `clients_per_machine` or
-    /// `queries_per_client` is zero.
+    /// Nothing to replay: `clients_per_machine` or `queries_per_client`
+    /// is zero, or the simulation holds no query traces (it was
+    /// prepared from a workload without queries).
     NoLoad,
     /// The retry policy allows no attempt at all (`max_attempts == 0`).
     NoAttempts,
@@ -82,7 +91,7 @@ impl std::fmt::Display for SimError {
                 )
             }
             SimError::NoLoad => {
-                write!(f, "no load: zero clients per machine or queries per client")
+                write!(f, "no load: zero clients per machine or queries per client, or no traces")
             }
             SimError::NoAttempts => write!(f, "retry policy allows zero attempts per sub-request"),
         }
@@ -293,7 +302,8 @@ pub struct FaultSimReport {
 enum Event {
     /// A client becomes ready to issue its next query.
     Issue { client: u32 },
-    /// A share arrives at (routed) `machine`.
+    /// An arrival run reaches (routed) `machine`: `share` and the shares
+    /// linked after it through [`Share::next`], in send order.
     SubArrive { share: u32, machine: u32 },
     /// A core of `machine` finishes a share; stale if `epoch` mismatches.
     SubDone { share: u32, machine: u32, epoch: u32 },
@@ -319,7 +329,35 @@ struct Share {
     origin: u32,
     reads: u32,
     attempt: u32,
+    /// The share after this one in its arrival run, or [`NO_SHARE`].
+    /// Written when the share is sent and read only when its run
+    /// arrives: until then the share has no other pending event, so
+    /// nothing re-sends it or releases its id.
+    next: u32,
     service_ns: u64,
+}
+
+/// The end of an arrival run.
+const NO_SHARE: u32 = u32::MAX;
+
+/// Where a sent share goes: it arrives at `machine` at `at`, or its
+/// message is dropped and the coordinator declares it lost at `at`.
+enum Launch {
+    Arrive { at: u64, machine: u32 },
+    Fail { at: u64 },
+}
+
+/// Shares sent back to back that arrive at one machine at one instant,
+/// linked from `head` to `tail` through [`Share::next`]. The run is
+/// queued as one `SubArrive` before anything else is pushed, so its
+/// members would have held consecutive sequence numbers at one time:
+/// nothing could pop between them, and whatever their handlers push
+/// pops after the whole run, as it would after the last member.
+struct ArrivalRun {
+    at: u64,
+    machine: u32,
+    head: u32,
+    tail: u32,
 }
 
 /// Values addressed by a stable `u32` id; released ids are reused.
@@ -425,8 +463,8 @@ impl ClusterSim {
     /// Fails with a typed [`SimError`] when the cluster is empty, the
     /// plan or the mirror directory does not match the cluster, the
     /// plan fails validation or leaves zero live machines from t = 0,
-    /// the configuration offers no load, or the retry policy allows no
-    /// attempt.
+    /// the configuration offers no load or there are no traces to
+    /// replay, or the retry policy allows no attempt.
     pub fn run_elastic_traced<S: TraceSink>(
         &self,
         cfg: &FaultSimConfig,
@@ -451,7 +489,10 @@ impl ClusterSim {
                 cluster: self.machines,
             });
         }
-        if cfg.base.clients_per_machine == 0 || cfg.base.queries_per_client == 0 {
+        if cfg.base.clients_per_machine == 0
+            || cfg.base.queries_per_client == 0
+            || self.traces.is_empty()
+        {
             return Err(SimError::NoLoad);
         }
         if cfg.retry.max_attempts == 0 {
@@ -624,7 +665,7 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         while let Some((now, ev)) = self.events.pop() {
             match ev {
                 Event::Issue { client } => self.on_issue(client, now),
-                Event::SubArrive { share, machine } => self.on_sub_arrive(share, machine, now),
+                Event::SubArrive { share, machine } => self.on_arrival_run(share, machine, now),
                 Event::SubDone { share, machine, epoch } => {
                     self.on_sub_done(share, machine, epoch, now);
                 }
@@ -670,9 +711,11 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         (target, false)
     }
 
-    /// Sends share `id` at time `t`. Exactly one `SubDone` or `SubFail`
-    /// eventually resolves every send.
-    fn send_share(&mut self, id: u32, t: u64) {
+    /// Routes share `id`, sent at time `t`, and counts the send: the
+    /// machine and instant it arrives at, or the instant the coordinator
+    /// declares its dropped message lost. Exactly one `SubDone` or
+    /// `SubFail` eventually resolves every send.
+    fn launch(&mut self, id: u32, t: u64) -> Launch {
         let Share { query, origin, reads, .. } = self.shares[id];
         let (routed, failed_over) = self.route(origin);
         if failed_over {
@@ -684,23 +727,46 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         let remote = routed != q.coordinator;
         q.round_has_remote |= remote;
         if !remote {
-            self.events.push(t, Event::SubArrive { share: id, machine: routed });
-            return;
+            return Launch::Arrive { at: t, machine: routed };
         }
         self.msg_counter += 1;
         if self.plan.drop_message(self.msg_counter) {
             self.dropped += 1;
             self.sink.counter_add(keys::DB_DROPPED_MESSAGES, routed as u64, 1);
-            self.events.push(t + self.retry.timeout_ns, Event::SubFail { share: id });
-            return;
+            return Launch::Fail { at: t + self.retry.timeout_ns };
         }
-        let arrives = t + self.cfg.half_rtt_ns as u64;
-        self.events.push(arrives, Event::SubArrive { share: id, machine: routed });
+        Launch::Arrive { at: t + self.cfg.half_rtt_ns as u64, machine: routed }
     }
 
-    fn send_new_share(&mut self, share: Share, t: u64) {
-        let id = self.shares.insert(share);
-        self.send_share(id, t);
+    /// Sends share `id` at time `t`: appends it to `run` when it arrives
+    /// where and when the run does, else queues `run` and starts a new
+    /// one with it (or, when its message is dropped, pushes its
+    /// `SubFail`). The caller queues the last run with
+    /// [`FaultRun::queue_run`] before pushing anything else.
+    fn send_share(&mut self, id: u32, t: u64, run: &mut Option<ArrivalRun>) {
+        match self.launch(id, t) {
+            Launch::Arrive { at, machine } => {
+                self.shares[id].next = NO_SHARE;
+                if let Some(r) = run.as_mut().filter(|r| r.at == at && r.machine == machine) {
+                    self.shares[r.tail].next = id;
+                    r.tail = id;
+                } else {
+                    let started = ArrivalRun { at, machine, head: id, tail: id };
+                    self.queue_run(run.replace(started));
+                }
+            }
+            Launch::Fail { at } => {
+                self.queue_run(run.take());
+                self.events.push(at, Event::SubFail { share: id });
+            }
+        }
+    }
+
+    /// Pushes the one `SubArrive` of `run`, if there is one.
+    fn queue_run(&mut self, run: Option<ArrivalRun>) {
+        if let Some(ArrivalRun { at, machine, head, .. }) = run {
+            self.events.push(at, Event::SubArrive { share: head, machine });
+        }
     }
 
     fn on_issue(&mut self, client: u32, now: u64) {
@@ -737,6 +803,17 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         // completes instantly.
         if self.active[slot].pending == 0 {
             self.complete(slot, now, true);
+        }
+    }
+
+    /// The run headed by `head` arrives at `machine`: each member is
+    /// handled in send order, exactly as its own `SubArrive` would be.
+    fn on_arrival_run(&mut self, head: u32, machine: u32, now: u64) {
+        let mut id = head;
+        while id != NO_SHARE {
+            let next = self.shares[id].next;
+            self.on_sub_arrive(id, machine, now);
+            id = next;
         }
     }
 
@@ -835,7 +912,9 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
         self.retries += 1;
         self.sink.counter_add(keys::DB_RETRIES, origin as u64, 1);
         self.shares[id].attempt = attempt + 1;
-        self.send_share(id, now + self.retry.backoff_ns(attempt));
+        let mut run = None;
+        self.send_share(id, now + self.retry.backoff_ns(attempt), &mut run);
+        self.queue_run(run);
     }
 
     /// The membership change `plan.events[event]` takes effect; its
@@ -920,11 +999,12 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
     }
 
     /// Sends the shares of query `slot`'s first non-empty round from
-    /// its current one on, at time `t`; leaves `pending == 0` when no
-    /// such round is left.
+    /// its current one on, at time `t`, as arrival runs; leaves
+    /// `pending == 0` when no such round is left.
     fn dispatch_round(&mut self, slot: u32, t: u64) {
         let sim = self.sim;
         let cfg = self.cfg;
+        let mut run = None;
         let (trace_idx, mut round, coordinator) = {
             let q = &mut self.active[slot];
             q.round_has_remote = false;
@@ -968,14 +1048,15 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
                         service_ns += cfg.request_overhead_ns as u64;
                     }
                     pending += 1;
-                    let share = Share {
+                    let id = self.shares.insert(Share {
                         query: slot,
                         origin: m as u32,
                         reads: share_reads,
                         attempt: 1,
+                        next: NO_SHARE,
                         service_ns,
-                    };
-                    self.send_new_share(share, t);
+                    });
+                    self.send_share(id, t, &mut run);
                 }
             }
             // Scatter-gather fan-out: the coordinator serializes every
@@ -987,15 +1068,22 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
                     reason = "the one float->integral boundary for coordinator fan-out time"
                 )]
                 let service_ns = (cfg.fanout_ns * remote_fanout as f64) as u64;
-                let share =
-                    Share { query: slot, origin: coordinator, reads: 0, attempt: 1, service_ns };
-                self.send_new_share(share, t);
+                let id = self.shares.insert(Share {
+                    query: slot,
+                    origin: coordinator,
+                    reads: 0,
+                    attempt: 1,
+                    next: NO_SHARE,
+                    service_ns,
+                });
+                self.send_share(id, t, &mut run);
             }
             if pending > 0 {
                 break;
             }
             round += 1;
         }
+        self.queue_run(run);
         let q = &mut self.active[slot];
         q.round = round;
         q.pending = pending;
@@ -1101,6 +1189,7 @@ mod tests {
     use sgp_graph::generators::{snb_social, SnbConfig};
     use sgp_graph::StreamOrder;
     use sgp_partition::{partition, Algorithm, PartitionerConfig};
+    use sgp_trace::CollectingSink;
 
     fn two_machine_sim() -> ClusterSim {
         // One query class: coordinator 0 reads 2 local + 2 remote.
@@ -1207,7 +1296,10 @@ mod tests {
     /// down from 500 us to 700 us. With parallelism 2 each query sends
     /// a 2-read share (420 us of service) and a 1-read share (180 us),
     /// all four arriving at 250/251 us.
-    fn crash_mid_round(cores_per_machine: usize) -> FaultSimReport {
+    fn crash_mid_round(
+        cores_per_machine: usize,
+        intra_request_parallelism: usize,
+    ) -> FaultSimReport {
         let trace = QueryTrace {
             coordinator: 0,
             rounds: vec![RoundTrace { reads: vec![0, 3] }],
@@ -1217,7 +1309,7 @@ mod tests {
             base: SimConfig {
                 clients_per_machine: 1,
                 cores_per_machine,
-                intra_request_parallelism: 2,
+                intra_request_parallelism,
                 queries_per_client: 1,
                 warmup_fraction: 0.0,
                 ..Default::default()
@@ -1238,7 +1330,7 @@ mod tests {
         // 3.25–3.67 ms and answered at 3.92 ms. Telling shares of one
         // query apart only by (query, attempt) re-sent the finished
         // 1-read shares instead: 8 routed reads and 3.68 ms.
-        let r = crash_mid_round(4);
+        let r = crash_mid_round(4, 2);
         assert_eq!(r.retries, 2);
         assert_eq!(r.reads_per_machine, vec![0, 3 + 3 + 2 + 2]);
         assert_eq!((r.completed_ok, r.failed), (2, 0));
@@ -1253,7 +1345,7 @@ mod tests {
         // four are lost, re-sent once and served back to back from
         // 3.25 ms (420 + 180 + 420 + 180 us), so the queries are
         // answered at 4.1 ms and 4.7 ms.
-        let r = crash_mid_round(1);
+        let r = crash_mid_round(1, 2);
         assert_eq!(r.retries, 4);
         assert_eq!(r.reads_per_machine, vec![0, 2 * (3 + 3)]);
         assert_eq!((r.completed_ok, r.failed), (2, 0));
@@ -1437,6 +1529,24 @@ mod tests {
     }
 
     #[test]
+    fn empty_trace_set_is_a_typed_error() {
+        // A workload without queries prepares a simulation with no
+        // traces; the loop would divide by the trace count.
+        let g = small_snb();
+        let p = partition(
+            &g,
+            Algorithm::Ldg,
+            &PartitionerConfig::new(2),
+            StreamOrder::Random { seed: 4 },
+        );
+        let w = Workload::generate(&g, WorkloadKind::TwoHop, 0, Skew::Uniform, 1);
+        let sim = ClusterSim::prepare(&PartitionedStore::new(g, &p), &w);
+        let plan = FaultPlan::healthy(2, 1);
+        let err = sim.run_faulted(&quick_cfg(), &plan, &MirrorDirectory::edge_cut(2)).unwrap_err();
+        assert_eq!(err, SimError::NoLoad);
+    }
+
+    #[test]
     fn zero_attempt_retry_policy_is_a_typed_error() {
         let sim = two_machine_sim();
         let cfg = FaultSimConfig {
@@ -1616,5 +1726,319 @@ mod tests {
             format!("{b:?}"),
             "same plan + seed + migration load must reproduce bit-for-bit"
         );
+    }
+
+    /// Digests of the grid's reports, captured before arrivals were
+    /// coalesced: every field of every cell is unchanged by it. On one
+    /// core a healthy run does not depend on the parallelism (a
+    /// sub-request's shares are served back to back either way), and
+    /// the mid-round crash reads three vertices, so parallelism 3 and 8
+    /// split it alike.
+    const PINNED_GRID: &[(&str, u64)] = &[
+        ("p1 c1 healthy", 0x9c09b789fd126e79),
+        ("p1 c1 loss", 0xabc3aedda3c30ca0),
+        ("p1 c1 crash", 0x19cd7a8c1ad80059),
+        ("p1 c1 failover", 0x5212272e40b0b3dc),
+        ("p1 c1 shed", 0xec2ed545aaf5c691),
+        ("p1 c1 crash-mid-round", 0x9646c9958d9bfebe),
+        ("p1 c8 healthy", 0x2995dce8f8bdbdce),
+        ("p1 c8 loss", 0x108e18c9bad58dea),
+        ("p1 c8 crash", 0x5554d13a2c28a50c),
+        ("p1 c8 failover", 0x24606c3b774fb6aa),
+        ("p1 c8 shed", 0xc4e6cd8a92bc56f1),
+        ("p1 c8 crash-mid-round", 0x8cc9d715a2fb7c4f),
+        ("p3 c1 healthy", 0x9c09b789fd126e79),
+        ("p3 c1 loss", 0xa2ec08b1eb700e51),
+        ("p3 c1 crash", 0x87ae186f9e52a211),
+        ("p3 c1 failover", 0x9d543479a6953cab),
+        ("p3 c1 shed", 0x66a638b11f31d2a3),
+        ("p3 c1 crash-mid-round", 0xde1c9238357dfdbe),
+        ("p3 c8 healthy", 0x056193e061834161),
+        ("p3 c8 loss", 0x9d0f5d98917b1aae),
+        ("p3 c8 crash", 0xa0d6097ce65e0b0d),
+        ("p3 c8 failover", 0xe04b6a1684e0c8c1),
+        ("p3 c8 shed", 0xce81bcfa8db88e54),
+        ("p3 c8 crash-mid-round", 0x6ed6101019a9481c),
+        ("p8 c1 healthy", 0x9c09b789fd126e79),
+        ("p8 c1 loss", 0xdba9b280bbff8072),
+        ("p8 c1 crash", 0x6858cad97fbceb0b),
+        ("p8 c1 failover", 0xc4496d92d10bb0a9),
+        ("p8 c1 shed", 0x9f974575116658ea),
+        ("p8 c1 crash-mid-round", 0xde1c9238357dfdbe),
+        ("p8 c8 healthy", 0x6fb1598f01688aa4),
+        ("p8 c8 loss", 0x8494254aadc3a0a8),
+        ("p8 c8 crash", 0xb85b0595bcc02dcd),
+        ("p8 c8 failover", 0xc39dfb78339afe50),
+        ("p8 c8 shed", 0x3d478cb40de89b53),
+        ("p8 c8 crash-mid-round", 0x6ed6101019a9481c),
+    ];
+
+    /// Event count and digest of the traced run's JSON, captured before
+    /// arrivals were coalesced.
+    const PINNED_TRACE: (usize, u64) = (19_841, 0x121a0157c5068623);
+
+    /// Queue pushes of [`queue_pushes_of_a_fixed_run`]'s run: one
+    /// `SubArrive` per arrival run. With one per share it was 37 756.
+    const PINNED_PUSHES: u64 = 22_748;
+
+    /// FNV-1a over 64-bit words: the digest the pinned grid compares.
+    fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// Every field of a healthy report, floats by their bits.
+    fn healthy_digest(r: &SimReport) -> u64 {
+        let SimReport {
+            throughput_qps,
+            mean_latency_ms,
+            p50_latency_ms,
+            p99_latency_ms,
+            max_latency_ms,
+            completed,
+            reads_per_machine,
+            load_rsd,
+            sim_seconds,
+        } = r;
+        let floats = [
+            throughput_qps,
+            mean_latency_ms,
+            p50_latency_ms,
+            p99_latency_ms,
+            max_latency_ms,
+            load_rsd,
+            sim_seconds,
+        ];
+        digest(
+            floats
+                .map(|x| x.to_bits())
+                .into_iter()
+                .chain([*completed as u64])
+                .chain(reads_per_machine.iter().copied()),
+        )
+    }
+
+    /// Every field of a fault-plan report, floats by their bits.
+    fn faulted_digest(r: &FaultSimReport) -> u64 {
+        let FaultSimReport {
+            availability,
+            goodput_qps,
+            offered_qps,
+            completed_ok,
+            failed,
+            retries,
+            dropped_messages,
+            failovers,
+            mean_latency_ms,
+            p50_latency_ms,
+            p99_latency_ms,
+            max_latency_ms,
+            reads_per_machine,
+            load_rsd,
+            sim_seconds,
+            rto_ms,
+            data_moved,
+            shed_queries,
+        } = r;
+        let floats = [
+            availability,
+            goodput_qps,
+            offered_qps,
+            mean_latency_ms,
+            p50_latency_ms,
+            p99_latency_ms,
+            max_latency_ms,
+            load_rsd,
+            sim_seconds,
+            rto_ms,
+        ];
+        let counts = [
+            *completed_ok as u64,
+            *failed as u64,
+            *retries,
+            *dropped_messages,
+            *failovers,
+            *data_moved,
+            *shed_queries,
+        ];
+        digest(
+            floats
+                .map(|x| x.to_bits())
+                .into_iter()
+                .chain(counts)
+                .chain(reads_per_machine.iter().copied()),
+        )
+    }
+
+    /// The pinned grid's cluster: a two-hop Zipf workload over the
+    /// small SNB graph on four machines, stored by the masters of an
+    /// HDRF placement, whose mirror directory covers about two thirds
+    /// of each machine's vertices, so a dead machine's shares draw
+    /// their failovers apart.
+    fn grid_sim() -> (ClusterSim, MirrorDirectory) {
+        let g = small_snb();
+        let k = 4;
+        let p = partition(
+            &g,
+            Algorithm::Hdrf,
+            &PartitionerConfig::new(k),
+            StreamOrder::Random { seed: 4 },
+        );
+        let w = Workload::generate(&g, WorkloadKind::TwoHop, 60, Skew::Zipf { theta: 0.8 }, 11);
+        let store = PartitionedStore::from_owner(g.clone(), k, p.masters(&g));
+        (ClusterSim::prepare(&store, &w), MirrorDirectory::for_model(&g, &p))
+    }
+
+    /// One labelled run of the pinned grid: its digest and the counters
+    /// that show which path it exercised.
+    struct GridCell {
+        label: String,
+        digest: u64,
+        dropped: u64,
+        failovers: u64,
+        retries: u64,
+        shed: u64,
+    }
+
+    fn grid_cells() -> Vec<GridCell> {
+        let faulted = |label: String, r: &FaultSimReport| GridCell {
+            label,
+            digest: faulted_digest(r),
+            dropped: r.dropped_messages,
+            failovers: r.failovers,
+            retries: r.retries,
+            shed: r.shed_queries,
+        };
+        let (sim, vertex_cut) = grid_sim();
+        let k = sim.machines;
+        let edge_cut = MirrorDirectory::edge_cut(k);
+        let no_migration = ElasticPlan::default();
+        let migration = ElasticPlan { records_per_event: vec![2_000] };
+        let plans = [
+            (
+                "loss",
+                FaultPlan::healthy(k, 3)
+                    .with_message_loss(0.05)
+                    .with_straggler(2, 0, 4_000_000, 3.0),
+                &edge_cut,
+                &no_migration,
+                DegradedConfig::default(),
+            ),
+            (
+                "crash",
+                FaultPlan::healthy(k, 5).with_recovering_crash(1, 2_000_000, 3_000_000),
+                &edge_cut,
+                &no_migration,
+                DegradedConfig::default(),
+            ),
+            (
+                "failover",
+                FaultPlan::healthy(k, 7).with_crash(3, 1_000_000),
+                &vertex_cut,
+                &no_migration,
+                DegradedConfig::default(),
+            ),
+            (
+                "shed",
+                FaultPlan::healthy(k, 9).with_crash_rejoin(2, 1_000_000, 2_000_000),
+                &vertex_cut,
+                &migration,
+                DegradedConfig { shed_queue_depth: 1, migration_ns_per_record: 5_000 },
+            ),
+        ];
+        let mut cells = Vec::new();
+        for intra_request_parallelism in [1, 3, 8] {
+            for cores_per_machine in [1, 8] {
+                let base = SimConfig {
+                    clients_per_machine: 4,
+                    queries_per_client: 12,
+                    cores_per_machine,
+                    intra_request_parallelism,
+                    ..Default::default()
+                };
+                let cell = format!("p{intra_request_parallelism} c{cores_per_machine}");
+                cells.push(GridCell {
+                    label: format!("{cell} healthy"),
+                    digest: healthy_digest(&sim.run(&base)),
+                    dropped: 0,
+                    failovers: 0,
+                    retries: 0,
+                    shed: 0,
+                });
+                for (name, plan, mirrors, elastic, degraded) in &plans {
+                    let cfg = FaultSimConfig { base, degraded: *degraded, ..Default::default() };
+                    let r = sim
+                        .run_elastic_traced(&cfg, plan, mirrors, elastic, &mut NullSink)
+                        .unwrap();
+                    cells.push(faulted(format!("{cell} {name}"), &r));
+                }
+                // Each query's three 1-read shares (parallelism 3 and 8)
+                // arrive together at machine 1, which crashes while some
+                // are in service and, on one core, the rest are queued.
+                let r = crash_mid_round(cores_per_machine, intra_request_parallelism);
+                cells.push(faulted(format!("{cell} crash-mid-round"), &r));
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn reports_match_the_pinned_grid() {
+        let cells = grid_cells();
+        let total = |kind: &str, f: fn(&GridCell) -> u64| -> u64 {
+            cells.iter().filter(|c| c.label.ends_with(kind)).map(f).sum()
+        };
+        assert!(total(" loss", |c| c.dropped) > 0, "message loss must drop shares");
+        assert!(total(" crash", |c| c.retries) > 0, "the crash must lose work");
+        assert!(total("crash-mid-round", |c| c.retries) > 0, "the mid-round crash must lose work");
+        assert!(total("failover", |c| c.failovers) > 0, "mirrored reads must fail over");
+        assert!(total("failover", |c| c.retries) > 0, "unmirrored reads must ride retries");
+        assert!(total("shed", |c| c.shed) > 0, "admission control must shed");
+        let got: Vec<(&str, u64)> = cells.iter().map(|c| (c.label.as_str(), c.digest)).collect();
+        assert_eq!(got, PINNED_GRID);
+    }
+
+    #[test]
+    fn traced_run_matches_its_pinned_event_stream() {
+        let (sim, vertex_cut) = grid_sim();
+        let k = sim.machines;
+        let cfg = FaultSimConfig {
+            base: SimConfig {
+                clients_per_machine: 4,
+                queries_per_client: 12,
+                cores_per_machine: 1,
+                ..Default::default()
+            },
+            degraded: DegradedConfig { shed_queue_depth: 1, migration_ns_per_record: 5_000 },
+            ..Default::default()
+        };
+        let plan = FaultPlan::healthy(k, 9)
+            .with_crash_rejoin(2, 1_000_000, 2_000_000)
+            .with_message_loss(0.02);
+        let elastic = ElasticPlan { records_per_event: vec![2_000] };
+        let mut sink = CollectingSink::new();
+        sim.run_elastic_traced(&cfg, &plan, &vertex_cut, &elastic, &mut sink).unwrap();
+        sink.check_nesting().unwrap();
+        let json = sink.to_json();
+        assert_eq!(
+            (sink.len(), digest(json.bytes().map(u64::from))),
+            PINNED_TRACE,
+            "traced run's event stream"
+        );
+    }
+
+    #[test]
+    fn queue_pushes_of_a_fixed_run() {
+        // Every push of a healthy two-hop run on four machines, counted
+        // exactly: one per client issue, arrival run and share completion.
+        let sim = snb_sim(4);
+        let cfg = quick_cfg();
+        let plan = FaultPlan::healthy(4, 0);
+        let mirrors = MirrorDirectory::edge_cut(4);
+        let elastic = ElasticPlan::default();
+        let mut sink = NullSink;
+        let run = FaultRun::new(&sim, &cfg, &plan, &mirrors, &elastic, &mut sink).execute();
+        assert_eq!(run.events.pushes(), PINNED_PUSHES);
     }
 }

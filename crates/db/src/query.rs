@@ -149,15 +149,19 @@ fn two_hop(store: &PartitionedStore, start: VertexId) -> QueryTrace {
     r1[coordinator as usize] = 1;
     let frontier = store.neighbors(start);
     // Round 2: read adjacency of every 1-hop neighbour at its owner.
+    // The rows are borrowed from the graph and deduplicated once, as a
+    // union; the result is trimmed to its length because traces are
+    // kept for the whole simulation.
     let mut r2 = vec![0u32; k];
     let mut second_hop: Vec<VertexId> = Vec::new();
     for &w in &frontier {
         r2[store.route(w) as usize] += 1;
-        second_hop.extend(store.neighbors(w));
+        second_hop.extend(store.graph().undirected_neighbors(w));
     }
     second_hop.sort_unstable();
     second_hop.dedup();
     second_hop.retain(|&v| v != start && frontier.binary_search(&v).is_err());
+    second_hop.shrink_to_fit();
     // Round 3: fetch the distinct second-hop records.
     let mut r3 = vec![0u32; k];
     for &w in &second_hop {
@@ -226,8 +230,10 @@ fn shortest_path(store: &PartitionedStore, src: VertexId, dst: VertexId) -> Quer
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgp_graph::sampling::check_cases;
     use sgp_graph::GraphBuilder;
-    use sgp_partition::Partitioning;
+    use sgp_partition::{PartitionId, Partitioning};
+    use std::collections::BTreeSet;
 
     /// Path 0-1-2-3-4 plus a hub 5 connected to everything.
     fn store() -> PartitionedStore {
@@ -296,6 +302,45 @@ mod tests {
         // 1-hop of 0: {1, 5}; 2-hop: neighbors of 1 and 5 minus {0,1,5}.
         assert_eq!(t.result, QueryResult::Vertices(vec![2, 3, 4]));
         assert_eq!(t.rounds.len(), 3);
+    }
+
+    #[test]
+    fn two_hop_matches_a_set_oracle() {
+        // Directed graphs with some reciprocal edges and self-loops, so
+        // out-rows and in-rows differ and overlap: the 2-hop set is the
+        // union of the 1-hop vertices' neighbourhoods minus the start
+        // and the 1-hop set, and it is stored without spare capacity.
+        check_cases(256, |rng| {
+            let n = rng.range(1..16);
+            let k = rng.range(1..4);
+            let mut b = GraphBuilder::new().keep_self_loops(true).ensure_vertices(n);
+            for _ in 0..rng.range(0..3 * n + 1) {
+                let (u, v) = (rng.index(n) as VertexId, rng.index(n) as VertexId);
+                b.push_edge(u, v);
+                if rng.below(3) == 0 {
+                    b.push_edge(v, u);
+                }
+            }
+            let owners = (0..n).map(|_| rng.index(k) as PartitionId).collect();
+            let s = PartitionedStore::from_owner(b.build(), k, owners);
+            let start = rng.index(n) as VertexId;
+            let both = |v| s.graph().undirected_neighbors(v).collect::<BTreeSet<VertexId>>();
+            let first = both(start);
+            let mut second: BTreeSet<VertexId> = first.iter().flat_map(|&w| both(w)).collect();
+            second.remove(&start);
+            second.retain(|v| !first.contains(v));
+            let t = execute(&s, Query::TwoHop { start });
+            let QueryResult::Vertices(got) = &t.result else {
+                panic!("a 2-hop query returns vertices");
+            };
+            assert_eq!(*got, second.iter().copied().collect::<Vec<_>>());
+            assert_eq!(got.capacity(), got.len());
+            let mut r3 = vec![0u32; k];
+            for &v in &second {
+                r3[s.route(v) as usize] += 1;
+            }
+            assert_eq!(t.rounds[2].reads, r3);
+        });
     }
 
     #[test]

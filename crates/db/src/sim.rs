@@ -21,7 +21,9 @@
 //!
 //! This module holds the configuration, the report and the event queue;
 //! the event loop itself is [`crate::fault_sim`]'s, and a healthy run is
-//! that loop under a plan with no faults.
+//! that loop under a plan with no faults. The queue pops by time, then
+//! push order; the loop pushes one arrival per run of same-instant
+//! shares bound for one machine, not one per share.
 #![warn(clippy::float_arithmetic, clippy::cast_precision_loss)]
 
 use crate::fault_sim::{ElasticPlan, FaultRun, FaultSimConfig, MirrorDirectory};
@@ -184,6 +186,12 @@ impl<E: Ord> EventQueue<E> {
         self.heap.pop().map(|Reverse((key, e))| ((key >> 64) as u64, e))
     }
 
+    /// Events pushed so far: the sequence number of the last push.
+    #[cfg(test)]
+    pub(crate) fn pushes(&self) -> u64 {
+        self.seq
+    }
+
     /// The scheduled events in no particular order, each with its
     /// sequence number (ascending in push order).
     pub(crate) fn pending(&self) -> impl Iterator<Item = (u64, &E)> {
@@ -201,6 +209,10 @@ impl ClusterSim {
     }
 
     /// Builds a simulation from pre-collected traces.
+    ///
+    /// # Panics
+    ///
+    /// When `traces` is empty.
     pub fn from_traces(machines: usize, traces: Vec<QueryTrace>) -> Self {
         assert!(!traces.is_empty(), "need at least one trace");
         ClusterSim { machines, traces }
@@ -213,10 +225,14 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// When `cfg` offers no load (`clients_per_machine` or
-    /// `queries_per_client` is zero).
+    /// When there is nothing to replay: `cfg` offers no load
+    /// (`clients_per_machine` or `queries_per_client` is zero), or the
+    /// simulation holds no traces ([`ClusterSim::prepare`] over a
+    /// workload without queries). [`ClusterSim::run_faulted`] reports
+    /// either as [`SimError::NoLoad`](crate::SimError::NoLoad).
     pub fn run(&self, cfg: &SimConfig) -> SimReport {
         assert!(cfg.clients_per_machine > 0 && cfg.queries_per_client > 0);
+        assert!(!self.traces.is_empty(), "no query traces to replay");
         let cfg = FaultSimConfig { base: *cfg, ..FaultSimConfig::default() };
         let plan = FaultPlan::healthy(self.machines, 0);
         let mirrors = MirrorDirectory::edge_cut(self.machines);
@@ -488,6 +504,14 @@ mod tests {
         assert_eq!((r.mean_latency_ms, r.p99_latency_ms, r.max_latency_ms), (0.0, 0.0, 0.0));
         assert!(r.reads_per_machine.is_empty());
         assert_eq!((r.load_rsd, r.sim_seconds), (0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "no query traces to replay")]
+    fn empty_trace_set_panics() {
+        let s = store(2, Algorithm::EcrHash);
+        let w = Workload::generate(s.graph(), WorkloadKind::OneHop, 0, Skew::Uniform, 1);
+        ClusterSim::prepare(&s, &w).run(&quick_cfg(1));
     }
 
     #[test]
