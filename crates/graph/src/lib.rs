@@ -55,5 +55,5 @@ pub use builder::GraphBuilder;
 pub use churn::{ChurnBatch, ChurnConfig, ChurnOp, ChurnStream};
 pub use csr::Graph;
 pub use stats::GraphStats;
-pub use stream::{EdgeStream, EdgeStreamSource, StreamOrder, VertexStreamSource};
+pub use stream::{EdgeStreamSource, StreamOrder, VertexStreamSource};
 pub use types::{Edge, VertexId};

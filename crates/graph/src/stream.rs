@@ -23,9 +23,6 @@
 //!   permutation, because the seeded Fisher–Yates shuffle finalizes the
 //!   *last* position first and therefore cannot be replayed lazily from
 //!   the front.
-//! * [`EdgeStream`] — the original whole-stream edge iterator, fully
-//!   materialized; it is the baseline the `ingest` bench compares
-//!   chunked ingestion against.
 #![expect(
     clippy::indexing_slicing,
     reason = "stream orders permute 0..num_vertices / 0..num_edges, so replay indexes the backing arrays within their length"
@@ -154,12 +151,6 @@ impl<'g> VertexRecord<'g> {
         };
         VertexRecord { vertex: v, neighbors }
     }
-
-    /// The same record with an owned row, free of the graph's lifetime
-    /// (for payloads that cross a thread boundary).
-    pub fn into_owned(self) -> VertexRecord<'static> {
-        VertexRecord { vertex: self.vertex, neighbors: Cow::Owned(self.neighbors.into_owned()) }
-    }
 }
 
 /// The sorted union of two ascending rows, each value once.
@@ -284,8 +275,8 @@ enum EdgeCursor {
 }
 
 /// Chunked edge-stream cursor: yields bounded chunks of [`Edge`]s in any
-/// [`StreamOrder`]. `Natural` and the traversal orders never allocate the
-/// O(|E|) edge vector the materialized [`EdgeStream`] carries.
+/// [`StreamOrder`]. `Natural` and the traversal orders never allocate an
+/// O(|E|) edge vector; `Random` holds the shuffled permutation.
 ///
 /// For `StreamOrder::Bfs`/`Dfs` the edges arrive grouped by the traversal
 /// order of their source vertex, which is the adversarial order for
@@ -314,11 +305,6 @@ impl<'g> EdgeStreamSource<'g> {
             }
         };
         EdgeStreamSource { graph: g, cursor }
-    }
-
-    /// Total number of elements in the stream (`|E|`).
-    pub(crate) fn len(&self) -> usize {
-        self.graph.num_edges()
     }
 
     /// Restarts the stream from the beginning with the same order.
@@ -387,44 +373,6 @@ impl<'g> EdgeStreamSource<'g> {
             }
         }
         out.len()
-    }
-}
-
-/// Replays a [`Graph`] as a fully materialized edge stream (the vertex-cut
-/// input model). The ordering logic lives in [`EdgeStreamSource`]; this
-/// adapter buffers the whole permutation up front and serves as the
-/// materialized baseline in the `ingest` bench.
-#[derive(Debug, Clone)]
-pub struct EdgeStream {
-    edges: Vec<Edge>,
-    pos: usize,
-}
-
-impl EdgeStream {
-    /// Creates an edge stream over `g` in the given arrival order.
-    pub fn new(g: &Graph, order: StreamOrder) -> Self {
-        let mut source = EdgeStreamSource::new(g, order);
-        let mut edges = Vec::with_capacity(source.len());
-        while let Some(e) = source.next_edge() {
-            edges.push(e);
-        }
-        edges.shrink_to_fit();
-        EdgeStream { edges, pos: 0 }
-    }
-}
-
-impl Iterator for EdgeStream {
-    type Item = Edge;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let e = *self.edges.get(self.pos)?;
-        self.pos += 1;
-        Some(e)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.edges.len() - self.pos;
-        (rem, Some(rem))
     }
 }
 
@@ -610,20 +558,10 @@ mod tests {
     }
 
     #[test]
-    fn into_owned_keeps_the_row() {
-        let g = GraphBuilder::new().add_edge(0, 1).add_edge(1, 0).add_edge(1, 2).build();
-        for v in g.vertices() {
-            let rec = VertexRecord::for_vertex(&g, v);
-            let owned = rec.clone().into_owned();
-            assert!(matches!(owned.neighbors, Cow::Owned(_)));
-            assert_eq!(owned, rec);
-        }
-    }
-
-    #[test]
     fn edge_stream_covers_all_edges() {
         let g = path_graph();
-        let mut edges: Vec<Edge> = EdgeStream::new(&g, StreamOrder::Random { seed: 5 }).collect();
+        let mut s = EdgeStreamSource::new(&g, StreamOrder::Random { seed: 5 });
+        let mut edges: Vec<Edge> = std::iter::from_fn(|| s.next_edge()).collect();
         edges.sort_unstable();
         assert_eq!(edges, g.edges().collect::<Vec<_>>());
     }
@@ -682,15 +620,6 @@ mod tests {
         let second: Vec<VertexId> =
             std::iter::from_fn(|| s.next_record()).map(|r| r.vertex).collect();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn edge_stream_size_hint_tracks_position() {
-        let g = path_graph();
-        let mut s = EdgeStream::new(&g, StreamOrder::Natural);
-        assert_eq!(s.size_hint(), (3, Some(3)));
-        s.next();
-        assert_eq!(s.size_hint(), (2, Some(2)));
     }
 
     #[test]
@@ -774,7 +703,8 @@ mod tests {
             .add_edge(5, 6)
             .build();
         for order in all_orders() {
-            let whole: Vec<Edge> = EdgeStream::new(&g, order).collect();
+            let mut s = EdgeStreamSource::new(&g, order);
+            let whole: Vec<Edge> = std::iter::from_fn(|| s.next_edge()).collect();
             for chunk_len in [1usize, 2, 5, 64] {
                 let mut source = EdgeStreamSource::new(&g, order);
                 let mut chunk = Vec::new();

@@ -3,7 +3,9 @@
 
 use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
 use sgp_graph::sampling::{check_cases, Rng};
-use sgp_graph::{Edge, Graph, GraphBuilder, GraphStats, StreamOrder, VertexStreamSource};
+use sgp_graph::{
+    Edge, EdgeStreamSource, Graph, GraphBuilder, GraphStats, StreamOrder, VertexStreamSource,
+};
 
 const CASES: u64 = 128;
 
@@ -144,7 +146,8 @@ fn edge_stream_respects_bfs_grouping() {
         .add_edge(2, 4)
         .add_edge(3, 5)
         .build();
-    let edges: Vec<Edge> = sgp_graph::EdgeStream::new(&g, StreamOrder::Bfs).collect();
+    let mut source = EdgeStreamSource::new(&g, StreamOrder::Bfs);
+    let edges: Vec<Edge> = std::iter::from_fn(|| source.next_edge()).collect();
     let first_pos = |src: u32| edges.iter().position(|e| e.src == src).unwrap();
     assert!(first_pos(0) < first_pos(1));
     assert!(first_pos(1) < first_pos(3));

@@ -78,9 +78,10 @@ impl VertexStreamState {
 
 /// A streaming partitioner over vertex streams.
 ///
-/// `Send` is a supertrait: the multi-loader layer ships boxed machines
-/// to worker threads in [`crate::exec`], and every implementor is plain
-/// owned data (counters and vectors), so the bound costs nothing.
+/// `Send` is a supertrait: under [`crate::exec`] each loader's boxed
+/// machine runs its round on a scoped thread of its own, and every
+/// implementor is plain owned data (counters and vectors), so the bound
+/// costs nothing.
 pub trait VertexStreamPartitioner: Send {
     /// Chooses a partition for the arriving vertex given the shared state.
     fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId;
@@ -435,7 +436,7 @@ fn argmin_size(sizes: &[usize]) -> PartitionId {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::loaders::{partition_multi_loader, run_modelled, LoaderConfig};
+    use crate::loaders::{partition_multi_loader, run_loaders, LoaderConfig};
     use crate::metrics;
     use crate::registry::{Algorithm, Boxed};
     use crate::snapshot::restore_into;
@@ -1161,7 +1162,8 @@ pub(crate) mod tests {
         for loaders in [2, 4] {
             let lc = LoaderConfig::new(loaders).with_sync_interval(8);
             let par = partition_multi_loader(g, algorithm, cfg, order, &lc).vertex_owner;
-            let twin_par = run_modelled(g, k, reference_machines(), order, &lc).vertex_owner;
+            let twin_par =
+                run_loaders(g, k, reference_machines(), order, &lc, false).0.vertex_owner;
             tally.expect_eq("loader owners", at, par, twin_par);
         }
     }

@@ -20,7 +20,7 @@
 
 use crate::assignment::{PartitionId, Partitioning};
 use crate::config::PartitionerConfig;
-use sgp_graph::{Edge, EdgeStream, Graph, StreamOrder};
+use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder};
 
 /// IOGP-style incremental edge-cut partitioner over an edge stream.
 ///
@@ -74,7 +74,8 @@ impl IogpStyle {
         };
 
         let mut processed = 0usize;
-        for Edge { src, dst } in EdgeStream::new(g, order) {
+        let mut source = EdgeStreamSource::new(g, order);
+        while let Some(Edge { src, dst }) = source.next_edge() {
             for (a, b) in [(src, dst), (dst, src)] {
                 let list = &mut observed[a as usize];
                 if list.len() < NEIGHBOR_CAP {

@@ -35,9 +35,9 @@
 //! [`partition_threaded`] are the untraced calls. `loaders` splits one
 //! logical stream across deterministic parallel loaders with periodic
 //! state synchronization, turning Table 1's "parallelization" column
-//! into measurable behaviour. `exec` runs the same split on real OS
-//! threads — byte-identical to the modelled path, with all
-//! thread/channel primitives confined there by `clippy.toml`.
+//! into measurable behaviour. `exec` runs the same loader rounds on
+//! real OS threads — byte-identical to the modelled path, through the
+//! one thread scope `clippy.toml` allows.
 //!
 //! The elasticity layer (DESIGN.md §11) builds on that core:
 //! [`snapshot`] serializes a machine's run-varying state in a

@@ -7,28 +7,34 @@
 //! state that is stale between synchronization points. This module
 //! turns that column into measurable behaviour.
 //!
-//! Model: one logical stream is split across `L` loaders by round-robin
-//! striding (element `i` belongs to loader `i mod L`). Loaders run the
-//! same incremental state machine as the sequential core, but each
-//! places against a *local* state snapshot: the global state as of the
-//! last synchronization barrier plus the loader's own in-round
-//! decisions. Every `sync_interval` elements per loader, a barrier
-//! merges all decision logs into the global state and brings every
-//! local view up to date by replaying the *other* loaders' logs into it
-//! — a compact delta rather than an `O(n)` snapshot clone, sound
-//! because replay is order-commutative (below).
+//! Model: one logical stream is split across `L` loaders in blocks of
+//! `L · sync_interval` elements, striding each block round-robin
+//! (element `i` belongs to loader `i mod L`). A loader is a machine of
+//! the sequential core plus its *local view*: the state as of the last
+//! synchronization barrier plus its own in-round decisions. One round
+//! per block, every loader first replays the previous barrier's
+//! decision logs, all but its own (it applied those as it placed
+//! them), into its view — a compact delta rather than an `O(n)`
+//! snapshot clone — then places its stride and returns its log. At the
+//! barrier the logs are written into the result slots (`owner[v]`, or
+//! `edge_parts[edge_index]` in block order); no global state exists.
 //!
-//! The merge is seeded and deterministic: logs are replayed in a
+//! The replay is seeded and deterministic: logs are replayed in a
 //! rotation of the loader order chosen by hashing the barrier index
 //! with [`LoaderConfig::seed`] — never wallclock arrival order, never
 //! hash-map iteration order. (Replaying placement decisions is
 //! order-commutative — assignments touch disjoint vertices within a
 //! pass, replica sets are sets, and degree/load counters are sums — so
-//! the rotation pins down the procedure rather than the outcome; the
-//! same seed always produces byte-identical results.)
+//! every view lands on the same post-barrier state, and the rotation
+//! pins down the procedure rather than the outcome.)
 //!
-//! With `L = 1` the local state *is* the global state at every step, so
-//! the result is byte-identical to the sequential core — the
+//! A round touches nothing but its own loader, so the loaders of a
+//! round run in turn on one thread under [`Exec::Loaders`], or each on
+//! its own thread under [`Exec::Threads`] ([`crate::exec`]), with
+//! byte-identical results.
+//!
+//! With `L = 1` the local view *is* the sequential state at every step,
+//! so the result is byte-identical to the sequential core — the
 //! differential tests pin this for every algorithm. With `L > 1`,
 //! greedy algorithms degrade with staleness (PowerGraph's greedy
 //! visibly collapses on BFS orders) while hash-based ones are exactly
@@ -37,21 +43,22 @@
 //!
 //! The hybrid algorithms run their phase-1 vertex placement behind the
 //! loaders (hash for HCR — loader-invariant; the Ginger greedy shares
-//! vertex counts through the synchronized state) and seal with the
+//! vertex counts through the synchronized views) and seal with the
 //! shared hybrid edge routing. Only the offline METIS baseline ignores
 //! `L` entirely and runs sequentially.
 #![expect(
     clippy::indexing_slicing,
-    reason = "loader batches slice the element array by offsets computed from its length; replica bitsets are sized during setup"
+    reason = "barrier writes index owner (sized num_vertices) by streamed vertex ids and edge_parts by CSR edge indices; a block's element i sits at position i / L of log i mod L"
 )]
 
 use crate::assignment::{fxhash64, PartitionId, Partitioning};
 use crate::config::PartitionerConfig;
 use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
+use crate::exec::each_loader;
 use crate::registry::{offline_baseline, Algorithm, Boxed, Exec, Run};
-use crate::streaming::{owner_from_assignment, VertexSeal};
+use crate::streaming::VertexSeal;
 use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
-use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder, VertexStreamSource};
+use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder, VertexId, VertexStreamSource};
 use sgp_trace::NullSink;
 
 /// Configuration of the multi-loader split.
@@ -109,170 +116,139 @@ pub fn partition_multi_loader(
     Run { algorithm, cfg, order, exec: Exec::Loaders(lc) }.run(g, 1, &mut NullSink)
 }
 
-/// The modelled loader run, one fresh machine per loader.
-pub(crate) fn run_modelled(
+/// The loader run, one fresh machine and view per loader; a round's
+/// loaders run in turn, or with `threads` each on its own thread.
+/// Also returns the number of barrier rounds.
+pub(crate) fn run_loaders(
     g: &Graph,
     k: usize,
     machines: Boxed,
     order: StreamOrder,
     lc: &LoaderConfig,
-) -> Partitioning {
-    let l = lc.clamped().0;
+    threads: bool,
+) -> (Partitioning, u64) {
+    let (l, n) = (lc.clamped().0, g.num_vertices());
     match machines {
         Boxed::Vertex(make, seal) => {
-            multi_loader_vertices(g, k, (0..l).map(|_| make()).collect(), order, lc, seal)
+            let loaders = (0..l).map(|_| (make(), VertexStreamState::new(n, k))).collect();
+            vertex_loaders(g, k, loaders, order, lc, threads, seal)
         }
-        Boxed::Edge(make) => multi_loader_edges(g, k, (0..l).map(|_| make()).collect(), order, lc),
-        Boxed::Offline => offline_baseline(g, k),
+        Boxed::Edge(make) => {
+            let loaders = (0..l).map(|_| (make(), EdgeStreamState::new(n, k))).collect();
+            edge_loaders(g, k, loaders, order, lc, threads)
+        }
+        Boxed::Offline => (offline_baseline(g, k), 0),
     }
 }
 
 /// The merge rotation start for barrier `round`: pure in (seed, round).
-pub(crate) fn merge_start(seed: u64, round: u64, l: usize) -> usize {
+fn merge_start(seed: u64, round: u64, l: usize) -> usize {
     (fxhash64(seed ^ round) % l as u64) as usize
 }
 
-/// Replays one barrier's decision logs into `state` in the seeded
-/// rotation beginning at `start`. With `skip = Some(j)` loader `j`'s
-/// log is omitted — that is the **delta merge**: a local state that
-/// already applied its own decisions at placement time only needs the
-/// *other* loaders' logs to land exactly equal to the refreshed global
-/// (replay is order-commutative, see the module doc), without cloning
-/// an `O(n)` snapshot per barrier. Shared by the modelled loaders here
-/// and the threaded backend in [`crate::exec`].
-pub(crate) fn apply_vertex_decisions(
-    state: &mut VertexStreamState,
-    decisions: &[Vec<(u32, PartitionId)>],
-    start: usize,
-    skip: Option<usize>,
-) {
-    let l = decisions.len();
-    for step in 0..l {
-        let j = (start + step) % l;
-        if skip == Some(j) {
-            continue;
-        }
-        for &(v, p) in &decisions[j] {
-            state.assign(v, p);
-        }
-    }
+/// Replays one barrier's decision `logs` into a loader's view in the
+/// seeded rotation beginning at `start`, skipping loader `own`'s log:
+/// that delta lands the view exactly on the post-barrier state (replay
+/// is order-commutative, see the module doc).
+fn replay<D>(logs: &[Vec<D>], start: usize, own: usize, apply: impl FnMut(&D)) {
+    let l = logs.len();
+    let others = (start..start + l).map(|j| j % l).filter(|&j| j != own);
+    others.flat_map(|j| &logs[j]).for_each(apply);
 }
 
-/// Edge-stream twin of [`apply_vertex_decisions`]: replays replica /
-/// degree / load updates, with the same optional skip-own-log delta
-/// form.
-pub(crate) fn apply_edge_decisions(
-    state: &mut EdgeStreamState,
-    decisions: &[Vec<(Edge, PartitionId)>],
-    start: usize,
-    skip: Option<usize>,
-) {
-    let l = decisions.len();
-    for step in 0..l {
-        let j = (start + step) % l;
-        if skip == Some(j) {
-            continue;
-        }
-        for &(e, p) in &decisions[j] {
-            state.record(e, p);
-        }
-    }
-}
-
-fn multi_loader_vertices(
+/// The vertex-stream rounds, every pass of a re-streaming machine
+/// included; the barrier writes each log into `owner`.
+fn vertex_loaders(
     g: &Graph,
     k: usize,
-    mut machines: Vec<Box<dyn VertexStreamPartitioner>>,
+    mut loaders: Vec<(Box<dyn VertexStreamPartitioner>, VertexStreamState)>,
     order: StreamOrder,
     lc: &LoaderConfig,
+    threads: bool,
     seal: VertexSeal,
-) -> Partitioning {
+) -> (Partitioning, u64) {
     let (l, t) = lc.clamped();
-    let passes = machines.first().map(|m| m.passes()).unwrap_or(1);
-    let mut global = VertexStreamState::new(g.num_vertices(), k);
-    let mut locals: Vec<VertexStreamState> = vec![global.clone(); l];
-    let mut decisions: Vec<Vec<(u32, PartitionId)>> = vec![Vec::new(); l];
+    let passes = loaders.first().map(|(m, _)| m.passes()).unwrap_or(1);
+    // Vertices never streamed stay on partition 0, as in the sequential seal.
+    let mut owner = vec![0 as PartitionId; g.num_vertices()];
+    let mut logs: Vec<Vec<(VertexId, PartitionId)>> = vec![Vec::new(); l];
     let mut source = VertexStreamSource::new(g, order);
-    let mut block = Vec::new();
-    let mut round: u64 = 0;
+    let (mut block, mut start, mut round) = (Vec::new(), 0, 0);
     for _pass in 0..passes {
         source.restart();
         while source.next_chunk(l.saturating_mul(t), &mut block) > 0 {
-            for d in &mut decisions {
-                d.clear();
+            logs = each_loader(&mut loaders, threads, |j, (machine, view)| {
+                replay(&logs, start, j, |&(v, p)| view.assign(v, p));
+                let stride = block.iter().skip(j).step_by(l);
+                let place = |rec: &_| {
+                    let p = machine.place(rec, view);
+                    debug_assert!((p as usize) < k, "partitioner returned out-of-range id");
+                    view.assign(rec.vertex, p);
+                    (rec.vertex, p)
+                };
+                stride.map(place).collect()
+            });
+            for &(v, p) in logs.iter().flatten() {
+                owner[v as usize] = p;
             }
-            // Each loader places its stride against its stale local view.
-            for (i, rec) in block.iter().enumerate() {
-                let j = i % l;
-                let p = machines[j].place(rec, &locals[j]);
-                debug_assert!((p as usize) < k, "partitioner returned out-of-range id");
-                locals[j].assign(rec.vertex, p);
-                decisions[j].push((rec.vertex, p));
-            }
-            // Barrier: replay all decision logs into the global state
-            // in a seeded rotation of the loader order, and the *other*
-            // loaders' logs into each local — a compact delta that
-            // leaves every local equal to the refreshed global without
-            // an O(n) clone per barrier.
-            let start = merge_start(lc.seed, round, l);
-            apply_vertex_decisions(&mut global, &decisions, start, None);
-            for (j, local) in locals.iter_mut().enumerate() {
-                apply_vertex_decisions(local, &decisions, start, Some(j));
-            }
+            start = merge_start(lc.seed, round, l);
             round += 1;
         }
     }
-    seal.apply(g, k, owner_from_assignment(global.assignment)).0
+    (seal.apply(g, k, owner).0, round)
 }
 
-fn multi_loader_edges(
+/// The edge-stream rounds; the barrier writes each log into
+/// `edge_parts`.
+fn edge_loaders(
     g: &Graph,
     k: usize,
-    mut machines: Vec<Box<dyn EdgeStreamPartitioner>>,
+    mut loaders: Vec<(Box<dyn EdgeStreamPartitioner>, EdgeStreamState)>,
     order: StreamOrder,
     lc: &LoaderConfig,
-) -> Partitioning {
+    threads: bool,
+) -> (Partitioning, u64) {
     let (l, t) = lc.clamped();
-    let mut global = EdgeStreamState::new(g.num_vertices(), k);
-    let mut locals: Vec<EdgeStreamState> = vec![global.clone(); l];
-    let mut decisions: Vec<Vec<(Edge, PartitionId)>> = vec![Vec::new(); l];
     let mut edge_parts = vec![0 as PartitionId; g.num_edges()];
+    let mut logs: Vec<Vec<(Edge, PartitionId)>> = vec![Vec::new(); l];
     let mut source = EdgeStreamSource::new(g, order);
-    let mut block: Vec<Edge> = Vec::new();
-    let mut round: u64 = 0;
+    let (mut block, mut start, mut round) = (Vec::new(), 0, 0);
     while source.next_chunk(l.saturating_mul(t), &mut block) > 0 {
-        for d in &mut decisions {
-            d.clear();
-        }
-        for (i, &e) in block.iter().enumerate() {
-            let j = i % l;
-            let p = machines[j].place(e, &locals[j]);
-            debug_assert!((p as usize) < k, "partitioner returned out-of-range id");
-            locals[j].record(e, p);
+        logs = each_loader(&mut loaders, threads, |j, (machine, view)| {
+            replay(&logs, start, j, |&(e, p)| view.record(e, p));
+            let stride = block.iter().skip(j).step_by(l);
+            let place = |&e: &Edge| {
+                let p = machine.place(e, view);
+                debug_assert!((p as usize) < k, "partitioner returned out-of-range id");
+                view.record(e, p);
+                (e, p)
+            };
+            stride.map(place).collect()
+        });
+        // In block order: a multigraph's parallel edges share one slot,
+        // and the later arrival keeps it.
+        for (i, e) in block.iter().enumerate() {
             #[expect(
                 clippy::expect_used,
                 reason = "block edges come from a stream over g, so the CSR lookup cannot miss"
             )]
             let idx = g.edge_index(e.src, e.dst).expect("stream edge exists in graph");
-            edge_parts[idx] = p;
-            decisions[j].push((e, p));
+            edge_parts[idx] = logs[i % l][i / l].1;
         }
-        let start = merge_start(lc.seed, round, l);
-        apply_edge_decisions(&mut global, &decisions, start, None);
-        for (j, local) in locals.iter_mut().enumerate() {
-            apply_edge_decisions(local, &decisions, start, Some(j));
-        }
+        start = merge_start(lc.seed, round, l);
         round += 1;
     }
-    Partitioning::from_edge_parts(g, k, edge_parts)
+    (Partitioning::from_edge_parts(g, k, edge_parts), round)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::partition_threaded;
     use crate::metrics;
     use crate::registry::partition;
     use sgp_graph::generators::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
+    use sgp_graph::GraphBuilder;
 
     fn graph() -> Graph {
         erdos_renyi(ErdosRenyiConfig { vertices: 400, edges: 2400, seed: 31 })
@@ -368,5 +344,184 @@ mod tests {
                 assert!(owner.iter().all(|&x| (x as usize) < 4), "{alg}");
             }
         }
+    }
+
+    /// Every rotation of one barrier's disjoint-vertex logs lands a view
+    /// on the same state, whichever loader's log it skips: the rotation
+    /// pins down the procedure, not the outcome.
+    #[test]
+    fn replay_is_invariant_to_the_rotation() {
+        let logs: Vec<Vec<(u32, PartitionId)>> =
+            vec![vec![(0, 1), (3, 2)], vec![(1, 0), (4, 1)], vec![(2, 2), (5, 0)]];
+        let view = |start, own| {
+            let mut view = VertexStreamState::new(6, 3);
+            replay(&logs, start, own, |&(v, p)| view.assign(v, p));
+            view
+        };
+        // `own = 3` names no loader, so nothing is skipped.
+        for own in 0..4 {
+            let base = view(0, own);
+            for seed in 0..32u64 {
+                let rotated = view(merge_start(seed, seed / 4, logs.len()), own);
+                assert_eq!(base.assignment, rotated.assignment, "own {own} seed {seed}");
+                assert_eq!(base.sizes, rotated.sizes, "own {own} seed {seed}");
+            }
+        }
+    }
+
+    /// The loader counts the pinned digests are kept per.
+    const DIGEST_LOADERS: [usize; 4] = [2, 3, 4, 8];
+
+    /// The digest grid's orders.
+    const DIGEST_ORDERS: [StreamOrder; 4] = [
+        StreamOrder::Natural,
+        StreamOrder::Bfs,
+        StreamOrder::Dfs,
+        StreamOrder::Random { seed: 13 },
+    ];
+
+    /// One digest per algorithm (in [`Algorithm::all`] order) and loader
+    /// count (in [`DIGEST_LOADERS`] order) over the full grid, captured
+    /// from the modelled loaders before the threads backend became
+    /// their thread-scoped twin.
+    const PINNED_FULL: [[u64; 4]; 14] = [
+        [0x9a8dfb1505880891, 0x9a8dfb1505880891, 0x9a8dfb1505880891, 0x9a8dfb1505880891],
+        [0x19f61f3f2d98d699, 0xc88fa548c1899425, 0xf629965ebdf02e07, 0x57fc6db1defcc77c],
+        [0xbde58c59eed9e5e5, 0xbde58c59eed9e5e5, 0xbde58c59eed9e5e5, 0xbde58c59eed9e5e5],
+        [0xa161d46af8f209a2, 0x3f2a5db51cfe8b5a, 0x97365b1915bcb26a, 0xed6eb698010d7bfc],
+        [0x2809e184aa20248a, 0x88e35d1f4387e699, 0xec7b8b1c9d425dfd, 0x56d8d03ea192ae57],
+        [0xef402f07bdcfd0ed, 0xef402f07bdcfd0ed, 0xef402f07bdcfd0ed, 0xef402f07bdcfd0ed],
+        [0x5ca983a7864935ea, 0x7298b574466d192c, 0xc1b86f03c1a37f4c, 0xe3b624b9846bbe79],
+        [0x2c42d9cc17089b7d, 0x2c42d9cc17089b7d, 0x2c42d9cc17089b7d, 0x2c42d9cc17089b7d],
+        [0x456c0a57764328ab, 0x5c093b878a794432, 0x02157eca27328786, 0x83ab52fac7011a3a],
+        [0xae2b7208cac4cf15, 0x8c43d7cdfefa1738, 0x6f1115af1d028d31, 0xce9c057cc015b88d],
+        [0x369b6741a59364c9, 0x11ff7ede4d5f2496, 0xf7c4bcf490b7df79, 0x84e6374008827e21],
+        [0xd2f661150e0bfd83, 0x0e57a4c08152d570, 0xf801cb97df8a6c02, 0x1d70c7b2e9f703a8],
+        [0x856d9379a973bcbd, 0x856d9379a973bcbd, 0x856d9379a973bcbd, 0x856d9379a973bcbd],
+        [0xf5468a02b69b4af4, 0xf5468a02b69b4af4, 0xf5468a02b69b4af4, 0xf5468a02b69b4af4],
+    ];
+
+    /// The same for the slice that runs under `cargo test`.
+    const PINNED_SLICE: [[u64; 4]; 14] = [
+        [0x2b57272de2874c45, 0x2b57272de2874c45, 0x2b57272de2874c45, 0x2b57272de2874c45],
+        [0x55e5b83992cc4905, 0x654de6ee3653d2b0, 0xb73f77129eb4bb38, 0x818d19be47dadf46],
+        [0x64311a9043863fa5, 0x64311a9043863fa5, 0x64311a9043863fa5, 0x64311a9043863fa5],
+        [0xab37aa57f49f8788, 0x57a6248d8b57c83e, 0x81fced9214d7458a, 0x14e8c6d45b173536],
+        [0x6f7694d96e893b69, 0xc5401480939c4c76, 0xda33de48ef91039b, 0x0dc6af62b028994c],
+        [0xa00ad229748706cd, 0xa00ad229748706cd, 0xa00ad229748706cd, 0xa00ad229748706cd],
+        [0x6eb8b079aff5560d, 0x341ab3e7c39cb59b, 0x6fd892cd65777d8d, 0x9efc8310c7c541cd],
+        [0x179c394ff1e6eb3d, 0x179c394ff1e6eb3d, 0x179c394ff1e6eb3d, 0x179c394ff1e6eb3d],
+        [0x4bf134cfdbcff509, 0x9461e0e68568ad10, 0x1087a6bceafd54ae, 0x1ca574ff97d89c91],
+        [0x37335c8a767934b0, 0xd7e0aa53639d4806, 0x70ce75e5811b56af, 0x48d9fd4d095eb88b],
+        [0xd27addaacb603181, 0x2febef05b4fc9eb8, 0xf113c9e01e54b861, 0x359c62968ff2dd7d],
+        [0xa8ec43438557f209, 0x399fcf7e581d270e, 0x750ec16b228f1032, 0xe6d240efb507cc58],
+        [0x847b873f37daa56d, 0x847b873f37daa56d, 0x847b873f37daa56d, 0x847b873f37daa56d],
+        [0x3f82ce2d000e75e3, 0x3f82ce2d000e75e3, 0x3f82ce2d000e75e3, 0x3f82ce2d000e75e3],
+    ];
+
+    /// Sparse random, skewed R-MAT, and a multigraph with self-loops
+    /// (two stream edges then share one `edge_index` slot).
+    fn digest_graphs() -> [Graph; 3] {
+        let base = erdos_renyi(ErdosRenyiConfig { vertices: 120, edges: 500, seed: 5 });
+        let multi = GraphBuilder::new()
+            .keep_duplicates(true)
+            .keep_self_loops(true)
+            .extend_edges(base.edges())
+            .extend_edges(base.edges().step_by(3))
+            .extend_edges((0..120).step_by(7).map(|v| Edge::new(v, v)))
+            .build();
+        [
+            erdos_renyi(ErdosRenyiConfig { vertices: 200, edges: 1200, seed: 47 }),
+            rmat(RmatConfig { scale: 8, edge_factor: 6, ..RmatConfig::default() }),
+            multi,
+        ]
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(h, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    type LoaderRun =
+        fn(&Graph, Algorithm, &PartitionerConfig, StreamOrder, &LoaderConfig) -> Partitioning;
+
+    /// The digest table of `run` over graphs × `ks` × [`DIGEST_ORDERS`]
+    /// × `intervals`, one entry per (algorithm, loader count).
+    fn loader_digests(
+        graphs: &[Graph],
+        ks: &[usize],
+        intervals: &[usize],
+        run: LoaderRun,
+    ) -> [[u64; 4]; 14] {
+        let mut table = [[0; 4]; 14];
+        for (a, &alg) in Algorithm::all().iter().enumerate() {
+            for (i, &l) in DIGEST_LOADERS.iter().enumerate() {
+                let mut h = 0xcbf2_9ce4_8422_2325;
+                for g in graphs {
+                    for &k in ks {
+                        let cfg = PartitionerConfig::new(k);
+                        for order in DIGEST_ORDERS {
+                            for &t in intervals {
+                                let lc = LoaderConfig::new(l).with_sync_interval(t);
+                                let p = run(g, alg, &cfg, order, &lc);
+                                h = fnv(h, [p.k as u64, p.model as u64]);
+                                h = fnv(h, p.edge_parts.iter().map(|&x| u64::from(x)));
+                                let owner = p.vertex_owner.as_deref().unwrap_or(&[]);
+                                h = fnv(h, [p.vertex_owner.is_some() as u64]);
+                                h = fnv(h, owner.iter().map(|&x| u64::from(x)));
+                            }
+                        }
+                    }
+                }
+                table[a][i] = h;
+            }
+        }
+        table
+    }
+
+    /// Names every (algorithm, L) whose digest moved; on a mismatch
+    /// also prints the table in the form of the pinned constants.
+    fn assert_pinned(what: &str, got: &[[u64; 4]; 14], pinned: &[[u64; 4]; 14]) {
+        let mut mismatches = Vec::new();
+        for (a, &alg) in Algorithm::all().iter().enumerate() {
+            for (i, &l) in DIGEST_LOADERS.iter().enumerate() {
+                if got[a][i] != pinned[a][i] {
+                    mismatches.push(format!("{alg} L={l}"));
+                }
+            }
+        }
+        println!("{what}: {} digests, {} mismatches", 14 * DIGEST_LOADERS.len(), mismatches.len());
+        if !mismatches.is_empty() {
+            for row in got {
+                println!(
+                    "        [{:#018x}, {:#018x}, {:#018x}, {:#018x}],",
+                    row[0], row[1], row[2], row[3]
+                );
+            }
+        }
+        assert!(mismatches.is_empty(), "{what} moved: {mismatches:?}");
+    }
+
+    /// A slice of the pinned grid, modelled and on threads (the
+    /// multigraph alone: its parallel edges pin the barrier's
+    /// block-order write).
+    #[test]
+    fn loader_outputs_match_the_pinned_slice() {
+        let [_, _, multi] = digest_graphs();
+        let graphs = [multi];
+        let modelled = loader_digests(&graphs, &[7], &[5], partition_multi_loader);
+        assert_pinned("modelled loader slice", &modelled, &PINNED_SLICE);
+        let threaded = loader_digests(&graphs, &[7], &[5], partition_threaded);
+        assert_pinned("threaded loader slice", &threaded, &PINNED_SLICE);
+    }
+
+    /// The full pinned grid (8064 runs): `cargo test --release -p
+    /// sgp-partition --lib -- --ignored`.
+    #[test]
+    #[ignore = "full grid; run in release"]
+    fn loader_outputs_match_the_pinned_grid() {
+        let full =
+            loader_digests(&digest_graphs(), &[2, 7, 64, 130], &[1, 5, 64], partition_multi_loader);
+        assert_pinned("modelled loader grid", &full, &PINNED_FULL);
     }
 }

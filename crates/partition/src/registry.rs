@@ -9,7 +9,7 @@ use crate::decisions::DecisionStats;
 use crate::edge_cut::{Fennel, HashVertex, Ldg, Restream, VertexStreamPartitioner};
 use crate::exec::run_threaded;
 use crate::hybrid::{high_degree_threshold, GingerVertex};
-use crate::loaders::{run_modelled, LoaderConfig};
+use crate::loaders::{run_loaders, LoaderConfig};
 use crate::metis::MultilevelPartitioner;
 use crate::streaming::{
     drive_edge_stream, drive_vertex_stream, EdgeIngest, VertexIngest, VertexSeal,
@@ -500,7 +500,7 @@ impl Run<'_> {
     /// element counts) and flushes the per-algorithm decision counters —
     /// balance tie-breaks, hybrid degree-threshold hits, vertex-cut
     /// mirror creations; it honours [`PartitionerConfig::window`]. A
-    /// threaded run counts its worker threads
+    /// threaded run counts its loader threads
     /// ([`keys::PARTITION_EXEC_THREADS`]) and synchronization rounds
     /// ([`keys::PARTITION_EXEC_BARRIER_ROUNDS`]). Algorithms without
     /// [loader support](Algorithm::supports_parallel_loaders) run
@@ -532,7 +532,7 @@ impl Run<'_> {
         let splits = algorithm.supports_parallel_loaders();
         match exec {
             Exec::Loaders(lc) if splits => {
-                run_modelled(g, cfg.k, algorithm.boxed(g, cfg), order, lc)
+                run_loaders(g, cfg.k, algorithm.boxed(g, cfg), order, lc, false).0
             }
             Exec::Threads(lc) if splits => {
                 run_threaded(g, cfg.k, algorithm.boxed(g, cfg), order, lc, sink)

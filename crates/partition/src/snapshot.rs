@@ -339,6 +339,10 @@ pub(crate) fn restore_into<'g>(
                 if s >= g.num_vertices() as u64 || d >= g.num_vertices() as u64 {
                     return Err(bad);
                 }
+                // A buffered edge is placed into its CSR slot at seal.
+                if g.edge_index(s as u32, d as u32).is_none() {
+                    return Err(bad);
+                }
                 parsed.window_edges.push((s as u32, d as u32));
             }
             _ => return Err(bad),
@@ -576,6 +580,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A `we` record naming a vertex pair that is no edge of the graph
+    /// is malformed: restoring it used to succeed, and `seal` then
+    /// panicked looking up the edge's slot.
+    #[test]
+    fn window_edge_not_in_the_graph_is_rejected() {
+        let g = graph();
+        let cfg = PartitionerConfig::new(4).with_window(3);
+        let mut snap = String::new();
+        drive_facade(&g, Algorithm::Hdrf, &cfg, StreamOrder::Natural, 16, |sp, fed| {
+            if fed == 2 {
+                snap = sp.snapshot();
+            }
+        });
+        let (idx, line) =
+            snap.lines().enumerate().find(|(_, l)| l.starts_with("we ")).expect("a buffered edge");
+        let n = g.num_vertices() as u32;
+        let (s, d) = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (s, d)))
+            .find(|&(s, d)| g.edge_index(s, d).is_none())
+            .expect("the graph is not complete");
+        let tampered = snap.replacen(line, &format!("we {s} {d}"), 1);
+        let err = restore_err(&g, Algorithm::Hdrf, &cfg, &tampered);
+        assert_eq!(err, SnapshotError::Malformed { line: idx + 1 });
+        // The untampered snapshot restores and seals.
+        let restored = StreamingPartitioner::restore(&g, Algorithm::Hdrf, &cfg, &snap).unwrap();
+        assert_eq!(restored.seal().edge_parts.len(), g.num_edges());
     }
 
     #[test]

@@ -239,9 +239,10 @@ impl EdgeStreamState {
 
 /// A streaming partitioner over edge streams.
 ///
-/// `Send` is a supertrait: the multi-loader layer ships boxed machines
-/// to worker threads in [`crate::exec`], and every implementor is plain
-/// owned data (counters and vectors), so the bound costs nothing.
+/// `Send` is a supertrait: under [`crate::exec`] each loader's boxed
+/// machine runs its round on a scoped thread of its own, and every
+/// implementor is plain owned data (counters and vectors), so the bound
+/// costs nothing.
 pub trait EdgeStreamPartitioner: Send {
     /// Chooses a partition for the arriving edge given the shared state.
     fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId;
@@ -597,7 +598,7 @@ impl EdgeStreamPartitioner for Hdrf {
 pub(crate) mod tests {
     use super::*;
     use crate::edge_cut::tests::{assert_no_twin_mismatch, Tally};
-    use crate::loaders::{partition_multi_loader, run_modelled, LoaderConfig};
+    use crate::loaders::{partition_multi_loader, run_loaders, LoaderConfig};
     use crate::metrics;
     use crate::registry::{Algorithm, Boxed};
     use crate::snapshot::restore_into;
@@ -1203,7 +1204,8 @@ pub(crate) mod tests {
                 let lc = LoaderConfig::new(loaders).with_sync_interval(8);
                 let par = partition_multi_loader(g, algorithm, cfg, order, &lc).edge_parts;
                 let twin_par =
-                    run_modelled(g, k, reference_machines(algorithm, cfg, m), order, &lc)
+                    run_loaders(g, k, reference_machines(algorithm, cfg, m), order, &lc, false)
+                        .0
                         .edge_parts;
                 tally.expect_eq("loader placements", at, par, twin_par);
             }
