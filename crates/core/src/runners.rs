@@ -13,10 +13,10 @@ use sgp_engine::{run_program, run_program_with, EngineError, EngineOptions, Plac
 use sgp_fault::FaultPlan;
 use sgp_graph::{ChurnConfig, ChurnStream, Graph, StreamOrder};
 use sgp_partition::metis::MultilevelPartitioner;
-use sgp_partition::metrics::QualityReport;
+use sgp_partition::metrics::{edge_cut_ratio_from_owner, QualityReport};
 use sgp_partition::{
-    cut_edges, partition, partition_multi_loader, plan_rebalance, run_vertex_stream, Algorithm,
-    LoaderConfig, MigrationConfig, MigrationStrategy, PartitionId, PartitionerConfig, Partitioning,
+    partition, partition_multi_loader, plan_rebalance, run_vertex_stream, Algorithm, LoaderConfig,
+    MigrationConfig, MigrationStrategy, PartitionId, PartitionerConfig, Partitioning,
 };
 use sgp_trace::{keys, NullSink, TraceSink};
 
@@ -978,15 +978,6 @@ pub struct ChurnRow {
     pub final_cut_ratio: f64,
 }
 
-/// Cut ratio of `owner` over `g` (0 when the graph has no edges).
-fn churn_cut_ratio(g: &Graph, owner: &[PartitionId]) -> f64 {
-    if g.num_edges() == 0 {
-        0.0
-    } else {
-        cut_edges(g, owner) as f64 / g.num_edges() as f64
-    }
-}
-
 /// Max/avg per-partition edge load, charging each edge to its source's
 /// partition (the edge-cut store's placement rule). Insertions and
 /// deletions shift this without any owner changing, so it is the
@@ -1035,7 +1026,7 @@ pub(crate) fn churn_suite_traced<S: TraceSink>(
         let alg = method.algorithm();
         let mut owner = partition(g, alg, &pcfg, default_order()).masters(g);
         let mut cur = g.clone();
-        let mut baseline_cut = churn_cut_ratio(&cur, &owner);
+        let mut baseline_cut = edge_cut_ratio_from_owner(&cur, &owner);
         let mut repartitions = 0usize;
         let mut moved = 0u64;
         let mut batches = 0usize;
@@ -1044,7 +1035,7 @@ pub(crate) fn churn_suite_traced<S: TraceSink>(
             cur = batch.graph;
             batches += 1;
             let imbalance = churn_edge_imbalance(&cur, &owner, cfg.k);
-            let cut = churn_cut_ratio(&cur, &owner);
+            let cut = edge_cut_ratio_from_owner(&cur, &owner);
             if imbalance <= cfg.imbalance_trigger
                 && cut <= baseline_cut * cfg.cut_degradation_trigger
             {
@@ -1073,12 +1064,12 @@ pub(crate) fn churn_suite_traced<S: TraceSink>(
                     owner = plan.apply(&owner);
                 }
             }
-            baseline_cut = churn_cut_ratio(&cur, &owner);
+            baseline_cut = edge_cut_ratio_from_owner(&cur, &owner);
         }
         sink.counter_add(keys::PARTITION_CHURN_BATCHES, mi as u64, batches as u64);
         sink.counter_add(keys::PARTITION_CHURN_REPARTITIONS, mi as u64, repartitions as u64);
         sink.counter_add(keys::PARTITION_CHURN_MOVED, mi as u64, moved);
-        let final_cut_ratio = churn_cut_ratio(&cur, &owner);
+        let final_cut_ratio = edge_cut_ratio_from_owner(&cur, &owner);
         let final_quality =
             QualityReport::measure(&cur, &Partitioning::from_vertex_owners(&cur, cfg.k, owner));
         rows.push(ChurnRow {

@@ -6,8 +6,8 @@
 //!
 //! The paper measures both systems on a healthy cluster; this crate
 //! supplies the failure model that turns the reproduction into a
-//! robustness testbed (DESIGN.md §7). A [`FaultPlan`] is a seeded,
-//! schema-versioned description of three fault classes:
+//! robustness testbed (DESIGN.md §7). A [`FaultPlan`] is a seeded
+//! description of four fault classes:
 //!
 //! * **machine crash** — permanent, or recovering after a delay;
 //! * **straggler** — a per-machine service-rate multiplier over a
@@ -15,7 +15,7 @@
 //! * **message loss** — a per-message drop probability applied to
 //!   cross-machine traffic, decided by a seeded hash of the message
 //!   sequence number;
-//! * **membership change** (schema v2) — scale-out, scale-in, and
+//! * **membership change** — scale-out, scale-in, and
 //!   crash-then-rejoin events that change the live cluster and oblige a
 //!   bounded-movement rebalance (DESIGN.md §11).
 //!
@@ -41,7 +41,5 @@ pub(crate) mod plan;
 pub(crate) mod retry;
 mod rng;
 
-pub use plan::{
-    FaultEvent, FaultPlan, FaultPlanConfig, MembershipKind, PlanError, FAULT_PLAN_SCHEMA_VERSION,
-};
+pub use plan::{FaultEvent, FaultPlan, FaultPlanConfig, MembershipKind, PlanError};
 pub use retry::RetryPolicy;

@@ -1,14 +1,7 @@
-//! The fault plan: a seeded, schema-versioned description of every
-//! fault a simulated run will experience.
+//! The fault plan: a seeded description of every fault a simulated run
+//! will experience.
 
 use crate::rng::{splitmix64, unit_f64, PlanRng};
-
-/// Schema version of the serialized [`FaultPlan`]. Bump on any change
-/// to the event vocabulary or the draw-stream constants — a plan only
-/// reproduces a run bit-for-bit under the schema it was written for.
-/// v2 added the [`FaultEvent::Membership`] vocabulary; v1 plans are
-/// rejected with [`PlanError::SchemaMismatch`].
-pub const FAULT_PLAN_SCHEMA_VERSION: u32 = 2;
 
 /// Draw-stream separators: each decision family hashes from a disjoint
 /// stream so message-loss draws never correlate with failover draws.
@@ -41,7 +34,7 @@ pub enum FaultEvent {
         /// Service-time multiplier, ≥ 1.
         slowdown: f64,
     },
-    /// A cluster-membership change (schema v2): the cluster's working
+    /// A cluster-membership change: the cluster's working
     /// set of machines grows, shrinks, or loses-then-regains a member.
     /// Unlike [`FaultEvent::Crash`], a membership event obliges the
     /// system to *rebalance* — the simulators charge a bounded-movement
@@ -104,11 +97,6 @@ pub enum PlanError {
     BadStragglerWindow,
     /// `message_loss` is outside `[0, 1]` or non-finite.
     BadLossProbability,
-    /// The plan was written under a different schema version.
-    SchemaMismatch {
-        /// Version found in the plan.
-        found: u32,
-    },
     /// The plan declares a zero-machine cluster.
     NoMachines,
     /// A membership event is malformed: a crash-then-rejoin without a
@@ -128,9 +116,6 @@ impl std::fmt::Display for PlanError {
             PlanError::BadLossProbability => {
                 write!(f, "message-loss probability must be a finite value in [0, 1]")
             }
-            PlanError::SchemaMismatch { found } => {
-                write!(f, "plan schema v{found} != supported v{FAULT_PLAN_SCHEMA_VERSION}")
-            }
             PlanError::NoMachines => write!(f, "plan covers zero machines"),
             PlanError::BadMembershipEvent => {
                 write!(
@@ -145,14 +130,12 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// A seeded, schema-versioned fault plan for a `machines`-node cluster.
+/// A seeded fault plan for a `machines`-node cluster.
 ///
 /// Construct with [`FaultPlan::healthy`] and the `with_*` builders, or
 /// generate a randomized plan from a seed with [`FaultPlan::generate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Schema version this plan was written under.
-    pub schema_version: u32,
     /// Seed from which every runtime draw (message loss, failover) and
     /// generated event flows.
     pub seed: u64,
@@ -167,13 +150,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan with no faults (the baseline both simulators reduce to).
     pub fn healthy(machines: usize, seed: u64) -> Self {
-        FaultPlan {
-            schema_version: FAULT_PLAN_SCHEMA_VERSION,
-            seed,
-            machines,
-            message_loss: 0.0,
-            events: Vec::new(),
-        }
+        FaultPlan { seed, machines, message_loss: 0.0, events: Vec::new() }
     }
 
     /// Adds a permanent crash of `machine` at `at_ns`.
@@ -330,9 +307,6 @@ impl FaultPlan {
     /// Checks internal consistency; both simulators call this before
     /// running.
     pub fn validate(&self) -> Result<(), PlanError> {
-        if self.schema_version != FAULT_PLAN_SCHEMA_VERSION {
-            return Err(PlanError::SchemaMismatch { found: self.schema_version });
-        }
         if self.machines == 0 {
             return Err(PlanError::NoMachines);
         }
@@ -546,13 +520,6 @@ mod tests {
         assert_eq!(bad.validate(), Err(PlanError::BadStragglerWindow));
         let slow = FaultPlan::healthy(2, 1).with_straggler(0, 0, 10, 0.5);
         assert_eq!(slow.validate(), Err(PlanError::BadStragglerWindow));
-        let mut old = FaultPlan::healthy(2, 1);
-        old.schema_version = 0;
-        assert_eq!(old.validate(), Err(PlanError::SchemaMismatch { found: 0 }));
-        // v1 plans (pre-membership vocabulary) are rejected, not coerced.
-        let mut v1 = FaultPlan::healthy(2, 1);
-        v1.schema_version = 1;
-        assert_eq!(v1.validate(), Err(PlanError::SchemaMismatch { found: 1 }));
         let no_rejoin = FaultPlan::healthy(2, 1).with_crash_rejoin(0, 10, 0);
         assert_eq!(no_rejoin.validate(), Err(PlanError::BadMembershipEvent));
         let mut stray = FaultPlan::healthy(2, 1).with_scale_in(0, 10);

@@ -17,6 +17,7 @@
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
 use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
+use crate::kernels;
 use sgp_graph::stream::VertexRecord;
 
 /// LDG with the partition-size term replaced by an arbitrary vertex
@@ -26,10 +27,12 @@ pub struct AttributeLdg {
     k: usize,
     attribute: Vec<u64>,
     capacity: f64,
-    loads: Vec<u64>,
+    loads: Vec<usize>,
     assigned: Vec<PartitionId>,
-    /// Scratch neighbour histogram reused across vertices (DESIGN.md §13).
+    /// Scratch neighbour histogram and score column reused across
+    /// vertices (DESIGN.md §13).
     hist: Vec<usize>,
+    scores: Vec<f64>,
 }
 
 impl AttributeLdg {
@@ -52,6 +55,7 @@ impl AttributeLdg {
             loads: vec![0; cfg.k],
             assigned: vec![PartitionId::MAX; n],
             hist: Vec::new(),
+            scores: Vec::new(),
         }
     }
 }
@@ -59,35 +63,29 @@ impl AttributeLdg {
 impl VertexStreamPartitioner for AttributeLdg {
     #[expect(
         clippy::indexing_slicing,
-        reason = "the histogram and loads have k entries; attribute and assigned cover every vertex id of the graph"
+        reason = "loads have k entries; attribute and assigned cover every vertex id of the graph"
     )]
     fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
-        let w = self.attribute[rec.vertex as usize];
-        let mut best: Option<(f64, u64, usize)> = None;
-        for (i, &h) in self.hist.iter().enumerate() {
-            let load = self.loads[i];
-            if (load + w) as f64 > self.capacity {
-                continue;
+        let w = self.attribute[rec.vertex as usize] as usize;
+        let capacity = self.capacity;
+        let score = |(&h, &load): (&usize, &usize)| {
+            if (load + w) as f64 > capacity {
+                kernels::SKIP
+            } else {
+                (h as f64 + 1.0) * (1.0 - load as f64 / capacity)
             }
-            let score = (h as f64 + 1.0) * (1.0 - load as f64 / self.capacity);
-            let candidate = (score, load, i);
-            best = Some(match best {
-                None => candidate,
-                Some(b) if score > b.0 + 1e-12 || ((score - b.0).abs() <= 1e-12 && load < b.1) => {
-                    candidate
-                }
-                Some(b) => b,
-            });
-        }
+        };
+        self.scores.clear();
+        self.scores.extend(self.hist.iter().zip(&self.loads).map(score));
         #[expect(
             clippy::expect_used,
-            reason = "0..self.k is non-empty because PartitionerConfig::new asserts k >= 1"
+            reason = "loads has k entries and PartitionerConfig::new asserts k >= 1"
         )]
-        let target = best.map(|(_, _, i)| i).unwrap_or_else(|| {
+        let target = kernels::epsilon_argmax(&self.scores, &self.loads, &mut 0)
             // Heavy vertex that fits nowhere within slack: least loaded.
-            (0..self.k).min_by_key(|&i| self.loads[i]).expect("k >= 1")
-        });
+            .or_else(|| kernels::argmin_load(&self.loads))
+            .expect("k >= 1");
         // Re-streaming support: undo the previous pass's placement.
         let old = self.assigned[rec.vertex as usize];
         if old != PartitionId::MAX {
@@ -96,10 +94,6 @@ impl VertexStreamPartitioner for AttributeLdg {
         self.assigned[rec.vertex as usize] = target as PartitionId;
         self.loads[target] += w;
         target as PartitionId
-    }
-
-    fn name(&self) -> &'static str {
-        "aLDG"
     }
 
     fn passes(&self) -> usize {

@@ -37,8 +37,9 @@ pub struct DecisionStats {
 /// and their restreaming wrappers; all-zero elsewhere).
 ///
 /// Unlike [`DecisionStats`] these describe how a placement was computed,
-/// not what was decided: they are kept out of snapshots and traces, so a
-/// restored machine counts from zero.
+/// not what was decided, and are kept out of traces. Neither set enters a
+/// snapshot (DESIGN.md §11): no placement reads a counter, so a restored
+/// machine counts from zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkStats {
     /// Partition scores computed: each below-capacity candidate the
@@ -50,37 +51,6 @@ pub struct WorkStats {
 }
 
 impl DecisionStats {
-    /// Canonical `(field, value)` records for the snapshot layer
-    /// (DESIGN.md §11): every counter, in declaration order, so the same
-    /// state always serializes to the same bytes.
-    pub(crate) fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("balance_tiebreaks", self.balance_tiebreaks.to_string()),
-            ("capacity_fallbacks", self.capacity_fallbacks.to_string()),
-            ("degree_threshold_hits", self.degree_threshold_hits.to_string()),
-            ("mirror_creations", self.mirror_creations.to_string()),
-            ("replicas_created", self.replicas_created.to_string()),
-        ]
-    }
-
-    /// Restores one record produced by
-    /// [`snapshot_records`](DecisionStats::snapshot_records); returns
-    /// `false` on an unknown field or unparsable value.
-    pub(crate) fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        let Ok(v) = value.parse::<u64>() else {
-            return false;
-        };
-        match key {
-            "balance_tiebreaks" => self.balance_tiebreaks = v,
-            "capacity_fallbacks" => self.capacity_fallbacks = v,
-            "degree_threshold_hits" => self.degree_threshold_hits = v,
-            "mirror_creations" => self.mirror_creations = v,
-            "replicas_created" => self.replicas_created = v,
-            _ => return false,
-        }
-        true
-    }
-
     /// Emits every counter (including zeros, for schema stability) into
     /// `sink` under the `partition.*` namespace.
     pub(crate) fn flush_into<S: TraceSink>(&self, sink: &mut S) {

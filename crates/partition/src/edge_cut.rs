@@ -1,5 +1,7 @@
 //! Edge-cut SGP on vertex streams (§4.1.1 of the paper): hash, LDG,
-//! FENNEL, and the re-streaming variants of Nishimura & Ugander.
+//! FENNEL, and the re-streaming variants of Nishimura & Ugander. LDG and
+//! FENNEL are one machine, `Greedy<R>`, whose rule `R` is Eq. (4)'s or
+//! Eq. (5)'s balance term; `Ldg` and `Fennel` name its two instances.
 //!
 //! All algorithms here consume a vertex stream — each element is a
 //! vertex with its complete neighbourhood — and emit a vertex-disjoint
@@ -86,9 +88,6 @@ pub trait VertexStreamPartitioner: Send {
     /// Chooses a partition for the arriving vertex given the shared state.
     fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId;
 
-    /// Short display name (Table 2 abbreviation).
-    fn name(&self) -> &'static str;
-
     /// Number of stream passes this algorithm makes (1 for single-pass
     /// streaming, >1 for the re-streaming variants).
     fn passes(&self) -> usize {
@@ -107,19 +106,21 @@ pub trait VertexStreamPartitioner: Send {
         WorkStats::default()
     }
 
-    /// Algorithm-specific run-varying tables as canonical `(key, value)`
+    /// The private state that decides later placements, as named integer
     /// records for the snapshot layer ([`crate::snapshot`], DESIGN.md
-    /// §11). Config-pure algorithms (hash placement) have none.
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
+    /// §11), which alone formats them. Counters never enter it; machines
+    /// whose placements read only the shared state and the config have
+    /// none.
+    fn snapshot_state(&self) -> Vec<(&'static str, Vec<u64>)> {
         Vec::new()
     }
 
-    /// Restores one record produced by
-    /// [`snapshot_records`](VertexStreamPartitioner::snapshot_records);
-    /// returns `false` for an unknown key or unparsable value (the
-    /// snapshot layer surfaces that as a typed error).
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        let _ = (key, value);
+    /// Restores one record of
+    /// [`snapshot_state`](VertexStreamPartitioner::snapshot_state);
+    /// returns `false` for an unknown key or values the machine could not
+    /// have written (the snapshot layer surfaces that as a typed error).
+    fn restore_state(&mut self, key: &str, values: &[u64]) -> bool {
+        let _ = (key, values);
         false
     }
 }
@@ -150,10 +151,22 @@ impl VertexStreamPartitioner for HashVertex {
     fn place(&mut self, rec: &VertexRecord<'_>, _state: &VertexStreamState) -> PartitionId {
         self.owner(rec.vertex)
     }
+}
 
-    fn name(&self) -> &'static str {
-        "ECR"
-    }
+/// The one greedy vertex-stream machine: LDG (Eq. 4) and FENNEL
+/// (Eq. 5) are the same argmax over the partitions, each with its own
+/// balance term `rule` (Stanton & Kliot's family of weighted greedy
+/// heuristics). Capacity-saturated partitions are skipped — the greedy
+/// never overfills; the rest score the rule exactly, and ties break to
+/// the smaller partition (sizes do not change inside the fold). When
+/// every partition is at capacity the vertex goes to the globally
+/// smallest one.
+#[derive(Debug, Clone)]
+pub(crate) struct Greedy<R> {
+    stats: DecisionStats,
+    /// Scores only the partitions a neighbour sits in (DESIGN.md §13).
+    fold: kernels::CandidateFold,
+    rule: R,
 }
 
 /// Linear Deterministic Greedy (Stanton & Kliot), Eq. (4) of the paper:
@@ -164,85 +177,7 @@ impl VertexStreamPartitioner for HashVertex {
 /// additionally refuse to place into a partition at capacity, and fall
 /// back to the least-loaded partition when no neighbour information is
 /// available (the standard LDG tie-break).
-#[derive(Debug, Clone)]
-pub(crate) struct Ldg {
-    stats: DecisionStats,
-    /// Scores only the partitions a neighbour sits in (DESIGN.md §13).
-    fold: kernels::CandidateFold,
-    rule: LdgScore,
-}
-
-impl Ldg {
-    /// Creates LDG for a graph with `n` vertices.
-    pub(crate) fn new(cfg: &PartitionerConfig, n: usize) -> Self {
-        let capacity = cfg.vertex_capacity(n).max(1.0);
-        Ldg {
-            stats: DecisionStats::default(),
-            fold: kernels::CandidateFold::new(cfg.k, capacity),
-            rule: LdgScore { capacity },
-        }
-    }
-}
-
-/// Eq. (4)'s score for the candidate fold. A partition holding no
-/// neighbour scores `0 · (1 − |P_i|/C) = +0.0` at every load below
-/// capacity: a constant band.
-#[derive(Debug, Clone)]
-struct LdgScore {
-    capacity: f64,
-}
-
-impl kernels::NeighbourScore for LdgScore {
-    fn score(&mut self, _i: usize, neighbours: usize, load: usize) -> f64 {
-        neighbours as f64 * (1.0 - load as f64 / self.capacity)
-    }
-
-    fn band(&mut self, _loads: &[usize], _below: usize) -> Option<kernels::Band> {
-        Some(kernels::Band::Constant(0.0))
-    }
-}
-
-impl VertexStreamPartitioner for Ldg {
-    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
-        // Capacity-saturated partitions are skipped — LDG never
-        // overfills; the rest score Eq. (4) exactly, and ties break to
-        // the smaller partition (sizes do not change inside the fold).
-        match self.fold.place(
-            &rec.neighbors,
-            state,
-            &mut self.rule,
-            &mut self.stats.balance_tiebreaks,
-        ) {
-            Some(i) => i as PartitionId,
-            None => {
-                // All partitions at capacity (only possible with β = 1 and
-                // n divisible rounding); place in the globally smallest.
-                self.stats.capacity_fallbacks += 1;
-                argmin_size(&state.sizes)
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "LDG"
-    }
-
-    fn decision_stats(&self) -> DecisionStats {
-        self.stats
-    }
-
-    fn work_stats(&self) -> WorkStats {
-        self.fold.work
-    }
-
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        self.stats.snapshot_records()
-    }
-
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        self.stats.restore_record(key, value)
-    }
-}
+pub(crate) type Ldg = Greedy<LdgScore>;
 
 /// FENNEL (Tsourakakis et al.), Eq. (5) of the paper:
 ///
@@ -256,12 +191,24 @@ impl VertexStreamPartitioner for Ldg {
 /// (DESIGN.md §13); γ ≥ 1 is required (see [`RunError`]).
 ///
 /// [`RunError`]: crate::registry::RunError
-#[derive(Debug, Clone)]
-pub(crate) struct Fennel {
-    stats: DecisionStats,
-    /// Scores only the partitions a neighbour sits in (DESIGN.md §13).
-    fold: kernels::CandidateFold,
-    rule: FennelScore,
+pub(crate) type Fennel = Greedy<FennelScore>;
+
+impl<R> Greedy<R> {
+    fn with_rule(k: usize, capacity: f64, rule: R) -> Self {
+        Greedy {
+            stats: DecisionStats::default(),
+            fold: kernels::CandidateFold::new(k, capacity),
+            rule,
+        }
+    }
+}
+
+impl Ldg {
+    /// Creates LDG for a graph with `n` vertices.
+    pub(crate) fn new(cfg: &PartitionerConfig, n: usize) -> Self {
+        let capacity = cfg.vertex_capacity(n).max(1.0);
+        Greedy::with_rule(cfg.k, capacity, LdgScore { capacity })
+    }
 }
 
 impl Fennel {
@@ -281,11 +228,50 @@ impl Fennel {
             load_penalty: kernels::LoadTermMemo::new(cfg.k),
             separated: kernels::SeparatedLoads::new(),
         };
-        Fennel {
-            stats: DecisionStats::default(),
-            fold: kernels::CandidateFold::new(cfg.k, capacity),
-            rule,
+        Greedy::with_rule(cfg.k, capacity, rule)
+    }
+}
+
+impl<R: kernels::NeighbourScore + Send> VertexStreamPartitioner for Greedy<R> {
+    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
+        match self.fold.place(
+            &rec.neighbors,
+            state,
+            &mut self.rule,
+            &mut self.stats.balance_tiebreaks,
+        ) {
+            Some(i) => i as PartitionId,
+            None => {
+                self.stats.capacity_fallbacks += 1;
+                argmin_size(&state.sizes)
+            }
         }
+    }
+
+    fn decision_stats(&self) -> DecisionStats {
+        self.stats
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.fold.work
+    }
+}
+
+/// Eq. (4)'s score for the candidate fold. A partition holding no
+/// neighbour scores `0 · (1 − |P_i|/C) = +0.0` at every load below
+/// capacity: a constant band.
+#[derive(Debug, Clone)]
+pub(crate) struct LdgScore {
+    capacity: f64,
+}
+
+impl kernels::NeighbourScore for LdgScore {
+    fn score(&mut self, _i: usize, neighbours: usize, load: usize) -> f64 {
+        neighbours as f64 * (1.0 - load as f64 / self.capacity)
+    }
+
+    fn band(&mut self, _loads: &[usize], _below: usize) -> Option<kernels::Band> {
+        Some(kernels::Band::Constant(0.0))
     }
 }
 
@@ -294,7 +280,7 @@ impl Fennel {
 /// otherwise separated wherever adjacent loads' penalties differ by more
 /// than ε.
 #[derive(Debug, Clone)]
-struct FennelScore {
+pub(crate) struct FennelScore {
     alpha: f64,
     gamma: f64,
     /// The band's score when it does not depend on load.
@@ -333,43 +319,6 @@ impl kernels::NeighbourScore for FennelScore {
     }
 }
 
-impl VertexStreamPartitioner for Fennel {
-    fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
-        match self.fold.place(
-            &rec.neighbors,
-            state,
-            &mut self.rule,
-            &mut self.stats.balance_tiebreaks,
-        ) {
-            Some(i) => i as PartitionId,
-            None => {
-                self.stats.capacity_fallbacks += 1;
-                argmin_size(&state.sizes)
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "FNL"
-    }
-
-    fn decision_stats(&self) -> DecisionStats {
-        self.stats
-    }
-
-    fn work_stats(&self) -> WorkStats {
-        self.fold.work
-    }
-
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        self.stats.snapshot_records()
-    }
-
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        self.stats.restore_record(key, value)
-    }
-}
-
 /// Re-streaming wrapper (Nishimura & Ugander, Table 1's "Restreaming
 /// LDG" / "Re-FENNEL"): runs the inner heuristic for `passes` passes over
 /// the same stream; passes ≥ 2 see the *full* previous assignment, which
@@ -379,29 +328,19 @@ impl VertexStreamPartitioner for Fennel {
 pub(crate) struct Restream<P> {
     inner: P,
     passes: usize,
-    name: &'static str,
 }
 
 impl<P: VertexStreamPartitioner> Restream<P> {
     /// Wraps `inner`, running `passes` total stream passes.
     pub(crate) fn new(inner: P, passes: usize) -> Self {
         assert!(passes >= 1, "need at least one pass");
-        let name = match inner.name() {
-            "LDG" => "reLDG",
-            "FNL" => "reFNL",
-            _ => "re*",
-        };
-        Restream { inner, passes, name }
+        Restream { inner, passes }
     }
 }
 
 impl<P: VertexStreamPartitioner> VertexStreamPartitioner for Restream<P> {
     fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         self.inner.place(rec, state)
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
     }
 
     fn passes(&self) -> usize {
@@ -414,14 +353,6 @@ impl<P: VertexStreamPartitioner> VertexStreamPartitioner for Restream<P> {
 
     fn work_stats(&self) -> WorkStats {
         self.inner.work_stats()
-    }
-
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        self.inner.snapshot_records()
-    }
-
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        self.inner.restore_record(key, value)
     }
 }
 
@@ -440,7 +371,7 @@ pub(crate) mod tests {
     use crate::metrics;
     use crate::registry::{Algorithm, Boxed};
     use crate::snapshot::restore_into;
-    use crate::streaming::{run_vertex_stream, StreamingPartitioner, VertexSeal};
+    use crate::streaming::{run_vertex_stream, Machine, StreamingPartitioner, VertexSeal};
     use sgp_graph::generators::{
         erdos_renyi, road_grid, snb_social, ErdosRenyiConfig, RoadConfig, SnbConfig,
     };
@@ -705,8 +636,7 @@ pub(crate) mod tests {
                     assert_eq!(
                         after.score_evals - before.score_evals,
                         candidates.len() as u64,
-                        "{} scored a partition without a neighbour at {}",
-                        machine.name(),
+                        "a partition without a neighbour was scored at {}",
                         rec.vertex
                     );
                 }
@@ -725,29 +655,37 @@ pub(crate) mod tests {
         // partitions fill, an empty one's −pen(0) outscores a neighbour's
         // 1 − pen(|P_i|), and the candidate fold leaves every record a
         // non-candidate may win to the full fold.
-        let cells: [(Box<dyn VertexStreamPartitioner>, WorkStats, u64); 4] = [
-            (Box::new(Ldg::new(&c, n)), WorkStats { score_evals: 11_444, full_folds: 147 }, 5),
+        let cells: [(&str, Box<dyn VertexStreamPartitioner>, WorkStats, u64); 4] = [
             (
+                "LDG",
+                Box::new(Ldg::new(&c, n)),
+                WorkStats { score_evals: 11_444, full_folds: 147 },
+                5,
+            ),
+            (
+                "FNL",
                 Box::new(Fennel::new(&c, n, m)),
                 WorkStats { score_evals: 51_488, full_folds: 730 },
                 20,
             ),
             (
+                "reLDG",
                 Box::new(Restream::new(Ldg::new(&c, n), 5)),
                 WorkStats { score_evals: 37_261, full_folds: 151 },
                 5,
             ),
             (
+                "reFNL",
                 Box::new(Restream::new(Fennel::new(&c, n, m), 5)),
                 WorkStats { score_evals: 81_255, full_folds: 738 },
                 5,
             ),
         ];
-        for (mut machine, pinned, percent) in cells {
+        for (name, mut machine, pinned, percent) in cells {
             let records = (n * machine.passes()) as u64;
             let work = work_per_record(&g, &c, machine.as_mut());
-            assert_eq!(work, pinned, "{}", machine.name());
-            assert!(work.full_folds * 100 < records * percent, "{}: {work:?}", machine.name());
+            assert_eq!(work, pinned, "{name}");
+            assert!(work.full_folds * 100 < records * percent, "{name}: {work:?}");
         }
         // `run_vertex_stream` counts the same work as the hand-driven loop.
         let mut ldg = Ldg::new(&c, n);
@@ -833,20 +771,8 @@ pub(crate) mod tests {
             i as PartitionId
         }
 
-        fn name(&self) -> &'static str {
-            "FNL"
-        }
-
         fn decision_stats(&self) -> DecisionStats {
             self.stats
-        }
-
-        fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-            self.stats.snapshot_records()
-        }
-
-        fn restore_record(&mut self, key: &str, value: &str) -> bool {
-            self.stats.restore_record(key, value)
         }
     }
 
@@ -904,20 +830,8 @@ pub(crate) mod tests {
             i as PartitionId
         }
 
-        fn name(&self) -> &'static str {
-            "LDG"
-        }
-
         fn decision_stats(&self) -> DecisionStats {
             self.stats
-        }
-
-        fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-            self.stats.snapshot_records()
-        }
-
-        fn restore_record(&mut self, key: &str, value: &str) -> bool {
-            self.stats.restore_record(key, value)
         }
     }
 
@@ -950,27 +864,36 @@ pub(crate) mod tests {
         }
     }
 
+    /// The decision counters of a facade's machine (all-zero offline).
+    pub(crate) fn facade_stats(sp: &StreamingPartitioner<'_>) -> DecisionStats {
+        match &sp.machine {
+            Machine::Vertex { core, .. } => core.partitioner.decision_stats(),
+            Machine::Edge { core } => core.partitioner.decision_stats(),
+            Machine::Offline => DecisionStats::default(),
+        }
+    }
+
     /// Drives a facade over every pass of `g` in `chunk`-sized chunks,
     /// replacing the machine by `restore` of its own snapshot after chunk
-    /// `cut`; returns the sealed owners, that snapshot, and the snapshot
-    /// taken just before the seal.
+    /// `cut`; returns the sealed owners, that snapshot with the decision
+    /// counters at the cut, and the snapshot taken just before the seal.
     fn facade_with_restore<'g>(
         g: &'g Graph,
         mut sp: StreamingPartitioner<'g>,
         order: StreamOrder,
         (chunk, cut): (usize, usize),
         restore: impl Fn(&str) -> StreamingPartitioner<'g>,
-    ) -> (Option<Vec<PartitionId>>, String, String) {
+    ) -> (Option<Vec<PartitionId>>, (String, DecisionStats), String) {
         let mut source = VertexStreamSource::new(g, order);
-        let (mut buf, mut fed, mut mid) = (Vec::new(), 0, String::new());
+        let (mut buf, mut fed, mut mid) = (Vec::new(), 0, Default::default());
         for _ in 0..sp.passes() {
             source.restart();
             while source.next_chunk(chunk, &mut buf) > 0 {
                 sp.ingest_vertices(&buf).unwrap();
                 fed += 1;
                 if fed == cut {
-                    mid = sp.snapshot();
-                    sp = restore(&mid);
+                    mid = (sp.snapshot(), facade_stats(&sp));
+                    sp = restore(&mid.0);
                 }
             }
             sp.flush_window();
@@ -1109,8 +1032,9 @@ pub(crate) mod tests {
     /// builds) against `reference`. Compares the sequential owners and
     /// `DecisionStats`, the facade run through a mid-stream snapshot and
     /// restore (production's derived state is rebuilt, never restored:
-    /// owners, and the snapshot text at the cut and before the seal, byte
-    /// for byte), and the modelled loaders at L ∈ {2, 4}.
+    /// owners, the snapshot text at the cut and before the seal, byte for
+    /// byte, and the decision counters at the cut), and the modelled
+    /// loaders at L ∈ {2, 4}.
     fn twin_configuration<P, R>(
         tally: &mut Tally,
         at: &str,
@@ -1156,7 +1080,8 @@ pub(crate) mod tests {
         );
         tally.expect_eq("restored owners", at, &owners, &twin_owners);
         tally.expect_eq("restored owners vs one-shot", at, &owners, &seq);
-        tally.expect_eq("snapshot text at the cut", at, mid, twin_mid);
+        tally.expect_eq("snapshot text at the cut", at, mid.0, twin_mid.0);
+        tally.expect_eq("DecisionStats at the cut", at, mid.1, twin_mid.1);
         tally.expect_eq("snapshot text before the seal", at, end, twin_end);
 
         for loaders in [2, 4] {

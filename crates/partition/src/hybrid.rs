@@ -89,32 +89,21 @@ impl VertexStreamPartitioner for GingerVertex {
         best.1 as PartitionId
     }
 
-    fn name(&self) -> &'static str {
-        "HG"
-    }
-
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
+    fn snapshot_state(&self) -> Vec<(&'static str, Vec<u64>)> {
         // The edge-count term is placement-affecting private state, so a
         // snapshot that dropped it would diverge after restore.
-        let counts: Vec<String> = self.edge_counts.iter().map(|c| c.to_string()).collect();
-        vec![("edge_counts", counts.join(","))]
+        vec![("edge_counts", self.edge_counts.iter().map(|&c| c as u64).collect())]
     }
 
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        if key != "edge_counts" {
+    fn restore_state(&mut self, key: &str, values: &[u64]) -> bool {
+        // One count per partition, together at most the in-edges of the
+        // whole graph.
+        let m = self.in_degrees.iter().sum::<usize>() as u64;
+        let total = values.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if key != "edge_counts" || values.len() != self.k || total.is_none_or(|t| t > m) {
             return false;
         }
-        let mut counts = Vec::with_capacity(self.k);
-        for part in value.split(',') {
-            match part.parse::<usize>() {
-                Ok(c) => counts.push(c),
-                Err(_) => return false,
-            }
-        }
-        if counts.len() != self.k {
-            return false;
-        }
-        self.edge_counts = counts;
+        self.edge_counts = values.iter().map(|&c| c as usize).collect();
         true
     }
 }

@@ -10,12 +10,9 @@
 //! The closed-form expectations for uniform random placement (Appendix B
 //! and Bourse et al.) live in the tests, as oracles the hash
 //! partitioners are checked against.
-#![expect(
-    clippy::indexing_slicing,
-    reason = "fraction_cut asserts owner covers num_vertices before indexing by edge endpoints of the same graph"
-)]
 
 use crate::assignment::Partitioning;
+use crate::dynamic::cut_edges;
 use sgp_graph::Graph;
 
 /// Fraction of edges cut across partitions given a vertex ownership map.
@@ -24,8 +21,7 @@ pub fn edge_cut_ratio_from_owner(g: &Graph, owner: &[u32]) -> f64 {
     if g.num_edges() == 0 {
         return 0.0;
     }
-    let cut = g.edges().filter(|e| owner[e.src as usize] != owner[e.dst as usize]).count();
-    cut as f64 / g.num_edges() as f64
+    cut_edges(g, owner) as f64 / g.num_edges() as f64
 }
 
 /// Edge-cut ratio of a partitioning, or `None` for pure vertex-cut
@@ -90,7 +86,6 @@ impl QualityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assignment::Partitioning;
     use crate::config::PartitionerConfig;
     use crate::edge_cut::HashVertex;
     use crate::registry::{partition, Algorithm};

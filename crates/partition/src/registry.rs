@@ -380,7 +380,7 @@ impl Algorithm {
             Algorithm::HybridRandom => v.hashed_hybrid(HashVertex::new(cfg), hybrid()),
             Algorithm::Ginger => v.vertex(GingerVertex::new(cfg, g), hybrid()),
             Algorithm::Metis => v.offline(),
-            Algorithm::TwoPhaseHdrf => v.edge(TwoPhase::new(cfg, m)),
+            Algorithm::TwoPhaseHdrf => v.edge(TwoPhase::new(cfg, n, m)),
         }
     }
 

@@ -25,7 +25,8 @@
 //!   registry — callers that stream their own chunks (external
 //!   ingestion pipelines, the snapshot layer) get one uniform lifecycle
 //!   for all Table 2 algorithms, with METIS staying offline behind the
-//!   same interface.
+//!   same interface. Nothing here knows the snapshot text: `snapshot.rs`
+//!   reads and restores the machines' crate-visible fields directly.
 //!
 //! Determinism contract: for every algorithm, any chunk size (including
 //! 1 and whole-stream) yields a byte-identical [`Partitioning`] to the
@@ -60,10 +61,11 @@ pub const DEFAULT_CHUNK: usize = 1024;
 /// to a concrete one (placement monomorphises) or a boxed trait object.
 #[derive(Debug, Clone)]
 pub(crate) struct VertexIngest<P> {
-    partitioner: P,
-    state: VertexStreamState,
+    pub(crate) partitioner: P,
+    pub(crate) state: VertexStreamState,
     k: usize,
-    seq: u64,
+    /// Elements placed so far (the logical trace stamp).
+    pub(crate) seq: u64,
 }
 
 impl<P: DerefMut<Target: VertexStreamPartitioner>> VertexIngest<P> {
@@ -75,16 +77,6 @@ impl<P: DerefMut<Target: VertexStreamPartitioner>> VertexIngest<P> {
     /// Stream passes the wrapped partitioner wants (≥ 2 for restreaming).
     pub(crate) fn passes(&self) -> usize {
         self.partitioner.passes()
-    }
-
-    /// Elements placed so far (the logical trace stamp).
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Read access to the shared streaming state.
-    pub(crate) fn state(&self) -> &VertexStreamState {
-        &self.state
     }
 
     /// Ingests one bounded chunk of stream elements, placing each
@@ -147,26 +139,6 @@ impl<P: DerefMut<Target: VertexStreamPartitioner>> VertexIngest<P> {
     pub(crate) fn into_owner(self) -> Vec<PartitionId> {
         owner_from_assignment(self.state.assignment)
     }
-
-    /// Snapshot support: the wrapped partitioner.
-    pub(crate) fn partitioner(&self) -> &P::Target {
-        &self.partitioner
-    }
-
-    /// Snapshot support: mutable access to the wrapped partitioner.
-    pub(crate) fn partitioner_mut(&mut self) -> &mut P::Target {
-        &mut self.partitioner
-    }
-
-    /// Snapshot support: mutable access to the shared state.
-    pub(crate) fn state_mut(&mut self) -> &mut VertexStreamState {
-        &mut self.state
-    }
-
-    /// Snapshot support: overwrites the logical sequence counter.
-    pub(crate) fn set_seq(&mut self, seq: u64) {
-        self.seq = seq;
-    }
 }
 
 /// Maps the ingestion sentinel to a concrete partition: a vertex the
@@ -211,11 +183,13 @@ impl VertexSeal {
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeIngest<'g, P> {
     g: &'g Graph,
-    partitioner: P,
-    state: EdgeStreamState,
-    edge_parts: Vec<PartitionId>,
+    pub(crate) partitioner: P,
+    pub(crate) state: EdgeStreamState,
+    /// The per-edge placement vector, in CSR slot order.
+    pub(crate) edge_parts: Vec<PartitionId>,
     k: usize,
-    seq: u64,
+    /// Elements placed so far (the logical trace stamp).
+    pub(crate) seq: u64,
 }
 
 impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
@@ -234,16 +208,6 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
     /// Stream passes the wrapped partitioner wants (2 for 2PS).
     pub(crate) fn passes(&self) -> usize {
         self.partitioner.passes()
-    }
-
-    /// Elements placed so far (the logical trace stamp).
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Read access to the shared streaming state.
-    pub(crate) fn state(&self) -> &EdgeStreamState {
-        &self.state
     }
 
     /// Ingests one bounded chunk of stream edges. While the wrapped
@@ -292,36 +256,6 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
             }
         }
         Partitioning::from_edge_parts(self.g, self.k, self.edge_parts)
-    }
-
-    /// Snapshot support: the wrapped partitioner.
-    pub(crate) fn partitioner(&self) -> &P::Target {
-        &self.partitioner
-    }
-
-    /// Snapshot support: mutable access to the wrapped partitioner.
-    pub(crate) fn partitioner_mut(&mut self) -> &mut P::Target {
-        &mut self.partitioner
-    }
-
-    /// Snapshot support: mutable access to the shared state.
-    pub(crate) fn state_mut(&mut self) -> &mut EdgeStreamState {
-        &mut self.state
-    }
-
-    /// Snapshot support: the per-edge placement vector (CSR slot order).
-    pub(crate) fn edge_parts(&self) -> &[PartitionId] {
-        &self.edge_parts
-    }
-
-    /// Snapshot support: mutable access to the placement vector.
-    pub(crate) fn edge_parts_mut(&mut self) -> &mut [PartitionId] {
-        &mut self.edge_parts
-    }
-
-    /// Snapshot support: overwrites the logical sequence counter.
-    pub(crate) fn set_seq(&mut self, seq: u64) {
-        self.seq = seq;
     }
 }
 
@@ -420,17 +354,17 @@ pub(crate) fn drive_vertex_stream<P: DerefMut<Target: VertexStreamPartitioner>, 
     let mut source = VertexStreamSource::new(g, order);
     let mut chunk = Vec::new();
     let mut buf = Vec::new();
-    let stream_span = sink.guard_span(keys::PARTITION_STREAM, 0, core.seq());
+    let stream_span = sink.guard_span(keys::PARTITION_STREAM, 0, core.seq);
     for pass in 0..core.passes() {
-        let pass_span = sink.guard_span(keys::PARTITION_PASS, pass as u64, core.seq());
+        let pass_span = sink.guard_span(keys::PARTITION_PASS, pass as u64, core.seq);
         source.restart();
         while source.next_chunk(DEFAULT_CHUNK, &mut chunk) > 0 {
             core.ingest_windowed(&chunk, window, &mut buf);
         }
         core.flush_window(&mut buf);
-        pass_span.exit(sink, core.seq());
+        pass_span.exit(sink, core.seq);
     }
-    stream_span.exit(sink, core.seq());
+    stream_span.exit(sink, core.seq);
 }
 
 /// Edge-stream twin of [`drive_vertex_stream`]. One-pass algorithms get
@@ -448,20 +382,20 @@ pub(crate) fn drive_edge_stream<P: DerefMut<Target: EdgeStreamPartitioner>, S: T
     let mut chunk = Vec::new();
     let mut buf = Vec::new();
     let passes = core.passes().max(1);
-    let stream_span = sink.guard_span(keys::PARTITION_STREAM, 0, core.seq());
+    let stream_span = sink.guard_span(keys::PARTITION_STREAM, 0, core.seq);
     for pass in 0..passes {
         let pass_span =
-            (passes > 1).then(|| sink.guard_span(keys::PARTITION_PASS, pass as u64, core.seq()));
+            (passes > 1).then(|| sink.guard_span(keys::PARTITION_PASS, pass as u64, core.seq));
         source.restart();
         while source.next_chunk(DEFAULT_CHUNK, &mut chunk) > 0 {
             core.ingest_windowed(&chunk, window, &mut buf);
         }
         core.flush_window(&mut buf);
         if let Some(pass_span) = pass_span {
-            pass_span.exit(sink, core.seq());
+            pass_span.exit(sink, core.seq);
         }
     }
-    stream_span.exit(sink, core.seq());
+    stream_span.exit(sink, core.seq);
 }
 
 /// Runs a vertex-stream partitioner over `g` and returns the resulting
@@ -544,19 +478,19 @@ pub(crate) enum Machine<'g> {
 /// is byte-identical to the one-shot entry points for the same element
 /// order.
 pub struct StreamingPartitioner<'g> {
-    g: &'g Graph,
-    k: usize,
-    algorithm: Algorithm,
-    machine: Machine<'g>,
+    pub(crate) g: &'g Graph,
+    pub(crate) k: usize,
+    pub(crate) algorithm: Algorithm,
+    pub(crate) machine: Machine<'g>,
     /// Look-ahead window size `W ≥ 1` (ADWISE-style buffered model,
     /// DESIGN.md §12). `W = 1` degenerates exactly to one-pass: the
     /// buffer never holds an element across a placement.
     window: usize,
     /// Buffered vertex records awaiting placement (≤ `W − 1` between
     /// ingest calls), in arrival order.
-    wbuf_v: Vec<VertexRecord<'g>>,
+    pub(crate) wbuf_v: Vec<VertexRecord<'g>>,
     /// Buffered edges awaiting placement, in arrival order.
-    wbuf_e: Vec<Edge>,
+    pub(crate) wbuf_e: Vec<Edge>,
 }
 
 impl<'g> StreamingPartitioner<'g> {
@@ -592,11 +526,6 @@ impl<'g> StreamingPartitioner<'g> {
         }
     }
 
-    /// The algorithm this machine runs.
-    pub(crate) fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
     /// Serializes the machine's run-varying state into the canonical
     /// snapshot format (see [`crate::snapshot`]).
     pub fn snapshot(&self) -> String {
@@ -613,26 +542,6 @@ impl<'g> StreamingPartitioner<'g> {
         text: &str,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         crate::snapshot::read_snapshot(g, algorithm, cfg, text)
-    }
-
-    /// Snapshot support: the underlying graph.
-    pub(crate) fn graph(&self) -> &'g Graph {
-        self.g
-    }
-
-    /// Snapshot support: the partition count.
-    pub(crate) fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Snapshot support: the machine variant.
-    pub(crate) fn machine(&self) -> &Machine<'g> {
-        &self.machine
-    }
-
-    /// Snapshot support: mutable access to the machine variant.
-    pub(crate) fn machine_mut(&mut self) -> &mut Machine<'g> {
-        &mut self.machine
     }
 
     /// The stream kind this machine ingests.
@@ -657,8 +566,8 @@ impl<'g> StreamingPartitioner<'g> {
     /// Elements ingested so far across all passes.
     pub fn elements_ingested(&self) -> u64 {
         match &self.machine {
-            Machine::Vertex { core, .. } => core.seq(),
-            Machine::Edge { core } => core.seq(),
+            Machine::Vertex { core, .. } => core.seq,
+            Machine::Edge { core } => core.seq,
             Machine::Offline => 0,
         }
     }
@@ -703,26 +612,6 @@ impl<'g> StreamingPartitioner<'g> {
             Machine::Edge { core } => core.flush_window(&mut self.wbuf_e),
             Machine::Offline => {}
         }
-    }
-
-    /// Snapshot support: the buffered vertex records in arrival order.
-    pub(crate) fn window_vertex_buffer(&self) -> &[VertexRecord<'g>] {
-        &self.wbuf_v
-    }
-
-    /// Snapshot support: the buffered edges in arrival order.
-    pub(crate) fn window_edge_buffer(&self) -> &[Edge] {
-        &self.wbuf_e
-    }
-
-    /// Snapshot support: refills the vertex buffer during restore.
-    pub(crate) fn push_window_vertex(&mut self, rec: VertexRecord<'g>) {
-        self.wbuf_v.push(rec);
-    }
-
-    /// Snapshot support: refills the edge buffer during restore.
-    pub(crate) fn push_window_edge(&mut self, e: Edge) {
-        self.wbuf_e.push(e);
     }
 
     /// Closes the lifecycle and produces the [`Partitioning`].

@@ -41,6 +41,8 @@ const NO_HOME: PartitionId = PartitionId::MAX;
 #[derive(Debug, Clone)]
 struct ClusterPass {
     k: usize,
+    /// Vertices of the graph: restored vertex ids stay below it.
+    n: usize,
     /// Union-find parent; `UNVISITED` marks vertices not yet seen.
     parent: Vec<u32>,
     /// Cluster volume, meaningful at root indices only.
@@ -61,9 +63,10 @@ struct ClusterPass {
 }
 
 impl ClusterPass {
-    fn new(k: usize, m: usize) -> Self {
+    fn new(k: usize, n: usize, m: usize) -> Self {
         ClusterPass {
             k,
+            n,
             parent: Vec::new(),
             volume: Vec::new(),
             cap: ((2 * m as u64) / k as u64).max(2),
@@ -199,109 +202,109 @@ impl ClusterPass {
         root
     }
 
-    /// Canonical `v:root` pairs for visited vertices, ascending `v`.
-    fn parent_record(&self) -> String {
-        (0..self.parent.len() as u32)
-            .filter(|&v| self.parent[v as usize] != UNVISITED)
-            .map(|v| format!("{v}:{}", self.resolve(v)))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-
-    /// Canonical `root:volume` pairs for non-zero volumes, ascending.
-    fn volume_record(&self) -> String {
-        (0..self.parent.len() as u32)
-            .filter(|&v| self.parent[v as usize] == v && self.volume[v as usize] > 0)
-            .map(|v| format!("{v}:{}", self.volume[v as usize]))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-
-    fn cluster_part_record(&self) -> String {
-        self.cluster_part.iter().map(|&(r, p)| format!("{r}:{p}")).collect::<Vec<_>>().join(",")
-    }
-
-    /// Appends the pass's canonical snapshot records to `records`.
-    fn push_records(&self, records: &mut Vec<(&'static str, String)>) {
-        if self.observed > 0 {
-            records.push(("2ps.observed", self.observed.to_string()));
+    /// The pass's snapshot records (DESIGN.md §11), each a flat list:
+    /// the observed count, then three tables as `(key, value)` pairs in
+    /// ascending key order — visited vertex → resolved root, root →
+    /// non-zero volume, and (once finalized) cluster root → partition.
+    fn snapshot_state(&self) -> Vec<(&'static str, Vec<u64>)> {
+        let (mut parents, mut volumes) = (Vec::new(), Vec::new());
+        for v in 0..self.parent.len() as u32 {
+            if self.parent[v as usize] == UNVISITED {
+                continue;
+            }
+            parents.extend([u64::from(v), u64::from(self.resolve(v))]);
+            if self.parent[v as usize] == v && self.volume[v as usize] > 0 {
+                volumes.extend([u64::from(v), self.volume[v as usize]]);
+            }
         }
-        let parents = self.parent_record();
+        let mut records = Vec::new();
+        if self.observed > 0 {
+            records.push(("2ps.observed", vec![self.observed]));
+        }
         if !parents.is_empty() {
             records.push(("2ps.parent", parents));
         }
-        let volumes = self.volume_record();
         if !volumes.is_empty() {
             records.push(("2ps.vol", volumes));
         }
         if self.finalized {
-            records.push(("2ps.cpart", self.cluster_part_record()));
+            let clusters =
+                self.cluster_part.iter().flat_map(|&(r, p)| [u64::from(r), u64::from(p)]);
+            records.push(("2ps.cpart", clusters.collect()));
         }
+        records
     }
 
-    /// Restores one `2ps.*` record; `false` for an unknown key or an
-    /// unparsable value. Drops the home table, which the next placement
-    /// rebuilds from the restored forest and cluster map.
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
+    /// Restores one record of
+    /// [`snapshot_state`](ClusterPass::snapshot_state), in the writer's
+    /// order, accepting only what the writer can emit: vertex ids below
+    /// `n` and ascending, every root resolving to itself, volumes at
+    /// roots summing to twice the observed count, and a cluster map only
+    /// once every edge was observed. Drops the home table, which the next
+    /// placement rebuilds from the restored forest and cluster map.
+    fn restore_state(&mut self, key: &str, values: &[u64]) -> bool {
         self.home = None;
-        match key {
-            "2ps.observed" => match value.parse() {
-                Ok(v) if v <= self.total_edges => {
-                    self.observed = v;
-                    true
-                }
-                _ => false,
-            },
-            "2ps.parent" => match parse_pairs(value) {
-                Some(pairs) if pairs.iter().all(|&(_, root)| root < u64::from(UNVISITED)) => {
-                    for (v, root) in pairs {
-                        self.ensure(v);
-                        self.ensure(root as u32);
-                        self.parent[v as usize] = root as u32;
-                    }
-                    true
-                }
-                _ => false,
-            },
-            "2ps.vol" => match parse_pairs(value) {
-                Some(pairs) => {
-                    for (root, vol) in pairs {
-                        self.ensure(root);
-                        self.volume[root as usize] = vol;
-                    }
-                    true
-                }
-                None => false,
-            },
-            "2ps.cpart" => match parse_pairs(value) {
-                Some(pairs) => {
-                    if pairs.iter().any(|&(_, p)| p >= self.k as u64) {
-                        return false;
-                    }
-                    self.cluster_part =
-                        pairs.into_iter().map(|(r, p)| (r, p as PartitionId)).collect();
-                    self.finalized = true;
-                    true
-                }
-                None => false,
-            },
-            _ => false,
+        if let ("2ps.observed", &[observed]) = (key, values) {
+            self.observed = observed;
+            return observed <= self.total_edges;
         }
+        let Some(pairs) = vertex_pairs(values, self.n) else {
+            return false;
+        };
+        let is_root = |r: u32| self.parent.get(r as usize) == Some(&r);
+        match key {
+            "2ps.parent" => {
+                let root_of = |r: u64| {
+                    let i = pairs.binary_search_by_key(&r, |&(v, _)| u64::from(v)).ok()?;
+                    Some(pairs[i].1)
+                };
+                if pairs.iter().any(|&(_, r)| root_of(r) != Some(r)) {
+                    return false;
+                }
+                for (v, root) in pairs {
+                    self.ensure(v);
+                    self.parent[v as usize] = root as u32;
+                }
+            }
+            "2ps.vol" => {
+                let total = pairs.iter().try_fold(0u64, |sum, &(_, vol)| sum.checked_add(vol));
+                if total != Some(2 * self.observed) || pairs.iter().any(|&(r, _)| !is_root(r)) {
+                    return false;
+                }
+                for (root, vol) in pairs {
+                    self.volume[root as usize] = vol;
+                }
+            }
+            "2ps.cpart" => {
+                if self.observed != self.total_edges
+                    || pairs.iter().any(|&(r, p)| p >= self.k as u64 || !is_root(r))
+                {
+                    return false;
+                }
+                self.cluster_part = pairs.into_iter().map(|(r, p)| (r, p as PartitionId)).collect();
+                self.finalized = true;
+            }
+            _ => return false,
+        }
+        true
     }
 }
 
-/// Parses a `a:b,a:b,...` record into pairs; `None` on malformed input.
-fn parse_pairs(value: &str) -> Option<Vec<(u32, u64)>> {
-    if value.is_empty() {
-        return Some(Vec::new());
+/// `values` as `(vertex, value)` pairs, the vertices strictly ascending
+/// and below `n`; `None` otherwise.
+fn vertex_pairs(values: &[u64], n: usize) -> Option<Vec<(u32, u64)>> {
+    if !values.len().is_multiple_of(2) {
+        return None;
     }
-    value
-        .split(',')
-        .map(|item| {
-            let (a, b) = item.split_once(':')?;
-            Some((a.parse().ok()?, b.parse().ok()?))
-        })
-        .collect()
+    let mut pairs: Vec<(u32, u64)> = Vec::with_capacity(values.len() / 2);
+    for pair in values.chunks_exact(2) {
+        let v = u32::try_from(pair[0]).ok().filter(|&v| (v as usize) < n)?;
+        if pairs.last().is_some_and(|&(last, _)| last >= v) {
+            return None;
+        }
+        pairs.push((v, pair[1]));
+    }
+    Some(pairs)
 }
 
 /// The 2PS two-phase edge partitioner: streaming clustering pass, then
@@ -313,13 +316,13 @@ pub(crate) struct TwoPhase {
 }
 
 impl TwoPhase {
-    /// Creates 2PS for a graph with `m` edges. With
+    /// Creates 2PS for a graph with `n` vertices and `m` edges. With
     /// [`PartitionerConfig::two_phase_clustering`] disabled the result
     /// is a one-pass machine bit-identical to [`Hdrf`].
-    pub(crate) fn new(cfg: &PartitionerConfig, m: usize) -> Self {
+    pub(crate) fn new(cfg: &PartitionerConfig, n: usize, m: usize) -> Self {
         TwoPhase {
             inner: Hdrf::new(cfg, m),
-            clustering: cfg.two_phase_clustering.then(|| ClusterPass::new(cfg.k, m)),
+            clustering: cfg.two_phase_clustering.then(|| ClusterPass::new(cfg.k, n, m)),
         }
     }
 }
@@ -358,19 +361,12 @@ impl EdgeStreamPartitioner for TwoPhase {
         self.inner.decision_stats()
     }
 
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        let mut records = self.inner.snapshot_records();
-        if let Some(c) = &self.clustering {
-            c.push_records(&mut records);
-        }
-        records
+    fn snapshot_state(&self) -> Vec<(&'static str, Vec<u64>)> {
+        self.clustering.as_ref().map(ClusterPass::snapshot_state).unwrap_or_default()
     }
 
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        match &mut self.clustering {
-            Some(c) if key.starts_with("2ps.") => c.restore_record(key, value),
-            _ => self.inner.restore_record(key, value),
-        }
+    fn restore_state(&mut self, key: &str, values: &[u64]) -> bool {
+        self.clustering.as_mut().is_some_and(|c| c.restore_state(key, values))
     }
 }
 
@@ -399,10 +395,10 @@ pub(crate) mod tests {
     }
 
     impl ReferenceTwoPhase {
-        pub(crate) fn new(cfg: &PartitionerConfig, m: usize) -> Self {
+        pub(crate) fn new(cfg: &PartitionerConfig, n: usize, m: usize) -> Self {
             ReferenceTwoPhase {
                 inner: ReferenceHdrf::new(cfg, m),
-                clustering: cfg.two_phase_clustering.then(|| ClusterPass::new(cfg.k, m)),
+                clustering: cfg.two_phase_clustering.then(|| ClusterPass::new(cfg.k, n, m)),
             }
         }
     }
@@ -453,19 +449,12 @@ pub(crate) mod tests {
             self.inner.decision_stats()
         }
 
-        fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-            let mut records = self.inner.snapshot_records();
-            if let Some(c) = &self.clustering {
-                c.push_records(&mut records);
-            }
-            records
+        fn snapshot_state(&self) -> Vec<(&'static str, Vec<u64>)> {
+            self.clustering.as_ref().map(ClusterPass::snapshot_state).unwrap_or_default()
         }
 
-        fn restore_record(&mut self, key: &str, value: &str) -> bool {
-            match &mut self.clustering {
-                Some(c) if key.starts_with("2ps.") => c.restore_record(key, value),
-                _ => self.inner.restore_record(key, value),
-            }
+        fn restore_state(&mut self, key: &str, values: &[u64]) -> bool {
+            self.clustering.as_mut().is_some_and(|c| c.restore_state(key, values))
         }
     }
 
@@ -486,7 +475,7 @@ pub(crate) mod tests {
         // collapsing into one giant component.
         let g = graph();
         let cfg = PartitionerConfig::new(8);
-        let mut tp = TwoPhase::new(&cfg, g.num_edges());
+        let mut tp = TwoPhase::new(&cfg, g.num_vertices(), g.num_edges());
         observe_all(&mut tp, &g);
         let c = tp.clustering.as_ref().unwrap();
         let total: u64 =
@@ -502,7 +491,7 @@ pub(crate) mod tests {
     fn finalize_assigns_every_cluster_in_range() {
         let g = graph();
         let cfg = PartitionerConfig::new(6);
-        let mut tp = TwoPhase::new(&cfg, g.num_edges());
+        let mut tp = TwoPhase::new(&cfg, g.num_vertices(), g.num_edges());
         observe_all(&mut tp, &g);
         let c = tp.clustering.as_mut().unwrap();
         assert!(c.finalized);
@@ -519,7 +508,7 @@ pub(crate) mod tests {
     #[test]
     fn clustering_disabled_is_one_pass() {
         let cfg = PartitionerConfig { two_phase_clustering: false, ..PartitionerConfig::new(4) };
-        let tp = TwoPhase::new(&cfg, 100);
+        let tp = TwoPhase::new(&cfg, 100, 100);
         assert_eq!(tp.passes(), 1);
         assert!(!tp.observing());
     }
@@ -537,7 +526,7 @@ pub(crate) mod tests {
         );
         let tps = run_edge_stream(
             &g,
-            &mut TwoPhase::new(&cfg, g.num_edges()),
+            &mut TwoPhase::new(&cfg, g.num_vertices(), g.num_edges()),
             16,
             StreamOrder::Natural,
             &mut NullSink,
@@ -552,33 +541,33 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn snapshot_records_round_trip_mid_pass_one() {
+    fn snapshot_state_round_trips_mid_pass_one() {
         let g = graph();
         let cfg = PartitionerConfig::new(8);
-        let mut tp = TwoPhase::new(&cfg, g.num_edges());
+        let mut tp = TwoPhase::new(&cfg, g.num_vertices(), g.num_edges());
         for e in g.edges().take(g.num_edges() / 2) {
             tp.observe(e);
         }
-        let records = tp.snapshot_records();
-        let mut restored = TwoPhase::new(&cfg, g.num_edges());
+        let records = tp.snapshot_state();
+        let mut restored = TwoPhase::new(&cfg, g.num_vertices(), g.num_edges());
         for (k, v) in &records {
-            assert!(restored.restore_record(k, v), "restore failed for {k}");
+            assert!(restored.restore_state(k, v), "restore failed for {k}");
         }
-        assert_eq!(restored.snapshot_records(), records);
+        assert_eq!(restored.snapshot_state(), records);
         // Both halves continue identically.
         for e in g.edges().skip(g.num_edges() / 2) {
             tp.observe(e);
             restored.observe(e);
         }
-        assert_eq!(restored.snapshot_records(), tp.snapshot_records());
+        assert_eq!(restored.snapshot_state(), tp.snapshot_state());
     }
 
     #[test]
-    fn snapshot_records_round_trip_mid_pass_two() {
+    fn snapshot_state_round_trips_mid_pass_two() {
         let g = graph();
         let (k, m) = (8, g.num_edges());
         let cfg = PartitionerConfig::new(k);
-        let mut tp = TwoPhase::new(&cfg, m);
+        let mut tp = TwoPhase::new(&cfg, g.num_vertices(), m);
         observe_all(&mut tp, &g);
         // Compress every path, so the in-memory forest is flatter than
         // anything the pass built on its own; the snapshot still carries
@@ -596,15 +585,15 @@ pub(crate) mod tests {
             let p = tp.place(e, &state);
             state.record(e, p);
         }
-        let records = tp.snapshot_records();
+        let records = tp.snapshot_state();
         assert!(records.iter().any(|(key, _)| *key == "2ps.cpart"), "pass one is finalized");
 
-        let mut restored = TwoPhase::new(&cfg, m);
-        for (key, value) in &records {
-            assert!(restored.restore_record(key, value), "restore failed for {key}");
+        let mut restored = TwoPhase::new(&cfg, g.num_vertices(), m);
+        for (key, values) in &records {
+            assert!(restored.restore_state(key, values), "restore failed for {key}");
         }
         assert!(restored.clustering.as_ref().unwrap().home.is_none(), "the home table is derived");
-        assert_eq!(restored.snapshot_records(), records);
+        assert_eq!(restored.snapshot_state(), records);
         let mut restored_state = state.clone();
         for &e in tail {
             let p = tp.place(e, &state);
@@ -615,22 +604,40 @@ pub(crate) mod tests {
         }
         let (a, b) = (tp.clustering.as_mut().unwrap(), restored.clustering.as_mut().unwrap());
         assert_eq!(a.homes(), b.homes(), "the rebuilt home table matches the original");
-        assert_eq!(restored.snapshot_records(), tp.snapshot_records());
+        assert_eq!(restored.snapshot_state(), tp.snapshot_state());
     }
 
     #[test]
-    fn unknown_record_rejected() {
+    fn records_the_writer_cannot_emit_are_rejected() {
         let cfg = PartitionerConfig::new(4);
-        let mut tp = TwoPhase::new(&cfg, 10);
-        assert!(!tp.restore_record("2ps.bogus", "1"));
-        assert!(!tp.restore_record("2ps.observed", "999"));
-        assert!(!tp.restore_record("2ps.cpart", "0:9"));
+        let mut tp = TwoPhase::new(&cfg, 10, 10);
+        assert!(!tp.restore_state("2ps.bogus", &[1]));
+        assert!(!tp.restore_state("2ps.observed", &[999]));
+        assert!(!tp.restore_state("2ps.observed", &[1, 2]));
+        // Odd pair lists, unsorted or out-of-range vertices.
+        assert!(!tp.restore_state("2ps.parent", &[0, 0, 1]));
+        assert!(!tp.restore_state("2ps.parent", &[1, 1, 0, 0]));
+        assert!(!tp.restore_state("2ps.parent", &[10, 10]));
+        // A root that does not resolve to itself: 0 → 1 → 0 would loop.
+        assert!(!tp.restore_state("2ps.parent", &[0, 1, 1, 0]));
+        assert!(tp.restore_state("2ps.observed", &[3]));
+        assert!(tp.restore_state("2ps.parent", &[0, 1, 1, 1, 2, 2]));
+        // Volumes sit at roots and sum to twice the observed count.
+        assert!(!tp.restore_state("2ps.vol", &[0, 6]));
+        assert!(!tp.restore_state("2ps.vol", &[1, 5]));
+        assert!(tp.restore_state("2ps.vol", &[1, 4, 2, 2]));
+        // The cluster map exists only once every edge was observed.
+        assert!(!tp.restore_state("2ps.cpart", &[1, 0, 2, 1]));
+        assert!(tp.restore_state("2ps.observed", &[10]));
+        assert!(!tp.restore_state("2ps.cpart", &[1, 9]));
+        assert!(!tp.restore_state("2ps.cpart", &[0, 0]));
+        assert!(tp.restore_state("2ps.cpart", &[1, 0, 2, 1]));
     }
 
     #[test]
     fn empty_graph_never_observes() {
         let cfg = PartitionerConfig::new(4);
-        let tp = TwoPhase::new(&cfg, 0);
+        let tp = TwoPhase::new(&cfg, 10, 0);
         assert!(!tp.observing());
         assert_eq!(tp.passes(), 2);
     }

@@ -170,36 +170,20 @@ impl EdgeStreamState {
         self.partial_degree.iter().enumerate().filter(|&(_, &d)| d > 0).map(|(u, &d)| (u as u32, d))
     }
 
-    /// Overwrites `A(u)` during restore. Returns `false` when `u` is out
-    /// of range, `set` is not strictly increasing, or a partition id is
-    /// out of range.
-    pub(crate) fn restore_replicas(&mut self, u: u32, set: Vec<PartitionId>) -> bool {
-        if set.windows(2).any(|w| w[0] >= w[1]) || set.iter().any(|&p| p as usize >= self.k) {
-            return false;
-        }
+    /// Overwrites `A(u)` during restore; the snapshot layer has checked
+    /// that `u < n` and every id in `set` is `< k`.
+    pub(crate) fn restore_replicas(&mut self, u: u32, set: &[PartitionId]) {
         let base = u as usize * self.stride;
-        match self.replica_bits.get_mut(base..base + self.stride) {
-            Some(block) => {
-                block.fill(0);
-                for p in set {
-                    block[p as usize >> 6] |= 1u64 << (p & 63);
-                }
-                true
-            }
-            None => false,
+        let block = &mut self.replica_bits[base..base + self.stride];
+        block.fill(0);
+        for &p in set {
+            block[p as usize >> 6] |= 1u64 << (p & 63);
         }
     }
 
-    /// Overwrites `d(u)` during restore. Returns `false` when `u` is out
-    /// of range.
-    pub(crate) fn restore_partial_degree(&mut self, u: u32, d: u64) -> bool {
-        match self.partial_degree.get_mut(u as usize) {
-            Some(slot) => {
-                *slot = d;
-                true
-            }
-            None => false,
-        }
+    /// Overwrites `d(u)` during restore (`u < n`, checked likewise).
+    pub(crate) fn restore_partial_degree(&mut self, u: u32, d: u64) {
+        self.partial_degree[u as usize] = d;
     }
 
     /// Least-loaded partition among `candidates` (ties → lower id); falls
@@ -274,19 +258,21 @@ pub trait EdgeStreamPartitioner: Send {
         DecisionStats::default()
     }
 
-    /// Algorithm-specific run-varying tables as canonical `(key, value)`
+    /// The private state that decides later placements, as named integer
     /// records for the snapshot layer ([`crate::snapshot`], DESIGN.md
-    /// §11). Config-pure algorithms (hash, DBH, Grid) have none.
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
+    /// §11), which alone formats them. Counters never enter it; machines
+    /// whose placements read only the shared state and the config have
+    /// none.
+    fn snapshot_state(&self) -> Vec<(&'static str, Vec<u64>)> {
         Vec::new()
     }
 
-    /// Restores one record produced by
-    /// [`snapshot_records`](EdgeStreamPartitioner::snapshot_records);
-    /// returns `false` for an unknown key or unparsable value (the
-    /// snapshot layer surfaces that as a typed error).
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        let _ = (key, value);
+    /// Restores one record of
+    /// [`snapshot_state`](EdgeStreamPartitioner::snapshot_state);
+    /// returns `false` for an unknown key or values the machine could not
+    /// have written (the snapshot layer surfaces that as a typed error).
+    fn restore_state(&mut self, key: &str, values: &[u64]) -> bool {
+        let _ = (key, values);
         false
     }
 }
@@ -584,20 +570,12 @@ impl EdgeStreamPartitioner for Hdrf {
     fn decision_stats(&self) -> DecisionStats {
         self.stats
     }
-
-    fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-        self.stats.snapshot_records()
-    }
-
-    fn restore_record(&mut self, key: &str, value: &str) -> bool {
-        self.stats.restore_record(key, value)
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::edge_cut::tests::{assert_no_twin_mismatch, Tally};
+    use crate::edge_cut::tests::{assert_no_twin_mismatch, facade_stats, Tally};
     use crate::loaders::{partition_multi_loader, run_loaders, LoaderConfig};
     use crate::metrics;
     use crate::registry::{Algorithm, Boxed};
@@ -954,14 +932,6 @@ pub(crate) mod tests {
         fn decision_stats(&self) -> DecisionStats {
             self.stats
         }
-
-        fn snapshot_records(&self) -> Vec<(&'static str, String)> {
-            self.stats.snapshot_records()
-        }
-
-        fn restore_record(&mut self, key: &str, value: &str) -> bool {
-            self.stats.restore_record(key, value)
-        }
     }
 
     /// A graph for the HDRF twin grid: a small RMAT, a perturbed lattice,
@@ -1007,14 +977,15 @@ pub(crate) mod tests {
 
     /// The textbook machine for `algorithm` (HDRF or 2PS), boxed like the
     /// registry's.
-    fn reference_machines(algorithm: Algorithm, cfg: &PartitionerConfig, m: usize) -> Boxed {
+    fn reference_machines(algorithm: Algorithm, cfg: &PartitionerConfig, g: &Graph) -> Boxed {
+        let (n, m) = (g.num_vertices(), g.num_edges());
         match algorithm {
             Algorithm::Hdrf => {
                 let r = ReferenceHdrf::new(cfg, m);
                 Boxed::Edge(Box::new(move || Box::new(r.clone())))
             }
             _ => {
-                let r = ReferenceTwoPhase::new(cfg, m);
+                let r = ReferenceTwoPhase::new(cfg, n, m);
                 Boxed::Edge(Box::new(move || Box::new(r.clone())))
             }
         }
@@ -1031,31 +1002,32 @@ pub(crate) mod tests {
         let Boxed::Edge(make) = machines else { panic!("HDRF and 2PS are edge machines") };
         let mut core = EdgeIngest::init(g, make(), k);
         drive_edge_stream(g, &mut core, order, 1, &mut NullSink);
-        let stats = core.partitioner().decision_stats();
+        let stats = core.partitioner.decision_stats();
         (core.seal().edge_parts, stats)
     }
 
     /// Drives a facade over every pass of `g` in `chunk`-sized chunks,
     /// replacing the machine by `restore` of its own snapshot after chunk
-    /// `cut`; returns the sealed placements, that snapshot, and the
-    /// snapshot taken just before the seal.
+    /// `cut`; returns the sealed placements, that snapshot with the
+    /// decision counters at the cut, and the snapshot taken just before
+    /// the seal.
     fn facade_with_restore<'g>(
         g: &'g Graph,
         mut sp: StreamingPartitioner<'g>,
         order: StreamOrder,
         (chunk, cut): (usize, usize),
         restore: impl Fn(&str) -> StreamingPartitioner<'g>,
-    ) -> (Vec<PartitionId>, String, String) {
+    ) -> (Vec<PartitionId>, (String, DecisionStats), String) {
         let mut source = EdgeStreamSource::new(g, order);
-        let (mut buf, mut fed, mut mid) = (Vec::new(), 0, String::new());
+        let (mut buf, mut fed, mut mid) = (Vec::new(), 0, Default::default());
         for _ in 0..sp.passes() {
             source.restart();
             while source.next_chunk(chunk, &mut buf) > 0 {
                 sp.ingest_edges(&buf).expect("HDRF and 2PS consume edges");
                 fed += 1;
                 if fed == cut {
-                    mid = sp.snapshot();
-                    sp = restore(&mid);
+                    mid = (sp.snapshot(), facade_stats(&sp));
+                    sp = restore(&mid.0);
                 }
             }
             sp.flush_window();
@@ -1104,8 +1076,8 @@ pub(crate) mod tests {
     /// [`first_column_divergence`]); each configuration then compares the
     /// sequential placements and `DecisionStats`, the facade run through
     /// a snapshot and restore at a random chunk of either pass
-    /// (placements, and the snapshot text at the cut and before the
-    /// seal, byte for byte), and for HDRF the modelled loaders at
+    /// (placements, the snapshot text at the cut and before the seal,
+    /// byte for byte, and the decision counters at the cut), and for HDRF the modelled loaders at
     /// L ∈ {2, 4}.
     fn twin_grid(cases: u64, ks: &[usize]) -> Tally {
         let mut tally = Tally::default();
@@ -1136,7 +1108,7 @@ pub(crate) mod tests {
                     ] {
                         let cfg =
                             PartitionerConfig { two_phase_clustering, ..PartitionerConfig::new(k) };
-                        let passes = TwoPhase::new(&cfg, m).passes();
+                        let passes = TwoPhase::new(&cfg, n, m).passes();
                         let chunk = rng.range(1..64);
                         let cut = rng.range(1..passes * m.div_ceil(chunk) + 1);
                         let at = format!(
@@ -1169,9 +1141,9 @@ pub(crate) mod tests {
         algorithm: Algorithm,
         cut: (usize, usize),
     ) {
-        let (m, k) = (g.num_edges(), cfg.k);
+        let k = cfg.k;
         let (seq, stats) = sequential(g, algorithm.boxed(g, cfg), k, order);
-        let (twin_seq, twin_stats) = sequential(g, reference_machines(algorithm, cfg, m), k, order);
+        let (twin_seq, twin_stats) = sequential(g, reference_machines(algorithm, cfg, g), k, order);
         tally.expect_eq("sequential placements", at, &seq, &twin_seq);
         tally.expect_eq("DecisionStats", at, stats, twin_stats);
 
@@ -1187,7 +1159,7 @@ pub(crate) mod tests {
                 g,
                 algorithm,
                 cfg,
-                reference_machines(algorithm, cfg, m),
+                reference_machines(algorithm, cfg, g),
             )
         };
         let (twin_parts, twin_mid, twin_end) =
@@ -1196,7 +1168,8 @@ pub(crate) mod tests {
             });
         tally.expect_eq("restored placements", at, &parts, &twin_parts);
         tally.expect_eq("restored placements vs one-shot", at, &parts, &seq);
-        tally.expect_eq("snapshot text at the cut", at, mid, twin_mid);
+        tally.expect_eq("snapshot text at the cut", at, mid.0, twin_mid.0);
+        tally.expect_eq("DecisionStats at the cut", at, mid.1, twin_mid.1);
         tally.expect_eq("snapshot text before the seal", at, end, twin_end);
 
         if algorithm.supports_parallel_loaders() {
@@ -1204,7 +1177,7 @@ pub(crate) mod tests {
                 let lc = LoaderConfig::new(loaders).with_sync_interval(8);
                 let par = partition_multi_loader(g, algorithm, cfg, order, &lc).edge_parts;
                 let twin_par =
-                    run_loaders(g, k, reference_machines(algorithm, cfg, m), order, &lc, false)
+                    run_loaders(g, k, reference_machines(algorithm, cfg, g), order, &lc, false)
                         .0
                         .edge_parts;
                 tally.expect_eq("loader placements", at, par, twin_par);

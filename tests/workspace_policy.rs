@@ -238,7 +238,6 @@ fn schema_constants_match_their_pins() {
         .collect();
     let constants = BTreeMap::from([
         ("trace", sgp_trace::SCHEMA_VERSION),
-        ("fault-plan", u64::from(sgp_fault::FAULT_PLAN_SCHEMA_VERSION)),
         ("snapshot", u64::from(sgp_partition::snapshot::SNAPSHOT_SCHEMA_VERSION)),
     ]);
     assert_eq!(
