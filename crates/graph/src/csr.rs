@@ -148,16 +148,38 @@ impl Graph {
         self.out_neighbors(v).iter().copied().chain(self.in_neighbors(v).iter().copied())
     }
 
-    /// Dense index of the directed edge `src -> dst` in [`Graph::edges`]
-    /// iteration order, or `None` if the edge does not exist. Partition
-    /// assignments are stored as arrays indexed by this value.
+    /// Dense index (slot) of the directed edge `src -> dst` in
+    /// [`Graph::edges`] iteration order, or `None` if the edge does not
+    /// exist. Partition assignments are stored as arrays indexed by slot.
     ///
-    /// Only meaningful on deduplicated graphs (the builder default); with
-    /// multi-edges the index of the first occurrence is returned.
+    /// A binary search over the out-row: the stream sources hand every
+    /// edge its slot ([`crate::EdgeStreamSource::next_slotted_chunk`]), so this
+    /// serves only callers that hold bare `(src, dst)` pairs — the
+    /// streaming facade's edge ingest, and tests. With multi-edges the
+    /// slot of the first copy is returned.
     pub fn edge_index(&self, src: VertexId, dst: VertexId) -> Option<usize> {
+        if src as usize >= self.num_vertices {
+            return None;
+        }
         let row = self.out_neighbors(src);
         let pos = row.partition_point(|&w| w < dst);
         (row.get(pos) == Some(&dst)).then(|| self.out_offsets[src as usize] as usize + pos)
+    }
+
+    /// The edge in `slot` ([`Graph::edges`] order), or `None` if
+    /// `slot ≥ m`: a binary search over the row offsets for its source.
+    pub fn edge_at(&self, slot: usize) -> Option<Edge> {
+        let dst = *self.out_targets.get(slot)?;
+        // out_offsets[0] = 0 ≤ slot < m = out_offsets[n]: the last row
+        // starting at or before `slot` is non-empty and holds it.
+        let src = self.out_offsets.partition_point(|&o| o <= slot as u64) - 1;
+        Some(Edge::new(src as VertexId, dst))
+    }
+
+    /// The target of the edge in `slot`; `slot < m`.
+    #[inline]
+    pub(crate) fn out_target(&self, slot: usize) -> VertexId {
+        self.out_targets[slot]
     }
 
     /// Range of dense edge indices covering all out-edges of `v` (in
@@ -253,6 +275,21 @@ mod tests {
             assert_eq!(g.edge_index(e.src, e.dst), Some(i));
         }
         assert_eq!(g.edge_index(3, 0), None);
+    }
+
+    #[test]
+    fn edge_at_inverts_the_slot_order() {
+        let g = GraphBuilder::new()
+            .keep_duplicates(true)
+            .keep_self_loops(true)
+            .ensure_vertices(7)
+            .extend_edges([(0, 1), (0, 1), (2, 2), (5, 0), (5, 6), (5, 6)].map(Edge::from))
+            .build();
+        for (slot, e) in g.edges().enumerate() {
+            assert_eq!(g.edge_at(slot), Some(e), "slot {slot}");
+        }
+        assert_eq!(g.edge_at(g.num_edges()), None);
+        assert_eq!(g.edge_index(7, 0), None, "a source past n is no edge");
     }
 
     #[test]

@@ -249,34 +249,38 @@ impl<'g> VertexStreamSource<'g> {
     /// end of stream. `max_len = 0` is treated as 1 so the cursor always
     /// makes progress.
     pub fn next_chunk(&mut self, max_len: usize, out: &mut Vec<VertexRecord<'g>>) -> usize {
-        out.clear();
-        let max_len = max_len.max(1);
-        while out.len() < max_len {
-            match self.next_record() {
-                Some(rec) => out.push(rec),
-                None => break,
-            }
-        }
-        out.len()
+        fill_chunk(max_len, out, || self.next_record())
     }
 }
 
-/// Cursor state of an [`EdgeStreamSource`].
+/// Cursor state of an [`EdgeStreamSource`]. Every cursor knows the CSR
+/// slot of the edge it yields, so no consumer searches the CSR for it.
 #[derive(Debug, Clone)]
 enum EdgeCursor {
-    /// Natural order walks the CSR in place: no buffer at all.
-    Csr { v: VertexId, off: usize },
+    /// Natural order walks the CSR in place: the slot is the running
+    /// offset, and `v` the row it falls in.
+    Csr { v: VertexId, slot: usize },
     /// Traversal orders expand the out-edges of each vertex of the O(|V|)
-    /// visit order lazily — no O(|E|) buffer.
+    /// visit order lazily — no O(|E|) buffer. The slot is
+    /// `out_edge_range(src).start + off`.
     ByVertex { order: Vec<VertexId>, vi: usize, off: usize },
     /// Random order must materialize the permutation (backward
     /// Fisher–Yates finalizes the last slot first, so it cannot stream).
-    Materialized { edges: Vec<Edge>, pos: usize },
+    /// It shuffles `(slot, src)` pairs, as many bytes as the edges
+    /// themselves, and reads `dst` from the CSR by slot.
+    Materialized { edges: Vec<(u32, VertexId)>, pos: usize },
 }
 
 /// Chunked edge-stream cursor: yields bounded chunks of [`Edge`]s in any
 /// [`StreamOrder`]. `Natural` and the traversal orders never allocate an
 /// O(|E|) edge vector; `Random` holds the shuffled permutation.
+///
+/// Every edge comes with its CSR slot, its index in [`Graph::edges`]
+/// order ([`next_slotted_chunk`](EdgeStreamSource::next_slotted_chunk)):
+/// each parallel copy of a multigraph edge has a slot of its own.
+/// [`next_edge`](EdgeStreamSource::next_edge) and
+/// [`next_chunk`](EdgeStreamSource::next_chunk) are the same stream with
+/// the slots dropped.
 ///
 /// For `StreamOrder::Bfs`/`Dfs` the edges arrive grouped by the traversal
 /// order of their source vertex, which is the adversarial order for
@@ -289,11 +293,26 @@ pub struct EdgeStreamSource<'g> {
 
 impl<'g> EdgeStreamSource<'g> {
     /// Creates a chunked edge source over `g` in the given order.
+    ///
+    /// # Panics
+    /// Panics if `g` has more than 2^32 edges: slots are `u32`, and a
+    /// larger graph is refused here rather than streamed with slots
+    /// that wrap (DESIGN.md §3.1).
     pub fn new(g: &'g Graph, order: StreamOrder) -> Self {
+        assert!(
+            u32::try_from(g.num_edges().saturating_sub(1)).is_ok(),
+            "an edge stream numbers its slots in u32: {} edges do not fit",
+            g.num_edges()
+        );
         let cursor = match order {
-            StreamOrder::Natural => EdgeCursor::Csr { v: 0, off: 0 },
+            StreamOrder::Natural => EdgeCursor::Csr { v: 0, slot: 0 },
             StreamOrder::Random { seed } => {
-                let mut e: Vec<Edge> = g.edges().collect();
+                let mut e: Vec<(u32, VertexId)> = Vec::with_capacity(g.num_edges());
+                for v in g.vertices() {
+                    e.extend(g.out_edge_range(v).map(|slot| (slot as u32, v)));
+                }
+                // The draws depend only on the length, so the permutation
+                // is the one a shuffle of the edges themselves would take.
                 shuffle(&mut e, &mut seeded_rng(seed ^ 0x9E37_79B9));
                 EdgeCursor::Materialized { edges: e, pos: 0 }
             }
@@ -310,9 +329,9 @@ impl<'g> EdgeStreamSource<'g> {
     /// Restarts the stream from the beginning with the same order.
     pub fn restart(&mut self) {
         match &mut self.cursor {
-            EdgeCursor::Csr { v, off } => {
+            EdgeCursor::Csr { v, slot } => {
                 *v = 0;
-                *off = 0;
+                *slot = 0;
             }
             EdgeCursor::ByVertex { vi, off, .. } => {
                 *vi = 0;
@@ -322,58 +341,73 @@ impl<'g> EdgeStreamSource<'g> {
         }
     }
 
-    /// Yields the next stream element, or `None` at end of stream.
-    pub fn next_edge(&mut self) -> Option<Edge> {
+    /// Yields the next stream element with its CSR slot, or `None` at
+    /// end of stream: the one cursor core every other method projects.
+    fn next_slotted(&mut self) -> Option<(u32, Edge)> {
+        let g = self.graph;
         match &mut self.cursor {
-            EdgeCursor::Csr { v, off } => loop {
-                if (*v as usize) >= self.graph.num_vertices() {
+            EdgeCursor::Csr { v, slot } => loop {
+                if (*v as usize) >= g.num_vertices() {
                     break None;
                 }
-                let outs = self.graph.out_neighbors(*v);
-                if *off < outs.len() {
-                    let e = Edge::new(*v, outs[*off]);
-                    *off += 1;
-                    break Some(e);
+                let next = *slot;
+                if next < g.out_edge_range(*v).end {
+                    *slot += 1;
+                    break Some((next as u32, Edge::new(*v, g.out_target(next))));
                 }
                 *v += 1;
-                *off = 0;
             },
             EdgeCursor::ByVertex { order, vi, off } => loop {
                 let Some(&src) = order.get(*vi) else { break None };
-                let outs = self.graph.out_neighbors(src);
-                if *off < outs.len() {
-                    let e = Edge::new(src, outs[*off]);
+                let row = g.out_edge_range(src);
+                if *off < row.len() {
+                    let slot = row.start + *off;
                     *off += 1;
-                    break Some(e);
+                    break Some((slot as u32, Edge::new(src, g.out_target(slot))));
                 }
                 *vi += 1;
                 *off = 0;
             },
             EdgeCursor::Materialized { edges, pos } => {
-                let e = edges.get(*pos).copied();
-                if e.is_some() {
-                    *pos += 1;
-                }
-                e
+                let &(slot, src) = edges.get(*pos)?;
+                *pos += 1;
+                Some((slot, Edge::new(src, g.out_target(slot as usize))))
             }
         }
     }
 
-    /// Fills `out` with the next up-to-`max_len` stream elements
-    /// (clearing it first) and returns how many were produced; 0 means
-    /// end of stream. `max_len = 0` is treated as 1 so the cursor always
-    /// makes progress.
-    pub fn next_chunk(&mut self, max_len: usize, out: &mut Vec<Edge>) -> usize {
-        out.clear();
-        let max_len = max_len.max(1);
-        while out.len() < max_len {
-            match self.next_edge() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out.len()
+    /// Yields the next stream element, or `None` at end of stream.
+    pub fn next_edge(&mut self) -> Option<Edge> {
+        self.next_slotted().map(|(_, e)| e)
     }
+
+    /// Fills `out` with the next up-to-`max_len` stream elements and
+    /// their slots (clearing it first) and returns how many were
+    /// produced; 0 means end of stream. `max_len = 0` is treated as 1 so
+    /// the cursor always makes progress.
+    pub fn next_slotted_chunk(&mut self, max_len: usize, out: &mut Vec<(u32, Edge)>) -> usize {
+        fill_chunk(max_len, out, || self.next_slotted())
+    }
+
+    /// [`next_slotted_chunk`](EdgeStreamSource::next_slotted_chunk)
+    /// without the slots.
+    pub fn next_chunk(&mut self, max_len: usize, out: &mut Vec<Edge>) -> usize {
+        fill_chunk(max_len, out, || self.next_edge())
+    }
+}
+
+/// Clears `out` and fills it with up to `max_len.max(1)` elements drawn
+/// from `next`; returns how many.
+fn fill_chunk<T>(max_len: usize, out: &mut Vec<T>, mut next: impl FnMut() -> Option<T>) -> usize {
+    out.clear();
+    let max_len = max_len.max(1);
+    while out.len() < max_len {
+        match next() {
+            Some(e) => out.push(e),
+            None => break,
+        }
+    }
+    out.len()
 }
 
 #[cfg(test)]
@@ -715,6 +749,43 @@ mod tests {
                 assert_eq!(got, whole, "order {order:?} chunk {chunk_len}");
             }
         }
+    }
+
+    /// Every order yields each slot once, with the edge that sits in it,
+    /// on multigraphs too; the random order is the permutation the seeded
+    /// shuffle of the edge list itself takes.
+    #[test]
+    fn slotted_edge_stream_names_each_slot_once() {
+        check_cases(96, |rng| {
+            let shape = [Shape::Directed, Shape::Symmetric, Shape::SymmetricMulti][rng.index(3)];
+            let g = random_graph(rng, shape);
+            let seed = rng.next_u64();
+            let mut orders = all_orders();
+            orders.push(StreamOrder::Random { seed });
+            for order in orders {
+                let mut source = EdgeStreamSource::new(&g, order);
+                let mut seen = vec![false; g.num_edges()];
+                let mut chunk = Vec::new();
+                let mut streamed = Vec::new();
+                while source.next_slotted_chunk(rng.range(1..5), &mut chunk) > 0 {
+                    for &(slot, e) in &chunk {
+                        assert!(!seen[slot as usize], "slot {slot} twice in {order:?}");
+                        seen[slot as usize] = true;
+                        assert_eq!(g.edge_at(slot as usize), Some(e), "{order:?}");
+                        streamed.push(e);
+                    }
+                }
+                assert!(seen.iter().all(|&s| s), "{order:?} skips a slot");
+                source.restart();
+                let bare: Vec<Edge> = std::iter::from_fn(|| source.next_edge()).collect();
+                assert_eq!(bare, streamed, "{order:?}: the bare stream is the slotted one");
+            }
+            let mut shuffled: Vec<Edge> = g.edges().collect();
+            shuffle(&mut shuffled, &mut seeded_rng(seed ^ 0x9E37_79B9));
+            let mut source = EdgeStreamSource::new(&g, StreamOrder::Random { seed });
+            let random: Vec<Edge> = std::iter::from_fn(|| source.next_edge()).collect();
+            assert_eq!(random, shuffled);
+        });
     }
 
     #[test]

@@ -694,6 +694,43 @@ pub(crate) mod tests {
         assert_eq!(ldg.work_stats(), work_per_record(&g, &c, &mut reference));
     }
 
+    /// HDRF and 2PS (whose assignment pass is HDRF with affinity
+    /// targets) on a small R-MAT at k ∈ {2, 32}, random order: the family
+    /// fold scores at most six entries per placement, and the dense k-way
+    /// fold it replaced (on every placement) runs on almost none.
+    #[test]
+    fn hdrf_work_counters_are_exact_on_a_small_rmat() {
+        use crate::streaming::{drive_edge_stream, EdgeIngest};
+        use crate::two_phase::TwoPhase;
+        use crate::vertex_cut::{EdgeStreamPartitioner, Hdrf};
+        use sgp_graph::generators::{rmat, RmatConfig};
+        let g = rmat(RmatConfig { scale: 10, edge_factor: 12, ..RmatConfig::default() });
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let order = StreamOrder::Random { seed: 42 };
+        // (machine, k, its exact work).
+        let cells: [(&str, usize, WorkStats); 4] = [
+            ("HDRF", 2, WorkStats { score_evals: 13_643, full_folds: 8 }),
+            ("2PS", 2, WorkStats { score_evals: 18_850, full_folds: 4 }),
+            ("HDRF", 32, WorkStats { score_evals: 31_125, full_folds: 0 }),
+            ("2PS", 32, WorkStats { score_evals: 40_989, full_folds: 0 }),
+        ];
+        for (name, k, pinned) in cells {
+            let c = cfg(k);
+            let machine: Box<dyn EdgeStreamPartitioner> = match name {
+                "HDRF" => Box::new(Hdrf::new(&c, m)),
+                _ => Box::new(TwoPhase::new(&c, n, m)),
+            };
+            let mut core = EdgeIngest::init(&g, machine, k);
+            drive_edge_stream(&g, &mut core, order, 1, &mut NullSink);
+            let work = core.partitioner.work_stats();
+            println!("{name} k={k}: {work:?} over {m} placements");
+            assert_eq!(work, pinned, "{name} k={k}");
+            let (m, k) = (m as u64, k as u64);
+            assert!(work.score_evals <= 6 * (m - work.full_folds) + k * work.full_folds);
+            assert!(work.full_folds * 1000 < m, "{name} k={k}: {work:?}");
+        }
+    }
+
     #[test]
     fn ldg_falls_back_when_a_candidate_score_rounds_into_the_band() {
         // C = 5e12: one below capacity, a single neighbour scores

@@ -349,6 +349,216 @@ impl SeparatedLoads {
     }
 }
 
+/// The largest score magnitude at which the [`FamilyFold`] runs: below
+/// it every Eq. (7) score rounds by less than ε/8 (seven roundings of at
+/// most half an ulp of 512 each), so a guard margin of 2ε leaves the
+/// dense fold's ε-comparisons no room to disagree.
+const FAMILY_FOLD_MAGNITUDE: f64 = 512.0;
+
+/// One entry of the [`FamilyFold`]: the least-loaded partition of a
+/// replica family, or an affinity target scored on its own.
+#[derive(Debug, Clone, Copy)]
+struct FamilyEntry {
+    id: PartitionId,
+    load: usize,
+    /// In `A(u)`, in `A(v)`.
+    in_u: bool,
+    in_v: bool,
+    /// Affinity targets naming this partition (0 for a family entry).
+    bonus: u8,
+}
+
+/// HDRF's Eq. (7) fold over the replica families (DESIGN.md §13,
+/// "Family fold"), shared by HDRF and 2PS's assignment pass.
+///
+/// For an edge (u, v) every partition falls into one of four families —
+/// in neither replica set, in `A(u)` only, in `A(v)` only, in both — and
+/// scores `λ·(1 − |e(P_i)|/C)` plus an offset that depends on the family
+/// alone. Within a family the score falls strictly with load, so the
+/// family's best entry is its least-loaded partition (lowest id on
+/// ties): an integer scan over the family's bits. Affinity targets leave
+/// their families and are scored as entries of their own. The pick is
+/// the highest of those ≤ 6 scores, lowest id on an exact tie.
+///
+/// That is [`epsilon_argmax`]'s pick over the dense column, with no tie
+/// broken, exactly when no two entries with different score expressions
+/// come within ε of each other at any loads. [`place`](FamilyFold::place)
+/// guards that per edge and returns `None` for the dense fold when it
+/// cannot show it.
+#[derive(Debug, Clone)]
+pub(crate) struct FamilyFold {
+    /// HDRF's λ and uniform capacity `C`.
+    pub(crate) lambda: f64,
+    pub(crate) capacity: f64,
+    /// `C/λ`: a score difference measured in load steps of `λ/C`.
+    steps: f64,
+    /// `2ε·C/λ`: the nearest a pair's offset difference may come to a
+    /// whole number of load steps (below 1/2, since `λ/C > 4ε`).
+    min_gap: f64,
+    /// The heaviest load at which every score stays within
+    /// [`FAMILY_FOLD_MAGNITUDE`]; `None` when the fold never runs (`λ/C`
+    /// not above 4ε, λ = 0 included, or λ too large).
+    load_bound: Option<usize>,
+    /// Exact work counters (derived; never snapshotted).
+    pub(crate) work: WorkStats,
+    entries: Vec<FamilyEntry>,
+}
+
+impl FamilyFold {
+    /// The fold for HDRF's `lambda` and uniform `capacity`.
+    pub(crate) fn new(lambda: f64, capacity: f64) -> Self {
+        let step = lambda / capacity;
+        // Offsets are at most 5 (the two gains sum to 3, two targets add
+        // 2), so scores stay within λ·(1 + load/C) + 6.
+        let bound = capacity * ((FAMILY_FOLD_MAGNITUDE - 6.0) / lambda - 1.0);
+        let runs = step > 4.0 * SCORE_EPSILON && bound >= 0.0;
+        FamilyFold {
+            lambda,
+            capacity,
+            steps: capacity / lambda,
+            min_gap: 2.0 * SCORE_EPSILON * capacity / lambda,
+            load_bound: runs.then_some(bound as usize),
+            work: WorkStats::default(),
+            entries: Vec::with_capacity(6),
+        }
+    }
+
+    /// The dense fold's pick for an edge whose endpoints hold the replica
+    /// blocks `bu` and `bv` (one bit per partition), under per-partition
+    /// `loads`, gains `[1 + (1 − θ_u), 1 + (1 − θ_v)]` and affinity
+    /// `targets` (each `+1.0`; one at or past k is ignored); `None` when
+    /// the guard cannot show that the dense fold picks the same partition
+    /// and breaks no tie.
+    pub(crate) fn place(
+        &mut self,
+        bu: &[u64],
+        bv: &[u64],
+        loads: &[usize],
+        gains: [f64; 2],
+        targets: [Option<PartitionId>; 2],
+    ) -> Option<PartitionId> {
+        let bound = self.load_bound?;
+        let k = loads.len();
+        let [t0, t1] = targets.map(|t| t.filter(|&t| (t as usize) < k));
+        // Per family, the least load and its lowest id; a family left at
+        // `usize::MAX` is empty (or that heavy, which the bound refuses).
+        let mut families = [(usize::MAX, 0 as PartitionId); 4];
+        let mut heaviest = 0;
+        for (w, (&mu, &mv)) in bu.iter().zip(bv).enumerate() {
+            let base = w << 6;
+            let mut free = if k - base >= 64 { !0 } else { (1u64 << (k - base)) - 1 };
+            for t in [t0, t1].into_iter().flatten() {
+                if t as usize >> 6 == w {
+                    free &= !(1u64 << (t & 63));
+                }
+            }
+            let masks = [free & !(mu | mv), free & mu & !mv, free & mv & !mu, free & mu & mv];
+            for (best, mut bits) in families.iter_mut().zip(masks) {
+                while bits != 0 {
+                    let p = base + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let load = loads[p];
+                    heaviest = heaviest.max(load);
+                    if load < best.0 {
+                        *best = (load, p as PartitionId);
+                    }
+                }
+            }
+        }
+        self.entries.clear();
+        for (f, (load, id)) in families.into_iter().enumerate() {
+            if load != usize::MAX {
+                let (in_u, in_v) = (f & 1 == 1, f >= 2);
+                self.entries.push(FamilyEntry { id, load, in_u, in_v, bonus: 0 });
+            }
+        }
+        let bit = |block: &[u64], p: PartitionId| (block[p as usize >> 6] >> (p & 63)) & 1 == 1;
+        let mut target = |t: PartitionId, bonus: u8| {
+            let load = loads[t as usize];
+            heaviest = heaviest.max(load);
+            let (in_u, in_v) = (bit(bu, t), bit(bv, t));
+            self.entries.push(FamilyEntry { id: t, load, in_u, in_v, bonus });
+        };
+        match (t0, t1) {
+            (Some(a), Some(b)) if a == b => target(a, 2),
+            _ => [t0, t1].into_iter().flatten().for_each(|t| target(t, 1)),
+        }
+        if heaviest > bound || !self.separated(gains) {
+            return None;
+        }
+        self.work.score_evals += self.entries.len() as u64;
+        let mut pick: Option<(f64, PartitionId)> = None;
+        for e in &self.entries {
+            let score = self.score(e, gains);
+            if pick.is_none_or(|(best, id)| score > best || (score == best && e.id < id)) {
+                pick = Some((score, e.id));
+            }
+        }
+        pick.map(|(_, id)| id)
+    }
+
+    /// Entry `e`'s score with the dense column's float operations in the
+    /// column's order: balance term, `A(u)` gain, `A(v)` gain, targets.
+    fn score(&self, e: &FamilyEntry, [gu, gv]: [f64; 2]) -> f64 {
+        let mut score = self.lambda * (1.0 - e.load as f64 / self.capacity);
+        if e.in_u {
+            score += gu;
+        }
+        if e.in_v {
+            score += gv;
+        }
+        for _ in 0..e.bonus {
+            score += 1.0;
+        }
+        score
+    }
+
+    /// Whether every two entries with different score expressions stay
+    /// more than ε apart at any loads: their offset difference lies at
+    /// least 2ε from every multiple of `λ/C`. Entries share an expression
+    /// when they share a family and a bonus, or are `A(u)`-only against
+    /// `A(v)`-only when the two gains are the same float. Each distinct
+    /// expression's offset is placed on the unit circle of load steps
+    /// (offset · C/λ mod 1), and every two points must lie `2ε·C/λ` apart
+    /// around it.
+    fn separated(&self, [gu, gv]: [f64; 2]) -> bool {
+        let one_gain = gu.to_bits() == gv.to_bits();
+        let (mut seen, mut at, mut n) = (0u16, [0.0f64; 6], 0);
+        for e in &self.entries {
+            let family = match (e.in_u, e.in_v) {
+                (false, false) => 0,
+                (true, false) => 1,
+                (false, true) if one_gain => 1,
+                (false, true) => 2,
+                (true, true) => 3,
+            };
+            let expression = 1u16 << (3 * family + e.bonus);
+            if seen & expression != 0 {
+                continue;
+            }
+            seen |= expression;
+            let mut offset = f64::from(e.bonus);
+            if e.in_u {
+                offset += gu;
+            }
+            if e.in_v {
+                offset += gv;
+            }
+            let steps = offset * self.steps;
+            let here = steps - (steps as u64) as f64;
+            for &there in &at[..n] {
+                let apart = (here - there).abs();
+                if apart.min(1.0 - apart) < self.min_gap {
+                    return false;
+                }
+            }
+            at[n] = here;
+            n += 1;
+        }
+        true
+    }
+}
+
 /// Index of the smallest load (ties → lower index): the strict-improve
 /// ascending scan form of `min_by_key`, shared by the capacity
 /// fallbacks of the vertex-stream heuristics.
@@ -567,6 +777,171 @@ mod tests {
         // Both paths and the equal-score prefix count were exercised.
         assert!(fast > 100_000 && fallbacks > 100_000, "fast {fast}, fallbacks {fallbacks}");
         assert!(prefix_ties > 1_000, "prefix ties {prefix_ties}");
+    }
+
+    /// `(λ, C, d(u) + 1, d(v) + 1)` settings of the family fold grid,
+    /// chosen so that offset differences land on, just inside and just
+    /// outside multiples of `λ/C` (the loads in play differ by 1, 3 and 4).
+    const FAMILY_CONFIGS: [(f64, f64, f64, f64); 11] = [
+        // No offset difference near a multiple.
+        (1.1, 7.3, 2.0, 5.0),
+        // C/λ an integer: a target ties its own family four loads up.
+        (1.0, 4.0, 2.0, 5.0),
+        // ... and θ_v − θ_u = 1/4 is one load step: A(u) only ties A(v)
+        // only one load up.
+        (1.0, 4.0, 3.0, 5.0),
+        // 3C/λ an integer: both gains (3 together) tie neither family
+        // four loads up.
+        (1.5, 2.0, 2.0, 5.0),
+        // d(u) = d(v): A(u) only and A(v) only are one expression.
+        (1.1, 7.3, 3.0, 3.0),
+        (1.0, 4.0, 3.0, 3.0),
+        // Four load steps are 1 − ρ: a target's score is ρ off its
+        // family's four loads up, within ε, within 2ε, and beyond.
+        (1.0, 4.0 * (1.0 + 0.5e-12), 2.0, 5.0),
+        (1.0, 4.0 * (1.0 + 1.5e-12), 2.0, 5.0),
+        (1.0, 4.0 * (1.0 + 3e-12), 2.0, 5.0),
+        // λ = 0, and λ/C below 4ε: the fold never runs.
+        (0.0, 4.0, 2.0, 5.0),
+        (1.0, 1e12, 2.0, 5.0),
+    ];
+
+    /// The guard restated from its definition: the fold runs iff λ/C
+    /// exceeds 4ε and every two entry kinds present with different score
+    /// expressions have offsets at least 2ε from a multiple of λ/C apart.
+    fn family_guard_holds(
+        (lambda, capacity): (f64, f64),
+        kinds: &[(bool, bool, u8)],
+        [gu, gv]: [f64; 2],
+    ) -> bool {
+        let step = lambda / capacity;
+        let offset = |&(u, v, bonus): &(bool, bool, u8)| {
+            f64::from(bonus) + if u { gu } else { 0.0 } + if v { gv } else { 0.0 }
+        };
+        let same = |a: &(bool, bool, u8), b: &(bool, bool, u8)| {
+            a.2 == b.2 && ((a.0, a.1) == (b.0, b.1) || (a.0 != a.1 && b.0 != b.1 && gu == gv))
+        };
+        step > 4.0 * SCORE_EPSILON
+            && kinds.iter().enumerate().all(|(i, a)| {
+                kinds[i + 1..].iter().all(|b| {
+                    let d = offset(a) - offset(b);
+                    same(a, b) || (d - (d / step).round() * step).abs() >= 2.0 * SCORE_EPSILON
+                })
+            })
+    }
+
+    /// Runs the family fold against the dense column and ε-fold on every
+    /// column of `k ≤ max_k` partitions (each in one of the four families,
+    /// at a load of 0, 1 or 4) × affinity target pairs (`all_targets`:
+    /// every pair over none, each partition and one id past k; else five
+    /// pairs) under every [`FAMILY_CONFIGS`] entry; asserts the winner,
+    /// that the fold breaks no tie the dense fold breaks, and whether the
+    /// guard fired. Returns (fold picks, dense fallbacks).
+    fn family_grid(max_k: usize, all_targets: impl Fn(usize) -> bool) -> (u64, u64) {
+        const LOADS: [usize; 3] = [0, 1, 4];
+        let (mut fast, mut dense) = (0u64, 0u64);
+        for (lambda, capacity, du, dv) in FAMILY_CONFIGS {
+            let theta_u = du / (du + dv);
+            let gains = [1.0 + (1.0 - theta_u), 1.0 + (1.0 - (1.0 - theta_u))];
+            for k in 1..=max_k {
+                let mut targets: Vec<[Option<PartitionId>; 2]> = Vec::new();
+                let ids = || std::iter::once(None).chain((0..=k as PartitionId).map(Some));
+                if all_targets(k) {
+                    targets.extend(ids().flat_map(|a| ids().map(move |b| [a, b])));
+                } else {
+                    let last = k as PartitionId - 1;
+                    targets.extend([[None, None], [Some(0), None], [Some(last), Some(1)]]);
+                    targets.extend([[Some(last), Some(last)], [Some(k as PartitionId), Some(0)]]);
+                }
+                let mut fold = FamilyFold::new(lambda, capacity);
+                let (mut bu, mut bv, mut loads) = (vec![0u64], vec![0u64], vec![0; k]);
+                let mut column = vec![0.0; k];
+                for code in 0..12usize.pow(k as u32) {
+                    let (mut c, mut families) = (code, Vec::with_capacity(k));
+                    (bu[0], bv[0]) = (0, 0);
+                    for (i, load) in loads.iter_mut().enumerate() {
+                        let (family, l) = (c % 4, c / 4 % 3);
+                        c /= 12;
+                        *load = LOADS[l];
+                        bu[0] |= u64::from(family & 1 == 1) << i;
+                        bv[0] |= u64::from(family & 2 == 2) << i;
+                        families.push((family & 1 == 1, family & 2 == 2));
+                    }
+                    for &[t0, t1] in &targets {
+                        // The dense column, as `hdrf_score_column` builds it.
+                        for (i, score) in column.iter_mut().enumerate() {
+                            *score = lambda * (1.0 - loads[i] as f64 / capacity);
+                            if families[i].0 {
+                                *score += gains[0];
+                            }
+                            if families[i].1 {
+                                *score += gains[1];
+                            }
+                        }
+                        for t in [t0, t1].into_iter().flatten() {
+                            if let Some(score) = column.get_mut(t as usize) {
+                                *score += 1.0;
+                            }
+                        }
+                        let mut ties = 0;
+                        let want = epsilon_argmax(&column, &loads, &mut ties);
+                        let bonus = |i: usize| {
+                            [t0, t1].iter().filter(|&&t| t == Some(i as PartitionId)).count() as u8
+                        };
+                        let mut kinds: Vec<(bool, bool, u8)> =
+                            (0..k).map(|i| (families[i].0, families[i].1, bonus(i))).collect();
+                        kinds.sort_unstable();
+                        kinds.dedup();
+                        let guard = family_guard_holds((lambda, capacity), &kinds, gains);
+                        let got = fold.place(&bu, &bv, &loads, gains, [t0, t1]);
+                        let at = || {
+                            format!(
+                                "λ {lambda} C {capacity} d {du}/{dv}, families {families:?}, \
+                                 loads {loads:?}, targets {t0:?} {t1:?}"
+                            )
+                        };
+                        assert_eq!(got.is_some(), guard, "guard at {}", at());
+                        if let Some(p) = got {
+                            assert_eq!(Some(p as usize), want, "winner at {}", at());
+                            assert_eq!(ties, 0, "tie count at {}", at());
+                            fast += 1;
+                        } else {
+                            dense += 1;
+                        }
+                    }
+                }
+            }
+        }
+        (fast, dense)
+    }
+
+    #[test]
+    fn family_fold_matches_the_dense_fold_on_every_small_column() {
+        let (fast, dense) = family_grid(4, |k| k <= 3);
+        // Both paths ran: the guard fires on the settings built for it.
+        assert!(fast > 300_000 && dense > 100_000, "fast {fast}, dense {dense}");
+    }
+
+    /// The full family fold grid: `cargo test --release -p sgp-partition
+    /// --lib -- --ignored` (CI runs it on every push).
+    #[test]
+    #[ignore = "full grid; run in release"]
+    fn family_fold_matches_the_dense_fold_on_every_small_column_full_grid() {
+        let (fast, dense) = family_grid(5, |k| k <= 4);
+        println!("family fold grid: {fast} fold picks, {dense} dense fallbacks, 0 mismatches");
+    }
+
+    /// Past the magnitude bound the fold hands over to the dense fold,
+    /// whatever the guard says: rounding could then reach ε.
+    #[test]
+    fn family_fold_hands_heavy_loads_to_the_dense_fold() {
+        let mut fold = FamilyFold::new(1.0, 4.0);
+        let bound = fold.load_bound.expect("the fold runs at λ = 1, C = 4");
+        assert_eq!(bound, 4 * 505);
+        let gains = [1.3, 1.7];
+        assert!(fold.place(&[0b01], &[0b10], &[bound, 0], gains, [None, None]).is_some());
+        assert!(fold.place(&[0b01], &[0b10], &[bound + 1, 0], gains, [None, None]).is_none());
+        assert!(FamilyFold::new(600.0, 1e6).load_bound.is_none(), "λ alone is past the bound");
     }
 
     #[test]

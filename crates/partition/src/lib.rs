@@ -102,5 +102,6 @@ pub use migration::{
 pub use registry::{partition, Algorithm, Exec, Run, RunError};
 pub use snapshot::{SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 pub use streaming::{
-    run_edge_stream, run_vertex_stream, StreamInput, StreamingPartitioner, DEFAULT_CHUNK,
+    run_edge_stream, run_vertex_stream, IngestError, StreamInput, StreamingPartitioner,
+    DEFAULT_CHUNK,
 };

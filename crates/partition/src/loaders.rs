@@ -17,7 +17,8 @@
 //! them), into its view — a compact delta rather than an `O(n)`
 //! snapshot clone — then places its stride and returns its log. At the
 //! barrier the logs are written into the result slots (`owner[v]`, or
-//! `edge_parts[edge_index]` in block order); no global state exists.
+//! `edge_parts[slot]` with the CSR slot the edge stream carried); no
+//! global state exists.
 //!
 //! The replay is seeded and deterministic: logs are replayed in a
 //! rotation of the loader order chosen by hashing the barrier index
@@ -48,7 +49,7 @@
 //! `L` entirely and runs sequentially.
 #![expect(
     clippy::indexing_slicing,
-    reason = "barrier writes index owner (sized num_vertices) by streamed vertex ids and edge_parts by CSR edge indices; a block's element i sits at position i / L of log i mod L"
+    reason = "barrier writes index owner (sized num_vertices) by streamed vertex ids and edge_parts by the CSR slots the edge stream carries; a block's element i sits at position i / L of log i mod L"
 )]
 
 use crate::assignment::{fxhash64, PartitionId, Partitioning};
@@ -60,6 +61,7 @@ use crate::streaming::VertexSeal;
 use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState};
 use sgp_graph::{Edge, EdgeStreamSource, Graph, StreamOrder, VertexId, VertexStreamSource};
 use sgp_trace::NullSink;
+use std::ops::DerefMut;
 
 /// Configuration of the multi-loader split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,8 +136,9 @@ pub(crate) fn run_loaders(
             vertex_loaders(g, k, loaders, order, lc, threads, seal)
         }
         Boxed::Edge(make) => {
-            let loaders = (0..l).map(|_| (make(), EdgeStreamState::new(n, k))).collect();
-            edge_loaders(g, k, loaders, order, lc, threads)
+            let mut loaders: Vec<_> =
+                (0..l).map(|_| (make(), EdgeStreamState::new(n, k))).collect();
+            edge_loaders(g, k, &mut loaders, order, lc, threads)
         }
         Boxed::Offline => (offline_baseline(g, k), 0),
     }
@@ -198,12 +201,13 @@ fn vertex_loaders(
     (seal.apply(g, k, owner).0, round)
 }
 
-/// The edge-stream rounds; the barrier writes each log into
-/// `edge_parts`.
-fn edge_loaders(
+/// The edge-stream rounds over `loaders` (one machine and view each,
+/// `L` of them); the barrier writes each log into `edge_parts` at the
+/// slots the block carried.
+fn edge_loaders<P: DerefMut<Target: EdgeStreamPartitioner> + Send>(
     g: &Graph,
     k: usize,
-    mut loaders: Vec<(Box<dyn EdgeStreamPartitioner>, EdgeStreamState)>,
+    loaders: &mut [(P, EdgeStreamState)],
     order: StreamOrder,
     lc: &LoaderConfig,
     threads: bool,
@@ -213,11 +217,11 @@ fn edge_loaders(
     let mut logs: Vec<Vec<(Edge, PartitionId)>> = vec![Vec::new(); l];
     let mut source = EdgeStreamSource::new(g, order);
     let (mut block, mut start, mut round) = (Vec::new(), 0, 0);
-    while source.next_chunk(l.saturating_mul(t), &mut block) > 0 {
-        logs = each_loader(&mut loaders, threads, |j, (machine, view)| {
+    while source.next_slotted_chunk(l.saturating_mul(t), &mut block) > 0 {
+        logs = each_loader(loaders, threads, |j, (machine, view)| {
             replay(&logs, start, j, |&(e, p)| view.record(e, p));
             let stride = block.iter().skip(j).step_by(l);
-            let place = |&e: &Edge| {
+            let place = |&(_, e): &(u32, Edge)| {
                 let p = machine.place(e, view);
                 debug_assert!((p as usize) < k, "partitioner returned out-of-range id");
                 view.record(e, p);
@@ -225,15 +229,8 @@ fn edge_loaders(
             };
             stride.map(place).collect()
         });
-        // In block order: a multigraph's parallel edges share one slot,
-        // and the later arrival keeps it.
-        for (i, e) in block.iter().enumerate() {
-            #[expect(
-                clippy::expect_used,
-                reason = "block edges come from a stream over g, so the CSR lookup cannot miss"
-            )]
-            let idx = g.edge_index(e.src, e.dst).expect("stream edge exists in graph");
-            edge_parts[idx] = logs[i % l][i / l].1;
+        for (i, &(slot, _)) in block.iter().enumerate() {
+            edge_parts[slot as usize] = logs[i % l][i / l].1;
         }
         start = merge_start(lc.seed, round, l);
         round += 1;
@@ -369,6 +366,202 @@ mod tests {
         }
     }
 
+    /// An edge machine that logs every decision it makes.
+    struct Logged {
+        inner: Box<dyn EdgeStreamPartitioner>,
+        log: Vec<(Edge, PartitionId)>,
+    }
+
+    impl Logged {
+        fn new(machines: &Boxed) -> Self {
+            let Boxed::Edge(make) = machines else { panic!("an edge-stream rule") };
+            Logged { inner: make(), log: Vec::new() }
+        }
+    }
+
+    impl EdgeStreamPartitioner for Logged {
+        fn place(&mut self, e: Edge, state: &EdgeStreamState) -> PartitionId {
+            let p = self.inner.place(e, state);
+            self.log.push((e, p));
+            p
+        }
+
+        fn passes(&self) -> usize {
+            self.inner.passes()
+        }
+
+        fn observing(&self) -> bool {
+            self.inner.observing()
+        }
+
+        fn observe(&mut self, e: Edge) {
+            self.inner.observe(e);
+        }
+    }
+
+    /// A multigraph on up to 24 vertices: random directed edges, or every
+    /// edge in both directions, a third of them in two or three copies,
+    /// plus self-loops (some repeated).
+    fn multigraph(rng: &mut sgp_graph::sampling::Rng, symmetric: bool) -> Graph {
+        let n = rng.range(2..24);
+        let mut b = GraphBuilder::new().keep_duplicates(true).keep_self_loops(true);
+        for _ in 0..rng.range(n..4 * n) {
+            let (u, v) = (rng.index(n) as VertexId, rng.index(n) as VertexId);
+            let v = if rng.index(8) == 0 { u } else { v };
+            for _ in 0..[1, 1, 1, 1, 2, 3][rng.index(6)] {
+                b.push_edge(u, v);
+                if symmetric && u != v {
+                    b.push_edge(v, u);
+                }
+            }
+        }
+        b.ensure_vertices(n + 1).build()
+    }
+
+    /// The edge placement a run's decision `logs` make when the loaders
+    /// take the stream in blocks of `L · t` (`L = logs.len()`), element `i`
+    /// of a block to loader `i mod L`, in the slots the stream carries:
+    /// asserts that every slot is written exactly once and that each
+    /// logged edge is the streamed one.
+    fn placement_from_logs(
+        g: &Graph,
+        order: StreamOrder,
+        t: usize,
+        logs: &[Vec<(Edge, PartitionId)>],
+    ) -> Vec<PartitionId> {
+        let l = logs.len();
+        let mut expected = vec![None; g.num_edges()];
+        let mut next = vec![0; l];
+        let mut source = EdgeStreamSource::new(g, order);
+        let mut block = Vec::new();
+        while source.next_slotted_chunk(l * t, &mut block) > 0 {
+            for (i, &(slot, e)) in block.iter().enumerate() {
+                let (logged, p) = logs[i % l][next[i % l]];
+                next[i % l] += 1;
+                assert_eq!(logged, e, "loader {} placed another edge", i % l);
+                assert!(expected[slot as usize].replace(p).is_none(), "slot {slot} written twice");
+            }
+        }
+        assert!(next.iter().zip(logs).all(|(&used, log)| used == log.len()), "unused decisions");
+        expected.into_iter().map(|p| p.expect("every slot is written")).collect()
+    }
+
+    /// `p` against the `decisions` that made it: each copy of an edge
+    /// holds one decision for that edge, and the replica table and the
+    /// loads the decisions build are `metrics.rs`'s view of `p`.
+    fn assert_placement_is_the_decisions(
+        g: &Graph,
+        p: &Partitioning,
+        decisions: &[(Edge, PartitionId)],
+        at: &str,
+    ) {
+        let mut placed: Vec<(Edge, PartitionId)> =
+            g.edges().zip(p.edge_parts.iter().copied()).collect();
+        let mut logged = decisions.to_vec();
+        placed.sort_unstable();
+        logged.sort_unstable();
+        assert_eq!(placed, logged, "{at}: edge_parts are not the decisions");
+        let mut table = EdgeStreamState::new(g.num_vertices(), p.k);
+        for &(e, part) in decisions {
+            table.record(e, part);
+        }
+        assert_eq!(p.edges_per_partition(), table.edge_counts, "{at}: loads");
+        let replicas = p.replica_sets(g);
+        for v in g.vertices().filter(|&v| g.degree(v) > 0) {
+            let want: Vec<PartitionId> = table.replicas(v).collect();
+            assert_eq!(replicas[v as usize], want, "{at}: A({v})");
+        }
+        let covered = g.vertices().filter(|&v| g.degree(v) > 0).count() as u64;
+        let isolated = g.num_vertices() as u64 - covered;
+        assert_eq!(p.total_replicas(g) as u64, table.replicas_created + isolated, "{at}");
+    }
+
+    /// Parallel edges keep their own slot: on directed and symmetric
+    /// multigraphs with self-loops, every edge-stream rule in every order —
+    /// sequential (on arrival and behind a window), modelled loaders and
+    /// threads at L ∈ {2, 4} — writes each slot exactly once, its
+    /// `edge_parts` are the logged decisions, and the replica counts of
+    /// `metrics.rs` are the table those decisions build. (The barrier and
+    /// the sequential core used to look the slot up by endpoints, so
+    /// every copy but one kept partition 0.)
+    #[test]
+    fn parallel_edges_keep_their_own_slot() {
+        use crate::streaming::{drive_edge_stream, EdgeIngest};
+        let rules = [
+            Algorithm::VcrHash,
+            Algorithm::Grid,
+            Algorithm::Dbh,
+            Algorithm::PowerGraphGreedy,
+            Algorithm::Hdrf,
+            Algorithm::TwoPhaseHdrf,
+        ];
+        sgp_graph::sampling::check_cases(6, |rng| {
+            let symmetric = rng.index(2) == 0;
+            let g = multigraph(rng, symmetric);
+            let n = g.num_vertices() as VertexId;
+            assert!(g.num_edges() > g.edges().collect::<std::collections::BTreeSet<_>>().len());
+            let orders = [
+                StreamOrder::Natural,
+                StreamOrder::Random { seed: rng.next_u64() },
+                StreamOrder::Bfs,
+                StreamOrder::Dfs,
+                StreamOrder::BfsFrom { start: rng.index(n as usize) as VertexId },
+                StreamOrder::DfsFrom { start: rng.index(n as usize) as VertexId },
+            ];
+            let cfg = PartitionerConfig::new(rng.range(2..6));
+            let k = cfg.k;
+            for alg in rules {
+                for order in orders {
+                    let at = format!("{alg} {order:?} k={k} m={}", g.num_edges());
+                    let sequential = partition(&g, alg, &cfg, order);
+                    for window in [1, 3] {
+                        let mut machine = Logged::new(&alg.boxed(&g, &cfg));
+                        let mut core = EdgeIngest::init(&g, &mut machine, k);
+                        drive_edge_stream(&g, &mut core, order, window, &mut NullSink);
+                        let table = core.state.clone();
+                        let p = core.seal();
+                        let at = format!("{at} W={window}");
+                        if window == 1 {
+                            let logs = [std::mem::take(&mut machine.log)];
+                            assert_eq!(p.edge_parts, placement_from_logs(&g, order, 1, &logs));
+                            assert_eq!(p.edge_parts, sequential.edge_parts, "{at}");
+                            machine.log = logs.into_iter().flatten().collect();
+                        }
+                        assert_placement_is_the_decisions(&g, &p, &machine.log, &at);
+                        assert_eq!(p.edges_per_partition(), table.edge_counts, "{at}");
+                    }
+                    for l in [2, 4] {
+                        let lc = LoaderConfig::new(l).with_sync_interval(3);
+                        let modelled = partition_multi_loader(&g, alg, &cfg, order, &lc);
+                        let threaded = partition_threaded(&g, alg, &cfg, order, &lc);
+                        assert_eq!(modelled.edge_parts, threaded.edge_parts, "{at} L={l}");
+                        if !alg.supports_parallel_loaders() {
+                            assert_eq!(modelled.edge_parts, sequential.edge_parts, "{at} L={l}");
+                            continue;
+                        }
+                        for threads in [false, true] {
+                            let at = format!("{at} L={l} threads={threads}");
+                            let boxed = alg.boxed(&g, &cfg);
+                            let mut machines: Vec<Logged> =
+                                (0..l).map(|_| Logged::new(&boxed)).collect();
+                            let mut loaders: Vec<_> = machines
+                                .iter_mut()
+                                .map(|m| (m, EdgeStreamState::new(g.num_vertices(), k)))
+                                .collect();
+                            let (p, _) = edge_loaders(&g, k, &mut loaders, order, &lc, threads);
+                            drop(loaders);
+                            assert_eq!(p.edge_parts, modelled.edge_parts, "{at}");
+                            let logs: Vec<_> = machines.into_iter().map(|m| m.log).collect();
+                            assert_eq!(p.edge_parts, placement_from_logs(&g, order, 3, &logs));
+                            let decisions: Vec<_> = logs.into_iter().flatten().collect();
+                            assert_placement_is_the_decisions(&g, &p, &decisions, &at);
+                        }
+                    }
+                }
+            }
+        });
+    }
+
     /// The loader counts the pinned digests are kept per.
     const DIGEST_LOADERS: [usize; 4] = [2, 3, 4, 8];
 
@@ -383,13 +576,17 @@ mod tests {
     /// One digest per algorithm (in [`Algorithm::all`] order) and loader
     /// count (in [`DIGEST_LOADERS`] order) over the full grid, captured
     /// from the modelled loaders before the threads backend became
-    /// their thread-scoped twin.
+    /// their thread-scoped twin. The edge-stream rows (VCR, Grid, DBH,
+    /// PGG, HDRF, 2PS) were captured again when the edge stream began to
+    /// carry CSR slots: on the multigraph every parallel copy now keeps
+    /// its own decision, and the digests of the two simple graphs alone
+    /// did not move.
     const PINNED_FULL: [[u64; 4]; 14] = [
-        [0x9a8dfb1505880891, 0x9a8dfb1505880891, 0x9a8dfb1505880891, 0x9a8dfb1505880891],
-        [0x19f61f3f2d98d699, 0xc88fa548c1899425, 0xf629965ebdf02e07, 0x57fc6db1defcc77c],
-        [0xbde58c59eed9e5e5, 0xbde58c59eed9e5e5, 0xbde58c59eed9e5e5, 0xbde58c59eed9e5e5],
-        [0xa161d46af8f209a2, 0x3f2a5db51cfe8b5a, 0x97365b1915bcb26a, 0xed6eb698010d7bfc],
-        [0x2809e184aa20248a, 0x88e35d1f4387e699, 0xec7b8b1c9d425dfd, 0x56d8d03ea192ae57],
+        [0xb5e46ab9b4bfcc61, 0xb5e46ab9b4bfcc61, 0xb5e46ab9b4bfcc61, 0xb5e46ab9b4bfcc61],
+        [0x6a15e53a89b86352, 0xe0da2aa81de37e4c, 0x8494f4c7545f637d, 0x3db8ae4e7e5f6436],
+        [0x015d5d39b2bb6f3d, 0x015d5d39b2bb6f3d, 0x015d5d39b2bb6f3d, 0x015d5d39b2bb6f3d],
+        [0xf1230eabc5829eb3, 0x0a99fcf3b9f1f12f, 0x17900b628493be49, 0x328c4f436563a72a],
+        [0xb9800bc62c3b333e, 0x45df665548c68ed8, 0x974ee167db93f795, 0x9480ca5f6762f374],
         [0xef402f07bdcfd0ed, 0xef402f07bdcfd0ed, 0xef402f07bdcfd0ed, 0xef402f07bdcfd0ed],
         [0x5ca983a7864935ea, 0x7298b574466d192c, 0xc1b86f03c1a37f4c, 0xe3b624b9846bbe79],
         [0x2c42d9cc17089b7d, 0x2c42d9cc17089b7d, 0x2c42d9cc17089b7d, 0x2c42d9cc17089b7d],
@@ -398,16 +595,16 @@ mod tests {
         [0x369b6741a59364c9, 0x11ff7ede4d5f2496, 0xf7c4bcf490b7df79, 0x84e6374008827e21],
         [0xd2f661150e0bfd83, 0x0e57a4c08152d570, 0xf801cb97df8a6c02, 0x1d70c7b2e9f703a8],
         [0x856d9379a973bcbd, 0x856d9379a973bcbd, 0x856d9379a973bcbd, 0x856d9379a973bcbd],
-        [0xf5468a02b69b4af4, 0xf5468a02b69b4af4, 0xf5468a02b69b4af4, 0xf5468a02b69b4af4],
+        [0x437bc32a340a3b64, 0x437bc32a340a3b64, 0x437bc32a340a3b64, 0x437bc32a340a3b64],
     ];
 
     /// The same for the slice that runs under `cargo test`.
     const PINNED_SLICE: [[u64; 4]; 14] = [
-        [0x2b57272de2874c45, 0x2b57272de2874c45, 0x2b57272de2874c45, 0x2b57272de2874c45],
-        [0x55e5b83992cc4905, 0x654de6ee3653d2b0, 0xb73f77129eb4bb38, 0x818d19be47dadf46],
-        [0x64311a9043863fa5, 0x64311a9043863fa5, 0x64311a9043863fa5, 0x64311a9043863fa5],
-        [0xab37aa57f49f8788, 0x57a6248d8b57c83e, 0x81fced9214d7458a, 0x14e8c6d45b173536],
-        [0x6f7694d96e893b69, 0xc5401480939c4c76, 0xda33de48ef91039b, 0x0dc6af62b028994c],
+        [0xada7108dd1b8fd1d, 0xada7108dd1b8fd1d, 0xada7108dd1b8fd1d, 0xada7108dd1b8fd1d],
+        [0x31728971ed5e103d, 0xa6752d03813a1cf7, 0x0aebc03ff31f5067, 0x5a35da94b4953637],
+        [0x0fa297672275d0a5, 0x0fa297672275d0a5, 0x0fa297672275d0a5, 0x0fa297672275d0a5],
+        [0x7b70dd00f3ba1214, 0x608d6562d406f5ea, 0x13756514a2bcd039, 0x88b62c6099fd4da4],
+        [0x10d52fae3f6b96a5, 0xe3fff50e88b6d4bf, 0xe3340a71a54a654a, 0xbde8a8b84ffbe0ee],
         [0xa00ad229748706cd, 0xa00ad229748706cd, 0xa00ad229748706cd, 0xa00ad229748706cd],
         [0x6eb8b079aff5560d, 0x341ab3e7c39cb59b, 0x6fd892cd65777d8d, 0x9efc8310c7c541cd],
         [0x179c394ff1e6eb3d, 0x179c394ff1e6eb3d, 0x179c394ff1e6eb3d, 0x179c394ff1e6eb3d],
@@ -416,11 +613,11 @@ mod tests {
         [0xd27addaacb603181, 0x2febef05b4fc9eb8, 0xf113c9e01e54b861, 0x359c62968ff2dd7d],
         [0xa8ec43438557f209, 0x399fcf7e581d270e, 0x750ec16b228f1032, 0xe6d240efb507cc58],
         [0x847b873f37daa56d, 0x847b873f37daa56d, 0x847b873f37daa56d, 0x847b873f37daa56d],
-        [0x3f82ce2d000e75e3, 0x3f82ce2d000e75e3, 0x3f82ce2d000e75e3, 0x3f82ce2d000e75e3],
+        [0x0d16e73f461e30b5, 0x0d16e73f461e30b5, 0x0d16e73f461e30b5, 0x0d16e73f461e30b5],
     ];
 
     /// Sparse random, skewed R-MAT, and a multigraph with self-loops
-    /// (two stream edges then share one `edge_index` slot).
+    /// (its parallel copies are distinct stream edges with distinct slots).
     fn digest_graphs() -> [Graph; 3] {
         let base = erdos_renyi(ErdosRenyiConfig { vertices: 120, edges: 500, seed: 5 });
         let multi = GraphBuilder::new()
@@ -503,8 +700,8 @@ mod tests {
     }
 
     /// A slice of the pinned grid, modelled and on threads (the
-    /// multigraph alone: its parallel edges pin the barrier's
-    /// block-order write).
+    /// multigraph alone: its parallel edges pin the barrier's write to
+    /// each copy's own slot).
     #[test]
     fn loader_outputs_match_the_pinned_slice() {
         let [_, _, multi] = digest_graphs();

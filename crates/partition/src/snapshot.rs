@@ -46,7 +46,7 @@ use sgp_graph::{Edge, Graph};
 /// `tests/goldens/SCHEMA_VERSIONS`. Bump on any change to the record
 /// vocabulary or semantics; old snapshots are rejected with
 /// [`SnapshotError::SchemaMismatch`].
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 3;
 
 /// Why a snapshot failed to restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,9 +166,11 @@ pub(crate) fn write_snapshot(sp: &StreamingPartitioner<'_>) -> String {
                 push(format!("load {i} {count}"));
             }
             core.partitioner.snapshot_state().into_iter().map(palg).for_each(&mut push);
-            // Look-ahead window contents, in arrival order.
-            for e in &sp.wbuf_e {
-                push(format!("we {} {}", e.src, e.dst));
+            // Look-ahead window contents, in arrival order: the CSR
+            // slot alone, which names a parallel copy apart from the
+            // others and gives the edge back at restore time.
+            for &(slot, _) in &sp.wbuf_e {
+                push(format!("we {slot}"));
             }
         }
         Machine::Offline => {}
@@ -191,7 +193,7 @@ struct Parsed {
     /// and a refusal is reported at its 1-indexed line.
     palgs: Vec<(usize, String, Vec<u64>)>,
     window_vertices: Vec<u32>,
-    window_edges: Vec<(u32, u32)>,
+    window_edges: Vec<(u32, Edge)>,
     saw_end: bool,
 }
 
@@ -331,12 +333,12 @@ fn parse(sp: &StreamingPartitioner<'_>, text: &str) -> Result<Parsed, SnapshotEr
                 parsed.window_vertices.push(v as u32);
             }
             "we" if edge => {
-                let (s, d) = parse_pair(rest, n).ok_or(bad.clone())?;
-                // A buffered edge is placed into its CSR slot at seal.
-                if d >= n as u64 || g.edge_index(s as u32, d as u32).is_none() {
-                    return Err(bad);
-                }
-                parsed.window_edges.push((s as u32, d as u32));
+                // A buffered edge is placed into its CSR slot at seal;
+                // `edge_at` refuses a slot past the last edge.
+                let slot =
+                    parse_u64(rest).and_then(|slot| u32::try_from(slot).ok()).ok_or(bad.clone())?;
+                let e = g.edge_at(slot as usize).ok_or(bad)?;
+                parsed.window_edges.push((slot, e));
             }
             _ => return Err(bad),
         }
@@ -418,7 +420,7 @@ fn apply(sp: &mut StreamingPartitioner<'_>, parsed: Parsed) -> Result<(), Snapsh
     // Refill the look-ahead window; the parser let only records of this
     // machine's stream kind through.
     sp.wbuf_v.extend(parsed.window_vertices.iter().map(|&v| VertexRecord::for_vertex(g, v)));
-    sp.wbuf_e.extend(parsed.window_edges.iter().map(|&(s, d)| Edge::new(s, d)));
+    sp.wbuf_e.extend(parsed.window_edges);
     Ok(())
 }
 
@@ -548,9 +550,10 @@ mod tests {
         }
     }
 
-    /// A `we` record naming a vertex pair that is no edge of the graph
-    /// is malformed: restoring it used to succeed, and `seal` then
-    /// panicked looking up the edge's slot.
+    /// A `we` record naming a slot past the last edge is malformed: a
+    /// window edge is placed into its slot at seal, which would index past
+    /// the placement vector (under schema 2, a vertex pair that was no
+    /// edge made `seal` panic looking its slot up).
     #[test]
     fn window_edge_not_in_the_graph_is_rejected() {
         let g = graph();
@@ -563,15 +566,16 @@ mod tests {
         });
         let (idx, line) =
             snap.lines().enumerate().find(|(_, l)| l.starts_with("we ")).expect("a buffered edge");
-        let n = g.num_vertices() as u32;
-        let (s, d) = (0..n)
-            .flat_map(|s| (0..n).map(move |d| (s, d)))
-            .find(|&(s, d)| g.edge_index(s, d).is_none())
-            .expect("the graph is not complete");
-        let tampered = snap.replacen(line, &format!("we {s} {d}"), 1);
-        let err = restore_err(&g, Algorithm::Hdrf, &cfg, &tampered);
-        assert_eq!(err, SnapshotError::Malformed { line: idx + 1 });
-        // The untampered snapshot restores and seals.
+        let m = g.num_edges();
+        for slot in [m.to_string(), (1u64 << 32).to_string(), format!("{} {}", 0, 1)] {
+            let tampered = snap.replacen(line, &format!("we {slot}"), 1);
+            let err = restore_err(&g, Algorithm::Hdrf, &cfg, &tampered);
+            assert_eq!(err, SnapshotError::Malformed { line: idx + 1 }, "we {slot}");
+        }
+        // The last slot is in range; the untampered snapshot restores and
+        // seals.
+        let last = snap.replacen(line, &format!("we {}", m - 1), 1);
+        assert!(StreamingPartitioner::restore(&g, Algorithm::Hdrf, &cfg, &last).is_ok());
         let restored = StreamingPartitioner::restore(&g, Algorithm::Hdrf, &cfg, &snap).unwrap();
         assert_eq!(restored.seal().edge_parts.len(), g.num_edges());
     }
@@ -585,17 +589,22 @@ mod tests {
     }
 
     /// Schema 1 carried decision counters (`rc`, `mc` and five `palg`
-    /// counter records) and string-valued `palg` records; its documents
-    /// are refused, not misread.
+    /// counter records) and string-valued `palg` records; schema 2 named a
+    /// window edge by its endpoints (`we s d`), which cannot tell the
+    /// parallel copies of a multigraph edge apart. Their documents are
+    /// refused, not misread.
     #[test]
-    fn a_v1_document_is_refused() {
+    fn a_v1_or_v2_document_is_refused() {
         let g = graph();
-        let cfg = PartitionerConfig::new(4);
+        let cfg = PartitionerConfig::new(4).with_window(3);
         let (_, snap) = interrupted_run(&g, Algorithm::Hdrf, &cfg, StreamOrder::Natural, 16, 2);
-        let v1 = snap.replacen("sgp-snapshot v2\n", "sgp-snapshot v1\n", 1);
-        assert_ne!(v1, snap);
-        let err = restore_err(&g, Algorithm::Hdrf, &cfg, &v1);
-        assert_eq!(err, SnapshotError::SchemaMismatch { found: 1 });
+        assert!(snap.contains("\nwe "), "the window holds an edge");
+        for found in [1, 2] {
+            let old = snap.replacen("sgp-snapshot v3\n", &format!("sgp-snapshot v{found}\n"), 1);
+            assert_ne!(old, snap);
+            let err = restore_err(&g, Algorithm::Hdrf, &cfg, &old);
+            assert_eq!(err, SnapshotError::SchemaMismatch { found });
+        }
     }
 
     /// No counter enters a snapshot: only the machines with private
@@ -662,7 +671,7 @@ mod tests {
             let err = restore_err(&g, Algorithm::Ginger, &cfg, &tampered);
             assert_eq!(err, SnapshotError::Malformed { line }, "{record}");
         }
-        let (tampered, line) = tamper(&snap, "load 0 ", "we 0 1");
+        let (tampered, line) = tamper(&snap, "load 0 ", "we 0");
         let err = restore_err(&g, Algorithm::Ginger, &cfg, &tampered);
         assert_eq!(err, SnapshotError::Malformed { line });
     }

@@ -34,7 +34,7 @@
 //! sequence and the state folded over it.
 #![expect(
     clippy::indexing_slicing,
-    reason = "ingested edges come from a stream over the partitioner's own graph, so edge_index hits and edge_parts (sized num_edges) stays in bounds; window scoring indexes assignment sized num_vertices"
+    reason = "ingested edges carry slots of the partitioner's own graph (a stream source's, or edge_index's at the facade), so edge_parts (sized num_edges) stays in bounds; window scoring indexes assignment sized num_vertices"
 )]
 
 use crate::assignment::{CutModel, PartitionId, Partitioning};
@@ -177,9 +177,11 @@ impl VertexSeal {
 /// Incremental state machine for edge-stream (vertex-cut) partitioners.
 ///
 /// Holds the replica-table state plus the edge-placement vector; unlike
-/// the vertex machine it needs the graph up front to map stream edges to
-/// CSR slots. Edges never ingested stay on partition 0 (the same
-/// initialization the batch driver used).
+/// the vertex machine it needs the graph up front, to size that vector
+/// and seal it. Every ingested edge carries its CSR slot, so each
+/// parallel copy of a multigraph edge keeps its own decision. Edges never
+/// ingested stay on partition 0 (the same initialization the batch
+/// driver used).
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeIngest<'g, P> {
     g: &'g Graph,
@@ -210,14 +212,14 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
         self.partitioner.passes()
     }
 
-    /// Ingests one bounded chunk of stream edges. While the wrapped
-    /// partitioner reports an observation pass
+    /// Ingests one bounded chunk of stream edges, each with its CSR slot.
+    /// While the wrapped partitioner reports an observation pass
     /// ([`EdgeStreamPartitioner::observing`]), edges are routed to
     /// [`EdgeStreamPartitioner::observe`] and neither the shared state,
     /// the placement vector, nor the sequence counter changes — the
     /// snapshot invariant `sum(loads) == seq` holds across passes.
-    pub(crate) fn ingest(&mut self, chunk: &[Edge]) {
-        for &e in chunk {
+    pub(crate) fn ingest(&mut self, chunk: &[(u32, Edge)]) {
+        for &(slot, e) in chunk {
             if self.partitioner.observing() {
                 self.partitioner.observe(e);
                 continue;
@@ -225,12 +227,7 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
             let p = self.partitioner.place(e, &self.state);
             debug_assert!((p as usize) < self.k, "partitioner returned out-of-range id");
             self.state.record(e, p);
-            #[expect(
-                clippy::expect_used,
-                reason = "ingested edges come from a stream over self.g, so the CSR lookup cannot miss"
-            )]
-            let idx = self.g.edge_index(e.src, e.dst).expect("stream edge exists in graph");
-            self.edge_parts[idx] = p;
+            self.edge_parts[slot as usize] = p;
             self.seq += 1;
         }
     }
@@ -329,12 +326,12 @@ impl<'g, P: DerefMut<Target: VertexStreamPartitioner>> Windowed<VertexRecord<'g>
     }
 }
 
-impl<P: DerefMut<Target: EdgeStreamPartitioner>> Windowed<Edge> for EdgeIngest<'_, P> {
-    fn ingest(&mut self, chunk: &[Edge]) {
+impl<P: DerefMut<Target: EdgeStreamPartitioner>> Windowed<(u32, Edge)> for EdgeIngest<'_, P> {
+    fn ingest(&mut self, chunk: &[(u32, Edge)]) {
         EdgeIngest::ingest(self, chunk);
     }
 
-    fn affinity(&self, e: &Edge) -> usize {
+    fn affinity(&self, &(_, e): &(u32, Edge)) -> usize {
         usize::from(self.state.has_any_replica(e.src))
             + usize::from(self.state.has_any_replica(e.dst))
     }
@@ -387,7 +384,7 @@ pub(crate) fn drive_edge_stream<P: DerefMut<Target: EdgeStreamPartitioner>, S: T
         let pass_span =
             (passes > 1).then(|| sink.guard_span(keys::PARTITION_PASS, pass as u64, core.seq));
         source.restart();
-        while source.next_chunk(DEFAULT_CHUNK, &mut chunk) > 0 {
+        while source.next_slotted_chunk(DEFAULT_CHUNK, &mut chunk) > 0 {
             core.ingest_windowed(&chunk, window, &mut buf);
         }
         core.flush_window(&mut buf);
@@ -447,20 +444,42 @@ pub enum StreamInput {
     Offline,
 }
 
-/// Error returned when a chunk of the wrong stream kind is ingested.
+/// Why a [`StreamingPartitioner`] refused a chunk. A refused chunk
+/// leaves the machine exactly as it was: nothing of it is placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WrongStreamKind {
-    /// What the machine actually consumes.
-    pub expected: StreamInput,
+pub enum IngestError {
+    /// The chunk is of the other stream kind (or the machine consumes
+    /// none).
+    WrongStreamKind {
+        /// What the machine actually consumes.
+        expected: StreamInput,
+    },
+    /// The pair at `position` of an edge chunk is no edge of the graph
+    /// (an endpoint past the last vertex included).
+    NotAnEdge {
+        /// Index of the pair in the chunk.
+        position: usize,
+        /// Its source.
+        src: VertexId,
+        /// Its target.
+        dst: VertexId,
+    },
 }
 
-impl std::fmt::Display for WrongStreamKind {
+impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "this streaming partitioner consumes {:?} input", self.expected)
+        match self {
+            IngestError::WrongStreamKind { expected } => {
+                write!(f, "this streaming partitioner consumes {expected:?} input")
+            }
+            IngestError::NotAnEdge { position, src, dst } => {
+                write!(f, "chunk element {position}, {src} -> {dst}, is no edge of the graph")
+            }
+        }
     }
 }
 
-impl std::error::Error for WrongStreamKind {}
+impl std::error::Error for IngestError {}
 
 pub(crate) enum Machine<'g> {
     Vertex { core: VertexIngest<Box<dyn VertexStreamPartitioner>>, seal: VertexSeal },
@@ -489,8 +508,12 @@ pub struct StreamingPartitioner<'g> {
     /// Buffered vertex records awaiting placement (≤ `W − 1` between
     /// ingest calls), in arrival order.
     pub(crate) wbuf_v: Vec<VertexRecord<'g>>,
-    /// Buffered edges awaiting placement, in arrival order.
-    pub(crate) wbuf_e: Vec<Edge>,
+    /// Buffered edges awaiting placement, with their slots, in arrival
+    /// order.
+    pub(crate) wbuf_e: Vec<(u32, Edge)>,
+    /// Scratch: the edge chunk being ingested, with the slots the facade
+    /// resolved for it.
+    slotted: Vec<(u32, Edge)>,
 }
 
 impl<'g> StreamingPartitioner<'g> {
@@ -523,6 +546,7 @@ impl<'g> StreamingPartitioner<'g> {
             window: cfg.window.max(1),
             wbuf_v: Vec::new(),
             wbuf_e: Vec::new(),
+            slotted: Vec::new(),
         }
     }
 
@@ -577,29 +601,41 @@ impl<'g> StreamingPartitioner<'g> {
     /// each record enters the buffer first and the highest-affinity
     /// buffered record is placed whenever the buffer reaches `W`; at
     /// `W = 1` the chunk goes to the core as is.
-    pub fn ingest_vertices(&mut self, chunk: &[VertexRecord<'g>]) -> Result<(), WrongStreamKind> {
+    pub fn ingest_vertices(&mut self, chunk: &[VertexRecord<'g>]) -> Result<(), IngestError> {
         let expected = self.input();
         match &mut self.machine {
             Machine::Vertex { core, .. } => {
                 core.ingest_windowed(chunk, self.window, &mut self.wbuf_v);
                 Ok(())
             }
-            _ => Err(WrongStreamKind { expected }),
+            _ => Err(IngestError::WrongStreamKind { expected }),
         }
     }
 
     /// Ingests a chunk of edges; errors if this machine consumes vertex
     /// records (or nothing). Buffered look-ahead as in
     /// [`ingest_vertices`](StreamingPartitioner::ingest_vertices).
-    pub fn ingest_edges(&mut self, chunk: &[Edge]) -> Result<(), WrongStreamKind> {
+    ///
+    /// A caller holds bare `(src, dst)` pairs, so each is looked up in the
+    /// CSR ([`Graph::edge_index`]) before anything is placed; a pair that
+    /// is no edge refuses the whole chunk with
+    /// [`IngestError::NotAnEdge`]. On a multigraph a pair names the first
+    /// copy of a parallel edge: the other copies are reachable through the
+    /// slotted stream sources only, not through this method.
+    pub fn ingest_edges(&mut self, chunk: &[Edge]) -> Result<(), IngestError> {
         let expected = self.input();
-        match &mut self.machine {
-            Machine::Edge { core } => {
-                core.ingest_windowed(chunk, self.window, &mut self.wbuf_e);
-                Ok(())
-            }
-            _ => Err(WrongStreamKind { expected }),
+        let Machine::Edge { core } = &mut self.machine else {
+            return Err(IngestError::WrongStreamKind { expected });
+        };
+        self.slotted.clear();
+        for (position, &e) in chunk.iter().enumerate() {
+            let Some(slot) = self.g.edge_index(e.src, e.dst) else {
+                return Err(IngestError::NotAnEdge { position, src: e.src, dst: e.dst });
+            };
+            self.slotted.push((slot as u32, e));
         }
+        core.ingest_windowed(&self.slotted, self.window, &mut self.wbuf_e);
+        Ok(())
     }
 
     /// Drains the look-ahead buffer completely, placing the remaining
@@ -677,9 +713,55 @@ mod tests {
         let g = graph();
         let cfg = PartitionerConfig::new(2);
         let mut sp = StreamingPartitioner::init(&g, Algorithm::Hdrf, &cfg);
-        assert_eq!(sp.ingest_vertices(&[]), Err(WrongStreamKind { expected: StreamInput::Edges }));
+        let expected = StreamInput::Edges;
+        assert_eq!(sp.ingest_vertices(&[]), Err(IngestError::WrongStreamKind { expected }));
         let mut sp = StreamingPartitioner::init(&g, Algorithm::Ldg, &cfg);
-        assert_eq!(sp.ingest_edges(&[]), Err(WrongStreamKind { expected: StreamInput::Vertices }));
+        let expected = StreamInput::Vertices;
+        assert_eq!(sp.ingest_edges(&[]), Err(IngestError::WrongStreamKind { expected }));
+    }
+
+    /// A chunk holding a pair that is no edge — a missing edge, or an
+    /// endpoint past the last vertex — is refused whole with its position,
+    /// and the machine is left as it was: its snapshot does not move, and
+    /// the rest of the run places exactly as an untouched one.
+    #[test]
+    fn a_chunk_with_a_pair_that_is_no_edge_is_refused_whole() {
+        let g = graph();
+        let n = g.num_vertices() as VertexId;
+        let missing = (0..n)
+            .flat_map(|s| (0..n).map(move |d| Edge::new(s, d)))
+            .find(|e| g.edge_index(e.src, e.dst).is_none())
+            .expect("the graph is not complete");
+        let edges: Vec<Edge> = g.edges().collect();
+        for alg in [Algorithm::VcrHash, Algorithm::Hdrf, Algorithm::TwoPhaseHdrf] {
+            for window in [1, 4] {
+                let cfg = PartitionerConfig::new(4).with_window(window);
+                let (mut sp, mut untouched) = (
+                    StreamingPartitioner::init(&g, alg, &cfg),
+                    StreamingPartitioner::init(&g, alg, &cfg),
+                );
+                sp.ingest_edges(&edges[..40]).unwrap();
+                untouched.ingest_edges(&edges[..40]).unwrap();
+                let before = sp.snapshot();
+                for bad in [missing, Edge::new(n, 0), Edge::new(0, n)] {
+                    let chunk = [edges[40], edges[41], bad, edges[42]];
+                    let (src, dst) = (bad.src, bad.dst);
+                    let refused = IngestError::NotAnEdge { position: 2, src, dst };
+                    assert_eq!(sp.ingest_edges(&chunk), Err(refused), "{alg} W={window}");
+                    assert_eq!(sp.snapshot(), before, "{alg} W={window}: the machine moved");
+                }
+                for sp in [&mut sp, &mut untouched] {
+                    for pass in 0..sp.passes() {
+                        let from = if pass == 0 { 40 } else { 0 };
+                        for chunk in edges[from..].chunks(64) {
+                            sp.ingest_edges(chunk).unwrap();
+                        }
+                        sp.flush_window();
+                    }
+                }
+                assert_eq!(sp.seal().edge_parts, untouched.seal().edge_parts, "{alg} W={window}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
-use crate::decisions::DecisionStats;
+use crate::decisions::{DecisionStats, WorkStats};
 use crate::vertex_cut::{EdgeStreamPartitioner, EdgeStreamState, Hdrf};
 use sgp_graph::Edge;
 
@@ -359,6 +359,10 @@ impl EdgeStreamPartitioner for TwoPhase {
 
     fn decision_stats(&self) -> DecisionStats {
         self.inner.decision_stats()
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.inner.work_stats()
     }
 
     fn snapshot_state(&self) -> Vec<(&'static str, Vec<u64>)> {

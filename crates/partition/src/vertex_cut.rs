@@ -17,8 +17,8 @@
 
 use crate::assignment::{fxhash64, hash_to_partition, PartitionId};
 use crate::config::PartitionerConfig;
-use crate::decisions::DecisionStats;
-use crate::kernels;
+use crate::decisions::{DecisionStats, WorkStats};
+use crate::kernels::{self, FamilyFold};
 use sgp_graph::{Edge, Graph};
 
 /// Replica-set table `A(u)` plus partial degree counters and per-partition
@@ -258,6 +258,12 @@ pub trait EdgeStreamPartitioner: Send {
         DecisionStats::default()
     }
 
+    /// Exact work counters accumulated so far (all-zero for algorithms
+    /// that do not count their work).
+    fn work_stats(&self) -> WorkStats {
+        WorkStats::default()
+    }
+
     /// The private state that decides later placements, as named integer
     /// records for the snapshot layer ([`crate::snapshot`], DESIGN.md
     /// §11), which alone formats them. Counters never enter it; machines
@@ -479,10 +485,10 @@ impl EdgeStreamPartitioner for PowerGraphGreedy {
 /// plain greedy on BFS-ordered streams.
 #[derive(Debug, Clone)]
 pub(crate) struct Hdrf {
-    lambda: f64,
-    capacity: f64,
     stats: DecisionStats,
-    /// Scratch score column reused across edges (DESIGN.md §13).
+    /// The family fold, with λ, C and the work counters (DESIGN.md §13).
+    fold: FamilyFold,
+    /// Scratch score column of the dense fold (DESIGN.md §13).
     scores: Vec<f64>,
 }
 
@@ -490,9 +496,8 @@ impl Hdrf {
     /// Creates HDRF for a graph with `m` edges.
     pub(crate) fn new(cfg: &PartitionerConfig, m: usize) -> Self {
         Hdrf {
-            lambda: cfg.hdrf_lambda,
-            capacity: cfg.edge_capacity(m).max(1.0),
             stats: DecisionStats::default(),
+            fold: FamilyFold::new(cfg.hdrf_lambda, cfg.edge_capacity(m).max(1.0)),
             scores: vec![0.0; cfg.k],
         }
     }
@@ -503,25 +508,43 @@ impl Hdrf {
     /// toward the endpoint's cluster home. With `[None, None]` the column
     /// holds exactly the same floats as plain HDRF, so the two are
     /// bit-identical (pinned by the dynamic-graph differentials).
+    ///
+    /// The family fold picks from the replica families' winners; where
+    /// its guard cannot show that the dense fold agrees, the dense column
+    /// and [`kernels::epsilon_argmax`] pick, with the same 1e-12 tie
+    /// discipline as the historical in-line fold (see kernels.rs for the
+    /// seed-equivalence argument vs the old `(NEG_INFINITY, 0)` start).
     pub(crate) fn place_with_affinity(
         &mut self,
         e: Edge,
         state: &EdgeStreamState,
         targets: [Option<PartitionId>; 2],
     ) -> PartitionId {
-        let capacity = self.capacity;
-        hdrf_score_column(&mut self.scores, e, state, self.lambda, |_| capacity, targets);
-        // Same 1e-12 tie discipline as the historical in-line fold (see
-        // kernels.rs for the seed-equivalence argument vs the old
-        // `(NEG_INFINITY, 0)` start).
-        crate::kernels::epsilon_argmax(
-            &self.scores,
-            &state.edge_counts,
-            &mut self.stats.balance_tiebreaks,
-        )
-        .map(|i| i as PartitionId)
-        .unwrap_or(0)
+        let gains = hdrf_gains(e, state);
+        let (bu, bv) = (state.block(e.src), state.block(e.dst));
+        if let Some(p) = self.fold.place(bu, bv, &state.edge_counts, gains, targets) {
+            return p;
+        }
+        self.fold.work.full_folds += 1;
+        self.fold.work.score_evals += self.scores.len() as u64;
+        let (lambda, capacity) = (self.fold.lambda, self.fold.capacity);
+        hdrf_score_column(&mut self.scores, e, state, lambda, |_| capacity, targets);
+        kernels::epsilon_argmax(&self.scores, &state.edge_counts, &mut self.stats.balance_tiebreaks)
+            .map(|i| i as PartitionId)
+            .unwrap_or(0)
     }
+}
+
+/// HDRF's replica gains `[1 + (1 − θ_u), 1 + (1 − θ_v)]` for edge `e`,
+/// `θ_u = d(u)/(d(u) + d(v))` over partial degrees.
+fn hdrf_gains(e: Edge, state: &EdgeStreamState) -> [f64; 2] {
+    // Partial degrees +1 so the very first edge of a vertex does not
+    // divide by zero (the HDRF reference implementation does the same).
+    let du = state.partial_degree(e.src) as f64 + 1.0;
+    let dv = state.partial_degree(e.dst) as f64 + 1.0;
+    let theta_u = du / (du + dv);
+    let theta_v = 1.0 - theta_u;
+    [1.0 + (1.0 - theta_u), 1.0 + (1.0 - theta_v)]
 }
 
 /// Fills `scores` (length k) with HDRF's Eq. (7) column for edge `e`
@@ -540,20 +563,15 @@ pub(crate) fn hdrf_score_column(
     capacity: impl Fn(usize) -> f64,
     targets: [Option<PartitionId>; 2],
 ) {
-    // Partial degrees +1 so the very first edge of a vertex does not
-    // divide by zero (the HDRF reference implementation does the same).
-    let du = state.partial_degree(e.src) as f64 + 1.0;
-    let dv = state.partial_degree(e.dst) as f64 + 1.0;
-    let theta_u = du / (du + dv);
-    let theta_v = 1.0 - theta_u;
+    let [gu, gv] = hdrf_gains(e, state);
     for (i, (score, &count)) in scores.iter_mut().zip(&state.edge_counts).enumerate() {
         *score = lambda * (1.0 - count as f64 / capacity(i));
     }
     for p in state.replicas(e.src) {
-        scores[p as usize] += 1.0 + (1.0 - theta_u);
+        scores[p as usize] += gu;
     }
     for p in state.replicas(e.dst) {
-        scores[p as usize] += 1.0 + (1.0 - theta_v);
+        scores[p as usize] += gv;
     }
     for p in targets.into_iter().flatten() {
         if let Some(score) = scores.get_mut(p as usize) {
@@ -569,6 +587,10 @@ impl EdgeStreamPartitioner for Hdrf {
 
     fn decision_stats(&self) -> DecisionStats {
         self.stats
+    }
+
+    fn work_stats(&self) -> WorkStats {
+        self.fold.work
     }
 }
 
@@ -1041,8 +1063,11 @@ pub(crate) mod tests {
     /// Walks `g`'s stream through production [`Hdrf`] and
     /// [`ReferenceHdrf`] side by side, each edge with random affinity
     /// targets (out-of-range ids included), and returns the first edge
-    /// whose pick or score column differs in any bit. Placements alone
-    /// miss a last-bit change the ε-fold absorbs; the column does not.
+    /// whose pick, decision counters or score column differ in any bit.
+    /// Placements alone miss a last-bit change the ε-fold absorbs; the
+    /// column does not. The column is built by [`hdrf_score_column`]
+    /// explicitly: the family fold leaves the machine's scratch column
+    /// stale.
     fn first_column_divergence(
         g: &Graph,
         k: usize,
@@ -1051,6 +1076,8 @@ pub(crate) mod tests {
     ) -> Option<usize> {
         let (cfg, m) = (PartitionerConfig::new(k), g.num_edges());
         let (mut production, mut reference) = (Hdrf::new(&cfg, m), ReferenceHdrf::new(&cfg, m));
+        let (lambda, capacity) = (cfg.hdrf_lambda, cfg.edge_capacity(m).max(1.0));
+        let mut column = vec![0.0; k];
         let mut state = EdgeStreamState::new(g.num_vertices(), k);
         let mut source = EdgeStreamSource::new(g, order);
         let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
@@ -1059,7 +1086,11 @@ pub(crate) mod tests {
             let targets = [target(), target()];
             let p = production.place_with_affinity(e, &state, targets);
             let q = reference.place_with_affinity(e, &state, targets);
-            if p != q || bits(&production.scores) != bits(&reference.scores) {
+            hdrf_score_column(&mut column, e, &state, lambda, |_| capacity, targets);
+            if p != q
+                || production.decision_stats() != reference.decision_stats()
+                || bits(&column) != bits(&reference.scores)
+            {
                 return Some(i);
             }
             state.record(e, p);
