@@ -10,7 +10,7 @@
 //! the HDRF→PageRank engine run and the fault-injected DES — into one
 //! schema-versioned JSON document. It never changes the experiment
 //! output on stdout: results files stay byte-identical with tracing on
-//! or off. Render the dump with `cargo run -p sgp-xtask -- trace-summary <path>`.
+//! or off. Render the dump with `cargo run --bin sgp -- trace-summary <path>`.
 //!
 //! Scale via SGP_SCALE=tiny|small|default|large (default: default).
 

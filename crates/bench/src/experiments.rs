@@ -5,7 +5,7 @@
 use sgp_core::config::{Dataset, Scale};
 use sgp_core::decision::{recommend, OnlineObjective, WorkloadClass};
 use sgp_core::error::SgpError;
-use sgp_core::report::{f2, f3, human_bytes, TextTable};
+use sgp_core::report::{f2, f3, human_bytes, trace_summary, TextTable};
 use sgp_core::runners::{
     churn_suite, elastic_suite, engine_robustness_suite, fig1_scatter, loaders_suite,
     offline_suite, online_run, quality_suite, robustness_suite, series_slope, workload_aware_suite,
@@ -1257,9 +1257,10 @@ pub fn ablations(params: &Params) -> String {
 }
 
 /// Trace demo (opt-in; see [`EXTRA_EXPERIMENTS`]): runs the canonical
-/// traced scenarios through a streaming [`SummarySink`] and renders the
-/// aggregation — the same event streams `experiments --trace <path>`
-/// dumps as JSON and `sgp-xtask trace-summary` renders from a file.
+/// traced scenarios through a streaming [`SummarySink`] and renders it
+/// with [`trace_summary`] — the renderer `sgp trace-summary` applies to
+/// the same event streams dumped by `experiments --trace <path>` — plus
+/// the traced counters against the untraced report fields.
 pub(crate) fn trace_demo(params: &Params) -> String {
     let k = SCENARIO_MACHINES;
     let mut sink = SummarySink::new();
@@ -1270,31 +1271,7 @@ pub(crate) fn trace_demo(params: &Params) -> String {
             .as_str(),
     );
 
-    let mut t = TextTable::new(["Span", "Count", "Total", "Self"]);
-    for (name, stat) in sink.spans_by_self_cost().into_iter().take(8) {
-        t.row([
-            name.to_string(),
-            stat.count.to_string(),
-            stat.total.to_string(),
-            stat.self_total.to_string(),
-        ]);
-    }
-    out.push_str(&format!(
-        "\n--- top spans by self cost (engine/db stamps are simulated ns, partition stamps \
-         are stream elements) ---\n{}",
-        t.render()
-    ));
-
-    let mut t = TextTable::new(["Machine", "Engine bytes", "Engine compute ms", "DB reads"]);
-    for m in 0..k as u64 {
-        t.row([
-            m.to_string(),
-            human_bytes(*sink.counters().get(&("engine.machine_bytes", m)).unwrap_or(&0)),
-            f3(*sink.counters().get(&("engine.machine_compute_ns", m)).unwrap_or(&0) as f64 / 1e6),
-            sink.counters().get(&("db.reads", m)).unwrap_or(&0).to_string(),
-        ]);
-    }
-    out.push_str(&format!("\n--- per-machine load ---\n{}", t.render()));
+    out.push_str(&trace_summary(&sink, 8));
 
     let mut t = TextTable::new(["Counter", "Total", "Report field"]);
     let traced_messages =
@@ -1304,47 +1281,22 @@ pub(crate) fn trace_demo(params: &Params) -> String {
         traced_messages.to_string(),
         engine_report.total_messages().to_string(),
     ]);
-    t.row([
-        "engine.network_bytes".to_string(),
-        sink.counter_total("engine.network_bytes").to_string(),
-        engine_report.total_network_bytes().to_string(),
-    ]);
-    for name in
-        ["partition.balance_tiebreaks", "partition.mirror_creations", "partition.replicas_created"]
-    {
-        t.row([name.to_string(), sink.counter_total(name).to_string(), "—".to_string()]);
-    }
+    let mut fields =
+        vec![("engine.network_bytes", engine_report.total_network_bytes().to_string())];
     match &db_report {
-        Ok(r) => {
-            t.row([
-                "db.queries_ok".to_string(),
-                sink.counter_total("db.queries_ok").to_string(),
-                r.completed_ok.to_string(),
-            ]);
-            t.row([
-                "db.queries_failed".to_string(),
-                sink.counter_total("db.queries_failed").to_string(),
-                r.failed.to_string(),
-            ]);
-            t.row([
-                "db.failovers".to_string(),
-                sink.counter_total("db.failovers").to_string(),
-                r.failovers.to_string(),
-            ]);
-            t.row([
-                "db.retries".to_string(),
-                sink.counter_total("db.retries").to_string(),
-                r.retries.to_string(),
-            ]);
-            t.row([
-                "db.dropped_messages".to_string(),
-                sink.counter_total("db.dropped_messages").to_string(),
-                r.dropped_messages.to_string(),
-            ]);
-        }
+        Ok(r) => fields.extend([
+            ("db.queries_ok", r.completed_ok.to_string()),
+            ("db.queries_failed", r.failed.to_string()),
+            ("db.failovers", r.failovers.to_string()),
+            ("db.retries", r.retries.to_string()),
+            ("db.dropped_messages", r.dropped_messages.to_string()),
+        ]),
         Err(e) => {
             t.row(["db scenario".to_string(), format!("failed: {e}"), String::new()]);
         }
+    }
+    for (name, field) in fields {
+        t.row([name.to_string(), sink.counter_total(name).to_string(), field]);
     }
     out.push_str(&format!(
         "\n--- counters vs untraced report fields (must match exactly; the differential \
@@ -1352,25 +1304,10 @@ pub(crate) fn trace_demo(params: &Params) -> String {
         t.render()
     ));
 
-    let mut t = TextTable::new(["Histogram", "Samples", "p50", "p99", "max"]);
-    for name in ["engine.barrier_wait_ns", "db.query_latency_ns", "db.queue_depth"] {
-        if let Some(h) = sink.histograms().get(name) {
-            t.row([
-                name.to_string(),
-                h.count().to_string(),
-                h.p50().to_string(),
-                h.p99().to_string(),
-                h.max().to_string(),
-            ]);
-        }
-    }
-    out.push_str(&format!(
-        "\n--- histograms (log2 buckets; quantiles are bucket-resolution) ---\n{}",
-        t.render()
-    ));
     out.push_str(
-        "\n(every stamp above is simulated time or a logical sequence number — rerunning \
-         this experiment at the same scale reproduces it byte for byte)\n",
+        "\n(every stamp above is simulated time (engine and db: ns) or a logical sequence \
+         number (partition: stream elements) — rerunning this experiment at the same scale \
+         reproduces it byte for byte)\n",
     );
     out
 }

@@ -17,12 +17,10 @@
 //! * [`trace_scenarios`] — the canonical traced workloads behind the
 //!   `trace` experiment, the `--trace` flag, and the golden-snapshot
 //!   tests (DESIGN.md §9).
-//! * [`report`] — plain-text table rendering.
+//! * [`report`] — plain-text table rendering, the trace summary among
+//!   them.
 //! * [`error`] — the shared [`SgpError`] type for fallible framework
 //!   paths (config parsing, serialization, I/O).
-//!
-//! The six sub-crates are re-exported so downstream users can depend on
-//! `sgp-core` alone.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,9 +45,3 @@ pub use config::{Dataset, Scale};
 pub use decision::{recommend, OnlineObjective, Recommendation, WorkloadClass};
 pub use error::SgpError;
 pub use scaleout::{recommend_scale_out, ScaleOutReport};
-
-pub use sgp_db as db;
-pub use sgp_engine as engine;
-pub use sgp_fault as fault;
-pub use sgp_graph as graph;
-pub use sgp_partition as partition;

@@ -1,4 +1,9 @@
-//! Plain-text table rendering for experiment results.
+//! Plain-text table rendering for experiment results and trace
+//! summaries.
+
+use sgp_trace::SummarySink;
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
 
 /// A simple fixed-width text table builder for paper-style output.
 #[derive(Debug, Clone, Default)]
@@ -79,6 +84,76 @@ pub fn human_bytes(bytes: u64) -> String {
     }
 }
 
+/// The counters keyed by machine id: the columns of the per-machine load
+/// table.
+const MACHINE_COUNTERS: [&str; 4] =
+    ["engine.machine_bytes", "engine.machine_compute_ns", "db.reads", "db.queue_enqueued"];
+
+/// Renders a trace summary in four sections: the `top` spans by self
+/// cost, the per-machine load, the counter totals and the histogram
+/// quantiles (the per-machine and histogram sections only when they have
+/// rows). The same aggregate renders the same bytes, whether the sink was
+/// live or replayed a dump ([`SummarySink::of`]).
+pub fn trace_summary<N: Ord + Clone + Borrow<str>>(sink: &SummarySink<N>, top: usize) -> String {
+    let mut t = TextTable::new(["span", "count", "total", "self"]);
+    for (name, s) in sink.spans_by_self_cost().into_iter().take(top) {
+        t.row([
+            name.borrow().to_string(),
+            s.count.to_string(),
+            s.total.to_string(),
+            s.self_total.to_string(),
+        ]);
+    }
+    let mut out = format!("\n== top spans by self cost (stamp units) ==\n{}", t.render());
+    if sink.open_spans() > 0 {
+        out.push_str(&format!("({} span(s) never exited — partial trace?)\n", sink.open_spans()));
+    }
+
+    let mut machines: BTreeMap<u64, [u64; 4]> = BTreeMap::new();
+    let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
+    for ((name, key), v) in sink.counters() {
+        let name = name.borrow();
+        *totals.entry(name).or_insert(0) += v;
+        if let Some(col) = MACHINE_COUNTERS.iter().position(|&c| c == name) {
+            machines.entry(*key).or_default()[col] += v;
+        }
+    }
+    if !machines.is_empty() {
+        let mut t = TextTable::new([
+            "machine",
+            "engine bytes",
+            "engine compute ns",
+            "db reads",
+            "db enqueued",
+        ]);
+        for (m, load) in &machines {
+            t.row(std::iter::once(m).chain(load).map(u64::to_string));
+        }
+        out.push_str(&format!("\n== per-machine load ==\n{}", t.render()));
+    }
+
+    let mut t = TextTable::new(["counter", "total"]);
+    for (name, v) in totals {
+        t.row([name.to_string(), v.to_string()]);
+    }
+    out.push_str(&format!("\n== counter totals ==\n{}", t.render()));
+
+    if !sink.histograms().is_empty() {
+        let mut t = TextTable::new(["histogram", "samples", "p50", "p99", "max"]);
+        for (name, h) in sink.histograms() {
+            t.row([
+                name.borrow().to_string(),
+                h.count().to_string(),
+                h.p50().to_string(),
+                h.p99().to_string(),
+                h.max().to_string(),
+            ]);
+        }
+        out.push_str(&format!("\n== histograms (log2-bucket quantiles) ==\n{}", t.render()));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,6 +174,60 @@ mod tests {
     #[should_panic(expected = "row arity mismatch")]
     fn table_checks_arity() {
         TextTable::new(["a", "b"]).row(["only-one"]);
+    }
+
+    /// A nested engine run on two machines: `engine.run` spends 1000
+    /// stamps, 900 of them in its child superstep.
+    fn emit_sample<S: sgp_trace::TraceSink>(s: &mut S) {
+        use sgp_trace::keys;
+        let run = s.guard_span(keys::ENGINE_RUN, 0, 0);
+        let superstep = s.guard_span(keys::ENGINE_SUPERSTEP, 0, 0);
+        s.counter_add(keys::ENGINE_MACHINE_BYTES, 0, 100);
+        s.counter_add(keys::ENGINE_MACHINE_BYTES, 1, 300);
+        s.histogram_record(keys::ENGINE_BARRIER_WAIT_NS, 0, 4_000);
+        superstep.exit(s, 900);
+        run.exit(s, 1_000);
+    }
+
+    /// The sample as a dump read back.
+    fn sample_dump() -> sgp_trace::ParsedTrace {
+        let mut s = sgp_trace::CollectingSink::new();
+        emit_sample(&mut s);
+        sgp_trace::parse_trace(&s.to_json()).unwrap()
+    }
+
+    #[test]
+    fn trace_summary_renders_spans_machines_counters_and_histograms() {
+        let out = trace_summary(&SummarySink::of(&sample_dump()), 8);
+        for section in
+            ["top spans by self cost", "per-machine load", "counter totals", "histograms"]
+        {
+            assert!(out.contains(section), "{out}");
+        }
+        assert!(out.contains("engine.machine_bytes  400"), "{out}");
+        assert!(out.contains("engine.barrier_wait_ns"), "{out}");
+        let run_line = out.lines().find(|l| l.starts_with("engine.run")).expect("span row");
+        assert!(run_line.ends_with("100"), "self cost of engine.run: {run_line}");
+        assert!(!out.contains("never exited"), "{out}");
+    }
+
+    #[test]
+    fn trace_summary_is_the_same_for_a_live_and_a_replayed_sink() {
+        let mut live = SummarySink::new();
+        emit_sample(&mut live);
+        let replayed = SummarySink::of(&sample_dump());
+        assert_eq!(trace_summary(&live, 8), trace_summary(&replayed, 8));
+        let top1 = trace_summary(&live, 1);
+        assert!(top1.contains("engine.superstep"), "{top1}");
+        assert!(!top1.lines().any(|l| l.starts_with("engine.run")), "{top1}");
+    }
+
+    #[test]
+    fn trace_summary_reports_open_spans() {
+        let mut dump = sample_dump();
+        dump.events.pop();
+        let out = trace_summary(&SummarySink::of(&dump), 8);
+        assert!(out.contains("(1 span(s) never exited — partial trace?)"), "{out}");
     }
 
     #[test]

@@ -427,8 +427,8 @@ pub fn workload_aware_suite(
     let baseline = build_store(g, Algorithm::Metis, k);
     let workload =
         Workload::generate(g, WorkloadKind::OneHop, run_cfg.bindings, run_cfg.skew, run_cfg.seed);
-    let recorder = sgp_db::AccessRecorder::new(g.num_vertices());
-    run_workload(&baseline, &workload, Some(&recorder));
+    let mut recorder = sgp_db::AccessRecorder::new(g.num_vertices());
+    run_workload(&baseline, &workload, Some(&mut recorder));
     let weights = recorder.vertex_weights();
     let owner = MultilevelPartitioner::default().partition_weighted(g, k, Some(&weights));
     let weighted_store = PartitionedStore::from_owner(g.clone(), k, owner);

@@ -14,8 +14,9 @@
 //! Both are pure functions of `(Scale, seed constants)`: every stamp is
 //! simulated time or a logical sequence number, so the rendered trace
 //! JSON is byte-identical run to run. The `trace` experiment, the
-//! `--trace <path>` flag of the experiments binary, the golden-snapshot
-//! tests, and `sgp-xtask trace-summary` all consume these scenarios.
+//! `--trace <path>` flag of the experiments binary (whose dump `sgp
+//! trace-summary` renders) and the golden-snapshot tests all consume
+//! these scenarios.
 
 use crate::config::{Dataset, Scale};
 use crate::runners::{default_order, RobustnessConfig};
@@ -132,7 +133,41 @@ pub fn combined_trace_json(scale: Scale) -> Result<String, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgp_trace::parse_trace;
+    use sgp_trace::{parse_trace, Log2Histogram, SpanStat, SummarySink};
+    use std::borrow::Borrow;
+
+    /// Everything a summary aggregates, under owned names.
+    type View = (Vec<(String, u64, u64)>, Vec<(String, Log2Histogram)>, Vec<(String, SpanStat)>);
+
+    fn view<N: Ord + Clone + Borrow<str>>(s: &SummarySink<N>) -> View {
+        let name = |n: &N| n.borrow().to_string();
+        (
+            s.counters().iter().map(|((n, k), v)| (name(n), *k, *v)).collect(),
+            s.histograms().iter().map(|(n, h)| (name(n), h.clone())).collect(),
+            s.spans_by_self_cost().iter().map(|(n, stat)| (name(n), *stat)).collect(),
+        )
+    }
+
+    /// A dump read back folds to the live aggregate of the same
+    /// scenario: every counter, histogram and span statistic.
+    #[test]
+    fn a_replayed_dump_folds_to_the_live_summary() {
+        let mut live = SummarySink::new();
+        record_engine_scenario(Scale::Tiny, &mut live);
+        let dump = parse_trace(&engine_trace_json(Scale::Tiny)).expect("canonical JSON parses");
+        let replayed = SummarySink::of(&dump);
+        assert_eq!(view(&live), view(&replayed), "engine scenario");
+        assert!(!view(&live).2.is_empty(), "the engine scenario has spans");
+
+        let mut live = SummarySink::new();
+        record_db_scenario(Scale::Tiny, &mut live).expect("valid plan");
+        let dump = parse_trace(&db_trace_json(Scale::Tiny).expect("valid plan"))
+            .expect("canonical JSON parses");
+        let replayed = SummarySink::of(&dump);
+        assert_eq!(view(&live), view(&replayed), "DES scenario");
+        assert!(!view(&live).1.is_empty(), "the DES scenario has histograms");
+        assert_eq!((live.open_spans(), replayed.open_spans()), (0, 0));
+    }
 
     #[test]
     fn engine_scenario_trace_is_deterministic_and_well_nested() {

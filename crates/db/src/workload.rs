@@ -17,7 +17,6 @@ use crate::query::{execute, Query, QueryTrace};
 use crate::store::PartitionedStore;
 use sgp_graph::sampling::{seeded_rng, Rng, Zipf};
 use sgp_graph::{Graph, VertexId};
-use std::sync::atomic::Ordering;
 
 /// Which query class a workload issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,36 +98,28 @@ impl Workload {
     }
 }
 
-/// Thread-safe per-vertex access counter. JanusGraph instances serve
-/// queries concurrently, so the recorder is shared; each vertex gets
-/// its own atomic cell bumped with `Relaxed` ordering. The cells are
-/// independent statistical counters — no cross-cell ordering is ever
-/// observed — so the hot recording path is a single uncontended
-/// fetch-add with no lock to convoy behind.
+/// Per-vertex access counter, filled by the one-threaded trace pass
+/// ([`run_workload`]).
 #[derive(Debug, Default)]
-#[expect(
-    clippy::disallowed_types,
-    reason = "independent per-vertex statistical counters: every access is a Relaxed fetch-add and no cross-cell ordering is ever observed"
-)]
 pub struct AccessRecorder {
-    counts: Vec<std::sync::atomic::AtomicU64>,
+    counts: Vec<u64>,
 }
 
 impl AccessRecorder {
     /// A recorder for `n` vertices.
     pub fn new(n: usize) -> Self {
-        AccessRecorder { counts: (0..n).map(|_| Default::default()).collect() }
+        AccessRecorder { counts: vec![0; n] }
     }
 
     /// Records one access to `v`.
-    pub(crate) fn record(&self, v: VertexId) {
-        self.counts[v as usize].fetch_add(1, Ordering::Relaxed);
+    fn record(&mut self, v: VertexId) {
+        self.counts[v as usize] += 1;
     }
 
     /// Records every vertex read in a query's execution: the start
     /// vertex plus all result-set vertices (what the store actually
     /// touched).
-    pub(crate) fn record_query(&self, q: &Query, trace: &QueryTrace) {
+    fn record_query(&mut self, q: &Query, trace: &QueryTrace) {
         self.record(q.start_vertex());
         if let crate::query::QueryResult::Vertices(vs) = &trace.result {
             for &v in vs {
@@ -141,7 +132,7 @@ impl AccessRecorder {
     /// Fig. 8: `1 + accesses` (the +1 keeps never-touched vertices
     /// placeable and the weighted total finite).
     pub fn vertex_weights(&self) -> Vec<u64> {
-        self.counts.iter().map(|c| 1 + c.load(Ordering::Relaxed)).collect()
+        self.counts.iter().map(|c| 1 + c).collect()
     }
 }
 
@@ -151,14 +142,14 @@ impl AccessRecorder {
 pub fn run_workload(
     store: &PartitionedStore,
     workload: &Workload,
-    recorder: Option<&AccessRecorder>,
+    mut recorder: Option<&mut AccessRecorder>,
 ) -> Vec<QueryTrace> {
     workload
         .queries
         .iter()
         .map(|&q| {
             let t = execute(store, q);
-            if let Some(rec) = recorder {
+            if let Some(rec) = recorder.as_deref_mut() {
                 rec.record_query(&q, &t);
             }
             t
@@ -233,32 +224,10 @@ mod tests {
         let g = GraphBuilder::new().add_edge(0, 1).add_edge(0, 2).build();
         let p = sgp_partition::Partitioning::from_vertex_owners(&g, 2, vec![0, 1, 1]);
         let store = PartitionedStore::new(g, &p);
-        let rec = AccessRecorder::new(3);
+        let mut rec = AccessRecorder::new(3);
         let w = Workload { kind: WorkloadKind::OneHop, queries: vec![Query::OneHop { start: 0 }] };
-        run_workload(&store, &w, Some(&rec));
+        run_workload(&store, &w, Some(&mut rec));
         assert_eq!(rec.vertex_weights(), vec![2, 2, 2]);
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the test shares one recorder across real threads"
-    )]
-    fn recorder_is_shareable_across_threads() {
-        let rec = std::sync::Arc::new(AccessRecorder::new(4));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let r = rec.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    r.record(2);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rec.vertex_weights()[2], 4001);
     }
 
     #[test]

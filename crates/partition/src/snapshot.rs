@@ -724,7 +724,7 @@ mod tests {
     #[derive(Clone)]
     enum Step<'g> {
         Vertices(Vec<VertexRecord<'g>>),
-        Edges(Vec<Edge>),
+        Edges(Vec<(u32, Edge)>),
         Flush,
     }
 
@@ -749,7 +749,7 @@ mod tests {
                 _ => {
                     let mut source = sgp_graph::EdgeStreamSource::new(g, order);
                     let mut buf = Vec::new();
-                    while source.next_chunk(chunk, &mut buf) > 0 {
+                    while source.next_slotted_chunk(chunk, &mut buf) > 0 {
                         steps.push(Step::Edges(buf.clone()));
                     }
                 }
@@ -762,7 +762,7 @@ mod tests {
     fn take<'g>(sp: &mut StreamingPartitioner<'g>, step: &Step<'g>) {
         match step {
             Step::Vertices(chunk) => sp.ingest_vertices(chunk).unwrap(),
-            Step::Edges(chunk) => sp.ingest_edges(chunk).unwrap(),
+            Step::Edges(chunk) => sp.ingest_slotted_edges(chunk).unwrap(),
             Step::Flush => sp.flush_window(),
         }
     }

@@ -455,7 +455,8 @@ pub enum IngestError {
         expected: StreamInput,
     },
     /// The pair at `position` of an edge chunk is no edge of the graph
-    /// (an endpoint past the last vertex included).
+    /// (an endpoint past the last vertex included), or its slot does not
+    /// hold it.
     NotAnEdge {
         /// Index of the pair in the chunk.
         position: usize,
@@ -620,13 +621,10 @@ impl<'g> StreamingPartitioner<'g> {
     /// CSR ([`Graph::edge_index`]) before anything is placed; a pair that
     /// is no edge refuses the whole chunk with
     /// [`IngestError::NotAnEdge`]. On a multigraph a pair names the first
-    /// copy of a parallel edge: the other copies are reachable through the
-    /// slotted stream sources only, not through this method.
+    /// copy of a parallel edge: the other copies are placed through
+    /// [`ingest_slotted_edges`](StreamingPartitioner::ingest_slotted_edges)
+    /// only.
     pub fn ingest_edges(&mut self, chunk: &[Edge]) -> Result<(), IngestError> {
-        let expected = self.input();
-        let Machine::Edge { core } = &mut self.machine else {
-            return Err(IngestError::WrongStreamKind { expected });
-        };
         self.slotted.clear();
         for (position, &e) in chunk.iter().enumerate() {
             let Some(slot) = self.g.edge_index(e.src, e.dst) else {
@@ -634,7 +632,36 @@ impl<'g> StreamingPartitioner<'g> {
             };
             self.slotted.push((slot as u32, e));
         }
-        core.ingest_windowed(&self.slotted, self.window, &mut self.wbuf_e);
+        let slotted = std::mem::take(&mut self.slotted);
+        let placed = self.place_edges(&slotted);
+        self.slotted = slotted;
+        placed
+    }
+
+    /// Ingests a chunk of edges with their CSR slots, as
+    /// [`EdgeStreamSource::next_slotted_chunk`](sgp_graph::EdgeStreamSource::next_slotted_chunk)
+    /// yields them — every copy of a parallel edge has a slot of its own.
+    /// An element whose slot does not hold its edge
+    /// ([`Graph::edge_at`]) refuses the whole chunk with
+    /// [`IngestError::NotAnEdge`], and nothing of it is placed.
+    pub fn ingest_slotted_edges(&mut self, chunk: &[(u32, Edge)]) -> Result<(), IngestError> {
+        let wrong = chunk
+            .iter()
+            .enumerate()
+            .find(|(_, &(slot, e))| self.g.edge_at(slot as usize) != Some(e));
+        if let Some((position, &(_, e))) = wrong {
+            return Err(IngestError::NotAnEdge { position, src: e.src, dst: e.dst });
+        }
+        self.place_edges(chunk)
+    }
+
+    /// Places a chunk whose slots are known to hold its edges.
+    fn place_edges(&mut self, chunk: &[(u32, Edge)]) -> Result<(), IngestError> {
+        let expected = self.input();
+        let Machine::Edge { core } = &mut self.machine else {
+            return Err(IngestError::WrongStreamKind { expected });
+        };
+        core.ingest_windowed(chunk, self.window, &mut self.wbuf_e);
         Ok(())
     }
 

@@ -1044,8 +1044,8 @@ pub(crate) mod tests {
         let (mut buf, mut fed, mut mid) = (Vec::new(), 0, Default::default());
         for _ in 0..sp.passes() {
             source.restart();
-            while source.next_chunk(chunk, &mut buf) > 0 {
-                sp.ingest_edges(&buf).expect("HDRF and 2PS consume edges");
+            while source.next_slotted_chunk(chunk, &mut buf) > 0 {
+                sp.ingest_slotted_edges(&buf).expect("HDRF and 2PS consume edges");
                 fed += 1;
                 if fed == cut {
                     mid = (sp.snapshot(), facade_stats(&sp));

@@ -41,8 +41,8 @@ pub fn drive_facade<'g>(
             let mut buf = Vec::new();
             for _ in 0..sp.passes() {
                 source.restart();
-                while source.next_chunk(chunk, &mut buf) > 0 {
-                    sp.ingest_edges(&buf).expect("edge machine accepts edge chunks");
+                while source.next_slotted_chunk(chunk, &mut buf) > 0 {
+                    sp.ingest_slotted_edges(&buf).expect("edge machine accepts edge chunks");
                     fed += 1;
                     at_chunk(&mut sp, fed);
                 }

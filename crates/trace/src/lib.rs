@@ -10,10 +10,11 @@
 //! * [`NullSink`] — the default; its one method is an empty inlineable
 //!   body, so untraced runs pay (near) zero cost;
 //! * [`CollectingSink`] — records every event in order and exports a
-//!   byte-stable JSON document (see `json`) for golden tests and the
-//!   `sgp-xtask trace-summary` renderer;
+//!   byte-stable JSON document (see `json`) for golden tests and
+//!   `sgp trace-summary`;
 //! * [`SummarySink`] — streaming aggregation only (per-span self-cost,
-//!   counter totals, histograms), never the raw event stream.
+//!   counter totals, histograms), never the raw event stream. It is
+//!   also the one aggregator of a dump read back ([`SummarySink::of`]).
 //!
 //! # Determinism rules
 //!

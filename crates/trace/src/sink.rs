@@ -6,9 +6,10 @@
 //! `sgp-bench` measures exactly this overhead rather than assuming it).
 
 use crate::hist::Log2Histogram;
-use crate::json;
+use crate::json::{self, EventKind, ParsedTrace};
 use crate::keys::Key;
 use crate::{SpanGuard, Stamp, TraceEvent};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// One event on its way into a sink. Only this crate builds one, from
@@ -205,11 +206,11 @@ impl CollectingSink {
 impl SummarySink {
     /// Enters span `(name, key)` at `stamp` under any static name.
     pub fn span_enter(&mut self, name: &'static str, key: u64, stamp: Stamp) {
-        self.record(Event(TraceEvent::SpanEnter { name, key, stamp }));
+        self.fold(EventKind::SpanEnter, name, key, stamp);
     }
     /// Exits the innermost open span `(name, key)` at `stamp`.
     pub fn span_exit(&mut self, name: &'static str, key: u64, stamp: Stamp) {
-        self.record(Event(TraceEvent::SpanExit { name, key, stamp }));
+        self.fold(EventKind::SpanExit, name, key, stamp);
     }
 }
 
@@ -227,15 +228,30 @@ pub struct SpanStat {
 
 /// Streaming aggregation sink: keeps totals only, never the raw stream.
 ///
+/// Names are `N`: the registered static names when it is the live
+/// [`TraceSink`], owned ones when it replays a parsed document
+/// ([`SummarySink::of`]). Both fold every event through the same body.
+///
 /// Mismatched or unclosed spans are tolerated (their cost is simply not
-/// attributed); [`CollectingSink::check_nesting`] is the strict
-/// checker.
-#[derive(Debug, Clone, Default)]
-pub struct SummarySink {
-    counters: BTreeMap<(&'static str, u64), u64>,
-    histograms: BTreeMap<&'static str, Log2Histogram>,
-    spans: BTreeMap<&'static str, SpanStat>,
-    stack: Vec<(&'static str, u64, Stamp, u64)>,
+/// attributed; [`open_spans`](SummarySink::open_spans) counts the
+/// unclosed); [`CollectingSink::check_nesting`] is the strict checker.
+#[derive(Debug, Clone)]
+pub struct SummarySink<N = &'static str> {
+    counters: BTreeMap<(N, u64), u64>,
+    histograms: BTreeMap<N, Log2Histogram>,
+    spans: BTreeMap<N, SpanStat>,
+    stack: Vec<(N, u64, Stamp, u64)>,
+}
+
+impl<N> Default for SummarySink<N> {
+    fn default() -> Self {
+        SummarySink {
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            spans: BTreeMap::new(),
+            stack: Vec::new(),
+        }
+    }
 }
 
 impl SummarySink {
@@ -243,42 +259,33 @@ impl SummarySink {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Counter totals, keyed by `(name, key)`, in sorted order.
-    pub fn counters(&self) -> &BTreeMap<(&'static str, u64), u64> {
-        &self.counters
-    }
-
-    /// Total of counter `name` across every key.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters.iter().filter(|((n, _), _)| *n == name).map(|(_, v)| *v).sum()
-    }
-
-    /// Merged histogram per name (keys collapsed), in sorted order.
-    pub fn histograms(&self) -> &BTreeMap<&'static str, Log2Histogram> {
-        &self.histograms
-    }
-
-    /// Span names sorted by decreasing self cost (ties by name).
-    pub fn spans_by_self_cost(&self) -> Vec<(&'static str, SpanStat)> {
-        let mut v: Vec<(&'static str, SpanStat)> =
-            self.spans.iter().map(|(n, s)| (*n, *s)).collect();
-        v.sort_by(|a, b| b.1.self_total.cmp(&a.1.self_total).then(a.0.cmp(b.0)));
-        v
+impl SummarySink<String> {
+    /// Replays a parsed trace document through the same fold as the live
+    /// sink.
+    pub fn of(trace: &ParsedTrace) -> Self {
+        let mut sink = Self::default();
+        for e in &trace.events {
+            sink.fold(e.kind, e.name.clone(), e.key, e.value);
+        }
+        sink
     }
 }
 
-impl TraceSink for SummarySink {
-    fn record(&mut self, event: Event) {
-        match event.0 {
-            TraceEvent::SpanEnter { name, key, stamp } => self.stack.push((name, key, stamp, 0)),
-            TraceEvent::SpanExit { name, key, stamp } => match self.stack.pop() {
+impl<N: Ord + Clone + Borrow<str>> SummarySink<N> {
+    /// Folds one event: `value` is the stamp of a span event, the delta
+    /// of a counter and the sample of a histogram.
+    fn fold(&mut self, kind: EventKind, name: N, key: u64, value: u64) {
+        match kind {
+            EventKind::SpanEnter => self.stack.push((name, key, value, 0)),
+            EventKind::SpanExit => match self.stack.pop() {
                 Some((n, k, enter, child_total)) if n == name && k == key => {
-                    let duration = stamp.saturating_sub(enter);
+                    let duration = value.saturating_sub(enter);
                     if let Some((_, _, _, parent_children)) = self.stack.last_mut() {
                         *parent_children += duration;
                     }
-                    let stat = self.spans.entry(name).or_default();
+                    let stat = self.spans.entry(n).or_default();
                     stat.count += 1;
                     stat.total += duration;
                     stat.self_total += duration.saturating_sub(child_total);
@@ -286,11 +293,53 @@ impl TraceSink for SummarySink {
                 Some(frame) => self.stack.push(frame), // mismatched exit: ignore
                 None => {}
             },
-            TraceEvent::Counter { name, key, delta } => {
-                *self.counters.entry((name, key)).or_insert(0) += delta;
+            EventKind::Counter => *self.counters.entry((name, key)).or_insert(0) += value,
+            EventKind::Histogram => self.histograms.entry(name).or_default().record(value),
+        }
+    }
+
+    /// Counter totals, keyed by `(name, key)`, in sorted order.
+    pub fn counters(&self) -> &BTreeMap<(N, u64), u64> {
+        &self.counters
+    }
+
+    /// Total of counter `name` across every key.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.counters.iter().filter(|((n, _), _)| n.borrow() == name).map(|(_, v)| *v).sum()
+    }
+
+    /// Merged histogram per name (keys collapsed), in sorted order.
+    pub fn histograms(&self) -> &BTreeMap<N, Log2Histogram> {
+        &self.histograms
+    }
+
+    /// Span names sorted by decreasing self cost (ties by name).
+    pub fn spans_by_self_cost(&self) -> Vec<(N, SpanStat)> {
+        let mut v: Vec<(N, SpanStat)> = self.spans.iter().map(|(n, s)| (n.clone(), *s)).collect();
+        v.sort_by(|a, b| b.1.self_total.cmp(&a.1.self_total).then(a.0.cmp(&b.0)));
+        v
+    }
+
+    /// Spans entered and never exited (a partial trace).
+    pub fn open_spans(&self) -> usize {
+        self.stack.len()
+    }
+}
+
+impl TraceSink for SummarySink {
+    fn record(&mut self, event: Event) {
+        match event.0 {
+            TraceEvent::SpanEnter { name, key, stamp } => {
+                self.fold(EventKind::SpanEnter, name, key, stamp)
             }
-            TraceEvent::Histogram { name, value, .. } => {
-                self.histograms.entry(name).or_default().record(value);
+            TraceEvent::SpanExit { name, key, stamp } => {
+                self.fold(EventKind::SpanExit, name, key, stamp)
+            }
+            TraceEvent::Counter { name, key, delta } => {
+                self.fold(EventKind::Counter, name, key, delta)
+            }
+            TraceEvent::Histogram { name, key, value } => {
+                self.fold(EventKind::Histogram, name, key, value)
             }
         }
     }

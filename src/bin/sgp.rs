@@ -6,20 +6,28 @@
 //! sgp partition --alg HDRF --k 8 [--order natural|random|bfs|dfs] [--out FILE] <input>
 //! sgp recommend [--online] <input>
 //! sgp scaleout [--workload pagerank|wcc|sssp] [--candidates 4,8,16,...] <input>
+//! sgp trace-summary [--top N] <trace.json>
 //! ```
 //!
 //! `<input>` is either a whitespace edge-list file or a named synthetic
 //! dataset: `dataset:twitter`, `dataset:ukweb`, `dataset:usaroad`,
 //! `dataset:ldbcsnb` (scale via `SGP_SCALE`).
+//!
+//! `trace-summary` renders a dump of `experiments --trace <path>`: the
+//! top `N` spans by self cost (default 10), the per-machine load, the
+//! counter totals and the histogram quantiles. Exit codes: `0` rendered,
+//! `1` invalid trace document, `2` usage error or unreadable file.
 
 use std::io::Write;
+use streaming_graph_partitioning::core::report::trace_summary;
 use streaming_graph_partitioning::core::runners::OfflineWorkload;
 use streaming_graph_partitioning::core::scaleout::recommend_scale_out;
 use streaming_graph_partitioning::prelude::*;
+use streaming_graph_partitioning::trace::parse_trace;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  sgp stats <input>\n  sgp partition --alg <NAME> --k <K> [--order natural|random|bfs|dfs] [--out FILE] <input>\n  sgp recommend [--online] <input>\n  sgp scaleout [--workload pagerank|wcc|sssp] [--candidates 4,8,16] <input>\n\ninputs: an edge-list file, or dataset:twitter|ukweb|usaroad|ldbcsnb"
+        "usage:\n  sgp stats <input>\n  sgp partition --alg <NAME> --k <K> [--order natural|random|bfs|dfs] [--out FILE] <input>\n  sgp recommend [--online] <input>\n  sgp scaleout [--workload pagerank|wcc|sssp] [--candidates 4,8,16] <input>\n  sgp trace-summary [--top N] <trace.json>\n\ninputs: an edge-list file, or dataset:twitter|ukweb|usaroad|ldbcsnb"
     );
     std::process::exit(2);
 }
@@ -73,13 +81,16 @@ fn parse_args(args: &[String]) -> Args {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
             // Value-taking flags; everything else is a switch.
-            if ["alg", "k", "order", "out", "workload", "candidates"].contains(&name) {
+            if ["alg", "k", "order", "out", "workload", "candidates", "top"].contains(&name) {
                 i += 1;
                 match args.get(i) {
                     Some(v) => {
                         flags.insert(name.to_string(), v.clone());
                     }
-                    None => fail(&format!("--{name} needs a value")),
+                    None => {
+                        eprintln!("error: --{name} needs a value");
+                        usage()
+                    }
                 }
             } else {
                 switches.push(name.to_string());
@@ -227,6 +238,33 @@ fn main() {
                 );
             }
             println!("recommended scale-out factor: k = {}", report.recommended_k);
+        }
+        "trace-summary" => {
+            let switch = args.switches.first().map(|s| format!("--{s}"));
+            if let Some(extra) = switch.or_else(|| args.positional.get(1).cloned()) {
+                eprintln!("error: unexpected trace-summary argument `{extra}`");
+                usage()
+            }
+            let top = match args.flags.get("top").map(|v| v.parse::<usize>()) {
+                None => 10,
+                Some(Ok(n)) if n > 0 => n,
+                Some(_) => {
+                    eprintln!("error: --top requires a positive integer");
+                    usage()
+                }
+            };
+            let text = std::fs::read_to_string(&input).unwrap_or_else(|e| {
+                eprintln!("error: cannot read {input}: {e}");
+                std::process::exit(2)
+            });
+            let trace = parse_trace(&text)
+                .unwrap_or_else(|e| fail(&format!("{input} is not a valid trace document: {e}")));
+            print!(
+                "trace summary (schema_version {}, {} events)\n{}",
+                trace.schema_version,
+                trace.events.len(),
+                trace_summary(&SummarySink::of(&trace), top)
+            );
         }
         _ => usage(),
     }

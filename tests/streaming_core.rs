@@ -208,3 +208,60 @@ fn facade_covers_every_algorithm_with_the_right_stream() {
     assert!(!Algorithm::Metis.supports_parallel_loaders());
     assert!(!Algorithm::TwoPhaseHdrf.supports_parallel_loaders());
 }
+
+/// Three copies of 5 → 6 plus 1 → 2 and 0 → 6: slots 0 and 1 hold
+/// 0 → 6 and 1 → 2, slots 2..5 the copies.
+fn multigraph() -> Graph {
+    let b = GraphBuilder::new().keep_duplicates(true);
+    b.add_edge(5, 6).add_edge(5, 6).add_edge(5, 6).add_edge(1, 2).add_edge(0, 6).build()
+}
+
+/// Every copy of a parallel edge keeps its own decision through the
+/// facade: fed slotted chunks, it places a multigraph exactly as the
+/// one-shot entry point does — every edge rule at W ∈ {1, 3}, straight
+/// through and across a snapshot and restore after any chunk.
+#[test]
+fn the_facade_keeps_every_copy_of_a_parallel_edge() {
+    let g = multigraph();
+    let order = StreamOrder::Natural;
+    for &alg in Algorithm::all() {
+        for window in [1, 3] {
+            let cfg = PartitionerConfig::new(4).with_window(window);
+            if StreamingPartitioner::init(&g, alg, &cfg).input() != StreamInput::Edges {
+                continue;
+            }
+            let whole = partition(&g, alg, &cfg, order);
+            assert_eq!(whole.edge_parts, facade_run(&g, alg, &cfg, order, 2).edge_parts, "{alg}");
+            for cut in 1..=6 {
+                let resumed = drive_facade(&g, alg, &cfg, order, 2, |sp, fed| {
+                    if fed == cut {
+                        let bytes = sp.snapshot();
+                        *sp = StreamingPartitioner::restore(&g, alg, &cfg, &bytes)
+                            .expect("own snapshot restores");
+                    }
+                });
+                assert_eq!(whole.edge_parts, resumed.edge_parts, "{alg} W={window} cut {cut}");
+            }
+        }
+    }
+}
+
+/// A slotted chunk whose slot does not hold its edge — another copy's
+/// neighbour, or a slot past the last edge — is refused whole, and the
+/// machine does not move.
+#[test]
+fn a_slotted_chunk_with_a_wrong_slot_is_refused_whole() {
+    use streaming_graph_partitioning::partition::IngestError;
+    let g = multigraph();
+    let copy = Edge::new(5, 6);
+    let mut sp = StreamingPartitioner::init(&g, Algorithm::Hdrf, &PartitionerConfig::new(4));
+    sp.ingest_slotted_edges(&[(0, Edge::new(0, 6)), (2, copy)]).expect("slots hold their edges");
+    let before = sp.snapshot();
+    for slot in [1, 5, u32::MAX] {
+        let refused = IngestError::NotAnEdge { position: 1, src: 5, dst: 6 };
+        assert_eq!(sp.ingest_slotted_edges(&[(3, copy), (slot, copy)]), Err(refused), "{slot}");
+        assert_eq!(sp.snapshot(), before, "slot {slot}: the machine moved");
+    }
+    sp.ingest_slotted_edges(&[(3, copy), (4, copy), (1, Edge::new(1, 2))]).expect("valid chunk");
+    assert_eq!(sp.elements_ingested(), 5);
+}
