@@ -76,14 +76,17 @@ fn traced_partition<S: TraceSink>(g: &Graph, algorithm: Algorithm, sink: &mut S)
 
 /// Runs the engine scenario, recording `partition.*` and `engine.*`
 /// events into `sink`; returns the run report.
-#[expect(clippy::expect_used, reason = "EngineError only refuses fault plans, and none is passed")]
+#[expect(
+    clippy::expect_used,
+    reason = "EngineError refuses fault plans and initial frontiers outside the graph; no plan is passed, and PageRank starts from every vertex"
+)]
 pub fn record_engine_scenario<S: TraceSink>(scale: Scale, sink: &mut S) -> RunReport {
     let g = Dataset::LdbcSnb.generate(scale);
     let p = traced_partition(&g, ENGINE_SCENARIO_ALGORITHM, sink);
     let placement = Placement::build(&g, &p);
     let prog = PageRank::new(ENGINE_SCENARIO_ITERATIONS);
     run_program_with(&g, &placement, &prog, &EngineOptions::default(), None, sink)
-        .expect("a run without a fault plan cannot be refused")
+        .expect("an all-vertex frontier without a fault plan cannot be refused")
         .1
 }
 

@@ -58,10 +58,14 @@ impl VertexProgram for PageRank {
         0.0
     }
 
-    fn gather_edge(&self, g: &Graph, _v: VertexId, nbr: VertexId, nbr_data: &f64) -> f64 {
-        // Contribution of in-neighbour `nbr`: its rank spread over its
-        // out-edges. Out-degree is ≥ 1 here because the edge exists.
-        nbr_data / g.out_degree(nbr) as f64
+    fn publish(&self, g: &Graph, v: VertexId, rank: &f64) -> f64 {
+        // The rank spread over the out-edges. A vertex without out-edges
+        // is never gathered from; `max(1)` keeps its share finite.
+        rank / g.out_degree(v).max(1) as f64
+    }
+
+    fn gather_edge(&self, _g: &Graph, _v: VertexId, _nbr: VertexId, share: &f64) -> f64 {
+        *share
     }
 
     fn merge(&self, a: f64, b: f64) -> f64 {

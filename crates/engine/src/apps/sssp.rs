@@ -60,8 +60,12 @@ impl VertexProgram for Sssp {
         UNREACHABLE
     }
 
-    fn gather_edge(&self, _g: &Graph, _v: VertexId, _nbr: VertexId, nbr_data: &u64) -> u64 {
-        nbr_data.saturating_add(1)
+    fn publish(&self, _g: &Graph, _v: VertexId, dist: &u64) -> u64 {
+        *dist
+    }
+
+    fn gather_edge(&self, _g: &Graph, _v: VertexId, _nbr: VertexId, dist: &u64) -> u64 {
+        dist.saturating_add(1)
     }
 
     fn merge(&self, a: u64, b: u64) -> u64 {

@@ -51,8 +51,12 @@ impl VertexProgram for Wcc {
         u32::MAX
     }
 
-    fn gather_edge(&self, _g: &Graph, _v: VertexId, _nbr: VertexId, nbr_data: &u32) -> u32 {
-        *nbr_data
+    fn publish(&self, _g: &Graph, _v: VertexId, label: &u32) -> u32 {
+        *label
+    }
+
+    fn gather_edge(&self, _g: &Graph, _v: VertexId, _nbr: VertexId, label: &u32) -> u32 {
+        *label
     }
 
     fn merge(&self, a: u32, b: u32) -> u32 {

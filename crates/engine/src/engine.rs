@@ -6,10 +6,12 @@
 //! message-accounting semantics; the short version per iteration:
 //!
 //! 1. **Gather** — each machine scans its local edges; edges incident to
-//!    an active vertex in the gather direction contribute to that
-//!    vertex's accumulator. With sender-side aggregation, each machine
-//!    sends *one* partial per (active vertex, machine) pair; without it
-//!    (the ablation of Fig. 10(a) vs 10(b)) one message per remote edge.
+//!    an active vertex in the gather direction contribute, from the
+//!    neighbour's published value, to that vertex's accumulator (one
+//!    slot per vertex, seeded at the identity). With sender-side
+//!    aggregation, each machine sends *one* partial per (active vertex,
+//!    machine) pair; without it (the ablation of Fig. 10(a) vs 10(b)) one
+//!    message per remote edge.
 //! 2. **Apply** — the master merges the partials and computes the new
 //!    value; one apply op of compute.
 //! 3. **Update/Scatter** — if the value changed (or it is the seeding
@@ -62,7 +64,7 @@ impl Default for EngineOptions {
     }
 }
 
-/// Why [`run_program_with`] refused a fault plan.
+/// Why [`run_program_with`] refused a run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// The plan covers a different number of machines than the
@@ -75,6 +77,14 @@ pub enum EngineError {
     },
     /// The plan fails [`FaultPlan::validate`].
     InvalidPlan(PlanError),
+    /// The program's initial frontier names a vertex the graph does not
+    /// have (the largest such vertex).
+    FrontierOutOfRange {
+        /// The vertex named.
+        vertex: VertexId,
+        /// Vertices of the graph.
+        vertices: usize,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -84,6 +94,12 @@ impl std::fmt::Display for EngineError {
                 write!(f, "fault plan covers {plan} machines but the placement has {placement}")
             }
             EngineError::InvalidPlan(e) => write!(f, "invalid fault plan: {e}"),
+            EngineError::FrontierOutOfRange { vertex, vertices } => {
+                write!(
+                    f,
+                    "initial frontier names vertex {vertex} but the graph has {vertices} vertices"
+                )
+            }
         }
     }
 }
@@ -95,20 +111,31 @@ impl std::error::Error for EngineError {}
 ///
 /// # Panics
 /// Panics if `placement` was not built for a graph with `g`'s vertex
-/// and edge counts.
+/// and edge counts, and with "initial frontier names vertex … but the
+/// graph has …" if `prog`'s initial frontier names a vertex outside `g`
+/// ([`run_program_with`] returns that as
+/// [`EngineError::FrontierOutOfRange`]).
+#[expect(
+    clippy::panic,
+    reason = "the documented panic of the healthy entry; run_program_with returns the error"
+)]
 pub fn run_program<P: VertexProgram>(
     g: &Graph,
     placement: &Placement,
     prog: &P,
     opts: &EngineOptions,
 ) -> (Vec<P::VertexData>, RunReport) {
-    run_program_impl(g, placement, prog, opts, None, &mut NullSink, BodyPolicy::Auto)
+    match run_program_impl(g, placement, prog, opts, None, &mut NullSink, BodyPolicy::Auto) {
+        Ok(run) => run,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// The general entry: runs `prog` under an optional deterministic
 /// [`FaultPlan`] (DESIGN.md §7), recording trace events into `sink`
-/// (DESIGN.md §9; pass [`NullSink`] for none). Errors only when a plan
-/// is given and does not fit: `None` cannot fail.
+/// (DESIGN.md §9; pass [`NullSink`] for none). Errors when a plan is
+/// given and does not fit, or when `prog`'s initial frontier names a
+/// vertex outside `g`.
 ///
 /// All stamps are **simulated nanoseconds** from the cost model, so the
 /// emitted trace is a pure function of the inputs — identical runs yield
@@ -149,7 +176,7 @@ pub fn run_program_with<P: VertexProgram, S: TraceSink>(
         }
         plan.validate().map_err(EngineError::InvalidPlan)?;
     }
-    Ok(run_program_impl(g, placement, prog, opts, plan, sink, BodyPolicy::Auto))
+    run_program_impl(g, placement, prog, opts, plan, sink, BodyPolicy::Auto)
 }
 
 /// Tracks which plan events have been charged and accumulates the
@@ -353,9 +380,9 @@ impl<P: VertexProgram> Ctx<'_, P> {
     #[inline(never)]
     fn gather_scan<const IN: bool, const OUT: bool, const ALL: bool>(
         self,
-        data: &[P::VertexData],
+        published: &[P::Gather],
         active: &[bool],
-        acc: &mut [Option<P::Gather>],
+        acc: &mut [P::Gather],
         tally: &mut Tally<'_>,
     ) {
         let (g, placement, prog) = (self.g, self.placement, self.prog);
@@ -367,7 +394,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
                 // Edge (u, v): contributes to v when gathering over IN,
                 // to u when gathering over OUT.
                 if IN && (ALL || active[e.dst as usize]) {
-                    let contrib = prog.gather_edge(g, e.dst, e.src, &data[e.src as usize]);
+                    let contrib = prog.gather_edge(g, e.dst, e.src, &published[e.src as usize]);
                     merge_into(prog, &mut acc[e.dst as usize], contrib);
                     ops += 1;
                     if count_messages {
@@ -375,7 +402,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
                     }
                 }
                 if OUT && (ALL || active[e.src as usize]) {
-                    let contrib = prog.gather_edge(g, e.src, e.dst, &data[e.dst as usize]);
+                    let contrib = prog.gather_edge(g, e.src, e.dst, &published[e.dst as usize]);
                     merge_into(prog, &mut acc[e.src as usize], contrib);
                     ops += 1;
                     if count_messages {
@@ -414,8 +441,8 @@ impl<P: VertexProgram> Ctx<'_, P> {
     fn gather_vertex(
         self,
         v: VertexId,
-        data: &[P::VertexData],
-        slot: &mut Option<P::Gather>,
+        published: &[P::Gather],
+        slot: &mut P::Gather,
         edges: &mut Vec<GatherEdge>,
         tally: &mut Tally<'_>,
     ) {
@@ -436,7 +463,7 @@ impl<P: VertexProgram> Ctx<'_, P> {
         let master = placement.masters[v as usize];
         for &(machine, _, w) in edges.iter() {
             let machine = machine as usize;
-            let contrib = self.prog.gather_edge(g, v, w, &data[w as usize]);
+            let contrib = self.prog.gather_edge(g, v, w, &published[w as usize]);
             merge_into(self.prog, slot, contrib);
             tally.edge_ops[machine] += 1;
             if !self.aggregate {
@@ -468,23 +495,27 @@ impl<P: VertexProgram> Ctx<'_, P> {
         Partials { sent_bytes, recv_bytes, gather_messages }
     }
 
-    /// Apply at the master. Returns whether `v` announces its value: it
-    /// changed, or this is the seeding superstep — the initial frontier
-    /// propagates even when apply leaves the value unchanged (e.g. the
-    /// SSSP source keeps distance 0 but must still announce it).
+    /// Apply at the master: takes the slot's total and leaves the slot
+    /// at the identity, and republishes `v` if its value changed. Returns
+    /// whether `v` announces its value: it changed, or this is the
+    /// seeding superstep — the initial frontier propagates even when
+    /// apply leaves the value unchanged (e.g. the SSSP source keeps
+    /// distance 0 but must still announce it).
     #[inline]
     fn apply_vertex(
         self,
         v: VertexId,
         iteration: usize,
         value: &mut P::VertexData,
-        slot: &mut Option<P::Gather>,
+        slot: &mut P::Gather,
+        published: &mut P::Gather,
         tally: &mut Tally<'_>,
     ) -> bool {
         tally.applies[self.placement.masters[v as usize] as usize] += 1;
-        let total = slot.take().unwrap_or_else(|| self.prog.gather_identity());
+        let total = std::mem::replace(slot, self.prog.gather_identity());
         let new = self.prog.apply(self.g, v, value, total, iteration);
         if new != *value {
+            *published = self.prog.publish(self.g, v, &new);
             *value = new;
             true
         } else {
@@ -551,8 +582,10 @@ impl<P: VertexProgram> Ctx<'_, P> {
 /// ascending list, which the sparse body walks. A superstep that
 /// scatters over few edges lists the frontier it builds as it marks it;
 /// otherwise the list is made only if the switching rule asks for it,
-/// by one scan of the bitmap. The scratch fields are allocated once per
-/// run and are clean (all `None`, all `false`, empty) between
+/// by one scan of the bitmap. `published` holds what each vertex's
+/// current data offers its neighbours' gathers. The scratch fields are
+/// allocated once per run and are clean (`acc` all at the gather
+/// identity, the flags all `false`, the lists empty) between
 /// supersteps; a sparse superstep on a listed frontier restores that by
 /// touching only the entries it used, so it costs O(frontier + its
 /// incident edges + k).
@@ -563,7 +596,9 @@ struct Run<'a, P: VertexProgram> {
     frontier: Vec<VertexId>,
     listed: bool,
 
-    acc: Vec<Option<P::Gather>>,
+    /// [`VertexProgram::publish`] of every vertex's current data.
+    published: Vec<P::Gather>,
+    acc: Vec<P::Gather>,
     /// Dense body: vertices whose value changed this superstep.
     changed: Vec<bool>,
     /// Sparse body: the same set, ascending.
@@ -587,7 +622,13 @@ struct Run<'a, P: VertexProgram> {
 }
 
 impl<'a, P: VertexProgram> Run<'a, P> {
-    fn new(g: &'a Graph, placement: &'a Placement, prog: &'a P, opts: &EngineOptions) -> Self {
+    /// Refuses an initial frontier that names a vertex outside `g`.
+    fn new(
+        g: &'a Graph,
+        placement: &'a Placement,
+        prog: &'a P,
+        opts: &EngineOptions,
+    ) -> Result<Self, EngineError> {
         let n = g.num_vertices();
         let k = placement.k;
         let mut active = vec![false; n];
@@ -595,6 +636,9 @@ impl<'a, P: VertexProgram> Run<'a, P> {
             Some(mut frontier) => {
                 frontier.sort_unstable();
                 frontier.dedup();
+                if let Some(&vertex) = frontier.last().filter(|&&v| v as usize >= n) {
+                    return Err(EngineError::FrontierOutOfRange { vertex, vertices: n });
+                }
                 for &v in &frontier {
                     active[v as usize] = true;
                 }
@@ -607,7 +651,8 @@ impl<'a, P: VertexProgram> Run<'a, P> {
         };
         let (gather_dir, scatter_dir) = (prog.gather_direction(), prog.scatter_direction());
         let activates = prog.activates_on_change();
-        Run {
+        let data: Vec<P::VertexData> = g.vertices().map(|v| prog.init(v, g)).collect();
+        Ok(Run {
             cx: Ctx {
                 g,
                 placement,
@@ -618,11 +663,12 @@ impl<'a, P: VertexProgram> Run<'a, P> {
                 scatter_in: activates && scatter_dir.uses_in(),
                 scatter_out: activates && scatter_dir.uses_out(),
             },
-            data: g.vertices().map(|v| prog.init(v, g)).collect(),
+            published: g.vertices().zip(&data).map(|(v, d)| prog.publish(g, v, d)).collect(),
+            data,
             active,
             frontier,
             listed,
-            acc: vec![None; n],
+            acc: vec![prog.gather_identity(); n],
             changed: vec![false; n],
             changed_list: Vec::new(),
             next_active: vec![false; n],
@@ -636,7 +682,7 @@ impl<'a, P: VertexProgram> Run<'a, P> {
             recv_bytes: vec![0; k],
             gather_messages: 0,
             update_messages: 0,
-        }
+        })
     }
 
     fn active_count(&self) -> usize {
@@ -734,17 +780,18 @@ impl<'a, P: VertexProgram> Run<'a, P> {
             &mut self.sent_bytes,
             &mut self.recv_bytes,
         );
-        let (data, active) = (&mut self.data[..], &self.active[..]);
+        let (data, published, active) =
+            (&mut self.data[..], &mut self.published[..], &self.active[..]);
         let (acc, changed) = (&mut self.acc[..], &mut self.changed[..]);
 
-        let t = &mut tally;
+        let (t, p) = (&mut tally, &*published);
         match (cx.gather_in, cx.gather_out, full) {
-            (true, false, false) => cx.gather_scan::<true, false, false>(data, active, acc, t),
-            (true, false, true) => cx.gather_scan::<true, false, true>(data, active, acc, t),
-            (false, true, false) => cx.gather_scan::<false, true, false>(data, active, acc, t),
-            (false, true, true) => cx.gather_scan::<false, true, true>(data, active, acc, t),
-            (true, true, false) => cx.gather_scan::<true, true, false>(data, active, acc, t),
-            (true, true, true) => cx.gather_scan::<true, true, true>(data, active, acc, t),
+            (true, false, false) => cx.gather_scan::<true, false, false>(p, active, acc, t),
+            (true, false, true) => cx.gather_scan::<true, false, true>(p, active, acc, t),
+            (false, true, false) => cx.gather_scan::<false, true, false>(p, active, acc, t),
+            (false, true, true) => cx.gather_scan::<false, true, true>(p, active, acc, t),
+            (true, true, false) => cx.gather_scan::<true, true, false>(p, active, acc, t),
+            (true, true, true) => cx.gather_scan::<true, true, true>(p, active, acc, t),
             (false, false, _) => {}
         }
         if cx.aggregate && full {
@@ -767,7 +814,14 @@ impl<'a, P: VertexProgram> Run<'a, P> {
 
         for v in 0..n {
             if active[v]
-                && cx.apply_vertex(v as VertexId, iteration, &mut data[v], &mut acc[v], &mut tally)
+                && cx.apply_vertex(
+                    v as VertexId,
+                    iteration,
+                    &mut data[v],
+                    &mut acc[v],
+                    &mut published[v],
+                    &mut tally,
+                )
             {
                 changed[v] = true;
             }
@@ -805,18 +859,21 @@ impl<'a, P: VertexProgram> Run<'a, P> {
             &mut self.sent_bytes,
             &mut self.recv_bytes,
         );
-        let (data, acc) = (&mut self.data[..], &mut self.acc[..]);
+        let (data, published, acc) =
+            (&mut self.data[..], &mut self.published[..], &mut self.acc[..]);
         let (frontier, changed) = (&self.frontier[..], &mut self.changed_list);
 
         for &v in frontier {
-            cx.gather_vertex(v, data, &mut acc[v as usize], &mut self.gather_edges, &mut tally);
+            let slot = &mut acc[v as usize];
+            cx.gather_vertex(v, published, slot, &mut self.gather_edges, &mut tally);
             if cx.aggregate {
                 cx.count_gather_partials(v, &mut tally);
             }
         }
         for &v in frontier {
             let i = v as usize;
-            if cx.apply_vertex(v, iteration, &mut data[i], &mut acc[i], &mut tally) {
+            let (value, slot, out) = (&mut data[i], &mut acc[i], &mut published[i]);
+            if cx.apply_vertex(v, iteration, value, slot, out, &mut tally) {
                 changed.push(v);
             }
         }
@@ -859,12 +916,12 @@ fn run_program_impl<P: VertexProgram, S: TraceSink>(
     plan: Option<&FaultPlan>,
     sink: &mut S,
     policy: BodyPolicy,
-) -> (Vec<P::VertexData>, RunReport) {
+) -> Result<(Vec<P::VertexData>, RunReport), EngineError> {
     let k = placement.k;
     assert_eq!(placement.num_vertices(), g.num_vertices(), "placement does not match graph");
     assert_eq!(placement.edge_parts.len(), g.num_edges(), "placement does not match graph");
 
-    let mut run = Run::new(g, placement, prog, opts);
+    let mut run = Run::new(g, placement, prog, opts)?;
     let mut iterations: Vec<IterationStats> = Vec::new();
     let mut machine_total_ns = vec![0.0f64; k];
     let mut total_wall_ns = 0.0f64;
@@ -975,20 +1032,17 @@ fn run_program_impl<P: VertexProgram, S: TraceSink>(
         total_wall_ns,
         fault: fault_state.map(|s| s.summary),
     };
-    (run.data, report)
+    Ok((run.data, report))
 }
 
-fn merge_into<P: VertexProgram>(prog: &P, slot: &mut Option<P::Gather>, contrib: P::Gather) {
-    *slot = Some(match slot.take() {
-        Some(existing) => prog.merge(existing, contrib),
-        None => contrib,
-    });
+fn merge_into<P: VertexProgram>(prog: &P, slot: &mut P::Gather, contrib: P::Gather) {
+    *slot = prog.merge(slot.clone(), contrib);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{PageRank, Sssp, Wcc};
+    use crate::apps::{PageRank, Sssp, Wcc, DAMPING, UNREACHABLE};
     use crate::reference;
     use sgp_graph::generators::{erdos_renyi, ErdosRenyiConfig};
     use sgp_graph::{GraphBuilder, StreamOrder};
@@ -1405,7 +1459,8 @@ mod tests {
     ) -> Vec<P::VertexData> {
         let mut runs = POLICIES.map(|policy| {
             let mut sink = CollectingSink::new();
-            let (data, report) = run_program_impl(g, pl, prog, opts, plan, &mut sink, policy);
+            let (data, report) =
+                run_program_impl(g, pl, prog, opts, plan, &mut sink, policy).unwrap();
             sink.check_nesting().expect("well-formed span nesting");
             (policy, data, report, sink.to_json())
         });
@@ -1472,10 +1527,13 @@ mod tests {
         fn gather_identity(&self) -> f64 {
             0.0
         }
-        fn gather_edge(&self, _g: &Graph, v: VertexId, nbr: VertexId, nbr_data: &f64) -> f64 {
+        fn publish(&self, _g: &Graph, _v: VertexId, value: &f64) -> f64 {
+            *value
+        }
+        fn gather_edge(&self, _g: &Graph, v: VertexId, nbr: VertexId, value: &f64) -> f64 {
             // Weights span ten orders of magnitude, so the sum depends
             // on the order of its terms.
-            nbr_data * 10f64.powi(((v * 31 + nbr * 17) % 11) as i32 - 5)
+            value * 10f64.powi(((v * 31 + nbr * 17) % 11) as i32 - 5)
         }
         fn merge(&self, a: f64, b: f64) -> f64 {
             a + b
@@ -1536,11 +1594,11 @@ mod tests {
         let pl = placement_for(&g, Algorithm::Dbh, 4);
         let opts = EngineOptions::default();
         let (wcc, sssp) = (Wcc::new(), Sssp::new(0));
-        let mut run = Run::new(&g, &pl, &wcc, &opts);
+        let mut run = Run::new(&g, &pl, &wcc, &opts).unwrap();
         let limit = g.num_edges() / SPARSE_EDGE_DIVISOR;
         assert!(!run.frontier_within(limit), "an all-vertex frontier takes the scan");
         assert!(!run.listed && run.frontier.is_empty());
-        let mut run = Run::new(&g, &pl, &sssp, &opts);
+        let mut run = Run::new(&g, &pl, &sssp, &opts).unwrap();
         assert!(run.frontier_within(limit), "a one-vertex frontier takes the walk");
         assert_eq!(run.frontier, vec![0]);
         for prog_opts in both_aggregation_modes() {
@@ -1625,6 +1683,115 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_range_initial_frontier_is_a_typed_error() {
+        let g = GraphBuilder::new().add_edge(0, 1).add_edge(1, 2).build();
+        let pl = Placement::build(&g, &Partitioning::from_vertex_owners(&g, 2, vec![0, 1, 0]));
+        let opts = EngineOptions::default();
+        let run = |prog: &Diffusion| run_program_with(&g, &pl, prog, &opts, None, &mut NullSink);
+        let err = run_program_with(&g, &pl, &Sssp::new(7), &opts, None, &mut NullSink).unwrap_err();
+        assert_eq!(err, EngineError::FrontierOutOfRange { vertex: 7, vertices: 3 });
+        assert_eq!(err.to_string(), "initial frontier names vertex 7 but the graph has 3 vertices");
+        // The largest vertex named is reported; the first vertex past
+        // the end is refused, the last one in range is not.
+        let seeds = |seeds: Vec<VertexId>| Diffusion { seeds, all_active: false };
+        assert_eq!(
+            run(&seeds(vec![9, 1, 3])).unwrap_err(),
+            EngineError::FrontierOutOfRange { vertex: 9, vertices: 3 }
+        );
+        assert_eq!(
+            run(&seeds(vec![3])).unwrap_err(),
+            EngineError::FrontierOutOfRange { vertex: 3, vertices: 3 }
+        );
+        assert!(run(&seeds(vec![2, 0])).is_ok());
+        let plan = FaultPlan::healthy(2, 1);
+        let faulted = run_program_with(&g, &pl, &Sssp::new(7), &opts, Some(&plan), &mut NullSink);
+        assert_eq!(faulted.unwrap_err(), err, "a fitting plan does not hide the frontier");
+    }
+
+    #[test]
+    #[should_panic(expected = "initial frontier names vertex 7 but the graph has 3 vertices")]
+    fn run_program_panics_on_an_out_of_range_initial_frontier() {
+        let g = GraphBuilder::new().add_edge(0, 1).add_edge(1, 2).build();
+        let pl = Placement::build(&g, &Partitioning::from_vertex_owners(&g, 2, vec![0, 1, 0]));
+        run_program(&g, &pl, &Sssp::new(7), &EngineOptions::default());
+    }
+
+    /// The two laws on [`VertexProgram`] that let the engine gather into
+    /// slots seeded at the identity and from published values: merging a
+    /// contribution into the identity gives it back bit for bit, and
+    /// `publish` gives the same bits whenever, and in whatever order, it
+    /// is asked. Sampled data plus the boundaries: 0, the `MAX`
+    /// sentinels, out-degree 0 and 1, and the largest, smallest normal
+    /// and smallest subnormal positive `f64`s, and infinity.
+    #[test]
+    fn programs_obey_the_identity_and_publish_laws() {
+        fn check<P: VertexProgram>(
+            prog: &P,
+            g: &Graph,
+            values: &[P::VertexData],
+            bits: fn(&P::Gather) -> u64,
+        ) {
+            let name = prog.name();
+            let published: Vec<Vec<u64>> = values
+                .iter()
+                .map(|d| g.vertices().map(|v| bits(&prog.publish(g, v, d))).collect())
+                .collect();
+            for (d, row) in values.iter().zip(&published).rev() {
+                for v in (0..g.num_vertices() as VertexId).rev() {
+                    let again = bits(&prog.publish(g, v, d));
+                    assert_eq!(again, row[v as usize], "{name}: publish({v}, {d:?}) is not pure");
+                }
+            }
+            for e in g.edges() {
+                for (v, nbr) in [(e.dst, e.src), (e.src, e.dst)] {
+                    for d in values {
+                        let x = prog.gather_edge(g, v, nbr, &prog.publish(g, nbr, d));
+                        let merged = prog.merge(prog.gather_identity(), x.clone());
+                        assert_eq!(
+                            bits(&merged),
+                            bits(&x),
+                            "{name}: merge(identity, x) != x for {d:?} gathered by {v} from {nbr}"
+                        );
+                    }
+                }
+            }
+        }
+
+        let mut rng = sgp_graph::sampling::seeded_rng(40);
+        let mut floats = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1e-300,
+            1.0 - DAMPING,
+            1.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        // Any positive bit pattern but NaN: every exponent, subnormals too.
+        floats.extend(
+            std::iter::repeat_with(|| f64::from_bits(rng.next_u64() >> 1))
+                .filter(|x| !x.is_nan())
+                .take(24),
+        );
+        let mut labels = vec![0, 1, u32::MAX - 1, u32::MAX];
+        labels.extend((0..24).map(|_| rng.next_u64() as u32));
+        let mut dists = vec![0, 1, UNREACHABLE - 1, UNREACHABLE];
+        dists.extend((0..24).map(|_| rng.next_u64() >> rng.below(64)));
+
+        // Vertex 4 of the loop graph has out-degree 1; the random graph
+        // has hubs and vertices without out-edges.
+        for g in [loops_and_reciprocal_edges(), any_graph()] {
+            assert!(g.vertices().any(|v| g.out_degree(v) == 1));
+            check(&PageRank::new(1), &g, &floats, |x| x.to_bits());
+            check(&Wcc::new(), &g, &labels, |&x| u64::from(x));
+            check(&Sssp::new(0), &g, &dists, |&x| x);
+            check(&Diffusion::from_every_seventh_vertex(&g), &g, &floats, |x| x.to_bits());
+        }
+    }
+
+    #[test]
     fn duplicate_initial_frontier_entries_count_once() {
         let g = any_graph();
         let pl = placement_for(&g, Algorithm::Hdrf, 4);
@@ -1639,7 +1806,10 @@ mod tests {
 
     /// The engine as one dense loop over a [`ReferencePlacement`], charging
     /// compute by one `+=` per operation in phase order (gather, apply,
-    /// scatter). Healthy or under `plan`; no trace.
+    /// scatter). Healthy or under `plan`; no trace. It makes neither of
+    /// the engine's gather shortcuts: an accumulator is `None` until its
+    /// first contribution, and every gather edge publishes the
+    /// neighbour's current data afresh.
     fn naive_run<P: VertexProgram>(
         g: &Graph,
         pl: &ReferencePlacement,
@@ -1687,7 +1857,8 @@ mod tests {
                         if !used || !active[v as usize] {
                             continue;
                         }
-                        let contrib = prog.gather_edge(g, v, nbr, &data[nbr as usize]);
+                        let published = prog.publish(g, nbr, &data[nbr as usize]);
+                        let contrib = prog.gather_edge(g, v, nbr, &published);
                         acc[v as usize] = Some(match acc[v as usize].take() {
                             Some(sum) => prog.merge(sum, contrib),
                             None => contrib,

@@ -3,8 +3,17 @@
 //! Mirrors PowerGraph's programming model (§2 of the paper: "the state is
 //! pulled (rather than pushed) by vertices at the beginning of each
 //! iteration"): a program declares the edge direction it gathers over,
-//! an associative accumulator, an apply function, and the activation
-//! behaviour of its scatter phase.
+//! an associative accumulator with an identity, the value each vertex
+//! publishes for its neighbours to gather, an apply function, and the
+//! activation behaviour of its scatter phase.
+//!
+//! The engine keeps one accumulator slot per vertex, seeded at
+//! [`VertexProgram::gather_identity`] and reset to it by every apply, and
+//! one published value per vertex, refreshed by apply only when the
+//! vertex's data changes. A gather edge is then one load of the
+//! neighbour's published value and one [`VertexProgram::merge`]; the two
+//! laws on [`VertexProgram`] are what make that the same computation as
+//! reading the neighbour's data and merging only real contributions.
 use sgp_graph::{Graph, VertexId};
 
 /// Edge direction relative to the executing vertex.
@@ -41,6 +50,16 @@ impl Direction {
 /// sender-side aggregation legal), `apply` produces the new vertex value
 /// at the master, and if the value changed the scatter phase activates
 /// neighbours along [`VertexProgram::scatter_direction`].
+///
+/// Two laws let the engine gather over plain slots and published values;
+/// the engine's tests check both for every program in the crate:
+///
+/// - **Identity.** `merge(gather_identity(), x)` is bit-equal to `x` for
+///   every `x` that `gather_edge` returns, so a slot seeded at the
+///   identity holds exactly the merge of the contributions it received.
+/// - **Publish is pure.** `publish(g, v, data)` depends on nothing but
+///   its arguments, so the value published when `v`'s data last changed
+///   is the value a gather would compute from that data now.
 pub trait VertexProgram {
     /// Per-vertex state.
     type VertexData: Clone + PartialEq + std::fmt::Debug;
@@ -67,17 +86,23 @@ pub trait VertexProgram {
     /// Initially active vertices. `None` means "all vertices".
     fn initial_frontier(&self, g: &Graph) -> Option<Vec<VertexId>>;
 
-    /// Identity element of the gather accumulator.
+    /// Identity element of the gather accumulator: merged with any
+    /// contribution, it gives that contribution back bit for bit.
     fn gather_identity(&self) -> Self::Gather;
 
+    /// What `v`, holding `data`, offers every neighbour that gathers from
+    /// it (PageRank: its rank spread over its out-edges). A pure function
+    /// of its arguments; the engine calls it once per change of `data`.
+    fn publish(&self, g: &Graph, v: VertexId, data: &Self::VertexData) -> Self::Gather;
+
     /// Contribution of the edge between `v` (the gathering vertex) and
-    /// `nbr` (the other endpoint, whose current data is `nbr_data`).
+    /// `nbr` (the other endpoint, whose published value is `published`).
     fn gather_edge(
         &self,
         g: &Graph,
         v: VertexId,
         nbr: VertexId,
-        nbr_data: &Self::VertexData,
+        published: &Self::Gather,
     ) -> Self::Gather;
 
     /// Merges two accumulators (associative & commutative).

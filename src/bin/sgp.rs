@@ -13,6 +13,11 @@
 //! dataset: `dataset:twitter`, `dataset:ukweb`, `dataset:usaroad`,
 //! `dataset:ldbcsnb` (scale via `SGP_SCALE`).
 //!
+//! Every command takes exactly one `<input>` and only the flags and
+//! switches shown for it; anything else is a usage error (exit 2) that
+//! names the argument. A report that cannot be written (a closed pipe, a
+//! full disk) is an error (exit 1), not a panic.
+//!
 //! `trace-summary` renders a dump of `experiments --trace <path>`: the
 //! top `N` spans by self cost (default 10), the per-machine load, the
 //! counter totals and the histogram quantiles. Exit codes: `0` rendered,
@@ -65,42 +70,64 @@ fn parse_order(s: &str) -> StreamOrder {
     }
 }
 
+/// The value-taking flags and the switches `command` accepts; `None`
+/// for an unknown command.
+fn accepted(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match command {
+        "stats" => (&[], &[]),
+        "partition" => (&["alg", "k", "order", "out"], &[]),
+        "recommend" => (&[], &["online"]),
+        "scaleout" => (&["workload", "candidates"], &[]),
+        "trace-summary" => (&["top"], &[]),
+        _ => return None,
+    })
+}
+
 struct Args {
-    positional: Vec<String>,
+    input: String,
     // BTreeMap keeps diagnostics that iterate flags deterministic.
     flags: std::collections::BTreeMap<String, String>,
     switches: Vec<String>,
 }
 
-fn parse_args(args: &[String]) -> Args {
-    let mut positional = Vec::new();
+/// Parses `command`'s arguments: one positional input plus the flags and
+/// switches it accepts. Anything else is a usage error naming it.
+fn parse_args(command: &str, args: &[String]) -> Args {
+    let Some((flag_names, switch_names)) = accepted(command) else { usage() };
+    let unexpected = |arg: &str| -> ! {
+        eprintln!("error: unexpected {command} argument `{arg}`");
+        usage()
+    };
+    let mut input = None;
     let mut flags = std::collections::BTreeMap::new();
     let mut switches = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            // Value-taking flags; everything else is a switch.
-            if ["alg", "k", "order", "out", "workload", "candidates", "top"].contains(&name) {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => {
-                        flags.insert(name.to_string(), v.clone());
-                    }
-                    None => {
-                        eprintln!("error: --{name} needs a value");
-                        usage()
-                    }
-                }
-            } else {
-                switches.push(name.to_string());
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match a.strip_prefix("--") {
+            Some(name) if flag_names.contains(&name) => {
+                let Some(v) = rest.next() else {
+                    eprintln!("error: --{name} needs a value");
+                    usage()
+                };
+                flags.insert(name.to_string(), v.clone());
             }
-        } else {
-            positional.push(a.clone());
+            Some(name) if switch_names.contains(&name) => switches.push(name.to_string()),
+            Some(_) => unexpected(a),
+            None if input.is_none() => input = Some(a.clone()),
+            None => unexpected(a),
         }
-        i += 1;
     }
-    Args { positional, flags, switches }
+    let Some(input) = input else { usage() };
+    Args { input, flags, switches }
+}
+
+/// Writes a command's report to stdout; a write that fails (a closed
+/// pipe, a full disk) is an error message and exit 1, not a panic.
+fn emit(report: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
+    let mut out = std::io::stdout().lock();
+    report(&mut out)
+        .and_then(|()| out.flush())
+        .unwrap_or_else(|e| fail(&format!("cannot write output: {e}")));
 }
 
 fn write_partition(
@@ -132,20 +159,22 @@ fn main() {
         usage();
     }
     let command = argv[0].as_str();
-    let args = parse_args(&argv[1..]);
-    let input = args.positional.first().cloned().unwrap_or_else(|| usage());
+    let args = parse_args(command, &argv[1..]);
+    let input = args.input;
 
     match command {
         "stats" => {
             let g = load_graph(&input);
             let s = streaming_graph_partitioning::graph::GraphStats::of(&g);
-            println!("vertices        {}", s.vertices);
-            println!("edges           {}", s.edges);
-            println!("avg degree      {:.2}", s.avg_degree);
-            println!("max degree      {}", s.max_degree);
-            println!("degree gini     {:.3}", s.degree_gini);
-            println!("power-law R^2   {:.3}", s.powerlaw_fit_r2);
-            println!("class           {}", s.classify());
+            emit(|out| {
+                writeln!(out, "vertices        {}", s.vertices)?;
+                writeln!(out, "edges           {}", s.edges)?;
+                writeln!(out, "avg degree      {:.2}", s.avg_degree)?;
+                writeln!(out, "max degree      {}", s.max_degree)?;
+                writeln!(out, "degree gini     {:.3}", s.degree_gini)?;
+                writeln!(out, "power-law R^2   {:.3}", s.powerlaw_fit_r2)?;
+                writeln!(out, "class           {}", s.classify())
+            });
         }
         "partition" => {
             let g = load_graph(&input);
@@ -197,10 +226,13 @@ fn main() {
                     WorkloadClass::OfflineAnalytics,
                 )
             };
-            println!("recommended algorithm: {}", rec.algorithm);
-            for step in &rec.reasoning {
-                println!("  - {step}");
-            }
+            emit(|out| {
+                writeln!(out, "recommended algorithm: {}", rec.algorithm)?;
+                for step in &rec.reasoning {
+                    writeln!(out, "  - {step}")?;
+                }
+                Ok(())
+            });
         }
         "scaleout" => {
             let g = load_graph(&input);
@@ -226,25 +258,27 @@ fn main() {
                 .map(|s| s.trim().parse().unwrap_or_else(|_| fail("bad --candidates list")))
                 .collect();
             let report = recommend_scale_out(&g, workload, &candidates, 0.1);
-            println!("partitioner: {} (decision tree)", report.algorithm);
-            println!("{:<6} {:>12} {:>14} {:>12}", "k", "exec (s)", "network", "comm/comp");
-            for p in &report.points {
-                println!(
-                    "{:<6} {:>12.4} {:>14} {:>12.3}",
-                    p.k,
-                    p.exec_seconds,
-                    streaming_graph_partitioning::core::report::human_bytes(p.network_bytes),
-                    p.comm_to_comp
-                );
-            }
-            println!("recommended scale-out factor: k = {}", report.recommended_k);
+            emit(|out| {
+                writeln!(out, "partitioner: {} (decision tree)", report.algorithm)?;
+                writeln!(
+                    out,
+                    "{:<6} {:>12} {:>14} {:>12}",
+                    "k", "exec (s)", "network", "comm/comp"
+                )?;
+                for p in &report.points {
+                    writeln!(
+                        out,
+                        "{:<6} {:>12.4} {:>14} {:>12.3}",
+                        p.k,
+                        p.exec_seconds,
+                        streaming_graph_partitioning::core::report::human_bytes(p.network_bytes),
+                        p.comm_to_comp
+                    )?;
+                }
+                writeln!(out, "recommended scale-out factor: k = {}", report.recommended_k)
+            });
         }
         "trace-summary" => {
-            let switch = args.switches.first().map(|s| format!("--{s}"));
-            if let Some(extra) = switch.or_else(|| args.positional.get(1).cloned()) {
-                eprintln!("error: unexpected trace-summary argument `{extra}`");
-                usage()
-            }
             let top = match args.flags.get("top").map(|v| v.parse::<usize>()) {
                 None => 10,
                 Some(Ok(n)) if n > 0 => n,
@@ -259,12 +293,15 @@ fn main() {
             });
             let trace = parse_trace(&text)
                 .unwrap_or_else(|e| fail(&format!("{input} is not a valid trace document: {e}")));
-            print!(
-                "trace summary (schema_version {}, {} events)\n{}",
-                trace.schema_version,
-                trace.events.len(),
-                trace_summary(&SummarySink::of(&trace), top)
-            );
+            emit(|out| {
+                write!(
+                    out,
+                    "trace summary (schema_version {}, {} events)\n{}",
+                    trace.schema_version,
+                    trace.events.len(),
+                    trace_summary(&SummarySink::of(&trace), top)
+                )
+            });
         }
         _ => usage(),
     }
