@@ -1074,10 +1074,21 @@ mod tests {
         }
     }
 
+    /// `any_graph` is one weakly connected component, labelled 0
+    /// throughout, so WCC runs on it plus a disjoint directed ring and an
+    /// isolated vertex: three components, three labels.
     #[test]
     fn wcc_matches_reference_on_all_cut_models() {
-        let g = any_graph();
+        let mut b = GraphBuilder::new().ensure_vertices(341);
+        for e in any_graph().edges() {
+            b.push_edge(e.src, e.dst);
+        }
+        for v in 300..340 {
+            b.push_edge(v, if v == 339 { 300 } else { v + 1 });
+        }
+        let g = b.build();
         let reference = reference::wcc(&g);
+        assert_eq!((reference[299], reference[339], reference[340]), (0, 300, 340));
         for alg in
             [Algorithm::EcrHash, Algorithm::VcrHash, Algorithm::Hdrf, Algorithm::HybridRandom]
         {

@@ -16,7 +16,7 @@
 
 use crate::assignment::PartitionId;
 use crate::config::PartitionerConfig;
-use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState};
+use crate::edge_cut::{VertexStreamPartitioner, VertexStreamState, UNASSIGNED};
 use crate::kernels;
 use sgp_graph::stream::VertexRecord;
 
@@ -28,7 +28,6 @@ pub struct AttributeLdg {
     attribute: Vec<u64>,
     capacity: f64,
     loads: Vec<usize>,
-    assigned: Vec<PartitionId>,
     /// Scratch neighbour histogram and score column reused across
     /// vertices (DESIGN.md §13).
     hist: Vec<usize>,
@@ -47,13 +46,11 @@ impl AttributeLdg {
         assert!(attribute.iter().all(|&a| a > 0), "attributes must be positive");
         let total: u64 = attribute.iter().sum();
         let capacity = (cfg.balance_slack * total as f64 / cfg.k as f64).max(1.0);
-        let n = attribute.len();
         AttributeLdg {
             k: cfg.k,
             attribute,
             capacity,
             loads: vec![0; cfg.k],
-            assigned: vec![PartitionId::MAX; n],
             hist: Vec::new(),
             scores: Vec::new(),
         }
@@ -63,7 +60,7 @@ impl AttributeLdg {
 impl VertexStreamPartitioner for AttributeLdg {
     #[expect(
         clippy::indexing_slicing,
-        reason = "loads have k entries; attribute and assigned cover every vertex id of the graph"
+        reason = "loads have k entries; attribute and the state's assignment cover every vertex id of the graph"
     )]
     fn place(&mut self, rec: &VertexRecord<'_>, state: &VertexStreamState) -> PartitionId {
         state.neighbor_histogram_into(&rec.neighbors, self.k, &mut self.hist);
@@ -86,12 +83,12 @@ impl VertexStreamPartitioner for AttributeLdg {
             // Heavy vertex that fits nowhere within slack: least loaded.
             .or_else(|| kernels::argmin_load(&self.loads))
             .expect("k >= 1");
-        // Re-streaming support: undo the previous pass's placement.
-        let old = self.assigned[rec.vertex as usize];
-        if old != PartitionId::MAX {
+        // Re-streaming support: undo the previous pass's placement, which
+        // the state still holds (the core assigns after `place` returns).
+        let old = state.assignment[rec.vertex as usize];
+        if old != UNASSIGNED {
             self.loads[old as usize] -= w;
         }
-        self.assigned[rec.vertex as usize] = target as PartitionId;
         self.loads[target] += w;
         target as PartitionId
     }

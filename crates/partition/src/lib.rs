@@ -40,11 +40,12 @@
 //! one thread scope `clippy.toml` allows.
 //!
 //! The elasticity layer (DESIGN.md §11) builds on that core:
-//! [`snapshot`] serializes a machine's run-varying state in a
-//! schema-versioned canonical format such that restore-then-continue is
-//! bit-identical to an uninterrupted run, and `migration` computes
-//! bounded-movement rebalance plans when the cluster gains or loses
-//! machines.
+//! [`snapshot`] serializes a machine's decisions (plus its window and
+//! the private tables no replay rebuilds) in a schema-versioned
+//! canonical format, and restore replays them, such that
+//! restore-then-continue is bit-identical to an uninterrupted run;
+//! `migration` computes bounded-movement rebalance plans when the
+//! cluster gains or loses machines.
 //!
 //! The dynamic-graph tier (DESIGN.md §12) adds the multi-pass and
 //! buffered streaming models on the same machine lifecycle: 2PS

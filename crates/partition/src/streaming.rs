@@ -141,9 +141,9 @@ impl<P: DerefMut<Target: VertexStreamPartitioner>> VertexIngest<P> {
     }
 }
 
-/// Maps the ingestion sentinel to a concrete partition: a vertex the
-/// stream never delivered lands on partition 0 (deterministic, and
-/// impossible when a full stream was ingested).
+/// Maps the ingestion sentinel to a concrete partition: a vertex (or an
+/// edge slot) the stream never delivered lands on partition 0
+/// (deterministic, and impossible when a full stream was ingested).
 pub(crate) fn owner_from_assignment(assignment: Vec<PartitionId>) -> Vec<PartitionId> {
     assignment.into_iter().map(|p| if p == UNASSIGNED { 0 } else { p }).collect()
 }
@@ -179,15 +179,17 @@ impl VertexSeal {
 /// Holds the replica-table state plus the edge-placement vector; unlike
 /// the vertex machine it needs the graph up front, to size that vector
 /// and seal it. Every ingested edge carries its CSR slot, so each
-/// parallel copy of a multigraph edge keeps its own decision. Edges never
-/// ingested stay on partition 0 (the same initialization the batch
-/// driver used).
+/// parallel copy of a multigraph edge keeps its own decision. A slot
+/// holds [`UNASSIGNED`] until its edge is placed, so a placement on
+/// partition 0 is told apart from none; seal puts the edges never
+/// placed on partition 0, as it does unplaced vertices.
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeIngest<'g, P> {
     g: &'g Graph,
     pub(crate) partitioner: P,
     pub(crate) state: EdgeStreamState,
-    /// The per-edge placement vector, in CSR slot order.
+    /// The per-edge placement vector, in CSR slot order; [`UNASSIGNED`]
+    /// for a slot not placed yet.
     pub(crate) edge_parts: Vec<PartitionId>,
     k: usize,
     /// Elements placed so far (the logical trace stamp).
@@ -201,7 +203,7 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
             g,
             partitioner,
             state: EdgeStreamState::new(g.num_vertices(), k),
-            edge_parts: vec![0 as PartitionId; g.num_edges()],
+            edge_parts: vec![UNASSIGNED; g.num_edges()],
             k,
             seq: 0,
         }
@@ -216,8 +218,8 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
     /// While the wrapped partitioner reports an observation pass
     /// ([`EdgeStreamPartitioner::observing`]), edges are routed to
     /// [`EdgeStreamPartitioner::observe`] and neither the shared state,
-    /// the placement vector, nor the sequence counter changes — the
-    /// snapshot invariant `sum(loads) == seq` holds across passes.
+    /// the placement vector, nor the sequence counter changes: `seq`
+    /// counts the placed slots across passes.
     pub(crate) fn ingest(&mut self, chunk: &[(u32, Edge)]) {
         for &(slot, e) in chunk {
             if self.partitioner.observing() {
@@ -252,7 +254,7 @@ impl<'g, P: DerefMut<Target: EdgeStreamPartitioner>> EdgeIngest<'g, P> {
                 sink.counter_add(keys::PARTITION_LOAD, i as u64, count as u64);
             }
         }
-        Partitioning::from_edge_parts(self.g, self.k, self.edge_parts)
+        Partitioning::from_edge_parts(self.g, self.k, owner_from_assignment(self.edge_parts))
     }
 }
 
@@ -465,6 +467,17 @@ pub enum IngestError {
         /// Its target.
         dst: VertexId,
     },
+    /// The element at `position` of an edge chunk would place slot `slot`
+    /// a second time: the slot is placed already, waits in the look-ahead
+    /// window, or is named earlier in the same chunk. An edge slot is
+    /// placed at most once, which is what lets a snapshot restore by
+    /// replaying the placements.
+    AlreadyPlaced {
+        /// Index of the element in the chunk.
+        position: usize,
+        /// The CSR slot it names.
+        slot: u32,
+    },
 }
 
 impl std::fmt::Display for IngestError {
@@ -476,11 +489,40 @@ impl std::fmt::Display for IngestError {
             IngestError::NotAnEdge { position, src, dst } => {
                 write!(f, "chunk element {position}, {src} -> {dst}, is no edge of the graph")
             }
+            IngestError::AlreadyPlaced { position, slot } => {
+                write!(f, "chunk element {position} would place edge slot {slot} a second time")
+            }
         }
     }
 }
 
 impl std::error::Error for IngestError {}
+
+/// The first element of `chunk` whose slot is placed in `edge_parts`
+/// already, waits in `window`, or is named earlier in the chunk. It marks
+/// the slots of the window and of the chunk up to that element as it
+/// goes — any value but [`UNASSIGNED`] marks one — and clears the marks
+/// again, in O(window + chunk).
+fn first_placed_twice(
+    edge_parts: &mut [PartitionId],
+    window: &[(u32, Edge)],
+    chunk: &[(u32, Edge)],
+) -> Option<usize> {
+    let slots = || window.iter().chain(chunk).map(|&(slot, _)| slot as usize);
+    let first = slots().position(|slot| {
+        if edge_parts[slot] != UNASSIGNED {
+            return true;
+        }
+        edge_parts[slot] = 0;
+        false
+    });
+    for slot in slots().take(first.unwrap_or(usize::MAX)) {
+        edge_parts[slot] = UNASSIGNED;
+    }
+    // The window's own slots are unplaced and distinct: the facade and a
+    // restore let in no others.
+    first.and_then(|i| i.checked_sub(window.len()))
+}
 
 pub(crate) enum Machine<'g> {
     Vertex { core: VertexIngest<Box<dyn VertexStreamPartitioner>>, seal: VertexSeal },
@@ -551,15 +593,21 @@ impl<'g> StreamingPartitioner<'g> {
         }
     }
 
-    /// Serializes the machine's run-varying state into the canonical
-    /// snapshot format (see [`crate::snapshot`]).
+    /// Serializes the machine's decisions, its look-ahead window and the
+    /// private tables no replay rebuilds into the canonical snapshot
+    /// format (see [`crate::snapshot`]).
     pub fn snapshot(&self) -> String {
         crate::snapshot::write_snapshot(self)
     }
 
-    /// Rebuilds a machine from a snapshot taken at a chunk boundary;
-    /// continuing the stream from that boundary is bit-identical to an
-    /// uninterrupted run (see [`crate::snapshot`]).
+    /// Rebuilds a machine from a snapshot taken at a chunk boundary by
+    /// replaying its decisions; continuing the stream from that boundary
+    /// is bit-identical to an uninterrupted run (see [`crate::snapshot`]).
+    ///
+    /// The contract covers machines fed at most their
+    /// [`passes`](StreamingPartitioner::passes) over the stream: a vertex
+    /// snapshot whose `seq` exceeds `passes() × n` is refused, as is an
+    /// edge snapshot whose `seq` is not its number of placed slots.
     pub fn restore(
         g: &'g Graph,
         algorithm: Algorithm,
@@ -623,7 +671,8 @@ impl<'g> StreamingPartitioner<'g> {
     /// [`IngestError::NotAnEdge`]. On a multigraph a pair names the first
     /// copy of a parallel edge: the other copies are placed through
     /// [`ingest_slotted_edges`](StreamingPartitioner::ingest_slotted_edges)
-    /// only.
+    /// only, and a pair naming a copy that is placed already refuses the
+    /// chunk with [`IngestError::AlreadyPlaced`].
     pub fn ingest_edges(&mut self, chunk: &[Edge]) -> Result<(), IngestError> {
         self.slotted.clear();
         for (position, &e) in chunk.iter().enumerate() {
@@ -644,6 +693,13 @@ impl<'g> StreamingPartitioner<'g> {
     /// An element whose slot does not hold its edge
     /// ([`Graph::edge_at`]) refuses the whole chunk with
     /// [`IngestError::NotAnEdge`], and nothing of it is placed.
+    ///
+    /// Outside an observation pass (2PS's first), a slot is placed at most
+    /// once: a chunk naming a slot that is placed already, waits in the
+    /// window, or comes twice in the chunk is refused whole with
+    /// [`IngestError::AlreadyPlaced`]. An observation pass places nothing,
+    /// so its slots come again in the next pass; a chunk must not run
+    /// across a pass boundary (flush the window at each).
     pub fn ingest_slotted_edges(&mut self, chunk: &[(u32, Edge)]) -> Result<(), IngestError> {
         let wrong = chunk
             .iter()
@@ -655,12 +711,19 @@ impl<'g> StreamingPartitioner<'g> {
         self.place_edges(chunk)
     }
 
-    /// Places a chunk whose slots are known to hold its edges.
+    /// Places a chunk whose slots are known to hold its edges, unless it
+    /// would place a slot a second time.
     fn place_edges(&mut self, chunk: &[(u32, Edge)]) -> Result<(), IngestError> {
         let expected = self.input();
         let Machine::Edge { core } = &mut self.machine else {
             return Err(IngestError::WrongStreamKind { expected });
         };
+        if !core.partitioner.observing() {
+            if let Some(position) = first_placed_twice(&mut core.edge_parts, &self.wbuf_e, chunk) {
+                let slot = chunk[position].0;
+                return Err(IngestError::AlreadyPlaced { position, slot });
+            }
+        }
         core.ingest_windowed(chunk, self.window, &mut self.wbuf_e);
         Ok(())
     }
@@ -788,6 +851,79 @@ mod tests {
                 }
                 assert_eq!(sp.seal().edge_parts, untouched.seal().edge_parts, "{alg} W={window}");
             }
+        }
+    }
+
+    /// A chunk that would place a slot a second time — one placed
+    /// already, one waiting in the window, or one it names twice — is
+    /// refused whole with the position of the second naming, and the
+    /// machine does not move. Each machine restores a snapshot taken at
+    /// W = 3, so at W = 1 too its window holds two edges; 2PS is cut in
+    /// its placement pass.
+    #[test]
+    fn a_chunk_placing_a_slot_twice_is_refused_whole() {
+        let g = graph();
+        let slotted: Vec<(u32, Edge)> =
+            (0..g.num_edges()).map(|i| (i as u32, g.edge_at(i).unwrap())).collect();
+        let record = |snap: &str, key: &str| {
+            let line = snap.lines().find(|l| l.starts_with(key)).expect("record present");
+            let slot: usize = line.split(' ').nth(1).unwrap().parse().unwrap();
+            slotted[slot]
+        };
+        for alg in [Algorithm::VcrHash, Algorithm::Hdrf, Algorithm::TwoPhaseHdrf] {
+            let mut sp =
+                StreamingPartitioner::init(&g, alg, &PartitionerConfig::new(4).with_window(3));
+            if sp.passes() == 2 {
+                slotted.chunks(64).for_each(|chunk| sp.ingest_slotted_edges(chunk).unwrap());
+                sp.flush_window();
+            }
+            sp.ingest_slotted_edges(&slotted[..40]).unwrap();
+            let snap = sp.snapshot();
+            let (placed, waiting) = (record(&snap, "edge "), record(&snap, "we "));
+            let fresh = &slotted[40..43];
+            for window in [1, 3] {
+                let cfg = PartitionerConfig::new(4).with_window(window);
+                let mut sp = StreamingPartitioner::restore(&g, alg, &cfg, &snap).unwrap();
+                for (chunk, position, slot) in [
+                    (vec![fresh[0], fresh[1], placed, fresh[2]], 2, placed.0),
+                    (vec![fresh[0], waiting], 1, waiting.0),
+                    (vec![fresh[0], fresh[1], fresh[0]], 2, fresh[0].0),
+                ] {
+                    let refused = IngestError::AlreadyPlaced { position, slot };
+                    assert_eq!(sp.ingest_slotted_edges(&chunk), Err(refused), "{alg} W={window}");
+                    assert_eq!(sp.snapshot(), snap, "{alg} W={window}: the machine moved");
+                }
+                sp.ingest_slotted_edges(&slotted[40..]).expect("each slot once");
+            }
+        }
+    }
+
+    /// 2PS observes every edge in its first pass and places nothing, so
+    /// the facade takes the same edges again in the second, as pairs or
+    /// slotted, and places exactly as the one-shot run.
+    #[test]
+    fn two_phase_takes_the_same_edges_in_both_passes() {
+        let g = graph();
+        let edges: Vec<Edge> = g.edges().collect();
+        let slotted: Vec<(u32, Edge)> =
+            edges.iter().enumerate().map(|(i, &e)| (i as u32, e)).collect();
+        for window in [1, 3] {
+            let cfg = PartitionerConfig::new(4).with_window(window);
+            let whole = partition(&g, Algorithm::TwoPhaseHdrf, &cfg, StreamOrder::Natural);
+            let (mut pairs, mut slots) = (
+                StreamingPartitioner::init(&g, Algorithm::TwoPhaseHdrf, &cfg),
+                StreamingPartitioner::init(&g, Algorithm::TwoPhaseHdrf, &cfg),
+            );
+            assert_eq!(pairs.passes(), 2);
+            for _ in 0..2 {
+                edges.chunks(64).for_each(|chunk| pairs.ingest_edges(chunk).unwrap());
+                slotted.chunks(64).for_each(|chunk| slots.ingest_slotted_edges(chunk).unwrap());
+                pairs.flush_window();
+                slots.flush_window();
+            }
+            assert_eq!(pairs.elements_ingested(), edges.len() as u64);
+            assert_eq!(pairs.seal().edge_parts, whole.edge_parts, "pairs, W={window}");
+            assert_eq!(slots.seal().edge_parts, whole.edge_parts, "slots, W={window}");
         }
     }
 

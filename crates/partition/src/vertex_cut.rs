@@ -153,39 +153,6 @@ impl EdgeStreamState {
         self.edge_counts[p as usize] += 1;
     }
 
-    /// Iterates the non-empty replica sets `(u, A(u))` in vertex order
-    /// (snapshot support; canonical because the ascending bit scan
-    /// reproduces the order the historical sorted sets held).
-    pub(crate) fn replica_entries(&self) -> impl Iterator<Item = (u32, ReplicaIter<'_>)> + '_ {
-        self.replica_bits
-            .chunks_exact(self.stride)
-            .enumerate()
-            .filter(|(_, block)| block.iter().any(|&w| w != 0))
-            .map(|(u, block)| (u as u32, ReplicaIter::new(block)))
-    }
-
-    /// Iterates the non-zero partial degrees `(u, d(u))` in vertex order
-    /// (snapshot support).
-    pub(crate) fn partial_degree_entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.partial_degree.iter().enumerate().filter(|&(_, &d)| d > 0).map(|(u, &d)| (u as u32, d))
-    }
-
-    /// Overwrites `A(u)` during restore; the snapshot layer has checked
-    /// that `u < n` and every id in `set` is `< k`.
-    pub(crate) fn restore_replicas(&mut self, u: u32, set: &[PartitionId]) {
-        let base = u as usize * self.stride;
-        let block = &mut self.replica_bits[base..base + self.stride];
-        block.fill(0);
-        for &p in set {
-            block[p as usize >> 6] |= 1u64 << (p & 63);
-        }
-    }
-
-    /// Overwrites `d(u)` during restore (`u < n`, checked likewise).
-    pub(crate) fn restore_partial_degree(&mut self, u: u32, d: u64) {
-        self.partial_degree[u as usize] = d;
-    }
-
     /// Least-loaded partition among `candidates` (ties → lower id); falls
     /// back to the global least-loaded when `candidates` is empty.
     #[expect(
