@@ -1183,7 +1183,7 @@ impl<'a, S: TraceSink> FaultRun<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QueryResult, QueryTrace, RoundTrace};
+    use crate::query::{QueryTrace, RoundTrace};
     use crate::store::PartitionedStore;
     use crate::workload::{Skew, Workload, WorkloadKind};
     use sgp_graph::generators::{snb_social, SnbConfig};
@@ -1193,11 +1193,7 @@ mod tests {
 
     fn two_machine_sim() -> ClusterSim {
         // One query class: coordinator 0 reads 2 local + 2 remote.
-        let trace = QueryTrace {
-            coordinator: 0,
-            rounds: vec![RoundTrace { reads: vec![2, 2] }],
-            result: QueryResult::Vertices(vec![]),
-        };
+        let trace = QueryTrace { coordinator: 0, rounds: vec![RoundTrace { reads: vec![2, 2] }] };
         ClusterSim::from_traces(2, vec![trace])
     }
 
@@ -1300,11 +1296,7 @@ mod tests {
         cores_per_machine: usize,
         intra_request_parallelism: usize,
     ) -> FaultSimReport {
-        let trace = QueryTrace {
-            coordinator: 0,
-            rounds: vec![RoundTrace { reads: vec![0, 3] }],
-            result: QueryResult::Vertices(vec![]),
-        };
+        let trace = QueryTrace { coordinator: 0, rounds: vec![RoundTrace { reads: vec![0, 3] }] };
         let cfg = FaultSimConfig {
             base: SimConfig {
                 clients_per_machine: 1,
@@ -1361,7 +1353,6 @@ mod tests {
         let trace = |rounds: &[[u32; 2]]| QueryTrace {
             coordinator: 0,
             rounds: rounds.iter().map(|r| RoundTrace { reads: r.to_vec() }).collect(),
-            result: QueryResult::Vertices(vec![]),
         };
         let cfg = quick_cfg();
         let total = 2 * cfg.base.clients_per_machine * cfg.base.queries_per_client;

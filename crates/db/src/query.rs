@@ -66,8 +66,6 @@ pub enum QueryResult {
     PathLength(Option<u32>),
 }
 
-impl QueryResult {}
-
 /// Per-round read counts: `reads[machine]` vertices were read on that
 /// machine in this round.
 #[derive(Debug, Clone)]
@@ -76,15 +74,15 @@ pub struct RoundTrace {
     pub reads: Vec<u32>,
 }
 
-/// Full execution trace of one query.
+/// Execution trace of one query: what the discrete-event simulator
+/// replays. The query's result is not part of it; [`execute`] returns
+/// the result next to the trace.
 #[derive(Debug, Clone)]
 pub struct QueryTrace {
     /// The coordinator machine the router picked.
     pub coordinator: u32,
     /// One entry per communication round.
     pub rounds: Vec<RoundTrace>,
-    /// The query result.
-    pub result: QueryResult,
 }
 
 impl QueryTrace {
@@ -114,16 +112,55 @@ impl QueryTrace {
     }
 }
 
-/// Executes `query` against `store`, producing the result and trace.
-pub fn execute(store: &PartitionedStore, query: Query) -> QueryTrace {
+/// Vertex marks that outlive one query: a two-hop query marks the
+/// vertices it has seen. A vertex is marked when its stamp equals
+/// `generation`, so starting a query unmarks every vertex in O(1).
+#[derive(Debug, Default)]
+pub(crate) struct Marks {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl Marks {
+    /// Unmarks every vertex of an `n`-vertex graph.
+    fn unmark_all(&mut self, n: usize) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 || self.stamps.len() != n {
+            self.stamps.clear();
+            self.stamps.resize(n, 0);
+            self.generation = 1;
+        }
+    }
+
+    /// Marks `v`; `true` when it was not marked yet.
+    #[inline]
+    fn mark(&mut self, v: VertexId) -> bool {
+        let stamp = &mut self.stamps[v as usize];
+        let fresh = *stamp != self.generation;
+        *stamp = self.generation;
+        fresh
+    }
+}
+
+/// Executes `query` against `store`: its trace, and its result.
+pub fn execute(store: &PartitionedStore, query: Query) -> (QueryTrace, QueryResult) {
+    execute_with(store, query, &mut Marks::default())
+}
+
+/// [`execute`] with vertex marks that the caller reuses across queries.
+pub(crate) fn execute_with(
+    store: &PartitionedStore,
+    query: Query,
+    marks: &mut Marks,
+) -> (QueryTrace, QueryResult) {
     match query {
         Query::OneHop { start } => one_hop(store, start),
-        Query::TwoHop { start } => two_hop(store, start),
+        Query::TwoHop { start } => two_hop(store, start, marks),
         Query::ShortestPath { src, dst } => shortest_path(store, src, dst),
     }
 }
 
-fn one_hop(store: &PartitionedStore, start: VertexId) -> QueryTrace {
+fn one_hop(store: &PartitionedStore, start: VertexId) -> (QueryTrace, QueryResult) {
     let k = store.machines();
     let coordinator = store.route(start);
     // Round 1: read the start vertex + its adjacency at the coordinator.
@@ -135,51 +172,56 @@ fn one_hop(store: &PartitionedStore, start: VertexId) -> QueryTrace {
     for &w in &neighbors {
         r2[store.route(w) as usize] += 1;
     }
-    QueryTrace {
-        coordinator,
-        rounds: vec![RoundTrace { reads: r1 }, RoundTrace { reads: r2 }],
-        result: QueryResult::Vertices(neighbors),
-    }
+    let rounds = vec![RoundTrace { reads: r1 }, RoundTrace { reads: r2 }];
+    (QueryTrace { coordinator, rounds }, QueryResult::Vertices(neighbors))
 }
 
-fn two_hop(store: &PartitionedStore, start: VertexId) -> QueryTrace {
+fn two_hop(
+    store: &PartitionedStore,
+    start: VertexId,
+    marks: &mut Marks,
+) -> (QueryTrace, QueryResult) {
     let k = store.machines();
     let coordinator = store.route(start);
     let mut r1 = vec![0u32; k];
     r1[coordinator as usize] = 1;
     let frontier = store.neighbors(start);
     // Round 2: read adjacency of every 1-hop neighbour at its owner.
-    // The rows are borrowed from the graph and deduplicated once, as a
-    // union; the result is trimmed to its length because traces are
-    // kept for the whole simulation.
+    // The start and the first hop are marked up front, so each row
+    // contributes only the second-hop vertices not seen yet, and only
+    // that distinct set is sorted.
+    marks.unmark_all(store.graph().num_vertices());
+    marks.mark(start);
+    for &w in &frontier {
+        marks.mark(w);
+    }
     let mut r2 = vec![0u32; k];
     let mut second_hop: Vec<VertexId> = Vec::new();
     for &w in &frontier {
         r2[store.route(w) as usize] += 1;
-        second_hop.extend(store.graph().undirected_neighbors(w));
+        second_hop.extend(store.graph().undirected_neighbors(w).filter(|&v| marks.mark(v)));
     }
     second_hop.sort_unstable();
-    second_hop.dedup();
-    second_hop.retain(|&v| v != start && frontier.binary_search(&v).is_err());
     second_hop.shrink_to_fit();
     // Round 3: fetch the distinct second-hop records.
     let mut r3 = vec![0u32; k];
     for &w in &second_hop {
         r3[store.route(w) as usize] += 1;
     }
-    QueryTrace {
-        coordinator,
-        rounds: vec![RoundTrace { reads: r1 }, RoundTrace { reads: r2 }, RoundTrace { reads: r3 }],
-        result: QueryResult::Vertices(second_hop),
-    }
+    let rounds = vec![RoundTrace { reads: r1 }, RoundTrace { reads: r2 }, RoundTrace { reads: r3 }];
+    (QueryTrace { coordinator, rounds }, QueryResult::Vertices(second_hop))
 }
 
-fn shortest_path(store: &PartitionedStore, src: VertexId, dst: VertexId) -> QueryTrace {
+fn shortest_path(
+    store: &PartitionedStore,
+    src: VertexId,
+    dst: VertexId,
+) -> (QueryTrace, QueryResult) {
     let k = store.machines();
     let coordinator = store.route(src);
     let mut rounds: Vec<RoundTrace> = Vec::new();
     if src == dst {
-        return QueryTrace { coordinator, rounds, result: QueryResult::PathLength(Some(0)) };
+        return (QueryTrace { coordinator, rounds }, QueryResult::PathLength(Some(0)));
     }
     // Bidirectional BFS: expand the smaller frontier each round; every
     // expanded vertex is one adjacency read at its owner.
@@ -224,7 +266,7 @@ fn shortest_path(store: &PartitionedStore, src: VertexId, dst: VertexId) -> Quer
         *frontier = next;
         rounds.push(RoundTrace { reads });
     }
-    QueryTrace { coordinator, rounds, result: QueryResult::PathLength(best) }
+    (QueryTrace { coordinator, rounds }, QueryResult::PathLength(best))
 }
 
 #[cfg(test)]
@@ -275,9 +317,9 @@ mod tests {
     #[test]
     fn one_hop_reads_neighbors_at_owners() {
         let s = store();
-        let t = execute(&s, Query::OneHop { start: 5 });
+        let (t, result) = execute(&s, Query::OneHop { start: 5 });
         assert_eq!(t.coordinator, 2);
-        assert_eq!(t.result, QueryResult::Vertices(vec![0, 1, 2, 3, 4]));
+        assert_eq!(result, QueryResult::Vertices(vec![0, 1, 2, 3, 4]));
         // Round 2 reads: 0,1 on m0; 2,3 on m1; 4 on m2.
         assert_eq!(t.rounds[1].reads, vec![2, 2, 1]);
         // Remote reads = reads off machine 2 = 4.
@@ -289,7 +331,7 @@ mod tests {
         let g = GraphBuilder::new().add_edge(0, 1).add_edge(0, 2).build();
         let p = Partitioning::from_vertex_owners(&g, 2, vec![0, 0, 0]);
         let s = PartitionedStore::new(g, &p);
-        let t = execute(&s, Query::OneHop { start: 0 });
+        let (t, _) = execute(&s, Query::OneHop { start: 0 });
         assert_eq!(remote_reads(&t), 0);
         assert_eq!(t.network_bytes(), 0);
         assert_eq!(network_messages(&t), 0);
@@ -298,9 +340,9 @@ mod tests {
     #[test]
     fn two_hop_excludes_start_and_first_hop() {
         let s = store();
-        let t = execute(&s, Query::TwoHop { start: 0 });
+        let (t, result) = execute(&s, Query::TwoHop { start: 0 });
         // 1-hop of 0: {1, 5}; 2-hop: neighbors of 1 and 5 minus {0,1,5}.
-        assert_eq!(t.result, QueryResult::Vertices(vec![2, 3, 4]));
+        assert_eq!(result, QueryResult::Vertices(vec![2, 3, 4]));
         assert_eq!(t.rounds.len(), 3);
     }
 
@@ -310,6 +352,8 @@ mod tests {
         // out-rows and in-rows differ and overlap: the 2-hop set is the
         // union of the 1-hop vertices' neighbourhoods minus the start
         // and the 1-hop set, and it is stored without spare capacity.
+        // Every vertex is a start in turn, through one set of marks:
+        // marks left by one query must not leak into the next.
         check_cases(256, |rng| {
             let n = rng.range(1..16);
             let k = rng.range(1..4);
@@ -323,23 +367,25 @@ mod tests {
             }
             let owners = (0..n).map(|_| rng.index(k) as PartitionId).collect();
             let s = PartitionedStore::from_owner(b.build(), k, owners);
-            let start = rng.index(n) as VertexId;
             let both = |v| s.graph().undirected_neighbors(v).collect::<BTreeSet<VertexId>>();
-            let first = both(start);
-            let mut second: BTreeSet<VertexId> = first.iter().flat_map(|&w| both(w)).collect();
-            second.remove(&start);
-            second.retain(|v| !first.contains(v));
-            let t = execute(&s, Query::TwoHop { start });
-            let QueryResult::Vertices(got) = &t.result else {
-                panic!("a 2-hop query returns vertices");
-            };
-            assert_eq!(*got, second.iter().copied().collect::<Vec<_>>());
-            assert_eq!(got.capacity(), got.len());
-            let mut r3 = vec![0u32; k];
-            for &v in &second {
-                r3[s.route(v) as usize] += 1;
+            let mut marks = Marks::default();
+            for start in 0..n as VertexId {
+                let first = both(start);
+                let mut second: BTreeSet<VertexId> = first.iter().flat_map(|&w| both(w)).collect();
+                second.remove(&start);
+                second.retain(|v| !first.contains(v));
+                let (t, result) = execute_with(&s, Query::TwoHop { start }, &mut marks);
+                let QueryResult::Vertices(got) = &result else {
+                    panic!("a 2-hop query returns vertices");
+                };
+                assert_eq!(*got, second.iter().copied().collect::<Vec<_>>(), "start {start}");
+                assert_eq!(got.capacity(), got.len());
+                let mut r3 = vec![0u32; k];
+                for &v in &second {
+                    r3[s.route(v) as usize] += 1;
+                }
+                assert_eq!(t.rounds[2].reads, r3);
             }
-            assert_eq!(t.rounds[2].reads, r3);
         });
     }
 
@@ -348,16 +394,16 @@ mod tests {
         let g = GraphBuilder::new().add_edge(0, 1).add_edge(1, 2).add_edge(2, 3).build();
         let p = Partitioning::from_vertex_owners(&g, 2, vec![0, 1, 0, 1]);
         let s = PartitionedStore::new(g, &p);
-        let t = execute(&s, Query::ShortestPath { src: 0, dst: 3 });
-        assert_eq!(t.result, QueryResult::PathLength(Some(3)));
+        let (t, result) = execute(&s, Query::ShortestPath { src: 0, dst: 3 });
+        assert_eq!(result, QueryResult::PathLength(Some(3)));
         assert!(!t.rounds.is_empty());
     }
 
     #[test]
     fn shortest_path_through_hub_is_two() {
         let s = store();
-        let t = execute(&s, Query::ShortestPath { src: 0, dst: 4 });
-        assert_eq!(t.result, QueryResult::PathLength(Some(2))); // via hub 5
+        let (_, result) = execute(&s, Query::ShortestPath { src: 0, dst: 4 });
+        assert_eq!(result, QueryResult::PathLength(Some(2))); // via hub 5
     }
 
     #[test]
@@ -365,22 +411,22 @@ mod tests {
         let g = GraphBuilder::new().add_edge(0, 1).ensure_vertices(4).build();
         let p = Partitioning::from_vertex_owners(&g, 2, vec![0, 0, 1, 1]);
         let s = PartitionedStore::new(g, &p);
-        let t = execute(&s, Query::ShortestPath { src: 0, dst: 3 });
-        assert_eq!(t.result, QueryResult::PathLength(None));
+        let (_, result) = execute(&s, Query::ShortestPath { src: 0, dst: 3 });
+        assert_eq!(result, QueryResult::PathLength(None));
     }
 
     #[test]
     fn shortest_path_same_vertex() {
         let s = store();
-        let t = execute(&s, Query::ShortestPath { src: 2, dst: 2 });
-        assert_eq!(t.result, QueryResult::PathLength(Some(0)));
+        let (t, result) = execute(&s, Query::ShortestPath { src: 2, dst: 2 });
+        assert_eq!(result, QueryResult::PathLength(Some(0)));
         assert!(t.rounds.is_empty());
     }
 
     #[test]
     fn trace_accounting_consistency() {
         let s = store();
-        let t = execute(&s, Query::TwoHop { start: 5 });
+        let (t, _) = execute(&s, Query::TwoHop { start: 5 });
         let per_machine = t.reads_per_machine(3);
         let total: u64 = per_machine.iter().sum();
         let per_round: u64 = t.rounds.iter().flat_map(|r| &r.reads).map(|&c| c as u64).sum();
@@ -401,8 +447,8 @@ mod tests {
             g.clone(),
             &Partitioning::from_vertex_owners(&g, 2, vec![0, 1, 1, 1]),
         );
-        let tg = execute(&good, Query::OneHop { start: 0 });
-        let tb = execute(&bad, Query::OneHop { start: 0 });
+        let (tg, _) = execute(&good, Query::OneHop { start: 0 });
+        let (tb, _) = execute(&bad, Query::OneHop { start: 0 });
         assert!(remote_reads(&tg) < remote_reads(&tb));
         assert!(tg.network_bytes() < tb.network_bytes());
     }

@@ -264,9 +264,10 @@ pub(crate) fn rsd(counts: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{QueryResult, RoundTrace};
+    use crate::query::RoundTrace;
     use crate::workload::{Skew, Workload, WorkloadKind};
-    use sgp_graph::generators::{snb_social, SnbConfig};
+    use sgp_graph::generators::{erdos_renyi, snb_social, ErdosRenyiConfig, SnbConfig};
+    use sgp_graph::sampling::check_cases;
     use sgp_graph::StreamOrder;
     use sgp_partition::{partition, Algorithm, PartitionerConfig};
 
@@ -362,11 +363,7 @@ mod tests {
     fn synthetic_single_round_trace() {
         // One query, one machine, fixed service: latency must equal
         // overhead + one read.
-        let trace = QueryTrace {
-            coordinator: 0,
-            rounds: vec![RoundTrace { reads: vec![1] }],
-            result: QueryResult::Vertices(vec![]),
-        };
+        let trace = QueryTrace { coordinator: 0, rounds: vec![RoundTrace { reads: vec![1] }] };
         let sim = ClusterSim::from_traces(1, vec![trace]);
         let cfg = SimConfig {
             clients_per_machine: 1,
@@ -387,11 +384,7 @@ mod tests {
     #[test]
     fn queueing_kicks_in_with_one_core() {
         // Two clients, one single-core machine: second query waits.
-        let trace = QueryTrace {
-            coordinator: 0,
-            rounds: vec![RoundTrace { reads: vec![4] }],
-            result: QueryResult::Vertices(vec![]),
-        };
+        let trace = QueryTrace { coordinator: 0, rounds: vec![RoundTrace { reads: vec![4] }] };
         let sim = ClusterSim::from_traces(1, vec![trace]);
         let base = SimConfig {
             clients_per_machine: 1,
@@ -449,11 +442,7 @@ mod tests {
         // query is issued with N - 1 ahead of it and takes exactly N
         // service times, and the machine completes one query per
         // service time.
-        let trace = QueryTrace {
-            coordinator: 0,
-            rounds: vec![RoundTrace { reads: vec![1] }],
-            result: QueryResult::Vertices(vec![]),
-        };
+        let trace = QueryTrace { coordinator: 0, rounds: vec![RoundTrace { reads: vec![1] }] };
         let sim = ClusterSim::from_traces(1, vec![trace]);
         for clients in [1usize, 2, 4, 7] {
             let cfg = SimConfig {
@@ -489,15 +478,57 @@ mod tests {
     }
 
     #[test]
+    fn closed_loop_runs_obey_littles_law() {
+        // Closed-loop clients with zero think time: over the measured
+        // window every one of the N clients has a query in the system,
+        // so X · R̄ = N, except for the queries in flight where the
+        // window opens and closes. Each client's share of either edge is
+        // at most one latency, so |X · R̄ − N| ≤ N · R_max / window.
+        check_cases(48, |rng| {
+            let seed = rng.below(1 << 32);
+            let g = if rng.below(2) == 0 {
+                snb_social(SnbConfig { persons: 300, communities: 6, seed, ..SnbConfig::default() })
+            } else {
+                erdos_renyi(ErdosRenyiConfig { vertices: 300, edges: 1200, seed })
+            };
+            let k = rng.range(1..9);
+            let alg = [Algorithm::EcrHash, Algorithm::Ldg, Algorithm::Fennel][rng.index(3)];
+            let p = partition(&g, alg, &PartitionerConfig::new(k), StreamOrder::Random { seed });
+            let s = PartitionedStore::new(g, &p);
+            let kind = [WorkloadKind::OneHop, WorkloadKind::TwoHop][rng.index(2)];
+            let w = Workload::generate(s.graph(), kind, 64, Skew::Zipf { theta: 1.0 }, seed);
+            let cfg = SimConfig {
+                clients_per_machine: rng.range(1..25),
+                cores_per_machine: [1, 2, 8][rng.index(3)],
+                queries_per_client: 20,
+                ..SimConfig::default()
+            };
+            let r = ClusterSim::prepare(&s, &w).run(&cfg);
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "the law is checked on the report's floats"
+            )]
+            let n = (cfg.clients_per_machine * k) as f64;
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "the law is checked on the report's floats"
+            )]
+            let window_s = r.completed as f64 / r.throughput_qps;
+            let x_r = r.throughput_qps * r.mean_latency_ms / 1e3;
+            let tolerance = n * r.max_latency_ms / 1e3 / window_s;
+            assert!(
+                (x_r - n).abs() <= tolerance,
+                "{alg:?} {kind} k {k}, {cfg:?}: X·R = {x_r}, N = {n}, tolerance {tolerance}"
+            );
+        });
+    }
+
+    #[test]
     fn zero_machine_cluster_reports_an_empty_run() {
         // No machines means no clients: `run` answers with the empty
         // report it always has, where the general entry returns
         // `SimError::NoMachines`.
-        let trace = QueryTrace {
-            coordinator: 0,
-            rounds: vec![RoundTrace { reads: vec![1] }],
-            result: QueryResult::Vertices(vec![]),
-        };
+        let trace = QueryTrace { coordinator: 0, rounds: vec![RoundTrace { reads: vec![1] }] };
         let r = ClusterSim::from_traces(0, vec![trace]).run(&SimConfig::default());
         assert_eq!(r.completed, 0);
         assert_eq!(r.throughput_qps, 0.0);

@@ -178,6 +178,19 @@ mod tests {
     }
 
     #[test]
+    fn a_store_built_from_a_clone_reads_the_original_graph() {
+        let g = GraphBuilder::new().add_edge(0, 1).add_edge(1, 2).add_edge(2, 0).build();
+        let s = PartitionedStore::new(
+            g.clone(),
+            &Partitioning::from_vertex_owners(&g, 2, vec![0, 1, 0]),
+        );
+        for v in g.vertices() {
+            assert_eq!(s.graph().out_neighbors(v).as_ptr(), g.out_neighbors(v).as_ptr());
+            assert_eq!(s.graph().in_neighbors(v).as_ptr(), g.in_neighbors(v).as_ptr());
+        }
+    }
+
+    #[test]
     fn edge_cut_ratio_exposed() {
         let s = store();
         // Edges: (0,1) cut, (1,2) cut, (2,0) local → 2/3.

@@ -13,7 +13,7 @@
     reason = "workload mixes index the query-template table by a bounded discrete sample; start vertices are drawn modulo num_vertices"
 )]
 
-use crate::query::{execute, Query, QueryTrace};
+use crate::query::{execute_with, Marks, Query, QueryResult, QueryTrace};
 use crate::store::PartitionedStore;
 use sgp_graph::sampling::{seeded_rng, Rng, Zipf};
 use sgp_graph::{Graph, VertexId};
@@ -119,9 +119,9 @@ impl AccessRecorder {
     /// Records every vertex read in a query's execution: the start
     /// vertex plus all result-set vertices (what the store actually
     /// touched).
-    fn record_query(&mut self, q: &Query, trace: &QueryTrace) {
+    fn record_query(&mut self, q: &Query, result: &QueryResult) {
         self.record(q.start_vertex());
-        if let crate::query::QueryResult::Vertices(vs) = &trace.result {
+        if let QueryResult::Vertices(vs) = result {
             for &v in vs {
                 self.record(v);
             }
@@ -138,21 +138,24 @@ impl AccessRecorder {
 
 /// Executes a full workload once against `store`, returning all traces
 /// and (optionally) recording accesses. This is the trace-collection
-/// pass the discrete-event simulator replays.
+/// pass the discrete-event simulator replays: each query's result goes
+/// to `recorder` and is dropped, so the traces hold only rounds. One
+/// set of two-hop vertex marks serves every query of the pass.
 pub fn run_workload(
     store: &PartitionedStore,
     workload: &Workload,
     mut recorder: Option<&mut AccessRecorder>,
 ) -> Vec<QueryTrace> {
+    let mut marks = Marks::default();
     workload
         .queries
         .iter()
         .map(|&q| {
-            let t = execute(store, q);
+            let (trace, result) = execute_with(store, q, &mut marks);
             if let Some(rec) = recorder.as_deref_mut() {
-                rec.record_query(&q, &t);
+                rec.record_query(&q, &result);
             }
-            t
+            trace
         })
         .collect()
 }
@@ -228,6 +231,37 @@ mod tests {
         let w = Workload { kind: WorkloadKind::OneHop, queries: vec![Query::OneHop { start: 0 }] };
         run_workload(&store, &w, Some(&mut rec));
         assert_eq!(rec.vertex_weights(), vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn the_recorder_counts_what_execute_returns() {
+        // The trace pass hands each result to the recorder and drops it;
+        // counting the results of one-off `execute` calls by hand must
+        // give the same weights, for every query class.
+        let s = small_store();
+        let n = s.graph().num_vertices();
+        for (kind, seed) in
+            [(WorkloadKind::OneHop, 8), (WorkloadKind::TwoHop, 9), (WorkloadKind::ShortestPath, 10)]
+        {
+            let w = Workload::generate(s.graph(), kind, 200, Skew::Zipf { theta: 0.9 }, seed);
+            let mut rec = AccessRecorder::new(n);
+            let traces = run_workload(&s, &w, Some(&mut rec));
+            let mut weights = vec![1u64; n];
+            for (q, trace) in w.queries.iter().zip(&traces) {
+                let (t, result) = crate::query::execute(&s, *q);
+                assert_eq!(
+                    (t.coordinator, t.reads_per_machine(4)),
+                    (trace.coordinator, trace.reads_per_machine(4))
+                );
+                weights[q.start_vertex() as usize] += 1;
+                if let QueryResult::Vertices(vs) = result {
+                    for v in vs {
+                        weights[v as usize] += 1;
+                    }
+                }
+            }
+            assert_eq!(rec.vertex_weights(), weights, "{kind}");
+        }
     }
 
     #[test]

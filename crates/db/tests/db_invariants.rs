@@ -41,7 +41,7 @@ fn results_are_placement_invariant() {
         Query::ShortestPath { src: 3, dst: 90 },
     ];
     for q in queries {
-        let results: Vec<QueryResult> = stores.iter().map(|s| execute(s, q).result).collect();
+        let results: Vec<QueryResult> = stores.iter().map(|s| execute(s, q).1).collect();
         assert_eq!(results[0], results[1], "{q:?}");
         assert_eq!(results[1], results[2], "{q:?}");
     }
@@ -53,8 +53,8 @@ fn one_hop_trace_exact() {
     let g = graph();
     let s = store(&g, Algorithm::EcrHash, 4);
     for start in [0u32, 13, 201] {
-        let t = execute(&s, Query::OneHop { start });
-        match &t.result {
+        let (t, result) = execute(&s, Query::OneHop { start });
+        match &result {
             QueryResult::Vertices(vs) => assert_eq!(vs, &s.neighbors(start)),
             other => panic!("unexpected result {other:?}"),
         }
@@ -88,8 +88,8 @@ fn shortest_path_matches_reference_bfs() {
         None
     };
     for (src, dst) in [(0u32, 50u32), (7, 700), (100, 101), (3, 3)] {
-        let t = execute(&s, Query::ShortestPath { src, dst });
-        assert_eq!(t.result, QueryResult::PathLength(bfs(src, dst)), "{src}->{dst}");
+        let (_, result) = execute(&s, Query::ShortestPath { src, dst });
+        assert_eq!(result, QueryResult::PathLength(bfs(src, dst)), "{src}->{dst}");
     }
 }
 

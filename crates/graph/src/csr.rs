@@ -1,10 +1,15 @@
 //! Immutable compressed-sparse-row graph with out- and in-adjacency.
+//!
+//! The four CSR arrays sit behind [`Arc`]: a graph never changes after
+//! its build, so every clone (a store, a runner, a simulation) reads
+//! the one copy, and `clone` costs four reference-count bumps.
 #![expect(
     clippy::indexing_slicing,
     reason = "CSR invariant: out_offsets and in_offsets have num_vertices+1 ascending entries ending at m, so out_targets[out_offsets[v]..out_offsets[v+1]] and in_sources[in_offsets[v]..in_offsets[v+1]] are in bounds for every v < n; from_edges establishes it (endpoints are below n by the builder's choice of n, each counting-sort cursor starts at its row's offset and advances once per edge of the row, and the dedup compaction writes at or left of where it reads) and the struct is immutable after build"
 )]
 
 use crate::types::{Edge, VertexId};
+use std::sync::Arc;
 
 /// An immutable directed graph in compressed-sparse-row form.
 ///
@@ -12,15 +17,18 @@ use crate::types::{Edge, VertexId};
 /// in-adjacency (for PageRank-style gathers) are materialized, mirroring
 /// what PowerLyra and JanusGraph keep per machine. Construction goes
 /// through [`crate::GraphBuilder`] or the generator functions.
+///
+/// Cloning shares the adjacency arrays instead of copying them: a clone
+/// and its original return the same slices from every accessor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     num_vertices: usize,
     /// CSR row offsets into `out_targets`, length `n + 1`.
-    out_offsets: Vec<u64>,
-    out_targets: Vec<VertexId>,
+    out_offsets: Arc<[u64]>,
+    out_targets: Arc<[VertexId]>,
     /// CSR row offsets into `in_sources`, length `n + 1`.
-    in_offsets: Vec<u64>,
-    in_sources: Vec<VertexId>,
+    in_offsets: Arc<[u64]>,
+    in_sources: Arc<[VertexId]>,
 }
 
 impl Graph {
@@ -32,16 +40,22 @@ impl Graph {
     /// sorted (and compacted leftward when deduplicating), and the
     /// in-rows are filled by walking the sources in ascending order,
     /// which leaves them sorted: no sort ever sees more than one row.
+    ///
+    /// `Arc::from(Vec)` copies, so only the out-targets, whose length
+    /// the dedup decides, take that step, after the staged list is
+    /// freed; the other three arrays are filled inside their `Arc`. The
+    /// build's peak stays the staged list plus the out-targets.
     pub(crate) fn from_edges(n: usize, edges: Vec<Edge>, dedup: bool) -> Self {
-        let mut out_offsets = vec![0u64; n + 1];
+        let mut out_offsets = zeroed::<u64>(n + 1);
+        let offsets = Arc::make_mut(&mut out_offsets);
         for e in &edges {
-            out_offsets[e.src as usize + 1] += 1;
+            offsets[e.src as usize + 1] += 1;
         }
         for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
+            offsets[i + 1] += offsets[i];
         }
         let mut out_targets = vec![0 as VertexId; edges.len()];
-        let mut cursor = out_offsets[..n].to_vec();
+        let mut cursor = offsets[..n].to_vec();
         for e in &edges {
             let c = &mut cursor[e.src as usize];
             out_targets[*c as usize] = e.dst;
@@ -54,7 +68,7 @@ impl Graph {
 
         let (mut read, mut write) = (0usize, 0usize);
         for v in 0..n {
-            let end = out_offsets[v + 1] as usize;
+            let end = offsets[v + 1] as usize;
             out_targets[read..end].sort_unstable();
             if dedup {
                 let row = write;
@@ -69,25 +83,27 @@ impl Graph {
                 write = end;
             }
             read = end;
-            out_offsets[v + 1] = write as u64;
+            offsets[v + 1] = write as u64;
         }
         out_targets.truncate(write);
-        out_targets.shrink_to_fit();
+        let out_targets: Arc<[VertexId]> = out_targets.into();
 
-        let mut in_offsets = vec![0u64; n + 1];
-        for &w in &out_targets {
-            in_offsets[w as usize + 1] += 1;
+        let mut in_offsets = zeroed::<u64>(n + 1);
+        let offsets = Arc::make_mut(&mut in_offsets);
+        for &w in out_targets.iter() {
+            offsets[w as usize + 1] += 1;
         }
         for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
+            offsets[i + 1] += offsets[i];
         }
-        let mut cursor = in_offsets[..n].to_vec();
-        let mut in_sources = vec![0 as VertexId; out_targets.len()];
+        let mut cursor = offsets[..n].to_vec();
+        let mut in_sources = zeroed::<VertexId>(out_targets.len());
+        let sources = Arc::make_mut(&mut in_sources);
         for v in 0..n {
             let (s, t) = (out_offsets[v] as usize, out_offsets[v + 1] as usize);
             for &w in &out_targets[s..t] {
                 let c = &mut cursor[w as usize];
-                in_sources[*c as usize] = v as VertexId;
+                sources[*c as usize] = v as VertexId;
                 *c += 1;
             }
         }
@@ -239,6 +255,13 @@ impl Graph {
     }
 }
 
+/// `len` zeros in a fresh, hence unique, `Arc`: [`Arc::make_mut`] lends
+/// its slice without cloning. The iterator's exact length lets the
+/// slice be allocated in place, with no staging `Vec` to copy from.
+fn zeroed<T: Copy + Default>(len: usize) -> Arc<[T]> {
+    std::iter::repeat_n(T::default(), len).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,9 +360,9 @@ mod tests {
         by_target.sort_unstable_by_key(|e| (e.dst, e.src));
         Graph {
             num_vertices: n,
-            out_offsets,
+            out_offsets: out_offsets.into(),
             out_targets: edges.iter().map(|e| e.dst).collect(),
-            in_offsets,
+            in_offsets: in_offsets.into(),
             in_sources: by_target.iter().map(|e| e.src).collect(),
         }
     }
@@ -385,6 +408,37 @@ mod tests {
         let empty = GraphBuilder::new().build();
         assert_eq!(empty, sort_and_dedup_reference(0, Vec::new(), true));
         assert_eq!(empty.to_undirected(), empty);
+    }
+
+    #[test]
+    fn a_graph_clone_shares_its_adjacency() {
+        let g = GraphBuilder::new()
+            .keep_duplicates(true)
+            .keep_self_loops(true)
+            .ensure_vertices(6)
+            .extend_edges([(0, 1), (0, 1), (2, 2), (3, 0), (3, 4), (4, 3)].map(Edge::from))
+            .build();
+        let c = g.clone();
+        assert_eq!(c, g);
+        assert_eq!((c.num_vertices(), c.num_edges()), (g.num_vertices(), g.num_edges()));
+        for v in g.vertices() {
+            assert_eq!(c.out_neighbors(v).as_ptr(), g.out_neighbors(v).as_ptr(), "out-row {v}");
+            assert_eq!(c.in_neighbors(v).as_ptr(), g.in_neighbors(v).as_ptr(), "in-row {v}");
+            assert_eq!(c.out_neighbors(v), g.out_neighbors(v));
+            assert_eq!(c.in_neighbors(v), g.in_neighbors(v));
+            assert_eq!((c.out_degree(v), c.in_degree(v)), (g.out_degree(v), g.in_degree(v)));
+            assert_eq!(
+                (c.out_edge_range(v), c.in_edge_range(v)),
+                (g.out_edge_range(v), g.in_edge_range(v))
+            );
+        }
+        for (slot, e) in g.edges().enumerate() {
+            assert_eq!(c.edge_at(slot), Some(e));
+            assert_eq!(c.edge_index(e.src, e.dst), g.edge_index(e.src, e.dst));
+        }
+        assert_eq!(c.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
+        assert_eq!((c.max_degree(), c.avg_degree()), (g.max_degree(), g.avg_degree()));
+        assert_eq!(c.to_undirected(), g.to_undirected());
     }
 
     #[test]
