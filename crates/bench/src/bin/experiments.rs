@@ -13,9 +13,23 @@
 //! or off. Render the dump with `cargo run --bin sgp -- trace-summary <path>`.
 //!
 //! Scale via SGP_SCALE=tiny|small|default|large (default: default).
+//!
+//! Exit codes: 2 for a usage error (an unknown id names it), 1 when
+//! stdout cannot be written (a closed pipe) or the trace fails.
 
-use sgp_bench::experiments::{run, Params, ALL_EXPERIMENTS, EXTRA_EXPERIMENTS};
+use sgp_bench::experiments::{Params, EXPERIMENTS};
 use sgp_core::trace_scenarios::combined_trace_json;
+use std::io::Write;
+
+/// Writes to stdout; a write that fails (a closed pipe, a full disk) is
+/// an error message and exit 1, not a panic.
+fn emit(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = write(&mut out).and_then(|()| out.flush()) {
+        eprintln!("error: cannot write output: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,19 +42,23 @@ fn main() {
         trace_path = Some(args.remove(i + 1));
         args.remove(i);
     }
+    let ids = |in_all: bool| {
+        EXPERIMENTS.iter().filter(|e| e.1 == in_all).map(|e| e.0).collect::<Vec<_>>().join(", ")
+    };
+    let (all_ids, opt_in_ids) = (ids(true), ids(false));
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("usage: experiments [--trace <path>] <id>... | all | --list");
-        eprintln!("ids: {}", ALL_EXPERIMENTS.join(", "));
-        eprintln!("opt-in (excluded from `all`): {}", EXTRA_EXPERIMENTS.join(", "));
+        eprintln!("ids: {all_ids}");
+        eprintln!("opt-in (excluded from `all`): {opt_in_ids}");
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
     if args.iter().any(|a| a == "--list") {
-        for id in ALL_EXPERIMENTS {
-            println!("{id}");
-        }
-        for id in EXTRA_EXPERIMENTS {
-            println!("{id} (opt-in)");
-        }
+        emit(|out| {
+            for (id, in_all, _) in EXPERIMENTS {
+                writeln!(out, "{id}{}", if *in_all { "" } else { " (opt-in)" })?;
+            }
+            Ok(())
+        });
         return;
     }
     let params = match Params::from_env() {
@@ -50,39 +68,41 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ALL_EXPERIMENTS.to_vec()
+    let experiments: Vec<_> = if args.iter().any(|a| a == "all") {
+        EXPERIMENTS.iter().filter(|e| e.1).collect()
     } else {
-        let mut ids = Vec::new();
+        let mut experiments = Vec::new();
         for a in &args {
-            let known = ALL_EXPERIMENTS.iter().chain(EXTRA_EXPERIMENTS.iter()).find(|&&id| id == a);
-            match known {
-                Some(&id) => ids.push(id),
+            match EXPERIMENTS.iter().find(|e| e.0 == a) {
+                Some(e) => experiments.push(e),
                 None => {
                     eprintln!("unknown experiment id: {a}");
-                    eprintln!(
-                        "known ids: {} (opt-in: {})",
-                        ALL_EXPERIMENTS.join(", "),
-                        EXTRA_EXPERIMENTS.join(", ")
-                    );
+                    eprintln!("known ids: {all_ids} (opt-in: {opt_in_ids})");
                     std::process::exit(2);
                 }
             }
         }
-        ids
+        experiments
     };
-    println!("streaming-graph-partitioning experiment harness (scale: {:?})", params.scale);
-    for id in ids {
-        #[expect(
-            clippy::disallowed_types,
-            clippy::disallowed_methods,
-            reason = "the wall-clock footer is host-dependent and excluded from the bit-for-bit comparison"
-        )]
-        let start = std::time::Instant::now();
-        let report = run(id, &params);
-        println!("{report}");
-        println!("[{id} completed in {:.1}s]", start.elapsed().as_secs_f64());
-    }
+    emit(|out| {
+        writeln!(
+            out,
+            "streaming-graph-partitioning experiment harness (scale: {:?})",
+            params.scale
+        )?;
+        for (id, _, experiment) in experiments {
+            #[expect(
+                clippy::disallowed_types,
+                clippy::disallowed_methods,
+                reason = "the wall-clock footer is host-dependent and excluded from the bit-for-bit comparison"
+            )]
+            let start = std::time::Instant::now();
+            let report = experiment(&params);
+            writeln!(out, "{}", report.render())?;
+            writeln!(out, "[{id} completed in {:.1}s]", start.elapsed().as_secs_f64())?;
+        }
+        Ok(())
+    });
     if let Some(path) = trace_path {
         // Written after the experiment output and reported on stderr so
         // stdout (the results files) is byte-identical with and without

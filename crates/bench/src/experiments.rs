@@ -1,16 +1,17 @@
-//! One function per table/figure of the paper. Each returns the rendered
-//! plain-text report (and the harness can also dump the raw rows as
-//! JSON). See DESIGN.md §4 for the experiment index.
+//! One function per table/figure of the paper, plus the opt-in suites.
+//! Each returns a [`Report`] of tables and notes, and
+//! [`EXPERIMENTS`] lists them by id. See DESIGN.md §4 for the
+//! experiment index.
 
 use sgp_core::config::{Dataset, Scale};
 use sgp_core::decision::{recommend, OnlineObjective, WorkloadClass};
 use sgp_core::error::SgpError;
-use sgp_core::report::{f2, f3, human_bytes, trace_summary, TextTable};
+use sgp_core::report::{f2, f3, human_bytes, trace_summary, Report, Section, TextTable};
 use sgp_core::runners::{
     churn_suite, elastic_suite, engine_robustness_suite, fig1_scatter, loaders_suite,
-    offline_suite, online_run, quality_suite, robustness_suite, series_slope, workload_aware_suite,
-    ChurnMethod, ChurnSuiteConfig, ElasticityConfig, OfflineWorkload, OnlineRunConfig,
-    RobustnessConfig,
+    offline_suite, online_run, pearson, quality_suite, robustness_suite, series_slope,
+    workload_aware_suite, ChurnMethod, ChurnSuiteConfig, ElasticityConfig, OfflineRow,
+    OfflineWorkload, OnlineRunConfig, RobustnessConfig,
 };
 use sgp_core::trace_scenarios::{record_db_scenario, record_engine_scenario, SCENARIO_MACHINES};
 use sgp_db::workload::Skew;
@@ -99,84 +100,72 @@ impl Params {
     }
 }
 
-/// All experiment ids, in paper order, plus the Appendix-A extension
-/// showcase.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "appendixA",
+/// An experiment: its id, whether `all` runs it, and the function that
+/// produces its report.
+pub type Experiment = (&'static str, bool, fn(&Params) -> Report);
+
+/// Every experiment in paper order. The ones `all` skips are opt-in: the
+/// checked-in results files, which must stay byte-identical release to
+/// release, leave them out too. They run when named.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", true, table1),
+    ("table2", true, table2),
+    ("table3", true, table3),
+    ("table4", true, table4),
+    ("table5", true, table5),
+    ("fig1", true, fig1),
+    ("fig2", true, fig2),
+    ("fig3", true, fig3),
+    ("fig4", true, fig4),
+    ("fig5", true, fig5),
+    ("fig6", true, fig6),
+    ("fig7", true, fig7),
+    ("fig8", true, fig8),
+    ("fig9", true, fig9),
+    ("fig10", true, fig10),
+    ("fig11", true, fig11),
+    ("fig12", true, fig12),
+    ("fig13", true, fig13),
+    ("fig14", true, fig14),
+    ("fig15", true, fig15),
+    ("appendixA", true, appendix_a),
+    ("robustness", false, robustness),
+    ("trace", false, trace_demo),
+    ("loaders", false, loaders),
+    ("elastic", false, elastic),
+    ("churn", false, churn),
+    ("ablations", false, ablations),
 ];
 
-/// Opt-in experiments excluded from `all` (and from the checked-in
-/// results files, which must stay byte-identical release to release):
-/// run them by naming them explicitly.
-pub const EXTRA_EXPERIMENTS: &[&str] =
-    &["robustness", "trace", "loaders", "elastic", "churn", "ablations"];
-
-/// Runs one experiment by id; returns the rendered report.
-///
-/// # Panics
-/// Panics on an unknown id (the binary validates first).
-pub fn run(id: &str, params: &Params) -> String {
-    match id {
-        "table1" => table1(),
-        "table2" => table2(params),
-        "table3" => table3(params),
-        "table4" => table4(params),
-        "table5" => table5(params),
-        "fig1" => fig1(params),
-        "fig2" => fig2(params),
-        "fig3" => fig3(params),
-        "fig4" => fig4(params),
-        "fig5" => fig5(params),
-        "fig6" => fig6(params),
-        "fig7" => fig7(params),
-        "fig8" => fig8(params),
-        "fig9" => fig9(),
-        "fig10" => fig10(),
-        "fig11" => fig11(),
-        "fig12" => fig12(params),
-        "fig13" => fig13(params),
-        "fig14" => fig14(params),
-        "fig15" => fig15(params),
-        "appendixA" => appendix_a(params),
-        "robustness" => robustness(params),
-        "trace" => trace_demo(params),
-        "loaders" => loaders(params),
-        "elastic" => elastic(params),
-        "churn" => churn(params),
-        "ablations" => ablations(params),
-        other => panic!("unknown experiment id: {other}"),
+/// A `k × algorithm` grid: a row per `k`, a column per algorithm, each
+/// cell `cell(k, alg)`.
+fn k_grid(
+    ks: &[usize],
+    algs: &[Algorithm],
+    mut cell: impl FnMut(usize, Algorithm) -> String,
+) -> TextTable {
+    let mut t = TextTable::new(std::iter::once("k").chain(algs.iter().map(|a| a.short_name())));
+    for &k in ks {
+        t.row(std::iter::once(k.to_string()).chain(algs.iter().map(|&alg| cell(k, alg))));
     }
+    t
 }
 
-fn header(title: &str) -> String {
-    format!("\n=== {title} ===\n")
+/// The `k × algorithm` grid of one offline workload's execution time (ms).
+fn exec_ms_grid(rows: &[OfflineRow], ks: &[usize], workload: OfflineWorkload) -> TextTable {
+    k_grid(ks, Algorithm::offline_suite(), |k, alg| {
+        rows.iter()
+            .find(|r| r.k == k && r.algorithm == alg && r.workload == workload)
+            .map(|r| f3(r.exec_seconds * 1e3))
+            .unwrap_or_default()
+    })
 }
 
 // ---------------------------------------------------------------------------
 
 /// Table 1: characteristics of the streaming graph partitioning
 /// algorithms.
-pub fn table1() -> String {
+fn table1(_: &Params) -> Report {
     let mut t = TextTable::new([
         "Algorithm",
         "Model",
@@ -196,48 +185,37 @@ pub fn table1() -> String {
             i.method.to_string(),
         ]);
     }
-    format!("{}{}", header("Table 1 — Characteristics of SGP algorithms"), t.render())
+    Report::new("Table 1 — Characteristics of SGP algorithms").section(t)
 }
 
 /// Table 2: the experiment dimensions of the reproduction.
-pub fn table2(params: &Params) -> String {
+fn table2(params: &Params) -> Report {
+    let names =
+        |algs: &[Algorithm]| algs.iter().map(|a| a.short_name()).collect::<Vec<_>>().join(", ");
+    let (offline, online) = (names(Algorithm::offline_suite()), names(Algorithm::online_suite()));
+    let ks_offline = format!("{:?}", params.ks_offline);
+    let ks_online = format!("{:?}", params.ks_online);
     let mut t = TextTable::new(["Workload", "Parameter", "Values"]);
-    t.row([
-        "Offline Analytics".to_string(),
-        "System".to_string(),
-        "sgp-engine (PowerLyra-like GAS simulator)".to_string(),
-    ]);
-    t.row([
-        "".to_string(),
-        "Algorithms".to_string(),
-        Algorithm::offline_suite().iter().map(|a| a.short_name()).collect::<Vec<_>>().join(", "),
-    ]);
-    t.row(["".to_string(), "Workloads".to_string(), "PageRank, WCC, SSSP".to_string()]);
-    t.row(["".to_string(), "Cluster Size".to_string(), format!("{:?}", params.ks_offline)]);
-    t.row([
-        "".to_string(),
-        "Datasets".to_string(),
-        "Twitter, UK2007-05, USA-Road (stand-ins)".to_string(),
-    ]);
-    t.row([
-        "Online Queries".to_string(),
-        "System".to_string(),
-        "sgp-db (JanusGraph-like store + DES cluster)".to_string(),
-    ]);
-    t.row([
-        "".to_string(),
-        "Algorithms".to_string(),
-        Algorithm::online_suite().iter().map(|a| a.short_name()).collect::<Vec<_>>().join(", "),
-    ]);
-    t.row(["".to_string(), "Workloads".to_string(), "1-hop, 2-hop, SPSP".to_string()]);
-    t.row(["".to_string(), "Cluster Size".to_string(), format!("{:?}", params.ks_online)]);
-    t.row(["".to_string(), "Datasets".to_string(), "all four stand-ins".to_string()]);
-    format!("{}{}", header("Table 2 — Experiment dimensions"), t.render())
+    for row in [
+        ["Offline Analytics", "System", "sgp-engine (PowerLyra-like GAS simulator)"],
+        ["", "Algorithms", offline.as_str()],
+        ["", "Workloads", "PageRank, WCC, SSSP"],
+        ["", "Cluster Size", ks_offline.as_str()],
+        ["", "Datasets", "Twitter, UK2007-05, USA-Road (stand-ins)"],
+        ["Online Queries", "System", "sgp-db (JanusGraph-like store + DES cluster)"],
+        ["", "Algorithms", online.as_str()],
+        ["", "Workloads", "1-hop, 2-hop, SPSP"],
+        ["", "Cluster Size", ks_online.as_str()],
+        ["", "Datasets", "all four stand-ins"],
+    ] {
+        t.row(row);
+    }
+    Report::new("Table 2 — Experiment dimensions").section(t)
 }
 
 /// Table 3: dataset characteristics — paper's originals vs our measured
 /// stand-ins.
-pub fn table3(params: &Params) -> String {
+fn table3(params: &Params) -> Report {
     let mut t = TextTable::new([
         "Dataset",
         "Paper |E|",
@@ -262,11 +240,11 @@ pub fn table3(params: &Params) -> String {
             s.classify().to_string(),
         ]);
     }
-    format!("{}{}", header("Table 3 — Graph datasets (paper vs stand-ins)"), t.render())
+    Report::new("Table 3 — Graph datasets (paper vs stand-ins)").section(t)
 }
 
 /// Table 4: edge-cut ratio for the SNB-like graph, ECR/LDG/FNL/MTS.
-pub fn table4(params: &Params) -> String {
+fn table4(params: &Params) -> Report {
     let g = Dataset::LdbcSnb.generate(params.scale);
     let mut t = TextTable::new(["Partitions", "ECR", "LDG", "FNL", "MTS"]);
     for &k in &params.ks_online {
@@ -286,15 +264,13 @@ pub fn table4(params: &Params) -> String {
             get(Algorithm::Metis),
         ]);
     }
-    format!(
-        "{}{}\n(paper at SF-1000: 4→0.75/0.74/0.47/0.31 ... 32→0.97/0.84/0.66/0.51)\n",
-        header("Table 4 — Edge-cut ratio, LDBC-SNB-like graph"),
-        t.render()
-    )
+    Report::new("Table 4 — Edge-cut ratio, LDBC-SNB-like graph")
+        .section(t)
+        .note("(paper at SF-1000: 4→0.75/0.74/0.47/0.31 ... 32→0.97/0.84/0.66/0.51)")
 }
 
 /// Table 5: mean and p99 1-hop latencies under medium and high load.
-pub fn table5(params: &Params) -> String {
+fn table5(params: &Params) -> Report {
     let g = Dataset::LdbcSnb.generate(params.scale);
     let mut t = TextTable::new([
         "Algorithm",
@@ -304,40 +280,30 @@ pub fn table5(params: &Params) -> String {
         "High 99th (ms)",
     ]);
     for &alg in Algorithm::online_suite() {
-        let med = online_run(
-            Dataset::LdbcSnb.name(),
-            &g,
-            alg,
-            WorkloadKind::OneHop,
-            params.online_k,
-            &params.online_cfg(LoadLevel::Medium),
-        );
-        let high = online_run(
-            Dataset::LdbcSnb.name(),
-            &g,
-            alg,
-            WorkloadKind::OneHop,
-            params.online_k,
-            &params.online_cfg(LoadLevel::High),
-        );
-        t.row([
-            alg.short_name().to_string(),
-            f2(med.mean_latency_ms),
-            f2(med.p99_latency_ms),
-            f2(high.mean_latency_ms),
-            f2(high.p99_latency_ms),
-        ]);
+        let mut row = vec![alg.short_name().to_string()];
+        for level in [LoadLevel::Medium, LoadLevel::High] {
+            let cfg = params.online_cfg(level);
+            let r = online_run(
+                Dataset::LdbcSnb.name(),
+                &g,
+                alg,
+                WorkloadKind::OneHop,
+                params.online_k,
+                &cfg,
+            );
+            row.extend([f2(r.mean_latency_ms), f2(r.p99_latency_ms)]);
+        }
+        t.row(row);
     }
-    format!(
-        "{}{}\n(paper, 16 machines: locality-seeking SGP inflates the high-load tail — FNL's p99 up to 3.5x ECR's)\n",
-        header(format!("Table 5 — 1-hop latency, {} machines", params.online_k).as_str()),
-        t.render()
+    Report::new(format!("Table 5 — 1-hop latency, {} machines", params.online_k)).section(t).note(
+        "(paper, 16 machines: locality-seeking SGP inflates the high-load tail — FNL's p99 up \
+         to 3.5x ECR's)",
     )
 }
 
 /// Fig. 1: replication factor vs total network I/O per workload, per cut
 /// model, on the Twitter-like graph.
-pub fn fig1(params: &Params) -> String {
+fn fig1(params: &Params) -> Report {
     let g = Dataset::Twitter.generate(params.scale);
     let algs = [
         Algorithm::EcrHash,
@@ -349,7 +315,7 @@ pub fn fig1(params: &Params) -> String {
         Algorithm::HybridRandom,
         Algorithm::Ginger,
     ];
-    let mut out = header("Fig. 1 — Replication factor vs total network I/O (Twitter-like)");
+    let mut report = Report::new("Fig. 1 — Replication factor vs total network I/O (Twitter-like)");
     for workload in OfflineWorkload::all() {
         let points = fig1_scatter(&g, *workload, &params.ks_offline, &algs);
         let mut t = TextTable::new(["Series", "Alg", "k", "RF", "Network I/O"]);
@@ -366,58 +332,47 @@ pub fn fig1(params: &Params) -> String {
             let pts: Vec<_> = points.iter().filter(|p| p.series == series).cloned().collect();
             series_slope(&pts)
         };
-        out.push_str(&format!("\n--- {workload} ---\n{}", t.render()));
-        out.push_str(&format!(
-            "slopes (bytes per mirror): edge-cut {:.0}, vertex-cut {:.0}, hybrid-cut {:.0}\n",
-            slope("edge-cut"),
-            slope("vertex-cut"),
-            slope("hybrid-cut"),
-        ));
+        report.sections.push(Section {
+            lines: vec![format!(
+                "slopes (bytes per mirror): edge-cut {:.0}, vertex-cut {:.0}, hybrid-cut {:.0}",
+                slope("edge-cut"),
+                slope("vertex-cut"),
+                slope("hybrid-cut"),
+            )],
+            ..Section::captioned(workload.to_string(), t)
+        });
     }
-    out.push_str(
-        "\n(paper: linear in RF for every workload; edge-cut's slope lowest for PageRank's \
-         uni-directional communication; PageRank moves the most data)\n",
-    );
-    out
+    report.note(
+        "(paper: linear in RF for every workload; edge-cut's slope lowest for PageRank's \
+         uni-directional communication; PageRank moves the most data)",
+    )
 }
 
 /// Fig. 2: replication factors of all algorithms over all graphs and
 /// partition counts.
-pub fn fig2(params: &Params) -> String {
-    let mut out = header("Fig. 2 — Replication factors (all algorithms x datasets x k)");
+fn fig2(params: &Params) -> Report {
+    let algs = Algorithm::offline_suite();
+    let mut report = Report::new("Fig. 2 — Replication factors (all algorithms x datasets x k)");
     for &dataset in Dataset::offline_set() {
         let g = dataset.generate(params.scale);
-        let rows =
-            quality_suite(dataset.name(), &g, Algorithm::offline_suite(), &params.ks_quality);
-        let mut t = TextTable::new({
-            let mut h = vec!["k".to_string()];
-            h.extend(Algorithm::offline_suite().iter().map(|a| a.short_name().to_string()));
-            h
+        let rows = quality_suite(dataset.name(), &g, algs, &params.ks_quality);
+        let t = k_grid(&params.ks_quality, algs, |k, alg| {
+            rows.iter()
+                .find(|r| r.k == k && r.algorithm == alg)
+                .map(|r| f2(r.quality.replication_factor))
+                .unwrap_or_default()
         });
-        for &k in &params.ks_quality {
-            let mut row = vec![k.to_string()];
-            for &alg in Algorithm::offline_suite() {
-                let rf = rows
-                    .iter()
-                    .find(|r| r.k == k && r.algorithm == alg)
-                    .map(|r| f2(r.quality.replication_factor))
-                    .unwrap_or_default();
-                row.push(rf);
-            }
-            t.row(row);
-        }
-        out.push_str(&format!("\n--- {dataset} ---\n{}", t.render()));
+        report.sections.push(Section::captioned(dataset.to_string(), t));
     }
-    out.push_str(
-        "\n(paper: no single winner — FNL/LDG lowest on USA-Road, HDRF/DBH/HG lowest on \
-         Twitter, HDRF lowest vertex-cut on UK2007-05)\n",
-    );
-    out
+    report.note(
+        "(paper: no single winner — FNL/LDG lowest on USA-Road, HDRF/DBH/HG lowest on \
+         Twitter, HDRF lowest vertex-cut on UK2007-05)",
+    )
 }
 
 /// Fig. 3: execution time of the offline workloads on the Twitter-like
 /// graph across cluster sizes.
-pub fn fig3(params: &Params) -> String {
+fn fig3(params: &Params) -> Report {
     let g = Dataset::Twitter.generate(params.scale);
     let rows = offline_suite(
         Dataset::Twitter.name(),
@@ -426,43 +381,23 @@ pub fn fig3(params: &Params) -> String {
         OfflineWorkload::all(),
         &params.ks_offline,
     );
-    let mut out = header("Fig. 3 — Offline workload execution time (Twitter-like, ms)");
-    for workload in OfflineWorkload::all() {
-        let mut t = TextTable::new({
-            let mut h = vec!["k".to_string()];
-            h.extend(Algorithm::offline_suite().iter().map(|a| a.short_name().to_string()));
-            h
-        });
-        for &k in &params.ks_offline {
-            let mut row = vec![k.to_string()];
-            for &alg in Algorithm::offline_suite() {
-                let v = rows
-                    .iter()
-                    .find(|r| r.k == k && r.algorithm == alg && r.workload == *workload)
-                    .map(|r| f3(r.exec_seconds * 1e3))
-                    .unwrap_or_default();
-                row.push(v);
-            }
-            t.row(row);
-        }
-        out.push_str(&format!("\n--- {workload} ---\n{}", t.render()));
+    let mut report = Report::new("Fig. 3 — Offline workload execution time (Twitter-like, ms)");
+    for &workload in OfflineWorkload::all() {
+        let t = exec_ms_grid(&rows, &params.ks_offline, workload);
+        report.sections.push(Section::captioned(workload.to_string(), t));
     }
-    out.push_str(
-        "\n(paper: edge-cut SGP slow on Twitter; vertex/hybrid-cut fastest, HDRF best; \
-         differences shrink for WCC/SSSP; scaling flattens at high k)\n",
-    );
-    out
+    report.note(
+        "(paper: edge-cut SGP slow on Twitter; vertex/hybrid-cut fastest, HDRF best; \
+         differences shrink for WCC/SSSP; scaling flattens at high k)",
+    )
 }
 
 /// Fig. 4: distribution of per-worker computation time during PageRank.
-pub fn fig4(params: &Params) -> String {
+fn fig4(params: &Params) -> Report {
     let k = params.fig4_k;
-    let mut out = header(
-        format!(
-            "Fig. 4 — Per-worker PageRank compute time, {k} machines (min/p25/med/p75/max, ms)"
-        )
-        .as_str(),
-    );
+    let mut report = Report::new(format!(
+        "Fig. 4 — Per-worker PageRank compute time, {k} machines (min/p25/med/p75/max, ms)"
+    ));
     for &dataset in Dataset::offline_set() {
         let g = dataset.generate(params.scale);
         let rows = offline_suite(
@@ -485,21 +420,20 @@ pub fn fig4(params: &Params) -> String {
                 f2(d[4] / d[2].max(1e-12)),
             ]);
         }
-        out.push_str(&format!("\n--- {dataset} ---\n{}", t.render()));
+        report.sections.push(Section::captioned(dataset.to_string(), t));
     }
-    out.push_str(
-        "\n(paper: balanced partition sizes do not imply balanced computation — edge-cut \
-         spreads widest on the skewed graphs, tightest on USA-Road)\n",
-    );
-    out
+    report.note(
+        "(paper: balanced partition sizes do not imply balanced computation — edge-cut \
+         spreads widest on the skewed graphs, tightest on USA-Road)",
+    )
 }
 
 /// Fig. 5: edge-cut ratio vs network I/O for the 1-hop workload on the
 /// SNB-like graph.
-pub fn fig5(params: &Params) -> String {
+fn fig5(params: &Params) -> Report {
     let g = Dataset::LdbcSnb.generate(params.scale);
     let mut t = TextTable::new(["Alg", "k", "Edge-cut ratio", "Network I/O"]);
-    let mut points: Vec<(f64, u64)> = Vec::new();
+    let mut points = Vec::new();
     for &k in &params.ks_online {
         for &alg in Algorithm::online_suite() {
             let row = online_run(
@@ -510,7 +444,7 @@ pub fn fig5(params: &Params) -> String {
                 k,
                 &params.online_cfg(LoadLevel::Medium),
             );
-            points.push((row.edge_cut_ratio, row.network_bytes));
+            points.push((row.edge_cut_ratio, row.network_bytes as f64));
             t.row([
                 alg.short_name().to_string(),
                 k.to_string(),
@@ -519,62 +453,38 @@ pub fn fig5(params: &Params) -> String {
             ]);
         }
     }
-    // Pearson correlation of (ecr, bytes) — the paper's "linear function".
-    let n = points.len() as f64;
-    let mx = points.iter().map(|p| p.0).sum::<f64>() / n;
-    let my = points.iter().map(|p| p.1 as f64).sum::<f64>() / n;
-    let cov: f64 = points.iter().map(|p| (p.0 - mx) * (p.1 as f64 - my)).sum();
-    let vx: f64 = points.iter().map(|p| (p.0 - mx).powi(2)).sum();
-    let vy: f64 = points.iter().map(|p| (p.1 as f64 - my).powi(2)).sum();
-    let r = cov / (vx.sqrt() * vy.sqrt()).max(1e-12);
-    format!(
-        "{}{}\ncorrelation(edge-cut ratio, network I/O) = {:.3}   (paper: linear, all \
-         algorithms on one trend)\n",
-        header("Fig. 5 — Edge-cut ratio vs network I/O, 1-hop on SNB-like"),
-        t.render(),
-        r
+    Report::new("Fig. 5 — Edge-cut ratio vs network I/O, 1-hop on SNB-like").section(t).note(
+        format!(
+            "correlation(edge-cut ratio, network I/O) = {:.3}   (paper: linear, all \
+             algorithms on one trend)",
+            pearson(&points)
+        ),
     )
 }
 
 /// Fig. 6: aggregate throughput for 1-hop and 2-hop workloads under
 /// medium and high load across cluster sizes.
-pub fn fig6(params: &Params) -> String {
+fn fig6(params: &Params) -> Report {
     let g = Dataset::LdbcSnb.generate(params.scale);
-    let mut out = header("Fig. 6 — Aggregate throughput (queries/s), SNB-like");
+    let mut report = Report::new("Fig. 6 — Aggregate throughput (queries/s), SNB-like");
     for kind in [WorkloadKind::OneHop, WorkloadKind::TwoHop] {
         for level in [LoadLevel::Medium, LoadLevel::High] {
-            let mut t = TextTable::new({
-                let mut h = vec!["k".to_string()];
-                h.extend(Algorithm::online_suite().iter().map(|a| a.short_name().to_string()));
-                h
+            let t = k_grid(&params.ks_online, Algorithm::online_suite(), |k, alg| {
+                let cfg = params.online_cfg(level);
+                let r = online_run(Dataset::LdbcSnb.name(), &g, alg, kind, k, &cfg);
+                format!("{:.0}", r.throughput_qps)
             });
-            for &k in &params.ks_online {
-                let mut row = vec![k.to_string()];
-                for &alg in Algorithm::online_suite() {
-                    let r = online_run(
-                        Dataset::LdbcSnb.name(),
-                        &g,
-                        alg,
-                        kind,
-                        k,
-                        &params.online_cfg(level),
-                    );
-                    row.push(format!("{:.0}", r.throughput_qps));
-                }
-                t.row(row);
-            }
-            out.push_str(&format!("\n--- {kind}, {level} load ---\n{}", t.render()));
+            report.sections.push(Section::captioned(format!("{kind}, {level} load"), t));
         }
     }
-    out.push_str(
-        "\n(paper: partitioning matters less than offline — MTS best, ~25%/18% over hash for \
-         1-hop/2-hop; SGP gains evaporate under high load)\n",
-    );
-    out
+    report.note(
+        "(paper: partitioning matters less than offline — MTS best, ~25%/18% over hash for \
+         1-hop/2-hop; SGP gains evaporate under high load)",
+    )
 }
 
 /// Fig. 7: per-worker vertex-read distribution for the 1-hop workload.
-pub fn fig7(params: &Params) -> String {
+fn fig7(params: &Params) -> Report {
     fig_reads_distribution(
         params,
         &[Dataset::LdbcSnb],
@@ -582,8 +492,8 @@ pub fn fig7(params: &Params) -> String {
     )
 }
 
-fn fig_reads_distribution(params: &Params, datasets: &[Dataset], title: String) -> String {
-    let mut out = header(&title);
+fn fig_reads_distribution(params: &Params, datasets: &[Dataset], title: String) -> Report {
+    let mut report = Report::new(title);
     for &dataset in datasets {
         let g = dataset.generate(params.scale);
         let mut t = TextTable::new(["Alg", "min", "p25", "median", "p75", "max", "RSD"]);
@@ -607,17 +517,16 @@ fn fig_reads_distribution(params: &Params, datasets: &[Dataset], title: String) 
                 f3(row.load_rsd),
             ]);
         }
-        out.push_str(&format!("\n--- {dataset} ---\n{}", t.render()));
+        report.sections.push(Section::captioned(dataset.to_string(), t));
     }
-    out.push_str(
-        "\n(paper: unlike offline analytics, FNL and LDG suffer read imbalance on every \
-         dataset once the workload is skewed)\n",
-    );
-    out
+    report.note(
+        "(paper: unlike offline analytics, FNL and LDG suffer read imbalance on every \
+         dataset once the workload is skewed)",
+    )
 }
 
 /// Fig. 8: workload-aware weighted repartitioning.
-pub fn fig8(params: &Params) -> String {
+fn fig8(params: &Params) -> Report {
     let g = Dataset::LdbcSnb.generate(params.scale);
     let run_cfg =
         OnlineRunConfig { skew: Skew::Zipf { theta: 1.1 }, ..params.online_cfg(LoadLevel::High) };
@@ -626,17 +535,15 @@ pub fn fig8(params: &Params) -> String {
     for r in &rows {
         t.row([r.label.clone(), format!("{:.0}", r.throughput_qps), f3(r.load_rsd)]);
     }
-    format!(
-        "{}{}\n(paper: complete workload information gives 13%–35% more throughput and a \
+    Report::new("Fig. 8 — Workload-aware repartitioning, 1-hop on SNB-like").section(t).note(
+        "(paper: complete workload information gives 13%–35% more throughput and a \
          balanced read distribution — 'MTS (W)' is the weighted configuration; \
-         'aLDG (W)' is this reproduction's streaming extension, Appendix A)\n",
-        header("Fig. 8 — Workload-aware repartitioning, 1-hop on SNB-like"),
-        t.render()
+         'aLDG (W)' is this reproduction's streaming extension, Appendix A)",
     )
 }
 
 /// Fig. 9: the decision tree, exercised over every input combination.
-pub fn fig9() -> String {
+fn fig9(_: &Params) -> Report {
     use sgp_graph::stats::GraphClass;
     let mut t = TextTable::new(["Workload", "Graph / objective", "Recommendation"]);
     for class in [GraphClass::LowDegree, GraphClass::PowerLaw, GraphClass::HeavyTailed] {
@@ -647,12 +554,12 @@ pub fn fig9() -> String {
         let r = recommend(WorkloadClass::OnlineQueries, None, Some(obj));
         t.row(["Online Queries".to_string(), format!("{obj:?}"), r.algorithm.to_string()]);
     }
-    format!("{}{}", header("Fig. 9 — Decision tree for picking an SGP algorithm"), t.render())
+    Report::new("Fig. 9 — Decision tree for picking an SGP algorithm").section(t)
 }
 
 /// Fig. 10 (Appendix B): message counts on the worked 6-vertex example
 /// under the three placement schemes.
-pub fn fig10() -> String {
+fn fig10(_: &Params) -> Report {
     // The example of Fig. 10: five edges into vertex 5, one chain edge.
     let g: Graph = GraphBuilder::new()
         .add_edge(0, 5)
@@ -684,64 +591,57 @@ pub fn fig10() -> String {
             (gather + update).to_string(),
         ]);
     }
-    format!(
-        "{}{}\n(Appendix B: aggregation collapses per-edge messages to per-mirror ones; the \
-         edge-cut placement never sends vertex updates for PageRank)\n",
-        header("Fig. 10 — Cut models and inter-machine communication (worked example)"),
-        t.render()
-    )
+    Report::new("Fig. 10 — Cut models and inter-machine communication (worked example)")
+        .section(t)
+        .note(
+            "(Appendix B: aggregation collapses per-edge messages to per-mirror ones; the \
+             edge-cut placement never sends vertex updates for PageRank)",
+        )
 }
 
 /// Fig. 11 (Appendix C): the architecture this reproduction simulates.
-pub fn fig11() -> String {
-    format!(
-        "{}\
-         clients → partitioning-aware query router → worker machines\n\
-         each worker = query-execution instance (sgp-db::query) co-located with its\n\
-         storage shard (sgp-db::store); shards are an adjacency list cut by a\n\
-         vertex-ownership map; the working set is memory-resident; closed-loop\n\
-         clients drive the discrete-event simulation (sgp-db::sim).\n",
-        header("Fig. 11 — JanusGraph-like architecture of the online substrate")
+fn fig11(_: &Params) -> Report {
+    Report::new("Fig. 11 — JanusGraph-like architecture of the online substrate").section(
+        Section::text(
+            None,
+            [
+                "clients → partitioning-aware query router → worker machines",
+                "each worker = query-execution instance (sgp-db::query) co-located with its",
+                "storage shard (sgp-db::store); shards are an adjacency list cut by a",
+                "vertex-ownership map; the working set is memory-resident; closed-loop",
+                "clients drive the discrete-event simulation (sgp-db::sim).",
+            ],
+        ),
     )
 }
 
 /// Fig. 12: aggregate throughput with a *fixed* client population as the
 /// cluster grows (the paper's 192 clients over 4..32 machines).
-pub fn fig12(params: &Params) -> String {
+fn fig12(params: &Params) -> Report {
     let g = Dataset::LdbcSnb.generate(params.scale);
     let total_clients = 24 * params.ks_online.iter().min().copied().unwrap_or(4);
-    let mut t = TextTable::new({
-        let mut h = vec!["k".to_string()];
-        h.extend(Algorithm::online_suite().iter().map(|a| a.short_name().to_string()));
-        h
+    let t = k_grid(&params.ks_online, Algorithm::online_suite(), |k, alg| {
+        let cfg = OnlineRunConfig {
+            clients_per_machine: (total_clients / k).max(1),
+            ..params.online_cfg(LoadLevel::Medium)
+        };
+        let r = online_run(Dataset::LdbcSnb.name(), &g, alg, WorkloadKind::OneHop, k, &cfg);
+        format!("{:.0}", r.throughput_qps)
     });
-    for &k in &params.ks_online {
-        let mut row = vec![k.to_string()];
-        for &alg in Algorithm::online_suite() {
-            let cfg = OnlineRunConfig {
-                clients_per_machine: (total_clients / k).max(1),
-                ..params.online_cfg(LoadLevel::Medium)
-            };
-            let r = online_run(Dataset::LdbcSnb.name(), &g, alg, WorkloadKind::OneHop, k, &cfg);
-            row.push(format!("{:.0}", r.throughput_qps));
-        }
-        t.row(row);
-    }
-    format!(
-        "{}{}\n({} fixed clients; paper: throughput degrades beyond 16 workers as \
-         communication overhead dominates. Our simulator reproduces the diminishing \
-         returns — throughput per added machine falls steadily — but not the outright \
-         decline, which stems from Cassandra cluster-coordination costs outside the \
-         model; see EXPERIMENTS.md)\n",
-        header("Fig. 12 — Throughput vs cluster size, fixed client population"),
-        t.render(),
-        total_clients
+    Report::new("Fig. 12 — Throughput vs cluster size, fixed client population").section(t).note(
+        format!(
+            "({total_clients} fixed clients; paper: throughput degrades beyond 16 workers as \
+             communication overhead dominates. Our simulator reproduces the diminishing \
+             returns — throughput per added machine falls steadily — but not the outright \
+             decline, which stems from Cassandra cluster-coordination costs outside the \
+             model; see EXPERIMENTS.md)"
+        ),
     )
 }
 
 /// Fig. 13: the full offline grid — all workloads x datasets x k.
-pub fn fig13(params: &Params) -> String {
-    let mut out = header("Fig. 13 — Full offline grid (execution ms)");
+fn fig13(params: &Params) -> Report {
+    let mut report = Report::new("Fig. 13 — Full offline grid (execution ms)");
     for &dataset in Dataset::offline_set() {
         let g = dataset.generate(params.scale);
         let rows = offline_suite(
@@ -751,72 +651,46 @@ pub fn fig13(params: &Params) -> String {
             OfflineWorkload::all(),
             &params.ks_offline,
         );
-        for workload in OfflineWorkload::all() {
-            let mut t = TextTable::new({
-                let mut h = vec!["k".to_string()];
-                h.extend(Algorithm::offline_suite().iter().map(|a| a.short_name().to_string()));
-                h
-            });
-            for &k in &params.ks_offline {
-                let mut row = vec![k.to_string()];
-                for &alg in Algorithm::offline_suite() {
-                    let v = rows
-                        .iter()
-                        .find(|r| r.k == k && r.algorithm == alg && r.workload == *workload)
-                        .map(|r| f3(r.exec_seconds * 1e3))
-                        .unwrap_or_default();
-                    row.push(v);
-                }
-                t.row(row);
-            }
-            out.push_str(&format!("\n--- {dataset} / {workload} ---\n{}", t.render()));
+        for &workload in OfflineWorkload::all() {
+            let t = exec_ms_grid(&rows, &params.ks_offline, workload);
+            report.sections.push(Section::captioned(format!("{dataset} / {workload}"), t));
         }
     }
-    out
+    report
 }
 
 /// Fig. 14: 1-hop throughput on the real-world-like graphs.
-pub fn fig14(params: &Params) -> String {
-    let mut out = header(
-        format!(
-            "Fig. 14 — 1-hop throughput on real-world-like graphs, {} machines",
-            params.online_k
-        )
-        .as_str(),
-    );
+fn fig14(params: &Params) -> Report {
+    let mut report = Report::new(format!(
+        "Fig. 14 — 1-hop throughput on real-world-like graphs, {} machines",
+        params.online_k
+    ));
     for &dataset in Dataset::offline_set() {
         let g = dataset.generate(params.scale);
         let mut t = TextTable::new(["Alg", "Medium (q/s)", "High (q/s)"]);
         for &alg in Algorithm::online_suite() {
-            let med = online_run(
-                dataset.name(),
-                &g,
-                alg,
-                WorkloadKind::OneHop,
-                params.online_k,
-                &params.online_cfg(LoadLevel::Medium),
-            );
-            let high = online_run(
-                dataset.name(),
-                &g,
-                alg,
-                WorkloadKind::OneHop,
-                params.online_k,
-                &params.online_cfg(LoadLevel::High),
-            );
-            t.row([
-                alg.short_name().to_string(),
-                format!("{:.0}", med.throughput_qps),
-                format!("{:.0}", high.throughput_qps),
-            ]);
+            let mut row = vec![alg.short_name().to_string()];
+            for level in [LoadLevel::Medium, LoadLevel::High] {
+                let cfg = params.online_cfg(level);
+                let r = online_run(
+                    dataset.name(),
+                    &g,
+                    alg,
+                    WorkloadKind::OneHop,
+                    params.online_k,
+                    &cfg,
+                );
+                row.push(format!("{:.0}", r.throughput_qps));
+            }
+            t.row(row);
         }
-        out.push_str(&format!("\n--- {dataset} ---\n{}", t.render()));
+        report.sections.push(Section::captioned(dataset.to_string(), t));
     }
-    out
+    report
 }
 
 /// Fig. 15: per-worker read distributions on every dataset.
-pub fn fig15(params: &Params) -> String {
+fn fig15(params: &Params) -> Report {
     fig_reads_distribution(
         params,
         Dataset::all(),
@@ -831,7 +705,7 @@ pub fn fig15(params: &Params) -> String {
 /// surveys but does not evaluate — heterogeneous capacities
 /// (LeBeane/BMI), attribute balancing (re-streaming on `a(u)`), and
 /// edge-cut on edge streams (IOGP-class).
-pub(crate) fn appendix_a(params: &Params) -> String {
+fn appendix_a(params: &Params) -> Report {
     use sgp_core::runners::default_order;
     use sgp_partition::attribute::AttributeLdg;
     use sgp_partition::edge_stream_cut::IogpStyle;
@@ -840,7 +714,8 @@ pub(crate) fn appendix_a(params: &Params) -> String {
     use sgp_partition::{run_edge_stream, run_vertex_stream, PartitionerConfig};
     use sgp_trace::NullSink;
 
-    let mut out = header("Appendix A — generalized cost models (survey algorithms, implemented)");
+    let report =
+        Report::new("Appendix A — generalized cost models (survey algorithms, implemented)");
 
     // 1. Heterogeneous cluster: one machine with 4x capacity.
     let g = Dataset::Twitter.generate(params.scale);
@@ -855,9 +730,9 @@ pub(crate) fn appendix_a(params: &Params) -> String {
     for (i, &c) in counts.iter().enumerate() {
         t.row([i.to_string(), f3(profile.share(i)), f3(c as f64 / total as f64)]);
     }
-    out.push_str(&format!(
-        "\n--- heterogeneous HDRF (LeBeane-style), Twitter-like, machine 0 has 4x capacity ---\n{}",
-        t.render()
+    let report = report.section(Section::captioned(
+        "heterogeneous HDRF (LeBeane-style), Twitter-like, machine 0 has 4x capacity",
+        t,
     ));
 
     // 2. Attribute balancing vs plain LDG under skewed access weights.
@@ -875,35 +750,51 @@ pub(crate) fn appendix_a(params: &Params) -> String {
         let avg = loads.iter().sum::<u64>() as f64 / 8.0;
         *loads.iter().max().unwrap() as f64 / avg
     };
-    out.push_str(&format!(
-        "\n--- attribute-balanced LDG (x_i = sum a(u)), SNB-like, degree^2 weights ---\n\
-         plain LDG weight imbalance: {:.2}   attribute LDG: {:.2}   (slack 1.05)\n",
-        load_imb(&plain),
-        load_imb(&aware)
+    let report = report.section(Section::text(
+        Some("attribute-balanced LDG (x_i = sum a(u)), SNB-like, degree^2 weights".to_string()),
+        [format!(
+            "plain LDG weight imbalance: {:.2}   attribute LDG: {:.2}   (slack 1.05)",
+            load_imb(&plain),
+            load_imb(&aware)
+        )],
     ));
 
     // 3. Edge-cut on edge streams (IOGP-class): the quality gap of §4.1.2.
     let iogp = IogpStyle::new(&cfg, g.num_vertices()).run(&g, default_order());
     let ldg = plain;
     let hash = sgp_partition::partition(&g, Algorithm::EcrHash, &cfg, default_order());
-    out.push_str(&format!(
-        "\n--- edge-cut on edge streams (IOGP-style), SNB-like, k=8 ---\n\
-         edge-cut ratio: hash {:.3}, IOGP-style {:.3}, LDG (vertex stream) {:.3}\n\
-         (§4.1.2 expects vertex-stream < edge-stream < hash; IOGP's periodic\n\
-         reassessment can close the gap to LDG on small community graphs)\n",
-        metrics::edge_cut_ratio(&g, &hash).unwrap(),
-        metrics::edge_cut_ratio(&g, &iogp).unwrap(),
-        metrics::edge_cut_ratio(&g, &ldg).unwrap(),
-    ));
-    out
+    report.section(Section::text(
+        Some("edge-cut on edge streams (IOGP-style), SNB-like, k=8".to_string()),
+        [
+            format!(
+                "edge-cut ratio: hash {:.3}, IOGP-style {:.3}, LDG (vertex stream) {:.3}",
+                metrics::edge_cut_ratio(&g, &hash).unwrap(),
+                metrics::edge_cut_ratio(&g, &iogp).unwrap(),
+                metrics::edge_cut_ratio(&g, &ldg).unwrap(),
+            ),
+            "(§4.1.2 expects vertex-stream < edge-stream < hash; IOGP's periodic".to_string(),
+            "reassessment can close the gap to LDG on small community graphs)".to_string(),
+        ],
+    ))
 }
 
-/// Robustness suite (opt-in; see [`EXTRA_EXPERIMENTS`]): availability,
+/// The placements the robustness and elasticity suites compare: two
+/// edge-cut, two vertex-cut and two hybrid-cut.
+const FAULT_SUITE: [Algorithm; 6] = [
+    Algorithm::EcrHash,
+    Algorithm::Ldg,
+    Algorithm::VcrHash,
+    Algorithm::Hdrf,
+    Algorithm::HybridRandom,
+    Algorithm::Ginger,
+];
+
+/// Robustness suite (opt-in; see [`EXPERIMENTS`]): availability,
 /// goodput and fault-inflated runtime under one shared deterministic
 /// fault plan — a permanent crash of machine `k − 1`, a 2× straggler on
 /// machine 0, and 0.2% message loss. Mirror-bearing cuts (vertex,
 /// hybrid) fail reads over to live mirrors; edge-cut cannot.
-pub fn robustness(params: &Params) -> String {
+fn robustness(params: &Params) -> Report {
     let k = params.online_k;
     let cfg = RobustnessConfig {
         bindings: params.bindings,
@@ -918,19 +809,9 @@ pub fn robustness(params: &Params) -> String {
         ..Default::default()
     };
     let g = Dataset::LdbcSnb.generate(params.scale);
-    let algs = [
-        Algorithm::EcrHash,
-        Algorithm::Ldg,
-        Algorithm::VcrHash,
-        Algorithm::Hdrf,
-        Algorithm::HybridRandom,
-        Algorithm::Ginger,
-    ];
-    let mut out = header(
-        format!("Robustness — fault injection, {k} machines (crash + straggler + message loss)")
-            .as_str(),
-    );
-    match robustness_suite(Dataset::LdbcSnb.name(), &g, &algs, k, &cfg) {
+    // A failed run prints a blank line and its error where its table would be.
+    let failed = |error: String| Section::text(None, [String::new(), error]);
+    let online = match robustness_suite(Dataset::LdbcSnb.name(), &g, &FAULT_SUITE, k, &cfg) {
         Ok(rows) => {
             let mut t = TextTable::new([
                 "Alg",
@@ -958,14 +839,11 @@ pub fn robustness(params: &Params) -> String {
                     f2(r.p99_latency_ms),
                 ]);
             }
-            out.push_str(&format!(
-                "\n--- online (DES): availability and goodput under faults ---\n{}",
-                t.render()
-            ));
+            Section::captioned("online (DES): availability and goodput under faults", t)
         }
-        Err(e) => out.push_str(&format!("\nonline robustness run failed: {e}\n")),
-    }
-    match engine_robustness_suite(Dataset::LdbcSnb.name(), &g, &algs, k, &cfg) {
+        Err(e) => failed(format!("online robustness run failed: {e}")),
+    };
+    let engine = match engine_robustness_suite(Dataset::LdbcSnb.name(), &g, &FAULT_SUITE, k, &cfg) {
         Ok(rows) => {
             let mut t = TextTable::new([
                 "Alg",
@@ -989,29 +867,30 @@ pub fn robustness(params: &Params) -> String {
                     f3(r.straggler_extra_seconds * 1e3),
                 ]);
             }
-            out.push_str(&format!(
-                "\n--- engine: PageRank under the same plan ---\n{}",
-                t.render()
-            ));
+            Section::captioned("engine: PageRank under the same plan", t)
         }
-        Err(e) => out.push_str(&format!("\nengine robustness run failed: {e}\n")),
-    }
-    out.push_str(
-        "\n(replication pays under faults: vertex/hybrid-cut placements redirect reads to \
+        Err(e) => failed(format!("engine robustness run failed: {e}")),
+    };
+    Report::new(format!(
+        "Robustness — fault injection, {k} machines (crash + straggler + message loss)"
+    ))
+    .section(online)
+    .section(engine)
+    .note(
+        "(replication pays under faults: vertex/hybrid-cut placements redirect reads to \
          live mirrors and restore crashed masters from mirror state, while edge-cut \
-         placements lose the dead machine's masters and recompute them from scratch)\n",
-    );
-    out
+         placements lose the dead machine's masters and recompute them from scratch)",
+    )
 }
 
-/// Multi-loader ablation (opt-in; see [`EXTRA_EXPERIMENTS`]): quality
+/// Multi-loader ablation (opt-in; see [`EXPERIMENTS`]): quality
 /// versus the number of parallel loaders `L` and the state
 /// synchronization interval `T` — Table 1's "Parallelization" column
 /// made measurable. Each loader streams its stride of the input against
 /// shared state that is stale between barriers; everything is seeded and
 /// deterministic, so the same invocation always renders byte-identical
 /// output.
-pub fn loaders(params: &Params) -> String {
+fn loaders(params: &Params) -> Report {
     let k = params.online_k;
     let g = Dataset::Twitter.generate(params.scale);
     let algs = [Algorithm::Ldg, Algorithm::Dbh, Algorithm::PowerGraphGreedy, Algorithm::Hdrf];
@@ -1027,10 +906,9 @@ pub fn loaders(params: &Params) -> String {
         &loader_counts,
         &sync_intervals,
     );
-    let mut out = header(
-        format!("Multi-loader ablation — {k} partitions, quality vs loaders and staleness")
-            .as_str(),
-    );
+    let mut report = Report::new(format!(
+        "Multi-loader ablation — {k} partitions, quality vs loaders and staleness"
+    ));
     for (order_name, _) in &orders {
         let mut t = TextTable::new(["Alg", "Loaders", "Sync T", "RF", "Edge-cut", "Edge imb."]);
         for r in rows.iter().filter(|r| r.order == *order_name) {
@@ -1043,24 +921,23 @@ pub fn loaders(params: &Params) -> String {
                 f2(r.quality.edge_imbalance),
             ]);
         }
-        out.push_str(&format!("\n--- {order_name} stream order ---\n{}", t.render()));
+        report.sections.push(Section::captioned(format!("{order_name} stream order"), t));
     }
-    out.push_str(
-        "\n(hash methods are loader-count-invariant; greedy methods place against stale \
+    report.note(
+        "(hash methods are loader-count-invariant; greedy methods place against stale \
          state, so their quality degrades as L and the sync interval grow — the BFS \
          advantage of PowerGraph's greedy collapses fastest, while HDRF's partial-degree \
-         scoring stays comparatively robust)\n",
-    );
-    out
+         scoring stays comparatively robust)",
+    )
 }
 
-/// Elasticity suite (opt-in; see [`EXTRA_EXPERIMENTS`]): availability,
+/// Elasticity suite (opt-in; see [`EXPERIMENTS`]): availability,
 /// p99 latency and recovery accounting while the cluster rides out a
 /// crash-rejoin of machine `k − 1`. The rejoined machine's state
 /// restore is priced by the bounded-movement rebalance over each
 /// algorithm's own placement and charged to the DES, so the RTO and
 /// data-moved columns separate the cut models (DESIGN.md §11).
-pub fn elastic(params: &Params) -> String {
+fn elastic(params: &Params) -> Report {
     let k = params.online_k;
     let cfg = ElasticityConfig {
         bindings: params.bindings,
@@ -1075,72 +952,57 @@ pub fn elastic(params: &Params) -> String {
         ..Default::default()
     };
     let g = Dataset::LdbcSnb.generate(params.scale);
-    let algs = [
-        Algorithm::EcrHash,
-        Algorithm::Ldg,
-        Algorithm::VcrHash,
-        Algorithm::Hdrf,
-        Algorithm::HybridRandom,
-        Algorithm::Ginger,
-    ];
-    let mut out = header(
-        format!("Elasticity — crash-rejoin of machine {}, bounded-movement recovery", k - 1)
-            .as_str(),
-    );
-    match elastic_suite(Dataset::LdbcSnb.name(), &g, &algs, k, &cfg) {
-        Ok(rows) => {
-            let mut t = TextTable::new([
-                "Alg",
-                "Cut",
-                "Avail",
-                "p99 ms",
-                "RTO ms",
-                "Data moved",
-                "Moves",
-                "Balanced",
-                "Shed",
-                "Failovers",
-            ]);
-            for r in &rows {
-                t.row([
-                    r.algorithm.short_name().to_string(),
-                    r.cut_model.clone(),
-                    f3(r.availability),
-                    f2(r.p99_latency_ms),
-                    f2(r.rto_ms),
-                    r.data_moved.to_string(),
-                    r.vertices_moved.to_string(),
-                    if r.balance_restored { "yes" } else { "no" }.to_string(),
-                    r.shed_queries.to_string(),
-                    r.failovers.to_string(),
-                ]);
-            }
-            out.push_str(&format!(
-                "\n--- online (DES): riding out a membership change ---\n{}",
-                t.render()
-            ));
-            out.push_str(
-                "\n(mirror-bearing cuts keep serving through the outage, so their availability \
-                 dip is the admission-control shedding during restore; edge-cut loses the dead \
-                 machine's masters outright. Data moved follows each placement's balance: the \
-                 more even the masters, the less the rebalance ships)\n",
-            );
-        }
-        Err(e) => out.push_str(&format!("\nelastic run failed: {e}\n")),
+    let report = Report::new(format!(
+        "Elasticity — crash-rejoin of machine {}, bounded-movement recovery",
+        k - 1
+    ));
+    let rows = match elastic_suite(Dataset::LdbcSnb.name(), &g, &FAULT_SUITE, k, &cfg) {
+        Ok(rows) => rows,
+        Err(e) => return report.note(format!("elastic run failed: {e}")),
+    };
+    let mut t = TextTable::new([
+        "Alg",
+        "Cut",
+        "Avail",
+        "p99 ms",
+        "RTO ms",
+        "Data moved",
+        "Moves",
+        "Balanced",
+        "Shed",
+        "Failovers",
+    ]);
+    for r in &rows {
+        t.row([
+            r.algorithm.short_name().to_string(),
+            r.cut_model.clone(),
+            f3(r.availability),
+            f2(r.p99_latency_ms),
+            f2(r.rto_ms),
+            r.data_moved.to_string(),
+            r.vertices_moved.to_string(),
+            if r.balance_restored { "yes" } else { "no" }.to_string(),
+            r.shed_queries.to_string(),
+            r.failovers.to_string(),
+        ]);
     }
-    out
+    report.section(Section::captioned("online (DES): riding out a membership change", t)).note(
+        "(mirror-bearing cuts keep serving through the outage, so their availability \
+         dip is the admission-control shedding during restore; edge-cut loses the dead \
+         machine's masters outright. Data moved follows each placement's balance: the \
+         more even the masters, the less the rebalance ships)",
+    )
 }
 
-/// Churn suite (opt-in; see [`EXTRA_EXPERIMENTS`]): dynamic-graph
+/// Churn suite (opt-in; see [`EXPERIMENTS`]): dynamic-graph
 /// maintenance under a seeded edge insert/delete stream over every
 /// dataset family. Each method starts from its own initial partition
 /// and reacts to imbalance/cut-degradation triggers — 2PS and windowed
 /// LDG repartition from scratch, restreamed LDG repairs under a
 /// movement budget — so the table is the quality-vs-movement tradeoff
 /// curve of DESIGN.md §12. Deterministic: same scale, same bytes.
-pub fn churn(params: &Params) -> String {
+fn churn(params: &Params) -> Report {
     let k = 4;
-    let mut out = header("Churn — dynamic-graph maintenance: quality vs movement");
     let mut t =
         TextTable::new(["Dataset", "Method", "Batches", "Repart", "Moved", "Cut", "RF", "Imbal"]);
     for &d in Dataset::all() {
@@ -1169,13 +1031,11 @@ pub fn churn(params: &Params) -> String {
             ]);
         }
     }
-    out.push_str(&t.render());
-    out.push_str(
-        "\n(quality vs movement: full repartitioning — 2PS, windowed LDG — buys the lowest \
+    Report::new("Churn — dynamic-graph maintenance: quality vs movement").section(t).note(
+        "(quality vs movement: full repartitioning — 2PS, windowed LDG — buys the lowest \
          final cut at the price of relocating a large share of the graph on every trigger; \
-         the budgeted restream holds movement at its cap and pays a modest cut penalty)\n",
-    );
-    out
+         the budgeted restream holds movement at its cap and pays a modest cut penalty)",
+    )
 }
 
 /// The swept HDRF λ values of [`ablations`].
@@ -1185,18 +1045,18 @@ const ABLATION_FENNEL_GAMMAS: [f64; 5] = [1.1, 1.3, 1.5, 1.8, 2.0];
 /// The swept Ginger high-degree threshold factors of [`ablations`].
 const ABLATION_GINGER_FACTORS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
 
-/// Parameter ablations (opt-in; see [`EXTRA_EXPERIMENTS`]) over the
+/// Parameter ablations (opt-in; see [`EXPERIMENTS`]) over the
 /// design choices DESIGN.md §8 calls out: HDRF's λ, FENNEL's γ,
 /// Ginger's high-degree threshold, and the stream-order sensitivity of
 /// greedy vertex-cut placement (§4.2.2: plain greedy degenerates under
 /// BFS order, HDRF does not). Quality columns only — no timing — so the
 /// same invocation always renders byte-identical output.
-pub fn ablations(params: &Params) -> String {
+fn ablations(params: &Params) -> Report {
     let twitter = Dataset::Twitter.generate(params.scale);
     let snb = Dataset::LdbcSnb.generate(params.scale);
     let edge_imbalance = |p: &Partitioning| f3(load_imbalance(&p.edges_per_partition()));
-    let mut out =
-        header("Parameter ablations — quality vs HDRF λ, FENNEL γ, Ginger threshold, order");
+    let report =
+        Report::new("Parameter ablations — quality vs HDRF λ, FENNEL γ, Ginger threshold, order");
 
     let mut t = TextTable::new(["λ", "RF", "Edge imb."]);
     for lambda in ABLATION_HDRF_LAMBDAS {
@@ -1205,7 +1065,7 @@ pub fn ablations(params: &Params) -> String {
         let p = partition(&twitter, Algorithm::Hdrf, &cfg, StreamOrder::Bfs);
         t.row([lambda.to_string(), f3(replication_factor(&twitter, &p)), edge_imbalance(&p)]);
     }
-    out.push_str(&format!("\n--- HDRF λ (k=16, Twitter-like, BFS order) ---\n{}", t.render()));
+    let report = report.section(Section::captioned("HDRF λ (k=16, Twitter-like, BFS order)", t));
 
     let mut t = TextTable::new(["γ", "Edge-cut", "Vertex imb."]);
     for gamma in ABLATION_FENNEL_GAMMAS {
@@ -1217,7 +1077,7 @@ pub fn ablations(params: &Params) -> String {
         let na = || "n/a".to_string();
         t.row([gamma.to_string(), cut.unwrap_or_else(na), imbalance.unwrap_or_else(na)]);
     }
-    out.push_str(&format!("\n--- FENNEL γ (k=8, SNB-like, random order) ---\n{}", t.render()));
+    let report = report.section(Section::captioned("FENNEL γ (k=8, SNB-like, random order)", t));
 
     let mut t = TextTable::new(["Threshold ×", "RF"]);
     for factor in ABLATION_GINGER_FACTORS {
@@ -1226,9 +1086,9 @@ pub fn ablations(params: &Params) -> String {
         let p = partition(&twitter, Algorithm::Ginger, &cfg, StreamOrder::Random { seed: 2 });
         t.row([factor.to_string(), f3(replication_factor(&twitter, &p))]);
     }
-    out.push_str(&format!(
-        "\n--- Ginger high-degree threshold (k=8, Twitter-like, random order) ---\n{}",
-        t.render()
+    let report = report.section(Section::captioned(
+        "Ginger high-degree threshold (k=8, Twitter-like, random order)",
+        t,
     ));
 
     let cfg = PartitionerConfig::new(8);
@@ -1249,29 +1109,19 @@ pub fn ablations(params: &Params) -> String {
             ]);
         }
     }
-    out.push_str(&format!(
-        "\n--- Stream-order sensitivity (k=8, Twitter-like) ---\n{}",
-        t.render()
-    ));
-    out
+    report.section(Section::captioned("Stream-order sensitivity (k=8, Twitter-like)", t))
 }
 
-/// Trace demo (opt-in; see [`EXTRA_EXPERIMENTS`]): runs the canonical
+/// Trace demo (opt-in; see [`EXPERIMENTS`]): runs the canonical
 /// traced scenarios through a streaming [`SummarySink`] and renders it
 /// with [`trace_summary`] — the renderer `sgp trace-summary` applies to
 /// the same event streams dumped by `experiments --trace <path>` — plus
 /// the traced counters against the untraced report fields.
-pub(crate) fn trace_demo(params: &Params) -> String {
+fn trace_demo(params: &Params) -> Report {
     let k = SCENARIO_MACHINES;
     let mut sink = SummarySink::new();
     let engine_report = record_engine_scenario(params.scale, &mut sink);
     let db_report = record_db_scenario(params.scale, &mut sink);
-    let mut out = header(
-        format!("Trace — observability demo (HDRF→PageRank engine run + {k}-machine faulted DES)")
-            .as_str(),
-    );
-
-    out.push_str(&trace_summary(&sink, 8));
 
     let mut t = TextTable::new(["Counter", "Total", "Report field"]);
     let traced_messages =
@@ -1298,18 +1148,21 @@ pub(crate) fn trace_demo(params: &Params) -> String {
     for (name, field) in fields {
         t.row([name.to_string(), sink.counter_total(name).to_string(), field]);
     }
-    out.push_str(&format!(
-        "\n--- counters vs untraced report fields (must match exactly; the differential \
-         tests enforce this) ---\n{}",
-        t.render()
-    ));
 
-    out.push_str(
-        "\n(every stamp above is simulated time (engine and db: ns) or a logical sequence \
+    Report::new(format!(
+        "Trace — observability demo (HDRF→PageRank engine run + {k}-machine faulted DES)"
+    ))
+    .section(Section::text(None, trace_summary(&sink, 8).lines()))
+    .section(Section::captioned(
+        "counters vs untraced report fields (must match exactly; the differential tests \
+         enforce this)",
+        t,
+    ))
+    .note(
+        "(every stamp above is simulated time (engine and db: ns) or a logical sequence \
          number (partition: stream elements) — rerunning this experiment at the same scale \
-         reproduces it byte for byte)\n",
-    );
-    out
+         reproduces it byte for byte)",
+    )
 }
 
 #[cfg(test)]
@@ -1320,17 +1173,52 @@ mod tests {
         Params::for_scale(Scale::Tiny)
     }
 
+    /// The experiment `id` at tiny scale.
+    fn run(id: &str) -> Report {
+        let (_, _, experiment) = EXPERIMENTS.iter().find(|e| e.0 == id).expect("a known id");
+        experiment(&tiny())
+    }
+
+    /// The rows of the table whose caption starts with `caption`.
+    fn rows<'r>(report: &'r Report, caption: &str) -> &'r [Vec<String>] {
+        report
+            .sections
+            .iter()
+            .find(|s| s.caption.as_deref().is_some_and(|c| c.starts_with(caption)))
+            .and_then(|s| s.table.as_ref())
+            .unwrap_or_else(|| panic!("no table captioned `{caption}` in {report:?}"))
+            .rows()
+    }
+
     #[test]
     fn static_experiments_render() {
         for id in ["table1", "fig9", "fig10", "fig11"] {
-            let out = run(id, &tiny());
+            let out = run(id).render();
             assert!(out.len() > 100, "{id} output too short");
         }
     }
 
     #[test]
+    fn experiment_ids_are_unique_and_all_is_the_results_file() {
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), EXPERIMENTS.len(), "an id is listed twice");
+        // `all` runs exactly the experiments of the checked-in results
+        // file, in its order: the ids of its `[id completed in …]` footers.
+        let results = include_str!("../../../results_small.txt");
+        let footers: Vec<&str> = results
+            .lines()
+            .filter_map(|l| l.strip_prefix('[')?.split_once(" completed in ").map(|(id, _)| id))
+            .collect();
+        let in_all: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.1).map(|e| e.0).collect();
+        assert_eq!(in_all, footers);
+        assert_eq!(in_all.len(), 21);
+    }
+
+    #[test]
     fn table3_includes_every_dataset() {
-        let out = table3(&tiny());
+        let out = run("table3").render();
         for d in Dataset::all() {
             assert!(out.contains(d.name()), "missing {d}");
         }
@@ -1338,119 +1226,78 @@ mod tests {
 
     #[test]
     fn table4_has_expected_ordering_columns() {
-        let out = table4(&tiny());
+        let out = run("table4").render();
         assert!(out.contains("ECR") && out.contains("MTS"));
     }
 
     #[test]
     fn fig10_shows_aggregation_savings() {
-        let out = fig10();
-        assert!(out.contains("no aggregation"));
+        let report = run("fig10");
+        let rows = report.sections[0].table.as_ref().expect("one table").rows();
+        assert!(rows.iter().any(|r| r[0].contains("no aggregation")), "{rows:?}");
         // Edge-cut with aggregation must show 0 updates.
-        let with_agg_line =
-            out.lines().find(|l| l.contains("sender-side agg")).expect("aggregated row present");
-        let cols: Vec<&str> = with_agg_line.split_whitespace().collect();
-        assert_eq!(cols[cols.len() - 2], "0", "update column: {with_agg_line}");
+        let with_agg =
+            rows.iter().find(|r| r[0].contains("sender-side agg")).expect("aggregated row present");
+        assert_eq!(with_agg[2], "0", "update column: {with_agg:?}");
     }
 
     #[test]
-    #[should_panic(expected = "unknown experiment id")]
-    fn unknown_id_panics() {
-        run("fig99", &tiny());
-    }
-
-    #[test]
-    fn all_experiment_ids_listed_once() {
-        let mut ids = ALL_EXPERIMENTS.to_vec();
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(before, ids.len());
-        assert_eq!(before, 21);
-    }
-
-    #[test]
-    fn robustness_is_opt_in_and_renders() {
-        // The fault suite must never join `all` — the checked-in results
-        // files are byte-identical only while `all` is fault-free.
-        assert!(!ALL_EXPERIMENTS.contains(&"robustness"));
-        assert!(EXTRA_EXPERIMENTS.contains(&"robustness"));
-        let out = run("robustness", &tiny());
+    fn robustness_renders() {
+        let out = run("robustness").render();
         assert!(out.contains("availability and goodput"), "{out}");
         assert!(out.contains("PageRank under the same plan"), "{out}");
         assert!(out.contains("edge-cut") && out.contains("vertex-cut"), "{out}");
     }
 
     #[test]
-    fn loaders_is_opt_in_deterministic_and_renders() {
-        // Excluded from `all` like the other extras, and bit-stable:
-        // the same seeded invocation must render identical output.
-        assert!(!ALL_EXPERIMENTS.contains(&"loaders"));
-        assert!(EXTRA_EXPERIMENTS.contains(&"loaders"));
-        let out = run("loaders", &tiny());
+    fn loaders_is_deterministic_and_renders() {
+        // Bit-stable: the same seeded invocation must render identical
+        // output.
+        let out = run("loaders").render();
         assert!(out.contains("Multi-loader ablation"), "{out}");
         assert!(out.contains("random stream order"), "{out}");
         assert!(out.contains("bfs stream order"), "{out}");
         for alg in ["LDG", "DBH", "PGG", "HDRF"] {
             assert!(out.contains(alg), "missing {alg} in {out}");
         }
-        assert_eq!(out, run("loaders", &tiny()), "loaders report must be deterministic");
+        assert_eq!(out, run("loaders").render(), "loaders report must be deterministic");
     }
 
     #[test]
-    fn ablations_is_opt_in_deterministic_and_renders() {
-        // Excluded from `all` like the other extras, and — quality
-        // columns only, no timing — bit-stable across runs.
-        assert!(!ALL_EXPERIMENTS.contains(&"ablations"));
-        assert!(EXTRA_EXPERIMENTS.contains(&"ablations"));
-        let out = run("ablations", &tiny());
-        assert_eq!(out, run("ablations", &tiny()), "ablations report must be deterministic");
-        // One section per sweep, one row per swept value. A table is
-        // its header, a rule, then the rows, up to the next blank line.
-        let rows_of = |section: &str| -> Vec<Vec<String>> {
-            let at = out.find(section).unwrap_or_else(|| panic!("missing `{section}` in {out}"));
-            out[at..]
-                .lines()
-                .skip(3)
-                .take_while(|l| !l.trim().is_empty())
-                .map(|l| l.split_whitespace().map(str::to_string).collect())
-                .collect()
-        };
+    fn ablations_is_deterministic_and_renders() {
+        // Quality columns only, no timing: bit-stable across runs.
+        let report = run("ablations");
+        assert_eq!(report.render(), run("ablations").render(), "ablations must be deterministic");
+        // One section per sweep, one row per swept value.
         let sweeps = [
-            ("--- HDRF λ", ABLATION_HDRF_LAMBDAS.len(), 16.0, 1),
-            ("--- Ginger high-degree threshold", ABLATION_GINGER_FACTORS.len(), 8.0, 1),
-            ("--- Stream-order sensitivity", 4 * 2, 8.0, 2),
+            ("HDRF λ", ABLATION_HDRF_LAMBDAS.len(), 16.0, 1),
+            ("Ginger high-degree threshold", ABLATION_GINGER_FACTORS.len(), 8.0, 1),
+            ("Stream-order sensitivity", 4 * 2, 8.0, 2),
         ];
-        for (section, want_rows, k, rf_col) in sweeps {
-            let rows = rows_of(section);
-            assert_eq!(rows.len(), want_rows, "{section}: {rows:?}");
-            for row in &rows {
+        for (caption, want_rows, k, rf_col) in sweeps {
+            let rows = rows(&report, caption);
+            assert_eq!(rows.len(), want_rows, "{caption}: {rows:?}");
+            for row in rows {
                 let rf: f64 = row[rf_col].parse().unwrap_or_else(|_| panic!("RF in {row:?}"));
-                assert!((1.0..=k).contains(&rf), "{section}: RF {rf} outside [1, {k}]");
+                assert!((1.0..=k).contains(&rf), "{caption}: RF {rf} outside [1, {k}]");
             }
         }
-        assert_eq!(rows_of("--- FENNEL γ").len(), ABLATION_FENNEL_GAMMAS.len());
+        assert_eq!(rows(&report, "FENNEL γ").len(), ABLATION_FENNEL_GAMMAS.len());
     }
 
     #[test]
-    fn elastic_is_opt_in_deterministic_and_renders() {
-        // Excluded from `all` like the other extras, and bit-stable:
-        // the same seeded invocation must render identical output.
-        assert!(!ALL_EXPERIMENTS.contains(&"elastic"));
-        assert!(EXTRA_EXPERIMENTS.contains(&"elastic"));
-        let out = run("elastic", &tiny());
+    fn elastic_is_deterministic_and_renders() {
+        let out = run("elastic").render();
         assert!(out.contains("Elasticity"), "{out}");
         assert!(out.contains("RTO ms"), "{out}");
         assert!(out.contains("Data moved"), "{out}");
         assert!(out.contains("edge-cut") && out.contains("vertex-cut"), "{out}");
-        assert_eq!(out, run("elastic", &tiny()), "elastic report must be deterministic");
+        assert_eq!(out, run("elastic").render(), "elastic report must be deterministic");
     }
 
     #[test]
-    fn churn_is_opt_in_and_deterministic() {
-        assert!(!ALL_EXPERIMENTS.contains(&"churn"));
-        assert!(EXTRA_EXPERIMENTS.contains(&"churn"));
-        let out = run("churn", &tiny());
+    fn churn_is_deterministic() {
+        let out = run("churn").render();
         assert!(out.contains("quality vs movement"), "{out}");
         for label in ["2PS", "W-LDG", "reLDG"] {
             assert!(out.contains(label), "missing method {label} in {out}");
@@ -1458,14 +1305,12 @@ mod tests {
         for dataset in ["Twitter", "UK2007-05", "USA-Road", "LDBC"] {
             assert!(out.contains(dataset), "missing dataset {dataset} in {out}");
         }
-        assert_eq!(out, run("churn", &tiny()), "churn report must be deterministic");
+        assert_eq!(out, run("churn").render(), "churn report must be deterministic");
     }
 
     #[test]
-    fn trace_demo_is_opt_in_and_renders_all_layers() {
-        assert!(!ALL_EXPERIMENTS.contains(&"trace"));
-        assert!(EXTRA_EXPERIMENTS.contains(&"trace"));
-        let out = run("trace", &tiny());
+    fn trace_demo_renders_all_layers() {
+        let out = run("trace").render();
         assert!(out.contains("top spans by self cost"), "{out}");
         for span in ["partition.run", "engine.superstep", "db.run"] {
             assert!(out.contains(span), "missing span {span} in {out}");

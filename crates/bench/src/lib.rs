@@ -5,8 +5,9 @@
 //! <id>`) regenerates the rows/series of every table and figure in the
 //! paper (`table1`..`table5`, `fig1`..`fig15`, `all`), plus the opt-in
 //! suites excluded from `all` — `robustness`, `trace`, `loaders`,
-//! `elastic`, `churn` and the parameter `ablations`. The set of
-//! experiment ids and their implementations live in [`experiments`].
+//! `elastic`, `churn` and the parameter `ablations`. One table,
+//! [`experiments::EXPERIMENTS`], lists every id with whether `all`
+//! runs it and the function that returns its report.
 //!
 //! Apart from the binary's `completed in` footers nothing here is
 //! timed: throughput, latency and memory are measured by the

@@ -17,8 +17,8 @@
 //! * [`trace_scenarios`] — the canonical traced workloads behind the
 //!   `trace` experiment, the `--trace` flag, and the golden-snapshot
 //!   tests (DESIGN.md §9).
-//! * [`report`] — plain-text table rendering, the trace summary among
-//!   them.
+//! * [`report`] — an experiment's [`Report`](report::Report) of tables
+//!   and notes with its one renderer, and the trace summary.
 //! * [`error`] — the shared [`SgpError`] type for fallible framework
 //!   paths (config parsing, serialization, I/O).
 

@@ -1,5 +1,6 @@
-//! Plain-text table rendering for experiment results and trace
-//! summaries.
+//! Plain-text rendering for experiment results and trace summaries: a
+//! [`Report`] is an experiment's tables and notes, and
+//! [`Report::render`] prints it.
 
 use sgp_trace::SummarySink;
 use std::borrow::Borrow;
@@ -24,6 +25,11 @@ impl TextTable {
         assert_eq!(row.len(), self.header.len(), "row arity mismatch");
         self.rows.push(row);
         self
+    }
+
+    /// The data rows, in insertion order (the header excluded).
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
     /// Renders the table with column alignment and a separator line.
@@ -53,6 +59,95 @@ impl TextTable {
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
             out.push('\n');
+        }
+        out
+    }
+}
+
+/// One experiment's result: a title, then sections, then notes.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// The `=== … ===` heading.
+    pub title: String,
+    /// The body, in print order.
+    pub sections: Vec<Section>,
+    /// Closing remarks (the paper's expectation, a summary statistic),
+    /// each printed after a blank line.
+    pub notes: Vec<String>,
+}
+
+/// A part of a [`Report`]: an optional `--- … ---` caption, an optional
+/// table, then lines of text.
+#[derive(Debug, Clone)]
+pub struct Section {
+    /// Printed as `--- caption ---` after a blank line.
+    pub caption: Option<String>,
+    /// Printed right under the caption.
+    pub table: Option<TextTable>,
+    /// Printed after the table, one per line.
+    pub lines: Vec<String>,
+}
+
+impl Section {
+    /// A table under `caption`.
+    pub fn captioned(caption: impl Into<String>, table: TextTable) -> Self {
+        Section { caption: Some(caption.into()), table: Some(table), lines: Vec::new() }
+    }
+
+    /// Lines of text with no table.
+    pub fn text<S: Into<String>>(
+        caption: Option<String>,
+        lines: impl IntoIterator<Item = S>,
+    ) -> Self {
+        Section { caption, table: None, lines: lines.into_iter().map(Into::into).collect() }
+    }
+}
+
+impl From<TextTable> for Section {
+    /// A table with no caption.
+    fn from(table: TextTable) -> Self {
+        Section { caption: None, table: Some(table), lines: Vec::new() }
+    }
+}
+
+impl Report {
+    /// A report titled `title`, with no sections or notes yet.
+    pub fn new(title: impl Into<String>) -> Self {
+        Report { title: title.into(), ..Report::default() }
+    }
+
+    /// Appends a section.
+    #[must_use]
+    pub fn section(mut self, section: impl Into<Section>) -> Self {
+        self.sections.push(section.into());
+        self
+    }
+
+    /// Appends a note.
+    #[must_use]
+    pub fn note(mut self, note: impl Into<String>) -> Self {
+        self.notes.push(note.into());
+        self
+    }
+
+    /// Renders the title, each section (caption, table, lines) and each
+    /// note.
+    pub fn render(&self) -> String {
+        let mut out = format!("\n=== {} ===\n", self.title);
+        for section in &self.sections {
+            if let Some(caption) = &section.caption {
+                out.push_str(&format!("\n--- {caption} ---\n"));
+            }
+            if let Some(table) = &section.table {
+                out.push_str(&table.render());
+            }
+            for line in &section.lines {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        for note in &self.notes {
+            out.push_str(&format!("\n{note}\n"));
         }
         out
     }
@@ -168,6 +263,37 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("alg"));
         assert!(lines[2].starts_with("HDRF"));
+    }
+
+    #[test]
+    fn report_renders_sections_then_notes() {
+        let table = |cell: &str| {
+            let mut t = TextTable::new(["k", "rf"]);
+            t.row(["4", cell]);
+            t
+        };
+        let report = Report::new("Fig. X — demo")
+            .section(Section {
+                lines: vec!["slope 2".to_string()],
+                ..Section::captioned("first", table("1.50"))
+            })
+            .section(table("2.25"))
+            .section(Section::text(Some("prose".to_string()), ["one", "two"]))
+            .note("(paper: it holds)")
+            .note("r = 0.990");
+        assert_eq!(
+            report.sections[1].table.as_ref().map(TextTable::rows),
+            Some(&[vec!["4".to_string(), "2.25".to_string()]][..])
+        );
+        assert_eq!(
+            report.render(),
+            "\n=== Fig. X — demo ===\n\
+             \n--- first ---\nk  rf\n-------\n4  1.50\nslope 2\n\
+             k  rf\n-------\n4  2.25\n\
+             \n--- prose ---\none\ntwo\n\
+             \n(paper: it holds)\n\
+             \nr = 0.990\n"
+        );
     }
 
     #[test]

@@ -529,6 +529,18 @@ pub fn series_slope(points: &[ScatterPoint]) -> f64 {
     }
 }
 
+/// Pearson correlation of `(x, y)` points — Fig. 5's "linear function"
+/// of the edge-cut ratio.
+pub fn pearson(points: &[(f64, f64)]) -> f64 {
+    let n = points.len() as f64;
+    let mx = points.iter().map(|p| p.0).sum::<f64>() / n;
+    let my = points.iter().map(|p| p.1).sum::<f64>() / n;
+    let cov: f64 = points.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
+    let vx: f64 = points.iter().map(|p| (p.0 - mx).powi(2)).sum();
+    let vy: f64 = points.iter().map(|p| (p.1 - my).powi(2)).sum();
+    cov / (vx.sqrt() * vy.sqrt()).max(1e-12)
+}
+
 // ---------------------------------------------------------------------------
 // Robustness suite (fault injection; beyond the paper — DESIGN.md §7)
 // ---------------------------------------------------------------------------

@@ -25,13 +25,7 @@ fn finding_network_io_linear_in_edge_cut() {
             points.push((row.edge_cut_ratio, row.network_bytes as f64));
         }
     }
-    let n = points.len() as f64;
-    let mx = points.iter().map(|p| p.0).sum::<f64>() / n;
-    let my = points.iter().map(|p| p.1).sum::<f64>() / n;
-    let cov: f64 = points.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
-    let vx: f64 = points.iter().map(|p| (p.0 - mx).powi(2)).sum();
-    let vy: f64 = points.iter().map(|p| (p.1 - my).powi(2)).sum();
-    let r = cov / (vx.sqrt() * vy.sqrt()).max(1e-12);
+    let r = runners::pearson(&points);
     assert!(r > 0.9, "edge-cut ratio vs network I/O correlation only {r:.3}");
 }
 
